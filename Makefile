@@ -7,9 +7,10 @@ PYTHON ?= python
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
-# Compile the optional C replay kernel in place (the `native` rung of
-# the kernel ladder).  Failure is non-fatal by design: without the
-# extension the ladder resolves to the batched kernel.
+# Compile the optional C extension in place: the `native` rung of the
+# kernel ladder plus the native surrogate-trace generator.  Failure is
+# non-fatal by design: without the extension the ladder resolves to the
+# batched kernel and traces come from the Python generator.
 native:
 	$(PYTHON) setup.py build_ext --inplace
 

@@ -1,8 +1,8 @@
 """Legacy-editable-install shim plus the *optional* native kernel build.
 
-The C replay kernel (``repro._native.replaykernel``) is a pure
-accelerator: every environment must work without it, so its build is
-best-effort — any compiler or toolchain failure downgrades to a warning
+The C extension (``repro._native.replaykernel``: the replay kernel plus
+the surrogate-trace generator) is a pure accelerator: every environment
+must work without it, so its build is best-effort — any compiler or toolchain failure downgrades to a warning
 and the pure-python wheel, never an install error.  Build it explicitly
 with ``make native`` (or ``python setup.py build_ext --inplace``).
 """
@@ -40,7 +40,10 @@ setup(
     ext_modules=[
         Extension(
             "repro._native.replaykernel",
-            sources=["src/repro/_native/replaykernel.c"],
+            sources=[
+                "src/repro/_native/replaykernel.c",
+                "src/repro/_native/tracegen.c",
+            ],
             optional=True,
         )
     ],

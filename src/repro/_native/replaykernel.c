@@ -2514,11 +2514,19 @@ fail:
     return NULL;
 }
 
+/* Surrogate-trace synthesis, defined in tracegen.c. */
+PyObject *tracegen_synthesize(PyObject *self, PyObject *args);
+
 static PyMethodDef replaykernel_methods[] = {
     {"replay", replay, METH_VARARGS,
      "Run the fused replay loop natively over packed trace columns.\n"
      "Takes a flat params dict, returns the end-of-run state dict.\n"
      "Bit-identical to the pure-python kernels by construction."},
+    {"synthesize", tracegen_synthesize, METH_VARARGS,
+     "synthesize(state, phases, budget, n_sets, line_bytes, gaps, kinds)\n"
+     "Emit a surrogate trace's (address, kind, gap) columns as bytes,\n"
+     "continuing a random.Random state; identical to the Python\n"
+     "generator in repro.workloads.engine."},
     {NULL, NULL, 0, NULL},
 };
 

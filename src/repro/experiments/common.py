@@ -108,6 +108,21 @@ def resolve_benchmarks(benchmarks: Optional[Sequence[str]]) -> List[str]:
     return list(benchmarks)
 
 
+def paper_entry(table, spec: str):
+    """The paper's reference entry for a workload spec, or None.
+
+    The paper publishes numbers per benchmark, so a re-seeded surrogate
+    (``mcf(seed=3)``) reports its base benchmark's entry, and specs that
+    are not surrogates (compositions, imports) have none.
+    """
+    from repro.workloads import SurrogateWorkload, parse_workload_spec
+
+    workload = parse_workload_spec(spec)
+    if isinstance(workload, SurrogateWorkload):
+        return table.get(workload.name)
+    return None
+
+
 def prewarm_tasks(
     names: Sequence[str],
     benchmarks: Optional[Sequence[str]] = None,

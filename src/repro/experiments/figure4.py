@@ -8,7 +8,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import Report, fmt_pct, resolve_benchmarks
+from repro.experiments.common import (
+    Report,
+    fmt_pct,
+    paper_entry,
+    resolve_benchmarks,
+)
 from repro.sim.runner import ipc_improvement, run_policy
 from repro.workloads import PAPER_FIG5
 
@@ -32,7 +37,8 @@ def run(
         for lam in LAMBDAS:
             result = run_policy(name, "lin(%d)" % lam, scale=scale)
             row.append(fmt_pct(ipc_improvement(result, baseline)))
-        row.append(fmt_pct(PAPER_FIG5[name][1]))
+        paper = paper_entry(PAPER_FIG5, name)
+        row.append(fmt_pct(paper[1]) if paper else "-")
         rows.append(row)
     report.add_table(
         ["benchmark"] + ["LIN(%d)" % lam for lam in LAMBDAS] + ["paper LIN(4)"],

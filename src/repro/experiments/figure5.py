@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import Report, fmt_pct, resolve_benchmarks
+from repro.experiments.common import (
+    Report,
+    fmt_pct,
+    paper_entry,
+    resolve_benchmarks,
+)
 from repro.experiments.figure2 import bucket_labels
 from repro.sim.runner import ipc_improvement, miss_change, run_policy
 from repro.workloads import PAPER_FIG5
@@ -33,15 +38,18 @@ def run(
         lin = run_policy(name, "lin(4)", scale=scale)
         miss_delta = miss_change(lin, baseline)
         ipc_delta = ipc_improvement(lin, baseline)
-        paper_miss, paper_ipc = PAPER_FIG5[name]
+        paper = paper_entry(PAPER_FIG5, name)
+        paper_miss, paper_ipc = (
+            [fmt_pct(value) for value in paper] if paper else ["-", "-"]
+        )
         report.add_note(
             "%s: MISS %s (paper %s), IPC %s (paper %s)"
             % (
                 name,
                 fmt_pct(miss_delta),
-                fmt_pct(paper_miss),
+                paper_miss,
                 fmt_pct(ipc_delta),
-                fmt_pct(paper_ipc),
+                paper_ipc,
             )
         )
         rows = [
@@ -67,8 +75,8 @@ def run(
         summary_rows.append(
             (
                 name,
-                fmt_pct(miss_delta), fmt_pct(paper_miss),
-                fmt_pct(ipc_delta), fmt_pct(paper_ipc),
+                fmt_pct(miss_delta), paper_miss,
+                fmt_pct(ipc_delta), paper_ipc,
             )
         )
     report.add_note("Summary (the Figure 5 insets):")

@@ -9,7 +9,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import Report, fmt_pct, resolve_benchmarks
+from repro.experiments.common import (
+    Report,
+    fmt_pct,
+    paper_entry,
+    resolve_benchmarks,
+)
 from repro.sim.runner import ipc_improvement, run_policy
 from repro.workloads import PAPER_FIG5, PAPER_FIG9_SBAR
 
@@ -28,13 +33,15 @@ def run(
         baseline = run_policy(name, "lru", scale=scale)
         lin = run_policy(name, "lin(4)", scale=scale)
         sbar = run_policy(name, "sbar", scale=scale)
+        paper_lin = paper_entry(PAPER_FIG5, name)
+        paper_sbar = paper_entry(PAPER_FIG9_SBAR, name)
         rows.append(
             (
                 name,
                 fmt_pct(ipc_improvement(lin, baseline)),
-                fmt_pct(PAPER_FIG5[name][1]),
+                fmt_pct(paper_lin[1]) if paper_lin else "-",
                 fmt_pct(ipc_improvement(sbar, baseline)),
-                fmt_pct(PAPER_FIG9_SBAR[name]),
+                fmt_pct(paper_sbar) if paper_sbar is not None else "-",
             )
         )
     report.add_table(

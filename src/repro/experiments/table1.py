@@ -10,7 +10,11 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import Report, resolve_benchmarks
+from repro.experiments.common import (
+    Report,
+    paper_entry,
+    resolve_benchmarks,
+)
 from repro.sim.runner import run_policy
 from repro.workloads import PAPER_TABLE1
 
@@ -28,7 +32,7 @@ def run(
     for name in resolve_benchmarks(benchmarks):
         result = run_policy(name, "lru", scale=scale)
         summary = result.delta_summary
-        paper = PAPER_TABLE1.get(name)
+        paper = paper_entry(PAPER_TABLE1, name)
         rows.append(
             (
                 name,

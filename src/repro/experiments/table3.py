@@ -12,7 +12,11 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.common import Report, resolve_benchmarks
+from repro.experiments.common import (
+    Report,
+    paper_entry,
+    resolve_benchmarks,
+)
 from repro.sim.runner import run_policy
 from repro.workloads import PAPER_TABLE3
 
@@ -27,7 +31,7 @@ def run(
     rows = []
     for name in resolve_benchmarks(benchmarks):
         result = run_policy(name, "lru", scale=scale)
-        paper = PAPER_TABLE3.get(name, ("-", None, None))
+        paper = paper_entry(PAPER_TABLE3, name) or ("-", None, None)
         rows.append(
             (
                 name,

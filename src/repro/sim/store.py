@@ -59,22 +59,30 @@ _FORMAT_VERSION = 4
 _code_version: Optional[str] = None
 
 
+def source_digest(package_root: Path) -> str:
+    """Hash of the Python sources and native C sources of a package."""
+    digest = hashlib.sha256()
+    sources = sorted(package_root.rglob("*.py")) + sorted(
+        package_root.glob("_native/*.c")
+    )
+    for path in sources:
+        digest.update(str(path.relative_to(package_root)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def code_version() -> str:
     """Hash of every ``repro`` source file, cached per process.
 
-    Keys include this hash so editing the simulator invalidates every
-    stored result; the walk costs ~1 ms and runs once per process.
+    Keys include this hash so editing the simulator — its Python or
+    the C kernel and trace generator — invalidates every stored result;
+    the walk costs ~1 ms and runs once per process.
     """
     global _code_version
     if _code_version is None:
         import repro
 
-        digest = hashlib.sha256()
-        package_root = Path(repro.__file__).resolve().parent
-        for path in sorted(package_root.rglob("*.py")):
-            digest.update(str(path.relative_to(package_root)).encode())
-            digest.update(path.read_bytes())
-        _code_version = digest.hexdigest()[:16]
+        _code_version = source_digest(Path(repro.__file__).resolve().parent)
     return _code_version
 
 

@@ -15,14 +15,15 @@ always returns a
 :class:`~repro.trace.packed.PackedTrace`.  The historical
 :func:`load_trace` / :func:`load_packed_trace` remain as thin wrappers
 over it.
+
+numpy is imported inside the npz functions only: importing this module
+(which every CLI does) must not pay numpy's import time and memory.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-
-import numpy as np
 
 from repro.trace.packed import PackedTrace
 from repro.trace.record import Trace
@@ -40,6 +41,8 @@ def save_trace(path: str, trace: Trace) -> None:
     Accepts any iterable of ``Access`` records, including a
     :class:`~repro.trace.packed.PackedTrace`.
     """
+    import numpy as np
+
     addresses = np.fromiter(
         (access.address for access in trace), dtype=np.int64, count=len(trace)
     )
@@ -64,6 +67,8 @@ def save_trace(path: str, trace: Trace) -> None:
 
 def _load_columns(path: str):
     """Read and version-check the four parallel columns of a trace file."""
+    import numpy as np
+
     with np.load(path) as data:
         version = int(data["version"])
         if version != FORMAT_VERSION:
@@ -74,7 +79,7 @@ def _load_columns(path: str):
         return data["address"], data["kind"], data["gap"], data["wrong_path"]
 
 
-def _i64_column(col: np.ndarray) -> array:
+def _i64_column(col) -> array:
     """A numpy integer column as a native ``array("q")``, bulk-copied.
 
     The old ``.astype(...).tolist()`` round-trip materialized one boxed
@@ -91,6 +96,8 @@ def _i64_column(col: np.ndarray) -> array:
 def _load_packed_npz(path: str) -> PackedTrace:
     """The native npz record format, columns straight into a
     :class:`PackedTrace` (no ``Access`` objects materialized)."""
+    import numpy as np
+
     addresses, kinds, gaps, wrong = _load_columns(path)
     n_wrong = int(np.count_nonzero(wrong))
     wrong_bits = None

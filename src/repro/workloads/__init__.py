@@ -80,9 +80,6 @@ def build_trace(
                 % canonical_workload_spec(workload)
             )
         workload = reseed(seed)
-    accesses = getattr(workload, "build_accesses", None)
-    if accesses is not None:
-        return accesses(scale)
     return workload.build(scale).to_accesses()
 
 

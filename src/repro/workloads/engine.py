@@ -29,15 +29,26 @@ a burst (and P visits occur isolated).
 
 Block-number name-spacing keeps all classes in disjoint ranges so
 instrumentation can attribute misses per class.
+
+Records are emitted straight into :class:`~repro.trace.packed.PackedTrace`
+columns.  When the compiled extension is present its ``synthesize``
+function runs the emission loop in C: Python still builds each phase's
+pools (the S-pool shuffle consumes the RNG) and thresholds, then hands
+the Mersenne Twister state over, and C replays CPython's ``random()``
+and ``randrange()`` draw for draw.  :func:`_emit_phase` is the
+pure-Python reference and fallback; both produce identical columns.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import List, Optional, Tuple
 
-from repro.trace.record import LOAD, STORE, Access, Trace
+from repro.trace.packed import PackedTrace
+from repro.trace.record import LOAD, STORE
 from repro.trace.synthetic import BURST_GAP, ISOLATING_GAP
 
 #: Name-space bases keeping traffic classes in disjoint block ranges.
@@ -47,6 +58,39 @@ _RANDOM_BASE = 3 << 24
 _FLIP_BASE = 5 << 23
 _COMPANION_BASE = 7 << 23
 _PHASE_STRIDE = 1 << 26
+
+#: Flip blocks per cache set: far above the 16-way associativity so
+#: the flip pool thrashes its sets and *re-misses* on every lap (a
+#: resident flip block would stop producing deltas, and a pool close
+#: to the associativity would be mostly LIN-protectable).  Keep in
+#: sync with tracegen.c.
+FLIP_BLOCKS_PER_SET = 64
+
+#: Set-stride for flip lanes; a multiple of any power-of-two set count
+#: up to 64K, so all lanes of one offset share a cache set.
+FLIP_LANE_STRIDE = 1 << 16
+
+#: Pools the native generator draws from with 32-bit ``randrange``;
+#: anything larger takes the Python path.
+_NATIVE_POOL_LIMIT = 1 << 32
+
+#: Tri-state cache of the native ``synthesize`` function: the sentinel
+#: means "not probed yet", None means unavailable.  Tests set it to
+#: None to force the pure-Python generator.
+_UNRESOLVED = object()
+_synthesize = _UNRESOLVED
+
+
+def native_synthesize():
+    """The compiled ``synthesize`` function, or None when unavailable."""
+    global _synthesize
+    if _synthesize is _UNRESOLVED:
+        try:
+            from repro._native.replaykernel import synthesize
+        except ImportError:
+            synthesize = None
+        _synthesize = synthesize
+    return _synthesize
 
 
 @dataclass(frozen=True)
@@ -125,16 +169,22 @@ class SurrogateSpec:
 
 
 class _PhaseState:
-    """Mutable pools and cursors for one phase's traffic."""
+    """One phase's pools, draw parameters and (Python-path) cursors."""
 
     def __init__(
         self,
         spec: SurrogateSpec,
+        quota: int,
         l2_blocks: int,
+        n_sets: int,
         rng: random.Random,
         namespace: int,
     ) -> None:
-        self.spec = spec
+        if quota < 1:
+            raise ValueError("access budgets and phase quotas must be positive")
+        if any(size < 1 for size in spec.burst_sizes):
+            raise ValueError("burst sizes must be positive")
+        self.quota = quota
         base = namespace * _PHASE_STRIDE
         pattern = sum(spec.burst_sizes)
         pool = max(pattern, int(spec.p_pool_factor * l2_blocks))
@@ -143,18 +193,16 @@ class _PhaseState:
             # every lap regroups identically: each block keeps the same
             # parallelism context visit after visit (small deltas).
             pool = max(pattern, (pool // pattern) * pattern)
+        self.p_random = bool(spec.p_random)
         self.p_pool = pool
-        self.burst_rotation = 0
         self.p_base = base
-        self.p_cursor = 0
+        self.burst_sizes = tuple(spec.burst_sizes)
         s_pool = max(0, int(spec.s_pool_factor * l2_blocks))
         self.s_blocks: List[int] = [
             base + _S_BASE + index for index in range(s_pool)
         ]
         rng.shuffle(self.s_blocks)
-        self.s_cursor = 0
         self.transient_base = base + _TRANSIENT_BASE
-        self.transients_used = 0
         self.random_base = base + _RANDOM_BASE
         self.random_pool = max(0, int(spec.random_pool_factor * l2_blocks))
         flip_pool = 0
@@ -162,91 +210,58 @@ class _PhaseState:
             flip_pool = max(1, int(spec.flip_pool_factor * l2_blocks))
         self.flip_base = base + _FLIP_BASE
         self.flip_pool = flip_pool
+        self.companion_base = base + _COMPANION_BASE
+        self.thresholds = _draw_thresholds(spec)
+        self.context_noise = spec.context_noise
+        self.random_isolated = spec.random_isolated
+        self.store_threshold = int(spec.store_fraction * 100)
+        self.skew = (0, 0)  # (start, width); width 0 means unskewed
+        if spec.set_skew is not None:
+            self.skew = _skew_window(n_sets, spec.set_skew)
+        # Cursors, advanced by the Python emitter across phase visits.
+        self.burst_rotation = 0
+        self.p_cursor = 0
+        self.s_cursor = 0
+        self.transients_used = 0
         self.flip_cursor = 0
         self.flip_lap = 0
-        self.companion_base = base + _COMPANION_BASE
         self.companions_used = 0
 
-    def next_p_blocks(self, count: int, rng: random.Random) -> List[int]:
-        if self.spec.p_random:
-            # Spatially sequential burst at a random pool offset.
-            start = rng.randrange(self.p_pool)
-            return [
-                self.p_base + (start + index) % self.p_pool
-                for index in range(count)
-            ]
-        blocks = []
-        for _ in range(count):
-            blocks.append(self.p_base + self.p_cursor)
-            self.p_cursor = (self.p_cursor + 1) % self.p_pool
-        return blocks
+    @property
+    def native_ok(self) -> bool:
+        """Whether the native generator's 32-bit draws cover the pools."""
+        return (
+            self.p_pool < _NATIVE_POOL_LIMIT
+            and self.random_pool < _NATIVE_POOL_LIMIT
+        )
 
-    def next_s_block(self) -> Optional[int]:
-        if not self.s_blocks:
-            return None
-        block = self.s_blocks[self.s_cursor]
-        self.s_cursor = (self.s_cursor + 1) % len(self.s_blocks)
-        return block
-
-    def next_transient(self) -> int:
-        block = self.transient_base + self.transients_used
-        self.transients_used += 1
-        return block
-
-    def random_block(self, rng: random.Random) -> Optional[int]:
-        if not self.random_pool:
-            return None
-        return self.random_base + rng.randrange(self.random_pool)
-
-    #: Flip blocks per cache set: far above the 16-way associativity so
-    #: the flip pool thrashes its sets and *re-misses* on every lap
-    #: (a resident flip block would stop producing deltas, and a pool
-    #: close to the associativity would be mostly LIN-protectable).
-    FLIP_BLOCKS_PER_SET = 64
-
-    #: Set-stride for flip lanes; a multiple of any power-of-two set
-    #: count up to 64K, so all lanes of one offset share a cache set.
-    FLIP_LANE_STRIDE = 1 << 16
-
-    def next_flip_block(self) -> Tuple[int, bool]:
-        """Next flip-pool block and whether this lap is the isolated one.
-
-        The pool is folded onto a few cache sets (FLIP_BLOCKS_PER_SET
-        blocks each) so consecutive laps always miss.
-        """
-        spread = max(1, self.flip_pool // self.FLIP_BLOCKS_PER_SET)
-        lane, offset = divmod(self.flip_cursor, spread)
-        block = self.flip_base + offset + lane * self.FLIP_LANE_STRIDE
-        self.flip_cursor += 1
-        if self.flip_cursor >= self.flip_pool:
-            self.flip_cursor = 0
-            self.flip_lap += 1
-        return block, self.flip_lap % 2 == 0
-
-    def next_companions(self, count: int) -> List[int]:
-        """Fresh never-reused blocks that are guaranteed to miss.
-
-        Burst-context visits need real parallel misses next to them; a
-        companion drawn from a resident pool would hit and leave the
-        visit isolated after all.
-        """
-        start = self.companions_used
-        self.companions_used += count
-        return [self.companion_base + start + index for index in range(count)]
-
-    def next_burst_size(self) -> int:
-        sizes = self.spec.burst_sizes
-        burst = sizes[self.burst_rotation % len(sizes)]
-        self.burst_rotation += 1
-        return burst
+    def native_params(self) -> tuple:
+        """The per-phase tuple ``synthesize`` takes (see tracegen.c)."""
+        return (
+            self.quota, *self.thresholds,
+            self.context_noise, self.random_isolated,
+            self.store_threshold, *self.skew,
+            self.p_random, self.p_pool, self.p_base, self.burst_sizes,
+            self.s_blocks, self.transient_base, self.random_base,
+            self.random_pool, self.flip_base, self.flip_pool,
+            self.companion_base,
+        )
 
 
-def _skew_block(block: int, n_sets: int, skew: Tuple[float, float]) -> int:
-    """Remap a block so its set index falls in a restricted range."""
-    start = int(skew[0] * n_sets)
-    width = max(1, int(skew[1] * n_sets))
-    lane, offset = divmod(block, width)
-    return lane * n_sets + start + offset
+def _skew_window(n_sets: int, skew: Tuple[float, float]) -> Tuple[int, int]:
+    """``(start, width)`` in sets of a ``set_skew`` fraction pair."""
+    return int(skew[0] * n_sets), max(1, int(skew[1] * n_sets))
+
+
+def _skew_blocks(
+    blocks: List[int], n_sets: int, window: Tuple[int, int]
+) -> List[int]:
+    """Remap blocks so their set indices fall in ``window`` (start, width)."""
+    start, width = window
+    return [
+        lane * n_sets + start + offset
+        for lane, offset in map(divmod, blocks, repeat(width))
+    ]
 
 
 def generate_surrogate(
@@ -255,38 +270,43 @@ def generate_surrogate(
     n_sets: int,
     seed: int = 0,
     line_bytes: int = 64,
-) -> Trace:
-    """Emit one surrogate trace.
+) -> PackedTrace:
+    """Emit one surrogate trace as packed columns.
 
-    The trace is deterministic in (spec, l2_blocks, n_sets, seed).
+    The trace is deterministic in (spec, l2_blocks, n_sets, seed), and
+    identical whether the native or the Python generator emits it.
     """
     rng = random.Random(seed)
-    trace: List[Access] = []
-
-    if spec.phases:
-        schedule = list(spec.phases)
-        states = [
-            _PhaseState(phase_spec, l2_blocks, rng, index + 1)
-            for index, (phase_spec, _) in enumerate(schedule)
-        ]
-    else:
-        schedule = [(spec, spec.accesses)]
-        states = [_PhaseState(spec, l2_blocks, rng, 1)]
-
-    budget = spec.accesses
-    pending_gap = 0
-    phase_index = 0
-    while budget > 0:
-        phase_spec, quota = schedule[phase_index % len(schedule)]
-        state = states[phase_index % len(states)]
-        emitted = _emit_phase(
-            trace, phase_spec, state, min(quota, budget), rng,
-            n_sets, line_bytes, pending_gap,
+    schedule = list(spec.phases) if spec.phases else [(spec, spec.accesses)]
+    states = [
+        _PhaseState(phase_spec, quota, l2_blocks, n_sets, rng, index + 1)
+        for index, (phase_spec, quota) in enumerate(schedule)
+    ]
+    budget = max(0, spec.accesses)
+    addresses = array("q")
+    kinds = array("b")
+    gaps = array("q")
+    synthesize = native_synthesize()
+    if synthesize is not None and all(state.native_ok for state in states):
+        blobs = synthesize(
+            rng.getstate()[1],
+            [state.native_params() for state in states],
+            budget, n_sets, line_bytes,
+            (ISOLATING_GAP, BURST_GAP), (LOAD, STORE),
         )
-        pending_gap = 0
-        budget -= emitted
-        phase_index += 1
-    return trace
+        for column, blob in zip((addresses, kinds, gaps), blobs):
+            column.frombytes(blob)
+    else:
+        columns = (addresses, kinds, gaps)
+        phase_index = 0
+        while budget > 0:
+            state = states[phase_index % len(states)]
+            budget -= _emit_phase(
+                columns, state, min(state.quota, budget), rng,
+                n_sets, line_bytes,
+            )
+            phase_index += 1
+    return PackedTrace.from_columns(addresses, kinds, gaps)
 
 
 def _draw_thresholds(
@@ -321,85 +341,125 @@ def _draw_thresholds(
 
 
 def _emit_phase(
-    trace: List[Access],
-    spec: SurrogateSpec,
+    columns: Tuple[array, array, array],
     state: _PhaseState,
     quota: int,
     rng: random.Random,
     n_sets: int,
     line_bytes: int,
-    pending_gap: int,
 ) -> int:
-    """Emit up to ``quota`` accesses for one phase visit."""
-    emitted = 0
-    carry_gap = pending_gap
-    threshold_s, threshold_t, threshold_r, threshold_f = _draw_thresholds(spec)
+    """Append up to ``quota`` records of one phase visit to ``columns``.
 
-    store_threshold = int(spec.store_fraction * 100)
+    The pure-Python reference for tracegen.c: every RNG draw happens in
+    the same order there.  Blocks and gaps collect in lists; the skew
+    remap, the store hash and the address multiply then run over the
+    whole visit at once.  Returns the number of records appended.
+    """
+    draw = rng.random
+    randrange = rng.randrange
+    threshold_s, threshold_t, threshold_r, threshold_f = state.thresholds
+    noise = state.context_noise
+    random_isolated = state.random_isolated
+    s_blocks = state.s_blocks
+    n_s = len(s_blocks)
+    s_cursor = state.s_cursor
+    transient_base = state.transient_base
+    transients = state.transients_used
+    random_base, random_pool = state.random_base, state.random_pool
+    flip_base, flip_pool = state.flip_base, state.flip_pool
+    flip_cursor, flip_lap = state.flip_cursor, state.flip_lap
+    flip_spread = max(1, flip_pool // FLIP_BLOCKS_PER_SET)
+    companion_base = state.companion_base
+    companions = state.companions_used
+    p_random, p_pool, p_base = state.p_random, state.p_pool, state.p_base
+    p_cursor = state.p_cursor
+    sizes = state.burst_sizes
+    rotation = state.burst_rotation
+    burst_tails = {size: [BURST_GAP] * (size - 1) for size in sizes}
+    isolated_tails = {size: [ISOLATING_GAP] * (size - 1) for size in sizes}
 
-    def push(block: int, gap: int) -> None:
-        nonlocal emitted, carry_gap
-        if spec.set_skew is not None:
-            block = _skew_block(block, n_sets, spec.set_skew)
-        # Store placement is a deterministic hash of the block so a
-        # given block keeps the same access kind on every visit; random
-        # placement would perturb the window-stall structure between
-        # laps and fabricate mlp-cost deltas out of thin air.
-        is_store = (block * 2654435761) % 100 < store_threshold
-        kind = STORE if is_store else LOAD
-        trace.append(Access(block * line_bytes, kind, gap + carry_gap))
-        carry_gap = 0
-        emitted += 1
-
-    while emitted < quota:
-        draw = rng.random()
-        if draw < threshold_s and state.s_blocks:
-            block = state.next_s_block()
-            if rng.random() < spec.context_noise:
-                # Wrong context: the S block rides inside a P burst and
-                # its miss is serviced in parallel (low cost this time).
-                push(block, ISOLATING_GAP)
-                for companion in state.next_companions(2):
-                    push(companion, BURST_GAP)
-                carry_gap = ISOLATING_GAP
-            else:
-                push(block, ISOLATING_GAP)
-                carry_gap = ISOLATING_GAP  # isolate on both sides
-        elif draw < threshold_t:
-            push(state.next_transient(), ISOLATING_GAP)
-            carry_gap = ISOLATING_GAP
-        elif draw < threshold_r and state.random_pool:
-            block = state.random_block(rng)
-            if rng.random() < spec.random_isolated:
-                push(block, ISOLATING_GAP)
-                carry_gap = ISOLATING_GAP
-            else:
-                # Cold-pool visit riding in a parallel burst.
-                push(block, ISOLATING_GAP)
-                for companion in state.next_companions(2):
-                    push(companion, BURST_GAP)
-                carry_gap = ISOLATING_GAP
-        elif draw < threshold_f and state.flip_pool:
-            block, isolated_lap = state.next_flip_block()
-            if isolated_lap:
-                push(block, ISOLATING_GAP)
-                carry_gap = ISOLATING_GAP
-            else:
-                push(block, ISOLATING_GAP)
-                for companion in state.next_companions(2):
-                    push(companion, BURST_GAP)
-                carry_gap = ISOLATING_GAP
+    blocks: List[int] = []
+    gaps: List[int] = []
+    add_block = blocks.append
+    add_gap = gaps.append
+    # Gap owed to the next record: an isolated visit drains the window
+    # on both sides, so the record after it carries an extra gap.
+    carry = 0
+    while len(blocks) < quota:
+        choice = draw()
+        if choice < threshold_s and n_s:
+            block = s_blocks[s_cursor]
+            s_cursor = (s_cursor + 1) % n_s
+            # Wrong context: the S block rides inside a burst and its
+            # miss is serviced in parallel (low cost this time).
+            in_burst = draw() < noise
+        elif choice < threshold_t:
+            block = transient_base + transients
+            transients += 1
+            in_burst = False
+        elif choice < threshold_r and random_pool:
+            block = random_base + randrange(random_pool)
+            in_burst = not draw() < random_isolated
+        elif choice < threshold_f and flip_pool:
+            # The pool is folded onto a few cache sets so consecutive
+            # laps always miss; the context alternates every lap.
+            lane, offset = divmod(flip_cursor, flip_spread)
+            block = flip_base + offset + lane * FLIP_LANE_STRIDE
+            flip_cursor += 1
+            if flip_cursor >= flip_pool:
+                flip_cursor = 0
+                flip_lap += 1
+            in_burst = flip_lap % 2 != 0
         else:
-            burst = state.next_burst_size()
-            blocks = state.next_p_blocks(burst, rng)
-            if rng.random() < spec.context_noise:
+            size = sizes[rotation % len(sizes)]
+            rotation += 1
+            if p_random:
+                # Spatially sequential burst at a random pool offset.
+                start = randrange(p_pool)
+            else:
+                start = p_cursor
+                p_cursor = (p_cursor + size) % p_pool
+            blocks += [p_base + (start + i) % p_pool for i in range(size)]
+            add_gap(ISOLATING_GAP + carry)
+            if draw() < noise:
                 # Wrong context: the stream is visited one block at a
                 # time with window-draining gaps (isolated misses).
-                for block in blocks:
-                    push(block, ISOLATING_GAP)
-                carry_gap = ISOLATING_GAP
+                gaps += isolated_tails[size]
+                carry = ISOLATING_GAP
             else:
-                push(blocks[0], ISOLATING_GAP)
-                for block in blocks[1:]:
-                    push(block, BURST_GAP)
-    return emitted
+                gaps += burst_tails[size]
+                carry = 0
+            continue
+        add_block(block)
+        add_gap(ISOLATING_GAP + carry)
+        if in_burst:
+            # Fresh never-reused companions guarantee real parallel
+            # misses next to the visit (a resident one would hit).
+            add_block(companion_base + companions)
+            add_block(companion_base + companions + 1)
+            companions += 2
+            gaps += (BURST_GAP, BURST_GAP)
+        carry = ISOLATING_GAP
+
+    state.s_cursor = s_cursor
+    state.transients_used = transients
+    state.flip_cursor, state.flip_lap = flip_cursor, flip_lap
+    state.companions_used = companions
+    state.p_cursor = p_cursor
+    state.burst_rotation = rotation
+
+    if state.skew[1]:
+        blocks = _skew_blocks(blocks, n_sets, state.skew)
+    # Store placement is a deterministic hash of the block so a given
+    # block keeps the same access kind on every visit; random placement
+    # would perturb the window-stall structure between laps and
+    # fabricate mlp-cost deltas out of thin air.
+    store_threshold = state.store_threshold
+    addresses, kinds, gap_column = columns
+    kinds.extend([
+        STORE if (block * 2654435761) % 100 < store_threshold else LOAD
+        for block in blocks
+    ])
+    addresses.extend([block * line_bytes for block in blocks])
+    gap_column.extend(gaps)
+    return len(blocks)

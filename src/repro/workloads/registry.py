@@ -427,14 +427,10 @@ class SurrogateWorkload(Workload):
     def with_seed(self, seed: Optional[int]) -> "SurrogateWorkload":
         return SurrogateWorkload(self.name, seed=seed)
 
-    def build_accesses(self, scale: float = 1.0):
-        """The raw ``Access`` list (the deprecation shim's fast path)."""
+    def build(self, scale: float = 1.0) -> PackedTrace:
         from repro.workloads import spec2000
 
         return spec2000.build_trace(self.name, scale=scale, seed=self.seed)
-
-    def build(self, scale: float = 1.0) -> PackedTrace:
-        return PackedTrace.from_accesses(self.build_accesses(scale))
 
 
 def _register_surrogates() -> None:

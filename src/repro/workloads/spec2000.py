@@ -23,7 +23,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig, scaled_config
-from repro.trace.record import Trace
+from repro.trace.packed import PackedTrace
 from repro.workloads.engine import SurrogateSpec, generate_surrogate
 
 #: L2 capacity (KB) used by the experiments.  The Table 2 machine has a
@@ -178,7 +178,9 @@ _SEEDS: Dict[str, int] = {
 }
 
 
-def build_trace(name: str, scale: float = 1.0, seed: Optional[int] = None) -> Trace:
+def build_trace(
+    name: str, scale: float = 1.0, seed: Optional[int] = None
+) -> PackedTrace:
     """Generate the surrogate trace for ``name`` (deterministic)."""
     if name not in SPECS:
         raise KeyError(

@@ -12,6 +12,7 @@ from repro.experiments.common import (
     Report,
     fmt_pct,
     histogram_bar,
+    paper_entry,
     resolve_benchmarks,
 )
 from repro.sim.runner import clear_cache
@@ -51,6 +52,29 @@ class TestCommon:
     def test_resolve_benchmarks_validates(self):
         with pytest.raises(KeyError):
             resolve_benchmarks(["nonsense"])
+
+    def test_paper_entry_by_surrogate_base_name(self):
+        table = {"mcf": (1, 2)}
+        assert paper_entry(table, "mcf") == (1, 2)
+        assert paper_entry(table, " MCF(seed=3) ") == (1, 2)
+        assert paper_entry(table, "interleave(mcf,art)") is None
+        assert paper_entry(table, "art") is None
+
+
+class TestSeededAndComposedSpecs:
+    """Paper lookups used to index by the raw spec string, so
+    ``figure4 --benchmarks "mcf(seed=3)"`` died with a KeyError."""
+
+    @pytest.mark.parametrize(
+        "name", ["table1", "table3", "figure4", "figure5", "figure9"]
+    )
+    def test_report_renders(self, name):
+        report = EXPERIMENTS[name].run(
+            scale=0.02, benchmarks=["mcf(seed=3)", "interleave(mcf,art)"]
+        )
+        text = report.render()
+        assert "mcf(seed=3)" in text
+        assert "interleave(mcf,art)" in text
 
 
 class TestRegistry:

@@ -1,5 +1,9 @@
 """Tests for trace persistence, the CLIs, and the stats helpers."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.__main__ import main as experiments_main
@@ -128,3 +132,43 @@ class TestStatsHelpers:
         assert sample.ipc == 0.0
         assert sample.misses_per_1000 == 0.0
         assert sample.avg_cost_q == 0.0
+
+
+class TestLazyNumpy:
+    """numpy costs ~0.2 s and ~13 MB per process; only the npz trace
+    format and the batched replay rung need it, so the native suite
+    path, the service and the pool must never import it."""
+
+    def _child(self, script, tmp_path):
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+            cwd=str(Path(__file__).parent.parent),
+            env={
+                "PYTHONPATH": "src", "PATH": "/usr/bin:/bin",
+                "REPRO_CACHE_DIR": str(tmp_path / "store"),
+            },
+        )
+        return out.stdout.split()
+
+    def test_imports_leave_numpy_unloaded(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import repro.__main__, repro.service.server, repro.sim.parallel\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert self._child(script, tmp_path) == ["False"]
+
+    def test_native_suite_leaves_numpy_unloaded(self, tmp_path):
+        from repro.sim.native import load_extension
+
+        if load_extension() is None:
+            pytest.skip("native extension not built; batched needs numpy")
+        script = (
+            "import sys\n"
+            "from repro.__main__ import main\n"
+            "code = main(['suite', '--policies', 'lru,lin(4),sbar',\n"
+            "             '--benchmarks', 'mcf,ammp', '--scale', '0.02'])\n"
+            "print('exit=%d' % code, 'numpy' in sys.modules)\n"
+        )
+        assert self._child(script, tmp_path)[-2:] == ["exit=0", "False"]

@@ -13,7 +13,12 @@ from repro.config import scaled_config
 from repro.sim.parallel import Task, run_grid
 from repro.sim import runner
 from repro.sim.runner import clear_cache, packed_trace, run_policy
-from repro.sim.store import ResultStore, default_store, store_key
+from repro.sim.store import (
+    ResultStore,
+    default_store,
+    source_digest,
+    store_key,
+)
 from repro.sim.suite import EXPORT_FIELDS, SuiteResult, run_suite
 from repro.workloads import experiment_config
 
@@ -215,6 +220,21 @@ class TestStoreKeying:
         monkeypatch.setenv("REPRO_NO_STORE", "1")
         assert default_store() is None
         run_policy("lucas", "lru", scale=SCALE)  # still works, memo-only
+
+    def test_code_version_covers_native_sources(self, tmp_path):
+        # Results depend on the C kernel and trace generator too: an
+        # edit to either must invalidate stored results.
+        package = tmp_path / "pkg"
+        (package / "_native").mkdir(parents=True)
+        (package / "sim.py").write_text("x = 1\n")
+        kernel = package / "_native" / "replaykernel.c"
+        kernel.write_text("int x = 1;\n")
+        before = source_digest(package)
+        kernel.write_text("int x = 2;\n")
+        edited = source_digest(package)
+        assert edited != before
+        (package / "_native" / "tracegen.c").write_text("int y;\n")
+        assert source_digest(package) != edited
 
 
 class TestSuiteResultFixes:

@@ -362,6 +362,24 @@ class TestFromColumns:
             PackedTrace.from_columns(
                 array("q", [64]), array("b", [LOAD]), array("q", [-1])
             )
+        # Validation reads sign bytes: extremes either side of zero,
+        # with the offender mid-column.
+        extremes = array("q", [2**63 - 1, 0, -(2**63), 255])
+        for addresses, gaps in ((extremes, [0] * 4), ([64] * 4, extremes)):
+            with pytest.raises(ValueError, match="non-negative"):
+                PackedTrace.from_columns(
+                    array("q", addresses), array("b", [LOAD] * 4),
+                    array("q", gaps),
+                )
+        with pytest.raises(ValueError, match=r"\[-1, 99\]"):
+            PackedTrace.from_columns(
+                array("q", [0, 64, 128]), array("b", [99, LOAD, -1]),
+                array("q", [0] * 3),
+            )
+        PackedTrace.from_columns(
+            array("q", [2**63 - 1, 0]), array("b", [STORE, IFETCH]),
+            array("q", [2**63 - 1, 0]),
+        )
 
     def test_rejects_mismatched_column_lengths(self):
         from array import array

@@ -413,8 +413,8 @@ class TestDeprecatedShim:
     def test_build_trace_warns_and_matches_registry(self):
         with pytest.deprecated_call():
             legacy = build_trace("mcf", scale=0.02)
-        via_registry = parse_workload_spec("mcf").build_accesses(0.02)
-        assert legacy == via_registry
+        via_registry = parse_workload_spec("mcf").build(0.02)
+        assert legacy == via_registry.to_accesses()
 
     def test_seed_override_still_works(self):
         with warnings.catch_warnings():
@@ -423,7 +423,7 @@ class TestDeprecatedShim:
             reseeded = build_trace("mcf", scale=0.02, seed=99)
         assert default != reseeded
         workload = parse_workload_spec("mcf(seed=99)")
-        assert reseeded == workload.build_accesses(0.02)
+        assert reseeded == workload.build(0.02).to_accesses()
 
     def test_seed_rejected_for_unseedable_specs(self):
         spec = "champsim:%s" % FIXTURE

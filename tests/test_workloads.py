@@ -8,7 +8,8 @@ from repro.workloads import BENCHMARKS, SPECS, build_trace
 from repro.workloads.engine import (
     SurrogateSpec,
     _draw_thresholds,
-    _skew_block,
+    _skew_blocks,
+    _skew_window,
     generate_surrogate,
 )
 from repro.workloads.spec2000 import (
@@ -94,7 +95,7 @@ class TestEngine:
 
     def test_skew_block_preserves_distinctness(self):
         skew = (0.5, 0.25)
-        mapped = {_skew_block(b, 256, skew) for b in range(10_000)}
+        mapped = set(_skew_blocks(range(10_000), 256, _skew_window(256, skew)))
         assert len(mapped) == 10_000
 
     def test_phases_alternate(self):
