@@ -4,13 +4,17 @@ PYTHON ?= python
 
 .PHONY: install native test bench bench-quick bench-pytest suite oracle chaos workload-zoo serve submit-demo experiments experiments-fast examples lint clean
 
+# Editable install plus the optional C extension (same build as
+# `make native`).
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
+	$(PYTHON) setup.py build_ext --inplace
 
-# Compile the optional C extension in place: the `native` rung of the
-# kernel ladder plus the native surrogate-trace generator.  Failure is
-# non-fatal by design: without the extension the ladder resolves to the
-# batched kernel and traces come from the Python generator.
+# Compile the optional C extension in place: the native replay kernel
+# plus the native surrogate-trace generator.  Failure is non-fatal by
+# design: without the extension every run takes the generic Python
+# replay loop and traces come from the Python generator.  The test
+# suite runs this build itself when the extension does not import.
 native:
 	$(PYTHON) setup.py build_ext --inplace
 
@@ -18,7 +22,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Kernel performance report (micro + macro benchmarks) -> BENCH_local.json.
-# KERNEL selects the replay kernel(s): auto/batched/fused/generic/all.
+# KERNEL selects the replay kernel(s): auto/generic, or all for both.
 KERNEL ?= auto
 bench:
 	PYTHONPATH=src $(PYTHON) -m repro.bench --out BENCH_local.json --force \

@@ -2,8 +2,9 @@
 
 The C extension (``repro._native.replaykernel``: the replay kernel plus
 the surrogate-trace generator) is a pure accelerator: every environment
-must work without it, so its build is best-effort — any compiler or toolchain failure downgrades to a warning
-and the pure-python wheel, never an install error.  Build it explicitly
+must work without it, so its build is best-effort — any compiler or
+toolchain failure downgrades to a warning and the pure-python wheel,
+never an install error.  Build it explicitly
 with ``make native`` (or ``python setup.py build_ext --inplace``).
 """
 import sys
@@ -22,6 +23,9 @@ class OptionalBuildExt(build_ext):
             self._skip(exc)
 
     def build_extension(self, ext):
+        if self.compiler.compiler_type == "unix":
+            # Keep `a * b + c` two roundings, as in the interpreter.
+            ext.extra_compile_args = ["-ffp-contract=off"]
         try:
             super().build_extension(ext)
         except Exception as exc:
@@ -31,7 +35,7 @@ class OptionalBuildExt(build_ext):
     def _skip(exc):
         print(
             "warning: native replay kernel build failed (%s); "
-            "the kernel ladder will resolve to the batched kernel" % exc,
+            "every run will take the generic Python replay loop" % exc,
             file=sys.stderr,
         )
 

@@ -1,29 +1,38 @@
-/* Native replay kernel: the top rung of the simulator's kernel ladder.
+/* Native replay kernel: the simulator's fast path.
  *
- * A hand-written transliteration of Simulator._replay_batched (the
- * numpy batched kernel) into C.  The contract is the same as every
- * rung: bit-identical SimResult digests against the generic loop,
- * enforced by the differential batteries, the golden fingerprints in
- * tests/golden/kernels.json, and `python -m repro.bench --check`.
+ * A hand-written C port of the generic replay loop in
+ * repro.sim.simulator (Simulator._replay plus _access_hierarchy and
+ * the per-access methods of the caches, MSHR, memory controller and
+ * replacement policies), specialised to the machine shapes
+ * repro.sim.native admits.  The contract: bit-identical SimResult
+ * digests against the generic loop, enforced by the native-vs-generic
+ * tests, the golden fingerprints in tests/golden/kernels.json, and
+ * `python -m repro.bench --check`.
  *
  * Bit-exactness notes:
  *  - Every float expression keeps the interpreter's evaluation order
  *    and operand types (IEEE doubles throughout; CPython computes
  *    int/int true division and int->float promotion as exact doubles
  *    for magnitudes below 2**53, which all quantities here are).
+ *    setup.py compiles with -ffp-contract=off so `a * b + c` never
+ *    fuses into one rounding.
  *  - `cost // QUANTIZATION_STEP` uses a transliteration of CPython's
  *    float_divmod so the bucket index matches the interpreter even in
  *    pathological rounding cases.
  *  - Container pop order is replayed exactly: the MSHR deques are FIFO
- *    rings, the store-buffer and memory heaps hold plain doubles (any
- *    valid binary heap pops the same value sequence), and identity
- *    checks on MSHR entries use a monotone serial number in place of
- *    CPython object identity.
+ *    rings (with one serializing bus, demand completions are strictly
+ *    increasing, so heap order is append order), the store-buffer and
+ *    memory heaps hold plain doubles (any valid binary heap pops the
+ *    same value sequence), and identity checks on MSHR entries use a
+ *    monotone serial number in place of CPython object identity.
+ *  - No random numbers are drawn here: rand-dynamic SBAR leader sets
+ *    are drawn in Python, one per epoch the trace reaches, and passed
+ *    in with the instruction index at which each epoch begins.
  *
  * The kernel consumes PackedTrace columns through the buffer protocol
- * (array.array or numpy arrays both work) and returns every counter
- * plus the full end-of-run machine state for the Python wrapper
- * (repro.sim.native) to write back into the component objects.
+ * and returns every counter plus the full end-of-run machine state for
+ * the Python wrapper (repro.sim.native) to write back into the
+ * component objects.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -225,10 +234,10 @@ wring_popleft(WRing *r)
 
 #define WRING_FRONT(r) ((r)->a[(r)->head])
 
-/* MSHR entry ring: replaces the batched kernel's `md` deque of
- * (completion, block, state, pending, acc_start) tuples.  `serial`
- * stands in for CPython object identity; the state reference becomes
- * (set_index, fill_seq) so the cost sink can find the tag by scan. */
+/* MSHR entry ring: the demand heap of MSHRFile flattened into a FIFO
+ * (see the header).  `serial` stands in for CPython object identity;
+ * the tag reference becomes (set_index, fill_seq) so the cost sink can
+ * find the tag by scan. */
 
 typedef struct {
     double complete;
@@ -237,10 +246,11 @@ typedef struct {
     int64_t serial;
     int64_t fill_seq;
     int32_t set_index;
-    /* deferred PSEL/ATD update: 0 none, 1 sbar decrement, 2 cbs */
+    int32_t phase; /* phase that issued the miss, -1 = none */
+    /* deferred update: 0 none, 1 sbar decrement, 2 cbs, 3 tournament */
     uint8_t pend_kind;
     int8_t pend_psel_op; /* cbs: 0 none, 1 increment, 2 decrement */
-    int32_t pend_psel_idx;
+    int32_t pend_idx;      /* cbs PSEL index, or tournament candidate */
     int32_t pend_fill_set; /* cbs ATD-LIN fill to patch, -1 = none */
     int64_t pend_fill_seq;
 } MEntry;
@@ -532,6 +542,18 @@ tags_evict(Way *w, int32_t *len, int32_t pos)
     return v;
 }
 
+/* CacheSet.insert_at: positions at or past the fill level append. */
+static inline void
+tags_insert_at(Way *w, int32_t *len, int32_t pos, Way v)
+{
+    if (pos > *len) {
+        pos = *len;
+    }
+    memmove(w + pos + 1, w + pos, (size_t)(*len - pos) * sizeof(Way));
+    w[pos] = v;
+    *len += 1;
+}
+
 /* ---------------------------------------------------------------- */
 /* EHC per-block interval rings (deque(maxlen=horizon) semantics)    */
 /* ---------------------------------------------------------------- */
@@ -625,8 +647,31 @@ ivpool_free(IvPool *p)
 /* Kernel state                                                      */
 /* ---------------------------------------------------------------- */
 
-enum { POL_LRU = 0, POL_LIN = 1, POL_EHC = 2, POL_AWRP = 3 };
-enum { CTRL_NONE = 0, CTRL_SBAR = 1, CTRL_CBS = 2 };
+enum {
+    POL_LRU = 0, POL_LIN = 1, POL_EHC = 2, POL_AWRP = 3,
+    POL_LIP = 4, POL_BIP = 5, POL_PLRU = 6, POL_COST_PLRU = 7,
+};
+enum {
+    CTRL_NONE = 0, CTRL_SBAR = 1, CTRL_CBS = 2, CTRL_DIP = 3,
+    CTRL_TOURNAMENT = 4,
+};
+
+/* One replacement policy instance.  A fixed policy is pols[0]; SBAR
+ * and CBS hold (LIN, LRU), DIP (LRU, BIP), a tournament its candidates
+ * in order.  BIP's fill counter is per instance, as in Python. */
+typedef struct {
+    int64_t kind;
+    int64_t lam;                   /* LIN */
+    int64_t period, fills;         /* BIP */
+    int64_t threshold, max_rejects; /* cost-PLRU */
+} Pol;
+
+/* One Figure 11 phase sample (PhaseSample). */
+typedef struct {
+    int64_t start_instr, end_instr;
+    double start_cycle, end_cycle;
+    int64_t misses, cost_q_sum, cost_count;
+} Phase;
 
 typedef struct {
     /* trace */
@@ -692,9 +737,10 @@ typedef struct {
     int64_t delta_below, delta_mid, delta_high;
     Map delta_last; /* block -> cost (b) */
 
-    /* policy */
-    int64_t policy_kind;
-    int64_t lin_lam;
+    /* policies */
+    Pol *pols;
+    Py_ssize_t n_pols;
+    uint8_t *plru_bits; /* tree-PLRU: assoc - 1 direction bits per set */
     int64_t ehc_horizon, ehc_pending, never;
     Map ehc_last;      /* block -> last seq (a) */
     Map ehc_intervals; /* block -> ivpool index (a) */
@@ -705,7 +751,14 @@ typedef struct {
 
     /* controller */
     int64_t controller_kind;
-    const uint8_t *leaders; /* sbar: 1 byte per l2 set */
+    /* per-set role, 1 byte per l2 set: sbar 1 = leader; dip 1 = LRU
+     * leader, 2 = BIP leader; tournament owner + 1; 0 = follower */
+    const uint8_t *roles;
+    /* rand-dynamic sbar: leader maps of the epochs the trace reaches,
+     * entered at the given instruction indices */
+    int64_t *epoch_starts;
+    const uint8_t **epoch_roles;
+    Py_ssize_t n_epochs, next_epoch;
     int64_t atd_assoc;
     Tags atd_lru, atd_lin; /* sbar uses atd_lru only */
     int64_t atd_seq, atd_accesses, atd_hits, atd_misses;
@@ -715,6 +768,13 @@ typedef struct {
     int64_t *psel_val, *psel_incs, *psel_decs;
     int64_t psel_max, psel_msb;
     int64_t deferred, follower_lin, follower_lru;
+    double *t_scores, *t_accesses; /* tournament, one per candidate */
+    double t_decay;
+
+    /* phases */
+    int64_t phase_interval; /* 0 = no phase samples */
+    Phase *phases;
+    Py_ssize_t n_phases, phases_cap;
 
     int oom;
 } Sim;
@@ -854,6 +914,110 @@ ehc_note(Sim *s, int64_t block, int64_t seq)
     s->ehc_pending = seq + ivpool_mean_floor(&s->ehc_pool, idx);
 }
 
+/* Tree-PLRU (plru._TreeState): node i has children 2i+1 and 2i+2; a
+ * bit of 0 means the LRU side is the left subtree. */
+
+#define PLRU_TREE(s, set) ((s)->plru_bits + (set) * ((s)->l2.assoc - 1))
+
+static void
+plru_touch(uint8_t *bits, int64_t n_ways, int64_t way)
+{
+    int64_t node = 0, low = 0, high = n_ways;
+    while (high - low > 1) {
+        int64_t mid = (low + high) / 2;
+        if (way < mid) {
+            bits[node] = 1;
+            node = 2 * node + 1;
+            high = mid;
+        }
+        else {
+            bits[node] = 0;
+            node = 2 * node + 2;
+            low = mid;
+        }
+    }
+}
+
+static int64_t
+plru_victim(const uint8_t *bits, int64_t n_ways)
+{
+    int64_t node = 0, low = 0, high = n_ways;
+    while (high - low > 1) {
+        int64_t mid = (low + high) / 2;
+        if (bits[node] == 0) {
+            node = 2 * node + 1;
+            high = mid;
+        }
+        else {
+            node = 2 * node + 2;
+            low = mid;
+        }
+    }
+    return low;
+}
+
+/* CostAwareTreePLRUPolicy.choose_victim: the reject walk. */
+static int64_t
+cost_plru_victim(uint8_t *bits, int64_t n_ways, const Way *w,
+                 const Pol *pol)
+{
+    int64_t victim = plru_victim(bits, n_ways);
+    for (int64_t i = 0; i < pol->max_rejects; i++) {
+        if (w[victim].cost_q < pol->threshold) {
+            break;
+        }
+        plru_touch(bits, n_ways, victim);
+        victim = plru_victim(bits, n_ways);
+    }
+    return victim;
+}
+
+/* TournamentController.winner: lowest normalized score, lowest index
+ * on ties (min() keeps the first minimum). */
+static Py_ssize_t
+tournament_winner(const Sim *s)
+{
+    Py_ssize_t best = 0;
+    double best_rate = s->t_scores[0] / s->t_accesses[0];
+    for (Py_ssize_t i = 1; i < s->n_pols; i++) {
+        double rate = s->t_scores[i] / s->t_accesses[i];
+        if (rate < best_rate) {
+            best_rate = rate;
+            best = i;
+        }
+    }
+    return best;
+}
+
+/* TournamentController.observe_access: every leader access decays its
+ * owner's running score and access count. */
+static void
+tournament_decay(Sim *s, Py_ssize_t owner)
+{
+    s->t_scores[owner] *= s->t_decay;
+    s->t_accesses[owner] = s->t_accesses[owner] * s->t_decay + 1.0;
+}
+
+/* Open a new phase sample; the previous one stays in the array. */
+static void
+phase_open(Sim *s, int64_t start_instr, double start_cycle)
+{
+    if (s->n_phases == s->phases_cap) {
+        Py_ssize_t cap = s->phases_cap ? s->phases_cap * 2 : 16;
+        Phase *a = (Phase *)realloc(s->phases, (size_t)cap * sizeof(Phase));
+        if (!a) {
+            s->oom = 1;
+            return;
+        }
+        s->phases = a;
+        s->phases_cap = cap;
+    }
+    Phase *ph = &s->phases[s->n_phases++];
+    memset(ph, 0, sizeof(*ph));
+    ph->start_instr = start_instr;
+    ph->start_cycle = start_cycle;
+}
+
 /* PSEL saturating updates (PolicySelector.increment/decrement) */
 
 static void
@@ -878,12 +1042,16 @@ psel_decrement(Sim *s, Py_ssize_t idx, int64_t amount)
     s->psel_decs[idx] += amount;
 }
 
-/* The batched kernel's deferred `pending(cost_q)` callables. */
+/* The controllers' deferred `pending(cost_q)` callables. */
 static void
 apply_pending(Sim *s, const MEntry *e, int64_t amount)
 {
     if (e->pend_kind == 1) {
         psel_decrement(s, 0, amount);
+    }
+    else if (e->pend_kind == 3) {
+        /* +1 keeps zero-cost misses from being free */
+        s->t_scores[e->pend_idx] += 1.0 + (double)amount;
     }
     else if (e->pend_kind == 2) {
         if (e->pend_fill_set >= 0) {
@@ -897,10 +1065,10 @@ apply_pending(Sim *s, const MEntry *e, int64_t amount)
             }
         }
         if (e->pend_psel_op == 1) {
-            psel_increment(s, e->pend_psel_idx, amount);
+            psel_increment(s, e->pend_idx, amount);
         }
         else if (e->pend_psel_op == 2) {
-            psel_decrement(s, e->pend_psel_idx, amount);
+            psel_decrement(s, e->pend_idx, amount);
         }
     }
 }
@@ -948,6 +1116,10 @@ mshr_sweep(Sim *s, double target, int all)
             bkt = s->max_q;
         }
         patch_cost(s, e.set_index, e.fill_seq, bkt);
+        if (e.phase >= 0) {
+            s->phases[e.phase].cost_q_sum += bkt;
+            s->phases[e.phase].cost_count += 1;
+        }
         s->dist_counts[bkt] += 1;
         s->dist_total += 1;
         s->dist_cost_sum += cost;
@@ -1049,7 +1221,7 @@ sb_admit(Sim *s, double when, double completion)
 }
 
 /* ---------------------------------------------------------------- */
-/* The replay loop (Simulator._replay_batched, line for line)        */
+/* The replay loop                                                   */
 /* ---------------------------------------------------------------- */
 
 static void
@@ -1097,6 +1269,25 @@ run_loop(Sim *s)
         }
         s->win_index = target;
         double dispatch = s->win_time;
+
+        /* ---- SBARController.note_instructions: a new rand-dynamic
+         * epoch swaps the leaders and starts a fresh ATD-LRU ---- */
+        if (s->next_epoch < s->n_epochs &&
+            target >= s->epoch_starts[s->next_epoch]) {
+            s->roles = s->epoch_roles[s->next_epoch++];
+            memset(s->atd_lru.len, 0,
+                   (size_t)s->atd_lru.n_sets * sizeof(int32_t));
+            s->atd_seq = s->atd_accesses = s->atd_hits = s->atd_misses = 0;
+        }
+        /* ---- phase cut ---- */
+        if (s->phase_interval &&
+            target / s->phase_interval !=
+                s->phases[s->n_phases - 1].start_instr / s->phase_interval) {
+            Phase *closing = &s->phases[s->n_phases - 1];
+            closing->end_instr = target;
+            closing->end_cycle = dispatch;
+            phase_open(s, target, dispatch);
+        }
 
         /* ---- L1 probe ---- */
         int is_ifetch, is_store;
@@ -1238,35 +1429,48 @@ run_loop(Sim *s)
             }
         }
 
-        /* ---- L2 lookup ---- */
-        int pol;
-        int is_leader = 0;
+        /* ---- L2 lookup: the controller's policy_for_set ---- */
+        Pol *pol;
+        int role = s->roles ? s->roles[set_index] : 0;
         Py_ssize_t psel_idx = 0;
-        if (s->controller_kind == CTRL_NONE) {
-            pol = (int)s->policy_kind;
-        }
-        else if (s->controller_kind == CTRL_SBAR) {
-            is_leader = s->leaders[set_index];
-            if (is_leader) {
-                pol = POL_LIN;
+        switch (s->controller_kind) {
+        case CTRL_SBAR:
+            if (role) {
+                pol = &s->pols[0];
             }
             else if (s->psel_val[0] >= s->psel_msb) {
                 s->follower_lin += 1;
-                pol = POL_LIN;
+                pol = &s->pols[0];
             }
             else {
                 s->follower_lru += 1;
-                pol = POL_LRU;
+                pol = &s->pols[1];
             }
-        }
-        else {
+            break;
+        case CTRL_CBS:
             psel_idx = s->cbs_local ? (Py_ssize_t)set_index : 0;
-            pol = s->psel_val[psel_idx] >= s->psel_msb ? POL_LIN : POL_LRU;
+            pol = &s->pols[s->psel_val[psel_idx] >= s->psel_msb ? 0 : 1];
+            break;
+        case CTRL_DIP:
+            /* MSB set means the LRU leaders miss more: follow BIP */
+            if (role) {
+                pol = &s->pols[role - 1];
+            }
+            else {
+                pol = &s->pols[s->psel_val[0] >= s->psel_msb ? 1 : 0];
+            }
+            break;
+        case CTRL_TOURNAMENT:
+            pol = &s->pols[role ? role - 1 : tournament_winner(s)];
+            break;
+        default:
+            pol = &s->pols[0];
         }
+        int is_plru = pol->kind == POL_PLRU || pol->kind == POL_COST_PLRU;
         int64_t seq = s->l2_seq;
         s->l2_seq = seq + 1;
         s->l2_accesses += 1;
-        if (pol == POL_EHC) {
+        if (pol->kind == POL_EHC) {
             ehc_note(s, block, seq);
         }
         Way *lw = TAGS_SET(&s->l2, set_index);
@@ -1276,20 +1480,25 @@ run_loop(Sim *s)
         if (pos >= 0) {
             /* ---- L2 hit ---- */
             s->l2_hits += 1;
-            if (pol == POL_EHC) {
-                tags_touch(lw, pos);
-                lw[0].next_use = s->ehc_pending;
-            }
-            else if (pol == POL_AWRP) {
-                tags_touch(lw, pos);
-                awrp_on_hit(s, block);
+            Way *hw;
+            if (is_plru) {
+                /* ways are pinned to slots; the tree holds recency */
+                plru_touch(PLRU_TREE(s, set_index), s->l2.assoc, pos);
+                hw = &lw[pos];
             }
             else {
                 tags_touch(lw, pos); /* default move-to-MRU */
+                hw = &lw[0];
+                if (pol->kind == POL_EHC) {
+                    hw->next_use = s->ehc_pending;
+                }
+                else if (pol->kind == POL_AWRP) {
+                    awrp_on_hit(s, block);
+                }
             }
-            int64_t hit_cost_q = lw[0].cost_q;
+            int64_t hit_cost_q = hw->cost_q;
             if (s->controller_kind == CTRL_SBAR) {
-                if (is_leader) {
+                if (role) {
                     int64_t aseq = s->atd_seq;
                     s->atd_seq = aseq + 1;
                     s->atd_accesses += 1;
@@ -1349,9 +1558,9 @@ run_loop(Sim *s)
                     s->atd2_misses += 1;
                     lin_hit = 0;
                     if (*alen >= (int32_t)s->atd_assoc) {
-                        int64_t vpos =
-                            lin_choose(aw, *alen, s->atd_assoc, s->lin_lam);
-                        tags_evict(aw, alen, (int32_t)vpos);
+                        int64_t apick = lin_choose(aw, *alen, s->atd_assoc,
+                                                   s->pols[0].lam);
+                        tags_evict(aw, alen, (int32_t)apick);
                     }
                     Way anw = {block, aseq, 0, hit_cost_q, 0};
                     tags_insert_mru(aw, alen, anw);
@@ -1364,6 +1573,9 @@ run_loop(Sim *s)
                         psel_decrement(s, psel_idx, hit_cost_q);
                     }
                 }
+            }
+            else if (s->controller_kind == CTRL_TOURNAMENT && role) {
+                tournament_decay(s, role - 1);
             }
             completion = l1_done + s->l2_latency;
             MapSlot *entry = map_get(&s->m_in_flight, block);
@@ -1382,19 +1594,27 @@ run_loop(Sim *s)
             s->l2_misses += 1;
             Way victim;
             int have_victim = 0;
+            int64_t vpos = *llen; /* a cold fill takes the next free slot */
             if (*llen >= (int32_t)s->l2.assoc) {
-                int64_t vpos;
-                if (pol == POL_LRU) {
-                    vpos = *llen - 1; /* victim_is_lru_tail */
-                }
-                else if (pol == POL_LIN) {
-                    vpos = lin_choose(lw, *llen, s->l2.assoc, s->lin_lam);
-                }
-                else if (pol == POL_EHC) {
+                switch (pol->kind) {
+                case POL_LIN:
+                    vpos = lin_choose(lw, *llen, s->l2.assoc, pol->lam);
+                    break;
+                case POL_EHC:
                     vpos = ehc_choose(lw, *llen);
-                }
-                else {
+                    break;
+                case POL_AWRP:
                     vpos = awrp_choose(s, lw, *llen, s->l2.assoc);
+                    break;
+                case POL_PLRU:
+                    vpos = plru_victim(PLRU_TREE(s, set_index), s->l2.assoc);
+                    break;
+                case POL_COST_PLRU:
+                    vpos = cost_plru_victim(PLRU_TREE(s, set_index),
+                                            s->l2.assoc, lw, pol);
+                    break;
+                default: /* LRU, LIP, BIP evict the LRU tail */
+                    vpos = *llen - 1;
                 }
                 victim = tags_evict(lw, llen, (int32_t)vpos);
                 have_victim = 1;
@@ -1403,13 +1623,32 @@ run_loop(Sim *s)
                 }
             }
             Way nst = {block, seq, 0, 0, 0};
-            if (pol == POL_EHC) {
+            switch (pol->kind) {
+            case POL_EHC:
                 nst.next_use = s->ehc_pending; /* EHCPolicy.on_fill */
-            }
-            else if (pol == POL_AWRP) {
+                tags_insert_mru(lw, llen, nst);
+                break;
+            case POL_AWRP:
                 awrp_on_fill(s, block); /* AWRPPolicy.on_fill */
+                tags_insert_mru(lw, llen, nst);
+                break;
+            case POL_LIP:
+                tags_insert_at(lw, llen, *llen, nst);
+                break;
+            case POL_BIP:
+                pol->fills += 1;
+                tags_insert_at(lw, llen,
+                               pol->fills % pol->period == 0 ? 0 : *llen, nst);
+                break;
+            case POL_PLRU:
+            case POL_COST_PLRU:
+                /* the fill lands in the victim's physical slot */
+                tags_insert_at(lw, llen, (int32_t)vpos, nst);
+                plru_touch(PLRU_TREE(s, set_index), s->l2.assoc, vpos);
+                break;
+            default:
+                tags_insert_mru(lw, llen, nst);
             }
-            tags_insert_mru(lw, llen, nst);
             int compulsory = 0;
             if (s->track_seen) {
                 if (!map_get(&s->l2_seen, block)) {
@@ -1422,10 +1661,11 @@ run_loop(Sim *s)
             }
             uint8_t pend_kind = 0;
             int8_t pend_psel_op = 0;
+            int32_t pend_idx = (int32_t)psel_idx;
             int32_t pend_fill_set = -1;
             int64_t pend_fill_seq = 0;
             if (s->controller_kind == CTRL_SBAR) {
-                if (is_leader) {
+                if (role) {
                     int64_t aseq = s->atd_seq;
                     s->atd_seq = aseq + 1;
                     s->atd_accesses += 1;
@@ -1487,9 +1727,9 @@ run_loop(Sim *s)
                     s->atd2_misses += 1;
                     lin_hit = 0;
                     if (*alen >= (int32_t)s->atd_assoc) {
-                        int64_t vpos =
-                            lin_choose(aw, *alen, s->atd_assoc, s->lin_lam);
-                        tags_evict(aw, alen, (int32_t)vpos);
+                        int64_t apick = lin_choose(aw, *alen, s->atd_assoc,
+                                                   s->pols[0].lam);
+                        tags_evict(aw, alen, (int32_t)apick);
                     }
                     Way anw = {block, aseq, 0, 0, 0};
                     tags_insert_mru(aw, alen, anw);
@@ -1507,6 +1747,21 @@ run_loop(Sim *s)
                     }
                 }
             }
+            else if (s->controller_kind == CTRL_DIP) {
+                /* leader-set misses move PSEL by one */
+                if (role == 1) {
+                    psel_increment(s, 0, 1);
+                }
+                else if (role == 2) {
+                    psel_decrement(s, 0, 1);
+                }
+            }
+            else if (s->controller_kind == CTRL_TOURNAMENT && role) {
+                tournament_decay(s, role - 1);
+                s->deferred += 1;
+                pend_kind = 3; /* charge the serviced cost to the owner */
+                pend_idx = role - 1;
+            }
             if (have_victim) {
                 int64_t victim_block = victim.block;
                 if (victim.dirty) {
@@ -1515,21 +1770,26 @@ run_loop(Sim *s)
                 /* inclusion: the victim leaves the L1s */
                 int64_t vset = victim_block % s->l1d.n_sets;
                 Way *vw = TAGS_SET(&s->l1d, vset);
-                int32_t vpos =
+                int32_t ipos =
                     tags_find(vw, s->l1d.len[vset], victim_block);
-                if (vpos >= 0) {
-                    tags_evict(vw, &s->l1d.len[vset], vpos);
+                if (ipos >= 0) {
+                    tags_evict(vw, &s->l1d.len[vset], ipos);
                 }
                 vset = victim_block % s->l1i.n_sets;
                 vw = TAGS_SET(&s->l1i, vset);
-                vpos = tags_find(vw, s->l1i.len[vset], victim_block);
-                if (vpos >= 0) {
-                    tags_evict(vw, &s->l1i.len[vset], vpos);
+                ipos = tags_find(vw, s->l1i.len[vset], victim_block);
+                if (ipos >= 0) {
+                    tags_evict(vw, &s->l1i.len[vset], ipos);
                 }
             }
             s->demand_ctr += 1;
             if (compulsory) {
                 s->compulsory_ctr += 1;
+            }
+            int32_t phase = -1;
+            if (s->phase_interval) {
+                phase = (int32_t)(s->n_phases - 1);
+                s->phases[phase].misses += 1;
             }
 
             /* merge probe (inline MSHRFile.lookup) */
@@ -1544,7 +1804,7 @@ run_loop(Sim *s)
                     MEntry pe;
                     pe.pend_kind = pend_kind;
                     pe.pend_psel_op = pend_psel_op;
-                    pe.pend_psel_idx = (int32_t)psel_idx;
+                    pe.pend_idx = pend_idx;
                     pe.pend_fill_set = pend_fill_set;
                     pe.pend_fill_seq = pend_fill_seq;
                     apply_pending(s, &pe, 0);
@@ -1632,7 +1892,8 @@ run_loop(Sim *s)
                 me.set_index = (int32_t)set_index;
                 me.pend_kind = pend_kind;
                 me.pend_psel_op = pend_psel_op;
-                me.pend_psel_idx = (int32_t)psel_idx;
+                me.pend_idx = pend_idx;
+                me.phase = phase;
                 me.pend_fill_set = pend_fill_set;
                 me.pend_fill_seq = pend_fill_seq;
                 if (mring_append(&s->md, me) < 0 ||
@@ -2078,6 +2339,48 @@ emit_leader_tags(const Tags *t, const uint8_t *leaders)
     return list;
 }
 
+static PyObject *
+emit_pol_fills(const Sim *s)
+{
+    PyObject *list = PyList_New(s->n_pols);
+    if (!list) {
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < s->n_pols; i++) {
+        PyObject *o = PyLong_FromLongLong(s->pols[i].fills);
+        if (!o) {
+            Py_DECREF(list);
+            return NULL;
+        }
+        PyList_SET_ITEM(list, i, o);
+    }
+    return list;
+}
+
+/* (start_instr, end_instr, start_cycle, end_cycle, misses, cost_q_sum,
+ * cost_count) per phase; the last one is still open. */
+static PyObject *
+emit_phases(const Sim *s)
+{
+    PyObject *list = PyList_New(s->n_phases);
+    if (!list) {
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < s->n_phases; i++) {
+        const Phase *ph = &s->phases[i];
+        PyObject *t = Py_BuildValue(
+            "(LLddLLL)", (long long)ph->start_instr, (long long)ph->end_instr,
+            ph->start_cycle, ph->end_cycle, (long long)ph->misses,
+            (long long)ph->cost_q_sum, (long long)ph->cost_count);
+        if (!t) {
+            Py_DECREF(list);
+            return NULL;
+        }
+        PyList_SET_ITEM(list, i, t);
+    }
+    return list;
+}
+
 static void
 sim_free(Sim *s)
 {
@@ -2102,6 +2405,13 @@ sim_free(Sim *s)
     free(s->psel_val);
     free(s->psel_incs);
     free(s->psel_decs);
+    free(s->pols);
+    free(s->plru_bits);
+    free(s->epoch_starts);
+    free(s->epoch_roles);
+    free(s->t_scores);
+    free(s->t_accesses);
+    free(s->phases);
 }
 
 /* ---------------------------------------------------------------- */
@@ -2236,8 +2546,6 @@ replay(PyObject *self, PyObject *args)
     s->delta_high = p_int(&p, "delta_high");
 
     /* --- policy --- */
-    s->policy_kind = p_int(&p, "policy_kind");
-    s->lin_lam = p_int(&p, "lin_lam");
     s->ehc_horizon = p_int(&p, "ehc_horizon");
     s->ehc_pending = p_int(&p, "ehc_pending");
     s->never = p_int(&p, "ehc_never");
@@ -2261,6 +2569,8 @@ replay(PyObject *self, PyObject *args)
     s->deferred = p_int(&p, "deferred");
     s->follower_lin = p_int(&p, "follower_lin");
     s->follower_lru = p_int(&p, "follower_lru");
+    s->t_decay = p_dbl(&p, "t_decay");
+    s->phase_interval = p_int(&p, "phase_interval");
 
     if (p.err) {
         goto fail;
@@ -2306,28 +2616,142 @@ replay(PyObject *self, PyObject *args)
         s->n_psels = np_;
     }
     {
-        PyObject *lead = p_item(&p, "sbar_leaders");
+        PyObject *pols = p_item(&p, "policies");
         if (p.err) {
             goto fail;
         }
-        if (lead == Py_None) {
-            s->leaders = NULL;
+        if (!PyList_Check(pols) || PyList_GET_SIZE(pols) < 1) {
+            PyErr_SetString(PyExc_ValueError,
+                            "replay kernel: policies must be a non-empty "
+                            "list");
+            goto fail;
         }
-        else {
-            if (!PyBytes_Check(lead)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "replay kernel: sbar_leaders must be bytes");
+        s->n_pols = PyList_GET_SIZE(pols);
+        s->pols = (Pol *)calloc((size_t)s->n_pols, sizeof(Pol));
+        if (!s->pols) {
+            PyErr_NoMemory();
+            goto fail;
+        }
+        for (Py_ssize_t i = 0; i < s->n_pols; i++) {
+            Pol *pol = &s->pols[i];
+            long long kind, lam, period, fills, threshold, rejects;
+            if (!PyArg_ParseTuple(PyList_GET_ITEM(pols, i), "LLLLLL", &kind,
+                                  &lam, &period, &fills, &threshold,
+                                  &rejects)) {
                 goto fail;
             }
-            if (s->controller_kind == CTRL_SBAR &&
-                PyBytes_GET_SIZE(lead) != (Py_ssize_t)l2_sets) {
+            if (kind < POL_LRU || kind > POL_COST_PLRU ||
+                (kind == POL_BIP && period < 1)) {
                 PyErr_SetString(PyExc_ValueError,
-                                "replay kernel: sbar_leaders length mismatch");
+                                "replay kernel: bad policy tuple");
+                goto fail;
+            }
+            pol->kind = kind;
+            pol->lam = lam;
+            pol->period = period;
+            pol->fills = fills;
+            pol->threshold = threshold;
+            pol->max_rejects = rejects;
+        }
+    }
+    {
+        Py_ssize_t ns = 0, na = 0;
+        s->t_scores = p_dbl_list(&p, "t_scores", &ns);
+        s->t_accesses = p_dbl_list(&p, "t_accesses", &na);
+        if (p.err) {
+            goto fail;
+        }
+        if (s->controller_kind == CTRL_TOURNAMENT &&
+            (ns != s->n_pols || na != s->n_pols)) {
+            PyErr_SetString(PyExc_ValueError,
+                            "replay kernel: tournament score length mismatch");
+            goto fail;
+        }
+    }
+    {
+        PyObject *roles = p_item(&p, "roles");
+        if (p.err) {
+            goto fail;
+        }
+        if (roles != Py_None) {
+            if (!PyBytes_Check(roles) ||
+                PyBytes_GET_SIZE(roles) != (Py_ssize_t)l2_sets) {
+                PyErr_SetString(PyExc_ValueError,
+                                "replay kernel: roles must be one byte per "
+                                "set");
                 goto fail;
             }
             /* borrowed: the params dict keeps it alive for the call */
-            s->leaders = (const uint8_t *)PyBytes_AS_STRING(lead);
+            s->roles = (const uint8_t *)PyBytes_AS_STRING(roles);
         }
+    }
+    {
+        Py_ssize_t ne = 0;
+        s->epoch_starts = p_int_list(&p, "epoch_starts", &ne);
+        PyObject *maps = p_item(&p, "epoch_roles");
+        if (p.err) {
+            goto fail;
+        }
+        if (!PyList_Check(maps) || PyList_GET_SIZE(maps) != ne) {
+            PyErr_SetString(PyExc_ValueError,
+                            "replay kernel: epoch_roles length mismatch");
+            goto fail;
+        }
+        s->n_epochs = ne;
+        s->epoch_roles = (const uint8_t **)malloc(
+            (size_t)(ne ? ne : 1) * sizeof(uint8_t *));
+        if (!s->epoch_roles) {
+            PyErr_NoMemory();
+            goto fail;
+        }
+        for (Py_ssize_t i = 0; i < ne; i++) {
+            PyObject *map = PyList_GET_ITEM(maps, i);
+            if (!PyBytes_Check(map) ||
+                PyBytes_GET_SIZE(map) != (Py_ssize_t)l2_sets) {
+                PyErr_SetString(PyExc_ValueError,
+                                "replay kernel: epoch map must be one byte "
+                                "per set");
+                goto fail;
+            }
+            s->epoch_roles[i] = (const uint8_t *)PyBytes_AS_STRING(map);
+        }
+    }
+    {
+        /* every role must name a policy the controller owns */
+        int needs_roles = s->controller_kind == CTRL_SBAR ||
+                          s->controller_kind == CTRL_DIP ||
+                          s->controller_kind == CTRL_TOURNAMENT;
+        int64_t max_role = s->controller_kind == CTRL_SBAR ? 1
+                           : s->controller_kind == CTRL_DIP ? 2
+                           : (int64_t)s->n_pols;
+        int64_t min_pols = s->controller_kind == CTRL_NONE ? 1 : 2;
+        int uses_psel = s->controller_kind != CTRL_NONE &&
+                        s->controller_kind != CTRL_TOURNAMENT;
+        int ok = s->n_pols >= min_pols && (!needs_roles || s->roles) &&
+                 (!uses_psel ||
+                  s->n_psels >= (s->cbs_local ? (Py_ssize_t)l2_sets : 1)) &&
+                 (s->n_epochs == 0 || s->controller_kind == CTRL_SBAR) &&
+                 (s->controller_kind != CTRL_CBS ||
+                  s->pols[0].kind == POL_LIN);
+        for (Py_ssize_t e = -1; ok && needs_roles && e < s->n_epochs; e++) {
+            const uint8_t *map = e < 0 ? s->roles : s->epoch_roles[e];
+            for (int64_t i = 0; i < l2_sets; i++) {
+                if (map[i] > max_role) {
+                    ok = 0;
+                    break;
+                }
+            }
+        }
+        if (!ok) {
+            PyErr_SetString(PyExc_ValueError,
+                            "replay kernel: controller shape mismatch");
+            goto fail;
+        }
+    }
+    if (s->phase_interval < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "replay kernel: negative phase interval");
+        goto fail;
     }
 
     /* --- containers --- */
@@ -2356,10 +2780,30 @@ replay(PyObject *self, PyObject *args)
             goto fail;
         }
     }
-    if (s->controller_kind == CTRL_SBAR && !s->leaders) {
-        PyErr_SetString(PyExc_ValueError,
-                        "replay kernel: sbar requires leaders bitmap");
-        goto fail;
+    for (Py_ssize_t i = 0; i < s->n_pols; i++) {
+        if (s->pols[i].kind != POL_PLRU && s->pols[i].kind != POL_COST_PLRU) {
+            continue;
+        }
+        if (l2_assoc < 1 || (l2_assoc & (l2_assoc - 1))) {
+            PyErr_SetString(PyExc_ValueError,
+                            "replay kernel: tree-PLRU needs a power-of-two "
+                            "associativity");
+            goto fail;
+        }
+        s->plru_bits =
+            (uint8_t *)calloc((size_t)(l2_sets * (l2_assoc - 1) + 1), 1);
+        if (!s->plru_bits) {
+            PyErr_NoMemory();
+            goto fail;
+        }
+        break;
+    }
+    if (s->phase_interval) {
+        phase_open(s, 0, 0.0);
+        if (s->oom) {
+            PyErr_NoMemory();
+            goto fail;
+        }
     }
 
     /* --- run --- */
@@ -2470,12 +2914,30 @@ replay(PyObject *self, PyObject *args)
                 emit_int_array(s->psel_decs, s->n_psels)) < 0 ||
         out_int(out, "deferred", s->deferred) < 0 ||
         out_int(out, "follower_lin", s->follower_lin) < 0 ||
-        out_int(out, "follower_lru", s->follower_lru) < 0) {
+        out_int(out, "follower_lru", s->follower_lru) < 0 ||
+        out_obj(out, "pol_fills", emit_pol_fills(s)) < 0 ||
+        out_obj(out, "t_scores",
+                emit_dbl_array(s->t_scores,
+                               s->controller_kind == CTRL_TOURNAMENT
+                                   ? s->n_pols : 0)) < 0 ||
+        out_obj(out, "t_accesses",
+                emit_dbl_array(s->t_accesses,
+                               s->controller_kind == CTRL_TOURNAMENT
+                                   ? s->n_pols : 0)) < 0 ||
+        out_obj(out, "phases", emit_phases(s)) < 0) {
+        goto fail;
+    }
+    if (s->plru_bits &&
+        out_obj(out, "plru_bits",
+                PyBytes_FromStringAndSize(
+                    (const char *)s->plru_bits,
+                    (Py_ssize_t)(s->l2.n_sets * (s->l2.assoc - 1)))) < 0) {
         goto fail;
     }
     if (s->controller_kind == CTRL_SBAR) {
         if (out_obj(out, "atd_sets",
-                    emit_leader_tags(&s->atd_lru, s->leaders)) < 0) {
+                    emit_leader_tags(&s->atd_lru, s->roles)) < 0 ||
+            out_int(out, "epochs_entered", (int64_t)s->next_epoch) < 0) {
             goto fail;
         }
     }
@@ -2519,9 +2981,9 @@ PyObject *tracegen_synthesize(PyObject *self, PyObject *args);
 
 static PyMethodDef replaykernel_methods[] = {
     {"replay", replay, METH_VARARGS,
-     "Run the fused replay loop natively over packed trace columns.\n"
+     "Run the replay loop natively over packed trace columns.\n"
      "Takes a flat params dict, returns the end-of-run state dict.\n"
-     "Bit-identical to the pure-python kernels by construction."},
+     "Bit-identical to the generic Python loop by construction."},
     {"synthesize", tracegen_synthesize, METH_VARARGS,
      "synthesize(state, phases, budget, n_sets, line_bytes, gaps, kinds)\n"
      "Emit a surrogate trace's (address, kind, gap) columns as bytes,\n"
@@ -2533,7 +2995,7 @@ static PyMethodDef replaykernel_methods[] = {
 static struct PyModuleDef replaykernel_module = {
     PyModuleDef_HEAD_INIT,
     "repro._native.replaykernel",
-    "Native (C) replay kernel: the top rung of the kernel ladder.",
+    "Native (C) replay kernel: the simulator's fast path.",
     -1,
     replaykernel_methods,
     NULL,

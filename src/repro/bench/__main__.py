@@ -18,9 +18,10 @@ are never compared.
 
 ``--kernel`` selects the replay kernel the macro cells request
 (recorded per cell since the v4 schema; the v5 schema additionally
-records ``kernel_used``, the rung the ladder actually resolved to);
-``--kernel all`` times the native, batched, fused, and generic kernels
-side by side in one report.
+records ``kernel_used``, the path that actually ran, and
+``kernel_fallback``, the native gate that failed when it was the
+generic loop); ``--kernel all`` times native (``auto``) against
+generic side by side in one report.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.bench.report import (
     validate_report,
 )
 from repro.sim import common_cli
+from repro.sim.options import REPLAY_KERNELS
 
 
 def _check_mode(report_path: str, cell: str) -> int:
@@ -93,20 +95,19 @@ def main(argv=None) -> int:
         "BENCH_<tag>.json report.  Accepts the shared execution/"
         "telemetry flags for CLI uniformity; timings are only "
         "meaningful serially, so --workers/--resume/--max-retries/"
-        "--deadline are ignored here, and enabling telemetry disables "
-        "the fused fast path (timings will not be comparable).",
+        "--deadline are ignored here, and enabling telemetry keeps "
+        "every run off the native kernel (timings will not be "
+        "comparable).",
         parents=[common_cli.execution_parent(),
                  common_cli.telemetry_parent()],
         conflict_handler="resolve",
     )
     # Override the shared --kernel: bench additionally accepts "all"
-    # to time every kernel side by side in one report.
+    # to time both kernels side by side in one report.
     parser.add_argument(
-        "--kernel", default="auto",
-        choices=("auto", "native", "batched", "fused", "generic", "all"),
+        "--kernel", default="auto", choices=REPLAY_KERNELS + ("all",),
         help="replay kernel the macro cells request (recorded per "
-             "cell); 'all' times native, batched, fused, and generic "
-             "kernels side by side",
+             "cell); 'all' times native (auto) against generic",
     )
     parser.add_argument(
         "--out", default=None,
@@ -141,15 +142,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--cell", metavar="WORKLOAD/POLICY[/KERNEL]", default=None,
         help="macro cell to verify in --check mode, e.g. mcf/sbar or "
-             "mcf/sbar/batched (default: every recorded cell)",
+             "mcf/sbar/generic (default: every recorded cell)",
     )
     args = parser.parse_args(argv)
 
     common_cli.apply_telemetry(args)
     if args.metrics_out or args.trace_events:
         print(
-            "note: telemetry disables the fused replay loop; timings in "
-            "this report are not comparable to baselines",
+            "note: telemetry keeps runs off the native kernel; timings "
+            "in this report are not comparable to baselines",
             file=sys.stderr,
         )
     ignored = [
@@ -186,11 +187,7 @@ def main(argv=None) -> int:
         print("  %-14s %10.0f ops/s" % (entry["name"], entry["ops_per_sec"]))
 
     print("running macro-benchmarks%s..." % (" (quick)" if args.quick else ""))
-    kernels = (
-        ("native", "batched", "fused", "generic")
-        if args.kernel == "all"
-        else (args.kernel,)
-    )
+    kernels = REPLAY_KERNELS if args.kernel == "all" else (args.kernel,)
     macro = []
     for kernel in kernels:
         macro.extend(run_macro(

@@ -8,10 +8,12 @@ results — those are machine-independent, so two reports from different
 hosts must agree on them even though their timings differ; a mismatch
 means the kernel changed behavior, not just speed.
 
-Each entry additionally records whether the run took the fused replay
-loop (``fused``): a silent fall-back to the generic loop would
-otherwise masquerade as a timing regression.  Traces are packed once
-per workload and shared across the policy cells.
+Each entry additionally records which path the run took
+(``kernel_used``; ``fused`` is True for the native kernel) and, for
+the generic loop, the native gate that failed (``kernel_fallback``): a
+silent fall-back would otherwise masquerade as a timing regression.
+Traces are packed once per workload and shared across the policy
+cells.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.workloads import build_workload, experiment_config
 
 #: Workloads × policies timed by ``run_macro`` (and ``make bench``).
 #: ehc/awrp track the Belady-approximation and weight-ranking
-#: newcomers' generic/fused-loop cost from the day they landed.
+#: newcomers' cost from the day they landed.
 MACRO_WORKLOADS = ("mcf", "art")
 MACRO_POLICIES = (
     "lru", "lin(4)", "sbar", "cbs-global", "cbs-local", "ehc", "awrp",
@@ -44,18 +46,16 @@ def macro_result_fields(result) -> Dict[str, object]:
 def simulate_cell(
     workload: str, policy: str, scale: float, kernel: str = "auto"
 ):
-    """Run one macro cell untimed; returns (SimResult, fused_replay).
+    """Run one macro cell untimed; returns its SimResult.
 
     This is the re-simulation entry point the report ``--check`` mode
     uses: identical machine setup to the timed cells, so the embedded
     result fields must reproduce exactly on any host.  ``kernel`` is
-    the replay-kernel ceiling to request; results are bit-identical
-    across kernels by contract.
+    the replay kernel to request; results are bit-identical across
+    kernels by contract.
     """
     trace = build_workload(workload, scale=scale)
-    sim = Simulator(experiment_config(), policy, kernel=kernel)
-    result = sim.run(trace)
-    return result, sim.fused_replay
+    return Simulator(experiment_config(), policy, kernel=kernel).run(trace)
 
 
 def run_macro(
@@ -71,7 +71,7 @@ def run_macro(
     ``quick`` shrinks the traces and skips repetition for smoke tests;
     otherwise each cell reports best-of-``repeat`` wall time after one
     untimed warm-up run (first-run interpreter effects dominate
-    otherwise).  ``kernel`` is the replay-kernel ceiling every cell
+    otherwise).  ``kernel`` is the replay kernel every cell
     requests (recorded per entry); call once per kernel to build a
     kernel-comparison report.  Repetitions are *interleaved* round-robin across the
     cells rather than run back-to-back per cell: machine noise is often
@@ -100,6 +100,7 @@ def run_macro(
                 "fused": False,
                 "kernel": kernel,
                 "kernel_used": "generic",
+                "kernel_fallback": None,
                 "result": None,
                 "_trace": trace,
             })
@@ -112,8 +113,9 @@ def run_macro(
             if elapsed < entry["seconds"]:
                 entry["seconds"] = elapsed
                 entry["accesses_per_sec"] = entry["accesses"] / elapsed
-                entry["fused"] = sim.fused_replay
+                entry["fused"] = sim.replay_kernel == "native"
                 entry["kernel_used"] = sim.replay_kernel
+                entry["kernel_fallback"] = sim.kernel_fallback
                 entry["result"] = macro_result_fields(result)
     for entry in entries:
         del entry["_trace"]

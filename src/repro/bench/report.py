@@ -33,14 +33,16 @@ report can time the same workload/policy matrix per kernel and the
 digest check can verify each kernel reproduces the same results.  The
 ``fused`` flag still records whether a fast replay loop actually ran.
 
-v5 added ``kernel_used``: the rung the kernel ladder actually resolved
-to (the request is only a ceiling — a host without the compiled
-extension resolves a ``native`` request to ``batched``).  A committed
-baseline therefore records both what was asked and what ran, and a
-silent rung downgrade on a future host shows up as data.  Legacy
-reports stay readable (``validate_report`` accepts v2–v4;
-``check_macro_cell`` compares only the fields a report recorded and
-re-simulates kernel-less cells under ``auto``).
+v5 added ``kernel_used``: the path that actually ran (a host without
+the compiled extension runs ``auto`` cells on the generic loop).  A
+committed baseline therefore records both what was asked and what ran,
+and a silent downgrade on a future host shows up as data.  Newer v5
+cells also carry an optional ``kernel_fallback``: the native gate that
+failed, or null.  Legacy reports stay readable (``validate_report``
+accepts v2–v4; ``check_macro_cell`` compares only the fields a report
+recorded and re-simulates kernel-less cells, and cells recorded under
+the retired ``native``/``batched``/``fused`` kernel names, on
+``auto``).
 
 ``validate_report`` is the single source of truth for that shape; the
 CI perf-smoke job and the bench CLI both call it, so a report that
@@ -66,6 +68,10 @@ SCHEMA = "repro.bench/v5"
 #: Older schemas ``validate_report`` still accepts (committed baseline
 #: reports from earlier PRs must stay checkable).
 _LEGACY_SCHEMAS = ("repro.bench/v4", "repro.bench/v3", "repro.bench/v2")
+
+#: Kernel names older reports recorded that no longer exist; their
+#: cells re-simulate on ``auto``.
+RETIRED_KERNELS = ("native", "batched", "fused")
 
 _MICRO_FIELDS = {"name": str, "ops": int, "seconds": float,
                  "ops_per_sec": float}
@@ -242,17 +248,20 @@ def check_macro_cell(
     The comparison covers only the machine-independent ``result``
     fields — never timings — so it must pass on any host for a report
     produced by the same code.  The re-simulation requests the cell's
-    recorded kernel (``auto`` for legacy cells): every kernel is
-    bit-identical, so the digests must agree regardless, and a per-
-    kernel v4 cell pins the divergence to the kernel that drifted.
+    recorded kernel, or ``auto`` for kernel-less cells and retired
+    kernel names: results never depend on the kernel, so the digests
+    must agree regardless.
     Returns the freshly simulated result payload on success; raises
     ``ValueError`` with a field-by-field diff on mismatch.
     """
     from repro.bench.macro import macro_result_fields, simulate_cell
 
     entry = find_macro_cell(report, workload, policy, kernel)
-    result, _fused = simulate_cell(
-        workload, policy, entry["scale"], kernel=entry.get("kernel", "auto")
+    recorded_kernel = entry.get("kernel", "auto")
+    if recorded_kernel in RETIRED_KERNELS:
+        recorded_kernel = "auto"
+    result = simulate_cell(
+        workload, policy, entry["scale"], kernel=recorded_kernel
     )
     fresh = macro_result_fields(result)
     recorded = entry["result"]

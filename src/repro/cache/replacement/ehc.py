@@ -17,9 +17,7 @@ degenerates to per-set Belady decisions — the differential test in
 
 The policy stores its prediction in the tag's ``next_use`` field (the
 same slot Belady stamps), overrides none of the slow-path hooks beyond
-what Belady itself needs, and keeps no per-set state, so the fused
-replay loop drives it through the generic dispatch flags without a
-special case.
+what Belady itself needs, and keeps no per-set state.
 """
 
 from __future__ import annotations

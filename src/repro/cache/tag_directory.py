@@ -40,13 +40,13 @@ class SparseTagDirectory:
         return set_index in self._sets
 
     def is_plain(self) -> bool:
-        """Whether the fused replay loop may inline this directory.
+        """Whether the native replay kernel may stand in for this directory.
 
         True only for an exact :class:`SparseTagDirectory` whose
         :meth:`access` has not been patched on the instance — the same
         contract :meth:`SetAssociativeCache.is_plain` gives the main
         directory.  Callers additionally check the *policy* type before
-        inlining its hit/victim/fill behavior.
+        reproducing its hit/victim/fill behavior.
         """
         return type(self) is SparseTagDirectory and "access" not in self.__dict__
 

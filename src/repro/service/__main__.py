@@ -26,7 +26,7 @@ import sys
 from typing import List, Optional
 
 from repro.sim.common_cli import service_parent, umbrella_pointer
-from repro.sim.options import RunOptions
+from repro.sim.options import REPLAY_KERNELS, RunOptions
 
 
 def _csv(value: str) -> List[str]:
@@ -82,9 +82,8 @@ def _add_serve_parser(subparsers) -> None:
              "(tests/CI only)",
     )
     parser.add_argument(
-        "--kernel", default="auto",
-        choices=("auto", "native", "batched", "fused", "generic"),
-        help="replay kernel ceiling for executed cells",
+        "--kernel", default="auto", choices=REPLAY_KERNELS,
+        help="replay kernel for executed cells",
     )
     parser.add_argument(
         "--trip-threshold", type=int, default=3, metavar="N",

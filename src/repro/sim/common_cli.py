@@ -27,7 +27,7 @@ import warnings
 from typing import Optional
 
 from repro import obs
-from repro.sim.options import RunOptions
+from repro.sim.options import REPLAY_KERNELS, RunOptions
 
 
 def execution_parent() -> argparse.ArgumentParser:
@@ -71,11 +71,10 @@ def execution_parent() -> argparse.ArgumentParser:
              '"crash=0.2,delay=0.3,seed=7" (see repro.sim.chaos)',
     )
     group.add_argument(
-        "--kernel", default="auto",
-        choices=("auto", "native", "batched", "fused", "generic"),
-        help="replay kernel ceiling (all kernels are bit-identical; "
-             "default auto picks the fastest whose gates hold — the "
-             "compiled native kernel when built, else batched)",
+        "--kernel", default="auto", choices=REPLAY_KERNELS,
+        help="replay kernel (both are bit-identical; default auto takes "
+             "the compiled native kernel when built and its gates hold, "
+             "else the generic loop)",
     )
     # Deprecated spellings from the pre-RunOptions CLIs; folded (with a
     # warning) into --deadline / --max-retries by options_from_args.

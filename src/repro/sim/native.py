@@ -1,36 +1,43 @@
 """Native (C) replay kernel: gate, marshal, and write-back.
 
 The compiled extension (``repro._native.replaykernel``, built by the
-*optional* ``build_ext`` in setup.py) runs the whole batched replay
-loop — window advance, L1 probe, MSHR sweep, L2 probe with
-LRU/LIN/EHC/AWRP victim selection, SBAR/CBS dueling, bank/bus timing,
-cost quantization — over the raw ``PackedTrace`` column buffers.  This
-module is the pure-python shim around it:
+*optional* ``build_ext`` in setup.py) runs the whole replay loop —
+window advance, L1 probe, MSHR sweep, L2 probe with every built-in
+policy's victim choice and insertion, the SBAR/CBS/DIP/tournament
+controllers, bank/bus timing, cost quantization, phase cuts — over the
+raw ``PackedTrace`` column buffers.  This module is the pure-python
+shim around it:
 
 * :func:`load_extension` resolves the extension once per process and
   caches the answer (``None`` when absent — a source checkout without
   ``make native``, or a host without a compiler).
-* :func:`try_replay` is called by ``Simulator._replay`` *inside* the
-  batched gate (every batched precondition already holds).  It narrows
-  the gate further to the machine shapes the C kernel implements,
+* :func:`fallback_reason` names the first gate that keeps a run off
+  the kernel (an observer, a prefetcher, warm-up, a list trace, a
+  policy the kernel does not know, ...), or returns None.
+* :func:`try_replay` is called by ``Simulator._replay`` for every run
+  not pinned to ``kernel="generic"``.  When every gate holds it
   marshals the initial scalar state into a flat params dict, invokes
   the kernel, and writes the returned end-of-run state back into the
   live Python objects — leaving the Simulator indistinguishable from
-  one that ran the batched kernel, bit for bit.  Returns False (and
-  touches nothing) when any check fails, which drops the ladder one
-  rung to batched.
+  one that ran the generic loop, bit for bit.  Otherwise it records
+  the failed gate on the Simulator and touches nothing else.
 
 The C kernel never sees a Python object graph: caches, the MSHR, heaps,
 ATDs, and policy side tables all start empty (a Simulator runs exactly
 one trace, so they are pristine at replay time — the gate verifies it)
-and come back as plain lists/tuples for reconstruction here.  The
-write-back mirrors the batched kernel's end-of-loop counter flush plus
-the containers batched mutates in place.
+and come back as plain lists/tuples for reconstruction here.  The one
+source of randomness, rand-dynamic SBAR's leader draws, stays in
+Python: the leaders depend only on the controller's RNG and on which
+epochs the trace reaches, which the ``gaps`` column fixes, so they are
+drawn here before the kernel runs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
+from itertools import accumulate
+from typing import List, Optional, Tuple
 
 from repro.cache.block import BlockState
 from repro.cache.replacement import (
@@ -40,16 +47,40 @@ from repro.cache.replacement import (
     LRUPolicy,
 )
 from repro.cache.replacement.belady import NEVER
+from repro.cache.replacement.dip import BIPPolicy, DIPController, LIPPolicy
+from repro.cache.replacement.plru import (
+    CostAwareTreePLRUPolicy,
+    TreePLRUPolicy,
+    _TreeState,
+)
+from repro.memory.bus import SplitTransactionBus
+from repro.memory.dram import DramBankArray
 from repro.mlp.cost import MAX_COST_Q, QUANTIZATION_STEP
 from repro.sbar.cbs import CBSController
 from repro.sbar.psel import PolicySelector
 from repro.sbar.sbar import SBARController
+from repro.sbar.tournament import TournamentController
+from repro.sim.stats import PhaseSample
+from repro.trace.packed import PackedTrace
+from repro.trace.record import IFETCH, STORE
 
 #: Policy discriminants understood by the C kernel (keep in sync with
 #: the ``POL_*`` enum in replaykernel.c).
-_POL_LRU, _POL_LIN, _POL_EHC, _POL_AWRP = 0, 1, 2, 3
+_POLICY_KINDS = {
+    LRUPolicy: 0,
+    LINPolicy: 1,
+    EHCPolicy: 2,
+    AWRPPolicy: 3,
+    LIPPolicy: 4,
+    BIPPolicy: 5,
+    TreePLRUPolicy: 6,
+    CostAwareTreePLRUPolicy: 7,
+}
+_PLRU = (TreePLRUPolicy, CostAwareTreePLRUPolicy)
+#: Tournament candidates the kernel runs: no per-block side tables.
+_TOURNAMENT_KINDS = (LRUPolicy, LINPolicy, LIPPolicy, BIPPolicy)
 #: Controller discriminants (``CTRL_*`` in replaykernel.c).
-_CTRL_NONE, _CTRL_SBAR, _CTRL_CBS = 0, 1, 2
+_CTRL_NONE, _CTRL_SBAR, _CTRL_CBS, _CTRL_DIP, _CTRL_TOURNAMENT = range(5)
 
 #: Tri-state import cache: the sentinel means "not probed yet".  Tests
 #: monkeypatch :func:`load_extension` itself (or set ``_extension``)
@@ -71,90 +102,101 @@ def load_extension():
     return _extension
 
 
-def _policy_kind(policy):
-    """Map a fixed L2 policy to its C discriminant, or None."""
-    kind = type(policy)
-    if kind is LRUPolicy:
-        return _POL_LRU
-    if kind is LINPolicy:
-        return _POL_LIN
-    if kind is EHCPolicy:
-        return _POL_EHC
-    if kind is AWRPPolicy:
-        return _POL_AWRP
-    return None
+def _plain_psel(psel) -> bool:
+    return type(psel) is PolicySelector and psel.observer is None
 
 
-def _sets_pristine(sets):
-    return all(not cache_set.ways for cache_set in sets)
-
-
-def _gate(sim):
-    """Whether the C kernel can run this Simulator.
-
-    Callers guarantee the full batched gate already holds (plain
-    caches, no observer, PackedTrace with no wrong-path records, stock
-    bus/banks, no warm-up/phases/prefetcher/instruction clock).  This
-    narrows to what replaykernel.c actually implements, plus pristine
-    container state: the kernel starts its machine empty and *continues
-    from* the scalar counters, so any pre-seeded tags or in-flight
-    state must fall back to batched.
-    """
-    controller = sim.controller
-    l2 = sim.l2
-    if controller is None:
-        if l2.policy_selector is not None:
+def _controller_supported(controller) -> bool:
+    """Whether the kernel implements this controller exactly."""
+    if any(
+        hook in controller.__dict__
+        for hook in ("policy_for_set", "observe_access", "note_instructions")
+    ):
+        return False
+    kind = type(controller)
+    if kind in (SBARController, CBSController):
+        if type(controller.lin) is not LINPolicy:
             return False
-        if _policy_kind(l2.policy) is None:
+        if type(controller.lru) is not LRUPolicy:
             return False
-    elif type(controller) is SBARController:
-        # Mirror of the batched kernel's sbar_fast gate.
-        if not (
-            not controller.needs_instruction_clock
-            and "policy_for_set" not in controller.__dict__
-            and "observe_access" not in controller.__dict__
-            and controller.atd_lru.is_plain()
-            and type(controller.atd_lru.policy) is LRUPolicy
-            and type(controller.psel) is PolicySelector
-            and controller.psel.observer is None
-        ):
-            return False
-        if not all(
-            not s.ways for s in controller.atd_lru._sets.values()
-        ):
-            return False
-    elif type(controller) is CBSController:
-        # Mirror of the batched kernel's cbs_fast gate.
-        if not (
-            "policy_for_set" not in controller.__dict__
-            and "observe_access" not in controller.__dict__
-            and controller.atd_lru.is_plain()
+    if kind is SBARController:
+        atd = controller.atd_lru
+        epoch = controller.epoch_instructions
+        return (
+            atd.is_plain()
+            and type(atd.policy) is LRUPolicy
+            and _plain_psel(controller.psel)
+            and (not controller.needs_instruction_clock or epoch > 0)
+        )
+    if kind is CBSController:
+        return (
+            controller.atd_lru.is_plain()
             and controller.atd_lin.is_plain()
             and type(controller.atd_lru.policy) is LRUPolicy
             and type(controller.atd_lin.policy) is LINPolicy
             and controller.atd_lin.policy.lam == controller.lin.lam
-            and all(
-                type(psel) is PolicySelector and psel.observer is None
-                for psel in controller._psels
-            )
-        ):
-            return False
-        if not all(
-            not s.ways for s in controller.atd_lru._sets.values()
-        ) or not all(
-            not s.ways for s in controller.atd_lin._sets.values()
-        ):
-            return False
-    else:
-        return False
+            and all(_plain_psel(psel) for psel in controller._psels)
+        )
+    if kind is DIPController:
+        return (
+            type(controller.lru) is LRUPolicy
+            and type(controller.bip) is BIPPolicy
+            and _plain_psel(controller.psel)
+        )
+    if kind is TournamentController:
+        policies = controller.policies
+        return (
+            controller.observer is None
+            and len(policies) < 255
+            and len({id(policy) for policy in policies}) == len(policies)
+            and all(type(policy) in _TOURNAMENT_KINDS for policy in policies)
+        )
+    return False
 
+
+def _policy_reason(sim) -> Optional[str]:
+    """Why the L2 policy or controller keeps the run off the kernel."""
+    l2 = sim.l2
+    controller = sim.controller
+    if controller is not None:
+        if not _controller_supported(controller):
+            return "policy %s" % type(controller).__name__
+        return None
+    policy = l2.policy
+    associativity = l2.geometry.associativity
+    if (
+        l2.policy_selector is not None
+        or type(policy) not in _POLICY_KINDS
+        or (
+            type(policy) in _PLRU
+            and associativity & (associativity - 1) != 0
+        )
+    ):
+        return "policy %s" % type(policy).__name__
+    return None
+
+
+def _sets_pristine(sets) -> bool:
+    return all(not cache_set.ways for cache_set in sets)
+
+
+def _pristine(sim) -> bool:
+    """Whether every container the kernel rebuilds is still empty.
+
+    The kernel starts its machine empty and *continues from* the scalar
+    counters, so pre-seeded tags or in-flight state must stay on the
+    generic loop.
+    """
+    l2 = sim.l2
     mshr = sim.mshr
     policy = l2.policy
-    return (
+    controller = sim.controller
+    if not (
         _sets_pristine(sim.l1d._sets)
         and _sets_pristine(sim.l1i._sets)
         and _sets_pristine(l2._sets)
         and not (l2._seen or ())
+        and not sim.phases
         and not sim.window._pending
         and not sim.store_buffer._completions
         and not mshr._demand_heap
@@ -163,15 +205,109 @@ def _gate(sim):
         and mshr._demand_live == 0
         and not sim.memory._in_flight
         and (sim.delta is None or not sim.delta._last_cost)
-        and (
-            type(policy) is not EHCPolicy
-            or (not policy._last_seen and not policy._intervals)
-        )
-        and (type(policy) is not AWRPPolicy or not policy._counts)
+    ):
+        return False
+    kind = type(policy)
+    if kind is EHCPolicy and (policy._last_seen or policy._intervals):
+        return False
+    if kind is AWRPPolicy and policy._counts:
+        return False
+    if kind in _PLRU and (policy._trees or policy._pending_slot):
+        return False
+    if type(controller) is SBARController:
+        return _sets_pristine(controller.atd_lru._sets.values())
+    if type(controller) is CBSController:
+        return _sets_pristine(
+            controller.atd_lru._sets.values()
+        ) and _sets_pristine(controller.atd_lin._sets.values())
+    return True
+
+
+def fallback_reason(sim, trace) -> Optional[str]:
+    """The first gate that keeps ``sim.run(trace)`` off the kernel.
+
+    None means the native kernel can replay the run bit-identically to
+    the generic loop.  The checks run from the run's shape down to the
+    host, so the reason stays informative on a host without the
+    extension: a run with an observer reports ``"observer"`` there too.
+    """
+    memory = sim.memory
+    if sim._obs is not None or any(
+        component.observer is not None
+        for component in (sim.l1d, sim.l1i, sim.l2, sim.mshr, memory)
+    ):
+        return "observer"
+    for cache in (sim.l1d, sim.l1i, sim.l2):
+        if "access" in cache.__dict__:
+            return "instrumented %s" % cache.label
+    for cache in (sim.l1d, sim.l1i):
+        if (
+            type(cache.policy) is not LRUPolicy
+            or cache.policy_selector is not None
+            or cache._seen is not None
+        ):
+            return "%s policy %s" % (cache.label, type(cache.policy).__name__)
+    # One serializing bus keeps demand completions strictly increasing,
+    # which is what lets the kernel's MSHR heap be a FIFO.
+    bus = memory.bus
+    if type(bus) is not SplitTransactionBus or bus.occupancy <= 0:
+        return "bus %s" % type(bus).__name__
+    if type(memory.banks) is not DramBankArray:
+        return "banks %s" % type(memory.banks).__name__
+    if sim.prefetcher is not None:
+        return "prefetcher"
+    if sim.warmup_instructions:
+        return "warmup"
+    if not isinstance(trace, PackedTrace):
+        return "not a PackedTrace"
+    if trace.wrong_path_count:
+        return "wrong-path records"
+    reason = _policy_reason(sim)
+    if reason is not None:
+        return reason
+    if not _pristine(sim):
+        return "pre-seeded state"
+    if load_extension() is None:
+        return "extension not built"
+    return None
+
+
+def _policy_tuple(policy) -> Tuple[int, int, int, int, int, int]:
+    """``(kind, lam, bip period, bip fills, threshold, max rejects)``."""
+    kind = type(policy)
+    cost_plru = kind is CostAwareTreePLRUPolicy
+    return (
+        _POLICY_KINDS[kind],
+        policy.lam if kind is LINPolicy else 0,
+        policy.period if kind is BIPPolicy else 1,
+        policy._fills if kind is BIPPolicy else 0,
+        policy.protect_threshold if cost_plru else 0,
+        policy.max_rejects if cost_plru else 0,
     )
 
 
-def _build_params(sim, trace):
+def _roles(n_sets: int, owners) -> bytes:
+    """One byte per set from ``(set_index, role)`` pairs."""
+    roles = bytearray(n_sets)
+    for index, role in owners:
+        # A leader outside the cache is never accessed, here or in the
+        # generic loop.
+        if 0 <= index < n_sets:
+            roles[index] = role
+    return bytes(roles)
+
+
+def _controller_policies(controller) -> list:
+    """The kernel's ``pols`` array for a controller (see replaykernel.c)."""
+    kind = type(controller)
+    if kind is DIPController:
+        return [controller.lru, controller.bip]
+    if kind is TournamentController:
+        return list(controller.policies)
+    return [controller.lin, controller.lru]
+
+
+def _build_params(sim, trace) -> dict:
     """Flatten the Simulator's initial state into the kernel's dict."""
     config = sim.config
     window = sim.window
@@ -185,12 +321,9 @@ def _build_params(sim, trace):
     controller = sim.controller
     policy = l2.policy
 
-    from repro.trace.record import IFETCH, STORE
-
     params = {
         # Raw column buffers: the array.array objects themselves — the
-        # kernel reads them through the buffer protocol, so the native
-        # rung (unlike batched) does not need numpy at all.
+        # kernel reads them through the buffer protocol.
         "addresses": trace._addresses,
         "kinds": trace._kinds,
         "gaps": trace._gaps,
@@ -208,6 +341,7 @@ def _build_params(sim, trace):
         "stall_events": window.stall_events,
         "long_stalls": window.long_stalls,
         "long_stall_threshold": window.LONG_STALL_THRESHOLD,
+        "phase_interval": sim.phase_interval or 0,
         # Store buffer.
         "sb_capacity": sim.store_buffer.capacity,
         "sb_full_stalls": sim.store_buffer.full_stalls,
@@ -276,10 +410,8 @@ def _build_params(sim, trace):
         "delta_below": delta._below_60 if delta is not None else 0,
         "delta_mid": delta._60_to_119 if delta is not None else 0,
         "delta_high": delta._120_plus if delta is not None else 0,
-        # Fixed policy (only read when controller_kind == 0, except
-        # lin_lam which SBAR/CBS reuse for their LIN flavor).
-        "policy_kind": _POL_LRU,
-        "lin_lam": 0,
+        # Policies: pols[0] is the fixed policy without a controller.
+        "policies": [_policy_tuple(policy)],
         "ehc_horizon": 1,
         "ehc_pending": NEVER,
         "ehc_never": NEVER,
@@ -287,6 +419,9 @@ def _build_params(sim, trace):
         "awrp_fills": 0,
         # Controller.
         "controller_kind": _CTRL_NONE,
+        "roles": None,
+        "epoch_starts": [],
+        "epoch_roles": [],
         "atd_assoc": 0,
         "atd_seq": 0,
         "atd_accesses": 0,
@@ -302,54 +437,36 @@ def _build_params(sim, trace):
         "psel_decs": [],
         "psel_max": 0,
         "psel_msb": 0,
-        "sbar_leaders": None,
         "deferred": 0,
         "follower_lin": 0,
         "follower_lru": 0,
+        "t_scores": [],
+        "t_accesses": [],
+        "t_decay": 1.0,
     }
 
     if controller is None:
-        kind = _policy_kind(policy)
-        params["policy_kind"] = kind
-        if kind == _POL_LIN:
-            params["lin_lam"] = policy.lam
-        elif kind == _POL_EHC:
+        kind = type(policy)
+        if kind is EHCPolicy:
             params["ehc_horizon"] = policy.horizon
             params["ehc_pending"] = policy._pending_next_use
-        elif kind == _POL_AWRP:
+        elif kind is AWRPPolicy:
             params["awrp_weight"] = policy.weight
             params["awrp_fills"] = policy._fills
-    elif type(controller) is SBARController:
-        atd = controller.atd_lru
-        psel = controller.psel
-        leaders = controller.leaders
-        params.update(
-            controller_kind=_CTRL_SBAR,
-            lin_lam=controller.lin.lam,
-            atd_assoc=atd.associativity,
-            atd_seq=atd._seq,
-            atd_accesses=atd.accesses,
-            atd_hits=atd.hits,
-            atd_misses=atd.misses,
-            psel_values=[psel.value],
-            psel_incs=[psel.increments],
-            psel_decs=[psel.decrements],
-            psel_max=psel.max_value,
-            psel_msb=psel._msb_threshold,
-            sbar_leaders=bytes(
-                1 if index in leaders else 0 for index in range(l2.n_sets)
-            ),
-            deferred=controller.deferred_updates,
-            follower_lin=controller.follower_lin_accesses,
-            follower_lru=controller.follower_lru_accesses,
-        )
-    else:  # CBSController, per the gate
+        return params
+
+    params["policies"] = [
+        _policy_tuple(each) for each in _controller_policies(controller)
+    ]
+    params["deferred"] = controller.deferred_updates
+    n_sets = l2.n_sets
+    kind = type(controller)
+    if kind is CBSController:
+        psels = controller._psels
         atd_lru = controller.atd_lru
         atd_lin = controller.atd_lin
-        psels = controller._psels
         params.update(
             controller_kind=_CTRL_CBS,
-            lin_lam=controller.lin.lam,
             atd_assoc=atd_lru.associativity,
             atd_seq=atd_lru._seq,
             atd_accesses=atd_lru.accesses,
@@ -360,51 +477,155 @@ def _build_params(sim, trace):
             atd2_hits=atd_lin.hits,
             atd2_misses=atd_lin.misses,
             cbs_local=int(controller.scope == "local"),
+        )
+    elif kind is TournamentController:
+        psels = []
+        params.update(
+            controller_kind=_CTRL_TOURNAMENT,
+            roles=_roles(
+                n_sets,
+                (
+                    (index, owner + 1)
+                    for index, owner in controller._leader_owner.items()
+                ),
+            ),
+            t_scores=list(controller._scores),
+            t_accesses=list(controller._accesses),
+            t_decay=controller.decay,
+        )
+    elif kind is DIPController:
+        psels = [controller.psel]
+        params.update(
+            controller_kind=_CTRL_DIP,
+            roles=_roles(
+                n_sets,
+                [(index, 1) for index in controller.lru_leaders]
+                + [(index, 2) for index in controller.bip_leaders],
+            ),
+        )
+    else:  # SBARController, per the gate
+        psels = [controller.psel]
+        atd = controller.atd_lru
+        params.update(
+            controller_kind=_CTRL_SBAR,
+            roles=_roles(n_sets, ((index, 1) for index in controller.leaders)),
+            atd_assoc=atd.associativity,
+            atd_seq=atd._seq,
+            atd_accesses=atd.accesses,
+            atd_hits=atd.hits,
+            atd_misses=atd.misses,
+            follower_lin=controller.follower_lin_accesses,
+            follower_lru=controller.follower_lru_accesses,
+        )
+    if psels:
+        params.update(
             psel_values=[psel.value for psel in psels],
             psel_incs=[psel.increments for psel in psels],
             psel_decs=[psel.decrements for psel in psels],
             psel_max=psels[0].max_value,
             psel_msb=psels[0]._msb_threshold,
-            deferred=controller.deferred_updates,
         )
     return params
 
 
-def _restore_sets(sets, payload):
-    """Rebuild every CacheSet's ways/index from the kernel's dump."""
-    for cache_set, entries in zip(sets, payload):
-        ways = []
-        index = {}
-        for block, fill_seq, next_use, cost_q, dirty in entries:
-            state = BlockState(block, fill_seq)
-            state.next_use = next_use
-            state.cost_q = cost_q
-            state.dirty = bool(dirty)
-            ways.append(state)
-            index[block] = state
-        cache_set.ways = ways
-        cache_set._index = index
+def _epoch_starts(gaps, start_index: int, epoch_length: int,
+                  epoch: int) -> List[int]:
+    """Instruction indices at which the replay enters a new epoch.
+
+    Record ``i`` dispatches at instruction ``start_index + sum(gaps[i']
+    + 1 for i' <= i)``, strictly increasing since gaps are non-negative,
+    and SBAR redraws whenever ``index // epoch_length`` differs from the
+    current epoch.  One bisection per epoch reached, so a trace that
+    leaps several epochs at once draws once, as the generic loop does.
+    """
+    dispatched = list(accumulate(map((1).__add__, gaps)))
+    starts = []
+    record = 0
+    while record < len(dispatched):
+        index = start_index + dispatched[record]
+        if index // epoch_length != epoch:
+            starts.append(index)
+            epoch = index // epoch_length
+        record = bisect_left(
+            dispatched, (epoch + 1) * epoch_length - start_index, record + 1
+        )
+    return starts
 
 
-def _restore_atd(atd, payload_by_index):
+def _predraw_epochs(sim, trace) -> Tuple[List[int], List[bytes]]:
+    """Advance a rand-dynamic SBAR through every epoch the trace reaches.
+
+    Calls ``note_instructions`` at each epoch's first instruction, in
+    order, so the controller's RNG, leaders and fresh ATD end exactly
+    where the generic loop leaves them; returns the epoch starts and
+    each epoch's leader map for the kernel.
+    """
+    controller = sim.controller
+    starts = _epoch_starts(
+        trace._gaps,
+        sim.window._index,
+        controller.epoch_instructions,
+        controller._epoch,
+    )
+    maps = []
+    for index in starts:
+        controller.note_instructions(index)
+        leaders = controller.leaders
+        maps.append(_roles(sim.l2.n_sets, ((leader, 1) for leader in leaders)))
+    return starts, maps
+
+
+def _restore_ways(cache_set, entries) -> None:
+    """Rebuild one CacheSet's ways/index from the kernel's dump."""
+    ways = []
+    index = {}
+    for block, fill_seq, next_use, cost_q, dirty in entries:
+        state = BlockState(block, fill_seq)
+        state.next_use = next_use
+        state.cost_q = cost_q
+        state.dirty = bool(dirty)
+        ways.append(state)
+        index[block] = state
+    cache_set.ways = ways
+    cache_set._index = index
+
+
+def _restore_atd(atd, payload_by_index) -> None:
     """Rebuild a SparseTagDirectory's shadowed sets in place."""
     for index, entries in payload_by_index:
-        cache_set = atd._sets[index]
-        ways = []
-        block_index = {}
-        for block, fill_seq, next_use, cost_q, dirty in entries:
-            state = BlockState(block, fill_seq)
-            state.next_use = next_use
-            state.cost_q = cost_q
-            state.dirty = bool(dirty)
-            ways.append(state)
-            block_index[block] = state
-        cache_set.ways = ways
-        cache_set._index = block_index
+        _restore_ways(atd._sets[index], entries)
 
 
-def _write_back(sim, out):
-    """Mirror the batched kernel's end-of-loop flush, plus containers."""
+def _restore_policy(policy, fills: int, sim, out) -> None:
+    """Write one policy's end-of-run side state back."""
+    kind = type(policy)
+    if kind is BIPPolicy:
+        policy._fills = fills
+    elif kind in _PLRU:
+        associativity = sim.l2.geometry.associativity
+        width = associativity - 1
+        bits = out["plru_bits"]
+        # The generic loop builds a set's tree on its first fill, and
+        # L2 sets never shrink: exactly the non-empty sets have trees.
+        for index, cache_set in enumerate(sim.l2._sets):
+            if cache_set.ways:
+                tree = _TreeState(associativity)
+                tree.bits = list(bits[index * width:(index + 1) * width])
+                policy._trees[id(cache_set)] = tree
+    elif kind is EHCPolicy:
+        policy._pending_next_use = out["ehc_pending"]
+        policy._last_seen.update(out["ehc_last"])
+        horizon = policy.horizon
+        intervals = policy._intervals
+        for block, values in out["ehc_intervals"]:
+            intervals[block] = deque(values, maxlen=horizon)
+    elif kind is AWRPPolicy:
+        policy._counts.update(out["awrp_counts"])
+        policy._fills = out["awrp_fills"]
+
+
+def _write_back(sim, out) -> None:
+    """Hand the kernel's end-of-run state back to the live objects."""
     window = sim.window
     window._index = out["win_index"]
     window._time = out["win_time"]
@@ -422,7 +643,8 @@ def _write_back(sim, out):
 
     for cache, prefix in ((sim.l1d, "l1d"), (sim.l1i, "l1i"),
                           (sim.l2, "l2")):
-        _restore_sets(cache._sets, out[prefix + "_sets"])
+        for cache_set, entries in zip(cache._sets, out[prefix + "_sets"]):
+            _restore_ways(cache_set, entries)
         cache._seq = out[prefix + "_seq"]
         cache.accesses = out[prefix + "_accesses"]
         cache.hits = out[prefix + "_hits"]
@@ -433,6 +655,7 @@ def _write_back(sim, out):
         sim.l2._seen.update(out["l2_seen"])
     sim.demand_misses = out["demand_ctr"]
     sim.compulsory_misses = out["compulsory_ctr"]
+    sim.phases[:] = [PhaseSample(*row) for row in out["phases"]]
 
     mshr = sim.mshr
     mshr._now = out["m_now"]
@@ -472,81 +695,80 @@ def _write_back(sim, out):
         delta._last_cost.update(out["delta_last"])
 
     controller = sim.controller
-    policy = sim.l2.policy
     if controller is None:
-        kind = type(policy)
-        if kind is EHCPolicy:
-            policy._pending_next_use = out["ehc_pending"]
-            policy._last_seen.update(out["ehc_last"])
-            horizon = policy.horizon
-            intervals = policy._intervals
-            for block, values in out["ehc_intervals"]:
-                intervals[block] = deque(values, maxlen=horizon)
-        elif kind is AWRPPolicy:
-            policy._counts.update(out["awrp_counts"])
-            policy._fills = out["awrp_fills"]
-    elif type(controller) is SBARController:
+        _restore_policy(sim.l2.policy, out["pol_fills"][0], sim, out)
+        return
+    for policy, fills in zip(_controller_policies(controller),
+                             out["pol_fills"]):
+        _restore_policy(policy, fills, sim, out)
+    controller.deferred_updates = out["deferred"]
+    kind = type(controller)
+    if kind is TournamentController:
+        controller._scores[:] = out["t_scores"]
+        controller._accesses[:] = out["t_accesses"]
+        return
+    if kind is CBSController:
+        psels = controller._psels
+        atd_lru = controller.atd_lru
+        atd_lin = controller.atd_lin
+        for atd, prefix, sets in ((atd_lru, "atd", "atd_sets"),
+                                  (atd_lin, "atd2", "atd2_sets")):
+            atd._seq = out[prefix + "_seq"]
+            atd.accesses = out[prefix + "_accesses"]
+            atd.hits = out[prefix + "_hits"]
+            atd.misses = out[prefix + "_misses"]
+            _restore_atd(atd, enumerate(out[sets]))
+    else:
+        psels = [controller.psel]
+    if kind is SBARController:
         atd = controller.atd_lru
         atd._seq = out["atd_seq"]
         atd.accesses = out["atd_accesses"]
         atd.hits = out["atd_hits"]
         atd.misses = out["atd_misses"]
         _restore_atd(atd, out["atd_sets"])
-        psel = controller.psel
-        psel.value = out["psel_values"][0]
-        psel.increments = out["psel_incs"][0]
-        psel.decrements = out["psel_decs"][0]
-        controller.deferred_updates = out["deferred"]
         controller.follower_lin_accesses = out["follower_lin"]
         controller.follower_lru_accesses = out["follower_lru"]
-    else:  # CBSController
-        atd_lru = controller.atd_lru
-        atd_lru._seq = out["atd_seq"]
-        atd_lru.accesses = out["atd_accesses"]
-        atd_lru.hits = out["atd_hits"]
-        atd_lru.misses = out["atd_misses"]
-        _restore_atd(atd_lru, enumerate(out["atd_sets"]))
-        atd_lin = controller.atd_lin
-        atd_lin._seq = out["atd2_seq"]
-        atd_lin.accesses = out["atd2_accesses"]
-        atd_lin.hits = out["atd2_hits"]
-        atd_lin.misses = out["atd2_misses"]
-        _restore_atd(atd_lin, enumerate(out["atd2_sets"]))
-        for psel, value, incs, decs in zip(
-            controller._psels,
-            out["psel_values"],
-            out["psel_incs"],
-            out["psel_decs"],
-        ):
-            psel.value = value
-            psel.increments = incs
-            psel.decrements = decs
-        controller.deferred_updates = out["deferred"]
+    for psel, value, incs, decs in zip(
+        psels, out["psel_values"], out["psel_incs"], out["psel_decs"]
+    ):
+        psel.value = value
+        psel.increments = incs
+        psel.decrements = decs
 
 
 def try_replay(sim, trace) -> bool:
     """Run the trace through the C kernel if every gate holds.
 
-    Returns True when the native rung ran (the Simulator now holds the
-    complete end-of-run state); False to fall one rung down to batched.
-    Called only from ``Simulator._replay`` with the batched gate
-    already satisfied.
+    Returns True when the kernel ran (the Simulator now holds the
+    complete end-of-run state, phases included); False when a gate
+    failed, after recording it in ``sim.kernel_fallback``.
     """
-    extension = load_extension()
-    if extension is None or not _gate(sim):
+    reason = fallback_reason(sim, trace)
+    if reason is not None:
+        sim.kernel_fallback = reason
         return False
-    out = extension.replay(_build_params(sim, trace))
-    # The drain leaves nothing in flight by construction; a nonzero
-    # count would mean the C machine diverged, which must never be
-    # written back silently.
+    params = _build_params(sim, trace)
+    # Only a rand-dynamic SBAR passes the gate with an epoch clock.
+    if getattr(sim.controller, "needs_instruction_clock", False):
+        params["epoch_starts"], params["epoch_roles"] = _predraw_epochs(
+            sim, trace
+        )
+    out = load_extension().replay(params)
+    # The drain leaves nothing in flight, and every pre-drawn epoch is
+    # entered, by construction; anything else means the C machine
+    # diverged, which must never be written back silently.
     if out["m_in_flight_n"] != 0:
         raise AssertionError(
             "native kernel left %d MSHR entries in flight"
             % out["m_in_flight_n"]
         )
+    if out.get("epochs_entered", 0) != len(params["epoch_starts"]):
+        raise AssertionError(
+            "native kernel entered %d of %d epochs"
+            % (out["epochs_entered"], len(params["epoch_starts"]))
+        )
     _write_back(sim, out)
-    sim.fused_replay = True
-    sim.batched_replay = False
-    sim.native_replay = True
     sim.replay_kernel = "native"
+    sim.kernel_fallback = None
     return True

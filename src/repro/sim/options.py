@@ -34,6 +34,11 @@ from typing import Callable, Optional
 #: can tell "not passed" from every real value (including None).
 UNSET = _UNSET = object()
 
+#: Valid ``kernel`` selections, for ``RunOptions``, ``Simulator`` and
+#: every CLI's ``--kernel``: ``"auto"`` replays on the compiled native
+#: kernel whenever its gates hold, ``"generic"`` pins the Python loop.
+REPLAY_KERNELS = ("auto", "generic")
+
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -67,13 +72,13 @@ class RunOptions:
       finished task.
     * ``chaos`` — optional :class:`repro.sim.chaos.ChaosConfig` for
       deterministic fault injection (tests/CI only).
-    * ``kernel`` — replay kernel ceiling passed to every
-      :class:`~repro.sim.simulator.Simulator` (``"auto"``,
-      ``"native"``, ``"batched"``, ``"fused"``, or ``"generic"``).
-      All kernels are bit-identical, so the choice never enters memo
-      or store keys — a cached result satisfies a request under any
-      kernel, and ``SimResult.meta["kernel_used"]`` records which rung
-      actually produced it.
+    * ``kernel`` — replay kernel passed to every
+      :class:`~repro.sim.simulator.Simulator`, one of
+      :data:`REPLAY_KERNELS`.  Both paths are bit-identical, so the
+      choice never enters memo or store keys — a cached result
+      satisfies a request under either, and
+      ``SimResult.meta["kernel_used"]`` records which one actually
+      produced it.
     """
 
     workers: int = 0
@@ -92,8 +97,6 @@ class RunOptions:
     kernel: str = "auto"
 
     def __post_init__(self) -> None:
-        from repro.sim.simulator import REPLAY_KERNELS
-
         if self.kernel not in REPLAY_KERNELS:
             raise ValueError(
                 "kernel must be one of %s, got %r"

@@ -109,12 +109,14 @@ class CostDistribution:
 class SimResult:
     """Outcome of one simulation run."""
 
-    #: Run provenance (currently ``{"kernel_used": ...}``), attached by
-    #: the simulator after every run.  Deliberately an *unannotated*
-    #: class attribute, not a dataclass field: ``asdict``/``to_dict``
-    #: skip it, so content digests, store keys, and ``from_dict`` round
-    #: trips never see it — all kernels are bit-identical by contract,
-    #: and which rung actually ran is provenance, not content.  Results
+    #: Run provenance, attached by the simulator after every run:
+    #: ``{"kernel_used": ...}`` plus, on the generic loop,
+    #: ``"kernel_fallback"`` naming the native gate that failed.
+    #: Deliberately an *unannotated* class attribute, not a dataclass
+    #: field: ``asdict``/``to_dict`` skip it, so content digests, store
+    #: keys, and ``from_dict`` round trips never see it — both kernels
+    #: are bit-identical by contract, and which one ran is provenance,
+    #: not content.  Results
     #: loaded from the store or memo therefore carry the *producing*
     #: run's kernel (or None when deserialized), which is the truth.
     meta = None

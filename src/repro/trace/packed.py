@@ -18,10 +18,9 @@ the object-vs-column tradeoff trace tools resolve the same way:
 The packed form is a drop-in sequence of ``Access`` objects
 (``__iter__``/``__getitem__``/``__len__`` materialize records lazily),
 so the generic simulator loop and every analysis helper accept it
-unchanged.  The fused replay loop instead consumes
-:meth:`iter_tuples`, which yields plain ``(address, kind, gap,
-wrong_path)`` tuples straight off the columns without building a single
-``Access``.
+unchanged.  The native replay kernel (:mod:`repro.sim.native`) instead
+reads the three ``array`` columns in place through the buffer
+protocol, without building a single ``Access``.
 
 Validation is *bulk*: :meth:`from_accesses` checks whole columns with
 C-speed byte scans instead of three compares per record
@@ -316,38 +315,13 @@ class PackedTrace:
         for address, kind, gap, wrong in self.iter_tuples():
             yield Access(address, kind, gap, bool(wrong))
 
-    def column_views(self):
-        """Zero-copy numpy views ``(addresses, kinds, gaps)``.
-
-        The views alias the live ``array`` buffers via
-        ``np.frombuffer`` — no copy at any length — and are marked
-        read-only: the trace is immutable by convention and the cached
-        content digest must stay truthful.  dtypes are native-order
-        ``int64``/``int8``/``int64``, matching the ``"q"``/``"b"``/
-        ``"q"`` columns on any host.
-
-        numpy is imported lazily: it is a hard dependency of the
-        batched replay kernel only, never of the trace layer itself.
-        Raises :exc:`ImportError` where numpy is unavailable — callers
-        that want a fallback must catch it.
-        """
-        import numpy as np
-
-        addresses = np.frombuffer(self._addresses, dtype=np.int64)
-        kinds = np.frombuffer(self._kinds, dtype=np.int8)
-        gaps = np.frombuffer(self._gaps, dtype=np.int64)
-        for view in (addresses, kinds, gaps):
-            view.flags.writeable = False
-        return addresses, kinds, gaps
-
     def iter_tuples(self) -> Iterator[Tuple[int, int, int, int]]:
         """Iterate ``(address, kind, gap, wrong_path)`` tuples.
 
-        This is the fused replay loop's input: no ``Access`` objects
-        are materialized.  ``wrong_path`` is a truthy/falsy int.  When
-        the trace has no wrong-path records (the common case) the flag
-        column is a constant zero stream rather than an expanded
-        bitset.
+        No ``Access`` objects are materialized.  ``wrong_path`` is a
+        truthy/falsy int.  When the trace has no wrong-path records
+        (the common case) the flag column is a constant zero stream
+        rather than an expanded bitset.
         """
         if self._n_wrong == 0:
             flags: Iterable[int] = repeat(0)

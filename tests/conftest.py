@@ -3,12 +3,21 @@
 Unit tests use deliberately tiny cache geometries so behaviors are
 hand-checkable; integration tests use the experiment machine at small
 trace scales.
+
+Before any test module is collected, the optional C extension is built
+in place when it does not import yet (the ``make native`` command), so
+the suite exercises the native replay kernel and trace generator on
+any host with a compiler.  A failed build leaves the native-only tests
+skipping.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +31,27 @@ from repro.config import (
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _build_native_extension() -> None:
+    """Compile ``repro._native.replaykernel`` in place if it is missing."""
+    try:
+        import repro._native.replaykernel  # noqa: F401
+    except ImportError:
+        pass
+    else:
+        return
+    subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--inplace"],
+        cwd=Path(__file__).resolve().parent.parent,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        check=False,
+    )
+    importlib.invalidate_caches()
+
+
+_build_native_extension()
 
 
 def pytest_addoption(parser):

@@ -16,6 +16,10 @@ from repro.bench import (
     validate_report,
 )
 from repro.bench.__main__ import main as bench_main
+from repro.sim.native import load_extension
+
+#: The kernel ``auto`` resolves to on this host.
+AUTO_KERNEL = "native" if load_extension() is not None else "generic"
 
 
 @pytest.fixture(scope="module")
@@ -54,15 +58,15 @@ class TestMacro:
 
     def test_cells_record_fused_flag_and_scale(self):
         entries = run_macro(quick=True, workloads=("mcf",),
-                            policies=("lru", "sbar"))
+                            policies=("lru", "sbar", "dip"))
         for entry in entries:
             # Quick mode pins scale to 0.05; the recorded value must be
             # the *effective* scale so --check can rebuild the trace.
             assert entry["scale"] == 0.05
-            # Stock configs all qualify for the fused loop (including
-            # the sbar dueling fast path); a False here means the
-            # optimization silently regressed.
-            assert entry["fused"] is True, entry["policy"]
+            # Stock configs all qualify for the native kernel when it
+            # is built; "fused" is the schema's flag for it.
+            assert entry["kernel_used"] == AUTO_KERNEL, entry["policy"]
+            assert entry["fused"] is (AUTO_KERNEL == "native")
             # v4: cells record the *requested* kernel.
             assert entry["kernel"] == "auto", entry["policy"]
 
@@ -70,17 +74,17 @@ class TestMacro:
         per_kernel = {
             kernel: run_macro(quick=True, workloads=("mcf",),
                               policies=("lru",), kernel=kernel)[0]
-            for kernel in ("batched", "fused", "generic")
+            for kernel in ("auto", "generic")
         }
         for kernel, entry in per_kernel.items():
             assert entry["kernel"] == kernel
-        assert per_kernel["batched"]["fused"] is True
-        assert per_kernel["fused"]["fused"] is True
         assert per_kernel["generic"]["fused"] is False
+        assert per_kernel["generic"]["kernel_fallback"] == "kernel=generic"
+        if AUTO_KERNEL == "native":
+            assert per_kernel["auto"]["kernel_fallback"] is None
         # Bit-identical across kernels: the digest contract the whole
         # check mode leans on.
-        results = [entry["result"] for entry in per_kernel.values()]
-        assert results[0] == results[1] == results[2]
+        assert per_kernel["auto"]["result"] == per_kernel["generic"]["result"]
 
     def test_default_matrix_names_are_valid(self):
         from repro.workloads.spec2000 import BENCHMARKS
@@ -227,6 +231,19 @@ class TestCheckMode:
         assert code == 1
         assert "no macro cell" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("retired", ["native", "batched", "fused"])
+    def test_check_runs_retired_kernel_cells_on_auto(self, report_path,
+                                                     tmp_path, retired):
+        # Baselines recorded cells under kernels that no longer exist;
+        # results never depend on the kernel, so they re-verify on auto.
+        report = json.loads(report_path.read_text())
+        for entry in report["macro"]:
+            entry["kernel"] = retired
+        legacy = tmp_path / "BENCH_legacy.json"
+        legacy.write_text(json.dumps(report))
+        cell = "mcf/sbar/%s" % retired
+        assert bench_main(["--check", str(legacy), "--cell", cell]) == 0
+
     def test_committed_baseline_cell_verifies(self):
         # The exact check CI runs: re-simulate mcf/sbar at the
         # committed v2-era baseline's recorded scale and compare the
@@ -242,6 +259,7 @@ class TestCheckMode:
         ("BENCH_pr4.json", "repro.bench/v2"),
         ("BENCH_pr7.json", "repro.bench/v3"),
         ("BENCH_pr8.json", "repro.bench/v4"),
+        ("BENCH_pr9.json", "repro.bench/v5"),
     ])
     def test_committed_baselines_validate(self, name, expected_schema):
         baseline = pathlib.Path(__file__).resolve().parent.parent / name

@@ -1,17 +1,18 @@
 """Tests pinning down the optimized simulation kernel.
 
-The PR 3 speedup rests on three load-bearing invariants:
+The speed of a run rests on three load-bearing invariants:
 
 * ``CacheSet._index[state.block] is state`` for exactly the entries in
   ``ways`` (the dict-backed residency index);
 * the ``try_hit``/``hit_fast``/``miss_fill`` fast-path protocol applies
   byte-for-byte the same side effects as the generic ``access``;
-* the fused replay loop in ``Simulator._replay_fused`` produces
-  bit-identical :class:`SimResult` payloads to the generic loop.
+* the native replay kernel (``kernel="auto"`` on a host with the
+  compiled extension) produces bit-identical :class:`SimResult`
+  payloads, and identical controller and policy end state, to the
+  generic loop (``kernel="generic"``).
 """
 
 import random
-from unittest import mock
 
 import pytest
 
@@ -22,11 +23,15 @@ from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.lin import LINPolicy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.sets import CacheSet
-from repro.config import CacheGeometry
+from repro.config import CacheGeometry, scaled_config
+from repro.sim import native
 from repro.sim.simulator import Simulator
 from repro.trace.packed import pack_trace
 from repro.trace.record import Access
 from repro.workloads import build_trace, experiment_config
+
+#: The kernel ``auto`` resolves to on this host.
+AUTO_KERNEL = "native" if native.load_extension() is not None else "generic"
 
 
 class TestCacheSetIndex:
@@ -174,147 +179,120 @@ class TestVictimIsLruTailFlag:
 
 
 class TestFusedReplayDifferential:
+    """Named for the retired fused loop; now the list-trace reference.
+
+    A list of ``Access`` records always takes the generic loop; the
+    same records packed take the native kernel.  Both must agree.
+    """
+
     def test_fused_matches_generic_loop(self):
         trace = build_trace("mcf", scale=0.05)
         for policy in ("lru", "lin(4)", "sbar", "dip"):
-            # kernel="fused" pins the ladder rung: under "auto" a
-            # packed trace would take the batched kernel and the spy
-            # below would never fire.
-            fused_sim = Simulator(experiment_config(), policy,
-                                  kernel="fused")
-            with mock.patch.object(
-                Simulator, "_replay_fused", wraps=fused_sim._replay_fused
-            ) as fused_spy:
-                fused = fused_sim.run(trace)
-            assert fused_spy.called, policy  # really took the fused loop
-            assert fused_sim.fused_replay, policy
-            generic_sim = Simulator(experiment_config(), policy)
-            # An instance-level ``access`` binding makes the L2 fail
-            # ``is_plain`` and forces _replay down the generic loop
-            # while changing no behavior.
-            generic_sim.l2.access = SetAssociativeCache.access.__get__(
-                generic_sim.l2
-            )
-            generic = generic_sim.run(trace)
-            assert not generic_sim.fused_replay, policy
-            assert fused.to_dict() == generic.to_dict(), policy
+            packed_sim = Simulator(experiment_config(), policy)
+            packed = packed_sim.run(pack_trace(trace))
+            assert packed_sim.replay_kernel == AUTO_KERNEL, policy
+            list_sim = Simulator(experiment_config(), policy)
+            on_list = list_sim.run(trace)
+            assert list_sim.replay_kernel == "generic", policy
+            assert list_sim.kernel_fallback == "not a PackedTrace", policy
+            assert packed.to_dict() == on_list.to_dict(), policy
+            assert (machine_fingerprint(packed_sim)
+                    == machine_fingerprint(list_sim)), policy
 
 
 class TestBatchedReplayDifferential:
-    """The PR 8 batched kernel: three-way kernel equivalence.
+    """Named for the retired batched kernel; now native vs generic.
 
-    ``_replay_batched`` must produce bit-identical :class:`SimResult`
-    payloads to the fused loop and the generic loop for every policy
-    family it admits, and the kernel ladder must degrade exactly one
-    rung at a time: a requested kernel is a *ceiling*, never a demand.
+    On a small machine (64 KB L2, so evictions dominate) the native
+    kernel must reproduce the generic loop bit for bit, and every gate
+    the kernel does not cover must land on the generic loop with the
+    gate named in ``kernel_fallback``.
     """
 
     POLICIES = ("lru", "lin(4)", "sbar", "cbs-global", "ehc", "awrp")
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_batched_matches_fused_and_generic(self, policy):
+        config = scaled_config(64)
         trace = pack_trace(build_trace("mcf", scale=0.05))
-        # kernel="batched" pins the rung: under "auto" a host with the
-        # compiled extension would take the native kernel instead.
-        batched_sim = Simulator(experiment_config(), policy,
-                                kernel="batched")
-        with mock.patch.object(
-            Simulator, "_replay_batched",
-            wraps=batched_sim._replay_batched,
-        ) as batched_spy:
-            batched = batched_sim.run(trace)
-        assert batched_spy.called, policy  # really took the batched kernel
-        assert batched_sim.batched_replay, policy
-        assert batched_sim.replay_kernel == "batched", policy
-
-        fused_sim = Simulator(experiment_config(), policy, kernel="fused")
-        fused = fused_sim.run(trace)
-        assert fused_sim.replay_kernel == "fused", policy
-        assert not fused_sim.batched_replay, policy
-
-        generic_sim = Simulator(experiment_config(), policy,
-                                kernel="generic")
+        fast_sim = Simulator(config, policy)
+        fast = fast_sim.run(trace)
+        assert fast_sim.replay_kernel == AUTO_KERNEL, policy
+        generic_sim = Simulator(config, policy, kernel="generic")
         generic = generic_sim.run(trace)
         assert generic_sim.replay_kernel == "generic", policy
-        assert not generic_sim.fused_replay, policy
-
-        assert batched.to_dict() == fused.to_dict(), policy
-        assert batched.to_dict() == generic.to_dict(), policy
-        if batched_sim.controller is not None:
-            assert (controller_fingerprint(batched_sim.controller)
-                    == controller_fingerprint(fused_sim.controller)), policy
-            assert (controller_fingerprint(batched_sim.controller)
-                    == controller_fingerprint(generic_sim.controller)), \
-                policy
+        assert generic_sim.kernel_fallback == "kernel=generic", policy
+        assert fast.to_dict() == generic.to_dict(), policy
+        assert (machine_fingerprint(fast_sim)
+                == machine_fingerprint(generic_sim)), policy
 
     def test_list_trace_falls_back_to_fused(self):
-        # The batched kernel needs the numpy column views of a
-        # PackedTrace; a list trace drops one rung even when batched
-        # is requested explicitly.
-        sim = Simulator(experiment_config(), "lru", kernel="batched")
-        sim.run(build_trace("mcf", scale=0.05))
-        assert sim.fused_replay
-        assert not sim.batched_replay
-        assert sim.replay_kernel == "fused"
+        # Named for the retired fused rung: a list trace now takes the
+        # generic loop and says why.
+        sim = Simulator(experiment_config(), "lru")
+        result = sim.run(build_trace("mcf", scale=0.05))
+        assert sim.replay_kernel == "generic"
+        assert result.meta == {"kernel_used": "generic",
+                               "kernel_fallback": "not a PackedTrace"}
 
     def test_wrong_path_records_fall_back_to_fused(self):
         trace = build_trace("mcf", scale=0.05)
         trace[3] = Access(trace[3].address, trace[3].kind, trace[3].gap,
                           wrong_path=True)
-        sim = Simulator(experiment_config(), "lru", kernel="batched")
+        sim = Simulator(experiment_config(), "lru")
         sim.run(pack_trace(trace))
-        assert sim.fused_replay
-        assert not sim.batched_replay
+        assert sim.replay_kernel == "generic"
+        assert sim.kernel_fallback == "wrong-path records"
 
     def test_observer_forces_generic_loop_same_results(self):
         trace = pack_trace(build_trace("mcf", scale=0.05))
         observed_sim = Simulator(
-            experiment_config(), "lru", kernel="batched",
+            experiment_config(), "lru",
             observer=obs.Observer(events=obs.MemoryEventTrace()),
         )
         observed = observed_sim.run(trace)
-        assert not observed_sim.fused_replay
-        assert not observed_sim.batched_replay
         assert observed_sim.replay_kernel == "generic"
-        batched_sim = Simulator(experiment_config(), "lru",
-                                kernel="batched")
-        batched = batched_sim.run(trace)
-        assert batched_sim.batched_replay
-        assert observed.to_dict() == batched.to_dict()
+        assert observed_sim.kernel_fallback == "observer"
+        fast_sim = Simulator(experiment_config(), "lru")
+        fast = fast_sim.run(trace)
+        assert fast_sim.replay_kernel == AUTO_KERNEL
+        assert observed.to_dict() == fast.to_dict()
 
     def test_warmup_falls_back_to_fused(self):
         trace = pack_trace(build_trace("mcf", scale=0.05))
-        warm_sim = Simulator(experiment_config(), "lru", kernel="batched",
+        warm_sim = Simulator(experiment_config(), "lru",
                              warmup_instructions=1000)
         warm = warm_sim.run(trace)
-        assert warm_sim.fused_replay
-        assert not warm_sim.batched_replay
-        plain_sim = Simulator(experiment_config(), "lru", kernel="fused",
-                              warmup_instructions=1000)
-        plain = plain_sim.run(trace)
-        assert warm.to_dict() == plain.to_dict()
+        assert warm_sim.replay_kernel == "generic"
+        assert warm_sim.kernel_fallback == "warmup"
+        pinned = Simulator(experiment_config(), "lru", kernel="generic",
+                           warmup_instructions=1000).run(trace)
+        assert warm.to_dict() == pinned.to_dict()
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            Simulator(experiment_config(), "lru", kernel="vectorized")
+        for kernel in ("vectorized", "batched", "fused", "native"):
+            with pytest.raises(ValueError, match="kernel"):
+                Simulator(experiment_config(), "lru", kernel=kernel)
 
     def test_kernel_never_changes_results_across_ladder(self):
-        # One policy, every requested kernel: identical SimResult —
-        # the contract that keeps `kernel` out of memo/store keys.
+        # One policy, both kernels: identical SimResult — the contract
+        # that keeps `kernel` out of memo/store keys.
         trace = pack_trace(build_trace("art", scale=0.05))
-        results = {}
-        for kernel in ("auto", "native", "batched", "fused", "generic"):
-            sim = Simulator(experiment_config(), "sbar", kernel=kernel)
-            results[kernel] = sim.run(trace).to_dict()
-        assert all(r == results["auto"] for r in results.values())
+        results = {
+            kernel: Simulator(
+                experiment_config(), "sbar", kernel=kernel
+            ).run(trace).to_dict()
+            for kernel in ("auto", "generic")
+        }
+        assert results["auto"] == results["generic"]
 
 
 def controller_fingerprint(controller):
     """Every externally visible dueling-controller counter.
 
-    The fused fast paths must leave SBAR/CBS in *exactly* the state the
-    method-call path leaves them in — not just produce equal SimResults
-    — or a later epoch/report would diverge.
+    The native kernel must leave SBAR/CBS/DIP/tournament in *exactly*
+    the state the generic loop leaves them in — not just produce equal
+    SimResults — or a later epoch/report would diverge.
     """
     fingerprint = {"deferred_updates": controller.deferred_updates}
     for name in ("atd_lru", "atd_lin"):
@@ -326,45 +304,89 @@ def controller_fingerprint(controller):
                  for index in sorted(atd._sets)},
             )
     psels = getattr(controller, "_psels", None)
-    if psels is None:
+    if psels is None and hasattr(controller, "psel"):
         psels = [controller.psel]
     fingerprint["psels"] = [
-        (psel.value, psel.increments, psel.decrements) for psel in psels
+        (psel.value, psel.increments, psel.decrements)
+        for psel in psels or ()
     ]
-    for name in ("follower_lin_accesses", "follower_lru_accesses"):
+    for name in ("follower_lin_accesses", "follower_lru_accesses",
+                 "leaders", "_epoch", "_scores", "_accesses"):
         if hasattr(controller, name):
             fingerprint[name] = getattr(controller, name)
+    rng = getattr(controller, "_rng", None)
+    if rng is not None:
+        fingerprint["rng"] = rng.getstate()
+    policies = getattr(controller, "policies", None)
+    if policies is None:
+        policies = [getattr(controller, name) for name in ("lin", "lru", "bip")
+                    if hasattr(controller, name)]
+    fingerprint["policies"] = [policy_fingerprint(p, None)
+                               for p in policies]
+    return fingerprint
+
+
+def policy_fingerprint(policy, cache):
+    """A policy's side state: BIP fill counts, PLRU tree bits, ..."""
+    fingerprint = {"name": policy.name}
+    for name in ("_fills", "_pending_next_use", "_last_seen", "_counts",
+                 "_pending_slot"):
+        if hasattr(policy, name):
+            fingerprint[name] = getattr(policy, name)
+    if hasattr(policy, "_intervals"):
+        fingerprint["_intervals"] = {
+            block: list(values) for block, values in policy._intervals.items()
+        }
+    if hasattr(policy, "_trees") and cache is not None:
+        fingerprint["_trees"] = {
+            index: policy._trees[id(cache_set)].bits
+            for index, cache_set in enumerate(cache._sets)
+            if id(cache_set) in policy._trees
+        }
+        assert len(fingerprint["_trees"]) == len(policy._trees)
+    return fingerprint
+
+
+def machine_fingerprint(sim):
+    """L2 contents in order plus controller and policy end state."""
+    l2 = sim.l2
+    fingerprint = {
+        "l2": [[(way.block, way.fill_seq, way.cost_q, way.dirty,
+                 way.next_use) for way in cache_set.ways]
+               for cache_set in l2._sets],
+        "policy": policy_fingerprint(l2.policy, l2),
+    }
+    if sim.controller is not None:
+        fingerprint["controller"] = controller_fingerprint(sim.controller)
     return fingerprint
 
 
 class TestDuelingFastPathDifferential:
-    """The PR 4 dueling fast paths: SBAR/CBS inlined into the fused loop.
+    """SBAR/CBS on the native kernel against the generic per-call loop.
 
-    Matrix required by the issue: {sbar, cbs-local, cbs-global} ×
-    {packed trace, Access list} × {observer off, observer on}, always
-    compared against the generic per-call loop — results *and*
-    controller state bit-identical.
+    Matrix: {sbar, cbs-local, cbs-global} × {packed trace, Access list}
+    × {observer off, observer on} — results *and* controller state
+    bit-identical.
     """
 
     DUELING = ("sbar", "cbs-local", "cbs-global")
 
     @staticmethod
     def _generic_run(policy, trace):
-        sim = Simulator(experiment_config(), policy)
-        sim.l2.access = SetAssociativeCache.access.__get__(sim.l2)
+        sim = Simulator(experiment_config(), policy, kernel="generic")
         result = sim.run(trace)
-        assert not sim.fused_replay
+        assert sim.replay_kernel == "generic"
         return sim, result
 
     @pytest.mark.parametrize("policy", DUELING)
     def test_fast_path_matches_generic(self, policy):
         trace = build_trace("mcf", scale=0.05)
-        fused_sim = Simulator(experiment_config(), policy)
-        fused = fused_sim.run(pack_trace(trace))
-        assert fused_sim.fused_replay, policy
+        fast_sim = Simulator(experiment_config(), policy)
+        fast = fast_sim.run(pack_trace(trace))
+        assert fast_sim.replay_kernel == AUTO_KERNEL, policy
         generic_sim, generic = self._generic_run(policy, trace)
-        assert fused.to_dict() == generic.to_dict(), policy
-        assert (controller_fingerprint(fused_sim.controller)
+        assert fast.to_dict() == generic.to_dict(), policy
+        assert (controller_fingerprint(fast_sim.controller)
                 == controller_fingerprint(generic_sim.controller)), policy
 
     @pytest.mark.parametrize("policy", DUELING)
@@ -378,17 +400,18 @@ class TestDuelingFastPathDifferential:
 
     @pytest.mark.parametrize("policy", DUELING)
     def test_observer_forces_generic_loop_same_results(self, policy):
-        trace = build_trace("mcf", scale=0.05)
+        trace = pack_trace(build_trace("mcf", scale=0.05))
         observed_sim = Simulator(
             experiment_config(), policy,
             observer=obs.Observer(events=obs.MemoryEventTrace()),
         )
-        observed = observed_sim.run(pack_trace(trace))
-        # An observer must disable the fused loop entirely...
-        assert not observed_sim.fused_replay, policy
+        observed = observed_sim.run(trace)
+        # An observer must keep the run off the native kernel...
+        assert observed_sim.replay_kernel == "generic", policy
+        assert observed_sim.kernel_fallback == "observer", policy
         plain_sim = Simulator(experiment_config(), policy)
         plain = plain_sim.run(trace)
-        assert plain_sim.fused_replay, policy
+        assert plain_sim.replay_kernel == AUTO_KERNEL, policy
         # ...without changing a single simulated number.
         assert observed.to_dict() == plain.to_dict(), policy
         assert (controller_fingerprint(observed_sim.controller)
@@ -399,15 +422,16 @@ class TestDuelingFastPathDifferential:
         patched_sim = Simulator(experiment_config(), "sbar")
         controller = patched_sim.controller
         # attach-style instrumentation rebinds the bound method on the
-        # instance; the dueling fast path must stand down to the
-        # per-call controller path (the loop itself stays fused).
+        # instance; the native kernel must stand down to the generic
+        # loop, which calls the patched method.
         controller.observe_access = type(controller).observe_access.__get__(
             controller
         )
         patched = patched_sim.run(pack_trace(trace))
-        assert patched_sim.fused_replay
+        assert patched_sim.replay_kernel == "generic"
+        assert patched_sim.kernel_fallback == "policy SBARController"
         plain_sim = Simulator(experiment_config(), "sbar")
-        plain = plain_sim.run(trace)
+        plain = plain_sim.run(pack_trace(trace))
         assert patched.to_dict() == plain.to_dict()
         assert (controller_fingerprint(patched_sim.controller)
                 == controller_fingerprint(plain_sim.controller))

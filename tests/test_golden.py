@@ -45,30 +45,29 @@ class TestFigure1Golden:
 class TestKernelGolden:
     """Full SimResult fingerprints per replay kernel, snapshotted.
 
-    The differential tests assert the three kernels agree with *each
-    other*; this golden pins them all to a committed snapshot, so a
-    change that shifts every kernel in lockstep (a genuine behavior
-    change) still trips a test instead of sliding through.  The
-    observer-fallback run rides along: telemetry must never perturb
-    simulated numbers.
+    The differential tests assert the two kernels agree with *each
+    other*; this golden pins both to a committed snapshot, so a change
+    that shifts both in lockstep (a genuine behavior change) still
+    trips a test instead of sliding through.  The observer-fallback run
+    rides along: telemetry must never perturb simulated numbers.
     """
 
     def test_simresult_fingerprints_per_kernel(self, golden_check):
         from repro.sim.native import load_extension
 
-        # A native request resolves to batched on hosts without the
-        # compiled extension; either rung must hit the same snapshot.
-        native_rung = "native" if load_extension() is not None else "batched"
+        # Without the compiled extension an auto run takes the generic
+        # loop; either path must hit the same snapshot.
+        auto_kernel = "native" if load_extension() is not None else "generic"
         trace = pack_trace(build_trace("mcf", scale=SCALE))
         payload = {}
         for policy in ("lru", "sbar"):
             per_kernel = {}
-            for kernel in ("native", "batched", "fused", "generic"):
+            for block, kernel in (("native", "auto"), ("generic", "generic")):
                 sim = Simulator(experiment_config(), policy, kernel=kernel)
                 result = sim.run(trace)
-                expected = native_rung if kernel == "native" else kernel
+                expected = auto_kernel if kernel == "auto" else kernel
                 assert sim.replay_kernel == expected, (policy, kernel)
-                per_kernel[kernel] = result.to_dict()
+                per_kernel[block] = result.to_dict()
             observed = Simulator(
                 experiment_config(), policy,
                 observer=obs.Observer(events=obs.MemoryEventTrace()),

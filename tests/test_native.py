@@ -1,140 +1,332 @@
-"""Tests pinning down the compiled native replay kernel (PR 9).
+"""Tests pinning down the compiled native replay kernel.
 
-The ``native`` rung is a hand-written C extension running the fused
-loop body over the packed-trace columns.  Three contracts matter:
+Two paths replay a trace: the hand-written C kernel
+(``repro._native.replaykernel``, taken by ``kernel="auto"`` when every
+gate holds) and the generic Python loop, the semantic reference.
+Three contracts matter:
 
-* **bit-exactness** — for every admitted policy family the native
-  kernel produces :class:`SimResult` payloads *and* dueling-controller
-  end states identical to the batched, fused, and generic kernels;
-* **graceful degradation** — a host without the extension (no compiler
-  at install time) resolves a ``native`` request to ``batched`` with
-  identical results, never an error;
+* **bit-exactness** — for every registered policy, a rand-dynamic SBAR
+  that redraws its leaders, and phase-sampled runs, the native kernel
+  produces :class:`SimResult` payloads *and* controller/policy end
+  states identical to the generic loop;
+* **graceful degradation** — a run the kernel does not cover (or a
+  host without the extension) takes the generic loop with identical
+  results, and ``SimResult.meta["kernel_fallback"]`` names the first
+  gate that failed;
 * **cache neutrality** — the kernel never enters memo or store keys, a
-  result computed under one kernel satisfies a request under any
-  other, and ``SimResult.meta["kernel_used"]`` (which records the
-  producing rung) never leaks into digests or persisted payloads.
+  result computed under one kernel satisfies a request under the
+  other, and ``SimResult.meta`` never leaks into digests or persisted
+  payloads.
+
+``tests/conftest.py`` builds the extension once per session when a
+compiler is available, so these tests exercise the C kernel in tier-1;
+the native-only ones skip on hosts that cannot build it.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import obs
+from repro.cache.block import BlockState
+from repro.cache.replacement.lru import FIFOPolicy
+from repro.cache.replacement.registry import available_policies
+from repro.cpu.prefetch import StridePrefetcher
+from repro.sbar.sbar import SBARController
 from repro.sim import RunOptions, native
 from repro.sim.runner import cache_stats, clear_cache, run_policy
 from repro.sim.simulator import Simulator
+from repro.trace.packed import pack_trace
+from repro.trace.record import Access
 from repro.workloads import build_workload, experiment_config
 
-from tests.test_fastpath import controller_fingerprint
+from tests.test_fastpath import machine_fingerprint
 
-#: Whether this host built the optional C extension.  The differential
-#: battery still runs without it (a native request resolves one rung
-#: down), so the full suite passes on compiler-less hosts.
+#: Whether this host has the C extension (conftest builds it when a
+#: compiler exists).  Without it every run takes the generic loop and
+#: the differential battery degenerates to generic-vs-generic, which
+#: still passes; ``test_native_really_runs`` is the guard.
 HAVE_NATIVE = native.load_extension() is not None
+needs_native = pytest.mark.skipif(not HAVE_NATIVE,
+                                  reason="extension not built")
 
-#: The rung a ``native`` request actually resolves to on this host.
-NATIVE_RUNG = "native" if HAVE_NATIVE else "batched"
+#: The kernel ``auto`` resolves to on this host.
+AUTO_KERNEL = "native" if HAVE_NATIVE else "generic"
 
+#: One spec per registered policy (lin and sbar at their defaults).
 POLICIES = (
     "lru", "lin(4)", "sbar", "cbs-global", "cbs-local", "ehc", "awrp",
+    "plru", "cost-plru", "lip", "bip", "dip", "tournament",
 )
 
 
+def _native_and_generic(trace, policy, config=None, **kwargs):
+    """Run ``policy`` on both kernels; returns the two simulators."""
+    config = config or experiment_config()
+    runs = []
+    for kernel in ("auto", "generic"):
+        spec = policy() if callable(policy) else policy
+        sim = Simulator(config, spec, kernel=kernel, **kwargs)
+        sim.result = sim.run(trace)
+        runs.append(sim)
+    return runs
+
+
+def _assert_identical(fast, generic, label):
+    assert fast.replay_kernel == AUTO_KERNEL, label
+    assert generic.replay_kernel == "generic", label
+    assert fast.result.to_dict() == generic.result.to_dict(), label
+    assert machine_fingerprint(fast) == machine_fingerprint(generic), label
+
+
 class TestNativeDifferential:
-    """Four-way kernel equivalence for every admitted policy family."""
+    """Native against generic for every registered policy.
+
+    The test name predates the removal of the batched and fused loops;
+    each case now pins the native kernel against the generic loop.
+    """
+
+    def test_every_registered_policy_is_covered(self):
+        assert {spec.partition("(")[0] for spec in POLICIES} == set(
+            available_policies()
+        )
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("workload", ("mcf", "art"))
     def test_native_matches_batched_fused_generic(self, workload, policy):
         trace = build_workload(workload, scale=0.05)
-        runs = {}
-        sims = {}
-        for kernel in ("native", "batched", "fused", "generic"):
-            sim = Simulator(experiment_config(), policy, kernel=kernel)
-            runs[kernel] = sim.run(trace).to_dict()
-            sims[kernel] = sim
-            expected = NATIVE_RUNG if kernel == "native" else kernel
-            assert sim.replay_kernel == expected, (policy, kernel)
-        for kernel in ("batched", "fused", "generic"):
-            assert runs["native"] == runs[kernel], (policy, kernel)
-        if sims["native"].controller is not None:
-            reference = controller_fingerprint(sims["native"].controller)
-            for kernel in ("batched", "fused", "generic"):
-                assert reference == controller_fingerprint(
-                    sims[kernel].controller
-                ), (policy, kernel)
+        fast, generic = _native_and_generic(trace, policy)
+        _assert_identical(fast, generic, (workload, policy))
 
-    @pytest.mark.skipif(not HAVE_NATIVE, reason="extension not built")
+    def test_rand_dynamic_sbar_redraws_leaders(self):
+        config = experiment_config()
+
+        def controller():
+            return SBARController(
+                config.l2.n_sets, config.l2.associativity, n_leaders=8,
+                selection="rand-dynamic", epoch_instructions=20_000,
+                seed=11,
+            )
+
+        trace = build_workload("mcf", scale=0.05)
+        fast, generic = _native_and_generic(trace, controller, config)
+        _assert_identical(fast, generic, "rand-dynamic")
+        # Enough epochs for several redraws, each with fresh leaders.
+        assert generic.controller._epoch >= 3
+        assert fast.controller.leaders != controller().leaders
+
+    def test_registered_rand_dynamic_spec(self):
+        trace = build_workload("art", scale=0.05)
+        fast, generic = _native_and_generic(trace, "sbar(rand-dynamic,8)")
+        _assert_identical(fast, generic, "sbar(rand-dynamic,8)")
+
+    @pytest.mark.parametrize("policy", ("lru", "sbar", "tournament"))
+    def test_phase_cuts_match_generic(self, policy):
+        trace = build_workload("mcf", scale=0.05)
+        fast, generic = _native_and_generic(trace, policy,
+                                            phase_interval=5_000)
+        _assert_identical(fast, generic, policy)
+        assert len(fast.result.phases) > 3
+        assert sum(p.misses for p in fast.result.phases) == (
+            fast.result.demand_misses
+        )
+
+    def test_folded_zero_length_final_phase(self):
+        # An interval equal to the last record's instruction index
+        # makes that record open a zero-length phase, which _finalize
+        # folds into the one before it.
+        trace = build_workload("art", scale=0.05)
+        interval = trace.total_instructions()
+        fast, generic = _native_and_generic(trace, "lin(4)",
+                                            phase_interval=interval)
+        _assert_identical(fast, generic, "folded phase")
+        (phase,) = fast.result.phases
+        assert phase.end_instruction == interval
+        assert phase.misses == fast.result.demand_misses
+
+    @needs_native
     def test_native_really_runs(self):
         # Guard against the battery silently degenerating into
-        # batched-vs-batched: on a host with the extension, auto and
-        # native requests must actually resolve to the C kernel.
-        for kernel in ("auto", "native"):
-            sim = Simulator(experiment_config(), "sbar", kernel=kernel)
-            sim.run(build_workload("mcf", scale=0.05))
-            assert sim.replay_kernel == "native", kernel
-            assert sim.native_replay, kernel
-            assert not sim.batched_replay, kernel
+        # generic-vs-generic: with the extension, every registered
+        # policy and a phase-sampled run resolve to the C kernel.
+        trace = build_workload("mcf", scale=0.05)
+        for policy in POLICIES + ("sbar(rand-dynamic,8)",):
+            sim = Simulator(experiment_config(), policy)
+            result = sim.run(trace)
+            assert sim.replay_kernel == "native", policy
+            assert result.meta == {"kernel_used": "native"}, policy
+        sim = Simulator(experiment_config(), "lru", phase_interval=1000)
+        sim.run(trace)
+        assert sim.replay_kernel == "native"
 
 
 class TestLadderDegradation:
-    def test_missing_extension_falls_back_to_batched(self, monkeypatch):
+    def test_missing_extension_falls_back_to_generic(self, monkeypatch):
         trace = build_workload("mcf", scale=0.05)
-        reference = Simulator(
-            experiment_config(), "sbar", kernel="native"
-        ).run(trace)
+        reference = Simulator(experiment_config(), "sbar").run(trace)
         # Simulate a host whose optional build_ext found no compiler:
-        # the import fails, load_extension caches None, and a native
-        # request must resolve to batched with identical results.
+        # the import fails, load_extension caches None, and the run
+        # takes the generic loop with identical results.
         monkeypatch.setattr(native, "_extension", None)
-        sim = Simulator(experiment_config(), "sbar", kernel="native")
+        sim = Simulator(experiment_config(), "sbar")
         degraded = sim.run(trace)
-        assert sim.replay_kernel == "batched"
-        assert sim.batched_replay
-        assert not sim.native_replay
+        assert sim.replay_kernel == "generic"
+        assert degraded.meta["kernel_fallback"] == "extension not built"
         assert degraded.to_dict() == reference.to_dict()
 
     def test_unsupported_policy_falls_back(self):
-        # dip is not an admitted native policy family; the request is
-        # a ceiling, so the run degrades (batched admits it) rather
-        # than erroring, and results match the generic loop.
+        # A policy the kernel does not know degrades to the generic
+        # loop rather than erroring, and says which policy it was.
         trace = build_workload("mcf", scale=0.05)
-        sim = Simulator(experiment_config(), "dip", kernel="native")
+        sim = Simulator(experiment_config(), FIFOPolicy())
         result = sim.run(trace)
-        assert sim.replay_kernel != "native"
-        generic = Simulator(
-            experiment_config(), "dip", kernel="generic"
+        assert sim.replay_kernel == "generic"
+        assert result.meta["kernel_fallback"] == "policy FIFOPolicy"
+        pinned = Simulator(
+            experiment_config(), FIFOPolicy(), kernel="generic"
         ).run(trace)
-        assert result.to_dict() == generic.to_dict()
+        assert result.to_dict() == pinned.to_dict()
 
     def test_list_trace_never_native(self):
-        # The native kernel consumes packed columns; an Access list
-        # drops below batched too, landing on fused.
-        sim = Simulator(experiment_config(), "lru", kernel="native")
+        sim = Simulator(experiment_config(), "lru")
         sim.run(build_workload("mcf", scale=0.05).to_accesses())
-        assert sim.replay_kernel == "fused"
-        assert not sim.native_replay
+        assert sim.replay_kernel == "generic"
+        assert sim.kernel_fallback == "not a PackedTrace"
+
+
+def _wrong_path(trace):
+    accesses = trace.to_accesses()
+    accesses[3] = Access(accesses[3].address, accesses[3].kind,
+                         accesses[3].gap, wrong_path=True)
+    return pack_trace(accesses)
+
+
+def _instrument_l2(sim):
+    sim.l2.access = type(sim.l2).access.__get__(sim.l2)
+
+
+def _seed_l2(sim):
+    sim.l2._sets[0].insert_mru(BlockState(0, 0))
+
+
+class TestFallbackReasons:
+    """Every native gate lands on the generic loop and names itself."""
+
+    CASES = {
+        "observer": dict(kwargs={"observer": True}),
+        "prefetcher": dict(kwargs={"prefetcher": True}),
+        "warmup": dict(kwargs={"warmup_instructions": 1000}),
+        "wrong-path records": dict(trace=_wrong_path),
+        "not a PackedTrace": dict(trace=lambda t: t.to_accesses()),
+        "policy FIFOPolicy": dict(policy=FIFOPolicy),
+        "instrumented l2": dict(prepare=_instrument_l2),
+        "pre-seeded state": dict(prepare=_seed_l2),
+        "kernel=generic": dict(kwargs={"kernel": "generic"}),
+    }
+
+    @pytest.mark.parametrize("reason", sorted(CASES))
+    def test_gate_names_itself(self, reason):
+        case = self.CASES[reason]
+        trace = build_workload("art", scale=0.02)
+        trace = case.get("trace", lambda t: t)(trace)
+        kwargs = dict(case.get("kwargs", {}))
+        if kwargs.pop("observer", False):
+            kwargs["observer"] = obs.Observer(events=obs.MemoryEventTrace())
+        if kwargs.pop("prefetcher", False):
+            kwargs["prefetcher"] = StridePrefetcher()
+        policy = case.get("policy", lambda: "lru")()
+        sim = Simulator(experiment_config(), policy, **kwargs)
+        case.get("prepare", lambda sim: None)(sim)
+        result = sim.run(trace)
+        assert sim.replay_kernel == "generic"
+        assert result.meta == {"kernel_used": "generic",
+                               "kernel_fallback": reason}
+        assert "kernel_fallback" not in result.to_dict()
+
+    def test_missing_extension_is_the_last_gate(self, monkeypatch):
+        monkeypatch.setattr(native, "_extension", None)
+        trace = build_workload("art", scale=0.02)
+        assert native.fallback_reason(
+            Simulator(experiment_config(), "lru"), trace
+        ) == "extension not built"
+        # A run the kernel could never take says so even here.
+        assert native.fallback_reason(
+            Simulator(experiment_config(), "lru", warmup_instructions=10),
+            trace,
+        ) == "warmup"
+
+    @needs_native
+    def test_native_run_has_no_fallback(self):
+        sim = Simulator(experiment_config(), "lru")
+        result = sim.run(build_workload("art", scale=0.02))
+        assert sim.kernel_fallback is None
+        assert "kernel_fallback" not in result.meta
+
+    def test_negative_phase_interval_rejected(self):
+        with pytest.raises(ValueError, match="phase interval"):
+            Simulator(experiment_config(), "lru", phase_interval=-1000)
+
+
+class TestMalformedParams:
+    """The kernel rejects inconsistent params instead of crashing."""
+
+    @staticmethod
+    def _params(policy):
+        trace = build_workload("art", scale=0.02)
+        sim = Simulator(experiment_config(), policy)
+        return native._build_params(sim, trace)
+
+    @needs_native
+    @pytest.mark.parametrize("policy,mutate", [
+        ("lru", lambda p: p.update(policies=[])),
+        ("lru", lambda p: p.update(policies=[(99, 0, 1, 0, 0, 0)])),
+        ("bip", lambda p: p.update(policies=[(5, 0, 0, 0, 0, 0)])),
+        ("lru", lambda p: p.update(policies=[(0, 0)])),
+        ("lru", lambda p: p.update(phase_interval=-5)),
+        ("sbar", lambda p: p.update(roles=None)),
+        ("sbar", lambda p: p.update(roles=b"\x01")),
+        ("sbar", lambda p: p.update(roles=b"\x07" * len(p["roles"]))),
+        ("sbar", lambda p: p.update(epoch_starts=[10], epoch_roles=[])),
+        ("sbar", lambda p: p.update(epoch_starts=[10], epoch_roles=[b"\x00"])),
+        ("lru", lambda p: p.update(epoch_starts=[10],
+                                   epoch_roles=[bytes(p["l2_n_sets"])])),
+        ("dip", lambda p: p.update(policies=p["policies"][:1])),
+        ("cbs-local", lambda p: p.update(psel_values=[0], psel_incs=[0],
+                                         psel_decs=[0])),
+        ("tournament", lambda p: p.update(t_scores=[0.0])),
+    ])
+    def test_rejected(self, policy, mutate):
+        params = self._params(policy)
+        mutate(params)
+        with pytest.raises((ValueError, TypeError)):
+            native.load_extension().replay(params)
 
 
 class TestKernelUsedMeta:
     def test_meta_records_resolved_rung(self):
         trace = build_workload("art", scale=0.05)
-        for kernel in ("native", "batched", "fused", "generic"):
+        expected = {
+            "auto": {"kernel_used": AUTO_KERNEL},
+            "generic": {"kernel_used": "generic",
+                        "kernel_fallback": "kernel=generic"},
+        }
+        if not HAVE_NATIVE:
+            expected["auto"]["kernel_fallback"] = "extension not built"
+        for kernel, meta in expected.items():
             sim = Simulator(experiment_config(), "lru", kernel=kernel)
-            result = sim.run(trace)
-            expected = NATIVE_RUNG if kernel == "native" else kernel
-            assert result.meta == {"kernel_used": expected}, kernel
+            assert sim.run(trace).meta == meta, kernel
 
     def test_meta_excluded_from_digest_and_dict(self):
         trace = build_workload("art", scale=0.05)
-        native_run = Simulator(
-            experiment_config(), "lru", kernel="native"
-        ).run(trace)
+        native_run = Simulator(experiment_config(), "lru").run(trace)
         generic_run = Simulator(
             experiment_config(), "lru", kernel="generic"
         ).run(trace)
-        assert native_run.meta != generic_run.meta or not HAVE_NATIVE
-        assert "meta" not in native_run.to_dict()
-        assert "kernel_used" not in native_run.to_dict()
+        assert native_run.meta != generic_run.meta
+        for run in (native_run, generic_run):
+            assert "meta" not in run.to_dict()
+            assert "kernel_used" not in run.to_dict()
+            assert "kernel_fallback" not in run.to_dict()
         assert native_run.to_dict() == generic_run.to_dict()
         from repro.sim.store import result_digest
 
@@ -150,13 +342,14 @@ class TestKernelNeverKeysCaches:
             "mcf", "lru", scale=0.05,
             options=RunOptions(kernel="generic"),
         )
-        assert first.meta == {"kernel_used": "generic"}
+        assert first.meta == {"kernel_used": "generic",
+                              "kernel_fallback": "kernel=generic"}
         before = cache_stats()["memo_hits"]
         second = run_policy(
             "mcf", "lru", scale=0.05,
-            options=RunOptions(kernel="native"),
+            options=RunOptions(kernel="auto"),
         )
-        # One memo entry serves both requests: the native request is a
+        # One memo entry serves both requests: the auto request is a
         # hit on the generic run's result, object-identically.
         assert second is first
         assert cache_stats()["memo_hits"] == before + 1
@@ -178,11 +371,11 @@ class TestKernelNeverKeysCaches:
         before = default_store().counters()["store_hits"]
         second = run_policy(
             "mcf", "lru", scale=0.05,
-            options=RunOptions(kernel="native"),
+            options=RunOptions(kernel="auto"),
         )
         assert default_store().counters()["store_hits"] == before + 1
         assert second.to_dict() == first.to_dict()
         # Provenance never persists: a store-loaded result carries no
-        # meta, proving kernel_used stays out of the payload on disk.
+        # meta, proving kernel_used/kernel_fallback stay off disk.
         assert second.meta is None
         clear_cache()

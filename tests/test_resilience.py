@@ -236,14 +236,18 @@ class TestRunOptions:
     def test_kernel_defaults_to_auto(self):
         assert RunOptions().kernel == "auto"
 
-    @pytest.mark.parametrize("kernel",
-                             ["auto", "batched", "fused", "generic"])
+    @pytest.mark.parametrize("kernel", ["auto", "generic"])
     def test_kernel_accepts_ladder_names(self, kernel):
         assert RunOptions(kernel=kernel).kernel == kernel
 
     def test_kernel_rejects_unknown_name(self):
         with pytest.raises(ValueError, match="kernel"):
             RunOptions(kernel="vectorised")
+
+    @pytest.mark.parametrize("kernel", ["native", "batched", "fused"])
+    def test_kernel_rejects_retired_names(self, kernel):
+        with pytest.raises(ValueError, match="kernel"):
+            RunOptions(kernel=kernel)
 
     def test_kernel_never_in_memo_key(self):
         # Kernels are bit-identical by contract, so two option sets
@@ -252,7 +256,7 @@ class TestRunOptions:
         from repro.sim import runner
         first = runner.run_policy(
             "mcf", "lru", scale=0.05,
-            options=RunOptions(kernel="fused"),
+            options=RunOptions(kernel="auto"),
         )
         hits_before = runner._MEMO_HITS["memo_hits"]
         second = runner.run_policy(
@@ -307,15 +311,42 @@ class TestCommonCli:
 
     def test_kernel_flag_maps_to_options(self):
         options = common_cli.options_from_args(
-            self._parse(["--kernel", "batched"])
+            self._parse(["--kernel", "generic"])
         )
-        assert options.kernel == "batched"
+        assert options.kernel == "generic"
         assert common_cli.options_from_args(self._parse([])).kernel == "auto"
 
     def test_kernel_flag_rejects_unknown_name(self, capsys):
         with pytest.raises(SystemExit):
             self._parse(["--kernel", "vectorised"])
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_kernel_choices_come_from_one_tuple(self, capsys):
+        from repro.bench.__main__ import main as bench_main
+        from repro.service.__main__ import build_parser
+        from repro.sim.options import REPLAY_KERNELS
+
+        def kernel_choices(parser):
+            for action in parser._actions:
+                if "--kernel" in action.option_strings:
+                    yield tuple(action.choices)
+                if isinstance(action, argparse._SubParsersAction):
+                    for child in action.choices.values():
+                        yield from kernel_choices(child)
+
+        parsers = [
+            argparse.ArgumentParser(parents=[common_cli.execution_parent()]),
+            build_parser(),
+        ]
+        found = [choices for parser in parsers
+                 for choices in kernel_choices(parser)]
+        assert len(found) >= 2
+        assert all(choices == REPLAY_KERNELS for choices in found)
+        with pytest.raises(SystemExit):
+            bench_main(["--help"])
+        assert "{%s,all}" % ",".join(REPLAY_KERNELS) in (
+            capsys.readouterr().out
+        )
 
     @pytest.mark.parametrize("module", [
         "repro.sim.__main__",
