@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install native test bench bench-quick bench-pytest suite oracle chaos workload-zoo serve submit-demo experiments experiments-fast examples lint clean
+.PHONY: install native native-sanitize test bench bench-quick bench-pytest suite oracle chaos workload-zoo serve submit-demo experiments experiments-fast examples lint clean
 
 # Editable install plus the optional C extension (same build as
 # `make native`).
@@ -17,6 +17,29 @@ install:
 # suite runs this build itself when the extension does not import.
 native:
 	$(PYTHON) setup.py build_ext --inplace
+
+# Rebuild the extension with AddressSanitizer and UBSan, run the native
+# batteries against it with the ASan runtime preloaded into the
+# interpreter (leak checks off: CPython keeps memory until exit), then
+# put the normal build back (also run by CI).  Fails on any sanitizer
+# report, any failed test and any skipped one: a skip means the
+# sanitized kernel was not exercised.  --capture=sys leaves file
+# descriptor 2 alone, so a sanitizer report reaches the log.
+SANITIZE_CFLAGS = -fsanitize=address,undefined -fno-omit-frame-pointer
+SANITIZE_TESTS = tests/test_native.py tests/test_tracegen.py tests/test_fastpath.py
+SANITIZE_ENV = LD_PRELOAD=$$(gcc -print-file-name=libasan.so) \
+	ASAN_OPTIONS=detect_leaks=0 \
+	UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 PYTHONPATH=src
+native-sanitize:
+	CFLAGS="$(SANITIZE_CFLAGS)" $(PYTHON) setup.py build_ext --inplace --force
+	$(SANITIZE_ENV) $(PYTHON) -c "import repro._native.replaykernel"
+	$(SANITIZE_ENV) $(PYTHON) -m pytest $(SANITIZE_TESTS) -q -rs \
+		--capture=sys -p no:cacheprovider > native-sanitize.log 2>&1; \
+	status=$$?; cat native-sanitize.log; \
+	$(PYTHON) setup.py build_ext --inplace --force > /dev/null; \
+	if grep -q SKIPPED native-sanitize.log; then \
+		echo "native-sanitize: tests skipped"; exit 1; fi; \
+	exit $$status
 
 test:
 	$(PYTHON) -m pytest tests/

@@ -32,7 +32,10 @@
  * The kernel consumes PackedTrace columns through the buffer protocol
  * and returns every counter plus the full end-of-run machine state for
  * the Python wrapper (repro.sim.native) to write back into the
- * component objects.
+ * component objects: scalars and small queues as Python objects, the
+ * bulk state (tag arrays, the compulsory-miss set, the delta
+ * tracker's last costs, policy side maps) as flat bytes buffers that
+ * the wrapper only decodes when something reads them.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -42,6 +45,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 /* ---------------------------------------------------------------- */
 /* CPython float floor-division (Objects/floatobject.c:float_divmod) */
@@ -237,15 +241,16 @@ wring_popleft(WRing *r)
 /* MSHR entry ring: the demand heap of MSHRFile flattened into a FIFO
  * (see the header).  `serial` stands in for CPython object identity;
  * the tag reference becomes (set_index, fill_seq) so the cost sink can
- * find the tag by scan. */
+ * find the tag by scan, and the block travels as its dense id (see
+ * Ids) so a completion needs no hash probe. */
 
 typedef struct {
     double complete;
     double acc_start;
-    int64_t block;
     int64_t serial;
     int64_t fill_seq;
     int32_t set_index;
+    int32_t id;    /* the block's dense id */
     int32_t phase; /* phase that issued the miss, -1 = none */
     /* deferred update: 0 none, 1 sbar decrement, 2 cbs, 3 tournament */
     uint8_t pend_kind;
@@ -417,49 +422,173 @@ map_grow(Map *m)
     return 0;
 }
 
-/* Backward-shift deletion (linear probing invariant preserved). */
-static void
-map_del(Map *m, int64_t key)
-{
-    size_t mask = m->cap - 1;
-    size_t i = (size_t)hash64((uint64_t)key) & mask;
-    for (;;) {
-        if (m->slots[i].key == key) {
-            break;
-        }
-        if (m->slots[i].key == MAP_EMPTY) {
-            return;
-        }
-        i = (i + 1) & mask;
-    }
-    m->n -= 1;
-    size_t j = i;
-    for (;;) {
-        m->slots[i].key = MAP_EMPTY;
-        size_t k;
-        for (;;) {
-            j = (j + 1) & mask;
-            if (m->slots[j].key == MAP_EMPTY) {
-                return;
-            }
-            k = (size_t)hash64((uint64_t)m->slots[j].key) & mask;
-            /* move slot j back if its home slot k is cyclically
-             * outside (i, j] */
-            if (i <= j ? (k <= i || k > j) : (k <= i && k > j)) {
-                break;
-            }
-        }
-        m->slots[i] = m->slots[j];
-        i = j;
-    }
-}
-
 static void
 map_free(Map *m)
 {
     free(m->slots);
     m->slots = NULL;
     m->cap = m->n = 0;
+}
+
+/* ---------------------------------------------------------------- */
+/* Block -> dense id table                                           */
+/* ---------------------------------------------------------------- */
+
+/* Every block that misses in the L2 gets the next dense id, in
+ * first-miss order, so inserting a new id *is* the compulsory miss
+ * (SetAssociativeCache._seen).  Per id the kernel keeps the block, its
+ * last serviced cost (DeltaTracker._last_cost) and its in-flight fill
+ * (MSHRFile._in_flight): an L2 miss probes the table once, an L2 hit
+ * reads the id from its way, and an MSHR completion carries the id and
+ * probes nothing.  Every first miss allocates a fill and the drain
+ * services them all, so at the end every id has a cost, and the
+ * insertion orders of _seen and _last_cost are both id order. */
+
+typedef struct {
+    int64_t key;
+    int64_t id;
+} IdSlot;
+
+typedef struct {
+    IdSlot *slots;
+    size_t mask;          /* slot count - 1, a power of two minus one */
+    int32_t n, cap;       /* ids handed out, per-id array capacity */
+    int64_t *block;       /* id -> block */
+    double *cost;         /* id -> last serviced cost, NaN = none yet */
+    int64_t *fill_serial; /* id -> in-flight fill's serial, -1 = none */
+    double *fill_done;    /* id -> that fill's completion */
+    int64_t in_flight;    /* ids with a fill in flight */
+} Ids;
+
+static int
+ids_alloc_slots(Ids *t, size_t n_slots)
+{
+    t->slots = (IdSlot *)malloc(n_slots * sizeof(IdSlot));
+    if (!t->slots) {
+        return -1;
+    }
+    for (size_t i = 0; i < n_slots; i++) {
+        t->slots[i].key = MAP_EMPTY;
+    }
+    t->mask = n_slots - 1;
+    return 0;
+}
+
+/* Sized for `hint` ids without growing (a trace of n records has at
+ * most n distinct blocks; callers cap the hint). */
+static int
+ids_init(Ids *t, Py_ssize_t hint)
+{
+    size_t n_slots = 1024;
+    while (n_slots * 7 < (size_t)hint * 10 + 10) {
+        n_slots *= 2;
+    }
+    return ids_alloc_slots(t, n_slots);
+}
+
+static int
+ids_grow_slots(Ids *t)
+{
+    IdSlot *old = t->slots;
+    size_t old_n = t->mask + 1;
+    if (ids_alloc_slots(t, old_n * 2) < 0) {
+        t->slots = old;
+        return -1;
+    }
+    for (size_t i = 0; i < old_n; i++) {
+        if (old[i].key == MAP_EMPTY) {
+            continue;
+        }
+        size_t j = (size_t)hash64((uint64_t)old[i].key) & t->mask;
+        while (t->slots[j].key != MAP_EMPTY) {
+            j = (j + 1) & t->mask;
+        }
+        t->slots[j] = old[i];
+    }
+    free(old);
+    return 0;
+}
+
+static int
+ids_grow_arrays(Ids *t)
+{
+    int32_t cap = t->cap ? t->cap * 2 : 1024;
+    int64_t *block = (int64_t *)realloc(t->block, (size_t)cap * 8);
+    if (block) {
+        t->block = block;
+    }
+    double *cost = (double *)realloc(t->cost, (size_t)cap * 8);
+    if (cost) {
+        t->cost = cost;
+    }
+    int64_t *serial = (int64_t *)realloc(t->fill_serial, (size_t)cap * 8);
+    if (serial) {
+        t->fill_serial = serial;
+    }
+    double *done = (double *)realloc(t->fill_done, (size_t)cap * 8);
+    if (done) {
+        t->fill_done = done;
+    }
+    if (!block || !cost || !serial || !done) {
+        return -1;
+    }
+    t->cap = cap;
+    return 0;
+}
+
+/* The block's id, handing out the next one (and setting *fresh) on a
+ * first miss; -1 when out of memory. */
+static int32_t
+ids_lookup(Ids *t, int64_t block, int *fresh)
+{
+    size_t i = (size_t)hash64((uint64_t)block) & t->mask;
+    for (;;) {
+        IdSlot *slot = &t->slots[i];
+        if (slot->key == block) {
+            *fresh = 0;
+            return (int32_t)slot->id;
+        }
+        if (slot->key == MAP_EMPTY) {
+            break;
+        }
+        i = (i + 1) & t->mask;
+    }
+    if (((size_t)t->n + 1) * 10 >= (t->mask + 1) * 7) {
+        if (ids_grow_slots(t) < 0) {
+            return -1;
+        }
+        return ids_lookup(t, block, fresh);
+    }
+    if (t->n == t->cap && ids_grow_arrays(t) < 0) {
+        return -1;
+    }
+    int32_t id = t->n++;
+    t->slots[i].key = block;
+    t->slots[i].id = id;
+    t->block[id] = block;
+    t->cost[id] = NAN;
+    t->fill_serial[id] = -1;
+    *fresh = 1;
+    return id;
+}
+
+/* The id's in-flight fill has landed (or a newer probe retired it). */
+static inline void
+ids_land(Ids *t, int32_t id)
+{
+    t->fill_serial[id] = -1;
+    t->in_flight -= 1;
+}
+
+static void
+ids_free(Ids *t)
+{
+    free(t->slots);
+    free(t->block);
+    free(t->cost);
+    free(t->fill_serial);
+    free(t->fill_done);
+    memset(t, 0, sizeof(*t));
 }
 
 /* ---------------------------------------------------------------- */
@@ -472,7 +601,11 @@ typedef struct {
     int64_t next_use;
     int64_t cost_q;
     uint8_t dirty;
+    int32_t id; /* L2 ways: the block's dense id (see Ids) */
 } Way;
+
+/* Fields per way in the flat end-state dump (see emit_tags). */
+#define WAY_FIELDS 5
 
 typedef struct {
     Way *pool;     /* n_sets * assoc, set i at pool + i * assoc */
@@ -702,7 +835,7 @@ typedef struct {
     int64_t l2_seq, l2_accesses, l2_hits, l2_misses, l2_writebacks;
     int64_t l2_compulsory;
     int track_seen;
-    Map l2_seen;
+    Ids ids;
     int64_t demand_ctr, compulsory_ctr;
 
     /* mshr */
@@ -711,7 +844,6 @@ typedef struct {
     int64_t m_live, m_allocations, m_merges, m_full_stalls, m_peak;
     MRing md;
     DRing occ;
-    Map m_in_flight; /* block -> (serial, completion) */
     int64_t m_serial;
 
     /* memory */
@@ -735,7 +867,6 @@ typedef struct {
     int64_t delta_count;
     double delta_sum;
     int64_t delta_below, delta_mid, delta_high;
-    Map delta_last; /* block -> cost (b) */
 
     /* policies */
     Pol *pols;
@@ -1107,9 +1238,8 @@ mshr_sweep(Sim *s, double target, int all)
             cost = floor(cost * (double)s->n_adders) / (double)s->n_adders;
         }
         s->m_live -= 1;
-        MapSlot *slot = map_get(&s->m_in_flight, e.block);
-        if (slot && slot->a == e.serial) {
-            map_del(&s->m_in_flight, e.block);
+        if (s->ids.fill_serial[e.id] == e.serial) {
+            ids_land(&s->ids, e.id);
         }
         int64_t bkt = (int64_t)py_floordiv(cost, s->qstep);
         if (bkt > s->max_q) {
@@ -1124,10 +1254,10 @@ mshr_sweep(Sim *s, double target, int all)
         s->dist_total += 1;
         s->dist_cost_sum += cost;
         if (s->track_delta) {
-            MapSlot *prev = map_get(&s->delta_last, e.block);
-            if (prev) {
-                double dv = fabs(cost - prev->b);
-                prev->b = cost;
+            double prev = s->ids.cost[e.id];
+            s->ids.cost[e.id] = cost;
+            if (!isnan(prev)) {
+                double dv = fabs(cost - prev);
                 s->delta_count += 1;
                 s->delta_sum += dv;
                 if (dv < 60) {
@@ -1139,9 +1269,6 @@ mshr_sweep(Sim *s, double target, int all)
                 else {
                     s->delta_high += 1;
                 }
-            }
-            else if (!map_put(&s->delta_last, e.block, 0, cost)) {
-                s->oom = 1;
             }
         }
         if (e.pend_kind) {
@@ -1409,7 +1536,7 @@ run_loop(Sim *s)
                     }
                 }
             }
-            Way nw = {block, seq, 0, 0, 0};
+            Way nw = {block, seq, 0, 0, 0, 0};
             tags_insert_mru(w, len, nw);
             if (is_store) {
                 w[0].dirty = 1;
@@ -1497,6 +1624,7 @@ run_loop(Sim *s)
                 }
             }
             int64_t hit_cost_q = hw->cost_q;
+            int32_t hit_id = hw->id;
             if (s->controller_kind == CTRL_SBAR) {
                 if (role) {
                     int64_t aseq = s->atd_seq;
@@ -1514,7 +1642,7 @@ run_loop(Sim *s)
                         if (*alen >= (int32_t)s->atd_assoc) {
                             tags_evict(aw, alen, *alen - 1);
                         }
-                        Way anw = {block, aseq, 0, 0, 0};
+                        Way anw = {block, aseq, 0, 0, 0, 0};
                         tags_insert_mru(aw, alen, anw);
                         psel_increment(s, 0, hit_cost_q);
                     }
@@ -1539,7 +1667,7 @@ run_loop(Sim *s)
                     if (*alen >= (int32_t)s->atd_assoc) {
                         tags_evict(aw, alen, *alen - 1);
                     }
-                    Way anw = {block, aseq, 0, 0, 0};
+                    Way anw = {block, aseq, 0, 0, 0, 0};
                     tags_insert_mru(aw, alen, anw);
                 }
                 aseq = s->atd2_seq;
@@ -1562,7 +1690,7 @@ run_loop(Sim *s)
                                                    s->pols[0].lam);
                         tags_evict(aw, alen, (int32_t)apick);
                     }
-                    Way anw = {block, aseq, 0, hit_cost_q, 0};
+                    Way anw = {block, aseq, 0, hit_cost_q, 0, 0};
                     tags_insert_mru(aw, alen, anw);
                 }
                 if (lin_hit != lru_hit) {
@@ -1578,11 +1706,10 @@ run_loop(Sim *s)
                 tournament_decay(s, role - 1);
             }
             completion = l1_done + s->l2_latency;
-            MapSlot *entry = map_get(&s->m_in_flight, block);
-            if (entry) {
-                double in_flight = entry->b;
+            if (s->ids.fill_serial[hit_id] >= 0) {
+                double in_flight = s->ids.fill_done[hit_id];
                 if (in_flight <= l1_done) {
-                    map_del(&s->m_in_flight, block);
+                    ids_land(&s->ids, hit_id);
                 }
                 else if (in_flight > completion) {
                     completion = in_flight;
@@ -1592,6 +1719,12 @@ run_loop(Sim *s)
         else {
             /* ---- L2 miss: fill, then the MSHR/memory path ---- */
             s->l2_misses += 1;
+            int fresh;
+            int32_t id = ids_lookup(&s->ids, block, &fresh);
+            if (id < 0) {
+                s->oom = 1;
+                continue;
+            }
             Way victim;
             int have_victim = 0;
             int64_t vpos = *llen; /* a cold fill takes the next free slot */
@@ -1622,7 +1755,7 @@ run_loop(Sim *s)
                     s->l2_writebacks += 1;
                 }
             }
-            Way nst = {block, seq, 0, 0, 0};
+            Way nst = {block, seq, 0, 0, 0, id};
             switch (pol->kind) {
             case POL_EHC:
                 nst.next_use = s->ehc_pending; /* EHCPolicy.on_fill */
@@ -1649,15 +1782,9 @@ run_loop(Sim *s)
             default:
                 tags_insert_mru(lw, llen, nst);
             }
-            int compulsory = 0;
-            if (s->track_seen) {
-                if (!map_get(&s->l2_seen, block)) {
-                    if (!map_put(&s->l2_seen, block, 0, 0.0)) {
-                        s->oom = 1;
-                    }
-                    compulsory = 1;
-                    s->l2_compulsory += 1;
-                }
+            int compulsory = fresh && s->track_seen;
+            if (compulsory) {
+                s->l2_compulsory += 1;
             }
             uint8_t pend_kind = 0;
             int8_t pend_psel_op = 0;
@@ -1683,7 +1810,7 @@ run_loop(Sim *s)
                         if (*alen >= (int32_t)s->atd_assoc) {
                             tags_evict(aw, alen, *alen - 1);
                         }
-                        Way anw = {block, aseq, 0, 0, 0};
+                        Way anw = {block, aseq, 0, 0, 0, 0};
                         tags_insert_mru(aw, alen, anw);
                     }
                 }
@@ -1707,7 +1834,7 @@ run_loop(Sim *s)
                     if (*alen >= (int32_t)s->atd_assoc) {
                         tags_evict(aw, alen, *alen - 1);
                     }
-                    Way anw = {block, aseq, 0, 0, 0};
+                    Way anw = {block, aseq, 0, 0, 0, 0};
                     tags_insert_mru(aw, alen, anw);
                 }
                 aseq = s->atd2_seq;
@@ -1731,7 +1858,7 @@ run_loop(Sim *s)
                                                    s->pols[0].lam);
                         tags_evict(aw, alen, (int32_t)apick);
                     }
-                    Way anw = {block, aseq, 0, 0, 0};
+                    Way anw = {block, aseq, 0, 0, 0, 0};
                     tags_insert_mru(aw, alen, anw);
                     have_lin_fill = 1;
                 }
@@ -1793,12 +1920,12 @@ run_loop(Sim *s)
             }
 
             /* merge probe (inline MSHRFile.lookup) */
-            MapSlot *entry = map_get(&s->m_in_flight, block);
-            if (entry && entry->b <= l1_done) {
-                map_del(&s->m_in_flight, block);
-                entry = NULL;
+            int in_flight = s->ids.fill_serial[id] >= 0;
+            if (in_flight && s->ids.fill_done[id] <= l1_done) {
+                ids_land(&s->ids, id);
+                in_flight = 0;
             }
-            if (entry) {
+            if (in_flight) {
                 s->m_merges += 1;
                 if (pend_kind) {
                     MEntry pe;
@@ -1810,8 +1937,8 @@ run_loop(Sim *s)
                     apply_pending(s, &pe, 0);
                 }
                 completion = l1_done + s->l2_latency;
-                if (entry->b > completion) {
-                    completion = entry->b;
+                if (s->ids.fill_done[id] > completion) {
+                    completion = s->ids.fill_done[id];
                 }
             }
             else {
@@ -1886,10 +2013,10 @@ run_loop(Sim *s)
                 MEntry me;
                 me.complete = completion;
                 me.acc_start = s->m_acc;
-                me.block = block;
                 me.serial = s->m_serial++;
                 me.fill_seq = seq;
                 me.set_index = (int32_t)set_index;
+                me.id = id;
                 me.pend_kind = pend_kind;
                 me.pend_psel_op = pend_psel_op;
                 me.pend_idx = pend_idx;
@@ -1897,11 +2024,12 @@ run_loop(Sim *s)
                 me.pend_fill_set = pend_fill_set;
                 me.pend_fill_seq = pend_fill_seq;
                 if (mring_append(&s->md, me) < 0 ||
-                    dring_append(&s->occ, completion) < 0 ||
-                    !map_put(&s->m_in_flight, block, me.serial,
-                             completion)) {
+                    dring_append(&s->occ, completion) < 0) {
                     s->oom = 1;
                 }
+                s->ids.fill_serial[id] = me.serial;
+                s->ids.fill_done[id] = completion;
+                s->ids.in_flight += 1;
                 s->m_allocations += 1;
                 s->m_live += 1;
                 if (s->occ.n > s->m_peak) {
@@ -2104,43 +2232,44 @@ out_obj(PyObject *d, const char *key, PyObject *o)
     return rc;
 }
 
-static PyObject *
-emit_set(const Way *w, int32_t len)
-{
-    PyObject *entries = PyList_New(len);
-    if (!entries) {
-        return NULL;
-    }
-    for (int32_t i = 0; i < len; i++) {
-        PyObject *t = Py_BuildValue(
-            "(LLLLi)", (long long)w[i].block, (long long)w[i].fill_seq,
-            (long long)w[i].next_use, (long long)w[i].cost_q,
-            (int)w[i].dirty);
-        if (!t) {
-            Py_DECREF(entries);
-            return NULL;
-        }
-        PyList_SET_ITEM(entries, i, t);
-    }
-    return entries;
-}
-
+/* A tag array as one flat int64 buffer: every set's occupancy, then
+ * each resident way in set order, MRU first, as WAY_FIELDS values
+ * (block, fill_seq, next_use, cost_q, dirty). */
 static PyObject *
 emit_tags(const Tags *t)
 {
-    PyObject *sets = PyList_New(t->n_sets);
-    if (!sets) {
+    Py_ssize_t ways = 0;
+    for (int64_t i = 0; i < t->n_sets; i++) {
+        ways += t->len[i];
+    }
+    PyObject *buf = PyBytes_FromStringAndSize(
+        NULL, (t->n_sets + ways * WAY_FIELDS) * (Py_ssize_t)sizeof(int64_t));
+    if (!buf) {
         return NULL;
     }
-    for (int64_t s = 0; s < t->n_sets; s++) {
-        PyObject *entries = emit_set(TAGS_SET(t, s), t->len[s]);
-        if (!entries) {
-            Py_DECREF(sets);
-            return NULL;
+    int64_t *lens = (int64_t *)PyBytes_AS_STRING(buf);
+    int64_t *at = lens + t->n_sets;
+    for (int64_t i = 0; i < t->n_sets; i++) {
+        const Way *w = TAGS_SET(t, i);
+        lens[i] = t->len[i];
+        for (int32_t j = 0; j < t->len[i]; j++) {
+            at[0] = w[j].block;
+            at[1] = w[j].fill_seq;
+            at[2] = w[j].next_use;
+            at[3] = w[j].cost_q;
+            at[4] = w[j].dirty;
+            at += WAY_FIELDS;
         }
-        PyList_SET_ITEM(sets, s, entries);
     }
-    return sets;
+    return buf;
+}
+
+/* A raw array as bytes (id-ordered blocks and costs). */
+static PyObject *
+emit_raw(const void *a, Py_ssize_t n, Py_ssize_t item_size)
+{
+    return PyBytes_FromStringAndSize(n ? (const char *)a : NULL,
+                                     n * item_size);
 }
 
 static int
@@ -2180,49 +2309,44 @@ emit_heap_sorted(const DHeap *h)
     return list;
 }
 
-/* Map payload emitters: kind 0 -> keys only, 1 -> (key, a), 2 ->
- * (key, b as float). */
+/* A block -> int map as flat int64 (key, value) pairs, slot order. */
 static PyObject *
-emit_map(const Map *m, int kind)
+emit_pairs(const Map *m)
 {
-    PyObject *list = PyList_New((Py_ssize_t)m->n);
-    if (!list) {
+    PyObject *buf = PyBytes_FromStringAndSize(
+        NULL, (Py_ssize_t)m->n * 2 * (Py_ssize_t)sizeof(int64_t));
+    if (!buf) {
         return NULL;
     }
-    Py_ssize_t at = 0;
+    int64_t *at = (int64_t *)PyBytes_AS_STRING(buf);
     for (size_t i = 0; i < m->cap; i++) {
         const MapSlot *slot = &m->slots[i];
-        if (slot->key == MAP_EMPTY) {
-            continue;
+        if (slot->key != MAP_EMPTY) {
+            at[0] = slot->key;
+            at[1] = slot->a;
+            at += 2;
         }
-        PyObject *o;
-        if (kind == 0) {
-            o = PyLong_FromLongLong(slot->key);
-        }
-        else if (kind == 1) {
-            o = Py_BuildValue("(LL)", (long long)slot->key,
-                              (long long)slot->a);
-        }
-        else {
-            o = Py_BuildValue("(Ld)", (long long)slot->key, slot->b);
-        }
-        if (!o) {
-            Py_DECREF(list);
-            return NULL;
-        }
-        PyList_SET_ITEM(list, at++, o);
     }
-    return list;
+    return buf;
 }
 
+/* EHC's interval deques as flat int64: per block, the block, the
+ * deque's length, then its values oldest first. */
 static PyObject *
 emit_intervals(const Map *m, const IvPool *p)
 {
-    PyObject *list = PyList_New((Py_ssize_t)m->n);
-    if (!list) {
+    Py_ssize_t n = 0;
+    for (size_t i = 0; i < m->cap; i++) {
+        if (m->slots[i].key != MAP_EMPTY) {
+            n += 2 + p->cnt[m->slots[i].a];
+        }
+    }
+    PyObject *buf =
+        PyBytes_FromStringAndSize(NULL, n * (Py_ssize_t)sizeof(int64_t));
+    if (!buf) {
         return NULL;
     }
-    Py_ssize_t at = 0;
+    int64_t *at = (int64_t *)PyBytes_AS_STRING(buf);
     for (size_t i = 0; i < m->cap; i++) {
         const MapSlot *slot = &m->slots[i];
         if (slot->key == MAP_EMPTY) {
@@ -2230,28 +2354,32 @@ emit_intervals(const Map *m, const IvPool *p)
         }
         Py_ssize_t idx = (Py_ssize_t)slot->a;
         int32_t cnt = p->cnt[idx];
-        PyObject *vals = PyList_New(cnt);
-        if (!vals) {
-            Py_DECREF(list);
-            return NULL;
-        }
+        *at++ = slot->key;
+        *at++ = cnt;
         for (int32_t j = 0; j < cnt; j++) {
-            int64_t v =
+            *at++ =
                 p->vals[idx * p->horizon + (p->head[idx] + j) % p->horizon];
-            PyObject *o = PyLong_FromLongLong(v);
-            if (!o) {
-                Py_DECREF(vals);
-                Py_DECREF(list);
-                return NULL;
-            }
-            PyList_SET_ITEM(vals, j, o);
         }
-        PyObject *pair = Py_BuildValue("(LN)", (long long)slot->key, vals);
-        if (!pair) {
+    }
+    return buf;
+}
+
+/* The MSHR occupancy ring, oldest first: completions are increasing
+ * (one serializing bus), so this is the heap's contents sorted. */
+static PyObject *
+emit_occupancy(const DRing *r)
+{
+    PyObject *list = PyList_New(r->n);
+    if (!list) {
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < r->n; i++) {
+        PyObject *o = PyFloat_FromDouble(r->a[(r->head + i) % r->cap]);
+        if (!o) {
             Py_DECREF(list);
             return NULL;
         }
-        PyList_SET_ITEM(list, at++, pair);
+        PyList_SET_ITEM(list, i, o);
     }
     return list;
 }
@@ -2311,34 +2439,6 @@ emit_dbl_array(const double *a, Py_ssize_t n)
     return list;
 }
 
-/* Sparse ATD (SBAR): only the leader sets exist in Python. */
-static PyObject *
-emit_leader_tags(const Tags *t, const uint8_t *leaders)
-{
-    PyObject *list = PyList_New(0);
-    if (!list) {
-        return NULL;
-    }
-    for (int64_t s = 0; s < t->n_sets; s++) {
-        if (!leaders[s]) {
-            continue;
-        }
-        PyObject *entries = emit_set(TAGS_SET(t, s), t->len[s]);
-        if (!entries) {
-            Py_DECREF(list);
-            return NULL;
-        }
-        PyObject *pair = Py_BuildValue("(LN)", (long long)s, entries);
-        if (!pair || PyList_Append(list, pair) < 0) {
-            Py_XDECREF(pair);
-            Py_DECREF(list);
-            return NULL;
-        }
-        Py_DECREF(pair);
-    }
-    return list;
-}
-
 static PyObject *
 emit_pol_fills(const Sim *s)
 {
@@ -2391,13 +2491,11 @@ sim_free(Sim *s)
     tags_free(&s->l2);
     tags_free(&s->atd_lru);
     tags_free(&s->atd_lin);
-    map_free(&s->l2_seen);
+    ids_free(&s->ids);
     free(s->md.a);
     free(s->occ.a);
-    map_free(&s->m_in_flight);
     free(s->mif.a);
     free(s->bank_free);
-    map_free(&s->delta_last);
     map_free(&s->ehc_last);
     map_free(&s->ehc_intervals);
     ivpool_free(&s->ehc_pool);
@@ -2417,6 +2515,16 @@ sim_free(Sim *s)
 /* ---------------------------------------------------------------- */
 /* Entry point                                                       */
 /* ---------------------------------------------------------------- */
+
+/* Seconds on the monotonic clock, for the kernel and emit stage
+ * timers. */
+static double
+monotonic_s(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
+}
 
 static PyObject *
 replay(PyObject *self, PyObject *args)
@@ -2758,9 +2866,7 @@ replay(PyObject *self, PyObject *args)
     if (tags_init(&s->l1d, l1d_sets, l1d_assoc) < 0 ||
         tags_init(&s->l1i, l1i_sets, l1i_assoc) < 0 ||
         tags_init(&s->l2, l2_sets, l2_assoc) < 0 ||
-        map_init(&s->l2_seen, 1024) < 0 ||
-        map_init(&s->m_in_flight, 64) < 0 ||
-        map_init(&s->delta_last, 1024) < 0 ||
+        ids_init(&s->ids, s->n < 65536 ? s->n : 65536) < 0 ||
         map_init(&s->ehc_last, 1024) < 0 ||
         map_init(&s->ehc_intervals, 1024) < 0 ||
         map_init(&s->awrp_counts, 1024) < 0) {
@@ -2807,9 +2913,11 @@ replay(PyObject *self, PyObject *args)
     }
 
     /* --- run --- */
+    double loop_start = monotonic_s();
     Py_BEGIN_ALLOW_THREADS;
     run_loop(s);
     Py_END_ALLOW_THREADS;
+    double emit_start = monotonic_s();
 
     if (s->oom) {
         PyErr_NoMemory();
@@ -2853,14 +2961,18 @@ replay(PyObject *self, PyObject *args)
         out_int(out, "l2_writebacks", s->l2_writebacks) < 0 ||
         out_int(out, "l2_compulsory", s->l2_compulsory) < 0 ||
         out_obj(out, "l2_sets", emit_tags(&s->l2)) < 0 ||
-        out_obj(out, "l2_seen", emit_map(&s->l2_seen, 0)) < 0 ||
+        out_obj(out, "id_blocks",
+                emit_raw(s->ids.block, s->ids.n, sizeof(int64_t))) < 0 ||
+        out_obj(out, "id_costs",
+                emit_raw(s->ids.cost, s->ids.n, sizeof(double))) < 0 ||
         out_int(out, "demand_ctr", s->demand_ctr) < 0 ||
         out_int(out, "compulsory_ctr", s->compulsory_ctr) < 0 ||
         /* mshr */
         out_dbl(out, "m_now", s->m_now) < 0 ||
         out_dbl(out, "m_acc", s->m_acc) < 0 ||
         out_int(out, "m_live", s->m_live) < 0 ||
-        out_int(out, "m_in_flight_n", (int64_t)s->m_in_flight.n) < 0 ||
+        out_int(out, "m_in_flight_n", s->ids.in_flight) < 0 ||
+        out_obj(out, "m_occupancy", emit_occupancy(&s->occ)) < 0 ||
         out_int(out, "m_allocations", s->m_allocations) < 0 ||
         out_int(out, "m_merges", s->m_merges) < 0 ||
         out_int(out, "m_full_stalls", s->m_full_stalls) < 0 ||
@@ -2889,14 +3001,13 @@ replay(PyObject *self, PyObject *args)
         out_int(out, "delta_below", s->delta_below) < 0 ||
         out_int(out, "delta_mid", s->delta_mid) < 0 ||
         out_int(out, "delta_high", s->delta_high) < 0 ||
-        out_obj(out, "delta_last", emit_map(&s->delta_last, 2)) < 0 ||
         /* policy */
         out_int(out, "ehc_pending", s->ehc_pending) < 0 ||
-        out_obj(out, "ehc_last", emit_map(&s->ehc_last, 1)) < 0 ||
+        out_obj(out, "ehc_last", emit_pairs(&s->ehc_last)) < 0 ||
         out_obj(out, "ehc_intervals",
                 emit_intervals(&s->ehc_intervals, &s->ehc_pool)) < 0 ||
         out_int(out, "awrp_fills", s->awrp_fills) < 0 ||
-        out_obj(out, "awrp_counts", emit_map(&s->awrp_counts, 1)) < 0 ||
+        out_obj(out, "awrp_counts", emit_pairs(&s->awrp_counts)) < 0 ||
         /* controller */
         out_int(out, "atd_seq", s->atd_seq) < 0 ||
         out_int(out, "atd_accesses", s->atd_accesses) < 0 ||
@@ -2935,8 +3046,7 @@ replay(PyObject *self, PyObject *args)
         goto fail;
     }
     if (s->controller_kind == CTRL_SBAR) {
-        if (out_obj(out, "atd_sets",
-                    emit_leader_tags(&s->atd_lru, s->roles)) < 0 ||
+        if (out_obj(out, "atd_sets", emit_tags(&s->atd_lru)) < 0 ||
             out_int(out, "epochs_entered", (int64_t)s->next_epoch) < 0) {
             goto fail;
         }
@@ -2946,6 +3056,10 @@ replay(PyObject *self, PyObject *args)
             out_obj(out, "atd2_sets", emit_tags(&s->atd_lin)) < 0) {
             goto fail;
         }
+    }
+    if (out_dbl(out, "kernel_s", emit_start - loop_start) < 0 ||
+        out_dbl(out, "emit_s", monotonic_s() - emit_start) < 0) {
+        goto fail;
     }
 
     sim_free(s);

@@ -14,7 +14,12 @@ in each macro entry (misses, cycles) are machine-independent and must
 be identical across machines — a cheap cross-host bit-identity check.
 """
 
-from repro.bench.macro import MACRO_POLICIES, MACRO_WORKLOADS, run_macro
+from repro.bench.macro import (
+    MACRO_PHASED,
+    MACRO_POLICIES,
+    MACRO_WORKLOADS,
+    run_macro,
+)
 from repro.bench.micro import run_micro
 from repro.bench.report import (
     SCHEMA,
@@ -26,6 +31,7 @@ from repro.bench.report import (
 )
 
 __all__ = [
+    "MACRO_PHASED",
     "MACRO_POLICIES",
     "MACRO_WORKLOADS",
     "SCHEMA",

@@ -49,15 +49,16 @@ def _check_mode(report_path: str, cell: str) -> int:
     if cell is None:
         # Verify every macro cell the report recorded.
         cells = [
-            (entry["workload"], entry["policy"], entry.get("kernel"))
+            (entry["workload"], entry["policy"], entry.get("kernel"),
+             entry.get("phase_interval"))
             for entry in report["macro"]
         ]
     else:
         parts = cell.split("/")
         if len(parts) == 2:
-            cells = [(parts[0], parts[1], None)]
+            cells = [(parts[0], parts[1], None, None)]
         elif len(parts) == 3:
-            cells = [(parts[0], parts[1], parts[2])]
+            cells = [(parts[0], parts[1], parts[2], None)]
         else:
             print(
                 "--cell must look like WORKLOAD/POLICY[/KERNEL], got %r"
@@ -66,12 +67,15 @@ def _check_mode(report_path: str, cell: str) -> int:
             )
             return 2
     failures = 0
-    for workload, policy, kernel in cells:
+    for workload, policy, kernel, phase_interval in cells:
         label = "%s/%s" % (workload, policy)
         if kernel is not None:
             label += "/%s" % kernel
+        if phase_interval is not None:
+            label += "@phase=%d" % phase_interval
         try:
-            fresh = check_macro_cell(report, workload, policy, kernel)
+            fresh = check_macro_cell(report, workload, policy, kernel,
+                                     phase_interval)
         except ValueError as exc:
             failures += 1
             print("FAIL: %s" % exc, file=sys.stderr)
@@ -200,9 +204,12 @@ def main(argv=None) -> int:
             if entry["kernel_used"] == entry["kernel"]
             else " -> %s" % entry["kernel_used"]
         )
+        policy = entry["policy"]
+        if "phase_interval" in entry:
+            policy += "@phase=%d" % entry["phase_interval"]
         print(
             "  %-4s/%-10s %-7s%s %8.0f accesses/s  (%.3fs, %d L2 misses)"
-            % (entry["workload"], entry["policy"], entry["kernel"],
+            % (entry["workload"], policy, entry["kernel"],
                resolved, entry["accesses_per_sec"], entry["seconds"],
                entry["result"]["l2_misses"])
         )

@@ -13,38 +13,54 @@ Each entry additionally records which path the run took
 the generic loop, the native gate that failed (``kernel_fallback``): a
 silent fall-back would otherwise masquerade as a timing regression.
 Traces are packed once per workload and shared across the policy
-cells.
+cells.  One more cell per report samples phases (``phase_interval``,
+Figure 11's bookkeeping) and embeds each phase's miss count.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.sim.simulator import Simulator
 from repro.workloads import build_workload, experiment_config
 
-#: Workloads × policies timed by ``run_macro`` (and ``make bench``).
-#: ehc/awrp track the Belady-approximation and weight-ranking
-#: newcomers' cost from the day they landed.
+#: Workloads × policies timed by ``run_macro`` (and ``make bench``):
+#: one spec per registered policy.
 MACRO_WORKLOADS = ("mcf", "art")
 MACRO_POLICIES = (
     "lru", "lin(4)", "sbar", "cbs-global", "cbs-local", "ehc", "awrp",
+    "plru", "cost-plru", "lip", "bip", "dip", "tournament",
 )
+#: The phase-sampled cell: (workload, policy, phase_interval).  About
+#: 19 phases on mcf at the default scale.  It rides along whenever the
+#: matrix holds its workload and policy.
+MACRO_PHASED = ("mcf", "sbar", 500_000)
 
 
 def macro_result_fields(result) -> Dict[str, object]:
-    """The machine-independent result payload embedded per cell."""
-    return {
+    """The machine-independent result payload embedded per cell.
+
+    A phase-sampled run also embeds its per-phase miss counts, so the
+    digest check covers the phase cuts.
+    """
+    fields = {
         "l2_misses": result.l2_misses,
         "cycles": result.cycles,
         "demand_misses": result.demand_misses,
         "stall_cycles": result.stall_cycles,
     }
+    if result.phases:
+        fields["phase_misses"] = [phase.misses for phase in result.phases]
+    return fields
 
 
 def simulate_cell(
-    workload: str, policy: str, scale: float, kernel: str = "auto"
+    workload: str,
+    policy: str,
+    scale: float,
+    kernel: str = "auto",
+    phase_interval: Optional[int] = None,
 ):
     """Run one macro cell untimed; returns its SimResult.
 
@@ -55,7 +71,10 @@ def simulate_cell(
     kernels by contract.
     """
     trace = build_workload(workload, scale=scale)
-    return Simulator(experiment_config(), policy, kernel=kernel).run(trace)
+    return Simulator(
+        experiment_config(), policy, kernel=kernel,
+        phase_interval=phase_interval,
+    ).run(trace)
 
 
 def run_macro(
@@ -66,7 +85,8 @@ def run_macro(
     policies: Sequence[str] = MACRO_POLICIES,
     kernel: str = "auto",
 ) -> List[Dict[str, object]]:
-    """Time full simulation runs; returns one entry per (workload, policy).
+    """Time full simulation runs; returns one entry per (workload, policy),
+    plus the :data:`MACRO_PHASED` cell when the matrix holds it.
 
     ``quick`` shrinks the traces and skips repetition for smoke tests;
     otherwise each cell reports best-of-``repeat`` wall time after one
@@ -84,13 +104,18 @@ def run_macro(
         repeat = 1
     config = experiment_config()
     entries: List[Dict[str, object]] = []
+    phased_workload, phased_policy, interval = MACRO_PHASED
     for workload in workloads:
         trace = build_workload(workload, scale=scale)
         accesses = len(trace)
-        for policy in policies:
+        cells = [(policy, None) for policy in policies]
+        if workload == phased_workload and phased_policy in policies:
+            cells.append((phased_policy, interval))
+        for policy, phase_interval in cells:
             if not quick:
-                Simulator(config, policy, kernel=kernel).run(trace)
-            entries.append({
+                Simulator(config, policy, kernel=kernel,
+                          phase_interval=phase_interval).run(trace)
+            entry = {
                 "workload": workload,
                 "policy": policy,
                 "accesses": accesses,
@@ -103,10 +128,14 @@ def run_macro(
                 "kernel_fallback": None,
                 "result": None,
                 "_trace": trace,
-            })
+            }
+            if phase_interval is not None:
+                entry["phase_interval"] = phase_interval
+            entries.append(entry)
     for _ in range(repeat):
         for entry in entries:
-            sim = Simulator(config, entry["policy"], kernel=kernel)
+            sim = Simulator(config, entry["policy"], kernel=kernel,
+                            phase_interval=entry.get("phase_interval"))
             start = perf_counter()
             result = sim.run(entry["_trace"])
             elapsed = perf_counter() - start

@@ -38,11 +38,13 @@ the compiled extension runs ``auto`` cells on the generic loop).  A
 committed baseline therefore records both what was asked and what ran,
 and a silent downgrade on a future host shows up as data.  Newer v5
 cells also carry an optional ``kernel_fallback``: the native gate that
-failed, or null.  Legacy reports stay readable (``validate_report``
-accepts v2–v4; ``check_macro_cell`` compares only the fields a report
-recorded and re-simulates kernel-less cells, and cells recorded under
-the retired ``native``/``batched``/``fused`` kernel names, on
-``auto``).
+failed, or null.  A phase-sampled v5 cell carries ``phase_interval``
+(a positive int) and embeds ``phase_misses``, one miss count per phase,
+in its result; a cell without the field ran unsampled.  Legacy reports
+stay readable (``validate_report`` accepts v2–v4; ``check_macro_cell``
+compares only the fields a report recorded and re-simulates
+kernel-less cells, and cells recorded under the retired
+``native``/``batched``/``fused`` kernel names, on ``auto``).
 
 ``validate_report`` is the single source of truth for that shape; the
 CI perf-smoke job and the bench CLI both call it, so a report that
@@ -212,6 +214,12 @@ def validate_report(report: object) -> None:
             raise ValueError("%s: timings must be positive" % where)
         if entry["scale"] <= 0:
             raise ValueError("%s: scale must be positive" % where)
+        if "phase_interval" in entry:
+            _check_fields(entry, {"phase_interval": int}, where)
+            if entry["phase_interval"] <= 0:
+                raise ValueError(
+                    "%s: phase_interval must be positive" % where
+                )
         _check_fields(entry["result"], result_fields, where + ".result")
 
 
@@ -220,20 +228,27 @@ def find_macro_cell(
     workload: str,
     policy: str,
     kernel: Optional[str] = None,
+    phase_interval: Optional[int] = None,
 ) -> Dict[str, object]:
     """Return the macro entry for ``workload``/``policy`` or raise.
 
     ``kernel`` narrows the match in a v4 report that times the same
     cell under several kernels; ``None`` returns the first match (the
-    only one in legacy reports).
+    only one in legacy reports).  ``phase_interval`` selects the
+    phase-sampled cell; ``None`` the unsampled one.
     """
     for entry in report["macro"]:
-        if entry["workload"] == workload and entry["policy"] == policy:
-            if kernel is None or entry.get("kernel") == kernel:
-                return entry
+        if (
+            entry["workload"] == workload
+            and entry["policy"] == policy
+            and entry.get("phase_interval") == phase_interval
+            and (kernel is None or entry.get("kernel") == kernel)
+        ):
+            return entry
     raise ValueError(
-        "report has no macro cell %s/%s%s"
-        % (workload, policy, "" if kernel is None else "/" + kernel)
+        "report has no macro cell %s/%s%s%s"
+        % (workload, policy, "" if kernel is None else "/" + kernel,
+           "" if phase_interval is None else "@phase=%d" % phase_interval)
     )
 
 
@@ -242,6 +257,7 @@ def check_macro_cell(
     workload: str,
     policy: str,
     kernel: Optional[str] = None,
+    phase_interval: Optional[int] = None,
 ) -> Dict[str, object]:
     """Re-simulate one macro cell and compare its embedded results.
 
@@ -256,21 +272,23 @@ def check_macro_cell(
     """
     from repro.bench.macro import macro_result_fields, simulate_cell
 
-    entry = find_macro_cell(report, workload, policy, kernel)
+    entry = find_macro_cell(report, workload, policy, kernel, phase_interval)
     recorded_kernel = entry.get("kernel", "auto")
     if recorded_kernel in RETIRED_KERNELS:
         recorded_kernel = "auto"
     result = simulate_cell(
-        workload, policy, entry["scale"], kernel=recorded_kernel
+        workload, policy, entry["scale"], kernel=recorded_kernel,
+        phase_interval=phase_interval,
     )
     fresh = macro_result_fields(result)
     recorded = entry["result"]
     # Compare only fields the report recorded: a legacy v2 baseline
     # has no stall_cycles but its cells must stay checkable.
     mismatches = [
-        "%s: recorded %r, simulated %r" % (field, recorded[field], fresh[field])
-        for field in _RESULT_FIELDS
-        if field in recorded and recorded[field] != fresh[field]
+        "%s: recorded %r, simulated %r"
+        % (field, recorded[field], fresh.get(field))
+        for field in tuple(_RESULT_FIELDS) + ("phase_misses",)
+        if field in recorded and recorded[field] != fresh.get(field)
     ]
     if mismatches:
         raise ValueError(

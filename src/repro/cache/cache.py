@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Set
 
 from repro.cache.block import BlockState
+from repro.cache.deferred import deferred
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.sets import CacheSet
 from repro.config import CacheGeometry
@@ -61,6 +62,10 @@ class SetAssociativeCache:
         track_compulsory: record first-touch blocks so results can be
             classified as compulsory misses (Table 3).
     """
+
+    #: Rebuilt on first read after a native run (see repro.cache.deferred).
+    _sets = deferred()
+    _seen = deferred()
 
     def __init__(
         self,
@@ -120,12 +125,12 @@ class SetAssociativeCache:
         return self.hit_fast(block, is_write)
 
     def is_plain(self) -> bool:
-        """Whether the fast-path protocol (:meth:`hit_fast` /
-        :meth:`miss_fill`) is currently equivalent to :meth:`access`:
-        no observer, no per-set policy override, no instance-level
-        ``access`` wrapper (instrumentation such as
-        ``repro.analysis.attach_classifier`` patches it), and a policy
-        that keeps the default ``note_access``/``on_hit`` hooks."""
+        """Whether the :meth:`hit_fast` probe is currently equivalent
+        to a hitting :meth:`access`: no observer, no per-set policy
+        override, no instance-level ``access`` wrapper (instrumentation
+        such as ``repro.analysis.attach_classifier`` patches it), and a
+        policy that keeps the default ``note_access``/``on_hit``
+        hooks."""
         policy = self.policy
         return (
             self.observer is None
@@ -154,44 +159,6 @@ class SetAssociativeCache:
         if is_write:
             state.dirty = True
         return True
-
-    def miss_fill(self, block: int, is_write: bool = False):
-        """Install ``block``, known to be absent (fast path).
-
-        The caller must have checked :meth:`is_plain` and established
-        the miss (a False :meth:`hit_fast`).  Applies exactly the miss
-        side effects of :meth:`access` and returns
-        ``(state, victim, compulsory)`` where ``victim`` is the evicted
-        :class:`BlockState` or None — no :class:`AccessResult` is built.
-        """
-        cache_set = self._sets[block % self.n_sets]
-        policy = self.policy
-        seq = self._seq
-        self._seq = seq + 1
-        self.accesses += 1
-        self.misses += 1
-        state = BlockState(block, seq)
-        ways = cache_set.ways
-        victim = None
-        if len(ways) >= cache_set.associativity:
-            victim = ways.pop(policy.choose_victim(cache_set))
-            del cache_set._index[victim.block]
-            if victim.dirty:
-                self.writebacks += 1
-        if policy.default_on_fill:
-            ways.insert(0, state)
-            cache_set._index[block] = state
-        else:
-            policy.on_fill(cache_set, state)
-        if is_write:
-            state.dirty = True
-        compulsory = False
-        seen = self._seen
-        if seen is not None and block not in seen:
-            seen.add(block)
-            compulsory = True
-            self.compulsory_misses += 1
-        return state, victim, compulsory
 
     def access(self, block: int, is_write: bool = False) -> AccessResult:
         """Look up ``block``; on a miss, install it, evicting if needed."""

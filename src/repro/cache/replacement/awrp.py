@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.cache.block import BlockState
+from repro.cache.deferred import deferred
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.sets import CacheSet
 
@@ -39,6 +40,9 @@ DECAY_FILLS = 4096
 
 class AWRPPolicy(ReplacementPolicy):
     """Adaptive weight ranking: evict the lowest recency+frequency rank."""
+
+    #: Rebuilt on first read after a native run (see repro.cache.deferred).
+    _counts = deferred()
 
     def __init__(self, weight: float = DEFAULT_WEIGHT) -> None:
         if weight < 0:

@@ -34,13 +34,6 @@ class ReplacementPolicy(ABC):
     default_on_hit = True
     default_on_fill = True
 
-    #: True when :meth:`choose_victim` always returns the LRU tail
-    #: (``len(ways) - 1``), letting the cache's fast path evict with a
-    #: plain ``ways.pop()``.  Declared by the policy that guarantees it
-    #: (LRU); any subclass that overrides :meth:`choose_victim` without
-    #: re-declaring the flag drops back to False automatically.
-    victim_is_lru_tail = False
-
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.needs_note_access = (
@@ -48,11 +41,6 @@ class ReplacementPolicy(ABC):
         )
         cls.default_on_hit = cls.on_hit is ReplacementPolicy.on_hit
         cls.default_on_fill = cls.on_fill is ReplacementPolicy.on_fill
-        if (
-            "choose_victim" in cls.__dict__
-            and "victim_is_lru_tail" not in cls.__dict__
-        ):
-            cls.victim_is_lru_tail = False
 
     def note_access(self, block: int, seq: int) -> None:
         """Observe an access before the lookup happens.

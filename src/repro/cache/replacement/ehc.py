@@ -27,6 +27,7 @@ from typing import Deque, Dict
 
 from repro.cache.block import BlockState
 from repro.cache.replacement.base import ReplacementPolicy
+from repro.cache.deferred import deferred
 from repro.cache.replacement.belady import NEVER
 from repro.cache.sets import CacheSet
 
@@ -39,6 +40,10 @@ class EHCPolicy(ReplacementPolicy):
     ``horizon`` is how many recent reuse intervals per block feed the
     next-use prediction (1 = "last interval repeats").
     """
+
+    #: Rebuilt on first read after a native run (see repro.cache.deferred).
+    _last_seen = deferred()
+    _intervals = deferred()
 
     def __init__(self, horizon: int = DEFAULT_HORIZON) -> None:
         if horizon < 1:

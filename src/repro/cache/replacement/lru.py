@@ -17,7 +17,6 @@ class LRUPolicy(ReplacementPolicy):
     """Least Recently Used: ``victim = argmin R(i)`` (Equation 1)."""
 
     name = "lru"
-    victim_is_lru_tail = True
 
     def choose_victim(self, cache_set: CacheSet) -> int:
         return len(cache_set.ways) - 1

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.cache.block import BlockState
+from repro.cache.deferred import deferred
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.sets import CacheSet
 
@@ -83,6 +84,9 @@ class TreePLRUPolicy(ReplacementPolicy):
     """
 
     name = "tree-plru"
+
+    #: Rebuilt on first read after a native run (see repro.cache.deferred).
+    _trees = deferred()
 
     def __init__(self) -> None:
         self._trees: Dict[int, _TreeState] = {}

@@ -13,12 +13,16 @@ from typing import Dict, Iterable
 
 from repro.cache.cache import AccessResult
 from repro.cache.block import BlockState
+from repro.cache.deferred import deferred
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.sets import CacheSet
 
 
 class SparseTagDirectory:
     """Tag-only directory shadowing a subset of the main cache's sets."""
+
+    #: Rebuilt on first read after a native run (see repro.cache.deferred).
+    _sets = deferred()
 
     def __init__(
         self,

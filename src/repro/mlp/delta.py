@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.cache.deferred import deferred
+
 
 @dataclass(frozen=True)
 class DeltaSummary:
@@ -36,6 +38,9 @@ class DeltaTracker:
     in the program"; feeding every serviced demand miss to
     :meth:`record` performs the same analysis online.
     """
+
+    #: Rebuilt on first read after a native run (see repro.cache.deferred).
+    _last_cost = deferred()
 
     def __init__(self) -> None:
         self._last_cost: Dict[int, float] = {}

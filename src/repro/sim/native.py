@@ -24,22 +24,32 @@ shim around it:
 
 The C kernel never sees a Python object graph: caches, the MSHR, heaps,
 ATDs, and policy side tables all start empty (a Simulator runs exactly
-one trace, so they are pristine at replay time — the gate verifies it)
-and come back as plain lists/tuples for reconstruction here.  The one
-source of randomness, rand-dynamic SBAR's leader draws, stays in
-Python: the leaders depend only on the controller's RNG and on which
+one trace, so they are pristine at replay time — the gate verifies it).
+Scalars and small queues come back as Python objects and are written
+at once.  The bulk containers come back as flat bytes buffers and stay
+that way until something reads one of them: the write-back takes them
+out of their owners and :class:`~repro.cache.deferred.deferred` rebuilds
+all of them on the first read (see :class:`_EndState`), so a run whose
+caller only wants the :class:`~repro.sim.stats.SimResult` pays for
+the replay alone.
+
+The one source of randomness, rand-dynamic SBAR's leader draws, stays
+in Python: the leaders depend only on the controller's RNG and on which
 epochs the trace reaches, which the ``gaps`` column fixes, so they are
 drawn here before the kernel runs.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from collections import deque
 from itertools import accumulate
-from typing import List, Optional, Tuple
+from time import perf_counter
+from typing import Callable, List, Optional, Tuple
 
 from repro.cache.block import BlockState
+from repro.cache.deferred import RESTORE_ATTR
 from repro.cache.replacement import (
     AWRPPolicy,
     EHCPolicy,
@@ -575,57 +585,161 @@ def _predraw_epochs(sim, trace) -> Tuple[List[int], List[bytes]]:
     return starts, maps
 
 
-def _restore_ways(cache_set, entries) -> None:
-    """Rebuild one CacheSet's ways/index from the kernel's dump."""
-    ways = []
-    index = {}
-    for block, fill_seq, next_use, cost_q, dirty in entries:
-        state = BlockState(block, fill_seq)
-        state.next_use = next_use
-        state.cost_q = cost_q
-        state.dirty = bool(dirty)
-        ways.append(state)
-        index[block] = state
-    cache_set.ways = ways
-    cache_set._index = index
+#: Values per way in the kernel's flat tag-array dump: block, fill_seq,
+#: next_use, cost_q, dirty (``WAY_FIELDS`` in replaykernel.c).
+_WAY_FIELDS = 5
 
 
-def _restore_atd(atd, payload_by_index) -> None:
-    """Rebuild a SparseTagDirectory's shadowed sets in place."""
-    for index, entries in payload_by_index:
-        _restore_ways(atd._sets[index], entries)
+def _fill_sets(indexed_sets, buf: bytes, n_sets: int) -> None:
+    """Fill empty CacheSets from a flat tag-array dump.
+
+    ``buf`` holds every set's occupancy, then each resident way in set
+    order, MRU first; ``indexed_sets`` yields ``(set index, CacheSet)``
+    for the sets that exist in Python (all of them for a cache, the
+    leader sets for a sparse ATD).
+    """
+    fields = memoryview(buf).cast("q").tolist()
+    offsets = list(accumulate(
+        (length * _WAY_FIELDS for length in fields[:n_sets]), initial=n_sets
+    ))
+    for index, cache_set in indexed_sets:
+        # A leader outside the cache is never accessed, here or in the
+        # generic loop.
+        if not 0 <= index < n_sets:
+            continue
+        ways = cache_set.ways
+        by_block = cache_set._index
+        for at in range(offsets[index], offsets[index + 1], _WAY_FIELDS):
+            block = fields[at]
+            state = BlockState(block, fields[at + 1])
+            state.next_use = fields[at + 2]
+            state.cost_q = fields[at + 3]
+            state.dirty = bool(fields[at + 4])
+            ways.append(state)
+            by_block[block] = state
 
 
-def _restore_policy(policy, fills: int, sim, out) -> None:
-    """Write one policy's end-of-run side state back."""
+def _fill_pairs(mapping: dict, buf: bytes) -> None:
+    """Fill a block -> int dict from flat (key, value) pairs."""
+    view = memoryview(buf).cast("q")
+    mapping.update(zip(view[::2], view[1::2]))
+
+
+def _fill_last_cost(last_cost: dict, blocks: bytes, costs: bytes) -> None:
+    """``DeltaTracker._last_cost``, in the generic loop's order.
+
+    The kernel numbers blocks by first L2 miss, and every first miss
+    allocates a fill that the drain services, so every id has a cost
+    and first-completion order is id order.
+    """
+    last_cost.update(
+        zip(memoryview(blocks).cast("q"), memoryview(costs).cast("d"))
+    )
+
+
+def _fill_intervals(intervals: dict, buf: bytes, horizon: int) -> None:
+    """EHC's per-block interval deques from (block, n, values...) runs."""
+    fields = memoryview(buf).cast("q").tolist()
+    at = 0
+    while at < len(fields):
+        count = fields[at + 1]
+        intervals[fields[at]] = deque(
+            fields[at + 2:at + 2 + count], maxlen=horizon
+        )
+        at += 2 + count
+
+
+def _fill_trees(trees: dict, sets, bits: bytes, associativity: int) -> None:
+    """Tree-PLRU bits, keyed by ``id()`` of the rebuilt L2 sets.
+
+    The generic loop builds a set's tree on its first fill, and L2 sets
+    never shrink: exactly the non-empty sets have trees.
+    """
+    width = associativity - 1
+    for index, cache_set in enumerate(sets):
+        if cache_set.ways:
+            tree = _TreeState(associativity)
+            tree.bits = list(bits[index * width:(index + 1) * width])
+            trees[id(cache_set)] = tree
+
+
+class _EndState:
+    """One native run's bulk end state, rebuilt on first read.
+
+    :func:`_write_back` moves each bulk container out of its owner's
+    ``__dict__`` (:meth:`hold`) and queues how to fill it from the
+    kernel's buffers (:meth:`queue`).  The first read of any of them
+    reaches this object through :class:`~repro.cache.deferred.deferred`;
+    calling it runs every fill in order and hands all the containers
+    back, so one read restores everything and the next reads are plain
+    instance-dict hits again.  Owners are held by weak reference: a
+    pending restore never keeps a machine alive or forms a reference
+    cycle with it.
+    """
+
+    def __init__(self) -> None:
+        self._owners: List[Tuple[weakref.ref, dict]] = []
+        self._fills: List[Tuple[Callable, tuple]] = []
+
+    def hold(self, owner, *names: str) -> dict:
+        """Take ``names`` out of ``owner.__dict__``; returns them by name."""
+        attrs = owner.__dict__
+        held = {name: attrs.pop(name) for name in names}
+        attrs[RESTORE_ATTR] = self
+        self._owners.append((weakref.ref(owner), held))
+        return held
+
+    def queue(self, fill: Callable, *args) -> None:
+        self._fills.append((fill, args))
+
+    def __call__(self) -> None:
+        fills, self._fills = self._fills, []
+        for fill, args in fills:
+            fill(*args)
+        owners, self._owners = self._owners, []
+        for ref, held in owners:
+            owner = ref()
+            if owner is None:
+                continue
+            attrs = owner.__dict__
+            if attrs.get(RESTORE_ATTR) is self:
+                del attrs[RESTORE_ATTR]
+            # An attribute assigned since the run wins, as with
+            # functools.cached_property.
+            for name, container in held.items():
+                attrs.setdefault(name, container)
+
+
+def _defer_policy(end: _EndState, policy, out, l2_sets, associativity: int
+                  ) -> None:
+    """Write one policy's scalars back and defer its side tables."""
     kind = type(policy)
-    if kind is BIPPolicy:
-        policy._fills = fills
-    elif kind in _PLRU:
-        associativity = sim.l2.geometry.associativity
-        width = associativity - 1
-        bits = out["plru_bits"]
-        # The generic loop builds a set's tree on its first fill, and
-        # L2 sets never shrink: exactly the non-empty sets have trees.
-        for index, cache_set in enumerate(sim.l2._sets):
-            if cache_set.ways:
-                tree = _TreeState(associativity)
-                tree.bits = list(bits[index * width:(index + 1) * width])
-                policy._trees[id(cache_set)] = tree
+    if kind in _PLRU:
+        held = end.hold(policy, "_trees")
+        end.queue(_fill_trees, held["_trees"], l2_sets, out["plru_bits"],
+                  associativity)
     elif kind is EHCPolicy:
         policy._pending_next_use = out["ehc_pending"]
-        policy._last_seen.update(out["ehc_last"])
-        horizon = policy.horizon
-        intervals = policy._intervals
-        for block, values in out["ehc_intervals"]:
-            intervals[block] = deque(values, maxlen=horizon)
+        held = end.hold(policy, "_last_seen", "_intervals")
+        end.queue(_fill_pairs, held["_last_seen"], out["ehc_last"])
+        end.queue(_fill_intervals, held["_intervals"], out["ehc_intervals"],
+                  policy.horizon)
     elif kind is AWRPPolicy:
-        policy._counts.update(out["awrp_counts"])
         policy._fills = out["awrp_fills"]
+        held = end.hold(policy, "_counts")
+        end.queue(_fill_pairs, held["_counts"], out["awrp_counts"])
 
 
 def _write_back(sim, out) -> None:
-    """Hand the kernel's end-of-run state back to the live objects."""
+    """Hand the kernel's end-of-run state back to the live objects.
+
+    Every scalar and the small queues (the window's pending retires,
+    the store-buffer and memory heaps, phases) are set here.  The bulk
+    containers — L1/L2 and ATD tag sets, ``l2._seen``,
+    ``delta._last_cost`` and the EHC/AWRP/PLRU side tables — are left
+    as the kernel's flat buffers and rebuilt by one :class:`_EndState`
+    the first time any of them is read.
+    """
     window = sim.window
     window._index = out["win_index"]
     window._time = out["win_time"]
@@ -641,18 +755,25 @@ def _write_back(sim, out) -> None:
     # A sorted list satisfies the heap invariant verbatim.
     store_buffer._completions = out["sb_completions"]
 
-    for cache, prefix in ((sim.l1d, "l1d"), (sim.l1i, "l1i"),
-                          (sim.l2, "l2")):
-        for cache_set, entries in zip(cache._sets, out[prefix + "_sets"]):
-            _restore_ways(cache_set, entries)
+    end = _EndState()
+    l2 = sim.l2
+    for cache, prefix in ((sim.l1d, "l1d"), (sim.l1i, "l1i"), (l2, "l2")):
         cache._seq = out[prefix + "_seq"]
         cache.accesses = out[prefix + "_accesses"]
         cache.hits = out[prefix + "_hits"]
         cache.misses = out[prefix + "_misses"]
         cache.writebacks = out[prefix + "_writebacks"]
-    sim.l2.compulsory_misses = out["l2_compulsory"]
-    if sim.l2._seen is not None:
-        sim.l2._seen.update(out["l2_seen"])
+        if cache._seen is None:
+            held = end.hold(cache, "_sets")
+        else:
+            held = end.hold(cache, "_sets", "_seen")
+            end.queue(held["_seen"].update,
+                      memoryview(out["id_blocks"]).cast("q"))
+        sets = held["_sets"]
+        end.queue(_fill_sets, enumerate(sets), out[prefix + "_sets"],
+                  len(sets))
+    l2_sets = sets  # the loop ends on the L2
+    l2.compulsory_misses = out["l2_compulsory"]
     sim.demand_misses = out["demand_ctr"]
     sim.compulsory_misses = out["compulsory_ctr"]
     sim.phases[:] = [PhaseSample(*row) for row in out["phases"]]
@@ -661,6 +782,9 @@ def _write_back(sim, out) -> None:
     mshr._now = out["m_now"]
     mshr._accumulator = out["m_acc"]
     mshr._demand_live = out["m_live"]
+    # Every native allocation is a demand miss, which takes a tiebreak.
+    mshr._tiebreak += out["m_allocations"] - mshr.allocations
+    mshr._occupancy_heap = out["m_occupancy"]
     mshr.allocations = out["m_allocations"]
     mshr.merges = out["m_merges"]
     mshr.full_stalls = out["m_full_stalls"]
@@ -692,15 +816,22 @@ def _write_back(sim, out) -> None:
         delta._below_60 = out["delta_below"]
         delta._60_to_119 = out["delta_mid"]
         delta._120_plus = out["delta_high"]
-        delta._last_cost.update(out["delta_last"])
+        held = end.hold(delta, "_last_cost")
+        end.queue(_fill_last_cost, held["_last_cost"], out["id_blocks"],
+                  out["id_costs"])
 
+    associativity = l2.geometry.associativity
     controller = sim.controller
     if controller is None:
-        _restore_policy(sim.l2.policy, out["pol_fills"][0], sim, out)
+        policies = [l2.policy]
+    else:
+        policies = _controller_policies(controller)
+    for policy, fills in zip(policies, out["pol_fills"]):
+        if type(policy) is BIPPolicy:
+            policy._fills = fills
+        _defer_policy(end, policy, out, l2_sets, associativity)
+    if controller is None:
         return
-    for policy, fills in zip(_controller_policies(controller),
-                             out["pol_fills"]):
-        _restore_policy(policy, fills, sim, out)
     controller.deferred_updates = out["deferred"]
     kind = type(controller)
     if kind is TournamentController:
@@ -709,24 +840,19 @@ def _write_back(sim, out) -> None:
         return
     if kind is CBSController:
         psels = controller._psels
-        atd_lru = controller.atd_lru
-        atd_lin = controller.atd_lin
-        for atd, prefix, sets in ((atd_lru, "atd", "atd_sets"),
-                                  (atd_lin, "atd2", "atd2_sets")):
-            atd._seq = out[prefix + "_seq"]
-            atd.accesses = out[prefix + "_accesses"]
-            atd.hits = out[prefix + "_hits"]
-            atd.misses = out[prefix + "_misses"]
-            _restore_atd(atd, enumerate(out[sets]))
+        atds = ((controller.atd_lru, "atd"), (controller.atd_lin, "atd2"))
     else:
         psels = [controller.psel]
+        atds = ((controller.atd_lru, "atd"),) if kind is SBARController else ()
+    for atd, prefix in atds:
+        atd._seq = out[prefix + "_seq"]
+        atd.accesses = out[prefix + "_accesses"]
+        atd.hits = out[prefix + "_hits"]
+        atd.misses = out[prefix + "_misses"]
+        held = end.hold(atd, "_sets")
+        end.queue(_fill_sets, held["_sets"].items(), out[prefix + "_sets"],
+                  len(l2_sets))
     if kind is SBARController:
-        atd = controller.atd_lru
-        atd._seq = out["atd_seq"]
-        atd.accesses = out["atd_accesses"]
-        atd.hits = out["atd_hits"]
-        atd.misses = out["atd_misses"]
-        _restore_atd(atd, out["atd_sets"])
         controller.follower_lin_accesses = out["follower_lin"]
         controller.follower_lru_accesses = out["follower_lru"]
     for psel, value, incs, decs in zip(
@@ -741,9 +867,12 @@ def try_replay(sim, trace) -> bool:
     """Run the trace through the C kernel if every gate holds.
 
     Returns True when the kernel ran (the Simulator now holds the
-    complete end-of-run state, phases included); False when a gate
-    failed, after recording it in ``sim.kernel_fallback``.
+    complete end-of-run state, phases included, with its bulk
+    containers rebuilt on first read) and records the boundary's stage
+    timers in ``sim.stage_s``; False when a gate failed, after
+    recording it in ``sim.kernel_fallback``.
     """
+    start = perf_counter()
     reason = fallback_reason(sim, trace)
     if reason is not None:
         sim.kernel_fallback = reason
@@ -754,7 +883,9 @@ def try_replay(sim, trace) -> bool:
         params["epoch_starts"], params["epoch_roles"] = _predraw_epochs(
             sim, trace
         )
+    called = perf_counter()
     out = load_extension().replay(params)
+    returned = perf_counter()
     # The drain leaves nothing in flight, and every pre-drawn epoch is
     # entered, by construction; anything else means the C machine
     # diverged, which must never be written back silently.
@@ -771,4 +902,13 @@ def try_replay(sim, trace) -> bool:
     _write_back(sim, out)
     sim.replay_kernel = "native"
     sim.kernel_fallback = None
+    kernel, emit = out["kernel_s"], out["emit_s"]
+    sim.stage_s = {
+        # The gate and params dict, plus the kernel's own parsing,
+        # allocation and teardown around the loop and the emit.
+        "marshal": (called - start) + (returned - called - kernel - emit),
+        "kernel": kernel,
+        "emit": emit,
+        "write_back": perf_counter() - returned,
+    }
     return True

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 from time import perf_counter
-from typing import Callable, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro import obs
 from repro.cache.cache import SetAssociativeCache
@@ -186,6 +186,12 @@ class Simulator:
         #: that failed (``"observer"``, ``"prefetcher"``, ``"not a
         #: PackedTrace"``, ``"kernel=generic"``, ...); None otherwise.
         self.kernel_fallback: Optional[str] = None
+        #: Seconds per replay stage of :meth:`run`: ``marshal``,
+        #: ``kernel``, ``emit`` and ``write_back`` on the native kernel
+        #: (see :func:`repro.sim.native.try_replay`), ``replay`` on the
+        #: generic loop.  Provenance like ``replay_kernel``: reported in
+        #: ``SimResult.meta["stage_s"]``, never in a digest or key.
+        self.stage_s: Dict[str, float] = {}
 
     def _wire_observer(self, observer: obs.Observer) -> None:
         """Install the telemetry sink into every instrumented component."""
@@ -238,7 +244,7 @@ class Simulator:
         admits are handed to it first; this generic loop keeps every
         hook live (observers, prefetchers, warm-up, wrong-path records,
         any policy) and is the semantic reference the kernel must match
-        bit for bit.
+        bit for bit.  Either path records its ``stage_s``.
         """
         if self._kernel == "generic":
             self.kernel_fallback = "kernel=generic"
@@ -247,6 +253,7 @@ class Simulator:
 
             if native.try_replay(self, trace):
                 return self.phases[-1] if self.phases else None
+        replay_start = perf_counter()
         l1d = self.l1d
         l1i = self.l1i
         window = self.window
@@ -343,6 +350,7 @@ class Simulator:
                 complete_memory_op(completion)
 
         self.mshr.drain()
+        self.stage_s = {"replay": perf_counter() - replay_start}
         return current_phase
 
     def _access_hierarchy(
@@ -584,6 +592,7 @@ class Simulator:
         result.meta = {"kernel_used": self.replay_kernel}
         if self.kernel_fallback is not None:
             result.meta["kernel_fallback"] = self.kernel_fallback
+        result.meta["stage_s"] = self.stage_s
         if self._obs is not None:
             result.metrics = self._obs.finalize_run(self, result)
         return result

@@ -110,8 +110,9 @@ class SimResult:
     """Outcome of one simulation run."""
 
     #: Run provenance, attached by the simulator after every run:
-    #: ``{"kernel_used": ...}`` plus, on the generic loop,
-    #: ``"kernel_fallback"`` naming the native gate that failed.
+    #: ``{"kernel_used": ...}``, on the generic loop
+    #: ``"kernel_fallback"`` naming the native gate that failed, and
+    #: ``"stage_s"``, seconds per replay stage (docs/observability.md).
     #: Deliberately an *unannotated* class attribute, not a dataclass
     #: field: ``asdict``/``to_dict`` skip it, so content digests, store
     #: keys, and ``from_dict`` round trips never see it — both kernels

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from repro.bench import (
+    MACRO_PHASED,
     MACRO_POLICIES,
     MACRO_WORKLOADS,
     SCHEMA,
@@ -94,6 +95,35 @@ class TestMacro:
         assert "cbs-local" in MACRO_POLICIES
         assert "cbs-global" in MACRO_POLICIES
 
+    def test_default_matrix_covers_every_registered_policy(self):
+        from repro.cache.replacement.registry import available_policies
+        assert {spec.partition("(")[0] for spec in MACRO_POLICIES} == set(
+            available_policies()
+        )
+        workload, policy, interval = MACRO_PHASED
+        assert workload in MACRO_WORKLOADS and policy in MACRO_POLICIES
+        assert interval > 0
+
+    def test_phased_cell_rides_along_and_checks(self, tmp_path):
+        workload, policy, interval = MACRO_PHASED
+        entries = run_macro(quick=True, workloads=(workload,),
+                            policies=(policy,))
+        assert [e.get("phase_interval") for e in entries] == [None, interval]
+        plain, phased = entries
+        assert "phase_misses" not in plain["result"]
+        assert sum(phased["result"]["phase_misses"]) == (
+            phased["result"]["demand_misses"]
+        )
+        assert phased["kernel_used"] == AUTO_KERNEL
+        report = build_report(run_micro(quick=True), entries, tag="t",
+                              created_unix=0)
+        path = tmp_path / "BENCH_phased.json"
+        path.write_text(json.dumps(report))
+        assert bench_main(["--check", str(path)]) == 0
+        phased["result"]["phase_misses"][0] += 1
+        path.write_text(json.dumps(report))
+        assert bench_main(["--check", str(path)]) == 1
+
 
 class TestReport:
     def test_build_and_validate(self, quick_report):
@@ -117,6 +147,8 @@ class TestReport:
         lambda r: r["macro"][0].pop("result"),
         lambda r: r["macro"][0]["result"].pop("l2_misses"),
         lambda r: r.__setitem__("macro", "not-a-list"),
+        lambda r: r["macro"][0].__setitem__("phase_interval", 0),
+        lambda r: r["macro"][0].__setitem__("phase_interval", "5000"),
     ])
     def test_validate_rejects_malformed(self, quick_report, mutate):
         broken = json.loads(json.dumps(quick_report))
@@ -260,6 +292,7 @@ class TestCheckMode:
         ("BENCH_pr7.json", "repro.bench/v3"),
         ("BENCH_pr8.json", "repro.bench/v4"),
         ("BENCH_pr9.json", "repro.bench/v5"),
+        ("BENCH_pr15.json", "repro.bench/v5"),
     ])
     def test_committed_baselines_validate(self, name, expected_schema):
         baseline = pathlib.Path(__file__).resolve().parent.parent / name

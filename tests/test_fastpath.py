@@ -4,12 +4,13 @@ The speed of a run rests on three load-bearing invariants:
 
 * ``CacheSet._index[state.block] is state`` for exactly the entries in
   ``ways`` (the dict-backed residency index);
-* the ``try_hit``/``hit_fast``/``miss_fill`` fast-path protocol applies
-  byte-for-byte the same side effects as the generic ``access``;
+* the ``try_hit``/``hit_fast`` L1 hit probe applies byte-for-byte the
+  same side effects as the generic ``access``;
 * the native replay kernel (``kernel="auto"`` on a host with the
   compiled extension) produces bit-identical :class:`SimResult`
-  payloads, and identical controller and policy end state, to the
-  generic loop (``kernel="generic"``).
+  payloads, and an identical machine end state (see
+  :func:`machine_fingerprint`), to the generic loop
+  (``kernel="generic"``).
 """
 
 import random
@@ -19,8 +20,6 @@ import pytest
 from repro import obs
 from repro.cache.block import BlockState
 from repro.cache.cache import SetAssociativeCache
-from repro.cache.replacement.base import ReplacementPolicy
-from repro.cache.replacement.lin import LINPolicy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.sets import CacheSet
 from repro.config import CacheGeometry, scaled_config
@@ -32,6 +31,25 @@ from repro.workloads import build_trace, experiment_config
 
 #: The kernel ``auto`` resolves to on this host.
 AUTO_KERNEL = "native" if native.load_extension() is not None else "generic"
+
+#: The stage timers each path records in ``SimResult.meta["stage_s"]``.
+STAGES = {
+    "native": {"marshal", "kernel", "emit", "write_back"},
+    "generic": {"replay"},
+}
+
+
+def provenance(result):
+    """``result.meta`` without its stage timers, which are checked here.
+
+    Timings differ run to run, so equality assertions on the rest of
+    the provenance go through this.
+    """
+    meta = dict(result.meta)
+    stages = meta.pop("stage_s")
+    assert set(stages) == STAGES[meta["kernel_used"]], stages
+    assert all(seconds >= 0 for seconds in stages.values()), stages
+    return meta
 
 
 class TestCacheSetIndex:
@@ -114,6 +132,8 @@ class TestFastPathProtocol:
         )
 
     def test_fast_path_matches_generic_access(self):
+        # The generic loop's L1 protocol: hit_fast, then access on a
+        # miss.  A miss must leave no trace before the access.
         fast, generic = self._twin_caches()
         assert fast.is_plain()
         rng = random.Random(42)
@@ -121,15 +141,15 @@ class TestFastPathProtocol:
             block = rng.randrange(96)
             is_write = rng.random() < 0.25
             expected = generic.access(block, is_write)
-            if not fast.hit_fast(block, is_write):
-                state, victim, compulsory = fast.miss_fill(block, is_write)
-                assert not expected.hit
-                assert state.block == expected.state.block
-                victim_block = victim.block if victim is not None else None
-                assert victim_block == expected.victim_block
-                assert compulsory == expected.compulsory
-            else:
+            if fast.hit_fast(block, is_write):
                 assert expected.hit
+                continue
+            assert not expected.hit
+            result = fast.access(block, is_write)
+            assert not result.hit
+            assert result.state.block == expected.state.block
+            assert result.victim_block == expected.victim_block
+            assert result.compulsory == expected.compulsory
         for field in ("accesses", "hits", "misses", "compulsory_misses",
                       "writebacks"):
             assert getattr(fast, field) == getattr(generic, field), field
@@ -153,29 +173,6 @@ class TestFastPathProtocol:
         # method on the instance; the fast path must stand down.
         cache.access = SetAssociativeCache.access.__get__(cache)
         assert not cache.is_plain()
-
-
-class TestVictimIsLruTailFlag:
-    def test_flag_values(self):
-        assert LRUPolicy.victim_is_lru_tail is True
-        assert LINPolicy.victim_is_lru_tail is False
-        assert ReplacementPolicy.victim_is_lru_tail is False
-
-    def test_subclass_inherits_until_choose_victim_changes(self):
-        class RenamedLRU(LRUPolicy):
-            name = "renamed-lru"
-
-        assert RenamedLRU.victim_is_lru_tail is True
-
-        class NotTailLRU(LRUPolicy):
-            name = "not-tail-lru"
-
-            def choose_victim(self, cache_set):
-                return 0
-
-        # Overriding choose_victim without redeclaring the flag must
-        # reset it: the fused loop would otherwise evict the wrong way.
-        assert NotTailLRU.victim_is_lru_tail is False
 
 
 class TestFusedReplayDifferential:
@@ -232,8 +229,8 @@ class TestBatchedReplayDifferential:
         sim = Simulator(experiment_config(), "lru")
         result = sim.run(build_trace("mcf", scale=0.05))
         assert sim.replay_kernel == "generic"
-        assert result.meta == {"kernel_used": "generic",
-                               "kernel_fallback": "not a PackedTrace"}
+        assert provenance(result) == {"kernel_used": "generic",
+                                      "kernel_fallback": "not a PackedTrace"}
 
     def test_wrong_path_records_fall_back_to_fused(self):
         trace = build_trace("mcf", scale=0.05)
@@ -347,14 +344,59 @@ def policy_fingerprint(policy, cache):
     return fingerprint
 
 
+def cache_fingerprint(cache):
+    """A cache's counters, compulsory-miss set and ways, MRU first."""
+    assert all(cache_set.index_coherent() for cache_set in cache._sets)
+    return {
+        "counters": (cache._seq, cache.accesses, cache.hits, cache.misses,
+                     cache.compulsory_misses, cache.writebacks),
+        "sets": [[(way.block, way.fill_seq, way.cost_q, way.dirty,
+                   way.next_use) for way in cache_set.ways]
+                 for cache_set in cache._sets],
+        "seen": cache._seen,
+    }
+
+
 def machine_fingerprint(sim):
-    """L2 contents in order plus controller and policy end state."""
-    l2 = sim.l2
+    """The whole end state of a run, as the native write-back restores it.
+
+    Every cache, the delta tracker's last costs (in insertion order),
+    the window, store buffer, MSHR, memory, bus and banks, plus
+    controller and policy side state.  Heaps compare sorted: any valid
+    heap pops the same sequence.
+    """
+    window = sim.window
+    store_buffer = sim.store_buffer
+    mshr = sim.mshr
+    memory = sim.memory
+    bus = memory.bus
+    banks = memory.banks
+    delta = sim.delta
     fingerprint = {
-        "l2": [[(way.block, way.fill_seq, way.cost_q, way.dirty,
-                 way.next_use) for way in cache_set.ways]
-               for cache_set in l2._sets],
-        "policy": policy_fingerprint(l2.policy, l2),
+        "l1d": cache_fingerprint(sim.l1d),
+        "l1i": cache_fingerprint(sim.l1i),
+        "l2": cache_fingerprint(sim.l2),
+        "delta": None if delta is None else (
+            list(delta._last_cost.items()), delta._count, delta._sum,
+            delta._below_60, delta._60_to_119, delta._120_plus,
+        ),
+        "window": (list(window._pending), window._index, window._time,
+                   window._retire_cummax, window.final_completion,
+                   window.stall_cycles, window.stall_events,
+                   window.long_stalls),
+        "store_buffer": (sorted(store_buffer._completions),
+                         store_buffer.full_stalls),
+        "mshr": (mshr._now, mshr._accumulator, mshr._demand_live,
+                 mshr._tiebreak, sorted(mshr._occupancy_heap),
+                 len(mshr._demand_heap), len(mshr._in_flight),
+                 mshr.allocations, mshr.merges, mshr.full_stalls,
+                 mshr.peak_occupancy),
+        "memory": (sorted(memory._in_flight), memory.requests,
+                   memory.writebacks, memory.queueing_stalls,
+                   memory.peak_in_flight),
+        "bus": (bus._free_at, bus.contended, bus.transfers),
+        "banks": (list(banks._bank_free), banks.conflicts, banks.accesses),
+        "policy": policy_fingerprint(sim.l2.policy, sim.l2),
     }
     if sim.controller is not None:
         fingerprint["controller"] = controller_fingerprint(sim.controller)

@@ -25,10 +25,13 @@ the native-only ones skip on hosts that cannot build it.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import obs
 from repro.cache.block import BlockState
+from repro.cache.deferred import RESTORE_ATTR, deferred
 from repro.cache.replacement.lru import FIFOPolicy
 from repro.cache.replacement.registry import available_policies
 from repro.cpu.prefetch import StridePrefetcher
@@ -40,7 +43,7 @@ from repro.trace.packed import pack_trace
 from repro.trace.record import Access
 from repro.workloads import build_workload, experiment_config
 
-from tests.test_fastpath import machine_fingerprint
+from tests.test_fastpath import STAGES, machine_fingerprint, provenance
 
 #: Whether this host has the C extension (conftest builds it when a
 #: compiler exists).  Without it every run takes the generic loop and
@@ -154,10 +157,101 @@ class TestNativeDifferential:
             sim = Simulator(experiment_config(), policy)
             result = sim.run(trace)
             assert sim.replay_kernel == "native", policy
-            assert result.meta == {"kernel_used": "native"}, policy
+            assert provenance(result) == {"kernel_used": "native"}, policy
         sim = Simulator(experiment_config(), "lru", phase_interval=1000)
         sim.run(trace)
         assert sim.replay_kernel == "native"
+
+
+def _deferred_attributes(sim):
+    """``(owner, attribute)`` for every container a native run defers."""
+    held = [(sim.l1d, "_sets"), (sim.l1i, "_sets"), (sim.l2, "_sets"),
+            (sim.l2, "_seen"), (sim.delta, "_last_cost")]
+    policy = sim.l2.policy
+    held += [
+        (policy, name) for name in dir(type(policy))
+        if isinstance(getattr(type(policy), name), deferred)
+    ]
+    for name in ("atd_lru", "atd_lin"):
+        atd = getattr(sim.controller, name, None)
+        if atd is not None:
+            held.append((atd, "_sets"))
+    return held
+
+
+class TestDeferredEndState:
+    """A native run's bulk end state stays flat until something reads it.
+
+    One policy per kind of deferred container: the caches and the delta
+    tracker always, EHC/AWRP/PLRU side tables, and SBAR's sparse and
+    CBS's full ATDs.
+    """
+
+    POLICIES = ("lru", "ehc", "awrp", "cost-plru", "sbar", "cbs-local")
+
+    @needs_native
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_first_read_restores_everything(self, policy, monkeypatch):
+        built = []
+
+        class CountedBlockState(BlockState):
+            __slots__ = ()
+
+            def __init__(self, block, fill_seq=0):
+                built.append(block)
+                super().__init__(block, fill_seq)
+
+        monkeypatch.setattr(native, "BlockState", CountedBlockState)
+        trace = build_workload("mcf", scale=0.05)
+        sim = Simulator(experiment_config(), policy)
+        sim.run(trace)
+        assert sim.replay_kernel == "native"
+        held = _deferred_attributes(sim)
+        for owner, name in held:
+            assert name not in vars(owner), (policy, name)
+            assert RESTORE_ATTR in vars(owner), (policy, name)
+        assert built == [], "a BlockState was built before any read"
+        # Reading any one container restores all of them at once.
+        owner, name = held[-1]
+        getattr(owner, name)
+        assert built
+        for owner, name in held:
+            assert name in vars(owner), (policy, name)
+            assert RESTORE_ATTR not in vars(owner), (policy, name)
+        generic = Simulator(experiment_config(), policy, kernel="generic")
+        generic.run(trace)
+        assert machine_fingerprint(sim) == machine_fingerprint(generic)
+
+    @pytest.mark.parametrize("kernel", ("auto", "generic"))
+    def test_runs_never_read_through_the_hook(self, kernel, monkeypatch):
+        # The gate, the marshal, the generic loop and _finalize read
+        # pre-run containers (or none): all plain instance-dict hits.
+        reads = []
+        original = deferred.__get__
+
+        def counting(self, instance, owner=None):
+            if instance is not None:
+                reads.append(self.name)
+            return original(self, instance, owner)
+
+        monkeypatch.setattr(deferred, "__get__", counting)
+        trace = build_workload("art", scale=0.05)
+        for policy in self.POLICIES:
+            Simulator(experiment_config(), policy, kernel=kernel).run(trace)
+        assert reads == []
+
+    @needs_native
+    def test_assignment_before_the_first_read_wins(self):
+        # functools.cached_property semantics: a value set since the
+        # run is kept; the restore fills only what is still missing.
+        sim = Simulator(experiment_config(), "lru")
+        sim.run(build_workload("art", scale=0.05))
+        replacement = set()
+        sim.l2._seen = replacement
+        assert sim.l2._seen is replacement
+        assert any(cache_set.ways for cache_set in sim.l2._sets)
+        assert sim.l2._seen is replacement
+        assert sim.delta._last_cost
 
 
 class TestLadderDegradation:
@@ -239,8 +333,8 @@ class TestFallbackReasons:
         case.get("prepare", lambda sim: None)(sim)
         result = sim.run(trace)
         assert sim.replay_kernel == "generic"
-        assert result.meta == {"kernel_used": "generic",
-                               "kernel_fallback": reason}
+        assert provenance(result) == {"kernel_used": "generic",
+                                      "kernel_fallback": reason}
         assert "kernel_fallback" not in result.to_dict()
 
     def test_missing_extension_is_the_last_gate(self, monkeypatch):
@@ -314,7 +408,7 @@ class TestKernelUsedMeta:
             expected["auto"]["kernel_fallback"] = "extension not built"
         for kernel, meta in expected.items():
             sim = Simulator(experiment_config(), "lru", kernel=kernel)
-            assert sim.run(trace).meta == meta, kernel
+            assert provenance(sim.run(trace)) == meta, kernel
 
     def test_meta_excluded_from_digest_and_dict(self):
         trace = build_workload("art", scale=0.05)
@@ -334,6 +428,46 @@ class TestKernelUsedMeta:
                 == result_digest(generic_run.to_dict()))
 
 
+class TestStageTimers:
+    def test_each_path_records_its_stages(self):
+        trace = build_workload("art", scale=0.05)
+        for kernel in ("auto", "generic"):
+            sim = Simulator(experiment_config(), "sbar", kernel=kernel)
+            stages = sim.run(trace).meta["stage_s"]
+            assert set(stages) == STAGES[sim.replay_kernel], kernel
+            assert all(seconds >= 0 for seconds in stages.values()), kernel
+            assert sum(stages.values()) > 0, kernel
+
+    def test_timers_stay_out_of_payloads_digests_and_keys(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv("REPRO_NO_STORE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_cache()
+        first = run_policy("art", "lru", scale=0.05)
+        assert set(first.meta["stage_s"]) == STAGES[first.meta["kernel_used"]]
+        payload = first.to_dict()
+        assert "stage_s" not in json.dumps(payload)
+        # The memo key ignores them: a repeat request is a memo hit.
+        assert run_policy("art", "lru", scale=0.05) is first
+        from repro.sim.store import default_store, result_digest
+
+        paths = default_store().entry_paths()
+        assert paths
+        for path in paths:
+            assert "stage_s" not in path.read_text()
+        clear_cache()
+        reloaded = run_policy("art", "lru", scale=0.05)
+        assert reloaded.meta is None
+        assert reloaded.to_dict() == payload
+        # A fresh run times differently and hashes the same.
+        rerun = Simulator(experiment_config(), "lru").run(
+            build_workload("art", scale=0.05)
+        )
+        assert result_digest(rerun.to_dict()) == result_digest(payload)
+        clear_cache()
+
+
 class TestKernelNeverKeysCaches:
     def test_memo_shared_across_kernels(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_STORE", "1")
@@ -342,8 +476,8 @@ class TestKernelNeverKeysCaches:
             "mcf", "lru", scale=0.05,
             options=RunOptions(kernel="generic"),
         )
-        assert first.meta == {"kernel_used": "generic",
-                              "kernel_fallback": "kernel=generic"}
+        assert provenance(first) == {"kernel_used": "generic",
+                                     "kernel_fallback": "kernel=generic"}
         before = cache_stats()["memo_hits"]
         second = run_policy(
             "mcf", "lru", scale=0.05,
