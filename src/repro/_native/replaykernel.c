@@ -47,6 +47,10 @@
 #include <string.h>
 #include <time.h>
 
+/* Helpers the replay loop shares with the prefetch path: forced inline
+ * so the loop compiles as if they were written out in place. */
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+
 /* ---------------------------------------------------------------- */
 /* CPython float floor-division (Objects/floatobject.c:float_divmod) */
 /* ---------------------------------------------------------------- */
@@ -160,7 +164,7 @@ typedef struct {
     Py_ssize_t head, n, cap;
 } DRing;
 
-static int
+static ALWAYS_INLINE int
 dring_append(DRing *r, double v)
 {
     if (r->n == r->cap) {
@@ -440,9 +444,12 @@ map_free(Map *m)
  * last serviced cost (DeltaTracker._last_cost) and its in-flight fill
  * (MSHRFile._in_flight): an L2 miss probes the table once, an L2 hit
  * reads the id from its way, and an MSHR completion carries the id and
- * probes nothing.  Every first miss allocates a fill and the drain
- * services them all, so at the end every id has a cost, and the
- * insertion orders of _seen and _last_cost are both id order. */
+ * probes nothing.  Without a prefetcher every first miss allocates a
+ * demand fill and the drain services them all, so at the end every id
+ * has a cost, and the insertion orders of _seen and _last_cost are
+ * both id order.  A prefetch fill can be a block's first miss and
+ * never gets a cost, so then Sim.cost_order keeps the _last_cost
+ * order. */
 
 typedef struct {
     int64_t key;
@@ -538,7 +545,7 @@ ids_grow_arrays(Ids *t)
 
 /* The block's id, handing out the next one (and setting *fresh) on a
  * first miss; -1 when out of memory. */
-static int32_t
+static ALWAYS_INLINE int32_t
 ids_lookup(Ids *t, int64_t block, int *fresh)
 {
     size_t i = (size_t)hash64((uint64_t)block) & t->mask;
@@ -570,6 +577,23 @@ ids_lookup(Ids *t, int64_t block, int *fresh)
     t->fill_serial[id] = -1;
     *fresh = 1;
     return id;
+}
+
+/* The block's id without handing one out; -1 when it never missed. */
+static int32_t
+ids_find(const Ids *t, int64_t block)
+{
+    size_t i = (size_t)hash64((uint64_t)block) & t->mask;
+    for (;;) {
+        const IdSlot *slot = &t->slots[i];
+        if (slot->key == block) {
+            return (int32_t)slot->id;
+        }
+        if (slot->key == MAP_EMPTY) {
+            return -1;
+        }
+        i = (i + 1) & t->mask;
+    }
 }
 
 /* The id's in-flight fill has landed (or a newer probe retired it). */
@@ -777,6 +801,167 @@ ivpool_free(IvPool *p)
 }
 
 /* ---------------------------------------------------------------- */
+/* Stride prefetcher region table (cpu.prefetch.StridePrefetcher)   */
+/* ---------------------------------------------------------------- */
+
+/* At most n_entries regions, each (last block, stride, 2-bit
+ * confidence), replaced FIFO.  Rows live in a ring, oldest at `head`,
+ * so a region keeps its row while resident and the ring order is the
+ * order of StridePrefetcher._order (and of its _table dict).  `slots`
+ * hashes region -> row by linear probing, with backward-shift deletion
+ * for evictions.  The ring holds min(n_entries, records) rows: each
+ * demand miss installs at most one region, so a shorter trace never
+ * fills a larger table. */
+
+typedef struct {
+    int on;
+    int64_t n_entries, region_blocks, degree, threshold;
+    int64_t predictions, trainings, issued, suppressed;
+    int64_t *region, *last, *stride, *conf; /* per row */
+    int32_t head, n, cap;
+    int32_t *slots; /* row per hash slot, -1 = empty */
+    size_t mask;
+    Map issue; /* block id -> issue time of its latest prefetch (b) */
+} Pf;
+
+static int
+pf_init(Pf *pf, Py_ssize_t records)
+{
+    int64_t cap = pf->n_entries < records ? pf->n_entries : records;
+    if (cap < 1) {
+        cap = 1;
+    }
+    if (cap > INT32_MAX / 2) {
+        return -1;
+    }
+    size_t n_slots = 16;
+    while (n_slots < (size_t)cap * 2) {
+        n_slots *= 2;
+    }
+    pf->cap = (int32_t)cap;
+    pf->region = (int64_t *)malloc((size_t)cap * 4 * sizeof(int64_t));
+    pf->slots = (int32_t *)malloc(n_slots * sizeof(int32_t));
+    if (!pf->region || !pf->slots) {
+        return -1;
+    }
+    pf->last = pf->region + cap;
+    pf->stride = pf->last + cap;
+    pf->conf = pf->stride + cap;
+    for (size_t i = 0; i < n_slots; i++) {
+        pf->slots[i] = -1;
+    }
+    pf->mask = n_slots - 1;
+    return map_init(&pf->issue, 1024);
+}
+
+static void
+pf_free(Pf *pf)
+{
+    free(pf->region);
+    free(pf->slots);
+    pf->region = NULL;
+    pf->slots = NULL;
+    map_free(&pf->issue);
+}
+
+#define PF_HOME(pf, key) ((size_t)hash64((uint64_t)(key)) & (pf)->mask)
+
+/* The row holding `region`, or -1. */
+static int32_t
+pf_find(const Pf *pf, int64_t region)
+{
+    for (size_t i = PF_HOME(pf, region);; i = (i + 1) & pf->mask) {
+        int32_t row = pf->slots[i];
+        if (row < 0 || pf->region[row] == region) {
+            return row;
+        }
+    }
+}
+
+/* Drop `row` from the hash, shifting later probes back into the hole. */
+static void
+pf_unhash(Pf *pf, int32_t row)
+{
+    size_t hole = PF_HOME(pf, pf->region[row]);
+    while (pf->slots[hole] != row) {
+        hole = (hole + 1) & pf->mask;
+    }
+    size_t j = hole;
+    for (;;) {
+        j = (j + 1) & pf->mask;
+        int32_t moved = pf->slots[j];
+        if (moved < 0) {
+            break;
+        }
+        size_t home = PF_HOME(pf, pf->region[moved]);
+        /* entries whose home lies cyclically in (hole, j] stay put */
+        int stays = hole <= j ? (hole < home && home <= j)
+                              : (hole < home || home <= j);
+        if (!stays) {
+            pf->slots[hole] = moved;
+            hole = j;
+        }
+    }
+    pf->slots[hole] = -1;
+}
+
+/* StridePrefetcher._install of a region not in the table. */
+static void
+pf_install(Pf *pf, int64_t region, int64_t block)
+{
+    if (pf->n >= pf->n_entries) {
+        pf_unhash(pf, pf->head);
+        pf->head = (pf->head + 1) % pf->cap;
+        pf->n -= 1;
+    }
+    int32_t row = (pf->head + pf->n) % pf->cap;
+    pf->n += 1;
+    pf->region[row] = region;
+    pf->last[row] = block;
+    pf->stride[row] = 0;
+    pf->conf[row] = 0;
+    size_t i = PF_HOME(pf, region);
+    while (pf->slots[i] >= 0) {
+        i = (i + 1) & pf->mask;
+    }
+    pf->slots[i] = row;
+}
+
+/* StridePrefetcher.observe: train on one demand miss.  Returns the
+ * stride to predict along, or 0 when the region is not confident. */
+static int64_t
+pf_observe(Pf *pf, int64_t block)
+{
+    pf->trainings += 1;
+    /* blocks are non-negative, so C division floors */
+    int64_t region = block / pf->region_blocks;
+    int32_t row = pf_find(pf, region);
+    if (row < 0) {
+        pf_install(pf, region, block);
+        return 0;
+    }
+    int64_t new_stride = block - pf->last[row];
+    if (new_stride == 0) {
+        return 0;
+    }
+    int64_t stride = pf->stride[row];
+    int64_t conf = pf->conf[row];
+    if (new_stride == stride) {
+        conf = conf + 1 < 3 ? conf + 1 : 3;
+    }
+    else {
+        conf = conf - 1 > 0 ? conf - 1 : 0;
+        if (conf == 0) {
+            stride = new_stride;
+        }
+    }
+    pf->last[row] = block;
+    pf->stride[row] = stride;
+    pf->conf[row] = conf;
+    return conf >= pf->threshold ? stride : 0;
+}
+
+/* ---------------------------------------------------------------- */
 /* Kernel state                                                      */
 /* ---------------------------------------------------------------- */
 
@@ -907,7 +1092,14 @@ typedef struct {
     Phase *phases;
     Py_ssize_t n_phases, phases_cap;
 
-    int oom;
+    /* prefetcher; with one attached, first costs are not in id order,
+     * so cost_order records it (DeltaTracker._last_cost order) */
+    Pf pf;
+    int32_t *cost_order;
+    Py_ssize_t n_cost_order, cost_order_cap;
+
+    int oom;      /* stops the loop: out of memory, or ... */
+    int overflow; /* ... a prediction past int64 */
 } Sim;
 
 /* ---------------------------------------------------------------- */
@@ -1220,6 +1412,24 @@ patch_cost(Sim *s, int32_t set_index, int64_t fill_seq, int64_t bkt)
     }
 }
 
+/* A first serviced cost, in DeltaTracker._last_cost insertion order. */
+static void
+cost_order_append(Sim *s, int32_t id)
+{
+    if (s->n_cost_order == s->cost_order_cap) {
+        Py_ssize_t cap = s->cost_order_cap ? s->cost_order_cap * 2 : 1024;
+        int32_t *a = (int32_t *)realloc(s->cost_order,
+                                        (size_t)cap * sizeof(int32_t));
+        if (!a) {
+            s->oom = 1;
+            return;
+        }
+        s->cost_order = a;
+        s->cost_order_cap = cap;
+    }
+    s->cost_order[s->n_cost_order++] = id;
+}
+
 /* MSHRFile._advance sweep (and drain when `all` is set): pops due
  * entries, integrates Algorithm 1, quantizes, feeds the histogram,
  * delta tracker and deferred updates — then advances the clock. */
@@ -1269,6 +1479,9 @@ mshr_sweep(Sim *s, double target, int all)
                 else {
                     s->delta_high += 1;
                 }
+            }
+            else if (s->pf.on) {
+                cost_order_append(s, e.id);
             }
         }
         if (e.pend_kind) {
@@ -1347,6 +1560,315 @@ sb_admit(Sim *s, double when, double completion)
     return when;
 }
 
+/* MSHRFile._advance(target) before an allocation: sweep the misses
+ * serviced by `target`, or just integrate Algorithm 1 up to it. */
+static ALWAYS_INLINE void
+mshr_advance(Sim *s, double target)
+{
+    if (s->md.n && MRING_FRONT(&s->md).complete <= target) {
+        mshr_sweep(s, target, 0);
+    }
+    else if (target > s->m_now) {
+        if (s->m_live) {
+            s->m_acc += (target - s->m_now) / (double)s->m_live;
+        }
+        s->m_now = target;
+    }
+}
+
+/* MSHRFile.admission_time: the earliest time >= `when` with a free
+ * entry. */
+static ALWAYS_INLINE double
+mshr_admit(Sim *s, double when)
+{
+    while (s->occ.n && DRING_FRONT(&s->occ) <= when) {
+        dring_popleft(&s->occ);
+    }
+    while (s->occ.n >= s->m_entries) {
+        double earliest = dring_popleft(&s->occ);
+        if (earliest > when) {
+            when = earliest;
+            s->m_full_stalls += 1;
+        }
+    }
+    return when;
+}
+
+/* The occupancy half of MSHRFile.allocate, demand or not. */
+static ALWAYS_INLINE void
+mshr_occupy(Sim *s, double completion)
+{
+    if (dring_append(&s->occ, completion) < 0) {
+        s->oom = 1;
+    }
+    s->m_allocations += 1;
+    if (s->occ.n > s->m_peak) {
+        s->m_peak = s->occ.n;
+    }
+}
+
+/* MemoryController.read_line: bank, then bus; returns the fill time. */
+static ALWAYS_INLINE double
+mem_read(Sim *s, int64_t block, double when)
+{
+    while (s->mif.n && s->mif.a[0] <= when) {
+        dheap_pop(&s->mif);
+    }
+    while (s->mif.n >= s->memory_max) {
+        double earliest = dheap_pop(&s->mif);
+        if (earliest > when) {
+            when = earliest;
+            s->mem_queueing += 1;
+        }
+    }
+    int64_t bank = block % s->n_banks;
+    double bank_start = s->bank_free[bank];
+    if (bank_start > when) {
+        s->bank_conflicts += 1;
+    }
+    else {
+        bank_start = when;
+    }
+    double data_ready = bank_start + s->bank_latency;
+    s->bank_free[bank] = data_ready;
+    s->bank_accesses += 1;
+    double bus_start = s->bus_free;
+    if (bus_start > data_ready) {
+        s->bus_contended += 1;
+    }
+    else {
+        bus_start = data_ready;
+    }
+    s->bus_free = bus_start + s->bus_occupancy;
+    s->bus_transfers += 1;
+    double completion = bus_start + s->bus_transfer_delay;
+    if (dheap_push(&s->mif, completion) < 0) {
+        s->oom = 1;
+    }
+    if (s->mif.n > s->mem_peak) {
+        s->mem_peak = s->mif.n;
+    }
+    s->mem_requests += 1;
+    return completion;
+}
+
+/* The controller's policy_for_set (SBAR counts follower accesses);
+ * CBS also names the PSEL that owns the set. */
+static ALWAYS_INLINE Pol *
+l2_policy(Sim *s, int64_t set_index, int role, Py_ssize_t *psel_idx)
+{
+    switch (s->controller_kind) {
+    case CTRL_SBAR:
+        if (role) {
+            return &s->pols[0];
+        }
+        if (s->psel_val[0] >= s->psel_msb) {
+            s->follower_lin += 1;
+            return &s->pols[0];
+        }
+        s->follower_lru += 1;
+        return &s->pols[1];
+    case CTRL_CBS:
+        *psel_idx = s->cbs_local ? (Py_ssize_t)set_index : 0;
+        return &s->pols[s->psel_val[*psel_idx] >= s->psel_msb ? 0 : 1];
+    case CTRL_DIP:
+        /* MSB set means the LRU leaders miss more: follow BIP */
+        if (role) {
+            return &s->pols[role - 1];
+        }
+        return &s->pols[s->psel_val[0] >= s->psel_msb ? 1 : 0];
+    case CTRL_TOURNAMENT:
+        return &s->pols[role ? role - 1 : tournament_winner(s)];
+    default:
+        return &s->pols[0];
+    }
+}
+
+/* The miss half of SetAssociativeCache.access under `pol`: a full set
+ * evicts the policy's victim into *victim, then `fill` lands where the
+ * policy inserts.  Returns whether a victim was evicted. */
+static ALWAYS_INLINE int
+l2_fill(Sim *s, Pol *pol, int64_t set_index, Way fill, Way *victim)
+{
+    Way *lw = TAGS_SET(&s->l2, set_index);
+    int32_t *llen = &s->l2.len[set_index];
+    int have_victim = 0;
+    int64_t vpos = *llen; /* a cold fill takes the next free slot */
+    if (*llen >= (int32_t)s->l2.assoc) {
+        switch (pol->kind) {
+        case POL_LIN:
+            vpos = lin_choose(lw, *llen, s->l2.assoc, pol->lam);
+            break;
+        case POL_EHC:
+            vpos = ehc_choose(lw, *llen);
+            break;
+        case POL_AWRP:
+            vpos = awrp_choose(s, lw, *llen, s->l2.assoc);
+            break;
+        case POL_PLRU:
+            vpos = plru_victim(PLRU_TREE(s, set_index), s->l2.assoc);
+            break;
+        case POL_COST_PLRU:
+            vpos = cost_plru_victim(PLRU_TREE(s, set_index), s->l2.assoc,
+                                    lw, pol);
+            break;
+        default: /* LRU, LIP, BIP evict the LRU tail */
+            vpos = *llen - 1;
+        }
+        *victim = tags_evict(lw, llen, (int32_t)vpos);
+        have_victim = 1;
+        if (victim->dirty) {
+            s->l2_writebacks += 1;
+        }
+    }
+    switch (pol->kind) {
+    case POL_EHC:
+        fill.next_use = s->ehc_pending; /* EHCPolicy.on_fill */
+        tags_insert_mru(lw, llen, fill);
+        break;
+    case POL_AWRP:
+        awrp_on_fill(s, fill.block); /* AWRPPolicy.on_fill */
+        tags_insert_mru(lw, llen, fill);
+        break;
+    case POL_LIP:
+        tags_insert_at(lw, llen, *llen, fill);
+        break;
+    case POL_BIP:
+        pol->fills += 1;
+        tags_insert_at(lw, llen, pol->fills % pol->period == 0 ? 0 : *llen,
+                       fill);
+        break;
+    case POL_PLRU:
+    case POL_COST_PLRU:
+        /* the fill lands in the victim's physical slot */
+        tags_insert_at(lw, llen, (int32_t)vpos, fill);
+        plru_touch(PLRU_TREE(s, set_index), s->l2.assoc, vpos);
+        break;
+    default:
+        tags_insert_mru(lw, llen, fill);
+    }
+    return have_victim;
+}
+
+/* Inclusion: an L2 victim leaves both L1s, without a writeback. */
+static ALWAYS_INLINE void
+l1_invalidate(Sim *s, int64_t block)
+{
+    int64_t set = block % s->l1d.n_sets;
+    Way *w = TAGS_SET(&s->l1d, set);
+    int32_t pos = tags_find(w, s->l1d.len[set], block);
+    if (pos >= 0) {
+        tags_evict(w, &s->l1d.len[set], pos);
+    }
+    set = block % s->l1i.n_sets;
+    w = TAGS_SET(&s->l1i, set);
+    pos = tags_find(w, s->l1i.len[set], block);
+    if (pos >= 0) {
+        tags_evict(w, &s->l1i.len[set], pos);
+    }
+}
+
+/* Simulator._prefetch_block: one non-demand fill of `block` into the
+ * L2, requested at `when`.  It takes an MSHR entry that no cost sink
+ * or demand count sees, and an L2 fill that counts as an access and a
+ * miss but never reaches the controller's observe_access. */
+static void
+prefetch_block(Sim *s, int64_t block, double when)
+{
+    int64_t set_index = block % s->l2.n_sets;
+    if (tags_find(TAGS_SET(&s->l2, set_index), s->l2.len[set_index],
+                  block) >= 0) {
+        s->pf.suppressed += 1;
+        return;
+    }
+    /* MSHRFile.in_flight: a non-counting probe that drops nothing */
+    int32_t id = ids_find(&s->ids, block);
+    if (id >= 0 && s->ids.fill_serial[id] >= 0 &&
+        s->ids.fill_done[id] > when) {
+        s->pf.suppressed += 1;
+        return;
+    }
+    double issue = mshr_admit(s, when);
+    if (issue < s->m_now) {
+        issue = s->m_now;
+    }
+    double completion = mem_read(s, block, issue);
+    mshr_advance(s, issue);
+    mshr_occupy(s, completion);
+
+    int role = s->roles ? s->roles[set_index] : 0;
+    Py_ssize_t psel_idx = 0;
+    Pol *pol = l2_policy(s, set_index, role, &psel_idx);
+    int64_t seq = s->l2_seq;
+    s->l2_seq = seq + 1;
+    s->l2_accesses += 1;
+    if (pol->kind == POL_EHC) {
+        ehc_note(s, block, seq);
+    }
+    s->l2_misses += 1;
+    if (id < 0) {
+        int fresh;
+        id = ids_lookup(&s->ids, block, &fresh);
+        if (id < 0) {
+            s->oom = 1;
+            return;
+        }
+        if (s->track_seen) {
+            s->l2_compulsory += 1;
+        }
+    }
+    /* MSHRFile._in_flight[block] = entry, replacing a landed one */
+    if (s->ids.fill_serial[id] < 0) {
+        s->ids.in_flight += 1;
+    }
+    s->ids.fill_serial[id] = s->m_serial++;
+    s->ids.fill_done[id] = completion;
+    if (!map_put(&s->pf.issue, id, 0, issue)) {
+        s->oom = 1;
+    }
+
+    Way victim;
+    Way fill = {block, seq, 0, 0, 0, id};
+    if (l2_fill(s, pol, set_index, fill, &victim)) {
+        if (victim.dirty) {
+            write_back_mem(s, victim.block, issue);
+        }
+        l1_invalidate(s, victim.block);
+    }
+    s->pf.issued += 1;
+}
+
+/* The prefetcher after a demand miss that allocated at `issue`: train
+ * on the block, then prefetch `degree` blocks along a confident stride,
+ * dropping negative ones.  Kept out of line so runs without a
+ * prefetcher pay one branch per allocating miss. */
+static void __attribute__((noinline))
+prefetch_after_miss(Sim *s, int64_t block, double issue)
+{
+    int64_t stride = pf_observe(&s->pf, block);
+    if (stride == 0) {
+        return;
+    }
+    for (int64_t ahead = 1; ahead <= s->pf.degree; ahead++) {
+        int64_t step, candidate;
+        if (__builtin_mul_overflow(stride, ahead, &step) ||
+            __builtin_add_overflow(block, step, &candidate)) {
+            if (stride > 0) {
+                /* Python would go past int64; stops the loop, and
+                 * replay() reports the overflow */
+                s->overflow = 1;
+                s->oom = 1;
+            }
+            return; /* a negative stride only gets more negative */
+        }
+        if (candidate < 0) {
+            return;
+        }
+        s->pf.predictions += 1;
+        prefetch_block(s, candidate, issue);
+    }
+}
+
 /* ---------------------------------------------------------------- */
 /* The replay loop                                                   */
 /* ---------------------------------------------------------------- */
@@ -1366,7 +1888,6 @@ run_loop(Sim *s)
         int64_t target = cum + win_index0;
         double dt = (double)g1 / dwidth;
         int64_t set_index = block % s->l2.n_sets;
-        int64_t bank = block % s->n_banks;
 
         /* ---- WindowModel.advance, inlined ---- */
         if (s->wp.n && WRING_FRONT(&s->wp).index + s->win_size <= target) {
@@ -1493,16 +2014,7 @@ run_loop(Sim *s)
 
         /* ---- MSHRFile._advance(dispatch) ---- */
         if (dispatch > s->m_now) {
-            if (s->md.n && MRING_FRONT(&s->md).complete <= dispatch) {
-                mshr_sweep(s, dispatch, 0);
-            }
-            else {
-                if (s->m_live) {
-                    s->m_acc +=
-                        (dispatch - s->m_now) / (double)s->m_live;
-                }
-                s->m_now = dispatch;
-            }
+            mshr_advance(s, dispatch);
         }
 
         /* ---- L1 fill ---- */
@@ -1557,42 +2069,9 @@ run_loop(Sim *s)
         }
 
         /* ---- L2 lookup: the controller's policy_for_set ---- */
-        Pol *pol;
         int role = s->roles ? s->roles[set_index] : 0;
         Py_ssize_t psel_idx = 0;
-        switch (s->controller_kind) {
-        case CTRL_SBAR:
-            if (role) {
-                pol = &s->pols[0];
-            }
-            else if (s->psel_val[0] >= s->psel_msb) {
-                s->follower_lin += 1;
-                pol = &s->pols[0];
-            }
-            else {
-                s->follower_lru += 1;
-                pol = &s->pols[1];
-            }
-            break;
-        case CTRL_CBS:
-            psel_idx = s->cbs_local ? (Py_ssize_t)set_index : 0;
-            pol = &s->pols[s->psel_val[psel_idx] >= s->psel_msb ? 0 : 1];
-            break;
-        case CTRL_DIP:
-            /* MSB set means the LRU leaders miss more: follow BIP */
-            if (role) {
-                pol = &s->pols[role - 1];
-            }
-            else {
-                pol = &s->pols[s->psel_val[0] >= s->psel_msb ? 1 : 0];
-            }
-            break;
-        case CTRL_TOURNAMENT:
-            pol = &s->pols[role ? role - 1 : tournament_winner(s)];
-            break;
-        default:
-            pol = &s->pols[0];
-        }
+        Pol *pol = l2_policy(s, set_index, role, &psel_idx);
         int is_plru = pol->kind == POL_PLRU || pol->kind == POL_COST_PLRU;
         int64_t seq = s->l2_seq;
         s->l2_seq = seq + 1;
@@ -1726,62 +2205,8 @@ run_loop(Sim *s)
                 continue;
             }
             Way victim;
-            int have_victim = 0;
-            int64_t vpos = *llen; /* a cold fill takes the next free slot */
-            if (*llen >= (int32_t)s->l2.assoc) {
-                switch (pol->kind) {
-                case POL_LIN:
-                    vpos = lin_choose(lw, *llen, s->l2.assoc, pol->lam);
-                    break;
-                case POL_EHC:
-                    vpos = ehc_choose(lw, *llen);
-                    break;
-                case POL_AWRP:
-                    vpos = awrp_choose(s, lw, *llen, s->l2.assoc);
-                    break;
-                case POL_PLRU:
-                    vpos = plru_victim(PLRU_TREE(s, set_index), s->l2.assoc);
-                    break;
-                case POL_COST_PLRU:
-                    vpos = cost_plru_victim(PLRU_TREE(s, set_index),
-                                            s->l2.assoc, lw, pol);
-                    break;
-                default: /* LRU, LIP, BIP evict the LRU tail */
-                    vpos = *llen - 1;
-                }
-                victim = tags_evict(lw, llen, (int32_t)vpos);
-                have_victim = 1;
-                if (victim.dirty) {
-                    s->l2_writebacks += 1;
-                }
-            }
             Way nst = {block, seq, 0, 0, 0, id};
-            switch (pol->kind) {
-            case POL_EHC:
-                nst.next_use = s->ehc_pending; /* EHCPolicy.on_fill */
-                tags_insert_mru(lw, llen, nst);
-                break;
-            case POL_AWRP:
-                awrp_on_fill(s, block); /* AWRPPolicy.on_fill */
-                tags_insert_mru(lw, llen, nst);
-                break;
-            case POL_LIP:
-                tags_insert_at(lw, llen, *llen, nst);
-                break;
-            case POL_BIP:
-                pol->fills += 1;
-                tags_insert_at(lw, llen,
-                               pol->fills % pol->period == 0 ? 0 : *llen, nst);
-                break;
-            case POL_PLRU:
-            case POL_COST_PLRU:
-                /* the fill lands in the victim's physical slot */
-                tags_insert_at(lw, llen, (int32_t)vpos, nst);
-                plru_touch(PLRU_TREE(s, set_index), s->l2.assoc, vpos);
-                break;
-            default:
-                tags_insert_mru(lw, llen, nst);
-            }
+            int have_victim = l2_fill(s, pol, set_index, nst, &victim);
             int compulsory = fresh && s->track_seen;
             if (compulsory) {
                 s->l2_compulsory += 1;
@@ -1890,24 +2315,10 @@ run_loop(Sim *s)
                 pend_idx = role - 1;
             }
             if (have_victim) {
-                int64_t victim_block = victim.block;
                 if (victim.dirty) {
-                    write_back_mem(s, victim_block, l1_done);
+                    write_back_mem(s, victim.block, l1_done);
                 }
-                /* inclusion: the victim leaves the L1s */
-                int64_t vset = victim_block % s->l1d.n_sets;
-                Way *vw = TAGS_SET(&s->l1d, vset);
-                int32_t ipos =
-                    tags_find(vw, s->l1d.len[vset], victim_block);
-                if (ipos >= 0) {
-                    tags_evict(vw, &s->l1d.len[vset], ipos);
-                }
-                vset = victim_block % s->l1i.n_sets;
-                vw = TAGS_SET(&s->l1i, vset);
-                ipos = tags_find(vw, s->l1i.len[vset], victim_block);
-                if (ipos >= 0) {
-                    tags_evict(vw, &s->l1i.len[vset], ipos);
-                }
+                l1_invalidate(s, victim.block);
             }
             s->demand_ctr += 1;
             if (compulsory) {
@@ -1942,74 +2353,14 @@ run_loop(Sim *s)
                 }
             }
             else {
-                /* inline MSHRFile.admission_time */
-                double issue = l1_done + s->l2_latency;
-                while (s->occ.n && DRING_FRONT(&s->occ) <= issue) {
-                    dring_popleft(&s->occ);
-                }
-                while (s->occ.n >= s->m_entries) {
-                    double earliest = dring_popleft(&s->occ);
-                    if (earliest > issue) {
-                        issue = earliest;
-                        s->m_full_stalls += 1;
-                    }
-                }
+                double issue = mshr_admit(s, l1_done + s->l2_latency);
                 if (issue < s->m_now) {
                     issue = s->m_now;
                 }
-                /* inline MemoryController.read_line: bank, then bus */
-                while (s->mif.n && s->mif.a[0] <= issue) {
-                    dheap_pop(&s->mif);
-                }
-                double start_at = issue;
-                while (s->mif.n >= s->memory_max) {
-                    double earliest = dheap_pop(&s->mif);
-                    if (earliest > start_at) {
-                        start_at = earliest;
-                        s->mem_queueing += 1;
-                    }
-                }
-                double bank_start = s->bank_free[bank];
-                if (bank_start > start_at) {
-                    s->bank_conflicts += 1;
-                }
-                else {
-                    bank_start = start_at;
-                }
-                double data_ready = bank_start + s->bank_latency;
-                s->bank_free[bank] = data_ready;
-                s->bank_accesses += 1;
-                double bus_start = s->bus_free;
-                if (bus_start > data_ready) {
-                    s->bus_contended += 1;
-                }
-                else {
-                    bus_start = data_ready;
-                }
-                s->bus_free = bus_start + s->bus_occupancy;
-                s->bus_transfers += 1;
-                completion = bus_start + s->bus_transfer_delay;
-                if (dheap_push(&s->mif, completion) < 0) {
-                    s->oom = 1;
-                }
-                if (s->mif.n > s->mem_peak) {
-                    s->mem_peak = s->mif.n;
-                }
-                s->mem_requests += 1;
+                completion = mem_read(s, block, issue);
+                mshr_advance(s, issue);
 
-                /* ---- MSHRFile._advance(issue) ---- */
-                if (s->md.n && MRING_FRONT(&s->md).complete <= issue) {
-                    mshr_sweep(s, issue, 0);
-                }
-                else if (issue > s->m_now) {
-                    if (s->m_live) {
-                        s->m_acc +=
-                            (issue - s->m_now) / (double)s->m_live;
-                    }
-                    s->m_now = issue;
-                }
-
-                /* inline MSHRFile.allocate (demand read) */
+                /* MSHRFile.allocate (demand read) */
                 MEntry me;
                 me.complete = completion;
                 me.acc_start = s->m_acc;
@@ -2023,17 +2374,16 @@ run_loop(Sim *s)
                 me.phase = phase;
                 me.pend_fill_set = pend_fill_set;
                 me.pend_fill_seq = pend_fill_seq;
-                if (mring_append(&s->md, me) < 0 ||
-                    dring_append(&s->occ, completion) < 0) {
+                if (mring_append(&s->md, me) < 0) {
                     s->oom = 1;
                 }
+                mshr_occupy(s, completion);
                 s->ids.fill_serial[id] = me.serial;
                 s->ids.fill_done[id] = completion;
                 s->ids.in_flight += 1;
-                s->m_allocations += 1;
                 s->m_live += 1;
-                if (s->occ.n > s->m_peak) {
-                    s->m_peak = s->occ.n;
+                if (s->pf.on) {
+                    prefetch_after_miss(s, block, issue);
                 }
             }
         }
@@ -2481,6 +2831,56 @@ emit_phases(const Sim *s)
     return list;
 }
 
+/* The prefetcher's regions, oldest first, as flat int64 rows
+ * (region, last block, stride, confidence). */
+static PyObject *
+emit_pf_table(const Pf *pf)
+{
+    PyObject *buf = PyBytes_FromStringAndSize(
+        NULL, (Py_ssize_t)pf->n * 4 * (Py_ssize_t)sizeof(int64_t));
+    if (!buf) {
+        return NULL;
+    }
+    int64_t *at = (int64_t *)PyBytes_AS_STRING(buf);
+    for (int32_t i = 0; i < pf->n; i++) {
+        int32_t row = (pf->head + i) % pf->cap;
+        *at++ = pf->region[row];
+        *at++ = pf->last[row];
+        *at++ = pf->stride[row];
+        *at++ = pf->conf[row];
+    }
+    return buf;
+}
+
+/* MSHRFile._in_flight after the drain, as (block, issue, complete) per
+ * entry: only prefetches, which no sweep removes, can be left (a
+ * demand entry would show a NaN issue). */
+static PyObject *
+emit_in_flight(Sim *s)
+{
+    const Ids *t = &s->ids;
+    PyObject *list = PyList_New(0);
+    if (!list || !t->in_flight) {
+        return list;
+    }
+    for (int32_t id = 0; id < t->n; id++) {
+        if (t->fill_serial[id] < 0) {
+            continue;
+        }
+        MapSlot *issue = s->pf.on ? map_get(&s->pf.issue, id) : NULL;
+        PyObject *e = Py_BuildValue("(Ldd)", (long long)t->block[id],
+                                    issue ? issue->b : NAN,
+                                    t->fill_done[id]);
+        if (!e || PyList_Append(list, e) < 0) {
+            Py_XDECREF(e);
+            Py_DECREF(list);
+            return NULL;
+        }
+        Py_DECREF(e);
+    }
+    return list;
+}
+
 static void
 sim_free(Sim *s)
 {
@@ -2510,6 +2910,8 @@ sim_free(Sim *s)
     free(s->t_scores);
     free(s->t_accesses);
     free(s->phases);
+    pf_free(&s->pf);
+    free(s->cost_order);
 }
 
 /* ---------------------------------------------------------------- */
@@ -2679,6 +3081,10 @@ replay(PyObject *self, PyObject *args)
     s->follower_lru = p_int(&p, "follower_lru");
     s->t_decay = p_dbl(&p, "t_decay");
     s->phase_interval = p_int(&p, "phase_interval");
+    s->pf.predictions = p_int(&p, "pf_predictions");
+    s->pf.trainings = p_int(&p, "pf_trainings");
+    s->pf.issued = p_int(&p, "pf_issued");
+    s->pf.suppressed = p_int(&p, "pf_suppressed");
 
     if (p.err) {
         goto fail;
@@ -2743,6 +3149,11 @@ replay(PyObject *self, PyObject *args)
         for (Py_ssize_t i = 0; i < s->n_pols; i++) {
             Pol *pol = &s->pols[i];
             long long kind, lam, period, fills, threshold, rejects;
+            if (!PyTuple_Check(PyList_GET_ITEM(pols, i))) {
+                PyErr_SetString(PyExc_TypeError,
+                                "replay kernel: policies must hold tuples");
+                goto fail;
+            }
             if (!PyArg_ParseTuple(PyList_GET_ITEM(pols, i), "LLLLLL", &kind,
                                   &lam, &period, &fills, &threshold,
                                   &rejects)) {
@@ -2861,6 +3272,42 @@ replay(PyObject *self, PyObject *args)
                         "replay kernel: negative phase interval");
         goto fail;
     }
+    {
+        /* (n_entries, region_blocks, degree, confidence_threshold) */
+        PyObject *pf = p_item(&p, "prefetcher");
+        if (p.err) {
+            goto fail;
+        }
+        if (pf != Py_None) {
+            long long entries, region_blocks, degree, threshold;
+            if (!PyTuple_Check(pf)) {
+                PyErr_SetString(PyExc_TypeError,
+                                "replay kernel: prefetcher must be a tuple "
+                                "or None");
+                goto fail;
+            }
+            if (!PyArg_ParseTuple(pf, "LLLL", &entries, &region_blocks,
+                                  &degree, &threshold)) {
+                if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
+                    PyErr_SetString(PyExc_ValueError,
+                                    "replay kernel: prefetcher param past "
+                                    "int64");
+                }
+                goto fail;
+            }
+            if (entries < 1 || region_blocks < 1 || degree < 1) {
+                PyErr_SetString(PyExc_ValueError,
+                                "replay kernel: prefetcher entries, region "
+                                "and degree must be positive");
+                goto fail;
+            }
+            s->pf.on = 1;
+            s->pf.n_entries = entries;
+            s->pf.region_blocks = region_blocks;
+            s->pf.degree = degree;
+            s->pf.threshold = threshold;
+        }
+    }
 
     /* --- containers --- */
     if (tags_init(&s->l1d, l1d_sets, l1d_assoc) < 0 ||
@@ -2904,6 +3351,10 @@ replay(PyObject *self, PyObject *args)
         }
         break;
     }
+    if (s->pf.on && pf_init(&s->pf, s->n) < 0) {
+        PyErr_NoMemory();
+        goto fail;
+    }
     if (s->phase_interval) {
         phase_open(s, 0, 0.0);
         if (s->oom) {
@@ -2919,6 +3370,11 @@ replay(PyObject *self, PyObject *args)
     Py_END_ALLOW_THREADS;
     double emit_start = monotonic_s();
 
+    if (s->overflow) {
+        PyErr_SetString(PyExc_OverflowError,
+                        "replay kernel: prefetch prediction past int64");
+        goto fail;
+    }
     if (s->oom) {
         PyErr_NoMemory();
         goto fail;
@@ -2971,7 +3427,7 @@ replay(PyObject *self, PyObject *args)
         out_dbl(out, "m_now", s->m_now) < 0 ||
         out_dbl(out, "m_acc", s->m_acc) < 0 ||
         out_int(out, "m_live", s->m_live) < 0 ||
-        out_int(out, "m_in_flight_n", s->ids.in_flight) < 0 ||
+        out_obj(out, "m_in_flight", emit_in_flight(s)) < 0 ||
         out_obj(out, "m_occupancy", emit_occupancy(&s->occ)) < 0 ||
         out_int(out, "m_allocations", s->m_allocations) < 0 ||
         out_int(out, "m_merges", s->m_merges) < 0 ||
@@ -3044,6 +3500,19 @@ replay(PyObject *self, PyObject *args)
                     (const char *)s->plru_bits,
                     (Py_ssize_t)(s->l2.n_sets * (s->l2.assoc - 1)))) < 0) {
         goto fail;
+    }
+    if (s->pf.on) {
+        if (out_obj(out, "pf_table", emit_pf_table(&s->pf)) < 0 ||
+            out_int(out, "pf_predictions", s->pf.predictions) < 0 ||
+            out_int(out, "pf_trainings", s->pf.trainings) < 0 ||
+            out_int(out, "pf_issued", s->pf.issued) < 0 ||
+            out_int(out, "pf_suppressed", s->pf.suppressed) < 0 ||
+            (s->track_delta &&
+             out_obj(out, "id_cost_order",
+                     emit_raw(s->cost_order, s->n_cost_order,
+                              sizeof(int32_t))) < 0)) {
+            goto fail;
+        }
     }
     if (s->controller_kind == CTRL_SBAR) {
         if (out_obj(out, "atd_sets", emit_tags(&s->atd_lru)) < 0 ||

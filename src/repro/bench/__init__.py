@@ -17,6 +17,7 @@ be identical across machines — a cheap cross-host bit-identity check.
 from repro.bench.macro import (
     MACRO_PHASED,
     MACRO_POLICIES,
+    MACRO_PREFETCHED,
     MACRO_WORKLOADS,
     run_macro,
 )
@@ -33,6 +34,7 @@ from repro.bench.report import (
 __all__ = [
     "MACRO_PHASED",
     "MACRO_POLICIES",
+    "MACRO_PREFETCHED",
     "MACRO_WORKLOADS",
     "SCHEMA",
     "build_report",

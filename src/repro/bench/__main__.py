@@ -35,6 +35,7 @@ from repro.bench.macro import run_macro
 from repro.bench.micro import run_micro
 from repro.bench.report import (
     build_report,
+    cell_label,
     check_macro_cell,
     validate_report,
 )
@@ -50,15 +51,15 @@ def _check_mode(report_path: str, cell: str) -> int:
         # Verify every macro cell the report recorded.
         cells = [
             (entry["workload"], entry["policy"], entry.get("kernel"),
-             entry.get("phase_interval"))
+             entry.get("phase_interval"), entry.get("prefetch_degree"))
             for entry in report["macro"]
         ]
     else:
         parts = cell.split("/")
         if len(parts) == 2:
-            cells = [(parts[0], parts[1], None, None)]
+            cells = [(parts[0], parts[1], None, None, None)]
         elif len(parts) == 3:
-            cells = [(parts[0], parts[1], parts[2], None)]
+            cells = [(parts[0], parts[1], parts[2], None, None)]
         else:
             print(
                 "--cell must look like WORKLOAD/POLICY[/KERNEL], got %r"
@@ -67,15 +68,12 @@ def _check_mode(report_path: str, cell: str) -> int:
             )
             return 2
     failures = 0
-    for workload, policy, kernel, phase_interval in cells:
-        label = "%s/%s" % (workload, policy)
-        if kernel is not None:
-            label += "/%s" % kernel
-        if phase_interval is not None:
-            label += "@phase=%d" % phase_interval
+    for workload, policy, kernel, phase_interval, prefetch_degree in cells:
+        label = cell_label(workload, policy, kernel, phase_interval,
+                           prefetch_degree)
         try:
             fresh = check_macro_cell(report, workload, policy, kernel,
-                                     phase_interval)
+                                     phase_interval, prefetch_degree)
         except ValueError as exc:
             failures += 1
             print("FAIL: %s" % exc, file=sys.stderr)
@@ -204,14 +202,13 @@ def main(argv=None) -> int:
             if entry["kernel_used"] == entry["kernel"]
             else " -> %s" % entry["kernel_used"]
         )
-        policy = entry["policy"]
-        if "phase_interval" in entry:
-            policy += "@phase=%d" % entry["phase_interval"]
+        label = cell_label(entry["workload"], entry["policy"], None,
+                           entry.get("phase_interval"),
+                           entry.get("prefetch_degree"))
         print(
-            "  %-4s/%-10s %-7s%s %8.0f accesses/s  (%.3fs, %d L2 misses)"
-            % (entry["workload"], policy, entry["kernel"],
-               resolved, entry["accesses_per_sec"], entry["seconds"],
-               entry["result"]["l2_misses"])
+            "  %-15s %-7s%s %8.0f accesses/s  (%.3fs, %d L2 misses)"
+            % (label, entry["kernel"], resolved, entry["accesses_per_sec"],
+               entry["seconds"], entry["result"]["l2_misses"])
         )
 
     report = build_report(micro, macro, tag=args.tag)

@@ -14,7 +14,8 @@ the generic loop, the native gate that failed (``kernel_fallback``): a
 silent fall-back would otherwise masquerade as a timing regression.
 Traces are packed once per workload and shared across the policy
 cells.  One more cell per report samples phases (``phase_interval``,
-Figure 11's bookkeeping) and embeds each phase's miss count.
+Figure 11's bookkeeping) and embeds each phase's miss count, and the
+prefetch cells (``prefetch_degree``) run with a stride prefetcher.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
+from repro.cpu.prefetch import prefetcher_for
 from repro.sim.simulator import Simulator
 from repro.workloads import build_workload, experiment_config
 
@@ -36,6 +38,10 @@ MACRO_POLICIES = (
 #: 19 phases on mcf at the default scale.  It rides along whenever the
 #: matrix holds its workload and policy.
 MACRO_PHASED = ("mcf", "sbar", 500_000)
+#: The prefetch cells: (workload, policy, prefetch_degree), the stride
+#: prefetcher the ``prefetch`` experiment runs.  Each rides along
+#: whenever the matrix holds its workload and policy.
+MACRO_PREFETCHED = (("mcf", "lru", 2), ("art", "lin(4)", 2))
 
 
 def macro_result_fields(result) -> Dict[str, object]:
@@ -61,6 +67,7 @@ def simulate_cell(
     scale: float,
     kernel: str = "auto",
     phase_interval: Optional[int] = None,
+    prefetch_degree: Optional[int] = None,
 ):
     """Run one macro cell untimed; returns its SimResult.
 
@@ -71,10 +78,16 @@ def simulate_cell(
     kernels by contract.
     """
     trace = build_workload(workload, scale=scale)
-    return Simulator(
-        experiment_config(), policy, kernel=kernel,
-        phase_interval=phase_interval,
+    return _simulator(
+        experiment_config(), policy, kernel, phase_interval, prefetch_degree
     ).run(trace)
+
+
+def _simulator(config, policy, kernel, phase_interval, prefetch_degree):
+    return Simulator(
+        config, policy, kernel=kernel, phase_interval=phase_interval,
+        prefetcher=prefetcher_for(prefetch_degree),
+    )
 
 
 def run_macro(
@@ -86,7 +99,8 @@ def run_macro(
     kernel: str = "auto",
 ) -> List[Dict[str, object]]:
     """Time full simulation runs; returns one entry per (workload, policy),
-    plus the :data:`MACRO_PHASED` cell when the matrix holds it.
+    plus the :data:`MACRO_PHASED` and :data:`MACRO_PREFETCHED` cells
+    the matrix holds.
 
     ``quick`` shrinks the traces and skips repetition for smoke tests;
     otherwise each cell reports best-of-``repeat`` wall time after one
@@ -108,13 +122,18 @@ def run_macro(
     for workload in workloads:
         trace = build_workload(workload, scale=scale)
         accesses = len(trace)
-        cells = [(policy, None) for policy in policies]
+        cells = [(policy, None, None) for policy in policies]
         if workload == phased_workload and phased_policy in policies:
-            cells.append((phased_policy, interval))
-        for policy, phase_interval in cells:
+            cells.append((phased_policy, interval, None))
+        cells.extend(
+            (policy, None, degree)
+            for prefetched, policy, degree in MACRO_PREFETCHED
+            if prefetched == workload and policy in policies
+        )
+        for policy, phase_interval, prefetch_degree in cells:
             if not quick:
-                Simulator(config, policy, kernel=kernel,
-                          phase_interval=phase_interval).run(trace)
+                _simulator(config, policy, kernel, phase_interval,
+                           prefetch_degree).run(trace)
             entry = {
                 "workload": workload,
                 "policy": policy,
@@ -131,11 +150,14 @@ def run_macro(
             }
             if phase_interval is not None:
                 entry["phase_interval"] = phase_interval
+            if prefetch_degree is not None:
+                entry["prefetch_degree"] = prefetch_degree
             entries.append(entry)
     for _ in range(repeat):
         for entry in entries:
-            sim = Simulator(config, entry["policy"], kernel=kernel,
-                            phase_interval=entry.get("phase_interval"))
+            sim = _simulator(config, entry["policy"], kernel,
+                             entry.get("phase_interval"),
+                             entry.get("prefetch_degree"))
             start = perf_counter()
             result = sim.run(entry["_trace"])
             elapsed = perf_counter() - start

@@ -40,11 +40,14 @@ and a silent downgrade on a future host shows up as data.  Newer v5
 cells also carry an optional ``kernel_fallback``: the native gate that
 failed, or null.  A phase-sampled v5 cell carries ``phase_interval``
 (a positive int) and embeds ``phase_misses``, one miss count per phase,
-in its result; a cell without the field ran unsampled.  Legacy reports
-stay readable (``validate_report`` accepts v2–v4; ``check_macro_cell``
-compares only the fields a report recorded and re-simulates
-kernel-less cells, and cells recorded under the retired
-``native``/``batched``/``fused`` kernel names, on ``auto``).
+in its result; a cell without the field ran unsampled.  A prefetch v5
+cell carries ``prefetch_degree`` (a positive int): it ran with a
+default stride prefetcher of that degree; a cell without the field ran
+without one.  Legacy reports stay readable (``validate_report``
+accepts v2–v4; ``check_macro_cell`` compares only the fields a report
+recorded and re-simulates kernel-less cells, and cells recorded under
+the retired ``native``/``batched``/``fused`` kernel names, on
+``auto``).
 
 ``validate_report`` is the single source of truth for that shape; the
 CI perf-smoke job and the bench CLI both call it, so a report that
@@ -214,12 +217,13 @@ def validate_report(report: object) -> None:
             raise ValueError("%s: timings must be positive" % where)
         if entry["scale"] <= 0:
             raise ValueError("%s: scale must be positive" % where)
-        if "phase_interval" in entry:
-            _check_fields(entry, {"phase_interval": int}, where)
-            if entry["phase_interval"] <= 0:
-                raise ValueError(
-                    "%s: phase_interval must be positive" % where
-                )
+        for field in ("phase_interval", "prefetch_degree"):
+            if field in entry:
+                _check_fields(entry, {field: int}, where)
+                if entry[field] <= 0:
+                    raise ValueError(
+                        "%s: %s must be positive" % (where, field)
+                    )
         _check_fields(entry["result"], result_fields, where + ".result")
 
 
@@ -229,27 +233,48 @@ def find_macro_cell(
     policy: str,
     kernel: Optional[str] = None,
     phase_interval: Optional[int] = None,
+    prefetch_degree: Optional[int] = None,
 ) -> Dict[str, object]:
     """Return the macro entry for ``workload``/``policy`` or raise.
 
     ``kernel`` narrows the match in a v4 report that times the same
     cell under several kernels; ``None`` returns the first match (the
     only one in legacy reports).  ``phase_interval`` selects the
-    phase-sampled cell; ``None`` the unsampled one.
+    phase-sampled cell and ``prefetch_degree`` the prefetch cell;
+    ``None`` the plain one.
     """
     for entry in report["macro"]:
         if (
             entry["workload"] == workload
             and entry["policy"] == policy
             and entry.get("phase_interval") == phase_interval
+            and entry.get("prefetch_degree") == prefetch_degree
             and (kernel is None or entry.get("kernel") == kernel)
         ):
             return entry
     raise ValueError(
-        "report has no macro cell %s/%s%s%s"
-        % (workload, policy, "" if kernel is None else "/" + kernel,
-           "" if phase_interval is None else "@phase=%d" % phase_interval)
+        "report has no macro cell %s"
+        % cell_label(workload, policy, kernel, phase_interval,
+                     prefetch_degree)
     )
+
+
+def cell_label(
+    workload: str,
+    policy: str,
+    kernel: Optional[str] = None,
+    phase_interval: Optional[int] = None,
+    prefetch_degree: Optional[int] = None,
+) -> str:
+    """``workload/policy[/kernel][@phase=N][@prefetch=N]``."""
+    label = "%s/%s" % (workload, policy)
+    if kernel is not None:
+        label += "/" + kernel
+    if phase_interval is not None:
+        label += "@phase=%d" % phase_interval
+    if prefetch_degree is not None:
+        label += "@prefetch=%d" % prefetch_degree
+    return label
 
 
 def check_macro_cell(
@@ -258,6 +283,7 @@ def check_macro_cell(
     policy: str,
     kernel: Optional[str] = None,
     phase_interval: Optional[int] = None,
+    prefetch_degree: Optional[int] = None,
 ) -> Dict[str, object]:
     """Re-simulate one macro cell and compare its embedded results.
 
@@ -272,13 +298,14 @@ def check_macro_cell(
     """
     from repro.bench.macro import macro_result_fields, simulate_cell
 
-    entry = find_macro_cell(report, workload, policy, kernel, phase_interval)
+    entry = find_macro_cell(report, workload, policy, kernel, phase_interval,
+                            prefetch_degree)
     recorded_kernel = entry.get("kernel", "auto")
     if recorded_kernel in RETIRED_KERNELS:
         recorded_kernel = "auto"
     result = simulate_cell(
         workload, policy, entry["scale"], kernel=recorded_kernel,
-        phase_interval=phase_interval,
+        phase_interval=phase_interval, prefetch_degree=prefetch_degree,
     )
     fresh = macro_result_fields(result)
     recorded = entry["result"]
@@ -292,8 +319,9 @@ def check_macro_cell(
     ]
     if mismatches:
         raise ValueError(
-            "macro cell %s/%s (kernel %s) result mismatch (%s)"
-            % (workload, policy, entry.get("kernel", "auto"),
-               "; ".join(mismatches))
+            "macro cell %s (kernel %s) result mismatch (%s)"
+            % (cell_label(workload, policy, None, phase_interval,
+                          prefetch_degree),
+               entry.get("kernel", "auto"), "; ".join(mismatches))
         )
     return fresh

@@ -18,7 +18,7 @@ along the stride are predicted.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class StridePrefetcher:
@@ -85,3 +85,12 @@ class StridePrefetcher:
     @property
     def table_occupancy(self) -> int:
         return len(self._table)
+
+
+def prefetcher_for(degree: Optional[int]) -> Optional[StridePrefetcher]:
+    """The prefetcher a simulation cell's ``prefetch_degree`` names.
+
+    A default :class:`StridePrefetcher` of that degree, or None for a
+    cell without one.
+    """
+    return StridePrefetcher(degree=degree) if degree is not None else None

@@ -132,8 +132,11 @@ def prewarm_tasks(
 
     An experiment module opts in by declaring ``PREWARM_POLICIES`` — the
     spec strings its ``run()`` feeds to ``run_policy`` with the default
-    machine config.  The experiments CLI fans these out across a worker
-    pool before rendering, so the serial report pass is all cache hits.
+    machine config.  A module that also runs prefetch cells declares
+    ``PREWARM_PREFETCH_DEGREES``, the ``prefetch_degree`` values it runs
+    every policy at (None for no prefetcher; default ``(None,)``).  The
+    experiments CLI fans these out across a worker pool before
+    rendering, so the serial report pass is all cache hits.
     Experiments that sweep custom configs (sensitivity) or phase
     intervals (figure11) simply don't declare the attribute.
     """
@@ -154,13 +157,16 @@ def prewarm_tasks(
             if benchmarks is not None
             else list(getattr(module, "DEFAULT_BENCHMARKS", BENCHMARKS))
         )
+        degrees = getattr(module, "PREWARM_PREFETCH_DEGREES", (None,))
         for benchmark in targets:
-            for spec in specs:
-                tasks.append(
-                    Task(
-                        benchmark=benchmark,
-                        policy_spec=spec,
-                        scale=resolved_scale,
+            for degree in degrees:
+                for spec in specs:
+                    tasks.append(
+                        Task(
+                            benchmark=benchmark,
+                            policy_spec=spec,
+                            scale=resolved_scale,
+                            prefetch_degree=degree,
+                        )
                     )
-                )
     return tasks

@@ -12,21 +12,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.cpu.prefetch import StridePrefetcher
 from repro.experiments.common import Report, fmt_pct, resolve_benchmarks
-from repro.sim.runner import trace_scale
-from repro.sim.simulator import Simulator
-from repro.workloads import build_workload, experiment_config
+from repro.sim.runner import run_policy, trace_scale
 
 DEFAULT_BENCHMARKS = ("art", "mcf", "vpr", "lucas")
-
-
-def _run(benchmark: str, policy: str, prefetch: bool, scale: float):
-    prefetcher = StridePrefetcher(degree=2) if prefetch else None
-    simulator = Simulator(
-        experiment_config(), policy, prefetcher=prefetcher
-    )
-    return simulator.run(build_workload(benchmark, scale=scale)), simulator
+#: Every benchmark runs both policies without and with a degree-2
+#: stride prefetcher: 16 cells on the defaults, all prewarmed.
+PREWARM_POLICIES = ("lru", "lin(4)")
+PREWARM_PREFETCH_DEGREES = (None, 2)
 
 
 def run(
@@ -45,10 +38,11 @@ def run(
     )
     rows = []
     for name in names:
-        lru_plain, _ = _run(name, "lru", False, scale)
-        lin_plain, _ = _run(name, "lin(4)", False, scale)
-        lru_pref, sim = _run(name, "lru", True, scale)
-        lin_pref, _ = _run(name, "lin(4)", True, scale)
+        lru_plain, lin_plain, lru_pref, lin_pref = (
+            run_policy(name, policy, scale=scale, prefetch_degree=degree)
+            for degree in PREWARM_PREFETCH_DEGREES
+            for policy in PREWARM_POLICIES
+        )
         gain_plain = 100 * (lin_plain.ipc - lru_plain.ipc) / lru_plain.ipc
         gain_pref = 100 * (lin_pref.ipc - lru_pref.ipc) / lru_pref.ipc
         coverage = 0.0

@@ -4,16 +4,16 @@ The compiled extension (``repro._native.replaykernel``, built by the
 *optional* ``build_ext`` in setup.py) runs the whole replay loop —
 window advance, L1 probe, MSHR sweep, L2 probe with every built-in
 policy's victim choice and insertion, the SBAR/CBS/DIP/tournament
-controllers, bank/bus timing, cost quantization, phase cuts — over the
-raw ``PackedTrace`` column buffers.  This module is the pure-python
-shim around it:
+controllers, the stride prefetcher, bank/bus timing, cost quantization,
+phase cuts — over the raw ``PackedTrace`` column buffers.  This module
+is the pure-python shim around it:
 
 * :func:`load_extension` resolves the extension once per process and
   caches the answer (``None`` when absent — a source checkout without
   ``make native``, or a host without a compiler).
 * :func:`fallback_reason` names the first gate that keeps a run off
-  the kernel (an observer, a prefetcher, warm-up, a list trace, a
-  policy the kernel does not know, ...), or returns None.
+  the kernel (an observer, a prefetcher subclass, warm-up, a list
+  trace, a policy the kernel does not know, ...), or returns None.
 * :func:`try_replay` is called by ``Simulator._replay`` for every run
   not pinned to ``kernel="generic"``.  When every gate holds it
   marshals the initial scalar state into a flat params dict, invokes
@@ -23,8 +23,9 @@ shim around it:
   the failed gate on the Simulator and touches nothing else.
 
 The C kernel never sees a Python object graph: caches, the MSHR, heaps,
-ATDs, and policy side tables all start empty (a Simulator runs exactly
-one trace, so they are pristine at replay time — the gate verifies it).
+ATDs, policy side tables and the prefetcher's region table all start
+empty (a Simulator runs exactly one trace, so they are pristine at
+replay time — the gate verifies it).
 Scalars and small queues come back as Python objects and are written
 at once.  The bulk containers come back as flat bytes buffers and stay
 that way until something reads one of them: the write-back takes them
@@ -63,9 +64,11 @@ from repro.cache.replacement.plru import (
     TreePLRUPolicy,
     _TreeState,
 )
+from repro.cpu.prefetch import StridePrefetcher
 from repro.memory.bus import SplitTransactionBus
 from repro.memory.dram import DramBankArray
 from repro.mlp.cost import MAX_COST_Q, QUANTIZATION_STEP
+from repro.mlp.mshr import _Entry
 from repro.sbar.cbs import CBSController
 from repro.sbar.psel import PolicySelector
 from repro.sbar.sbar import SBARController
@@ -186,6 +189,37 @@ def _policy_reason(sim) -> Optional[str]:
     return None
 
 
+#: StridePrefetcher methods an instance may not override (the kernel
+#: runs the class's own).
+_PREFETCHER_HOOKS = ("observe", "_install", "_region_of")
+
+
+def _prefetcher_params(prefetcher) -> Tuple[int, int, int, int]:
+    return (prefetcher.n_entries, prefetcher.region_blocks,
+            prefetcher.degree, prefetcher.confidence_threshold)
+
+
+def _prefetcher_reason(prefetcher) -> Optional[str]:
+    """Why the prefetcher keeps the run off the kernel.
+
+    The kernel ports :class:`StridePrefetcher` itself, with integer
+    parameters it can replay exactly; anything else (a subclass, an
+    instance hook, a float, a non-positive size or a value past int64,
+    which the generic loop fails on or computes with in Python)
+    stays generic.
+    """
+    if type(prefetcher) is not StridePrefetcher or any(
+        hook in vars(prefetcher) for hook in _PREFETCHER_HOOKS
+    ):
+        return "prefetcher %s" % type(prefetcher).__name__
+    params = _prefetcher_params(prefetcher)
+    if not all(
+        type(value) is int and -2**63 <= value < 2**63 for value in params
+    ) or min(params[:3]) < 1:
+        return "prefetcher params"
+    return None
+
+
 def _sets_pristine(sets) -> bool:
     return all(not cache_set.ways for cache_set in sets)
 
@@ -223,6 +257,9 @@ def _pristine(sim) -> bool:
     if kind is AWRPPolicy and policy._counts:
         return False
     if kind in _PLRU and (policy._trees or policy._pending_slot):
+        return False
+    prefetcher = sim.prefetcher
+    if prefetcher is not None and (prefetcher._table or prefetcher._order):
         return False
     if type(controller) is SBARController:
         return _sets_pristine(controller.atd_lru._sets.values())
@@ -265,7 +302,9 @@ def fallback_reason(sim, trace) -> Optional[str]:
     if type(memory.banks) is not DramBankArray:
         return "banks %s" % type(memory.banks).__name__
     if sim.prefetcher is not None:
-        return "prefetcher"
+        reason = _prefetcher_reason(sim.prefetcher)
+        if reason is not None:
+            return reason
     if sim.warmup_instructions:
         return "warmup"
     if not isinstance(trace, PackedTrace):
@@ -453,7 +492,20 @@ def _build_params(sim, trace) -> dict:
         "t_scores": [],
         "t_accesses": [],
         "t_decay": 1.0,
+        # Prefetcher: None, or its parameter tuple plus live counters.
+        "prefetcher": None,
+        "pf_predictions": 0,
+        "pf_trainings": 0,
+        "pf_issued": sim.prefetches_issued,
+        "pf_suppressed": sim.prefetch_hits_suppressed,
     }
+    prefetcher = sim.prefetcher
+    if prefetcher is not None:
+        params.update(
+            prefetcher=_prefetcher_params(prefetcher),
+            pf_predictions=prefetcher.predictions,
+            pf_trainings=prefetcher.trainings,
+        )
 
     if controller is None:
         kind = type(policy)
@@ -625,16 +677,25 @@ def _fill_pairs(mapping: dict, buf: bytes) -> None:
     mapping.update(zip(view[::2], view[1::2]))
 
 
-def _fill_last_cost(last_cost: dict, blocks: bytes, costs: bytes) -> None:
+def _fill_last_cost(last_cost: dict, blocks: bytes, costs: bytes,
+                    order: Optional[bytes] = None) -> None:
     """``DeltaTracker._last_cost``, in the generic loop's order.
 
-    The kernel numbers blocks by first L2 miss, and every first miss
-    allocates a fill that the drain services, so every id has a cost
-    and first-completion order is id order.
+    The kernel numbers blocks by first L2 miss.  Without a prefetcher
+    every first miss allocates a demand fill that the drain services,
+    so every id has a cost and first-completion order is id order.  A
+    prefetch can be a block's first miss, so then ``order`` lists the
+    ids that got a cost, in the order they first did.
     """
-    last_cost.update(
-        zip(memoryview(blocks).cast("q"), memoryview(costs).cast("d"))
-    )
+    blocks = memoryview(blocks).cast("q")
+    costs = memoryview(costs).cast("d")
+    if order is None:
+        last_cost.update(zip(blocks, costs))
+    else:
+        last_cost.update(
+            (blocks[index], costs[index])
+            for index in memoryview(order).cast("i")
+        )
 
 
 def _fill_intervals(intervals: dict, buf: bytes, horizon: int) -> None:
@@ -730,6 +791,20 @@ def _defer_policy(end: _EndState, policy, out, l2_sets, associativity: int
         end.queue(_fill_pairs, held["_counts"], out["awrp_counts"])
 
 
+def _write_back_prefetcher(sim, out) -> None:
+    """The region table (FIFO order) and every prefetch counter."""
+    prefetcher = sim.prefetcher
+    rows = memoryview(out["pf_table"]).cast("q").tolist()
+    table = prefetcher._table
+    for at in range(0, len(rows), 4):
+        table[rows[at]] = (rows[at + 1], rows[at + 2], rows[at + 3])
+    prefetcher._order[:] = rows[::4]
+    prefetcher.predictions = out["pf_predictions"]
+    prefetcher.trainings = out["pf_trainings"]
+    sim.prefetches_issued = out["pf_issued"]
+    sim.prefetch_hits_suppressed = out["pf_suppressed"]
+
+
 def _write_back(sim, out) -> None:
     """Hand the kernel's end-of-run state back to the live objects.
 
@@ -782,8 +857,17 @@ def _write_back(sim, out) -> None:
     mshr._now = out["m_now"]
     mshr._accumulator = out["m_acc"]
     mshr._demand_live = out["m_live"]
-    # Every native allocation is a demand miss, which takes a tiebreak.
-    mshr._tiebreak += out["m_allocations"] - mshr.allocations
+    # Every allocation but a prefetch is a demand miss, which takes a
+    # tiebreak; prefetch entries stay in _in_flight until looked up.
+    prefetches = 0
+    if sim.prefetcher is not None:
+        prefetches = out["pf_issued"] - sim.prefetches_issued
+        _write_back_prefetcher(sim, out)
+    mshr._tiebreak += out["m_allocations"] - mshr.allocations - prefetches
+    mshr._in_flight.update(
+        (block, _Entry(block, issue, complete, False))
+        for block, issue, complete in out["m_in_flight"]
+    )
     mshr._occupancy_heap = out["m_occupancy"]
     mshr.allocations = out["m_allocations"]
     mshr.merges = out["m_merges"]
@@ -818,7 +902,7 @@ def _write_back(sim, out) -> None:
         delta._120_plus = out["delta_high"]
         held = end.hold(delta, "_last_cost")
         end.queue(_fill_last_cost, held["_last_cost"], out["id_blocks"],
-                  out["id_costs"])
+                  out["id_costs"], out.get("id_cost_order"))
 
     associativity = l2.geometry.associativity
     controller = sim.controller
@@ -886,13 +970,14 @@ def try_replay(sim, trace) -> bool:
     called = perf_counter()
     out = load_extension().replay(params)
     returned = perf_counter()
-    # The drain leaves nothing in flight, and every pre-drawn epoch is
-    # entered, by construction; anything else means the C machine
-    # diverged, which must never be written back silently.
-    if out["m_in_flight_n"] != 0:
+    # The drain leaves no demand miss in flight (only prefetches, which
+    # no sweep removes), and every pre-drawn epoch is entered, by
+    # construction; anything else means the C machine diverged, which
+    # must never be written back silently.
+    if sim.prefetcher is None and out["m_in_flight"]:
         raise AssertionError(
             "native kernel left %d MSHR entries in flight"
-            % out["m_in_flight_n"]
+            % len(out["m_in_flight"])
         )
     if out.get("epochs_entered", 0) != len(params["epoch_starts"]):
         raise AssertionError(

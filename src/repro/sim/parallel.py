@@ -81,17 +81,26 @@ _MP_START_METHOD = (
 
 @dataclass(frozen=True)
 class Task:
-    """One cell of the simulation grid."""
+    """One cell of the simulation grid.
+
+    ``phase_interval`` and ``prefetch_degree`` change what is simulated
+    (see :func:`repro.sim.runner.run_policy`), so they are part of the
+    cell and of its keys.
+    """
 
     benchmark: str
     policy_spec: str
     scale: float
     config: Optional[MachineConfig] = None
     phase_interval: Optional[int] = None
+    prefetch_degree: Optional[int] = None
 
     @property
     def label(self) -> str:
-        return "%s/%s" % (self.benchmark, self.policy_spec)
+        label = "%s/%s" % (self.benchmark, self.policy_spec)
+        if self.prefetch_degree is not None:
+            label += "@prefetch=%d" % self.prefetch_degree
+        return label
 
 
 @dataclass
@@ -120,6 +129,8 @@ class TaskReport:
             "attempts": self.attempts,
             "error": self.error,
         }
+        if self.task.prefetch_degree is not None:
+            payload["prefetch_degree"] = self.task.prefetch_degree
         if self.traceback is not None:
             payload["traceback"] = self.traceback
         return payload
@@ -260,6 +271,7 @@ def _execute_task(payload) -> Tuple[str, object, float, int, Optional[str]]:
             config=task.config,
             phase_interval=task.phase_interval,
             options=RunOptions(use_cache=use_cache, kernel=kernel),
+            prefetch_degree=task.prefetch_degree,
         )
         return ("ok", result, time.perf_counter() - start, os.getpid(), None)
     except Exception as exc:
@@ -285,7 +297,7 @@ def _store_key_for(task: Task) -> str:
     )
     return store_key(
         task.benchmark, task.policy_spec, task.scale, config,
-        task.phase_interval,
+        task.phase_interval, task.prefetch_degree,
     )
 
 
@@ -302,7 +314,7 @@ def _resolve_cached(
         return None, None
     key = runner._memo_key(
         task.benchmark, task.policy_spec, task.scale, task.config,
-        task.phase_interval,
+        task.phase_interval, task.prefetch_degree,
     )
     cached = runner._CACHE.get(key)
     if cached is not None:
@@ -409,6 +421,7 @@ def run_grid(
             runner.seed_cache(
                 task.benchmark, task.policy_spec, task.scale, result,
                 config=task.config, phase_interval=task.phase_interval,
+                prefetch_degree=task.prefetch_degree,
             )
         if journal is not None:
             journal.task_finished(

@@ -287,12 +287,15 @@ class WorkerHealth:
 
 
 def _task_fields(task) -> Dict[str, object]:
-    return {
+    fields = {
         "benchmark": task.benchmark,
         "policy": task.policy_spec,
         "scale": task.scale,
         "phase_interval": task.phase_interval,
     }
+    if task.prefetch_degree is not None:
+        fields["prefetch_degree"] = task.prefetch_degree
+    return fields
 
 
 class RunJournal:

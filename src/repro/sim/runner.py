@@ -10,8 +10,10 @@ so :func:`run_policy` is a two-level cache in front of
    processes, worker pools, and sessions).
 
 Both levels key on the full (benchmark, policy-spec, scale, config,
-phase-interval) tuple; the store additionally keys on code version so
-it can never serve stale results.  ``use_cache=False`` bypasses both.
+phase-interval, prefetch-degree) cell; the store additionally keys on
+code version so it can never serve stale results.  A cell without a
+prefetcher keys exactly as it did before the prefetcher joined the
+cell.  ``use_cache=False`` bypasses both.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.config import MachineConfig
+from repro.cpu.prefetch import prefetcher_for
 from repro.sim.options import RunOptions
 from repro.sim.simulator import Simulator
 from repro.sim.stats import SimResult
@@ -95,6 +98,7 @@ def _memo_key(
     scale: float,
     config: Optional[MachineConfig],
     phase_interval: Optional[int],
+    prefetch_degree: Optional[int] = None,
 ) -> Tuple:
     from repro.workloads import canonical_workload_spec
 
@@ -102,9 +106,12 @@ def _memo_key(
     # telemetry off has no metrics snapshot to serve once it's on.
     # The workload canonicalizes like the policy spec does, so two
     # spellings of one spec share an entry and two specs never alias.
-    return (canonical_workload_spec(benchmark),
-            policy_spec.strip().lower(), scale, config,
-            phase_interval, obs.metrics_enabled())
+    key = (canonical_workload_spec(benchmark),
+           policy_spec.strip().lower(), scale, config,
+           phase_interval, obs.metrics_enabled())
+    if prefetch_degree is not None:
+        key += (("prefetch_degree", prefetch_degree),)
+    return key
 
 
 def run_policy(
@@ -115,6 +122,7 @@ def run_policy(
     phase_interval: Optional[int] = None,
     use_cache=_UNSET,
     options: Optional[RunOptions] = None,
+    prefetch_degree: Optional[int] = None,
 ) -> SimResult:
     """Simulate one workload under one policy.
 
@@ -124,10 +132,14 @@ def run_policy(
     :func:`repro.workloads.parse_workload_spec`.  ``policy_spec`` is a
     policy registry spec string (see
     :func:`repro.cache.replacement.registry.parse_policy_spec`).
-    Results come from the in-process memo, then the persistent store,
-    then a fresh simulation; ``RunOptions(use_cache=False)`` forces the
-    simulation and skips both caches.  The bare ``use_cache`` keyword
-    is a deprecated shim for ``options=RunOptions(use_cache=...)``.
+    ``prefetch_degree`` attaches a default
+    :class:`~repro.cpu.prefetch.StridePrefetcher` of that degree; like
+    ``phase_interval`` it changes what is simulated, so it is part of
+    the cell's keys.  Results come from the in-process memo, then the
+    persistent store, then a fresh simulation;
+    ``RunOptions(use_cache=False)`` forces the simulation and skips both
+    caches.  The bare ``use_cache`` keyword is a deprecated shim for
+    ``options=RunOptions(use_cache=...)``.
     """
     from repro import workloads  # deferred: workloads import the sim layer
     from repro.sim.store import default_store, store_key
@@ -148,7 +160,8 @@ def run_policy(
         )
     if scale is None:
         scale = trace_scale()
-    key = _memo_key(benchmark, policy_spec, scale, config, phase_interval)
+    key = _memo_key(benchmark, policy_spec, scale, config, phase_interval,
+                    prefetch_degree)
     if use_cache and key in _CACHE:
         _MEMO_HITS["memo_hits"] += 1
         return _CACHE[key]
@@ -160,7 +173,8 @@ def run_policy(
     persistent_key = None
     if store is not None:
         persistent_key = store_key(
-            benchmark, policy_spec, scale, resolved_config, phase_interval
+            benchmark, policy_spec, scale, resolved_config, phase_interval,
+            prefetch_degree,
         )
         result = store.load(persistent_key)
         if result is not None:
@@ -172,11 +186,15 @@ def run_policy(
         resolved_config,
         policy_spec,
         phase_interval=phase_interval,
+        prefetcher=prefetcher_for(prefetch_degree),
         kernel=options.kernel if options is not None else "auto",
     )
     result = simulator.run(trace)
     _MEMO_HITS["simulations"] += 1
     if store is not None:
+        key_fields = {}
+        if prefetch_degree is not None:
+            key_fields["prefetch_degree"] = prefetch_degree
         store.save(
             persistent_key,
             result,
@@ -184,6 +202,7 @@ def run_policy(
             policy_spec=policy_spec,
             scale=scale,
             phase_interval=phase_interval,
+            **key_fields,
         )
     if use_cache:
         _CACHE[key] = result
@@ -197,6 +216,7 @@ def seed_cache(
     result: SimResult,
     config: Optional[MachineConfig] = None,
     phase_interval: Optional[int] = None,
+    prefetch_degree: Optional[int] = None,
 ) -> None:
     """Install a result into the in-process memo.
 
@@ -204,7 +224,7 @@ def seed_cache(
     free for subsequent :func:`run_policy` calls in the parent.
     """
     _CACHE[_memo_key(benchmark, policy_spec, scale, config,
-                     phase_interval)] = result
+                     phase_interval, prefetch_degree)] = result
 
 
 def ipc_improvement(result: SimResult, baseline: SimResult) -> float:

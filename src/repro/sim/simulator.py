@@ -161,10 +161,11 @@ class Simulator:
         self.phases: List[PhaseSample] = []
         self.demand_misses = 0
         self.compulsory_misses = 0
-        #: Optional StridePrefetcher (or anything with observe(block)).
-        #: Prefetch fills occupy the MSHR, banks, and bus and install
-        #: tags, but are non-demand: excluded from Algorithm 1's N,
-        #: from miss statistics, and from PSEL updates.
+        #: Optional StridePrefetcher (or anything with observe(block);
+        #: the native kernel runs StridePrefetcher itself, see
+        #: repro.sim.native).  Prefetch fills occupy the MSHR, banks,
+        #: and bus and install tags, but are non-demand: excluded from
+        #: Algorithm 1's N, from miss statistics, and from PSEL updates.
         self.prefetcher = prefetcher
         self.prefetches_issued = 0
         self.prefetch_hits_suppressed = 0
@@ -183,7 +184,7 @@ class Simulator:
         #: up as data instead of masquerading as a timing regression.
         self.replay_kernel = "generic"
         #: When :meth:`run` took the generic loop, the first native gate
-        #: that failed (``"observer"``, ``"prefetcher"``, ``"not a
+        #: that failed (``"observer"``, ``"warmup"``, ``"not a
         #: PackedTrace"``, ``"kernel=generic"``, ...); None otherwise.
         self.kernel_fallback: Optional[str] = None
         #: Seconds per replay stage of :meth:`run`: ``marshal``,

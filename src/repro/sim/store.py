@@ -92,13 +92,16 @@ def store_key(
     scale: float,
     config: MachineConfig,
     phase_interval: Optional[int] = None,
+    prefetch_degree: Optional[int] = None,
 ) -> str:
     """Content hash identifying one simulation, stable across processes.
 
     ``benchmark`` is any workload spec; the key holds its *canonical*
     spelling plus the workload's content fingerprint, so spellings of
     one spec share a key, distinct specs never alias, and an imported
-    trace file silently replaced on disk misses cleanly.
+    trace file silently replaced on disk misses cleanly.  A prefetch
+    cell adds ``prefetch_degree``; a cell without one hashes the same
+    fields it always did.
     """
     from repro.cache.replacement.registry import policy_fingerprint
     from repro.workloads import (
@@ -118,6 +121,8 @@ def store_key(
         "policy_code": policy_fingerprint(policy_spec),
         "workload_code": workload_fingerprint(benchmark),
     }
+    if prefetch_degree is not None:
+        fields["prefetch_degree"] = prefetch_degree
     blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
 

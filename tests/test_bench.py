@@ -7,6 +7,7 @@ import pytest
 
 from repro.bench import (
     MACRO_PHASED,
+    MACRO_PREFETCHED,
     MACRO_POLICIES,
     MACRO_WORKLOADS,
     SCHEMA,
@@ -48,8 +49,10 @@ class TestMacro:
     def test_quick_run_embeds_simulation_results(self):
         entries = run_macro(quick=True, workloads=("mcf",),
                             policies=("lru", "lin(4)"))
-        assert [(e["workload"], e["policy"]) for e in entries] == [
-            ("mcf", "lru"), ("mcf", "lin(4)"),
+        # The mcf/lru prefetch cell rides along after the matrix.
+        assert [(e["workload"], e["policy"], e.get("prefetch_degree"))
+                for e in entries] == [
+            ("mcf", "lru", None), ("mcf", "lin(4)", None), ("mcf", "lru", 2),
         ]
         for entry in entries:
             assert entry["accesses"] > 0
@@ -125,6 +128,33 @@ class TestMacro:
         assert bench_main(["--check", str(path)]) == 1
 
 
+    def test_prefetch_cells_ride_along_and_check(self, tmp_path):
+        entries = run_macro(quick=True, workloads=("mcf", "art"),
+                            policies=("lru", "lin(4)"))
+        cells = {
+            (entry["workload"], entry["policy"]): entry
+            for entry in entries if "prefetch_degree" in entry
+        }
+        assert sorted(
+            (workload, policy, entry["prefetch_degree"])
+            for (workload, policy), entry in cells.items()
+        ) == sorted(MACRO_PREFETCHED)
+        for (workload, policy), entry in cells.items():
+            plain = next(e for e in entries
+                         if (e["workload"], e["policy"]) == (workload, policy)
+                         and "prefetch_degree" not in e)
+            assert entry["kernel_used"] == AUTO_KERNEL
+            assert entry["result"] != plain["result"]
+        report = build_report(run_micro(quick=True), entries, tag="t",
+                              created_unix=0)
+        path = tmp_path / "BENCH_prefetch.json"
+        path.write_text(json.dumps(report))
+        assert bench_main(["--check", str(path)]) == 0
+        cells["art", "lin(4)"]["result"]["demand_misses"] += 1
+        path.write_text(json.dumps(report))
+        assert bench_main(["--check", str(path)]) == 1
+
+
 class TestReport:
     def test_build_and_validate(self, quick_report):
         validate_report(quick_report)  # must not raise
@@ -149,6 +179,8 @@ class TestReport:
         lambda r: r.__setitem__("macro", "not-a-list"),
         lambda r: r["macro"][0].__setitem__("phase_interval", 0),
         lambda r: r["macro"][0].__setitem__("phase_interval", "5000"),
+        lambda r: r["macro"][0].__setitem__("prefetch_degree", 0),
+        lambda r: r["macro"][0].__setitem__("prefetch_degree", 2.0),
     ])
     def test_validate_rejects_malformed(self, quick_report, mutate):
         broken = json.loads(json.dumps(quick_report))
@@ -293,6 +325,7 @@ class TestCheckMode:
         ("BENCH_pr8.json", "repro.bench/v4"),
         ("BENCH_pr9.json", "repro.bench/v5"),
         ("BENCH_pr15.json", "repro.bench/v5"),
+        ("BENCH_pr16.json", "repro.bench/v5"),
     ])
     def test_committed_baselines_validate(self, name, expected_schema):
         baseline = pathlib.Path(__file__).resolve().parent.parent / name

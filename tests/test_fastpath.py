@@ -361,9 +361,10 @@ def machine_fingerprint(sim):
     """The whole end state of a run, as the native write-back restores it.
 
     Every cache, the delta tracker's last costs (in insertion order),
-    the window, store buffer, MSHR, memory, bus and banks, plus
-    controller and policy side state.  Heaps compare sorted: any valid
-    heap pops the same sequence.
+    the window, store buffer, MSHR (with the prefetch entries still in
+    ``_in_flight``), memory, bus and banks, the prefetcher's region
+    table (in FIFO order) and counters, plus controller and policy side
+    state.  Heaps compare sorted: any valid heap pops the same sequence.
     """
     window = sim.window
     store_buffer = sim.store_buffer
@@ -388,7 +389,10 @@ def machine_fingerprint(sim):
                          store_buffer.full_stalls),
         "mshr": (mshr._now, mshr._accumulator, mshr._demand_live,
                  mshr._tiebreak, sorted(mshr._occupancy_heap),
-                 len(mshr._demand_heap), len(mshr._in_flight),
+                 len(mshr._demand_heap),
+                 sorted((block, entry.issue, entry.complete, entry.is_demand,
+                         entry.accumulator_start, entry.cost)
+                        for block, entry in mshr._in_flight.items()),
                  mshr.allocations, mshr.merges, mshr.full_stalls,
                  mshr.peak_occupancy),
         "memory": (sorted(memory._in_flight), memory.requests,
@@ -397,7 +401,14 @@ def machine_fingerprint(sim):
         "bus": (bus._free_at, bus.contended, bus.transfers),
         "banks": (list(banks._bank_free), banks.conflicts, banks.accesses),
         "policy": policy_fingerprint(sim.l2.policy, sim.l2),
+        "prefetches": (sim.prefetches_issued, sim.prefetch_hits_suppressed),
     }
+    prefetcher = sim.prefetcher
+    if prefetcher is not None:
+        fingerprint["prefetcher"] = (
+            list(prefetcher._table.items()), list(prefetcher._order),
+            prefetcher.predictions, prefetcher.trainings,
+        )
     if sim.controller is not None:
         fingerprint["controller"] = controller_fingerprint(sim.controller)
     return fingerprint

@@ -6,9 +6,10 @@ gate holds) and the generic Python loop, the semantic reference.
 Three contracts matter:
 
 * **bit-exactness** — for every registered policy, a rand-dynamic SBAR
-  that redraws its leaders, and phase-sampled runs, the native kernel
-  produces :class:`SimResult` payloads *and* controller/policy end
-  states identical to the generic loop;
+  that redraws its leaders, phase-sampled runs and runs with a stride
+  prefetcher, the native kernel produces :class:`SimResult` payloads
+  *and* controller/policy/prefetcher end states identical to the
+  generic loop;
 * **graceful degradation** — a run the kernel does not cover (or a
   host without the extension) takes the generic loop with identical
   results, and ``SimResult.meta["kernel_fallback"]`` names the first
@@ -26,6 +27,7 @@ the native-only ones skip on hosts that cannot build it.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -34,13 +36,14 @@ from repro.cache.block import BlockState
 from repro.cache.deferred import RESTORE_ATTR, deferred
 from repro.cache.replacement.lru import FIFOPolicy
 from repro.cache.replacement.registry import available_policies
+from repro.config import scaled_config
 from repro.cpu.prefetch import StridePrefetcher
 from repro.sbar.sbar import SBARController
 from repro.sim import RunOptions, native
 from repro.sim.runner import cache_stats, clear_cache, run_policy
 from repro.sim.simulator import Simulator
 from repro.trace.packed import pack_trace
-from repro.trace.record import Access
+from repro.trace.record import LOAD, STORE, Access
 from repro.workloads import build_workload, experiment_config
 
 from tests.test_fastpath import STAGES, machine_fingerprint, provenance
@@ -63,12 +66,18 @@ POLICIES = (
 )
 
 
-def _native_and_generic(trace, policy, config=None, **kwargs):
-    """Run ``policy`` on both kernels; returns the two simulators."""
+def _native_and_generic(trace, policy, config=None, prefetcher=None,
+                        **kwargs):
+    """Run ``policy`` on both kernels; returns the two simulators.
+
+    ``prefetcher`` is a factory: each run gets its own prefetcher.
+    """
     config = config or experiment_config()
     runs = []
     for kernel in ("auto", "generic"):
         spec = policy() if callable(policy) else policy
+        if prefetcher is not None:
+            kwargs["prefetcher"] = prefetcher()
         sim = Simulator(config, spec, kernel=kernel, **kwargs)
         sim.result = sim.run(trace)
         runs.append(sim)
@@ -147,6 +156,74 @@ class TestNativeDifferential:
         assert phase.end_instruction == interval
         assert phase.misses == fast.result.demand_misses
 
+    @pytest.mark.parametrize("policy", POLICIES + ("sbar(rand-dynamic,8)",))
+    @pytest.mark.parametrize("workload", ("mcf", "art"))
+    def test_prefetcher_matches_generic(self, workload, policy):
+        trace = build_workload(workload, scale=0.05)
+        fast, generic = _native_and_generic(
+            trace, policy, prefetcher=lambda: StridePrefetcher(degree=2)
+        )
+        _assert_identical(fast, generic, (workload, policy))
+        assert generic.prefetches_issued > 0
+        # Prefetch entries outlive the drain in MSHRFile._in_flight.
+        assert generic.mshr._in_flight
+
+    def test_prefetches_merge_and_bound_hits_under_miss(self):
+        # The surrogates rarely touch a prefetch still in flight.  Six
+        # interleaved strided streams that often step back, on a 32 KB
+        # L2, do: demand hits on in-flight prefetched lines, prefetches
+        # suppressed as resident or in flight, and (under LIN, which
+        # evicts the zero-cost prefetched lines first) demand misses
+        # that merge with a prefetch evicted in flight.
+        trace = _strided_streams()
+        merges = suppressed = 0
+        for policy in POLICIES:
+            fast, generic = _native_and_generic(
+                trace, policy, scaled_config(32),
+                prefetcher=lambda: StridePrefetcher(
+                    degree=3, confidence_threshold=1
+                ),
+            )
+            _assert_identical(fast, generic, policy)
+            merges += generic.result.mshr_merges
+            suppressed += generic.prefetch_hits_suppressed
+        assert merges > 100
+        assert suppressed > 100
+
+    def test_prefetcher_with_phase_cuts(self):
+        trace = build_workload("mcf", scale=0.05)
+        fast, generic = _native_and_generic(
+            trace, "lin(4)", prefetcher=lambda: StridePrefetcher(degree=2),
+            phase_interval=5_000,
+        )
+        _assert_identical(fast, generic, "phased prefetch")
+        assert len(fast.result.phases) > 3
+
+    def test_small_prefetch_table_evicts_fifo(self, monkeypatch):
+        # Few small regions and a low threshold: the table overflows
+        # all the time, so the FIFO eviction order must match.
+        evicted = []
+        install = StridePrefetcher._install
+
+        def counting_install(self, region, entry):
+            if len(self._table) >= self.n_entries:
+                evicted.append(self._order[0])
+            install(self, region, entry)
+
+        monkeypatch.setattr(StridePrefetcher, "_install", counting_install)
+        trace = build_workload("mcf", scale=0.05)
+        fast, generic = _native_and_generic(
+            trace, "lin(4)",
+            prefetcher=lambda: StridePrefetcher(
+                n_entries=4, region_blocks=64, degree=3,
+                confidence_threshold=1,
+            ),
+        )
+        _assert_identical(fast, generic, "small table")
+        assert len(evicted) > 100
+        assert len(fast.prefetcher._order) == 4
+        assert fast.prefetches_issued > 0
+
     @needs_native
     def test_native_really_runs(self):
         # Guard against the battery silently degenerating into
@@ -159,6 +236,10 @@ class TestNativeDifferential:
             assert sim.replay_kernel == "native", policy
             assert provenance(result) == {"kernel_used": "native"}, policy
         sim = Simulator(experiment_config(), "lru", phase_interval=1000)
+        sim.run(trace)
+        assert sim.replay_kernel == "native"
+        sim = Simulator(experiment_config(), "lru",
+                        prefetcher=StridePrefetcher(degree=2))
         sim.run(trace)
         assert sim.replay_kernel == "native"
 
@@ -288,6 +369,26 @@ class TestLadderDegradation:
         assert sim.kernel_fallback == "not a PackedTrace"
 
 
+def _strided_streams(n=20_000, seed=5):
+    """Loads and stores from six interleaved strided streams."""
+    rng = random.Random(seed)
+    streams = [[rng.randrange(1 << 14), rng.choice((1, 1, 2, 3, -1, -2))]
+               for _ in range(6)]
+    accesses = []
+    for _ in range(n):
+        stream = streams[rng.randrange(len(streams))]
+        if rng.random() < 0.15:
+            # step back behind the stream's head
+            block = stream[0] - rng.randrange(1, 8) * stream[1]
+        else:
+            stream[0] = (stream[0] + stream[1]) % (1 << 14)
+            block = stream[0]
+        kind = STORE if rng.random() < 0.2 else LOAD
+        accesses.append(Access(max(block, 0) * 64, kind,
+                               rng.choice((0, 0, 1, 4))))
+    return pack_trace(accesses)
+
+
 def _wrong_path(trace):
     accesses = trace.to_accesses()
     accesses[3] = Access(accesses[3].address, accesses[3].kind,
@@ -303,12 +404,19 @@ def _seed_l2(sim):
     sim.l2._sets[0].insert_mru(BlockState(0, 0))
 
 
+class _SubPrefetcher(StridePrefetcher):
+    """A subclass may change any method; the kernel runs the base's."""
+
+
 class TestFallbackReasons:
     """Every native gate lands on the generic loop and names itself."""
 
     CASES = {
         "observer": dict(kwargs={"observer": True}),
-        "prefetcher": dict(kwargs={"prefetcher": True}),
+        "prefetcher _SubPrefetcher": dict(prefetcher=_SubPrefetcher),
+        "prefetcher params": dict(
+            prefetcher=lambda: StridePrefetcher(region_blocks=4096.0)
+        ),
         "warmup": dict(kwargs={"warmup_instructions": 1000}),
         "wrong-path records": dict(trace=_wrong_path),
         "not a PackedTrace": dict(trace=lambda t: t.to_accesses()),
@@ -326,8 +434,8 @@ class TestFallbackReasons:
         kwargs = dict(case.get("kwargs", {}))
         if kwargs.pop("observer", False):
             kwargs["observer"] = obs.Observer(events=obs.MemoryEventTrace())
-        if kwargs.pop("prefetcher", False):
-            kwargs["prefetcher"] = StridePrefetcher()
+        if "prefetcher" in case:
+            kwargs["prefetcher"] = case["prefetcher"]()
         policy = case.get("policy", lambda: "lru")()
         sim = Simulator(experiment_config(), policy, **kwargs)
         case.get("prepare", lambda sim: None)(sim)
@@ -336,6 +444,31 @@ class TestFallbackReasons:
         assert provenance(result) == {"kernel_used": "generic",
                                       "kernel_fallback": reason}
         assert "kernel_fallback" not in result.to_dict()
+
+    @pytest.mark.parametrize("prepare", [
+        # a table trained before the run
+        lambda prefetcher: prefetcher.observe(12_345),
+        # an instance-level hook on the class the kernel ports
+        lambda prefetcher: setattr(prefetcher, "observe", lambda b: []),
+    ], ids=["trained table", "instance hook"])
+    def test_prefetcher_state_and_hooks_stay_generic(self, prepare):
+        trace = build_workload("art", scale=0.02)
+        runs = []
+        for kernel in ("auto", "generic"):
+            prefetcher = StridePrefetcher(degree=2)
+            prepare(prefetcher)
+            sim = Simulator(experiment_config(), "lru",
+                            prefetcher=prefetcher, kernel=kernel)
+            runs.append((sim, sim.run(trace)))
+        (sim, result), (_, reference) = runs
+        assert sim.replay_kernel == "generic"
+        assert sim.kernel_fallback in ("pre-seeded state",
+                                       "prefetcher StridePrefetcher")
+        assert sim.kernel_fallback == (
+            "pre-seeded state" if sim.prefetcher._table
+            else "prefetcher StridePrefetcher"
+        )
+        assert result.to_dict() == reference.to_dict()
 
     def test_missing_extension_is_the_last_gate(self, monkeypatch):
         monkeypatch.setattr(native, "_extension", None)
@@ -391,6 +524,35 @@ class TestMalformedParams:
     ])
     def test_rejected(self, policy, mutate):
         params = self._params(policy)
+        mutate(params)
+        with pytest.raises((ValueError, TypeError)):
+            native.load_extension().replay(params)
+
+
+class TestMalformedPrefetcherParams:
+    """Out-of-range or mistyped prefetcher params raise, never crash."""
+
+    @needs_native
+    @pytest.mark.parametrize("mutate", [
+        lambda p: p.update(prefetcher=(0, 4096, 2, 2)),
+        lambda p: p.update(prefetcher=(256, 0, 2, 2)),
+        lambda p: p.update(prefetcher=(256, -4096, 2, 2)),
+        lambda p: p.update(prefetcher=(256, 4096, 0, 2)),
+        lambda p: p.update(prefetcher=(256, 4096, -2, 2)),
+        lambda p: p.update(prefetcher=(256, 4096, 2.5, 2)),
+        lambda p: p.update(prefetcher=("256", 4096, 2, 2)),
+        lambda p: p.update(prefetcher=(256, 4096, 2)),
+        lambda p: p.update(prefetcher=[256, 4096, 2, 2]),
+        lambda p: p.update(prefetcher=(256, 4096, 2, 2**70)),
+        lambda p: p.update(pf_predictions="0"),
+        lambda p: p.update(pf_issued=None),
+    ])
+    def test_rejected(self, mutate):
+        trace = build_workload("art", scale=0.02)
+        sim = Simulator(experiment_config(), "lru",
+                        prefetcher=StridePrefetcher(degree=2))
+        params = native._build_params(sim, trace)
+        assert params["prefetcher"] == (256, 4096, 2, 2)
         mutate(params)
         with pytest.raises((ValueError, TypeError)):
             native.load_extension().replay(params)

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.config import scaled_config
+from repro.sim.options import RunOptions
 from repro.sim.parallel import Task, run_grid
 from repro.sim import runner
 from repro.sim.runner import clear_cache, packed_trace, run_policy
@@ -278,3 +279,123 @@ class TestExperimentsPrewarm:
         out = capsys.readouterr()
         assert "Table 1" in out.out
         assert "prewarm" in out.err
+
+    def test_prewarm_tasks_cover_prefetch_cells(self):
+        # The prefetch experiment declares both policies with and
+        # without a prefetcher, so its render pass is all cache hits.
+        from repro.experiments.common import prewarm_tasks
+
+        tasks = prewarm_tasks(["prefetch"], scale=SCALE)
+        assert len(tasks) == 16
+        assert {(task.policy_spec, task.prefetch_degree)
+                for task in tasks} == {
+            ("lru", None), ("lin(4)", None), ("lru", 2), ("lin(4)", 2),
+        }
+        run_grid(
+            prewarm_tasks(["prefetch"], benchmarks=["lucas"], scale=SCALE),
+            options=RunOptions(workers=2),
+        )
+        from repro.experiments.prefetch_interaction import run
+
+        simulations = runner.cache_stats()["simulations"]
+        run(scale=SCALE, benchmarks=["lucas"])
+        assert runner.cache_stats()["simulations"] == simulations
+
+
+class TestPrefetchCellKeys:
+    """``prefetch_degree`` is part of the cell: keyed, never aliased."""
+
+    def test_prefetch_and_plain_cells_never_alias(self):
+        plain = run_policy("lucas", "lru", scale=SCALE)
+        prefetched = run_policy("lucas", "lru", scale=SCALE,
+                                prefetch_degree=2)
+        assert prefetched.demand_misses < plain.demand_misses
+        assert runner._memo_key("lucas", "lru", SCALE, None, None) != (
+            runner._memo_key("lucas", "lru", SCALE, None, None, 2)
+        )
+        config = experiment_config()
+        keys = {
+            store_key("lucas", "lru", SCALE, config),
+            store_key("lucas", "lru", SCALE, config, prefetch_degree=2),
+            store_key("lucas", "lru", SCALE, config, prefetch_degree=4),
+        }
+        assert len(keys) == 3
+        # Both land in the store under their own keys and reload as
+        # themselves.
+        clear_cache()
+        assert run_policy("lucas", "lru", scale=SCALE,
+                          prefetch_degree=2).to_dict() == prefetched.to_dict()
+        assert run_policy("lucas", "lru",
+                          scale=SCALE).to_dict() == plain.to_dict()
+        assert len(default_store()) == 2
+
+    def test_plain_cell_keys_unchanged(self, monkeypatch):
+        from repro import obs
+        from repro.sim import store as store_module
+        from repro.workloads import canonical_workload_spec
+
+        assert runner._memo_key(" LUCAS ", "LRU", SCALE, None, None) == (
+            canonical_workload_spec("lucas"), "lru", SCALE, None, None,
+            obs.metrics_enabled(),
+        )
+        hashed = []
+        dumps = store_module.json.dumps
+
+        def capture(fields, **kwargs):
+            hashed.append(set(fields))
+            return dumps(fields, **kwargs)
+
+        monkeypatch.setattr(store_module.json, "dumps", capture)
+        config = experiment_config()
+        store_key("lucas", "lru", SCALE, config)
+        store_key("lucas", "lru", SCALE, config, prefetch_degree=2)
+        plain, prefetched = hashed
+        assert plain == {
+            "version", "workload", "policy_spec", "scale", "config",
+            "phase_interval", "metrics", "code", "policy_code",
+            "workload_code",
+        }
+        assert prefetched == plain | {"prefetch_degree"}
+
+    def test_interrupted_prefetch_prewarm_resumes_missing_cells(self):
+        from repro.sim.resilience import load_journal
+
+        tasks = [
+            Task("lucas", policy, SCALE, prefetch_degree=degree)
+            for degree in (None, 2) for policy in POLICIES
+        ]
+        baseline = run_grid(tasks, options=RunOptions(workers=1))
+        want = {task: baseline.results[task].to_dict() for task in tasks}
+        default_store().clear()
+        clear_cache()
+
+        finished = []
+
+        def interrupt_after_two(report, done, total):
+            finished.append(report.task)
+            if done >= 2:
+                raise KeyboardInterrupt
+
+        partial = run_grid(tasks, options=RunOptions(
+            workers=1, run_id="run-test-prefetch",
+            progress=interrupt_after_two,
+        ))
+        assert partial.interrupted
+        state = load_journal("run-test-prefetch")
+        assert len(state.completed) == 2
+        journaled = {record.get("prefetch_degree")
+                     for record in state.completed.values()}
+        assert journaled <= {None, 2}
+
+        clear_cache()
+        resumed = run_grid(tasks, options=RunOptions(
+            workers=1, resume="run-test-prefetch",
+        ))
+        assert not resumed.failures
+        assert {task: resumed.results[task].to_dict()
+                for task in tasks} == want
+        reports = {report.task: report for report in resumed.reports}
+        assert {task for task in tasks if reports[task].resumed} == set(
+            finished
+        )
+        assert sum(not report.cache_hit for report in reports.values()) == 2
