@@ -44,7 +44,7 @@ native-sanitize:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Kernel performance report (micro + macro benchmarks) -> BENCH_local.json.
+# Kernel performance report (macro benchmarks) -> BENCH_local.json.
 # KERNEL selects the replay kernel(s): auto/generic, or all for both.
 KERNEL ?= auto
 bench:

@@ -28,11 +28,10 @@ The package layers, bottom up:
 """
 
 from repro.config import MachineConfig, baseline_config, scaled_config
-from repro.sim import Simulator, SimResult, build_l2_policy
+from repro.sim import Simulator, SimResult
 from repro.workloads import (
     BENCHMARKS,
     available_workloads,
-    build_trace,
     build_workload,
     experiment_config,
     parse_workload_spec,
@@ -55,11 +54,9 @@ __all__ = [
     "MachineConfig",
     "baseline_config",
     "scaled_config",
-    "build_l2_policy",
     "register_policy",
     "parse_policy_spec",
     "available_policies",
-    "build_trace",
     "build_workload",
     "parse_workload_spec",
     "register_workload",

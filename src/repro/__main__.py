@@ -3,27 +3,23 @@
 Every entry point the package grew over time lives under one
 umbrella::
 
-    python -m repro run mcf lru             # one simulation
+    python -m repro run --benchmark mcf --policy lru   # one simulation
     python -m repro suite --policies lru    # paper suite + figures
     python -m repro experiments table1      # per-table/figure drivers
     python -m repro bench --check ...       # performance harness
-    python -m repro workloads list          # workload registry
+    python -m repro workloads --list        # workload registry
     python -m repro store --stats           # result-store admin
-    python -m repro chaos mcf lru           # resilience battery
+    python -m repro chaos --workers 2       # resilience battery
     python -m repro serve --workers 4       # job-service daemon
     python -m repro submit --benchmarks ... # job-service client
 
-Each subcommand delegates verbatim to the module that owns it
-(``repro.sim``, ``repro.sim.suite``, ``repro.experiments``, ...), so
-``python -m repro.sim mcf lru`` and every other historical spelling
-keeps working — those modules just print a one-line pointer at this
-CLI.  ``REPRO_UMBRELLA=1`` marks delegated invocations so the pointer
-never fires for users already typing the new spelling.
+Each subcommand delegates verbatim to the ``main(argv)`` of the module
+that owns it (``repro.sim``, ``repro.sim.suite``,
+``repro.experiments``, ...).
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from typing import List, Optional
 
@@ -45,7 +41,7 @@ _COMMANDS = {
     ),
     "bench": (
         "repro.bench.__main__", "performance harness "
-        "(micro/macro benchmarks, regression gate)", [],
+        "(macro benchmarks, regression gate)", [],
     ),
     "workloads": (
         "repro.workloads.__main__", "list, validate, and import "
@@ -107,8 +103,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
     module_name, _summary, prefix = entry
-    # Mark the delegation so the legacy module skips its pointer line.
-    os.environ["REPRO_UMBRELLA"] = "1"
     import importlib
 
     module = importlib.import_module(module_name)

@@ -29,8 +29,9 @@ the surface spans heavy modules.
 
 from __future__ import annotations
 
-#: name -> (module, attribute).  The compatibility surface; additions
-#: are fine, removals/renames need a deprecation cycle.
+#: name -> (module, attribute).  The compatibility surface: additions
+#: are fine; a removal or rename migrates every caller in the same
+#: change instead of leaving a deprecated alias behind.
 _SURFACE = {
     # execute
     "run_policy": ("repro.sim.runner", "run_policy"),

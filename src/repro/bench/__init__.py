@@ -3,10 +3,8 @@
 The repo's perf trajectory lives in ``BENCH_<tag>.json`` files at the
 repository root, one per measurement session, produced by this package.
 Each report carries a schema tag (:data:`repro.bench.report.SCHEMA`),
-a machine fingerprint, micro-benchmark timings of the three hot kernels
-(cache access, MSHR cost sweep, LIN victim selection) and
-macro-benchmark timings of full-trace simulation runs across
-representative workloads and policies.
+a machine fingerprint and macro-benchmark timings of full-trace
+simulation runs across representative workloads and policies.
 
 Timings are machine-dependent and therefore only comparable within one
 report pair taken on the same host; the *simulation results* embedded
@@ -21,7 +19,6 @@ from repro.bench.macro import (
     MACRO_WORKLOADS,
     run_macro,
 )
-from repro.bench.micro import run_micro
 from repro.bench.report import (
     SCHEMA,
     build_report,
@@ -42,6 +39,5 @@ __all__ = [
     "find_macro_cell",
     "machine_fingerprint",
     "run_macro",
-    "run_micro",
     "validate_report",
 ]

@@ -1,9 +1,9 @@
 """CLI: ``python -m repro.bench [--out BENCH_<tag>.json]``.
 
-Runs the micro- and macro-benchmarks and writes a schema-validated
-report (see :mod:`repro.bench.report`).  ``--quick`` runs a smoke-sized
-variant for CI; its timings are meaningless but the report shape and
-the embedded simulation results are still checked.
+Runs the macro-benchmarks and writes a schema-validated report (see
+:mod:`repro.bench.report`).  ``--quick`` runs a smoke-sized variant for
+CI; its timings are meaningless but the report shape and the embedded
+simulation results are still checked.
 
 Refuses to overwrite an existing report unless ``--force`` is given —
 committed baselines (``BENCH_pr3.json`` etc.) are easy to clobber by
@@ -17,10 +17,9 @@ digest mismatch means the simulation kernel changed behavior.  Timings
 are never compared.
 
 ``--kernel`` selects the replay kernel the macro cells request
-(recorded per cell since the v4 schema; the v5 schema additionally
-records ``kernel_used``, the path that actually ran, and
-``kernel_fallback``, the native gate that failed when it was the
-generic loop); ``--kernel all`` times native (``auto``) against
+(recorded per cell next to ``kernel_used``, the path that actually
+ran, and ``kernel_fallback``, the native gate that failed when it was
+the generic loop); ``--kernel all`` times native (``auto``) against
 generic side by side in one report.
 """
 
@@ -32,7 +31,6 @@ import os
 import sys
 
 from repro.bench.macro import run_macro
-from repro.bench.micro import run_micro
 from repro.bench.report import (
     build_report,
     cell_label,
@@ -90,7 +88,6 @@ def _check_mode(report_path: str, cell: str) -> int:
 
 
 def main(argv=None) -> int:
-    common_cli.umbrella_pointer("bench")
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Measure simulation-kernel performance and write a "
@@ -183,11 +180,6 @@ def main(argv=None) -> int:
         )
         return 2
 
-    print("running micro-benchmarks%s..." % (" (quick)" if args.quick else ""))
-    micro = run_micro(quick=args.quick)
-    for entry in micro:
-        print("  %-14s %10.0f ops/s" % (entry["name"], entry["ops_per_sec"]))
-
     print("running macro-benchmarks%s..." % (" (quick)" if args.quick else ""))
     kernels = REPLAY_KERNELS if args.kernel == "all" else (args.kernel,)
     macro = []
@@ -211,7 +203,7 @@ def main(argv=None) -> int:
                entry["seconds"], entry["result"]["l2_misses"])
         )
 
-    report = build_report(micro, macro, tag=args.tag)
+    report = build_report(macro, tag=args.tag)
     validate_report(report)
     with open(out, "w") as handle:
         json.dump(report, handle, indent=1, sort_keys=True)

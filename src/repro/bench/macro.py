@@ -9,9 +9,9 @@ hosts must agree on them even though their timings differ; a mismatch
 means the kernel changed behavior, not just speed.
 
 Each entry additionally records which path the run took
-(``kernel_used``; ``fused`` is True for the native kernel) and, for
-the generic loop, the native gate that failed (``kernel_fallback``): a
-silent fall-back would otherwise masquerade as a timing regression.
+(``kernel_used``) and, for the generic loop, the native gate that
+failed (``kernel_fallback``): a silent fall-back would otherwise
+masquerade as a timing regression.
 Traces are packed once per workload and shared across the policy
 cells.  One more cell per report samples phases (``phase_interval``,
 Figure 11's bookkeeping) and embeds each phase's miss count, and the
@@ -141,7 +141,6 @@ def run_macro(
                 "scale": scale,
                 "seconds": float("inf"),
                 "accesses_per_sec": 0.0,
-                "fused": False,
                 "kernel": kernel,
                 "kernel_used": "generic",
                 "kernel_fallback": None,
@@ -164,7 +163,6 @@ def run_macro(
             if elapsed < entry["seconds"]:
                 entry["seconds"] = elapsed
                 entry["accesses_per_sec"] = entry["accesses"] / elapsed
-                entry["fused"] = sim.replay_kernel == "native"
                 entry["kernel_used"] = sim.replay_kernel
                 entry["kernel_fallback"] = sim.kernel_fallback
                 entry["result"] = macro_result_fields(result)

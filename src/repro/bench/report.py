@@ -5,49 +5,38 @@ A report is a plain JSON-safe dict:
 .. code-block:: text
 
     {
-      "schema": "repro.bench/v4",
-      "tag": "pr8",
+      "schema": "repro.bench/v6",
+      "tag": "local",
       "created_unix": 1754400000.0,
       "machine": {"platform": ..., "python": ..., "cpus": ...},
       "code_version": "<git commit or 'unknown'>",
-      "micro": [{"name", "ops", "seconds", "ops_per_sec"}, ...],
       "macro": [{"workload", "policy", "accesses", "scale", "seconds",
-                 "accesses_per_sec", "fused", "kernel",
+                 "accesses_per_sec", "kernel", "kernel_used",
+                 "kernel_fallback", ["phase_interval"],
+                 ["prefetch_degree"],
                  "result": {"l2_misses", "cycles", "demand_misses",
-                 "stall_cycles"}}, ...]
+                 "stall_cycles", ["phase_misses"]}}, ...]
     }
 
-v2 added two macro-cell fields: ``scale`` (the trace scale the cell
-ran at, so any host can rebuild the exact trace) and ``fused`` (whether
-the run took the fused replay loop — a silent fall-back to the generic
-loop would otherwise read as a timing regression).
+Each macro cell records the replay kernel it was *requested* under
+(``kernel``: ``auto`` or ``generic``), the path that actually ran
+(``kernel_used``: a host without the compiled extension runs ``auto``
+cells on the generic loop) and, for the generic loop, the native gate
+that failed (``kernel_fallback``, else null), so a silent downgrade on
+a future host shows up as data rather than as a timing regression.  A
+phase-sampled cell carries ``phase_interval`` (a positive int) and
+embeds ``phase_misses``, one miss count per phase, in its result; a
+prefetch cell carries ``prefetch_degree`` (a positive int): it ran
+with a default stride prefetcher of that degree.  A cell without
+either field ran unsampled and without a prefetcher.
 
-v3 added ``stall_cycles`` to the embedded result fields: with the
-oracle's stall floor in the repo, stall behavior is now a first-class
-comparison axis, and a policy change that trades misses for stalls
-should trip the digest check even when miss counts happen to agree.
-
-v4 added ``kernel`` to every macro cell: the replay kernel the cell was
-*requested* under (``auto``/``batched``/``fused``/``generic``), so one
-report can time the same workload/policy matrix per kernel and the
-digest check can verify each kernel reproduces the same results.  The
-``fused`` flag still records whether a fast replay loop actually ran.
-
-v5 added ``kernel_used``: the path that actually ran (a host without
-the compiled extension runs ``auto`` cells on the generic loop).  A
-committed baseline therefore records both what was asked and what ran,
-and a silent downgrade on a future host shows up as data.  Newer v5
-cells also carry an optional ``kernel_fallback``: the native gate that
-failed, or null.  A phase-sampled v5 cell carries ``phase_interval``
-(a positive int) and embeds ``phase_misses``, one miss count per phase,
-in its result; a cell without the field ran unsampled.  A prefetch v5
-cell carries ``prefetch_degree`` (a positive int): it ran with a
-default stride prefetcher of that degree; a cell without the field ran
-without one.  Legacy reports stay readable (``validate_report``
-accepts v2–v4; ``check_macro_cell`` compares only the fields a report
-recorded and re-simulates kernel-less cells, and cells recorded under
-the retired ``native``/``batched``/``fused`` kernel names, on
-``auto``).
+v6 is v5 without the ``micro`` section (timings of Python kernels the
+native path never touches) and without the macro cells' ``fused``
+flag, which duplicated ``kernel_used == "native"``.
+``validate_report`` still reads v5, so the committed v5 baselines stay
+checkable; their ``micro`` section is ignored.  Cells recorded under
+the retired ``native``/``batched``/``fused`` kernel names re-simulate
+on ``auto``.
 
 ``validate_report`` is the single source of truth for that shape; the
 CI perf-smoke job and the bench CLI both call it, so a report that
@@ -68,37 +57,24 @@ from typing import Dict, List, Optional
 
 #: Current report schema identifier; bump the suffix on breaking shape
 #: changes so old reports stay recognizable.
-SCHEMA = "repro.bench/v5"
+SCHEMA = "repro.bench/v6"
 
-#: Older schemas ``validate_report`` still accepts (committed baseline
-#: reports from earlier PRs must stay checkable).
-_LEGACY_SCHEMAS = ("repro.bench/v4", "repro.bench/v3", "repro.bench/v2")
+#: The older schema ``validate_report`` still accepts (the committed
+#: v5 baseline reports must stay checkable).
+_SCHEMA_V5 = "repro.bench/v5"
 
 #: Kernel names older reports recorded that no longer exist; their
 #: cells re-simulate on ``auto``.
 RETIRED_KERNELS = ("native", "batched", "fused")
 
-_MICRO_FIELDS = {"name": str, "ops": int, "seconds": float,
-                 "ops_per_sec": float}
 _MACRO_FIELDS = {"workload": str, "policy": str, "accesses": int,
                  "scale": float, "seconds": float,
-                 "accesses_per_sec": float, "fused": bool,
-                 "kernel": str, "kernel_used": str, "result": dict}
-#: Macro cell fields before v5 added the resolved ``kernel_used``.
-_MACRO_FIELDS_V4 = {
-    field: expected for field, expected in _MACRO_FIELDS.items()
-    if field != "kernel_used"
-}
-#: Macro cell fields before v4 added the per-cell ``kernel``.
-_MACRO_FIELDS_LEGACY = {
-    field: expected for field, expected in _MACRO_FIELDS_V4.items()
-    if field != "kernel"
-}
+                 "accesses_per_sec": float, "kernel": str,
+                 "kernel_used": str, "result": dict}
+#: v5 macro cells also carry the ``fused`` flag.
+_MACRO_FIELDS_V5 = dict(_MACRO_FIELDS, fused=bool)
 _RESULT_FIELDS = {"l2_misses": int, "cycles": float, "demand_misses": int,
                   "stall_cycles": float}
-#: Result fields required per schema version (v3 added stall_cycles).
-_RESULT_FIELDS_V2 = {"l2_misses": int, "cycles": float,
-                     "demand_misses": int}
 
 
 def machine_fingerprint() -> Dict[str, object]:
@@ -130,7 +106,6 @@ def code_version() -> str:
 
 
 def build_report(
-    micro: List[Dict[str, object]],
     macro: List[Dict[str, object]],
     tag: str = "local",
     created_unix: Optional[float] = None,
@@ -144,7 +119,6 @@ def build_report(
         ),
         "machine": machine_fingerprint(),
         "code_version": code_version(),
-        "micro": micro,
         "macro": macro,
     }
     validate_report(report)
@@ -178,38 +152,24 @@ def _check_fields(entry: object, spec: Dict[str, type], where: str) -> None:
 def validate_report(report: object) -> None:
     """Raise ``ValueError`` when ``report`` violates its schema.
 
-    Accepts the current v5 schema and the legacy v4/v3/v2 schemas (v4
-    macro cells lack ``kernel_used``, v3 additionally lack ``kernel``,
-    v2 results additionally lack ``stall_cycles``); committed baseline
-    reports from earlier PRs therefore stay valid.
+    Accepts the current v6 schema and v5 (whose macro cells also carry
+    ``fused``; its ``micro`` section is ignored), so the committed v5
+    baseline reports stay valid.
     """
     if not isinstance(report, dict):
         raise ValueError("report must be an object, got %r" % (report,))
     schema = report.get("schema")
-    if schema != SCHEMA and schema not in _LEGACY_SCHEMAS:
+    if schema not in (SCHEMA, _SCHEMA_V5):
         raise ValueError(
-            "unknown schema %r (expected %r or one of %r)"
-            % (schema, SCHEMA, _LEGACY_SCHEMAS)
+            "unknown schema %r (expected %r or %r)"
+            % (schema, SCHEMA, _SCHEMA_V5)
         )
-    if schema == SCHEMA:
-        macro_fields = _MACRO_FIELDS
-    elif schema == "repro.bench/v4":
-        macro_fields = _MACRO_FIELDS_V4
-    else:
-        macro_fields = _MACRO_FIELDS_LEGACY
-    result_fields = (
-        _RESULT_FIELDS_V2 if schema == "repro.bench/v2" else _RESULT_FIELDS
-    )
+    macro_fields = _MACRO_FIELDS if schema == SCHEMA else _MACRO_FIELDS_V5
     for field, expected in (
         ("tag", str), ("created_unix", float), ("machine", dict),
-        ("code_version", str), ("micro", list), ("macro", list),
+        ("code_version", str), ("macro", list),
     ):
         _check_fields(report, {field: expected}, "report")
-    for index, entry in enumerate(report["micro"]):
-        where = "micro[%d]" % index
-        _check_fields(entry, _MICRO_FIELDS, where)
-        if entry["seconds"] <= 0 or entry["ops_per_sec"] <= 0:
-            raise ValueError("%s: timings must be positive" % where)
     for index, entry in enumerate(report["macro"]):
         where = "macro[%d]" % index
         _check_fields(entry, macro_fields, where)
@@ -224,7 +184,7 @@ def validate_report(report: object) -> None:
                     raise ValueError(
                         "%s: %s must be positive" % (where, field)
                     )
-        _check_fields(entry["result"], result_fields, where + ".result")
+        _check_fields(entry["result"], _RESULT_FIELDS, where + ".result")
 
 
 def find_macro_cell(
@@ -237,11 +197,10 @@ def find_macro_cell(
 ) -> Dict[str, object]:
     """Return the macro entry for ``workload``/``policy`` or raise.
 
-    ``kernel`` narrows the match in a v4 report that times the same
-    cell under several kernels; ``None`` returns the first match (the
-    only one in legacy reports).  ``phase_interval`` selects the
-    phase-sampled cell and ``prefetch_degree`` the prefetch cell;
-    ``None`` the plain one.
+    ``kernel`` narrows the match in a report that times the same cell
+    under several kernels; ``None`` returns the first match.
+    ``phase_interval`` selects the phase-sampled cell and
+    ``prefetch_degree`` the prefetch cell; ``None`` the plain one.
     """
     for entry in report["macro"]:
         if (
@@ -290,9 +249,8 @@ def check_macro_cell(
     The comparison covers only the machine-independent ``result``
     fields — never timings — so it must pass on any host for a report
     produced by the same code.  The re-simulation requests the cell's
-    recorded kernel, or ``auto`` for kernel-less cells and retired
-    kernel names: results never depend on the kernel, so the digests
-    must agree regardless.
+    recorded kernel, or ``auto`` for retired kernel names: results
+    never depend on the kernel, so the digests must agree regardless.
     Returns the freshly simulated result payload on success; raises
     ``ValueError`` with a field-by-field diff on mismatch.
     """
@@ -300,7 +258,7 @@ def check_macro_cell(
 
     entry = find_macro_cell(report, workload, policy, kernel, phase_interval,
                             prefetch_degree)
-    recorded_kernel = entry.get("kernel", "auto")
+    recorded_kernel = entry["kernel"]
     if recorded_kernel in RETIRED_KERNELS:
         recorded_kernel = "auto"
     result = simulate_cell(
@@ -309,8 +267,7 @@ def check_macro_cell(
     )
     fresh = macro_result_fields(result)
     recorded = entry["result"]
-    # Compare only fields the report recorded: a legacy v2 baseline
-    # has no stall_cycles but its cells must stay checkable.
+    # phase_misses is recorded only by phase-sampled cells.
     mismatches = [
         "%s: recorded %r, simulated %r"
         % (field, recorded[field], fresh.get(field))
@@ -322,6 +279,6 @@ def check_macro_cell(
             "macro cell %s (kernel %s) result mismatch (%s)"
             % (cell_label(workload, policy, None, phase_interval,
                           prefetch_degree),
-               entry.get("kernel", "auto"), "; ".join(mismatches))
+               entry["kernel"], "; ".join(mismatches))
         )
     return fresh

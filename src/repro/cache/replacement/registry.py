@@ -1,11 +1,10 @@
 """First-class policy registry: spec strings in, CARE engines out.
 
-Historically :func:`repro.sim.simulator.build_l2_policy` owned an
-if/elif ladder mapping spec strings (``"lru"``, ``"lin(4)"``,
-``"sbar(simple-static,16)"``) to policy objects, which made user
-policies second-class: a custom :class:`ReplacementPolicy` could be
-passed as an *instance* but never named in a CLI, a suite matrix, or a
-persistent-store key.  This module turns the ladder into a registry:
+An if/elif ladder in the simulator used to map spec strings
+(``"lru"``, ``"lin(4)"``, ``"sbar(simple-static,16)"``) to policy
+objects, which made user policies second-class: a custom
+:class:`ReplacementPolicy` could be passed as an *instance* but never
+named in a CLI, a suite matrix, or a persistent-store key.  This module turns the ladder into a registry:
 
 * :func:`register_policy` — decorator adding a name to the registry.
   Works on factory functions ``factory(config, *args) -> policy |
@@ -195,7 +194,7 @@ def policy_fingerprint(spec: str) -> str:
 #
 # Factories import lazily: sbar/dip import the cache package, so eager
 # imports here would cycle.  The geometry-derived leader-set heuristics
-# are unchanged from the original build_l2_policy ladder.
+# are unchanged from the original simulator ladder.
 
 
 def _builtin(name: str) -> Callable[[PolicyFactory], PolicyFactory]:

@@ -79,7 +79,6 @@ def _prewarm(names, benchmarks, scale, options) -> bool:
 
 
 def main(argv=None) -> int:
-    common_cli.umbrella_pointer("experiments")
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",

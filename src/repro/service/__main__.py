@@ -25,7 +25,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.sim.common_cli import service_parent, umbrella_pointer
+from repro.sim.common_cli import service_parent
 from repro.sim.options import REPLAY_KERNELS, RunOptions
 
 
@@ -468,8 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("serve", "submit"):
-        umbrella_pointer(args.command)
     return args.handler(args)
 
 

@@ -66,6 +66,7 @@ from repro.service.jobs import (
 from repro.sim.options import RunOptions
 from repro.sim.parallel import Task, execute_cell, task_store_key
 from repro.sim.resilience import (
+    BACKOFF_CAP_S,
     RunJournal,
     WorkerHealth,
     backoff_delay,
@@ -157,6 +158,14 @@ class _Execution:
         self.subscribers: List[Tuple[Job, str]] = []
         self.cancelled = False
         self.attempts = 0
+
+
+def _job_done_event(job: Job) -> Dict[str, object]:
+    """The last event of every ``watch`` stream."""
+    return protocol.event(
+        "job_done", job_id=job.job_id, status=job.status,
+        digest=job.digest(), counts=job.counts(),
+    )
 
 
 def list_service_jobs():
@@ -360,20 +369,19 @@ class JobService:
             options_wire=dict(options_wire or {}),
         )
         self.jobs[job.job_id] = job
-        if options.journal:
-            journal = RunJournal.create(
-                run_id=job.job_id,
-                meta={
-                    "service_job": True,
-                    "tenant": tenant,
-                    "benchmarks": list(benchmarks),
-                    "policies": list(policies),
-                    "scale": resolved_scale,
-                    "options": dict(options_wire or {}),
-                },
-            )
-            if journal is not None:
-                self._journals[job.job_id] = journal
+        journal = RunJournal.create(
+            run_id=job.job_id,
+            meta={
+                "service_job": True,
+                "tenant": tenant,
+                "benchmarks": list(benchmarks),
+                "policies": list(policies),
+                "scale": resolved_scale,
+                "options": dict(options_wire or {}),
+            },
+        )
+        if journal is not None:
+            self._journals[job.job_id] = journal
 
         store = default_store() if options.use_cache else None
         for label, task in cells:
@@ -506,8 +514,8 @@ class JobService:
                 return
             self.counters["cell_retries"] += 1
             delay = backoff_delay(
-                options.backoff_base, options.backoff_max, attempt,
-                execution.task.label, options.retry_seed,
+                options.backoff_base, BACKOFF_CAP_S, attempt,
+                execution.task.label,
             )
             if delay > 0:
                 await asyncio.sleep(delay)
@@ -592,10 +600,7 @@ class JobService:
             self.counters["jobs_cancelled"] += 1
         else:
             self.counters["jobs_completed"] += 1
-        self._emit(job, protocol.event(
-            "job_done", job_id=job.job_id, status=job.status,
-            digest=job.digest(), counts=job.counts(),
-        ))
+        self._emit(job, _job_done_event(job))
 
     def cancel_job(self, job: Job) -> None:
         """Cancel every non-terminal cell this job alone is waiting on.
@@ -667,15 +672,16 @@ class JobService:
                 return
             try:
                 message = protocol.decode(line)
-                response, stream_job = self._dispatch(message)
+                response, stream = self._dispatch(message)
             except protocol.ProtocolError as exc:
-                response, stream_job = (
+                response, stream = (
                     protocol.error_response(exc.code, str(exc)), None
                 )
             writer.write(protocol.encode(response))
-            await writer.drain()
-            if stream_job is not None:
-                await self._stream_events(stream_job, writer)
+            if stream is None:
+                await writer.drain()
+            else:
+                await self._stream_events(*stream, writer)
             if message.get("op") == "shutdown" and response.get("ok"):
                 asyncio.get_running_loop().create_task(self.stop())
         except (ConnectionResetError, BrokenPipeError):
@@ -688,8 +694,11 @@ class JobService:
 
     def _dispatch(
         self, message: Dict[str, object]
-    ) -> Tuple[Dict[str, object], Optional[Job]]:
-        """Route one request; returns (response, job-to-stream)."""
+    ) -> Tuple[Dict[str, object], Optional[Tuple[Job, asyncio.Queue]]]:
+        """Route one request; returns (response, (job, event queue)).
+
+        The event queue is set for ``watch`` only.
+        """
         op = message.get("op")
         if self._stopping:
             return protocol.error_response(
@@ -739,7 +748,16 @@ class JobService:
             if op == "status":
                 return protocol.ok_response(job=job.snapshot()), None
             if op == "watch":
-                return protocol.ok_response(job=job.snapshot()), job
+                # Subscribe in the same synchronous step that takes the
+                # snapshot, so every transition lands in exactly one of
+                # the two.  A finished job emits nothing more: its
+                # stream is the job_done event alone.
+                queue: asyncio.Queue = asyncio.Queue()
+                if job.done:
+                    queue.put_nowait(_job_done_event(job))
+                else:
+                    self._watchers.setdefault(job.job_id, []).append(queue)
+                return protocol.ok_response(job=job.snapshot()), (job, queue)
             if op == "cancel":
                 self.cancel_job(job)
                 return protocol.ok_response(job=job.snapshot()), None
@@ -767,19 +785,15 @@ class JobService:
         return results
 
     async def _stream_events(
-        self, job: Job, writer: asyncio.StreamWriter
+        self, job: Job, queue: asyncio.Queue, writer: asyncio.StreamWriter
     ) -> None:
-        """Forward job events until ``job_done`` (or disconnect)."""
-        queue: asyncio.Queue = asyncio.Queue()
-        self._watchers.setdefault(job.job_id, []).append(queue)
+        """Send the buffered snapshot, then ``queue``'s events.
+
+        Streams until ``job_done`` (or disconnect), and unsubscribes the
+        queue whichever way the stream ends.
+        """
         try:
-            if job.done:
-                writer.write(protocol.encode(protocol.event(
-                    "job_done", job_id=job.job_id, status=job.status,
-                    digest=job.digest(), counts=job.counts(),
-                )))
-                await writer.drain()
-                return
+            await writer.drain()
             while True:
                 payload = await queue.get()
                 if payload is None:  # service shutdown

@@ -9,7 +9,7 @@ samples (Figure 11).
 """
 
 from repro.sim.options import RunOptions
-from repro.sim.simulator import Simulator, build_l2_policy
+from repro.sim.simulator import Simulator
 from repro.sim.stats import SimResult
 from repro.sim.runner import run_policy, ipc_improvement
 
@@ -17,7 +17,6 @@ __all__ = [
     "Simulator",
     "SimResult",
     "RunOptions",
-    "build_l2_policy",
     "run_policy",
     "ipc_improvement",
     "ResultStore",

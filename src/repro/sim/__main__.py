@@ -30,7 +30,6 @@ from repro.workloads import BENCHMARKS, experiment_config
 
 
 def main(argv=None) -> int:
-    common_cli.umbrella_pointer("run")
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim",
         description="Simulate one workload under one replacement policy.",

@@ -178,9 +178,6 @@ def corrupt_store(store, fraction: float = 0.5, seed: int = 0) -> List[str]:
 
 def main(argv=None) -> int:
     from repro.cache.replacement.registry import split_specs
-    from repro.sim.common_cli import umbrella_pointer
-
-    umbrella_pointer("chaos")
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.chaos",
         description="Differential chaos test: a fault-free serial suite "

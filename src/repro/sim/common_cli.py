@@ -8,9 +8,9 @@ them once, as argparse *parent parsers*:
 
 * :func:`execution_parent` — how to execute: ``--workers``,
   ``--no-cache``, ``--progress``, ``--resume``, ``--max-retries``,
-  ``--deadline``, ``--chaos``, ``--kernel`` (plus the deprecated
-  ``--timeout`` / ``--retries`` spellings).  :func:`options_from_args` folds the parsed
-  namespace into one :class:`~repro.sim.options.RunOptions`.
+  ``--deadline``, ``--chaos``, ``--kernel``.  :func:`options_from_args`
+  folds the parsed namespace into one
+  :class:`~repro.sim.options.RunOptions`.
 * :func:`telemetry_parent` — what to observe: ``--metrics-out``,
   ``--trace-events``.  :func:`apply_telemetry` pushes them into
   :mod:`repro.obs`.
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
-from typing import Optional
 
 from repro import obs
 from repro.sim.options import REPLAY_KERNELS, RunOptions
@@ -76,16 +74,6 @@ def execution_parent() -> argparse.ArgumentParser:
              "the compiled native kernel when built and its gates hold, "
              "else the generic loop)",
     )
-    # Deprecated spellings from the pre-RunOptions CLIs; folded (with a
-    # warning) into --deadline / --max-retries by options_from_args.
-    group.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help=argparse.SUPPRESS,
-    )
-    group.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help=argparse.SUPPRESS,
-    )
     return parent
 
 
@@ -107,25 +95,6 @@ def service_parent() -> argparse.ArgumentParser:
         help="tenant identity for quota accounting (default: anonymous)",
     )
     return parent
-
-
-def umbrella_pointer(subcommand: str) -> None:
-    """One stderr line pointing a legacy ``__main__`` at the new CLI.
-
-    The per-module entry points keep working, but ``python -m repro
-    <subcommand>`` is the documented spelling; the umbrella CLI sets
-    ``REPRO_UMBRELLA=1`` before delegating so users who already typed
-    the new spelling never see the pointer.
-    """
-    import os
-
-    if os.environ.get("REPRO_UMBRELLA"):
-        return
-    print(
-        "note: 'python -m repro %s' is the unified CLI spelling "
-        "(python -m repro --help)" % subcommand,
-        file=sys.stderr,
-    )
 
 
 def telemetry_parent() -> argparse.ArgumentParser:
@@ -153,32 +122,15 @@ def options_from_args(
     ``progress`` overrides the callback installed when ``--progress``
     was passed (default: :func:`progress_printer`).
     """
-    deadline = args.deadline
-    if args.timeout is not None:
-        warnings.warn(
-            "--timeout is deprecated; use --deadline",
-            DeprecationWarning, stacklevel=2,
-        )
-        if deadline is None:
-            deadline = args.timeout
-    max_retries = args.max_retries
-    if args.retries is not None:
-        warnings.warn(
-            "--retries is deprecated; use --max-retries",
-            DeprecationWarning, stacklevel=2,
-        )
-        if max_retries is None:
-            max_retries = args.retries
-
     fields = {
         "workers": args.workers,
         "use_cache": not args.no_cache,
-        "deadline": deadline,
+        "deadline": args.deadline,
         "resume": args.resume,
         "kernel": getattr(args, "kernel", "auto"),
     }
-    if max_retries is not None:
-        fields["max_retries"] = max_retries
+    if args.max_retries is not None:
+        fields["max_retries"] = args.max_retries
     if args.chaos:
         from repro.sim.chaos import ChaosConfig
 
@@ -233,7 +185,6 @@ __all__ = [
     "execution_parent",
     "service_parent",
     "telemetry_parent",
-    "umbrella_pointer",
     "options_from_args",
     "apply_telemetry",
     "write_metrics",

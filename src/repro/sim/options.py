@@ -1,18 +1,9 @@
 """One options object for every execution entry point.
 
-``run_policy``, ``run_grid``, and ``run_suite`` historically grew their
-own overlapping keyword arguments (``workers``, ``use_cache``,
-``timeout``, ``retries``, ``progress``, ...) that had to be threaded
-through every layer and kept in sync across four CLIs.
-:class:`RunOptions` replaces that scatter with a single frozen
-dataclass: build it once (the CLIs do, via
-:mod:`repro.sim.common_cli`), pass it anywhere, and derive variants
-with :meth:`RunOptions.replace`.
-
-The old keyword arguments still work — :func:`resolve_options` folds
-them into a ``RunOptions`` and emits a :class:`DeprecationWarning`,
-mirroring the ``build_l2_policy`` shim precedent — but new code should
-construct options directly::
+``run_policy``, ``run_grid``, and ``run_suite`` take their execution
+knobs from one frozen :class:`RunOptions` dataclass: build it once (the
+CLIs do, via :mod:`repro.sim.common_cli`), pass it anywhere, and derive
+variants with :meth:`RunOptions.replace`::
 
     from repro.sim import RunOptions, run_suite
 
@@ -25,14 +16,8 @@ construct options directly::
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-#: Shared "argument not passed" sentinel.  Entry points use it as the
-#: default for their deprecated legacy keywords so :func:`resolve_options`
-#: can tell "not passed" from every real value (including None).
-UNSET = _UNSET = object()
 
 #: Valid ``kernel`` selections, for ``RunOptions``, ``Simulator`` and
 #: every CLI's ``--kernel``: ``"auto"`` replays on the compiled native
@@ -55,9 +40,9 @@ class RunOptions:
     * ``max_retries`` — re-executions allowed per task after a failure
       (``attempts = max_retries + 1``).
     * ``deadline`` — per-task wall-clock budget in seconds (SIGALRM in
-      the worker); replaces the old one-shot ``timeout``.
-    * ``backoff_base`` / ``backoff_max`` / ``retry_seed`` — exponential
-      backoff with deterministic jitter between retry attempts (see
+      the worker).
+    * ``backoff_base`` — first delay of the exponential backoff with
+      deterministic jitter between retry attempts (see
       :func:`repro.sim.resilience.backoff_delay`).
     * ``pool_failure_threshold`` — consecutive broken-pool rounds
       before the circuit breaker opens and the engine degrades to
@@ -66,8 +51,6 @@ class RunOptions:
       store entries should be replayed; only missing cells re-execute.
     * ``run_id`` — explicit id for this run's journal (default:
       generated).
-    * ``journal`` — write a JSONL run journal (on by default; a no-op
-      when persistence is disabled via ``REPRO_NO_STORE``).
     * ``progress`` — callback ``(TaskReport, done, total)`` per
       finished task.
     * ``chaos`` — optional :class:`repro.sim.chaos.ChaosConfig` for
@@ -86,12 +69,9 @@ class RunOptions:
     max_retries: int = 1
     deadline: Optional[float] = None
     backoff_base: float = 0.05
-    backoff_max: float = 2.0
-    retry_seed: int = 0
     pool_failure_threshold: int = 3
     resume: Optional[str] = None
     run_id: Optional[str] = None
-    journal: bool = True
     progress: Optional[Callable] = None
     chaos: Optional[object] = None  # repro.sim.chaos.ChaosConfig
     kernel: str = "auto"
@@ -134,7 +114,8 @@ class RunOptions:
         """Rebuild options from :meth:`to_wire` output.
 
         Unknown keys are ignored (a newer client may send fields an
-        older server does not know), and a ``chaos`` dict is revived
+        older server does not know, and an older client may still send
+        fields this version dropped), and a ``chaos`` dict is revived
         into a :class:`~repro.sim.chaos.ChaosConfig`.
         """
         if not payload:
@@ -154,53 +135,4 @@ class RunOptions:
         return cls(**fields)
 
 
-def resolve_options(
-    options: Optional[RunOptions],
-    caller: str,
-    workers=_UNSET,
-    use_cache=_UNSET,
-    timeout=_UNSET,
-    retries=_UNSET,
-    progress=_UNSET,
-) -> RunOptions:
-    """Fold an entry point's deprecated kwargs into one RunOptions.
-
-    Passing any legacy kwarg emits a :class:`DeprecationWarning` naming
-    the replacement field; combining legacy kwargs with an explicit
-    ``options`` object is ambiguous and raises ``TypeError``.
-    """
-    legacy = {}
-    renames = []
-    if workers is not _UNSET:
-        legacy["workers"] = workers
-        renames.append("workers=N -> RunOptions(workers=N)")
-    if use_cache is not _UNSET:
-        legacy["use_cache"] = use_cache
-        renames.append("use_cache=B -> RunOptions(use_cache=B)")
-    if timeout is not _UNSET:
-        legacy["deadline"] = timeout
-        renames.append("timeout=S -> RunOptions(deadline=S)")
-    if retries is not _UNSET:
-        legacy["max_retries"] = retries
-        renames.append("retries=N -> RunOptions(max_retries=N)")
-    if progress is not _UNSET:
-        legacy["progress"] = progress
-        renames.append("progress=F -> RunOptions(progress=F)")
-    if not legacy:
-        return options if options is not None else RunOptions()
-    if options is not None:
-        raise TypeError(
-            "%s: pass options=RunOptions(...) or the legacy keyword "
-            "arguments, not both" % caller
-        )
-    warnings.warn(
-        "%s keyword arguments are deprecated; pass "
-        "options=repro.sim.RunOptions(...) instead (%s)"
-        % (caller, "; ".join(renames)),
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return RunOptions(**legacy)
-
-
-__all__ = ["RunOptions", "resolve_options", "UNSET"]
+__all__ = ["RunOptions"]

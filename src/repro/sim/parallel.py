@@ -60,9 +60,9 @@ from repro.config import MachineConfig
 from repro.obs import merge_snapshots
 from repro.sim import runner
 from repro.sim.chaos import inject
-from repro.sim.options import UNSET as _UNSET
-from repro.sim.options import RunOptions, resolve_options
+from repro.sim.options import RunOptions
 from repro.sim.resilience import (
+    BACKOFF_CAP_S,
     CircuitBreaker,
     RunJournal,
     backoff_delay,
@@ -242,8 +242,11 @@ def _alarm_handler(signum, frame):
     raise TaskTimeout("task exceeded its deadline")
 
 
-def _execute_task(payload) -> Tuple[str, object, float, int, Optional[str]]:
+def execute_cell(payload) -> Tuple[str, object, float, int, Optional[str]]:
     """Worker-side entry: run one task, never raise.
+
+    The job service (:mod:`repro.service`) schedules the same cell unit
+    through this function.
 
     ``payload`` is ``(task, use_cache, deadline, chaos, attempt,
     in_worker, kernel)``.  Returns ``("ok", SimResult, wall, pid, None)`` or
@@ -288,8 +291,11 @@ def _execute_task(payload) -> Tuple[str, object, float, int, Optional[str]]:
             signal.alarm(0)
 
 
-def _store_key_for(task: Task) -> str:
-    """The persistent-store key this task's result lands under."""
+def task_store_key(task: Task) -> str:
+    """The persistent-store key this task's result lands under.
+
+    It is also the job service's in-flight dedup key.
+    """
     from repro import workloads
 
     config = task.config if task.config is not None else (
@@ -322,7 +328,7 @@ def _resolve_cached(
     store = default_store()
     if store is None:
         return None, None
-    result = store.load(_store_key_for(task))
+    result = store.load(task_store_key(task))
     if result is not None:
         runner._CACHE[key] = result
         return result, "store"
@@ -335,33 +341,23 @@ def default_workers() -> int:
 
 def run_grid(
     tasks: Sequence[Task],
-    workers=_UNSET,
-    use_cache=_UNSET,
-    timeout=_UNSET,
-    retries=_UNSET,
-    progress=_UNSET,
     options: Optional[RunOptions] = None,
 ) -> GridReport:
     """Run ``tasks`` across a worker pool; never raises for a bad task.
 
     Execution knobs come from ``options``
-    (:class:`~repro.sim.options.RunOptions`); the bare ``workers`` /
-    ``use_cache`` / ``timeout`` / ``retries`` / ``progress`` keywords
-    are deprecated shims.  ``options.workers == 0`` means "CPU count"
-    here (the grid is inherently parallel); ``workers == 1`` runs
-    in-process, still producing the same report shape.
+    (:class:`~repro.sim.options.RunOptions`).  ``options.workers == 0``
+    means "CPU count" here (the grid is inherently parallel);
+    ``workers == 1`` runs in-process, still producing the same report
+    shape.
 
     A ``KeyboardInterrupt`` mid-run is graceful: the partial report is
     returned (``interrupted=True``), the journal records every
     completed cell, and a follow-up run with
     ``RunOptions(resume=run_id)`` re-executes only the missing ones.
     """
-    if workers is None:
-        workers = _UNSET  # legacy "None = CPU count" spelling
-    options = resolve_options(
-        options, "run_grid", workers=workers, use_cache=use_cache,
-        timeout=timeout, retries=retries, progress=progress,
-    )
+    if options is None:
+        options = RunOptions()
     pool_size = options.workers or default_workers()
 
     ordered: List[Task] = []
@@ -380,18 +376,16 @@ def run_grid(
             )
         resume_keys = set(load_journal(options.resume).completed)
 
-    journal = None
-    if options.journal:
-        journal = RunJournal.create(
-            run_id=options.run_id,
-            meta={
-                "workers": pool_size,
-                "tasks": len(ordered),
-                "benchmarks": sorted({t.benchmark for t in ordered}),
-                "policies": sorted({t.policy_spec for t in ordered}),
-                "resumed_from": options.resume,
-            },
-        )
+    journal = RunJournal.create(
+        run_id=options.run_id,
+        meta={
+            "workers": pool_size,
+            "tasks": len(ordered),
+            "benchmarks": sorted({t.benchmark for t in ordered}),
+            "policies": sorted({t.policy_spec for t in ordered}),
+            "resumed_from": options.resume,
+        },
+    )
 
     started = time.perf_counter()
     results: Dict[Task, SimResult] = {}
@@ -413,7 +407,7 @@ def run_grid(
             options.progress(report, done, len(ordered))
 
     def journal_key(task: Task) -> Optional[str]:
-        return _store_key_for(task) if journal is not None else None
+        return task_store_key(task) if journal is not None else None
 
     def record_success(task, result, wall, pid, attempts) -> None:
         results[task] = result
@@ -572,7 +566,7 @@ def _run_serial(
             attempt = attempts + 1
             if journal is not None:
                 journal.task_started(task, attempt)
-            status, payload, wall, pid, tb = _execute_task(
+            status, payload, wall, pid, tb = execute_cell(
                 (task, options.use_cache, options.deadline, options.chaos,
                  attempt, False, options.kernel)
             )
@@ -585,8 +579,7 @@ def _run_serial(
                 break
             notes["retries"] += 1
             delay = backoff_delay(
-                options.backoff_base, options.backoff_max, attempts,
-                task.label, options.retry_seed,
+                options.backoff_base, BACKOFF_CAP_S, attempts, task.label,
             )
             if delay > 0:
                 time.sleep(delay)
@@ -628,8 +621,7 @@ def _run_pool(
         nonlocal sequence
         notes["retries"] += 1
         delay = backoff_delay(
-            options.backoff_base, options.backoff_max, attempts,
-            task.label, options.retry_seed,
+            options.backoff_base, BACKOFF_CAP_S, attempts, task.label,
         )
         if delay > 0:
             heapq.heappush(
@@ -699,7 +691,7 @@ def _run_pool(
                     journal.task_started(task, attempts + 1)
                 try:
                     future = pool.submit(
-                        _execute_task,
+                        execute_cell,
                         (task, options.use_cache, options.deadline,
                          options.chaos, attempts + 1, True, options.kernel),
                     )
@@ -759,15 +751,6 @@ def _run_pool(
             notes,
         )
 
-
-#: Public aliases for the job service (:mod:`repro.service`): it
-#: schedules the same cell unit this engine does — ``execute_cell`` is
-#: the worker-side entry (runs one task, never raises, formats remote
-#: tracebacks in the failing process) and ``task_store_key`` is the
-#: persistent-store key the cell's result lands under, which is also
-#: the service's in-flight dedup key.
-execute_cell = _execute_task
-task_store_key = _store_key_for
 
 __all__ = [
     "Task",

@@ -40,6 +40,9 @@ from typing import Dict, List, Optional
 #: Journal line format; bump when event fields change incompatibly.
 JOURNAL_SCHEMA = "repro.journal/v1"
 
+#: Longest wait between two attempts of one task, in seconds.
+BACKOFF_CAP_S = 2.0
+
 
 def journal_root() -> Optional[Path]:
     """Directory holding run journals, or None when persistence is off.
@@ -478,6 +481,7 @@ __all__ = [
     "RunJournal",
     "CircuitBreaker",
     "WorkerHealth",
+    "BACKOFF_CAP_S",
     "backoff_delay",
     "journal_root",
     "list_runs",

@@ -13,13 +13,12 @@ Both levels key on the full (benchmark, policy-spec, scale, config,
 phase-interval, prefetch-degree) cell; the store additionally keys on
 code version so it can never serve stale results.  A cell without a
 prefetcher keys exactly as it did before the prefetcher joined the
-cell.  ``use_cache=False`` bypasses both.
+cell.  ``RunOptions(use_cache=False)`` bypasses both.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Dict, Optional, Tuple
 
 from repro import obs
@@ -29,8 +28,6 @@ from repro.sim.options import RunOptions
 from repro.sim.simulator import Simulator
 from repro.sim.stats import SimResult
 from repro.trace.packed import PackedTrace
-
-_UNSET = object()
 
 _CACHE: Dict[Tuple, SimResult] = {}
 
@@ -120,7 +117,6 @@ def run_policy(
     scale: Optional[float] = None,
     config: Optional[MachineConfig] = None,
     phase_interval: Optional[int] = None,
-    use_cache=_UNSET,
     options: Optional[RunOptions] = None,
     prefetch_degree: Optional[int] = None,
 ) -> SimResult:
@@ -138,26 +134,14 @@ def run_policy(
     the cell's keys.  Results come from the in-process memo, then the
     persistent store, then a fresh simulation;
     ``RunOptions(use_cache=False)`` forces the simulation and skips both
-    caches.  The bare ``use_cache`` keyword is a deprecated shim for
-    ``options=RunOptions(use_cache=...)``.
+    caches.
     """
     from repro import workloads  # deferred: workloads import the sim layer
     from repro.sim.store import default_store, store_key
 
-    if use_cache is _UNSET:
-        use_cache = options.use_cache if options is not None else True
-    else:
-        if options is not None:
-            raise TypeError(
-                "run_policy: pass options=RunOptions(...) or use_cache, "
-                "not both"
-            )
-        warnings.warn(
-            "run_policy(use_cache=...) is deprecated; pass "
-            "options=repro.sim.RunOptions(use_cache=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
+    if options is None:
+        options = RunOptions()
+    use_cache = options.use_cache
     if scale is None:
         scale = trace_scale()
     key = _memo_key(benchmark, policy_spec, scale, config, phase_interval,
@@ -187,7 +171,7 @@ def run_policy(
         policy_spec,
         phase_interval=phase_interval,
         prefetcher=prefetcher_for(prefetch_degree),
-        kernel=options.kernel if options is not None else "auto",
+        kernel=options.kernel,
     )
     result = simulator.run(trace)
     _MEMO_HITS["simulations"] += 1

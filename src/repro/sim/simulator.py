@@ -24,7 +24,6 @@ it does not need to observe go to the compiled kernel in
 
 from __future__ import annotations
 
-import warnings
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Union
 
@@ -58,30 +57,13 @@ PolicyLike = Union[
 ]
 
 
-def build_l2_policy(spec: PolicyLike, config: MachineConfig):
-    """Deprecated: resolve a policy spec into (fixed, controller).
-
-    The spec grammar now lives in the policy registry — use
-    :func:`repro.api.parse_policy_spec` (the blessed facade spelling;
-    :mod:`repro.api` is the supported import surface), which this shim
-    forwards to (and which also resolves specs registered by user code
-    via :func:`repro.api.register_policy`).
-    """
-    warnings.warn(
-        "build_l2_policy is deprecated; use "
-        "repro.api.parse_policy_spec",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return parse_policy_spec(spec, config)
-
-
 class Simulator:
     """One configured machine, reusable for a single :meth:`run`.
 
     Args:
         config: machine description; defaults to the Table 2 baseline.
-        policy: L2 replacement specification (see :func:`build_l2_policy`).
+        policy: L2 replacement specification (see
+            :func:`repro.cache.replacement.registry.parse_policy_spec`).
         phase_interval: if set, cut a :class:`PhaseSample` every this
             many instructions (Figure 11 uses 10M on the real machine);
             negative values are rejected.

@@ -29,9 +29,9 @@ torn file.
 directories (``<root>/<key[:2]>/<key>.json``), so many concurrent
 writers (the distributed job service fans a grid across worker hosts)
 never contend on one directory and ``--stats`` can report per-shard
-counts.  Pre-shard flat layouts migrate lazily: a read that misses the
-shard path checks the flat path and re-homes the entry in place — no
-flag day, and a store written by an old checkout keeps serving.
+counts.  No key reads a ``*.json`` file at the root (the layout of an
+older checkout, whose code version no key matches): ``--gc`` prunes
+such files as stale and ``--clear`` deletes them.
 """
 
 from __future__ import annotations
@@ -163,35 +163,8 @@ class ResultStore:
     def _path(self, key: str) -> Path:
         return self.root / shard_of(key) / ("%s.json" % key)
 
-    def _flat_path(self, key: str) -> Path:
-        """Where a pre-shard checkout would have written ``key``."""
-        return self.root / ("%s.json" % key)
-
-    def _locate(self, key: str) -> Path:
-        """The on-disk path for ``key``, lazily migrating flat entries.
-
-        Reads prefer the sharded path; when only the legacy flat path
-        exists the entry is re-homed into its shard directory first
-        (atomic ``os.replace``), so old stores upgrade one read at a
-        time with no flag day.  Losing a migration race to another
-        process is fine — the entry is then already at the sharded
-        path.
-        """
-        path = self._path(key)
-        if path.exists():
-            return path
-        flat = self._flat_path(key)
-        if flat.exists():
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(flat, path)
-            except OSError:
-                if flat.exists():
-                    return flat
-        return path
-
     def entry_paths(self) -> List[Path]:
-        """Every stored entry, sharded and legacy-flat, sorted by key."""
+        """Every stored file, sorted by key (root-level leftovers too)."""
         if not self.root.is_dir():
             return []
         paths = list(self.root.glob("*.json"))
@@ -201,13 +174,10 @@ class ResultStore:
         return sorted(paths, key=lambda p: p.name)
 
     def shard_stats(self) -> Dict[str, object]:
-        """Entry counts by shard, plus flat/quarantine remainders."""
+        """Entry counts by shard, plus the quarantine count."""
         shards: Dict[str, int] = {}
-        flat = 0
         for path in self.entry_paths():
-            if path.parent == self.root:
-                flat += 1
-            else:
+            if path.parent != self.root:
                 name = path.parent.name
                 shards[name] = shards.get(name, 0) + 1
         quarantined = (
@@ -215,8 +185,7 @@ class ResultStore:
             if self.quarantine_dir.is_dir() else 0
         )
         return {
-            "entries": flat + sum(shards.values()),
-            "flat": flat,
+            "entries": sum(shards.values()),
             "shards": shards,
             "quarantined": quarantined,
         }
@@ -245,7 +214,7 @@ class ResultStore:
         offending file is moved to ``quarantine/`` (for post-mortems)
         instead of being served or crashing the run.
         """
-        path = self._locate(key)
+        path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -271,7 +240,7 @@ class ResultStore:
         verification and quarantine behavior, no deserialization —
         callers own the payload's shape.
         """
-        path = self._locate(key)
+        path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -324,7 +293,7 @@ class ResultStore:
             raise
 
     def contains(self, key: str) -> bool:
-        return self._path(key).exists() or self._flat_path(key).exists()
+        return self._path(key).exists()
 
     def __len__(self) -> int:
         return len(self.entry_paths())
@@ -345,16 +314,18 @@ class ResultStore:
 
         Store keys include the code version, so entries written by an
         older checkout can never be *served* — but they linger on disk
-        forever.  ``gc`` removes them (and anything unparseable, and
-        everything previously quarantined); entries from the current
-        code version are kept.  ``dry_run`` only counts.
+        forever.  ``gc`` removes them (and root-level files, anything
+        unparseable, and everything previously quarantined); entries
+        from the current code version are kept.  ``dry_run`` only counts.
         """
         current = code_version()
         removed = kept = 0
         for path in self.entry_paths():
+            # No key reads a root-level file, whatever its code version.
+            stale = path.parent == self.root
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))
-                stale = payload.get("code") != current
+                stale = stale or payload.get("code") != current
             except (OSError, ValueError):
                 stale = True
             if stale:
@@ -366,11 +337,6 @@ class ResultStore:
                         pass
             else:
                 kept += 1
-                if not dry_run and path.parent == self.root:
-                    # Eagerly re-home surviving flat entries: gc is the
-                    # natural "tidy the store" moment, so a full pass
-                    # finishes what lazy read-side migration started.
-                    self._locate(path.stem)
         purged = 0
         if self.quarantine_dir.is_dir():
             for path in sorted(self.quarantine_dir.glob("*.json")):
@@ -416,18 +382,14 @@ def default_store() -> Optional[ResultStore]:
 def main(argv=None) -> int:
     """``python -m repro.sim.store``: inspect and garbage-collect.
 
-    ``--stats`` (default) prints the store location, entry counts
-    (per shard, plus any pre-shard flat remainder), and the quarantine
-    count; ``--gc`` prunes entries from old code versions and re-homes
-    surviving flat entries into their shards (``--dry-run`` to
-    preview); ``--clear`` deletes everything.
+    ``--stats`` (default) prints the store location, entry counts per
+    shard, and the quarantine count; ``--gc`` prunes entries from old
+    code versions (``--dry-run`` to preview); ``--clear`` deletes
+    everything.
     """
     import argparse
     import sys
 
-    from repro.sim.common_cli import umbrella_pointer
-
-    umbrella_pointer("store")
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.store",
         description="Inspect and maintain the persistent result store.",
@@ -482,11 +444,6 @@ def main(argv=None) -> int:
             "%s:%d" % (name, shards[name]) for name in sorted(shards)
         )
         print("    %s" % line)
-    if stats["flat"]:
-        print(
-            "  flat (pre-shard) entries: %d — migrated lazily on read, "
-            "or eagerly by --gc" % stats["flat"]
-        )
     return 0
 
 

@@ -3,9 +3,9 @@
 Downstream users typically want the whole comparison grid, not single
 runs.  :func:`run_suite` executes a (benchmarks x policies) matrix —
 serially through the two-level result cache, or fanned out across a
-worker pool with ``workers=N`` — and returns a :class:`SuiteResult`
-that renders as text, JSON, or CSV, so results can feed external
-plotting without re-simulation.
+worker pool with ``RunOptions(workers=N)`` — and returns a
+:class:`SuiteResult` that renders as text, JSON, or CSV, so results
+can feed external plotting without re-simulation.
 
 The parallel path is failure-tolerant: a task that keeps crashing or
 times out becomes an entry in ``SuiteResult.failures`` and a hole in
@@ -32,8 +32,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.cache.replacement.registry import split_specs
-from repro.sim.options import UNSET as _UNSET
-from repro.sim.options import RunOptions, resolve_options
+from repro.sim.options import RunOptions
 from repro.sim.runner import ipc_improvement, run_policy
 from repro.sim.stats import SimResult
 from repro.workloads import BENCHMARKS
@@ -243,11 +242,6 @@ def run_suite(
     policies: Sequence[str] = DEFAULT_POLICIES,
     benchmarks: Optional[Sequence[str]] = None,
     scale: Optional[float] = None,
-    workers=_UNSET,
-    use_cache=_UNSET,
-    timeout=_UNSET,
-    retries=_UNSET,
-    progress=_UNSET,
     options: Optional[RunOptions] = None,
     oracle: bool = False,
 ) -> SuiteResult:
@@ -257,12 +251,10 @@ def run_suite(
     names, imported traces (``"champsim:/path.xz"``), or compositions
     (``"interleave(mcf,art)"``); rows and cells keep the spelling they
     were given.  Execution knobs travel in ``options``
-    (:class:`~repro.sim.options.RunOptions`); the bare ``workers`` /
-    ``use_cache`` / ``timeout`` / ``retries`` / ``progress`` keywords
-    are deprecated shims that fold into one.
+    (:class:`~repro.sim.options.RunOptions`).
 
     ``RunOptions(workers=0)`` (the default) runs serially in-process
-    and raises on the first simulation error, exactly as before.
+    and raises on the first simulation error.
     ``workers >= 1`` — or any of ``resume`` / ``chaos``, which need the
     fault-tolerant engine — routes the grid through
     :func:`repro.sim.parallel.run_grid`: failures become
@@ -280,10 +272,8 @@ def run_suite(
     ``stall_regret``.  The annotation pass is serial and deterministic,
     so serial and parallel oracle suites stay bit-identical.
     """
-    options = resolve_options(
-        options, "run_suite", workers=workers, use_cache=use_cache,
-        timeout=timeout, retries=retries, progress=progress,
-    )
+    if options is None:
+        options = RunOptions()
     if not policies:
         raise ValueError("need at least one policy")
     names = list(benchmarks) if benchmarks is not None else list(BENCHMARKS)
@@ -364,14 +354,6 @@ def run_suite(
     )
 
 
-#: Back-compat alias; the canonical progress callback moved to
-#: :func:`repro.sim.common_cli.progress_printer`.
-def _progress_printer(report, done, total) -> None:
-    from repro.sim.common_cli import progress_printer
-
-    progress_printer(report, done, total)
-
-
 def _print_runs() -> int:
     """``--list-runs``: one line per journaled run in the cache dir."""
     from repro.sim.resilience import journal_root, list_runs
@@ -404,7 +386,6 @@ def _print_runs() -> int:
 def main(argv=None) -> int:
     from repro.sim import common_cli
 
-    common_cli.umbrella_pointer("suite")
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.suite",
         description="Run a benchmark x policy matrix.",

@@ -25,10 +25,6 @@ result store.  ``build_workload(spec)`` produces the packed trace;
 trace lengths (see DESIGN.md section 2).
 """
 
-import warnings
-from typing import Optional
-
-from repro.trace.record import Trace
 from repro.workloads.engine import SurrogateSpec, generate_surrogate
 from repro.workloads.registry import (
     SurrogateWorkload,
@@ -54,41 +50,11 @@ from repro.workloads.spec2000 import (
 )
 
 
-def build_trace(
-    name: str, scale: float = 1.0, seed: Optional[int] = None
-) -> Trace:
-    """Deprecated: build a workload's trace as an ``Access`` list.
-
-    Routed through the registry, so ``name`` may be any workload spec,
-    not just a surrogate name.  New code should call
-    :func:`build_workload`, which returns the packed column form every
-    execution path now consumes — or go through :mod:`repro.api`
-    (``repro.api.parse_workload_spec``), the supported import surface.
-    """
-    warnings.warn(
-        "repro.workloads.build_trace() is deprecated; use "
-        "build_workload(spec) or repro.api.parse_workload_spec()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    workload = parse_workload_spec(name)
-    if seed is not None:
-        reseed = getattr(workload, "with_seed", None)
-        if reseed is None:
-            raise ValueError(
-                "seed override is not supported for workload %r"
-                % canonical_workload_spec(workload)
-            )
-        workload = reseed(seed)
-    return workload.build(scale).to_accesses()
-
-
 __all__ = [
     "SurrogateSpec",
     "generate_surrogate",
     "SPECS",
     "BENCHMARKS",
-    "build_trace",
     "build_workload",
     "experiment_config",
     "Workload",

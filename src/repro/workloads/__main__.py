@@ -67,9 +67,6 @@ def _list() -> int:
 
 
 def main(argv=None) -> int:
-    from repro.sim.common_cli import umbrella_pointer
-
-    umbrella_pointer("workloads")
     parser = argparse.ArgumentParser(
         prog="python -m repro.workloads",
         description="Inspect the workload registry and build traces.",

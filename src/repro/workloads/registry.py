@@ -64,8 +64,8 @@ _SPECIALS = "(),=@:"
 class UnknownWorkloadError(KeyError, ValueError):
     """Raised for a spec naming no registered workload.
 
-    Subclasses both :exc:`KeyError` (what ``build_trace`` historically
-    raised for unknown benchmarks) and :exc:`ValueError` (what the
+    Subclasses both :exc:`KeyError` (what the surrogate builder raises
+    for unknown benchmarks) and :exc:`ValueError` (what the
     policy registry raises), so either ``except`` clause keeps working.
     """
 
@@ -430,7 +430,7 @@ class SurrogateWorkload(Workload):
     def build(self, scale: float = 1.0) -> PackedTrace:
         from repro.workloads import spec2000
 
-        return spec2000.build_trace(self.name, scale=scale, seed=self.seed)
+        return spec2000.surrogate_trace(self.name, scale=scale, seed=self.seed)
 
 
 def _register_surrogates() -> None:

@@ -178,7 +178,7 @@ _SEEDS: Dict[str, int] = {
 }
 
 
-def build_trace(
+def surrogate_trace(
     name: str, scale: float = 1.0, seed: Optional[int] = None
 ) -> PackedTrace:
     """Generate the surrogate trace for ``name`` (deterministic)."""

@@ -11,7 +11,7 @@ from repro.cache.replacement import LRUPolicy
 from repro.config import CacheGeometry
 from repro.sim.simulator import Simulator
 from repro.trace.record import Access
-from repro.workloads import build_trace, experiment_config
+from repro.workloads import build_workload, experiment_config
 
 
 class TestClassifier:
@@ -33,7 +33,7 @@ class TestAttribution:
     def test_counts_accesses_and_misses(self):
         simulator = Simulator(experiment_config(), "lru")
         run = attach_classifier(simulator)
-        simulator.run(build_trace("mcf", scale=0.05))
+        simulator.run(build_workload("mcf", 0.05).to_accesses())
         assert "stream" in run.classes
         stream = run.classes["stream"]
         assert stream.accesses > 0
@@ -42,7 +42,7 @@ class TestAttribution:
     def test_costs_attributed(self):
         simulator = Simulator(experiment_config(), "lru")
         run = attach_classifier(simulator)
-        result = simulator.run(build_trace("mcf", scale=0.05))
+        result = simulator.run(build_workload("mcf", 0.05).to_accesses())
         total_cost = sum(s.cost_sum for s in run.classes.values())
         assert total_cost == pytest.approx(
             result.cost_distribution.cost_sum
@@ -51,7 +51,7 @@ class TestAttribution:
     def test_isolated_class_has_high_cost(self):
         simulator = Simulator(experiment_config(), "lru")
         run = attach_classifier(simulator)
-        simulator.run(build_trace("mcf", scale=0.2))
+        simulator.run(build_workload("mcf", 0.2).to_accesses())
         isolated = run.classes["isolated"]
         stream = run.classes["stream"]
         assert isolated.avg_cost > stream.avg_cost + 100
@@ -59,7 +59,7 @@ class TestAttribution:
     def test_table_rows(self):
         simulator = Simulator(experiment_config(), "lru")
         run = attach_classifier(simulator)
-        simulator.run(build_trace("lucas", scale=0.02))
+        simulator.run(build_workload("lucas", 0.02).to_accesses())
         rows = run.table()
         assert rows
         assert all(len(row) == 5 for row in rows)
@@ -168,10 +168,10 @@ class TestResidency:
         # Under LIN on mgrid, a large share of resident blocks carries
         # maximal cost_q (the pinning the paper's Section 5.2 blames).
         simulator = Simulator(experiment_config(), "lin(4)")
-        simulator.run(build_trace("mgrid", scale=0.4))
+        simulator.run(build_workload("mgrid", 0.4).to_accesses())
         lin_snapshot = snapshot_cache(simulator.l2)
         baseline = Simulator(experiment_config(), "lru")
-        baseline.run(build_trace("mgrid", scale=0.4))
+        baseline.run(build_workload("mgrid", 0.4).to_accesses())
         lru_snapshot = snapshot_cache(baseline.l2)
         assert (
             lin_snapshot.fraction_at_cost(7)

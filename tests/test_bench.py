@@ -14,7 +14,6 @@ from repro.bench import (
     build_report,
     machine_fingerprint,
     run_macro,
-    run_micro,
     validate_report,
 )
 from repro.bench.__main__ import main as bench_main
@@ -26,23 +25,8 @@ AUTO_KERNEL = "native" if load_extension() is not None else "generic"
 
 @pytest.fixture(scope="module")
 def quick_report():
-    micro = run_micro(quick=True)
     macro = run_macro(quick=True, workloads=("mcf",), policies=("lru",))
-    return build_report(micro, macro, tag="test", created_unix=0)
-
-
-class TestMicro:
-    def test_quick_run_shape(self):
-        micro = run_micro(quick=True)
-        assert [e["name"] for e in micro] == [
-            "cache_access", "mshr_sweep", "lin_victim",
-        ]
-        for entry in micro:
-            assert entry["ops"] > 0
-            assert entry["seconds"] > 0
-            assert entry["ops_per_sec"] == pytest.approx(
-                entry["ops"] / entry["seconds"]
-            )
+    return build_report(macro, tag="test", created_unix=0)
 
 
 class TestMacro:
@@ -60,7 +44,7 @@ class TestMacro:
             assert entry["result"]["cycles"] > 0
             assert entry["result"]["demand_misses"] > 0
 
-    def test_cells_record_fused_flag_and_scale(self):
+    def test_cells_record_kernel_and_scale(self):
         entries = run_macro(quick=True, workloads=("mcf",),
                             policies=("lru", "sbar", "dip"))
         for entry in entries:
@@ -68,11 +52,11 @@ class TestMacro:
             # the *effective* scale so --check can rebuild the trace.
             assert entry["scale"] == 0.05
             # Stock configs all qualify for the native kernel when it
-            # is built; "fused" is the schema's flag for it.
+            # is built.
             assert entry["kernel_used"] == AUTO_KERNEL, entry["policy"]
-            assert entry["fused"] is (AUTO_KERNEL == "native")
-            # v4: cells record the *requested* kernel.
+            # Cells record the *requested* kernel too.
             assert entry["kernel"] == "auto", entry["policy"]
+            assert "fused" not in entry
 
     def test_cells_record_requested_kernel(self):
         per_kernel = {
@@ -82,7 +66,6 @@ class TestMacro:
         }
         for kernel, entry in per_kernel.items():
             assert entry["kernel"] == kernel
-        assert per_kernel["generic"]["fused"] is False
         assert per_kernel["generic"]["kernel_fallback"] == "kernel=generic"
         if AUTO_KERNEL == "native":
             assert per_kernel["auto"]["kernel_fallback"] is None
@@ -118,8 +101,7 @@ class TestMacro:
             phased["result"]["demand_misses"]
         )
         assert phased["kernel_used"] == AUTO_KERNEL
-        report = build_report(run_micro(quick=True), entries, tag="t",
-                              created_unix=0)
+        report = build_report(entries, tag="t", created_unix=0)
         path = tmp_path / "BENCH_phased.json"
         path.write_text(json.dumps(report))
         assert bench_main(["--check", str(path)]) == 0
@@ -145,8 +127,7 @@ class TestMacro:
                          and "prefetch_degree" not in e)
             assert entry["kernel_used"] == AUTO_KERNEL
             assert entry["result"] != plain["result"]
-        report = build_report(run_micro(quick=True), entries, tag="t",
-                              created_unix=0)
+        report = build_report(entries, tag="t", created_unix=0)
         path = tmp_path / "BENCH_prefetch.json"
         path.write_text(json.dumps(report))
         assert bench_main(["--check", str(path)]) == 0
@@ -161,6 +142,7 @@ class TestReport:
         assert quick_report["schema"] == SCHEMA
         assert quick_report["tag"] == "test"
         assert quick_report["created_unix"] == 0
+        assert "micro" not in quick_report
         # The report must survive a JSON round trip unchanged.
         assert json.loads(json.dumps(quick_report)) == quick_report
 
@@ -172,8 +154,8 @@ class TestReport:
     @pytest.mark.parametrize("mutate", [
         lambda r: r.pop("schema"),
         lambda r: r.__setitem__("schema", "bogus/v0"),
-        lambda r: r["micro"][0].pop("ops_per_sec"),
-        lambda r: r["micro"][0].__setitem__("ops", True),
+        lambda r: r["macro"][0].pop("kernel_used"),
+        lambda r: r["macro"][0].__setitem__("accesses", True),
         lambda r: r["macro"][0].pop("result"),
         lambda r: r["macro"][0]["result"].pop("l2_misses"),
         lambda r: r.__setitem__("macro", "not-a-list"),
@@ -310,19 +292,17 @@ class TestCheckMode:
 
     def test_committed_baseline_cell_verifies(self):
         # The exact check CI runs: re-simulate mcf/sbar at the
-        # committed v2-era baseline's recorded scale and compare the
-        # machine-independent result fields (legacy schemas must stay
-        # checkable forever).
+        # committed v5 baseline's recorded scale and compare the
+        # machine-independent result fields.
         baseline = pathlib.Path(__file__).resolve().parent.parent / (
-            "BENCH_pr4.json"
+            "BENCH_pr9.json"
         )
-        code = bench_main(["--check", str(baseline), "--cell", "mcf/sbar"])
+        code = bench_main(
+            ["--check", str(baseline), "--cell", "mcf/sbar/native"]
+        )
         assert code == 0
 
     @pytest.mark.parametrize("name,expected_schema", [
-        ("BENCH_pr4.json", "repro.bench/v2"),
-        ("BENCH_pr7.json", "repro.bench/v3"),
-        ("BENCH_pr8.json", "repro.bench/v4"),
         ("BENCH_pr9.json", "repro.bench/v5"),
         ("BENCH_pr15.json", "repro.bench/v5"),
         ("BENCH_pr16.json", "repro.bench/v5"),
@@ -332,6 +312,25 @@ class TestCheckMode:
         report = json.loads(baseline.read_text())
         assert report["schema"] == expected_schema
         validate_report(report)  # must not raise
+
+    @pytest.mark.parametrize("name", [
+        "BENCH_pr4.json", "BENCH_pr7.json", "BENCH_pr8.json",
+    ])
+    def test_pre_v5_baselines_are_rejected(self, name):
+        # Kept as history only; every one of their cells is also in
+        # BENCH_pr9.json with the same result fields.
+        baseline = pathlib.Path(__file__).resolve().parent.parent / name
+        with pytest.raises(ValueError, match="unknown schema"):
+            validate_report(json.loads(baseline.read_text()))
+
+    def test_v5_cells_still_need_fused(self):
+        baseline = pathlib.Path(__file__).resolve().parent.parent / (
+            "BENCH_pr16.json"
+        )
+        report = json.loads(baseline.read_text())
+        report["macro"][0].pop("fused")
+        with pytest.raises(ValueError, match="fused"):
+            validate_report(report)
 
 
 class TestFindMacroCell:

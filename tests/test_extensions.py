@@ -6,12 +6,13 @@ from dataclasses import replace
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement.dip import BIPPolicy, DIPController, LIPPolicy
+from repro.cache.replacement.registry import parse_policy_spec
 from repro.config import CacheGeometry, MemoryConfig
 from repro.cpu.prefetch import StridePrefetcher
 from repro.memory.dram import RowBufferBankArray
-from repro.sim.simulator import Simulator, build_l2_policy
+from repro.sim.simulator import Simulator
 from repro.trace.synthetic import TraceBuilder
-from repro.workloads import build_trace, experiment_config
+from repro.workloads import build_workload, experiment_config
 
 
 class TestStridePrefetcher:
@@ -72,11 +73,13 @@ class TestStridePrefetcher:
 class TestPrefetchIntegration:
     def test_prefetching_reduces_stream_misses(self):
         plain = Simulator(experiment_config(), "lru")
-        plain_result = plain.run(build_trace("art", scale=0.15))
+        plain_result = plain.run(build_workload("art", 0.15).to_accesses())
         prefetched = Simulator(
             experiment_config(), "lru", prefetcher=StridePrefetcher(degree=2)
         )
-        prefetched_result = prefetched.run(build_trace("art", scale=0.15))
+        prefetched_result = prefetched.run(
+            build_workload("art", 0.15).to_accesses()
+        )
         assert prefetched.prefetches_issued > 1000
         assert (
             prefetched_result.demand_misses < plain_result.demand_misses * 0.8
@@ -87,7 +90,7 @@ class TestPrefetchIntegration:
         simulator = Simulator(
             experiment_config(), "lru", prefetcher=StridePrefetcher()
         )
-        result = simulator.run(build_trace("art", scale=0.1))
+        result = simulator.run(build_workload("art", 0.1).to_accesses())
         # Demand misses + prefetch fills = total L2 install traffic.
         assert result.l2_misses >= result.demand_misses
 
@@ -189,17 +192,17 @@ class TestDIPFamily:
             ("lip", LIPPolicy),
             ("bip", BIPPolicy),
         ):
-            fixed, controller = build_l2_policy(spec, small_machine)
+            fixed, controller = parse_policy_spec(spec, small_machine)
             assert isinstance(fixed, expect)
-        fixed, controller = build_l2_policy("dip", small_machine)
+        fixed, controller = parse_policy_spec("dip", small_machine)
         assert isinstance(controller, DIPController)
 
     def test_dip_end_to_end_beats_lru_on_thrash(self):
         lru = Simulator(experiment_config(), "lru").run(
-            build_trace("art", scale=0.2)
+            build_workload("art", 0.2).to_accesses()
         )
         dip = Simulator(experiment_config(), "dip").run(
-            build_trace("art", scale=0.2)
+            build_workload("art", 0.2).to_accesses()
         )
         assert dip.ipc > lru.ipc
 

@@ -27,7 +27,7 @@ from repro.sim import native
 from repro.sim.simulator import Simulator
 from repro.trace.packed import pack_trace
 from repro.trace.record import Access
-from repro.workloads import build_trace, experiment_config
+from repro.workloads import build_workload, experiment_config
 
 #: The kernel ``auto`` resolves to on this host.
 AUTO_KERNEL = "native" if native.load_extension() is not None else "generic"
@@ -183,7 +183,7 @@ class TestFusedReplayDifferential:
     """
 
     def test_fused_matches_generic_loop(self):
-        trace = build_trace("mcf", scale=0.05)
+        trace = build_workload("mcf", 0.05).to_accesses()
         for policy in ("lru", "lin(4)", "sbar", "dip"):
             packed_sim = Simulator(experiment_config(), policy)
             packed = packed_sim.run(pack_trace(trace))
@@ -211,7 +211,7 @@ class TestBatchedReplayDifferential:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_batched_matches_fused_and_generic(self, policy):
         config = scaled_config(64)
-        trace = pack_trace(build_trace("mcf", scale=0.05))
+        trace = pack_trace(build_workload("mcf", 0.05).to_accesses())
         fast_sim = Simulator(config, policy)
         fast = fast_sim.run(trace)
         assert fast_sim.replay_kernel == AUTO_KERNEL, policy
@@ -227,13 +227,13 @@ class TestBatchedReplayDifferential:
         # Named for the retired fused rung: a list trace now takes the
         # generic loop and says why.
         sim = Simulator(experiment_config(), "lru")
-        result = sim.run(build_trace("mcf", scale=0.05))
+        result = sim.run(build_workload("mcf", 0.05).to_accesses())
         assert sim.replay_kernel == "generic"
         assert provenance(result) == {"kernel_used": "generic",
                                       "kernel_fallback": "not a PackedTrace"}
 
     def test_wrong_path_records_fall_back_to_fused(self):
-        trace = build_trace("mcf", scale=0.05)
+        trace = build_workload("mcf", 0.05).to_accesses()
         trace[3] = Access(trace[3].address, trace[3].kind, trace[3].gap,
                           wrong_path=True)
         sim = Simulator(experiment_config(), "lru")
@@ -242,7 +242,7 @@ class TestBatchedReplayDifferential:
         assert sim.kernel_fallback == "wrong-path records"
 
     def test_observer_forces_generic_loop_same_results(self):
-        trace = pack_trace(build_trace("mcf", scale=0.05))
+        trace = pack_trace(build_workload("mcf", 0.05).to_accesses())
         observed_sim = Simulator(
             experiment_config(), "lru",
             observer=obs.Observer(events=obs.MemoryEventTrace()),
@@ -256,7 +256,7 @@ class TestBatchedReplayDifferential:
         assert observed.to_dict() == fast.to_dict()
 
     def test_warmup_falls_back_to_fused(self):
-        trace = pack_trace(build_trace("mcf", scale=0.05))
+        trace = pack_trace(build_workload("mcf", 0.05).to_accesses())
         warm_sim = Simulator(experiment_config(), "lru",
                              warmup_instructions=1000)
         warm = warm_sim.run(trace)
@@ -274,7 +274,7 @@ class TestBatchedReplayDifferential:
     def test_kernel_never_changes_results_across_ladder(self):
         # One policy, both kernels: identical SimResult — the contract
         # that keeps `kernel` out of memo/store keys.
-        trace = pack_trace(build_trace("art", scale=0.05))
+        trace = pack_trace(build_workload("art", 0.05).to_accesses())
         results = {
             kernel: Simulator(
                 experiment_config(), "sbar", kernel=kernel
@@ -433,7 +433,7 @@ class TestDuelingFastPathDifferential:
 
     @pytest.mark.parametrize("policy", DUELING)
     def test_fast_path_matches_generic(self, policy):
-        trace = build_trace("mcf", scale=0.05)
+        trace = build_workload("mcf", 0.05).to_accesses()
         fast_sim = Simulator(experiment_config(), policy)
         fast = fast_sim.run(pack_trace(trace))
         assert fast_sim.replay_kernel == AUTO_KERNEL, policy
@@ -444,7 +444,7 @@ class TestDuelingFastPathDifferential:
 
     @pytest.mark.parametrize("policy", DUELING)
     def test_list_and_packed_traces_agree(self, policy):
-        trace = build_trace("art", scale=0.05)
+        trace = build_workload("art", 0.05).to_accesses()
         on_list = Simulator(experiment_config(), policy).run(trace)
         on_packed = Simulator(experiment_config(), policy).run(
             pack_trace(trace)
@@ -453,7 +453,7 @@ class TestDuelingFastPathDifferential:
 
     @pytest.mark.parametrize("policy", DUELING)
     def test_observer_forces_generic_loop_same_results(self, policy):
-        trace = pack_trace(build_trace("mcf", scale=0.05))
+        trace = pack_trace(build_workload("mcf", 0.05).to_accesses())
         observed_sim = Simulator(
             experiment_config(), policy,
             observer=obs.Observer(events=obs.MemoryEventTrace()),
@@ -471,7 +471,7 @@ class TestDuelingFastPathDifferential:
                 == controller_fingerprint(plain_sim.controller)), policy
 
     def test_patched_controller_declines_fast_path_but_matches(self):
-        trace = build_trace("mcf", scale=0.05)
+        trace = build_workload("mcf", 0.05).to_accesses()
         patched_sim = Simulator(experiment_config(), "sbar")
         controller = patched_sim.controller
         # attach-style instrumentation rebinds the bound method on the

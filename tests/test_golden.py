@@ -18,7 +18,7 @@ from repro.config import MSHRConfig, scaled_config
 from repro.experiments import figure1, sensitivity
 from repro.sim.simulator import Simulator
 from repro.trace.packed import pack_trace
-from repro.workloads import build_trace, experiment_config
+from repro.workloads import build_workload, experiment_config
 
 #: Small but non-trivial: enough accesses for misses to overlap.
 SCALE = 0.05
@@ -58,7 +58,7 @@ class TestKernelGolden:
         # Without the compiled extension an auto run takes the generic
         # loop; either path must hit the same snapshot.
         auto_kernel = "native" if load_extension() is not None else "generic"
-        trace = pack_trace(build_trace("mcf", scale=SCALE))
+        trace = pack_trace(build_workload("mcf", SCALE).to_accesses())
         payload = {}
         for policy in ("lru", "sbar"):
             per_kernel = {}

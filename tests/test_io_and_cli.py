@@ -11,7 +11,7 @@ from repro.sim.__main__ import main as sim_main
 from repro.sim.stats import CostDistribution, PhaseSample
 from repro.trace.record import LOAD, STORE, Access
 from repro.trace.trace_io import FORMAT_VERSION, load_trace, save_trace
-from repro.workloads import build_trace
+from repro.workloads import build_workload
 
 
 class TestTraceIO:
@@ -26,7 +26,7 @@ class TestTraceIO:
         assert load_trace(path) == trace
 
     def test_roundtrip_surrogate(self, tmp_path):
-        trace = build_trace("art", scale=0.02)
+        trace = build_workload("art", 0.02).to_accesses()
         path = str(tmp_path / "art.npz")
         save_trace(path, trace)
         loaded = load_trace(path)
@@ -65,7 +65,7 @@ class TestSimCLI:
 
     def test_trace_file_run(self, tmp_path, capsys):
         path = str(tmp_path / "t.npz")
-        save_trace(path, build_trace("lucas", scale=0.02))
+        save_trace(path, build_workload("lucas", 0.02).to_accesses())
         assert sim_main(["--trace", path, "--policy", "lru"]) == 0
         assert "lru" in capsys.readouterr().out
 

@@ -15,6 +15,7 @@ import pytest
 
 from repro import obs
 from repro.sim import runner
+from repro.sim.options import RunOptions
 from repro.sim.store import store_key
 from repro.sim.suite import run_suite
 from repro.workloads import experiment_config
@@ -50,7 +51,7 @@ def _fresh_suite(workers: int, store_dir: str):
         policies=POLICIES,
         benchmarks=BENCHMARKS,
         scale=SCALE,
-        workers=workers,
+        options=RunOptions(workers=workers),
     )
 
 

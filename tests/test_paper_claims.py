@@ -113,26 +113,26 @@ class TestSeedRobustness:
 
     def test_lin_win_sign_stable_across_seeds(self):
         from repro.sim.simulator import Simulator
-        from repro.workloads import build_trace, experiment_config
+        from repro.workloads import build_workload, experiment_config
 
         for seed in (1, 77, 4242):
             lru = Simulator(experiment_config(), "lru").run(
-                build_trace("mcf", scale=0.3, seed=seed)
+                build_workload("mcf(seed=%d)" % seed, 0.3).to_accesses()
             )
             lin = Simulator(experiment_config(), "lin(4)").run(
-                build_trace("mcf", scale=0.3, seed=seed)
+                build_workload("mcf(seed=%d)" % seed, 0.3).to_accesses()
             )
             assert lin.ipc > lru.ipc, "seed %d flipped the mcf win" % seed
 
     def test_lin_loss_sign_stable_across_seeds(self):
         from repro.sim.simulator import Simulator
-        from repro.workloads import build_trace, experiment_config
+        from repro.workloads import build_workload, experiment_config
 
         for seed in (1, 77):
             lru = Simulator(experiment_config(), "lru").run(
-                build_trace("mgrid", scale=0.8, seed=seed)
+                build_workload("mgrid(seed=%d)" % seed, 0.8).to_accesses()
             )
             lin = Simulator(experiment_config(), "lin(4)").run(
-                build_trace("mgrid", scale=0.8, seed=seed)
+                build_workload("mgrid(seed=%d)" % seed, 0.8).to_accesses()
             )
             assert lin.ipc < lru.ipc, "seed %d flipped the mgrid loss" % seed

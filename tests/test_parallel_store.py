@@ -55,10 +55,10 @@ class TestTraceMemo:
 
     def test_memo_matches_direct_build(self):
         from repro.trace.packed import pack_trace
-        from repro.workloads import build_trace
+        from repro.workloads import build_workload
 
         memoized = packed_trace("lucas", scale=SCALE)
-        direct = pack_trace(build_trace("lucas", scale=SCALE))
+        direct = pack_trace(build_workload("lucas", SCALE).to_accesses())
         assert memoized == direct
         assert memoized.content_digest() == direct.content_digest()
 
@@ -90,7 +90,7 @@ class TestParallelEqualsSerial:
         clear_cache()
         parallel = run_suite(
             policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE,
-            workers=2,
+            options=RunOptions(workers=2),
         )
         assert not parallel.failures
         for benchmark in BENCHMARKS:
@@ -103,7 +103,7 @@ class TestParallelEqualsSerial:
     def test_meta_surfaced_in_json(self):
         suite = run_suite(
             policies=("lru",), benchmarks=("lucas",), scale=SCALE,
-            workers=2,
+            options=RunOptions(workers=2),
         )
         payload = json.loads(suite.to_json())
         meta = payload["meta"]
@@ -116,13 +116,13 @@ class TestParallelEqualsSerial:
     def test_warm_store_turns_reruns_into_cache_hits(self):
         first = run_suite(
             policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE,
-            workers=2,
+            options=RunOptions(workers=2),
         )
         assert first.meta["cache"]["misses"] == 4
         clear_cache()  # memo gone; the store must carry the rerun
         second = run_suite(
             policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE,
-            workers=2,
+            options=RunOptions(workers=2),
         )
         assert second.meta["cache"] == {"hits": 4, "misses": 0}
         for benchmark in BENCHMARKS:
@@ -137,7 +137,7 @@ class TestPartialFailure:
     def test_bad_policy_becomes_failure_entry(self):
         suite = run_suite(
             policies=("lru", "no-such-policy"), benchmarks=("lucas",),
-            scale=SCALE, workers=2, retries=0,
+            scale=SCALE, options=RunOptions(workers=2, max_retries=0),
         )
         assert suite.result("lucas", "lru").instructions > 0
         assert "no-such-policy" in suite.failures["lucas"]
@@ -155,7 +155,7 @@ class TestPartialFailure:
         grid = run_grid(
             [Task(benchmark="lucas", policy_spec="no-such-policy",
                   scale=SCALE)],
-            workers=2, retries=2,
+            options=RunOptions(workers=2, max_retries=2),
         )
         assert not grid.results
         (report,) = grid.reports
@@ -165,7 +165,7 @@ class TestPartialFailure:
     def test_serial_workers_path_matches_pool(self):
         grid = run_grid(
             [Task(benchmark="lucas", policy_spec="lru", scale=SCALE)],
-            workers=1,
+            options=RunOptions(workers=1),
         )
         (task, result), = grid.results.items()
         assert result.instructions > 0
@@ -202,7 +202,8 @@ class TestStoreKeying:
         )
 
     def test_result_roundtrip_is_exact(self, tmp_path):
-        result = run_policy("mcf", "lin(4)", scale=SCALE, use_cache=False)
+        result = run_policy("mcf", "lin(4)", scale=SCALE,
+                            options=RunOptions(use_cache=False))
         store = ResultStore(tmp_path / "roundtrip")
         store.save("key", result)
         loaded = store.load("key")
@@ -212,10 +213,11 @@ class TestStoreKeying:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path / "corrupt")
-        store.root.mkdir(parents=True)
-        (store.root / "bad.json").write_text("{not json")
+        entry = store.root / "ba" / "bad.json"
+        entry.parent.mkdir(parents=True)
+        entry.write_text("{not json")
         assert store.load("bad") is None
-        assert not (store.root / "bad.json").exists()
+        assert not entry.exists()
 
     def test_no_store_env_disables_persistence(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_STORE", "1")

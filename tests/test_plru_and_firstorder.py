@@ -12,9 +12,10 @@ from repro.cache.replacement.plru import (
     _TreeState,
 )
 from repro.config import CacheGeometry
+from repro.sim.options import RunOptions
 from repro.sim.runner import run_policy
 from repro.sim.simulator import Simulator
-from repro.workloads import build_trace, experiment_config
+from repro.workloads import experiment_config
 
 
 class TestTreeState:
@@ -99,8 +100,9 @@ class TestTreePLRUPolicy:
             assert len(ways) <= 4
 
     def test_plru_close_to_lru_end_to_end(self):
-        lru = run_policy("mcf", "lru", scale=0.15, use_cache=False)
-        plru = run_policy("mcf", "plru", scale=0.15, use_cache=False)
+        uncached = RunOptions(use_cache=False)
+        lru = run_policy("mcf", "lru", scale=0.15, options=uncached)
+        plru = run_policy("mcf", "plru", scale=0.15, options=uncached)
         assert plru.ipc == pytest.approx(lru.ipc, rel=0.05)
 
 

@@ -186,12 +186,3 @@ class TestSplitSpecs:
         assert {run["policy"] for run in runs} == {
             "lru", "sbar(simple-static,16)",
         }
-
-
-class TestDeprecatedShim:
-    def test_build_l2_policy_warns_and_forwards(self, small_machine):
-        from repro.sim.simulator import build_l2_policy
-
-        with pytest.warns(DeprecationWarning):
-            fixed, controller = build_l2_policy("lin(2)", small_machine)
-        assert fixed.lam == 2 and controller is None

@@ -15,7 +15,7 @@ import pytest
 
 from repro.sim import common_cli
 from repro.sim.chaos import ChaosConfig
-from repro.sim.options import RunOptions, resolve_options
+from repro.sim.options import RunOptions
 from repro.sim.parallel import Task, run_grid
 from repro.sim.resilience import (
     CircuitBreaker,
@@ -180,13 +180,6 @@ class TestGridJournalIntegration:
         assert record["cache_hit"] is True
         assert record["attempts"] == 0
 
-    def test_journal_false_disables(self):
-        grid = run_grid(
-            [_task()], options=RunOptions(workers=1, journal=False)
-        )
-        assert grid.run_id is None
-        assert list_runs() == []
-
     def test_resume_requires_the_cache(self):
         with pytest.raises(ValueError, match="use_cache"):
             run_grid(
@@ -213,25 +206,18 @@ class TestRunOptions:
         assert derived.workers == 4 and derived.max_retries == 3
         assert options.max_retries == 1  # original untouched
 
-    def test_resolve_passthrough(self):
-        assert resolve_options(None, "caller") == RunOptions()
-        options = RunOptions(workers=3)
-        assert resolve_options(options, "caller") is options
+    def test_from_wire_ignores_fields_this_version_dropped(self):
+        # An older service client may still send knobs that are now
+        # module constants (or gone); the options rebuild without them.
+        payload = {"workers": 3, "retry_seed": 5, "backoff_max": 9.0,
+                   "journal": False}
+        assert RunOptions.from_wire(payload) == RunOptions(workers=3)
 
-    def test_resolve_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="run_suite"):
-            options = resolve_options(
-                None, "run_suite", workers=4, use_cache=False,
-                timeout=9.0, retries=2,
-            )
-        assert options.workers == 4
-        assert options.use_cache is False
-        assert options.deadline == 9.0
-        assert options.max_retries == 2
-
-    def test_mixing_legacy_and_options_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_options(RunOptions(), "run_grid", workers=2)
+    def test_wire_round_trip(self):
+        options = RunOptions(workers=2, max_retries=4, deadline=3.0,
+                             chaos=ChaosConfig(seed=7, crash_rate=0.2),
+                             kernel="generic")
+        assert RunOptions.from_wire(options.to_wire()) == options
 
     def test_kernel_defaults_to_auto(self):
         assert RunOptions().kernel == "auto"
@@ -291,19 +277,6 @@ class TestCommonCli:
     def test_defaults_are_run_options_defaults(self):
         options = common_cli.options_from_args(self._parse([]))
         assert options == RunOptions()
-
-    def test_deprecated_spellings_fold_with_warning(self):
-        args = self._parse(["--timeout", "5", "--retries", "2"])
-        with pytest.warns(DeprecationWarning):
-            options = common_cli.options_from_args(args)
-        assert options.deadline == 5.0
-        assert options.max_retries == 2
-
-    def test_explicit_flags_win_over_deprecated(self):
-        args = self._parse(["--deadline", "7", "--timeout", "5"])
-        with pytest.warns(DeprecationWarning):
-            options = common_cli.options_from_args(args)
-        assert options.deadline == 7.0
 
     def test_progress_flag_installs_printer(self):
         options = common_cli.options_from_args(self._parse(["--progress"]))

@@ -14,6 +14,7 @@ The tentpole guarantees locked in here:
 * the umbrella ``python -m repro`` CLI reaches every subcommand.
 """
 
+import asyncio
 import json
 import subprocess
 import sys
@@ -337,7 +338,12 @@ class TestServiceEndToEnd:
         assert response["schema"] == protocol.PROTOCOL_SCHEMA
 
     def test_watch_streams_cell_events(self):
-        handle = start_service(workers=1)
+        # A seeded delay holds the cell, so the watcher subscribes
+        # while it is still pending.
+        chaos = ChaosConfig(delay_rate=1.0, delay_s=0.5, seed=7)
+        handle = start_service(
+            workers=1, options=RunOptions(chaos=chaos)
+        )
         try:
             client = ServiceClient(port=handle.port)
             job_id = client.submit(("lucas",), ("lru",), scale=SCALE)
@@ -347,6 +353,42 @@ class TestServiceEndToEnd:
         names = [event["event"] for event in events]
         assert names[-1] == "job_done"
         assert "cell_finished" in names
+
+    def test_watch_subscribes_in_the_step_that_takes_the_snapshot(self):
+        # No await between the snapshot and the subscription: a cell
+        # finishing while the snapshot is being sent still reaches the
+        # watcher's queue.
+        from repro.service.server import JobService
+
+        async def scenario():
+            service = JobService(ServiceConfig(workers=1, inline=True))
+            try:
+                job, _ = service.submit_job(
+                    tenant="t", benchmarks=["lucas"], policies=["lru"],
+                    scale=SCALE,
+                )
+                assert not job.done
+                response, (watched, queue) = service._dispatch(
+                    {"op": "watch", "job_id": job.job_id}
+                )
+                assert response["ok"] and watched is job
+                assert service._watchers[job.job_id] == [queue]
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_late_watcher_gets_only_job_done(self):
+        handle = start_service(workers=1)
+        try:
+            client = ServiceClient(port=handle.port)
+            job_id = client.submit(("lucas",), ("lru",), scale=SCALE)
+            client.wait(job_id)
+            events = list(client.watch(job_id))
+        finally:
+            handle.stop()
+        assert [event["event"] for event in events] == ["job_done"]
+        assert events[0]["status"] == "done"
 
     def test_cancel_terminates_a_pending_job(self):
         # One slot + long seeded delays: the first job occupies the
@@ -483,15 +525,14 @@ class TestUmbrellaCLI:
         out = self._run(sub, "--help")
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip()
-        # Delegated invocations never print the legacy-pointer line.
-        assert "unified CLI spelling" not in out.stderr
 
     def test_unknown_subcommand_fails_with_usage(self):
         out = self._run("frobnicate")
         assert out.returncode == 2
         assert "unknown command" in out.stderr
 
-    def test_legacy_spelling_prints_pointer(self):
+    def test_module_spelling_matches_the_umbrella(self):
+        # The umbrella delegates verbatim to the module's main(argv).
         out = subprocess.run(
             [sys.executable, "-m", "repro.workloads", "--list"],
             capture_output=True, text=True,
@@ -500,7 +541,8 @@ class TestUmbrellaCLI:
             timeout=120,
         )
         assert out.returncode == 0
-        assert "unified CLI spelling" in out.stderr
+        umbrella = self._run("workloads", "--list")
+        assert (out.stdout, out.stderr) == (umbrella.stdout, umbrella.stderr)
 
 
 class TestApiFacade:

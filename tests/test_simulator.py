@@ -8,9 +8,9 @@ traffic is excluded from demand accounting.
 
 import pytest
 
-from repro.cache.replacement import LINPolicy
+from repro.cache.replacement import LINPolicy, parse_policy_spec
 from repro.mlp.cost import MAX_COST_Q
-from repro.sim.simulator import Simulator, build_l2_policy
+from repro.sim.simulator import Simulator
 from repro.sbar.cbs import CBSController
 from repro.sbar.sbar import SBARController
 from repro.trace.record import IFETCH, LOAD, STORE, Access
@@ -230,22 +230,22 @@ class TestPhaseSampling:
 
 class TestBuildPolicy:
     def test_strings(self, small_machine):
-        fixed, controller = build_l2_policy("lin(3)", small_machine)
+        fixed, controller = parse_policy_spec("lin(3)", small_machine)
         assert isinstance(fixed, LINPolicy) and fixed.lam == 3
-        fixed, controller = build_l2_policy("sbar", small_machine)
+        fixed, controller = parse_policy_spec("sbar", small_machine)
         assert isinstance(controller, SBARController)
-        fixed, controller = build_l2_policy("cbs-local", small_machine)
+        fixed, controller = parse_policy_spec("cbs-local", small_machine)
         assert isinstance(controller, CBSController)
         assert controller.scope == "local"
 
     def test_instances_pass_through(self, small_machine):
         policy = LINPolicy(2)
-        fixed, controller = build_l2_policy(policy, small_machine)
+        fixed, controller = parse_policy_spec(policy, small_machine)
         assert fixed is policy
 
     def test_unknown_rejected(self, small_machine):
         with pytest.raises(ValueError):
-            build_l2_policy("opt-magic", small_machine)
+            parse_policy_spec("opt-magic", small_machine)
 
     def test_simulator_runs_once(self, small_machine):
         sim = Simulator(small_machine, "lru")

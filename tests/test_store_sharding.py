@@ -1,12 +1,12 @@
-"""Digest-prefix-sharded store layout: migration, stats, corruption.
+"""Digest-prefix-sharded store layout: leftovers, stats, corruption.
 
 The v4 store spreads entries across 256 two-hex-char shard
 directories (``shard_of(key) == key[:2]``) so service-scale stores
 never pile tens of thousands of files into one directory.  These
-tests lock in the compatibility story: pre-shard flat stores keep
-working and upgrade lazily (re-homed on read, eagerly on ``--gc``)
-with no flag day, and the corruption-quarantine battery holds in the
-sharded layout.
+tests lock in that layout: no key reads a root-level ``*.json`` file
+(the layout of an older checkout), ``--gc`` prunes such files and
+``--clear`` deletes them, and the corruption-quarantine battery holds
+in the sharded layout.
 """
 
 import json
@@ -35,7 +35,7 @@ def keys_for(*prefixes):
 
 
 def flatten(store, key):
-    """Demote ``key``'s entry to the pre-shard flat layout."""
+    """Move ``key``'s entry to the root, where an older layout kept it."""
     sharded = store.root / shard_of(key) / ("%s.json" % key)
     flat = store.root / ("%s.json" % key)
     os.replace(sharded, flat)
@@ -81,40 +81,25 @@ class TestShardLayout:
         assert len(store) == 0
 
 
-class TestFlatMigration:
-    def test_flat_entry_migrates_on_read(self, store):
+class TestLeftoversAndGc:
+    def test_root_level_file_is_never_served(self, store):
         key = keys_for("cd")[0]
         store.save_payload(key, {"value": 42})
         flat = flatten(store, key)
-        assert store.load_payload(key) == {"value": 42}
-        # The read re-homed the entry: flat copy gone, shard copy live.
-        assert not flat.exists()
-        assert (store.root / "cd" / ("%s.json" % key)).exists()
-        assert store.load_payload(key) == {"value": 42}
+        assert not store.contains(key)
+        assert store.load_payload(key) is None
+        assert flat.exists()  # a miss leaves it alone
 
-    def test_contains_sees_flat_without_migrating(self, store):
-        key = keys_for("ef")[0]
-        store.save_payload(key, {"value": 1})
-        flat = flatten(store, key)
-        assert store.contains(key)
-        assert flat.exists()  # contains() is read-only
-
-    def test_gc_rehomes_current_flat_entries(self, store):
+    def test_gc_prunes_root_level_files(self, store):
         key = keys_for("0a")[0]
         store.save_payload(key, {"value": 7})
         flat = flatten(store, key)
-        stats = store.gc()
-        assert stats["kept"] == 1
-        assert stats["removed"] == 0
-        assert not flat.exists()
-        assert (store.root / "0a" / ("%s.json" % key)).exists()
-
-    def test_gc_dry_run_leaves_flat_entries_in_place(self, store):
-        key = keys_for("0b")[0]
-        store.save_payload(key, {"value": 7})
-        flat = flatten(store, key)
-        store.gc(dry_run=True)
+        assert store.gc(dry_run=True)["removed"] == 1
         assert flat.exists()
+        stats = store.gc()
+        assert stats["kept"] == 0
+        assert stats["removed"] == 1
+        assert not flat.exists()
 
     def test_gc_still_prunes_stale_code_versions(self, store):
         current, stale = keys_for("1a", "1b")
@@ -143,17 +128,6 @@ class TestShardedCorruption:
         assert (store.quarantine_dir / path.name).exists()
         assert store.quarantined == 1
 
-    def test_corrupt_flat_entry_is_quarantined_after_migration(
-        self, store
-    ):
-        key = keys_for("3b")[0]
-        store.save_payload(key, {"value": 1})
-        flat = flatten(store, key)
-        flat.write_text("{ torn json")
-        assert store.load_payload(key) is None
-        assert not flat.exists()
-        assert (store.quarantine_dir / flat.name).exists()
-
     def test_shard_stats_counts_everything(self, store):
         k_aa1, k_aa2, k_bb, k_flat, k_bad = keys_for(
             "aa", "aa", "bb", "cc", "dd"
@@ -165,36 +139,30 @@ class TestShardedCorruption:
         bad.write_text("{ torn")
         assert store.load_payload(k_bad) is None  # -> quarantine
         stats = store.shard_stats()
-        assert stats["entries"] == 4
-        assert stats["flat"] == 1
+        # The root-level leftover is not an entry.
+        assert stats["entries"] == 3
         assert stats["shards"] == {"aa": 2, "bb": 1}
         assert stats["quarantined"] == 1
 
 
 class TestStoreCLI:
-    def test_stats_reports_shards_and_flat_remainder(
-        self, tmp_path, monkeypatch, capsys
-    ):
+    def test_stats_reports_shards(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_UMBRELLA", "1")
         store = ResultStore(tmp_path)
-        sharded, flat = keys_for("aa", "bb")
-        store.save_payload(sharded, {"value": 1})
-        store.save_payload(flat, {"value": 2})
-        flatten(store, flat)
+        first, second = keys_for("aa", "bb")
+        store.save_payload(first, {"value": 1})
+        store.save_payload(second, {"value": 2})
         assert store_main(["--stats"]) == 0
         out = capsys.readouterr().out
         assert "entries: 2" in out
         assert "quarantined: 0" in out
-        assert "shards: 1 populated" in out
-        assert "aa:1" in out
-        assert "flat (pre-shard) entries: 1" in out
+        assert "shards: 2 populated" in out
+        assert "aa:1" in out and "bb:1" in out
 
     def test_gc_output_mentions_code_version(
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_UMBRELLA", "1")
         ResultStore(tmp_path).save_payload(
             keys_for("aa")[0], {"value": 1}
         )

@@ -6,10 +6,11 @@ from repro.cache.block import BlockState
 from repro.cache.cache import AccessResult
 from repro.cache.replacement import LINPolicy, LRUPolicy
 from repro.cache.replacement.dip import BIPPolicy
+from repro.cache.replacement.registry import parse_policy_spec
 from repro.sbar.tournament import TournamentController
 from repro.sim.runner import ipc_improvement, run_policy
-from repro.sim.simulator import Simulator, build_l2_policy
-from repro.workloads import build_trace, experiment_config
+from repro.sim.simulator import Simulator
+from repro.workloads import build_workload, experiment_config
 
 
 def make_controller(n_sets=64, leaders=4, decay=0.999):
@@ -119,7 +120,7 @@ class TestSelection:
 
 class TestEndToEnd:
     def test_spec_string(self, small_machine):
-        fixed, controller = build_l2_policy("tournament", small_machine)
+        fixed, controller = parse_policy_spec("tournament", small_machine)
         assert isinstance(controller, TournamentController)
 
     def test_tournament_never_far_from_best_single_policy(self):
@@ -129,7 +130,7 @@ class TestEndToEnd:
             for spec in ("lru", "lin(4)", "bip")
         )
         tournament = Simulator(experiment_config(), "tournament").run(
-            build_trace("mcf", scale=0.3)
+            build_workload("mcf", 0.3).to_accesses()
         )
         assert tournament.ipc > baseline.ipc * 0.95
         assert tournament.ipc > best * 0.7
@@ -138,7 +139,7 @@ class TestEndToEnd:
         baseline = run_policy("parser", "lru", scale=1.0)
         lin = run_policy("parser", "lin(4)", scale=1.0)
         tournament = Simulator(experiment_config(), "tournament").run(
-            build_trace("parser", scale=1.0)
+            build_workload("parser", 1.0).to_accesses()
         )
         gain = ipc_improvement(tournament, baseline)
         lin_gain = ipc_improvement(lin, baseline)

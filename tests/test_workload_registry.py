@@ -11,7 +11,6 @@ import gzip
 import lzma
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -36,7 +35,6 @@ from repro.workloads import (
     UnknownWorkloadError,
     WorkloadSpecError,
     available_workloads,
-    build_trace,
     build_workload,
     canonical_workload_spec,
     experiment_config,
@@ -407,30 +405,6 @@ class TestComposition:
         first = build_workload(spec, scale=0.02)
         second = build_workload(spec, scale=0.02)
         assert first.content_digest() == second.content_digest()
-
-
-class TestDeprecatedShim:
-    def test_build_trace_warns_and_matches_registry(self):
-        with pytest.deprecated_call():
-            legacy = build_trace("mcf", scale=0.02)
-        via_registry = parse_workload_spec("mcf").build(0.02)
-        assert legacy == via_registry.to_accesses()
-
-    def test_seed_override_still_works(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            default = build_trace("mcf", scale=0.02)
-            reseeded = build_trace("mcf", scale=0.02, seed=99)
-        assert default != reseeded
-        workload = parse_workload_spec("mcf(seed=99)")
-        assert reseeded == workload.build(0.02).to_accesses()
-
-    def test_seed_rejected_for_unseedable_specs(self):
-        spec = "champsim:%s" % FIXTURE
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError):
-                build_trace(spec, seed=3)
 
 
 class TestRunnerMemo:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.trace.record import LOAD, STORE
 from repro.trace.synthetic import BURST_GAP, ISOLATING_GAP
-from repro.workloads import BENCHMARKS, SPECS, build_trace
+from repro.workloads import BENCHMARKS, SPECS, build_workload
 from repro.workloads.engine import (
     SurrogateSpec,
     _draw_thresholds,
@@ -165,16 +165,17 @@ class TestBenchmarkRegistry:
             assert 90 <= low + mid + high <= 110, name
 
     def test_build_trace_deterministic(self):
-        assert build_trace("mcf", scale=0.05) == build_trace("mcf", scale=0.05)
+        first = build_workload("mcf", 0.05).to_accesses()
+        assert first == build_workload("mcf", 0.05).to_accesses()
 
     def test_build_trace_scale(self):
-        short = build_trace("art", scale=0.05)
-        longer = build_trace("art", scale=0.1)
+        short = build_workload("art", 0.05).to_accesses()
+        longer = build_workload("art", 0.1).to_accesses()
         assert len(longer) > len(short) * 1.5
 
     def test_unknown_benchmark(self):
         with pytest.raises(KeyError):
-            build_trace("gcc")
+            build_workload("gcc").to_accesses()
 
     def test_experiment_config_keeps_table2_memory(self):
         config = experiment_config()
@@ -184,6 +185,6 @@ class TestBenchmarkRegistry:
 
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_every_surrogate_generates(self, name):
-        trace = build_trace(name, scale=0.02)
+        trace = build_workload(name, 0.02).to_accesses()
         assert len(trace) > 100
         assert all(a.kind in (LOAD, STORE) for a in trace)
