@@ -86,20 +86,33 @@ class TestLeftoversAndGc:
         key = keys_for("cd")[0]
         store.save_payload(key, {"value": 42})
         flat = flatten(store, key)
-        assert not store.contains(key)
         assert store.load_payload(key) is None
         assert flat.exists()  # a miss leaves it alone
+        assert not (store.root / "cd" / ("%s.json" % key)).exists()
+
+    def test_contains_misses_root_level_file(self, store):
+        key = keys_for("ef")[0]
+        store.save_payload(key, {"value": 1})
+        flat = flatten(store, key)
+        assert not store.contains(key)
+        assert flat.exists()  # contains() is read-only
 
     def test_gc_prunes_root_level_files(self, store):
         key = keys_for("0a")[0]
         store.save_payload(key, {"value": 7})
         flat = flatten(store, key)
-        assert store.gc(dry_run=True)["removed"] == 1
-        assert flat.exists()
         stats = store.gc()
         assert stats["kept"] == 0
         assert stats["removed"] == 1
         assert not flat.exists()
+        assert not (store.root / "0a" / ("%s.json" % key)).exists()
+
+    def test_gc_dry_run_leaves_root_level_files(self, store):
+        key = keys_for("0b")[0]
+        store.save_payload(key, {"value": 7})
+        flat = flatten(store, key)
+        assert store.gc(dry_run=True)["removed"] == 1
+        assert flat.exists()
 
     def test_gc_still_prunes_stale_code_versions(self, store):
         current, stale = keys_for("1a", "1b")
