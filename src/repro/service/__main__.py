@@ -3,7 +3,7 @@
 Server side::
 
     python -m repro serve --workers 4                # long-lived daemon
-    python -m repro serve --port 0 --inline --chaos "delay=0.5,seed=7"
+    python -m repro serve --port 0 --chaos "delay=0.5,seed=7"
     python -m repro serve --resume                   # replay crashed jobs
 
 Client side::
@@ -51,10 +51,6 @@ def _add_serve_parser(subparsers) -> None:
         help="worker slots (one process each; default: 2, 0 = CPUs)",
     )
     parser.add_argument(
-        "--inline", action="store_true",
-        help="thread-backed slots sharing this process (tests/demos)",
-    )
-    parser.add_argument(
         "--queue-limit", type=int, default=1024, metavar="N",
         help="global in-flight cell bound before queue-full rejections "
              "(default: 1024; 0 disables)",
@@ -74,7 +70,7 @@ def _add_serve_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock budget (process slots only)",
+        help="per-cell wall-clock budget",
     )
     parser.add_argument(
         "--chaos", metavar="SPEC", default=None,
@@ -84,15 +80,6 @@ def _add_serve_parser(subparsers) -> None:
     parser.add_argument(
         "--kernel", default="auto", choices=REPLAY_KERNELS,
         help="replay kernel for executed cells",
-    )
-    parser.add_argument(
-        "--trip-threshold", type=int, default=3, metavar="N",
-        help="consecutive failures before a worker's circuit trips",
-    )
-    parser.add_argument(
-        "--cooldown", type=int, default=8, metavar="TICKS",
-        help="dispatch ticks a tripped worker sits out before a "
-             "half-open probe",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -119,12 +106,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        inline=args.inline,
         queue_limit=args.queue_limit,
         tenant_quota=args.tenant_quota,
         options=RunOptions(**fields),
-        trip_threshold=args.trip_threshold,
-        cooldown=args.cooldown,
         resume=args.resume,
     )
 
@@ -132,9 +116,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service = JobService(config)
         await service.start()
         print(
-            "repro job service listening on %s:%d (%d %s slots)"
-            % (config.host, service.port, len(service._slots),
-               "thread" if config.inline else "process"),
+            "repro job service listening on %s:%d (%d process slots)"
+            % (config.host, service.port, len(service.scheduler.slots)),
             flush=True,
         )
         try:
@@ -343,7 +326,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         handle = serve_in_thread(ServiceConfig(
             port=0,
             workers=args.workers,
-            inline=False,
             options=RunOptions(chaos=chaos),
         ))
         port = handle.port

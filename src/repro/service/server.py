@@ -3,8 +3,10 @@
 ``python -m repro serve`` runs a long-lived :class:`JobService` that
 accepts grid submissions (workload-spec x policy-spec matrices) over
 the newline-delimited JSON protocol (:mod:`repro.service.protocol`),
-expands them to cells, and schedules the cells across a pool of worker
-slots.  The pieces, and where each came from:
+expands them to cells, and hands the cells to the same
+:class:`repro.sim.parallel.CellScheduler` that ``run_grid`` drives:
+process slots ranked by health, retry with backoff, deadlines, slot
+rebuilds.  This module adds what a shared daemon needs on top:
 
 * **Dedup by store key** — a cell is content-addressed by the same
   persistent-store key the engine uses
@@ -13,13 +15,6 @@ slots.  The pieces, and where each came from:
   cell: the second submission attaches to the in-flight execution (or
   hits the store if it already finished).  Shared work runs exactly
   once; everyone gets bit-identical digests.
-* **Worker slots** — each slot wraps one single-worker executor
-  (a separate local process; remote hosts can back a slot later by
-  speaking the same protocol).  Scheduling is not round-robin:
-  :class:`repro.sim.resilience.WorkerHealth` ranks slots by recency +
-  observed health (AWRP-flavored), trips a per-worker circuit after
-  consecutive failures, and lets tripped slots back in as half-open
-  probes — PR 5's pool-level breaker, re-targeted at workers.
 * **Quotas and backpressure** — :class:`repro.service.jobs.TenantQuotas`
   bounds the global in-flight queue and each tenant's share; refused
   submissions get a 429-style response with ``retry_after_s``.
@@ -38,10 +33,8 @@ the store, so restarting the service never loses a result.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -64,15 +57,14 @@ from repro.service.jobs import (
     new_job_id,
 )
 from repro.sim.options import RunOptions
-from repro.sim.parallel import Task, execute_cell, task_store_key
-from repro.sim.resilience import (
-    BACKOFF_CAP_S,
-    RunJournal,
-    WorkerHealth,
-    backoff_delay,
-    journal_root,
-    load_journal,
+from repro.sim.parallel import (
+    CellScheduler,
+    Execution,
+    Outcome,
+    spec_failure,
+    task_store_key,
 )
+from repro.sim.resilience import RunJournal, journal_root, load_journal
 from repro.sim.runner import trace_scale
 from repro.sim.store import default_store, result_digest
 
@@ -91,9 +83,6 @@ class ServiceConfig:
     port: int = protocol.DEFAULT_PORT
     #: Worker slots (one process each). 0 means CPU count.
     workers: int = 2
-    #: Thread-backed slots instead of process-backed (tests/demos:
-    #: no fork cost, shares the parent's store and memo).
-    inline: bool = False
     #: Global in-flight cell bound (backpressure); 0 disables.
     queue_limit: int = 1024
     #: Per-tenant in-flight cell quota; 0 disables.
@@ -101,10 +90,6 @@ class ServiceConfig:
     #: Execution knobs applied to every cell (clients may override the
     #: CLIENT_OPTION_FIELDS subset per submission).
     options: RunOptions = field(default_factory=RunOptions)
-    #: Consecutive failures before a worker slot's circuit trips, and
-    #: the dispatch-tick cooldown before it is probed again.
-    trip_threshold: int = 3
-    cooldown: int = 8
     #: Replay incomplete job journals at startup.
     resume: bool = False
     #: Honor the ``shutdown`` op (leave on for tests/demos; a shared
@@ -112,52 +97,14 @@ class ServiceConfig:
     allow_shutdown: bool = True
 
 
-class _WorkerSlot:
-    """One schedulable execution slot backed by a 1-worker executor."""
+class _RunningLoop:
+    """The scheduler's event loop: the asyncio loop running the service.
 
-    def __init__(self, name: str, inline: bool) -> None:
-        self.name = name
-        self.inline = inline
-        self.busy = False
-        self.pool = self._make_pool()
+    Resolved per call, so a service can be built before its loop runs.
+    """
 
-    def _make_pool(self):
-        if self.inline:
-            return ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=self.name
-            )
-        context = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        return ProcessPoolExecutor(max_workers=1, mp_context=context)
-
-    def rebuild(self) -> None:
-        """Replace a broken executor (worker died hard)."""
-        try:
-            self.pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-        self.pool = self._make_pool()
-
-    def close(self) -> None:
-        try:
-            self.pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-
-
-class _Execution:
-    """One in-flight cell, shared by every job that wants it."""
-
-    def __init__(self, key: str, task: Task, options: RunOptions) -> None:
-        self.key = key
-        self.task = task
-        self.options = options
-        self.subscribers: List[Tuple[Job, str]] = []
-        self.cancelled = False
-        self.attempts = 0
+    def __getattr__(self, name: str):
+        return getattr(asyncio.get_running_loop(), name)
 
 
 def _job_done_event(job: Job) -> Dict[str, object]:
@@ -186,8 +133,9 @@ class JobService:
     """The server.  Create, ``await start()``, then ``serve_forever``.
 
     All state mutation happens on the event loop (connection handlers
-    and execution tasks are coroutines), so submission admission,
-    dedup, and quota accounting are race-free by construction.
+    and the scheduler's cells are coroutines), so submission
+    admission, dedup, and quota accounting are race-free by
+    construction.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
@@ -197,18 +145,10 @@ class JobService:
             queue_limit=self.config.queue_limit,
             tenant_quota=self.config.tenant_quota,
         )
-        self.health = WorkerHealth(
-            trip_threshold=self.config.trip_threshold,
-            cooldown=self.config.cooldown,
+        self.scheduler = CellScheduler(
+            self.config.workers, _RunningLoop(), self._mark_running,
+            self._execution_done,
         )
-        workers = self.config.workers or (multiprocessing.cpu_count() or 1)
-        self._slots = [
-            _WorkerSlot("worker-%d" % index, self.config.inline)
-            for index in range(workers)
-        ]
-        self._slot_cond: Optional[asyncio.Condition] = None
-        self._executions: Dict[str, _Execution] = {}
-        self._execution_tasks: List[asyncio.Task] = []
         self._watchers: Dict[str, List[asyncio.Queue]] = {}
         self._journals: Dict[str, RunJournal] = {}
         self._server: Optional[asyncio.AbstractServer] = None
@@ -226,15 +166,11 @@ class JobService:
             "cells_deduped": 0,
             "cells_resumed": 0,
             "cell_failures": 0,
-            "cell_retries": 0,
-            "worker_trips": 0,
-            "worker_rebuilds": 0,
         }
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
-        self._slot_cond = asyncio.Condition()
         self._server = await asyncio.start_server(
             self._handle_client,
             host=self.config.host,
@@ -273,17 +209,10 @@ class JobService:
                 await self._server.wait_closed()
             except Exception:
                 pass
-        for task in self._execution_tasks:
-            task.cancel()
-        if self._execution_tasks:
-            await asyncio.gather(
-                *self._execution_tasks, return_exceptions=True
-            )
+        self.scheduler.close()
         for watchers in self._watchers.values():
             for queue in watchers:
                 queue.put_nowait(None)
-        for slot in self._slots:
-            slot.close()
         for journal in self._journals.values():
             journal.close()
         self._record_service_metrics()
@@ -293,6 +222,7 @@ class JobService:
         if not obs.metrics_enabled():
             return
         registry = obs.MetricsRegistry()
+        counters = self._all_counters()
         for name, help_text in (
             ("submissions", "grid submissions accepted"),
             ("submissions_rejected", "submissions refused by quota "
@@ -302,14 +232,15 @@ class JobService:
             ("cells_store_hits", "cells served from the result store"),
             ("cells_deduped", "cells attached to an in-flight "
              "execution"),
-            ("cell_retries", "cell attempts beyond the first"),
-            ("worker_trips", "worker circuit-breaker trips"),
-            ("worker_rebuilds", "worker executors rebuilt after hard "
+            ("retries", "cell attempts beyond the first"),
+            ("worker_trips", "slot circuits tripped by consecutive "
              "failures"),
+            ("worker_rebuilds", "slot processes rebuilt after dying "
+             "hard"),
         ):
             registry.counter(
                 "service_%s_total" % name, help_text
-            ).inc(self.counters[name])
+            ).inc(counters[name])
         obs.record_session(registry.snapshot())
 
     # -- submission ------------------------------------------------------
@@ -345,10 +276,11 @@ class JobService:
         """Admit one submission; returns ``(job, None)`` or
         ``(None, Rejection)``.
 
-        This is the whole tentpole in one method: quota admission,
-        matrix expansion, store probe, in-flight dedup, and scheduling.
-        Runs synchronously on the event loop so concurrent submitters
-        interleave at message granularity, never mid-admission.
+        Quota admission, matrix expansion, store probe, in-flight
+        dedup, and hand-off to the scheduler, in one method.  Runs
+        synchronously on the event loop so concurrent submitters
+        interleave at message granularity, never mid-admission.  A
+        cell whose spec does not parse fails alone, like a grid cell.
         """
         resolved_scale = scale if scale is not None else trace_scale()
         cells = expand_cells(benchmarks, policies, resolved_scale)
@@ -385,7 +317,13 @@ class JobService:
 
         store = default_store() if options.use_cache else None
         for label, task in cells:
-            key = task_store_key(task)
+            try:
+                key = task_store_key(task)
+            except (KeyError, ValueError) as exc:
+                cell = job.cells[label] = CellState(task=task, key=None)
+                self.counters["cell_failures"] += 1
+                self._fail_cell(job, cell, spec_failure(exc))
+                continue
             cell = CellState(task=task, key=key)
             job.cells[label] = cell
             cached = store.load(key) if store is not None else None
@@ -402,128 +340,22 @@ class JobService:
                     source=source, wall=0.0, worker=None, attempts=0,
                 )
                 continue
-            execution = self._executions.get(key)
-            if execution is not None:
+            execution = self.scheduler.submit(
+                key, task, options, (job, label)
+            )
+            if len(execution.subscribers) > 1:
                 self.counters["cells_deduped"] += 1
                 cell.source = SOURCE_DEDUP
                 cell.status = (
                     CELL_RUNNING if execution.attempts else CELL_PENDING
                 )
-                execution.subscribers.append((job, label))
-                continue
-            execution = _Execution(key, task, options)
-            execution.subscribers.append((job, label))
-            self._executions[key] = execution
-            runner = asyncio.get_running_loop().create_task(
-                self._run_execution(execution)
-            )
-            self._execution_tasks.append(runner)
-            runner.add_done_callback(self._execution_tasks.remove)
         self._finish_job_if_done(job)
         return job, None
-
-    # -- execution -------------------------------------------------------
-
-    async def _acquire_slot(self) -> _WorkerSlot:
-        """Best free slot per the health ranking; waits when all busy."""
-        assert self._slot_cond is not None
-        async with self._slot_cond:
-            while True:
-                free = [slot for slot in self._slots if not slot.busy]
-                if free:
-                    name = self.health.pick(
-                        [slot.name for slot in free]
-                    )
-                    slot = next(
-                        slot for slot in free if slot.name == name
-                    )
-                    slot.busy = True
-                    return slot
-                await self._slot_cond.wait()
-
-    async def _release_slot(self, slot: _WorkerSlot) -> None:
-        assert self._slot_cond is not None
-        async with self._slot_cond:
-            slot.busy = False
-            self._slot_cond.notify_all()
-
-    async def _run_execution(self, execution: _Execution) -> None:
-        """Drive one cell to a terminal state with retry + backoff."""
-        options = execution.options
-        loop = asyncio.get_running_loop()
-        while True:
-            if execution.cancelled:
-                return
-            slot = await self._acquire_slot()
-            execution.attempts += 1
-            attempt = execution.attempts
-            self.health.record_dispatch(slot.name)
-            self._mark_running(execution, slot.name, attempt)
-            # SIGALRM deadlines need the worker's main thread; thread
-            # slots run cells off-main, so inline mode drops them.
-            deadline = None if slot.inline else options.deadline
-            trips_before = self.health.trips
-            try:
-                status, payload, wall, pid, tb = await loop.run_in_executor(
-                    slot.pool,
-                    execute_cell,
-                    (execution.task, options.use_cache, deadline,
-                     options.chaos, attempt, not slot.inline,
-                     options.kernel),
-                )
-            except asyncio.CancelledError:
-                await self._release_slot(slot)
-                raise
-            except Exception as exc:
-                # The slot's process died hard (BrokenProcessPool et
-                # al.): rebuild the executor and treat it as a failed
-                # attempt charged to this worker.
-                status = "error"
-                payload = "%s: %s" % (type(exc).__name__, exc)
-                wall, pid, tb = 0.0, None, None
-                slot.rebuild()
-                self.counters["worker_rebuilds"] += 1
-            await self._release_slot(slot)
-
-            if status == "ok":
-                self.health.record_success(slot.name)
-                self._executions.pop(execution.key, None)
-                digest = result_digest(payload.to_dict())
-                self.counters["cells_executed"] += 1
-                for job, label in execution.subscribers:
-                    self._complete_cell(
-                        job, job.cells[label], digest,
-                        source=job.cells[label].source or SOURCE_EXECUTED,
-                        wall=wall, worker=slot.name, attempts=attempt,
-                    )
-                    self._finish_job_if_done(job)
-                return
-
-            self.health.record_failure(slot.name)
-            self.counters["worker_trips"] += (
-                self.health.trips - trips_before
-            )
-            if attempt > options.max_retries:
-                self._executions.pop(execution.key, None)
-                self.counters["cell_failures"] += 1
-                for job, label in execution.subscribers:
-                    self._fail_cell(
-                        job, job.cells[label], payload, tb, attempt
-                    )
-                    self._finish_job_if_done(job)
-                return
-            self.counters["cell_retries"] += 1
-            delay = backoff_delay(
-                options.backoff_base, BACKOFF_CAP_S, attempt,
-                execution.task.label,
-            )
-            if delay > 0:
-                await asyncio.sleep(delay)
 
     # -- cell/job state transitions --------------------------------------
 
     def _mark_running(
-        self, execution: _Execution, worker: str, attempt: int
+        self, execution: Execution, worker: str, attempt: int
     ) -> None:
         for job, label in execution.subscribers:
             cell = job.cells[label]
@@ -537,6 +369,27 @@ class JobService:
                 "cell_running", job_id=job.job_id, cell=label,
                 worker=worker, attempt=attempt,
             ))
+
+    def _execution_done(
+        self, execution: Execution, outcome: Outcome
+    ) -> None:
+        if outcome.ok:
+            self.counters["cells_executed"] += 1
+            digest = result_digest(outcome.value.to_dict())
+        else:
+            self.counters["cell_failures"] += 1
+        for job, label in execution.subscribers:
+            cell = job.cells[label]
+            if outcome.ok:
+                self._complete_cell(
+                    job, cell, digest,
+                    source=cell.source or SOURCE_EXECUTED,
+                    wall=outcome.wall, worker=outcome.slot,
+                    attempts=outcome.attempts,
+                )
+            else:
+                self._fail_cell(job, cell, outcome)
+            self._finish_job_if_done(job)
 
     def _complete_cell(
         self, job: Job, cell: CellState, digest: str, source: str,
@@ -565,25 +418,23 @@ class JobService:
             worker=worker,
         ))
 
-    def _fail_cell(
-        self, job: Job, cell: CellState, error: str,
-        traceback_text: Optional[str], attempts: int,
-    ) -> None:
+    def _fail_cell(self, job: Job, cell: CellState, outcome: Outcome) -> None:
         if cell.terminal:
             return
         cell.status = CELL_FAILED
-        cell.error = error
-        cell.traceback = traceback_text
-        cell.attempts = attempts
+        cell.error = outcome.value
+        cell.traceback = outcome.traceback
+        cell.attempts = outcome.attempts
         self.quotas.release(job.tenant)
         journal = self._journals.get(job.job_id)
         if journal is not None:
             journal.task_failed(
-                cell.task, error, traceback_text, attempts
+                cell.task, outcome.value, outcome.traceback,
+                outcome.attempts,
             )
         self._emit(job, protocol.event(
             "cell_failed", job_id=job.job_id, cell=cell.label,
-            error=error, attempts=attempts,
+            error=outcome.value, attempts=outcome.attempts,
         ))
 
     def _finish_job_if_done(self, job: Job) -> None:
@@ -612,7 +463,7 @@ class JobService:
         for label, cell in job.cells.items():
             if cell.terminal:
                 continue
-            execution = self._executions.get(cell.key)
+            execution = self.scheduler.executions.get(cell.key)
             if execution is not None:
                 execution.subscribers = [
                     (subscriber, sub_label)
@@ -620,8 +471,7 @@ class JobService:
                     if subscriber is not job
                 ]
                 if not execution.subscribers:
-                    execution.cancelled = True
-                    self._executions.pop(cell.key, None)
+                    self.scheduler.cancel(execution)
             cell.status = CELL_CANCELLED
             self.quotas.release(job.tenant)
             self._emit(job, protocol.event(
@@ -816,6 +666,12 @@ class JobService:
 
     # -- introspection ----------------------------------------------------
 
+    def _all_counters(self) -> Dict[str, int]:
+        """Service counters plus the scheduler's resilience counters."""
+        counters = dict(self.counters)
+        counters.update(self.scheduler.counters())
+        return counters
+
     def stats(self) -> Dict[str, object]:
         """JSON-safe service report (the ``stats`` op's payload)."""
         jobs_by_status: Dict[str, int] = {}
@@ -826,17 +682,17 @@ class JobService:
         return {
             "schema": protocol.PROTOCOL_SCHEMA,
             "uptime_s": round(time.time() - self.started_at, 3),
-            "counters": dict(self.counters),
+            "counters": self._all_counters(),
             "quotas": self.quotas.snapshot(),
-            "workers": self.health.snapshot(),
+            "workers": self.scheduler.health.snapshot(),
             "slots": {
-                slot.name: {"busy": slot.busy, "inline": slot.inline}
-                for slot in self._slots
+                slot.name: {"busy": slot.busy}
+                for slot in self.scheduler.slots
             },
             "jobs": {
                 "total": len(self.jobs),
                 "by_status": jobs_by_status,
-                "in_flight_executions": len(self._executions),
+                "in_flight_executions": len(self.scheduler.executions),
             },
         }
 

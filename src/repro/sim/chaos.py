@@ -21,9 +21,10 @@ Crash injection has two modes:
 * **raise** (default) — the worker raises :class:`ChaosCrash`; the
   task fails cleanly and is retried with backoff.
 * **hard** (``hard=True``) — the worker process calls ``os._exit``,
-  which breaks the whole ``ProcessPoolExecutor``; this exercises pool
-  rebuild and the circuit breaker.  Hard mode only ever exits inside a
-  pool worker — in-parent (serial/fallback) execution always raises.
+  which kills its scheduler slot; this exercises the slot rebuild and
+  the slot's circuit.  Hard mode only ever exits inside a
+  multiprocessing child — :func:`inject` called in a parent process
+  always raises.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 import tempfile
@@ -115,14 +117,14 @@ def inject(
     chaos: Optional[ChaosConfig],
     label: str,
     attempt: int,
-    in_worker: bool,
 ) -> None:
     """Apply the configured faults for one task attempt.
 
     Called at the top of task execution.  Delays sleep (and therefore
     count against the task's deadline); crashes either raise
-    :class:`ChaosCrash` or — hard mode inside a pool worker — kill the
-    process outright.
+    :class:`ChaosCrash` or — hard mode inside a worker process — kill
+    the process outright.  A process with no multiprocessing parent is
+    never killed.
     """
     if chaos is None:
         return
@@ -130,7 +132,7 @@ def inject(
     if delay > 0:
         time.sleep(delay)
     if chaos.should_crash(label, attempt):
-        if chaos.hard and in_worker:
+        if chaos.hard and multiprocessing.parent_process() is not None:
             os._exit(13)
         raise ChaosCrash(
             "chaos: injected crash for %s attempt %d" % (label, attempt)
@@ -198,7 +200,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--hard", action="store_true",
-        help="crash via os._exit in workers (breaks pools) instead of "
+        help="crash via os._exit in workers (kills a slot) instead of "
         "raising",
     )
     parser.add_argument("--max-retries", type=int, default=6)
@@ -254,12 +256,12 @@ def main(argv=None) -> int:
         got = suite.content_digest()
         resilience = (suite.meta or {}).get("resilience", {})
         print(
-            "[chaos] retries=%s pool_rebuilds=%s circuit_open=%s "
+            "[chaos] retries=%s worker_rebuilds=%s worker_trips=%s "
             "quarantined=%s failures=%d"
             % (
                 resilience.get("retries"),
-                resilience.get("pool_rebuilds"),
-                resilience.get("circuit_open"),
+                resilience.get("worker_rebuilds"),
+                resilience.get("worker_trips"),
                 resilience.get("store_quarantined"),
                 len(suite.failures),
             ),

@@ -32,7 +32,7 @@ class RunOptions:
     The what — benchmarks, policies, scale — stays in the entry
     points' positional API; RunOptions carries the execution knobs:
 
-    * ``workers`` — pool size.  ``0`` means serial for
+    * ``workers`` — process slots.  ``0`` means serial for
       :func:`~repro.sim.suite.run_suite` and "CPU count" for the
       inherently-parallel :func:`~repro.sim.parallel.run_grid`.
     * ``use_cache`` — consult/populate the in-process memo and the
@@ -44,9 +44,6 @@ class RunOptions:
     * ``backoff_base`` — first delay of the exponential backoff with
       deterministic jitter between retry attempts (see
       :func:`repro.sim.resilience.backoff_delay`).
-    * ``pool_failure_threshold`` — consecutive broken-pool rounds
-      before the circuit breaker opens and the engine degrades to
-      serial in-process execution.  ``0`` disables the breaker.
     * ``resume`` — run id of an interrupted run whose journal +
       store entries should be replayed; only missing cells re-execute.
     * ``run_id`` — explicit id for this run's journal (default:
@@ -69,7 +66,6 @@ class RunOptions:
     max_retries: int = 1
     deadline: Optional[float] = None
     backoff_base: float = 0.05
-    pool_failure_threshold: int = 3
     resume: Optional[str] = None
     run_id: Optional[str] = None
     progress: Optional[Callable] = None

@@ -1,26 +1,36 @@
-"""Fault-tolerant multiprocessing fan-out over the task grid.
+"""The one cell scheduler, and the task grid that runs on it.
 
 Regenerating the paper is embarrassingly parallel — every cell of every
-figure's matrix is an independent simulation — so this module schedules
-:class:`Task` grids across a worker pool.  Execution knobs travel in one
-:class:`~repro.sim.options.RunOptions` object; the engine layers the
-:mod:`repro.sim.resilience` primitives on top of the pool:
+figure's matrix is an independent simulation.  :class:`CellScheduler`
+runs cells for both :func:`run_grid` and the job service
+(:mod:`repro.service.server`); execution knobs travel in one
+:class:`~repro.sim.options.RunOptions` object:
 
-* **Caching** — the parent resolves in-process memo and persistent
-  store hits before spawning anything; only genuine misses reach the
-  pool, and workers write their results back to the store so a repeat
-  run (even in a different process) is free.
+* **Slots** — N worker processes, one cell at a time each, driven by
+  callbacks on one event loop: the service's asyncio loop, or a small
+  selector loop inside :func:`run_grid`.  Waiting cells take free
+  slots first come, first served; a freed slot goes to the next
+  waiting cell, onto the best free slot as ranked by
+  :class:`~repro.sim.resilience.WorkerHealth` (recency + observed
+  health, with a per-slot circuit that trips after consecutive
+  failures).
+* **Dedup** — cells are keyed by their store key
+  (:func:`task_store_key`); a cell whose key is already in flight
+  attaches to that execution instead of running twice.
 * **Retry with backoff** — a failed attempt is re-dispatched after a
   deterministic exponential-backoff delay
-  (:func:`~repro.sim.resilience.backoff_delay`) until
-  ``max_retries`` is exhausted; each task has a wall-clock ``deadline``
-  enforced with SIGALRM inside the worker.
-* **Circuit breaker** — a worker dying hard (OOM kill, ``os._exit``)
-  breaks the whole ``ProcessPoolExecutor``; the engine rebuilds the
-  pool and retries, but after ``pool_failure_threshold`` *consecutive*
-  breakages the :class:`~repro.sim.resilience.CircuitBreaker` opens and
-  the remaining tasks degrade gracefully to serial in-process
-  execution instead of thrashing pool rebuilds forever.
+  (:func:`~repro.sim.resilience.backoff_delay`) until ``max_retries``
+  is exhausted; each attempt's wall-clock ``deadline`` is enforced
+  with SIGALRM inside the worker.
+* **Rebuild** — a slot whose process died hard (OOM kill,
+  ``os._exit``) is rebuilt in place; the attempt counts as failed and
+  is charged to that slot's health.
+
+:func:`run_grid` adds the grid's bookkeeping on top:
+
+* **Caching** — memo and persistent-store hits are resolved before
+  anything is scheduled; workers write their results back to the store
+  so a repeat run (even in a different process) is free.
 * **Run journal** — every run appends JSONL events (task
   started/finished/failed, store keys, worker pids) to
   ``<cache dir>/runs/<run_id>.jsonl``; an interrupted run is resumable
@@ -36,8 +46,8 @@ figure's matrix is an independent simulation — so this module schedules
   deterministically in CI.
 
 Determinism: simulations are seeded functions of (benchmark, policy,
-scale, config), so the pool returns bit-identical results to the
-serial path — with or without injected faults
+scale, config), so the slots return bit-identical results to the
+serial ``run_suite`` loop — with or without injected faults
 (``tests/test_chaos.py`` locks this in).
 """
 
@@ -47,13 +57,13 @@ import heapq
 import math
 import multiprocessing
 import os
+import selectors
 import signal
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.config import MachineConfig
@@ -63,20 +73,13 @@ from repro.sim.chaos import inject
 from repro.sim.options import RunOptions
 from repro.sim.resilience import (
     BACKOFF_CAP_S,
-    CircuitBreaker,
     RunJournal,
+    WorkerHealth,
     backoff_delay,
     load_journal,
 )
 from repro.sim.stats import SimResult
 from repro.sim.store import default_store, store_key
-
-#: Fork keeps the loaded package in workers (Linux); spawn elsewhere.
-_MP_START_METHOD = (
-    "fork"
-    if "fork" in multiprocessing.get_all_start_methods()
-    else "spawn"
-)
 
 
 @dataclass(frozen=True)
@@ -245,20 +248,17 @@ def _alarm_handler(signum, frame):
 def execute_cell(payload) -> Tuple[str, object, float, int, Optional[str]]:
     """Worker-side entry: run one task, never raise.
 
-    The job service (:mod:`repro.service`) schedules the same cell unit
-    through this function.
-
     ``payload`` is ``(task, use_cache, deadline, chaos, attempt,
-    in_worker, kernel)``.  Returns ``("ok", SimResult, wall, pid, None)`` or
+    kernel)``.  Returns ``("ok", SimResult, wall, pid, None)`` or
     ``("error", message, wall, pid, traceback_text)`` — the traceback
     is formatted *here*, in the failing process, so the parent's
     failure report shows the real remote stack instead of just the
     exception message.  The deadline is enforced with SIGALRM where
-    available (pool workers run tasks on their main thread);
+    available (slot workers run tasks on their main thread);
     simulations are pure CPU loops, so the alarm lands promptly
     between bytecodes.
     """
-    task, use_cache, deadline, chaos, attempt, in_worker, kernel = payload
+    task, use_cache, deadline, chaos, attempt, kernel = payload
     start = time.perf_counter()
     alarmed = False
     try:
@@ -266,7 +266,7 @@ def execute_cell(payload) -> Tuple[str, object, float, int, Optional[str]]:
             signal.signal(signal.SIGALRM, _alarm_handler)
             signal.alarm(max(1, int(math.ceil(deadline))))
             alarmed = True
-        inject(chaos, task.label, attempt, in_worker)
+        inject(chaos, task.label, attempt)
         result = runner.run_policy(
             task.benchmark,
             task.policy_spec,
@@ -294,7 +294,7 @@ def execute_cell(payload) -> Tuple[str, object, float, int, Optional[str]]:
 def task_store_key(task: Task) -> str:
     """The persistent-store key this task's result lands under.
 
-    It is also the job service's in-flight dedup key.
+    It is also the scheduler's in-flight dedup key.
     """
     from repro import workloads
 
@@ -307,8 +307,313 @@ def task_store_key(task: Task) -> str:
     )
 
 
+def default_workers() -> int:
+    return max(1, os.cpu_count() or 1)
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """How one cell ended: its result or its error, and what it cost."""
+
+    ok: bool
+    #: The SimResult when ``ok``, else the one-line error message.
+    value: object
+    #: Traceback of the final failed attempt, when one was formatted.
+    traceback: Optional[str] = None
+    wall: float = 0.0
+    pid: Optional[int] = None
+    #: Name of the slot that ran the last attempt.
+    slot: Optional[str] = None
+    attempts: int = 0
+
+
+def spec_failure(exc: Exception) -> Outcome:
+    """The outcome of a cell whose workload or policy spec is malformed.
+
+    Store keys canonicalize both specs in the parent, so a bad spec
+    raises in :func:`task_store_key` before any slot sees the cell.
+    Call this in that ``except`` block: the cell fails alone, with
+    zero attempts, instead of the whole grid or submission.
+    """
+    return Outcome(
+        ok=False, value=str(exc) or repr(exc),
+        traceback=traceback.format_exc(),
+    )
+
+
+class Execution:
+    """One in-flight cell, shared by every subscriber that wants it."""
+
+    def __init__(
+        self, key: str, task: Task, options: RunOptions, subscriber
+    ) -> None:
+        self.key = key
+        self.task = task
+        self.options = options
+        self.subscribers = [subscriber]
+        self.attempts = 0
+        self.cancelled = False
+
+
+def _slot_main(conn) -> None:
+    """A slot's worker process: run each cell sent down ``conn``.
+
+    Sends back :func:`execute_cell`'s outcome tuple, and exits when
+    the parent closes the pipe.
+    """
+    # Ctrl-C is the parent's to handle; it stops the slots itself.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            payload = conn.recv()
+        except EOFError:
+            return
+        conn.send(execute_cell(payload))
+
+
+class _Slot:
+    """One schedulable slot: a single worker process behind a pipe.
+
+    The process starts on first use, so closing a slot whose worker
+    died rebuilds it in place on its next dispatch.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.busy = False
+        self._process = None
+        self._conn = None
+
+    def fileno(self) -> int:
+        """The fd that the worker's reply, or its death, makes readable."""
+        return self._conn.fileno()
+
+    def send(self, payload) -> None:
+        """Start one cell on the worker, starting the worker if need be."""
+        if self._process is None:
+            # Fork keeps the loaded package in the worker (Linux).
+            context = multiprocessing.get_context(
+                "fork"
+                if "fork" in multiprocessing.get_all_start_methods()
+                else "spawn"
+            )
+            self._conn, child = context.Pipe()
+            self._process = context.Process(
+                target=_slot_main, args=(child,), daemon=True
+            )
+            self._process.start()
+            child.close()
+        try:
+            self._conn.send(payload)
+        except OSError:
+            pass  # the worker is gone: its pipe reads as EOF
+
+    def receive(self) -> Tuple[str, object, float, int, Optional[str]]:
+        """The reply to the cell sent last (EOFError if the worker died)."""
+        return self._conn.recv()
+
+    def close(self) -> Optional[int]:
+        """Stop the worker; returns its exit code."""
+        if self._process is None:
+            return None
+        process = self._process
+        self._conn.close()
+        process.terminate()
+        process.join()
+        self._process = self._conn = None
+        return process.exitcode
+
+
+class _GridLoop:
+    """The part of an asyncio event loop the scheduler uses.
+
+    ``add_reader``/``remove_reader``/``call_later`` on a selector, so
+    :func:`run_grid` runs its cells without importing asyncio (whose
+    import alone costs a process about 2.6 MB of RSS).
+    """
+
+    def __init__(self) -> None:
+        self._selector = selectors.DefaultSelector()
+        self._timers: List[Tuple[float, int, Callable, tuple]] = []
+        self._sequence = 0
+
+    def add_reader(self, fd: int, callback: Callable, *args) -> None:
+        self._selector.register(
+            fd, selectors.EVENT_READ, (callback, args)
+        )
+
+    def remove_reader(self, fd: int) -> None:
+        self._selector.unregister(fd)
+
+    def call_later(self, delay: float, callback: Callable, *args) -> None:
+        self._sequence += 1
+        heapq.heappush(self._timers, (
+            time.monotonic() + delay, self._sequence, callback, args,
+        ))
+
+    def run_until(self, done: Callable[[], bool]) -> None:
+        while not done():
+            timeout = None
+            if self._timers:
+                timeout = max(0.0, self._timers[0][0] - time.monotonic())
+            for key, _ in self._selector.select(timeout):
+                callback, args = key.data
+                callback(*args)
+            while self._timers and self._timers[0][0] <= time.monotonic():
+                _, _, callback, args = heapq.heappop(self._timers)
+                callback(*args)
+
+    def close(self) -> None:
+        self._selector.close()
+
+
+class CellScheduler:
+    """Runs cells on N single-worker process slots.
+
+    ``loop`` is an asyncio event loop, or anything with its
+    ``add_reader``/``remove_reader``/``call_later`` methods; every
+    scheduler call and callback happens on its thread.
+    ``on_start(execution, slot_name, attempt)`` fires as each attempt
+    is dispatched; ``on_done(execution, outcome)`` fires once, when the
+    execution succeeds or exhausts ``max_retries``.  Both act for every
+    subscriber in ``execution.subscribers``.
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        loop,
+        on_start: Callable[[Execution, str, int], None],
+        on_done: Callable[[Execution, Outcome], None],
+    ) -> None:
+        self.health = WorkerHealth()
+        self.slots = [
+            _Slot("worker-%d" % index)
+            for index in range(workers or default_workers())
+        ]
+        #: store key -> the execution currently running it.
+        self.executions: Dict[str, Execution] = {}
+        self.retries = 0
+        self.rebuilds = 0
+        self._loop = loop
+        self._on_start = on_start
+        self._on_done = on_done
+        #: Executions waiting for a free slot, first come first served.
+        self._waiting: "deque[Execution]" = deque()
+        self._closed = False
+
+    def counters(self) -> Dict[str, int]:
+        """Resilience counters, named alike in grid and service reports."""
+        return {
+            "retries": self.retries,
+            "worker_rebuilds": self.rebuilds,
+            "worker_trips": self.health.trips,
+        }
+
+    def submit(
+        self, key: str, task: Task, options: RunOptions, subscriber
+    ) -> Execution:
+        """Attach ``subscriber`` to ``key``'s execution, or start one."""
+        execution = self.executions.get(key)
+        if execution is not None:
+            execution.subscribers.append(subscriber)
+            return execution
+        execution = Execution(key, task, options, subscriber)
+        self.executions[key] = execution
+        self._waiting.append(execution)
+        self._dispatch()
+        return execution
+
+    def cancel(self, execution: Execution) -> None:
+        """Stop ``execution``; an attempt already running ends unseen."""
+        execution.cancelled = True
+        self._forget(execution)
+
+    def close(self) -> None:
+        """Stop dispatching and stop every slot's worker."""
+        self._closed = True
+        for slot in self.slots:
+            if slot.busy:
+                self._loop.remove_reader(slot.fileno())
+            slot.close()
+
+    def _forget(self, execution: Execution) -> None:
+        if self.executions.get(execution.key) is execution:
+            del self.executions[execution.key]
+
+    def _dispatch(self) -> None:
+        """Give each free slot, best by health first, a waiting cell."""
+        while self._waiting and not self._closed:
+            free = [slot for slot in self.slots if not slot.busy]
+            if not free:
+                return
+            execution = self._waiting.popleft()
+            if execution.cancelled:
+                continue
+            name = self.health.pick([slot.name for slot in free])
+            slot = next(slot for slot in free if slot.name == name)
+            execution.attempts += 1
+            self.health.record_dispatch(slot.name)
+            self._on_start(execution, slot.name, execution.attempts)
+            options = execution.options
+            slot.send(
+                (execution.task, options.use_cache, options.deadline,
+                 options.chaos, execution.attempts, options.kernel)
+            )
+            self._loop.add_reader(
+                slot.fileno(), self._collect, execution, slot
+            )
+            # Busy exactly while its reader is registered, so close()
+            # can unregister it, even after a Ctrl-C between the two.
+            slot.busy = True
+
+    def _collect(self, execution: Execution, slot: _Slot) -> None:
+        """Settle the attempt on ``slot``: its reply, or its death."""
+        slot.busy = False
+        self._loop.remove_reader(slot.fileno())
+        try:
+            status, value, wall, pid, tb = slot.receive()
+        except Exception as exc:
+            # The worker died hard (OOM kill, os._exit) or its reply
+            # was unreadable: rebuild the slot, and charge the failed
+            # attempt to it.
+            status = "error"
+            value = "%s: the process of slot %s died (exit code %s)" % (
+                type(exc).__name__, slot.name, slot.close(),
+            )
+            wall, pid, tb = 0.0, None, None
+            self.rebuilds += 1
+        ok = status == "ok"
+        if ok:
+            self.health.record_success(slot.name)
+        else:
+            self.health.record_failure(slot.name)
+        options = execution.options
+        if not execution.cancelled:
+            if ok or execution.attempts > options.max_retries:
+                self._forget(execution)
+                self._on_done(execution, Outcome(
+                    ok=ok, value=value, traceback=tb, wall=wall, pid=pid,
+                    slot=slot.name, attempts=execution.attempts,
+                ))
+            else:
+                self.retries += 1
+                self._loop.call_later(
+                    backoff_delay(
+                        options.backoff_base, BACKOFF_CAP_S,
+                        execution.attempts, execution.task.label,
+                    ),
+                    self._retry, execution,
+                )
+        self._dispatch()
+
+    def _retry(self, execution: Execution) -> None:
+        self._waiting.append(execution)
+        self._dispatch()
+
+
 def _resolve_cached(
-    task: Task, use_cache: bool
+    task: Task, key: str, use_cache: bool
 ) -> Tuple[Optional[SimResult], Optional[str]]:
     """Parent-side cache probe without simulating.
 
@@ -318,38 +623,34 @@ def _resolve_cached(
     """
     if not use_cache:
         return None, None
-    key = runner._memo_key(
+    memo_key = runner._memo_key(
         task.benchmark, task.policy_spec, task.scale, task.config,
         task.phase_interval, task.prefetch_degree,
     )
-    cached = runner._CACHE.get(key)
+    cached = runner._CACHE.get(memo_key)
     if cached is not None:
         return cached, "memo"
     store = default_store()
     if store is None:
         return None, None
-    result = store.load(task_store_key(task))
+    result = store.load(key)
     if result is not None:
-        runner._CACHE[key] = result
+        runner._CACHE[memo_key] = result
         return result, "store"
     return None, None
-
-
-def default_workers() -> int:
-    return max(1, os.cpu_count() or 1)
 
 
 def run_grid(
     tasks: Sequence[Task],
     options: Optional[RunOptions] = None,
 ) -> GridReport:
-    """Run ``tasks`` across a worker pool; never raises for a bad task.
+    """Run ``tasks`` on the cell scheduler; never raises for a bad task.
 
     Execution knobs come from ``options``
-    (:class:`~repro.sim.options.RunOptions`).  ``options.workers == 0``
-    means "CPU count" here (the grid is inherently parallel);
-    ``workers == 1`` runs in-process, still producing the same report
-    shape.
+    (:class:`~repro.sim.options.RunOptions`).  ``options.workers`` is
+    the number of process slots; ``0`` means "CPU count" here (the
+    grid is inherently parallel).  Tasks that share a store key
+    execute once and all get the result.
 
     A ``KeyboardInterrupt`` mid-run is graceful: the partial report is
     returned (``interrupted=True``), the journal records every
@@ -358,14 +659,7 @@ def run_grid(
     """
     if options is None:
         options = RunOptions()
-    pool_size = options.workers or default_workers()
-
-    ordered: List[Task] = []
-    seen = set()
-    for task in tasks:
-        if task not in seen:
-            seen.add(task)
-            ordered.append(task)
+    ordered: List[Task] = list(dict.fromkeys(tasks))
 
     resume_keys = set()
     if options.resume is not None:
@@ -376,10 +670,11 @@ def run_grid(
             )
         resume_keys = set(load_journal(options.resume).completed)
 
+    workers = options.workers or default_workers()
     journal = RunJournal.create(
         run_id=options.run_id,
         meta={
-            "workers": pool_size,
+            "workers": workers,
             "tasks": len(ordered),
             "benchmarks": sorted({t.benchmark for t in ordered}),
             "policies": sorted({t.policy_spec for t in ordered}),
@@ -391,101 +686,90 @@ def run_grid(
     results: Dict[Task, SimResult] = {}
     reports: List[TaskReport] = []
     failures: Dict[Task, str] = {}
+    keys: Dict[Task, str] = {}
     pending: List[Task] = []
     resumed_cells = 0
-    done = 0
-    notes: Dict[str, int] = {
-        "retries": 0, "pool_rebuilds": 0, "serial_fallback_tasks": 0,
-    }
-    breaker = CircuitBreaker(options.pool_failure_threshold)
 
     def finish(report: TaskReport) -> None:
-        nonlocal done
-        done += 1
         reports.append(report)
         if options.progress is not None:
-            options.progress(report, done, len(ordered))
+            options.progress(report, len(reports), len(ordered))
 
-    def journal_key(task: Task) -> Optional[str]:
-        return task_store_key(task) if journal is not None else None
-
-    def record_success(task, result, wall, pid, attempts) -> None:
-        results[task] = result
-        if options.use_cache:
-            runner.seed_cache(
-                task.benchmark, task.policy_spec, task.scale, result,
-                config=task.config, phase_interval=task.phase_interval,
-                prefetch_degree=task.prefetch_degree,
-            )
-        if journal is not None:
-            journal.task_finished(
-                task, journal_key(task), cache_hit=False, resumed=False,
-                wall=wall, worker=pid, attempts=attempts,
-            )
+    def settle(task: Task, outcome: Outcome) -> None:
+        """Record how one task that was not a cache hit ended."""
+        if outcome.ok:
+            results[task] = outcome.value
+            if options.use_cache:
+                runner.seed_cache(
+                    task.benchmark, task.policy_spec, task.scale,
+                    outcome.value, config=task.config,
+                    phase_interval=task.phase_interval,
+                    prefetch_degree=task.prefetch_degree,
+                )
+            if journal is not None:
+                journal.task_finished(
+                    task, keys[task], cache_hit=False, resumed=False,
+                    wall=outcome.wall, worker=outcome.pid,
+                    attempts=outcome.attempts,
+                )
+        else:
+            failures[task] = outcome.traceback or outcome.value
+            if journal is not None:
+                journal.task_failed(
+                    task, outcome.value, outcome.traceback,
+                    outcome.attempts,
+                )
         finish(TaskReport(
-            task=task, ok=True, wall_time=wall, worker=pid,
-            attempts=attempts,
+            task=task, ok=outcome.ok, wall_time=outcome.wall,
+            worker=outcome.pid, attempts=outcome.attempts,
+            error=None if outcome.ok else outcome.value,
+            traceback=outcome.traceback,
         ))
 
-    def record_failure(task, message, wall, pid, attempts, tb) -> None:
-        failures[task] = tb if tb else message
+    def on_start(execution: Execution, slot: str, attempt: int) -> None:
         if journal is not None:
-            journal.task_failed(task, message, tb, attempts)
-        finish(TaskReport(
-            task=task, ok=False, wall_time=wall, worker=pid,
-            attempts=attempts, error=message, traceback=tb,
-        ))
+            for task in execution.subscribers:
+                journal.task_started(task, attempt)
 
+    def on_done(execution: Execution, outcome: Outcome) -> None:
+        for task in execution.subscribers:
+            settle(task, outcome)
+
+    loop = _GridLoop()
+    scheduler = CellScheduler(workers, loop, on_start, on_done)
     interrupted = False
     try:
         for task in ordered:
             try:
-                cached, provenance = _resolve_cached(
-                    task, options.use_cache
-                )
+                keys[task] = task_store_key(task)
             except (KeyError, ValueError) as exc:
-                # An unparseable workload spec surfaces here (keys
-                # canonicalize the spec parent-side, before any worker
-                # sees the task); make it a per-cell failure like an
-                # unknown policy, not a matrix-wide crash.
-                record_failure(
-                    task, str(exc) or repr(exc), 0.0, None, 0,
-                    traceback.format_exc(),
-                )
+                settle(task, spec_failure(exc))
                 continue
-            if cached is not None:
-                results[task] = cached
-                resumed = (
-                    provenance == "store"
-                    and journal_key(task) in resume_keys
-                )
-                resumed_cells += resumed
-                if journal is not None:
-                    journal.task_finished(
-                        task, journal_key(task), cache_hit=True,
-                        resumed=resumed, wall=0.0, worker=None, attempts=0,
-                    )
-                finish(TaskReport(
-                    task=task, ok=True, cache_hit=True, resumed=resumed,
-                ))
-            else:
+            cached, provenance = _resolve_cached(
+                task, keys[task], options.use_cache
+            )
+            if cached is None:
                 pending.append(task)
-        cache_hits = len(results)
-
-        if pending and pool_size <= 1:
-            _run_serial(
-                deque((task, 0) for task in pending), options,
-                record_success, record_failure, journal, notes,
-            )
-        elif pending:
-            _run_pool(
-                pending, pool_size, options, breaker,
-                record_success, record_failure, journal, notes,
-            )
+                continue
+            results[task] = cached
+            resumed = provenance == "store" and keys[task] in resume_keys
+            resumed_cells += resumed
+            if journal is not None:
+                journal.task_finished(
+                    task, keys[task], cache_hit=True, resumed=resumed,
+                    wall=0.0, worker=None, attempts=0,
+                )
+            finish(TaskReport(
+                task=task, ok=True, cache_hit=True, resumed=resumed,
+            ))
+        for task in pending:
+            scheduler.submit(keys[task], task, options, task)
+        loop.run_until(lambda: not scheduler.executions)
     except KeyboardInterrupt:
         interrupted = True
-        cache_hits = sum(1 for report in reports if report.cache_hit)
     finally:
+        scheduler.close()
+        loop.close()
         if journal is not None:
             journal.run_finished(
                 completed=len(results), failed=len(failures),
@@ -493,21 +777,19 @@ def run_grid(
             )
 
     store = default_store()
-    resilience = {
-        "retries": notes["retries"],
-        "pool_rebuilds": notes["pool_rebuilds"],
-        "circuit_open": breaker.open,
-        "serial_fallback_tasks": notes["serial_fallback_tasks"],
-        "store_quarantined": store.quarantined if store is not None else 0,
-        "resumed_from": options.resume,
-        "resumed_cells": resumed_cells,
-    }
+    resilience: Dict[str, object] = dict(scheduler.counters())
+    resilience.update(
+        store_quarantined=store.quarantined if store is not None else 0,
+        resumed_from=options.resume,
+        resumed_cells=resumed_cells,
+    )
     _record_engine_metrics(resilience)
 
+    cache_hits = sum(1 for report in reports if report.cache_hit)
     return GridReport(
         results=results,
         reports=reports,
-        workers=pool_size,
+        workers=workers,
         elapsed=time.perf_counter() - started,
         cache_hits=cache_hits,
         cache_misses=len(ordered) - cache_hits,
@@ -523,241 +805,35 @@ def _record_engine_metrics(resilience: Dict[str, object]) -> None:
 
     Only when metrics are enabled — ``--metrics-out`` surfaces them
     next to the simulation counters, so a run report shows *how hard*
-    the engine had to work (retries, pool rebuilds, quarantined store
+    the engine had to work (retries, slot rebuilds, quarantined store
     entries) alongside what it computed.
     """
     if not obs.metrics_enabled():
         return
     registry = obs.MetricsRegistry()
-    registry.counter(
-        "engine_task_retries_total", "task attempts beyond the first"
-    ).inc(resilience["retries"])
-    registry.counter(
-        "engine_pool_rebuilds_total", "broken worker pools rebuilt"
-    ).inc(resilience["pool_rebuilds"])
-    registry.counter(
-        "engine_circuit_opens_total", "circuit-breaker serial fallbacks"
-    ).inc(1 if resilience["circuit_open"] else 0)
-    registry.counter(
-        "engine_store_quarantined_total",
-        "store entries quarantined on integrity failure",
-    ).inc(resilience["store_quarantined"])
+    for name, help_text in (
+        ("retries", "task attempts beyond the first"),
+        ("worker_rebuilds", "slot processes rebuilt after dying hard"),
+        ("worker_trips", "slot circuits tripped by consecutive failures"),
+        ("store_quarantined",
+         "store entries quarantined on integrity failure"),
+    ):
+        registry.counter(
+            "engine_%s_total" % name, help_text
+        ).inc(resilience[name])
     obs.record_session(registry.snapshot())
 
 
-def _run_serial(
-    items: "deque",
-    options: RunOptions,
-    record_success,
-    record_failure,
-    journal: Optional[RunJournal],
-    notes: Dict[str, int],
-) -> None:
-    """In-process execution with the same retry/backoff/journal protocol.
-
-    Used for ``workers <= 1`` grids and as the circuit breaker's
-    degraded mode.  ``items`` holds ``(task, completed_attempts)``
-    pairs.  Backoff sleeps inline; chaos runs with ``in_worker=False``
-    so an injected "hard" crash raises instead of killing the parent.
-    """
-    while items:
-        task, attempts = items.popleft()
-        while True:
-            attempt = attempts + 1
-            if journal is not None:
-                journal.task_started(task, attempt)
-            status, payload, wall, pid, tb = execute_cell(
-                (task, options.use_cache, options.deadline, options.chaos,
-                 attempt, False, options.kernel)
-            )
-            attempts = attempt
-            if status == "ok":
-                record_success(task, payload, wall, pid, attempts)
-                break
-            if attempts > options.max_retries:
-                record_failure(task, payload, wall, pid, attempts, tb)
-                break
-            notes["retries"] += 1
-            delay = backoff_delay(
-                options.backoff_base, BACKOFF_CAP_S, attempts, task.label,
-            )
-            if delay > 0:
-                time.sleep(delay)
-
-
-def _run_pool(
-    pending: Sequence[Task],
-    workers: int,
-    options: RunOptions,
-    breaker: CircuitBreaker,
-    record_success,
-    record_failure,
-    journal: Optional[RunJournal],
-    notes: Dict[str, int],
-) -> None:
-    """Dispatch misses to a process pool with retry, backoff, and rebuild.
-
-    The pool is rebuilt when a worker dies hard (which breaks every
-    in-flight future); retries wait out their backoff in a delay heap
-    so the parent keeps collecting other results meanwhile.  When the
-    circuit breaker opens, everything still outstanding drains through
-    :func:`_run_serial`.
-    """
-    context = multiprocessing.get_context(_MP_START_METHOD)
-    pool_size = min(workers, len(pending))
-    ready: "deque" = deque((task, 0) for task in pending)
-    delayed: List[Tuple[float, int, Task, int]] = []
-    sequence = 0
-    pool: Optional[ProcessPoolExecutor] = None
-    inflight: Dict[object, Tuple[Task, int]] = {}
-
-    def close_pool() -> None:
-        nonlocal pool
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
-
-    def requeue(task: Task, attempts: int) -> None:
-        nonlocal sequence
-        notes["retries"] += 1
-        delay = backoff_delay(
-            options.backoff_base, BACKOFF_CAP_S, attempts, task.label,
-        )
-        if delay > 0:
-            heapq.heappush(
-                delayed,
-                (time.monotonic() + delay, sequence, task, attempts),
-            )
-            sequence += 1
-        else:
-            ready.append((task, attempts))
-
-    def handle_outcome(task, attempts, status, payload, wall, pid, tb):
-        if status == "ok":
-            record_success(task, payload, wall, pid, attempts)
-        elif attempts <= options.max_retries:
-            requeue(task, attempts)
-        else:
-            record_failure(task, payload, wall, pid, attempts, tb)
-
-    def on_pool_failure() -> None:
-        """A worker died hard: count it, rebuild, drain the wreckage."""
-        breaker.record_pool_failure()
-        notes["pool_rebuilds"] += 1
-        # Every in-flight future of a broken pool resolves (almost)
-        # immediately — either with a result computed before the
-        # breakage or with BrokenProcessPool.  Drain them all so their
-        # tasks get retried against the fresh pool.
-        deadline = time.monotonic() + 10.0
-        while inflight and time.monotonic() < deadline:
-            settled, _ = wait(set(inflight), timeout=1.0)
-            for future in settled:
-                task, attempts = inflight.pop(future)
-                try:
-                    status, payload, wall, pid, tb = future.result()
-                except Exception as exc:
-                    status = "error"
-                    payload = "%s: %s" % (type(exc).__name__, exc)
-                    wall, pid, tb = 0.0, None, None
-                handle_outcome(
-                    task, attempts + 1, status, payload, wall, pid, tb
-                )
-        for future, (task, attempts) in list(inflight.items()):
-            inflight.pop(future)
-            handle_outcome(
-                task, attempts + 1, "error",
-                "BrokenPool: worker lost before reporting",
-                0.0, None, None,
-            )
-        close_pool()
-
-    try:
-        while ready or delayed or inflight:
-            if breaker.open:
-                break
-            now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                _, _, task, attempts = heapq.heappop(delayed)
-                ready.append((task, attempts))
-
-            submit_failed = False
-            while ready:
-                task, attempts = ready.popleft()
-                if pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=pool_size, mp_context=context
-                    )
-                if journal is not None:
-                    journal.task_started(task, attempts + 1)
-                try:
-                    future = pool.submit(
-                        execute_cell,
-                        (task, options.use_cache, options.deadline,
-                         options.chaos, attempts + 1, True, options.kernel),
-                    )
-                except Exception:
-                    # The pool broke between completions; retry the
-                    # submission against a fresh pool next round.
-                    ready.appendleft((task, attempts))
-                    submit_failed = True
-                    break
-                inflight[future] = (task, attempts)
-            if submit_failed:
-                on_pool_failure()
-                continue
-
-            if not inflight:
-                if delayed:
-                    pause = delayed[0][0] - time.monotonic()
-                    if pause > 0:
-                        time.sleep(pause)
-                continue
-
-            wake = None
-            if delayed:
-                wake = max(0.0, delayed[0][0] - time.monotonic())
-            finished, _ = wait(
-                set(inflight), timeout=wake, return_when=FIRST_COMPLETED
-            )
-            pool_failed = False
-            for future in finished:
-                task, attempts = inflight.pop(future)
-                try:
-                    status, payload, wall, pid, tb = future.result()
-                except Exception as exc:
-                    pool_failed = True
-                    status = "error"
-                    payload = "%s: %s" % (type(exc).__name__, exc)
-                    wall, pid, tb = 0.0, None, None
-                else:
-                    breaker.record_healthy_round()
-                handle_outcome(
-                    task, attempts + 1, status, payload, wall, pid, tb
-                )
-            if pool_failed:
-                on_pool_failure()
-    finally:
-        close_pool()
-
-    if breaker.open and (ready or delayed):
-        leftovers: "deque" = deque()
-        for task, attempts in ready:
-            leftovers.append((task, attempts))
-        for _, _, task, attempts in sorted(delayed):
-            leftovers.append((task, attempts))
-        notes["serial_fallback_tasks"] += len(leftovers)
-        _run_serial(
-            leftovers, options, record_success, record_failure, journal,
-            notes,
-        )
-
-
 __all__ = [
+    "CellScheduler",
+    "Execution",
+    "Outcome",
     "Task",
     "TaskReport",
     "GridReport",
     "run_grid",
     "default_workers",
     "execute_cell",
+    "spec_failure",
     "task_store_key",
 ]

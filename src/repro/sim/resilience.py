@@ -1,4 +1,4 @@
-"""Fault-tolerant execution primitives for the parallel engine.
+"""Fault-tolerant execution primitives for the cell scheduler.
 
 Three pieces, all deterministic and all testable under the seeded
 chaos harness (:mod:`repro.sim.chaos`):
@@ -10,12 +10,9 @@ chaos harness (:mod:`repro.sim.chaos`):
   (no wall-clock or RNG state leaks into behavior) while distinct
   tasks still de-synchronize.
 
-* :class:`CircuitBreaker` — counts *consecutive* broken-pool rounds
-  (a worker hard-crashing breaks every in-flight future of a
-  ``ProcessPoolExecutor``).  After ``threshold`` consecutive
-  breakages the breaker opens and :func:`repro.sim.parallel.run_grid`
-  degrades gracefully to serial in-process execution instead of
-  thrashing pool rebuilds forever.
+* :class:`WorkerHealth` — ranks the scheduler's process slots by
+  recency and observed health, and trips a slot's circuit after
+  :data:`TRIP_THRESHOLD` consecutive failures.
 
 * :class:`RunJournal` — an append-only JSONL journal of one grid
   run: ``run_started`` (with the suite matrix), per-attempt
@@ -42,6 +39,11 @@ JOURNAL_SCHEMA = "repro.journal/v1"
 
 #: Longest wait between two attempts of one task, in seconds.
 BACKOFF_CAP_S = 2.0
+
+#: Consecutive failures that trip a slot's circuit, and the dispatch
+#: ticks a tripped slot sits out before a half-open probe.
+TRIP_THRESHOLD = 3
+COOLDOWN = 8
 
 
 def journal_root() -> Optional[Path]:
@@ -91,38 +93,12 @@ def backoff_delay(
     return min(cap, raw * jitter)
 
 
-class CircuitBreaker:
-    """Open after ``threshold`` consecutive broken-pool rounds.
-
-    ``threshold <= 0`` disables the breaker (it never opens).
-    """
-
-    def __init__(self, threshold: int) -> None:
-        self.threshold = threshold
-        self.consecutive_failures = 0
-        self.total_failures = 0
-
-    @property
-    def open(self) -> bool:
-        return (
-            self.threshold > 0
-            and self.consecutive_failures >= self.threshold
-        )
-
-    def record_pool_failure(self) -> None:
-        self.consecutive_failures += 1
-        self.total_failures += 1
-
-    def record_healthy_round(self) -> None:
-        self.consecutive_failures = 0
-
-
 class WorkerHealth:
     """Adaptive worker ranking by recency and observed health.
 
-    The job service schedules cells across a pool of worker slots
-    (local processes today, remote hosts tomorrow); this class decides
-    *which* slot gets the next cell.  In the spirit of AWRP's adaptive
+    The cell scheduler (:class:`repro.sim.parallel.CellScheduler`)
+    runs cells on a set of process slots; this class decides *which*
+    slot gets the next cell.  In the spirit of AWRP's adaptive
     weight ranking (arXiv:1107.4851) — rank by a weight combining
     recency with observed frequency instead of pure round-robin — each
     worker's score blends its success rate over a bounded outcome
@@ -130,11 +106,10 @@ class WorkerHealth:
     flaky host organically drains traffic while a recovered one climbs
     back.
 
-    It also generalizes the PR 5 :class:`CircuitBreaker` from "the one
-    shared pool broke" to *per-worker* circuits: ``trip_threshold``
-    consecutive failures trip a worker, and a tripped worker only
-    receives work again as a half-open probe — when every worker is
-    tripped (or after ``cooldown`` dispatches elsewhere), the
+    Each worker has its own circuit: ``trip_threshold`` consecutive
+    failures trip a worker, and a tripped worker only receives work
+    again as a half-open probe — when every worker is tripped (or
+    after ``cooldown`` dispatches elsewhere), the
     least-recently-tripped one gets a single chance to prove itself.
     All state advances on logical dispatch ticks, never wall-clock, so
     scheduling decisions are reproducible in tests.
@@ -142,8 +117,8 @@ class WorkerHealth:
 
     def __init__(
         self,
-        trip_threshold: int = 3,
-        cooldown: int = 8,
+        trip_threshold: int = TRIP_THRESHOLD,
+        cooldown: int = COOLDOWN,
         window: int = 32,
     ) -> None:
         if window <= 0:
@@ -479,9 +454,10 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "JournalState",
     "RunJournal",
-    "CircuitBreaker",
     "WorkerHealth",
     "BACKOFF_CAP_S",
+    "COOLDOWN",
+    "TRIP_THRESHOLD",
     "backoff_delay",
     "journal_root",
     "list_runs",

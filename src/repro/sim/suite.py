@@ -2,8 +2,8 @@
 
 Downstream users typically want the whole comparison grid, not single
 runs.  :func:`run_suite` executes a (benchmarks x policies) matrix —
-serially through the two-level result cache, or fanned out across a
-worker pool with ``RunOptions(workers=N)`` — and returns a
+serially through the two-level result cache, or fanned out across
+process slots with ``RunOptions(workers=N)`` — and returns a
 :class:`SuiteResult` that renders as text, JSON, or CSV, so results
 can feed external plotting without re-simulation.
 
@@ -288,9 +288,8 @@ def run_suite(
         from repro.sim.runner import trace_scale
 
         if not options.workers:
-            # resume/chaos need the journaling engine even "serially";
-            # one worker means in-process execution with the full
-            # retry/journal protocol.
+            # resume/chaos need the journaling engine even "serially":
+            # one process slot with the full retry/journal protocol.
             options = options.replace(workers=1)
         resolved_scale = scale if scale is not None else trace_scale()
         tasks = [
@@ -450,15 +449,14 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         resilience = suite.meta.get("resilience") or {}
-        if resilience.get("retries") or resilience.get("pool_rebuilds"):
+        if resilience.get("retries") or resilience.get("worker_rebuilds"):
             print(
-                "[resilience: %d retries, %d pool rebuilds%s, %d store "
-                "entries quarantined]"
+                "[resilience: %d retries, %d worker rebuilds, %d worker "
+                "trips, %d store entries quarantined]"
                 % (
                     resilience.get("retries", 0),
-                    resilience.get("pool_rebuilds", 0),
-                    " (circuit opened -> serial)"
-                    if resilience.get("circuit_open") else "",
+                    resilience.get("worker_rebuilds", 0),
+                    resilience.get("worker_trips", 0),
                     resilience.get("store_quarantined", 0),
                 ),
                 file=sys.stderr,

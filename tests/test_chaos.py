@@ -4,9 +4,8 @@ The headline property (the chaos differential): with deterministic
 crashes, delays, and store corruption injected, ``run_suite`` still
 completes and its :meth:`SuiteResult.content_digest` is bit-identical
 to the fault-free serial run.  Plus: store integrity (quarantine + gc),
-hard-crash pool rebuild, circuit-breaker serial fallback, remote
-tracebacks in failure reports, and graceful KeyboardInterrupt with
-journal resume.
+hard-crash slot rebuild, remote tracebacks in failure reports, and
+graceful KeyboardInterrupt with journal resume.
 """
 
 import json
@@ -50,7 +49,7 @@ def _tasks(benchmarks=BENCHMARKS, policies=POLICIES):
 def _pick_seed(labels, rate, predicate):
     """First seed whose deterministic roll pattern satisfies ``predicate``.
 
-    Keeps the pool tests honest: instead of hoping a hard-coded seed
+    Keeps the slot tests honest: instead of hoping a hard-coded seed
     fires (and recovers from) the faults we want, derive one from the
     same pure rolls the engine will use.
     """
@@ -59,13 +58,6 @@ def _pick_seed(labels, rate, predicate):
         if predicate(chaos, labels):
             return seed
     pytest.fail("no seed under 200 produced the wanted fault pattern")
-
-
-def _recovers(chaos, label, max_attempt):
-    return any(
-        not chaos.should_crash(label, attempt)
-        for attempt in range(2, max_attempt + 1)
-    )
 
 
 class TestChaosConfig:
@@ -108,15 +100,15 @@ class TestChaosConfig:
     def test_inject_raises_chaoscrash(self):
         chaos = ChaosConfig(crash_rate=1.0)
         with pytest.raises(ChaosCrash, match="mcf/lru attempt 2"):
-            inject(chaos, "mcf/lru", 2, in_worker=False)
-        inject(None, "mcf/lru", 2, in_worker=False)  # no-op
+            inject(chaos, "mcf/lru", 2)
+        inject(None, "mcf/lru", 2)  # no-op
 
     def test_hard_mode_raises_in_parent(self):
-        # hard=True must only os._exit inside a pool worker; in-parent
-        # injection (serial path, circuit-breaker fallback) raises.
+        # hard=True must only os._exit inside a worker process;
+        # injection in a parent process (this one) raises.
         chaos = ChaosConfig(crash_rate=1.0, hard=True)
         with pytest.raises(ChaosCrash):
-            inject(chaos, "mcf/lru", 1, in_worker=False)
+            inject(chaos, "mcf/lru", 1)
 
 
 class TestStoreIntegrity:
@@ -253,9 +245,9 @@ class TestPoolFaults:
     def test_hard_crash_rebuilds_pool_and_completes(self):
         tasks = _tasks(benchmarks=("lucas",))
         labels = [task.label for task in tasks]
-        # Exactly one hard crash, on somebody's first attempt: one pool
-        # breakage, one rebuild, and every retry then succeeds — the
-        # breaker (threshold 3) must stay closed.
+        # Exactly one hard crash, on somebody's first attempt: one dead
+        # slot, one rebuild, and every retry then succeeds — no slot's
+        # circuit (threshold 3) trips.
         def one_first_attempt_crash(chaos, ls):
             crashes = [
                 (label, attempt)
@@ -275,31 +267,8 @@ class TestPoolFaults:
         )
         assert not grid.failures
         assert len(grid.results) == len(tasks)
-        assert grid.resilience["pool_rebuilds"] >= 1
-        assert not grid.resilience["circuit_open"]
-
-    def test_circuit_breaker_degrades_to_serial(self):
-        tasks = _tasks(benchmarks=("lucas",))
-        labels = [task.label for task in tasks]
-        seed = _pick_seed(
-            labels, 0.6,
-            lambda chaos, ls: (
-                all(chaos.should_crash(label, 1) for label in ls)
-                and all(_recovers(chaos, label, 7) for label in ls)
-            ),
-        )
-        chaos = ChaosConfig(seed=seed, crash_rate=0.6, hard=True)
-        grid = run_grid(
-            tasks,
-            options=RunOptions(
-                workers=2, max_retries=8, backoff_base=0.001,
-                pool_failure_threshold=1, chaos=chaos,
-            ),
-        )
-        assert not grid.failures
-        assert len(grid.results) == len(tasks)
-        assert grid.resilience["circuit_open"]
-        assert grid.resilience["serial_fallback_tasks"] >= 1
+        assert grid.resilience["worker_rebuilds"] == 1
+        assert grid.resilience["worker_trips"] == 0
 
 
 class TestFailureReports:

@@ -1,11 +1,12 @@
 """Parallel engine and persistent-store tests.
 
-Locks in the PR's two core guarantees: the worker pool returns
+Locks in the engine's two core guarantees: the process slots return
 bit-identical results to the serial path, and the store keys on
 everything that can change a result (and nothing that can't).
 """
 
 import json
+import os
 
 import pytest
 
@@ -170,6 +171,53 @@ class TestPartialFailure:
         (task, result), = grid.results.items()
         assert result.instructions > 0
         assert grid.reports[0].ok
+
+
+class TestStoreKeyDedup:
+    def test_tasks_sharing_a_store_key_execute_once(self):
+        # config=None means the experiment config, so these two
+        # distinct Tasks share one store key.
+        implicit = Task(benchmark="lucas", policy_spec="lru", scale=SCALE)
+        explicit = Task(
+            benchmark="lucas", policy_spec="lru", scale=SCALE,
+            config=experiment_config(),
+        )
+        assert implicit != explicit
+        grid = run_grid(
+            [implicit, explicit], options=RunOptions(workers=2)
+        )
+        assert not grid.failures
+        # One execution: both tasks hold the very object it returned.
+        assert grid.results[implicit] is grid.results[explicit]
+        assert grid.cache_hits == 0
+        first, second = grid.reports
+        assert first.ok and second.ok
+        assert (first.worker, first.attempts) == (
+            second.worker, second.attempts
+        )
+
+    def test_more_slots_than_cores_run_each_cell_once(self):
+        # Cells outnumber slots and slots outnumber cores: each freed
+        # slot goes to one waiting cell and every cell settles once,
+        # with the serial loop's result.
+        tasks = [
+            Task(benchmark=benchmark, policy_spec=policy, scale=SCALE)
+            for benchmark in ("lucas", "mcf", "art")
+            for policy in ("lru", "lin(4)", "sbar")
+        ]
+        slots = min(2 * (os.cpu_count() or 1), len(tasks) - 1)
+        grid = run_grid(
+            tasks, options=RunOptions(workers=slots, use_cache=False)
+        )
+        assert not grid.failures
+        assert sorted(report.task.label for report in grid.reports) == (
+            sorted(task.label for task in tasks)
+        )
+        for task in tasks:
+            assert_results_identical(grid.results[task], run_policy(
+                task.benchmark, task.policy_spec, scale=SCALE,
+                options=RunOptions(use_cache=False),
+            ))
 
 
 class TestStoreKeying:

@@ -1,7 +1,7 @@
-"""Resilience-layer unit tests: backoff, breaker, journal, RunOptions.
+"""Resilience-layer unit tests: backoff, journal, RunOptions.
 
 The end-to-end fault-injection properties (digest equality under
-chaos, resume, pool rebuild) live in ``tests/test_chaos.py``; this
+chaos, resume, slot rebuild) live in ``tests/test_chaos.py``; this
 file locks in the primitives those tests compose — all deterministic,
 none needing a worker pool.
 """
@@ -18,7 +18,6 @@ from repro.sim.chaos import ChaosConfig
 from repro.sim.options import RunOptions
 from repro.sim.parallel import Task, run_grid
 from repro.sim.resilience import (
-    CircuitBreaker,
     RunJournal,
     backoff_delay,
     journal_root,
@@ -63,26 +62,6 @@ class TestBackoff:
         assert backoff_delay(0.0, 2.0, 3, "x") == 0.0
         assert backoff_delay(-1.0, 2.0, 3, "x") == 0.0
         assert backoff_delay(0.05, 2.0, 0, "x") == 0.0
-
-
-class TestCircuitBreaker:
-    def test_opens_after_consecutive_failures_only(self):
-        breaker = CircuitBreaker(2)
-        assert not breaker.open
-        breaker.record_pool_failure()
-        assert not breaker.open
-        breaker.record_healthy_round()  # resets the consecutive count
-        breaker.record_pool_failure()
-        assert not breaker.open
-        breaker.record_pool_failure()
-        assert breaker.open
-        assert breaker.total_failures == 3
-
-    def test_zero_threshold_disables(self):
-        breaker = CircuitBreaker(0)
-        for _ in range(10):
-            breaker.record_pool_failure()
-        assert not breaker.open
 
 
 class TestRunJournal:

@@ -30,7 +30,7 @@ from repro.service.server import ServiceConfig, serve_in_thread
 from repro.sim.chaos import ChaosConfig
 from repro.sim.options import RunOptions
 from repro.sim.parallel import task_store_key
-from repro.sim.resilience import RunJournal, WorkerHealth
+from repro.sim.resilience import RunJournal, WorkerHealth, load_journal
 from repro.sim.runner import clear_cache, run_policy
 from repro.sim.store import result_digest
 
@@ -49,7 +49,7 @@ def fresh_caches(tmp_path, monkeypatch):
 
 
 def start_service(**overrides):
-    defaults = dict(port=0, workers=2, inline=True)
+    defaults = dict(port=0, workers=2)
     defaults.update(overrides)
     return serve_in_thread(ServiceConfig(**defaults))
 
@@ -361,7 +361,7 @@ class TestServiceEndToEnd:
         from repro.service.server import JobService
 
         async def scenario():
-            service = JobService(ServiceConfig(workers=1, inline=True))
+            service = JobService(ServiceConfig(workers=1))
             try:
                 job, _ = service.submit_job(
                     tenant="t", benchmarks=["lucas"], policies=["lru"],
@@ -433,6 +433,145 @@ class TestServiceEndToEnd:
         })
         assert merged.max_retries == 7
         assert merged.use_cache is True
+
+
+def _serial_digests(tmp_path, monkeypatch, benchmarks, policies):
+    """Cell digests of a serial run against a second fresh store."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
+    clear_cache()
+    return {
+        "%s/%s" % (benchmark, policy): result_digest(
+            run_policy(benchmark, policy, scale=SCALE).to_dict()
+        )
+        for benchmark in benchmarks
+        for policy in policies
+    }
+
+
+class TestSlotFaults:
+    def test_hard_crash_rebuilds_a_slot_and_digests_match_serial(
+        self, tmp_path, monkeypatch
+    ):
+        # A seed whose rolls hard-crash some cell's first attempt and
+        # let every cell through within the retry budget.
+        labels = [
+            "%s/%s" % (benchmark, policy)
+            for benchmark in BENCHMARKS for policy in POLICIES
+        ]
+        for seed in range(200):
+            chaos = ChaosConfig(seed=seed, crash_rate=0.3, hard=True)
+            if any(chaos.should_crash(label, 1) for label in labels) and all(
+                not chaos.should_crash(label, 3) for label in labels
+            ) and all(
+                not (chaos.should_crash(label, 1)
+                     and chaos.should_crash(label, 2))
+                for label in labels
+            ):
+                break
+        else:
+            pytest.fail("no seed under 200 crashes once and recovers")
+        handle = start_service(
+            options=RunOptions(chaos=chaos, max_retries=2)
+        )
+        try:
+            client = ServiceClient(port=handle.port)
+            snapshot = client.wait(
+                client.submit(BENCHMARKS, POLICIES, scale=SCALE)
+            )
+            stats = client.stats()
+        finally:
+            handle.stop()
+        assert snapshot["status"] == "done"
+        assert stats["counters"]["worker_rebuilds"] >= 1
+        assert stats["counters"]["retries"] >= 1
+        want = _serial_digests(tmp_path, monkeypatch, BENCHMARKS, POLICIES)
+        assert {
+            label: cell["digest"]
+            for label, cell in snapshot["cells"].items()
+        } == want
+
+    def test_deadline_shorter_than_the_delay_times_out_and_retries(self):
+        # SIGALRM deadlines round up to whole seconds, so the seeded
+        # delay must outlast one second on both attempts.
+        chaos = ChaosConfig(delay_rate=1.0, delay_s=1.2, seed=3)
+        handle = start_service(
+            workers=1,
+            options=RunOptions(chaos=chaos, deadline=0.5, max_retries=1),
+        )
+        try:
+            client = ServiceClient(port=handle.port)
+            snapshot = client.wait(
+                client.submit(("lucas",), ("lru",), scale=SCALE)
+            )
+            stats = client.stats()
+        finally:
+            handle.stop()
+        cell = snapshot["cells"]["lucas/lru"]
+        assert snapshot["status"] == "failed"
+        assert cell["status"] == "failed"
+        assert cell["error"].startswith("TaskTimeout")
+        assert cell["attempts"] == 2
+        assert stats["counters"]["retries"] == 1
+
+
+MALFORMED = [
+    (["nosuch_bench"], ["lru"], "unknown workload"),
+    (["mcf(seed="], ["lru"], "malformed workload spec"),
+    (["mcf"], ["lin("], "malformed policy spec"),
+]
+
+
+class TestMalformedSpecs:
+    @pytest.mark.parametrize("benchmarks,policies,error", MALFORMED)
+    def test_bad_spec_fails_its_cell_and_releases_the_quota(
+        self, benchmarks, policies, error
+    ):
+        handle = start_service(tenant_quota=4)
+        try:
+            client = ServiceClient(port=handle.port, tenant="t")
+            # The submission is answered, not dropped.
+            bad = client.wait(client.submit(
+                benchmarks + ["lucas"], policies + ["lru"], scale=SCALE,
+            ))
+            # Its 4 cells left the tenant's quota: the next fits.
+            good = client.wait(client.submit(
+                ("lucas",), ("lin(4)",), scale=SCALE,
+            ))
+            stats = client.stats()
+        finally:
+            handle.stop()
+        assert bad["status"] == "failed"
+        failed = [
+            cell for cell in bad["cells"].values()
+            if cell["status"] == "failed"
+        ]
+        assert failed and all(error in cell["error"] for cell in failed)
+        assert failed[0]["attempts"] == 0
+        assert bad["cells"]["lucas/lru"]["status"] == "done"
+        assert good["status"] == "done"
+        assert stats["counters"]["cell_failures"] == len(failed)
+        assert stats["quotas"]["inflight_total"] == 0
+        state = load_journal(bad["job_id"])
+        assert state.finished and len(state.failed) == len(failed)
+
+    def test_resume_over_a_journal_with_a_malformed_spec(self):
+        job_id = new_job_id()
+        RunJournal.create(run_id=job_id, meta={
+            "service_job": True,
+            "tenant": "t",
+            "benchmarks": ["mcf(seed=", "lucas"],
+            "policies": ["lru"],
+            "scale": SCALE,
+            "options": {},
+        }).close()
+        handle = start_service(resume=True)
+        try:
+            snapshot = ServiceClient(port=handle.port).wait(job_id)
+        finally:
+            handle.stop()
+        assert snapshot["status"] == "failed"
+        assert snapshot["cells"]["lucas/lru"]["status"] == "done"
+        assert load_journal(job_id).finished
 
 
 class TestResume:
