@@ -33,51 +33,50 @@ import sys
 from repro.bench.macro import run_macro
 from repro.bench.report import (
     build_report,
-    cell_label,
     check_macro_cell,
+    entry_task,
     validate_report,
 )
 from repro.sim import common_cli
 from repro.sim.options import REPLAY_KERNELS
+from repro.sim.runner import cell_label
 
 
 def _check_mode(report_path: str, cell: str) -> int:
     with open(report_path) as handle:
         report = json.load(handle)
     validate_report(report)
-    if cell is None:
-        # Verify every macro cell the report recorded.
-        cells = [
-            (entry["workload"], entry["policy"], entry.get("kernel"),
-             entry.get("phase_interval"), entry.get("prefetch_degree"))
-            for entry in report["macro"]
-        ]
-    else:
+    # Every macro cell the report recorded, or the first one --cell
+    # names by its label.
+    cells = [(entry_task(entry), entry["kernel"]) for entry in report["macro"]]
+    if cell is not None:
         parts = cell.split("/")
-        if len(parts) == 2:
-            cells = [(parts[0], parts[1], None, None, None)]
-        elif len(parts) == 3:
-            cells = [(parts[0], parts[1], parts[2], None, None)]
-        else:
+        if len(parts) not in (2, 3):
             print(
                 "--cell must look like WORKLOAD/POLICY[/KERNEL], got %r"
                 % cell,
                 file=sys.stderr,
             )
             return 2
+        named = len(parts) == 3
+        cells = [
+            (task, kernel if named else None) for task, kernel in cells
+            if cell_label(task, kernel if named else None) == cell
+        ][:1]
+        if not cells:
+            print("FAIL: report has no macro cell %s" % cell,
+                  file=sys.stderr)
+            return 1
     failures = 0
-    for workload, policy, kernel, phase_interval, prefetch_degree in cells:
-        label = cell_label(workload, policy, kernel, phase_interval,
-                           prefetch_degree)
+    for task, kernel in cells:
         try:
-            fresh = check_macro_cell(report, workload, policy, kernel,
-                                     phase_interval, prefetch_degree)
+            fresh = check_macro_cell(report, task, kernel)
         except ValueError as exc:
             failures += 1
             print("FAIL: %s" % exc, file=sys.stderr)
             continue
         print("OK: %s results match %s (%s)" % (
-            label, report_path,
+            cell_label(task, kernel), report_path,
             ", ".join("%s=%s" % item for item in sorted(fresh.items())),
         ))
     if failures:
@@ -91,18 +90,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Measure simulation-kernel performance and write a "
-        "BENCH_<tag>.json report.  Accepts the shared execution/"
-        "telemetry flags for CLI uniformity; timings are only "
-        "meaningful serially, so --workers/--resume/--max-retries/"
-        "--deadline are ignored here, and enabling telemetry keeps "
-        "every run off the native kernel (timings will not be "
-        "comparable).",
-        parents=[common_cli.execution_parent(),
-                 common_cli.telemetry_parent()],
-        conflict_handler="resolve",
+        "BENCH_<tag>.json report.  Enabling telemetry keeps every run "
+        "off the native kernel (timings will not be comparable).",
+        parents=[common_cli.telemetry_parent()],
     )
-    # Override the shared --kernel: bench additionally accepts "all"
-    # to time both kernels side by side in one report.
+    # Bench's own --kernel also accepts "all", to time both kernels
+    # side by side in one report.
     parser.add_argument(
         "--kernel", default="auto", choices=REPLAY_KERNELS + ("all",),
         help="replay kernel the macro cells request (recorded per "
@@ -152,20 +145,6 @@ def main(argv=None) -> int:
             "in this report are not comparable to baselines",
             file=sys.stderr,
         )
-    ignored = [
-        flag for flag, value in (
-            ("--workers", args.workers), ("--resume", args.resume),
-            ("--max-retries", args.max_retries),
-            ("--deadline", args.deadline), ("--chaos", args.chaos),
-        ) if value
-    ]
-    if ignored:
-        print(
-            "note: bench always runs serially; ignoring %s"
-            % ", ".join(ignored),
-            file=sys.stderr,
-        )
-
     if args.check is not None:
         return _check_mode(args.check, args.cell)
     if args.cell is not None:
@@ -194,9 +173,7 @@ def main(argv=None) -> int:
             if entry["kernel_used"] == entry["kernel"]
             else " -> %s" % entry["kernel_used"]
         )
-        label = cell_label(entry["workload"], entry["policy"], None,
-                           entry.get("phase_interval"),
-                           entry.get("prefetch_degree"))
+        label = cell_label(entry_task(entry))
         print(
             "  %-15s %-7s%s %8.0f accesses/s  (%.3fs, %d L2 misses)"
             % (label, entry["kernel"], resolved, entry["accesses_per_sec"],

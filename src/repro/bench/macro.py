@@ -13,19 +13,20 @@ Each entry additionally records which path the run took
 failed (``kernel_fallback``): a silent fall-back would otherwise
 masquerade as a timing regression.
 Traces are packed once per workload and shared across the policy
-cells.  One more cell per report samples phases (``phase_interval``,
-Figure 11's bookkeeping) and embeds each phase's miss count, and the
-prefetch cells (``prefetch_degree``) run with a stride prefetcher.
+cells.  Every cell is a :class:`~repro.sim.runner.Task`: its entry
+records the task's set fields and its simulator is the task's.  One
+more cell per report samples phases (Figure 11's bookkeeping) and
+embeds each phase's miss count, and the prefetch cells run with a
+stride prefetcher.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.cpu.prefetch import prefetcher_for
-from repro.sim.simulator import Simulator
-from repro.workloads import build_workload, experiment_config
+from repro.sim.runner import Task
+from repro.workloads import build_workload
 
 #: Workloads × policies timed by ``run_macro`` (and ``make bench``):
 #: one spec per registered policy.
@@ -38,7 +39,7 @@ MACRO_POLICIES = (
 #: 19 phases on mcf at the default scale.  It rides along whenever the
 #: matrix holds its workload and policy.
 MACRO_PHASED = ("mcf", "sbar", 500_000)
-#: The prefetch cells: (workload, policy, prefetch_degree), the stride
+#: The prefetch cells: (workload, policy, degree), the stride
 #: prefetcher the ``prefetch`` experiment runs.  Each rides along
 #: whenever the matrix holds its workload and policy.
 MACRO_PREFETCHED = (("mcf", "lru", 2), ("art", "lin(4)", 2))
@@ -61,14 +62,7 @@ def macro_result_fields(result) -> Dict[str, object]:
     return fields
 
 
-def simulate_cell(
-    workload: str,
-    policy: str,
-    scale: float,
-    kernel: str = "auto",
-    phase_interval: Optional[int] = None,
-    prefetch_degree: Optional[int] = None,
-):
+def simulate_cell(task: Task, kernel: str = "auto"):
     """Run one macro cell untimed; returns its SimResult.
 
     This is the re-simulation entry point the report ``--check`` mode
@@ -77,17 +71,8 @@ def simulate_cell(
     the replay kernel to request; results are bit-identical across
     kernels by contract.
     """
-    trace = build_workload(workload, scale=scale)
-    return _simulator(
-        experiment_config(), policy, kernel, phase_interval, prefetch_degree
-    ).run(trace)
-
-
-def _simulator(config, policy, kernel, phase_interval, prefetch_degree):
-    return Simulator(
-        config, policy, kernel=kernel, phase_interval=phase_interval,
-        prefetcher=prefetcher_for(prefetch_degree),
-    )
+    trace = build_workload(task.benchmark, scale=task.scale)
+    return task.simulator(kernel).run(trace)
 
 
 def run_macro(
@@ -116,27 +101,27 @@ def run_macro(
     if quick:
         scale = 0.05
         repeat = 1
-    config = experiment_config()
     entries: List[Dict[str, object]] = []
     phased_workload, phased_policy, interval = MACRO_PHASED
     for workload in workloads:
         trace = build_workload(workload, scale=scale)
         accesses = len(trace)
-        cells = [(policy, None, None) for policy in policies]
+        tasks = [Task(workload, policy, scale) for policy in policies]
         if workload == phased_workload and phased_policy in policies:
-            cells.append((phased_policy, interval, None))
-        cells.extend(
-            (policy, None, degree)
+            tasks.append(
+                Task(workload, phased_policy, scale, phase_interval=interval)
+            )
+        tasks.extend(
+            Task(workload, policy, scale, prefetch_degree=degree)
             for prefetched, policy, degree in MACRO_PREFETCHED
             if prefetched == workload and policy in policies
         )
-        for policy, phase_interval, prefetch_degree in cells:
+        for task in tasks:
             if not quick:
-                _simulator(config, policy, kernel, phase_interval,
-                           prefetch_degree).run(trace)
+                task.simulator(kernel).run(trace)
             entry = {
                 "workload": workload,
-                "policy": policy,
+                "policy": task.policy_spec,
                 "accesses": accesses,
                 "scale": scale,
                 "seconds": float("inf"),
@@ -145,18 +130,14 @@ def run_macro(
                 "kernel_used": "generic",
                 "kernel_fallback": None,
                 "result": None,
+                "_task": task,
                 "_trace": trace,
             }
-            if phase_interval is not None:
-                entry["phase_interval"] = phase_interval
-            if prefetch_degree is not None:
-                entry["prefetch_degree"] = prefetch_degree
+            entry.update(task.modifiers())
             entries.append(entry)
     for _ in range(repeat):
         for entry in entries:
-            sim = _simulator(config, entry["policy"], kernel,
-                             entry.get("phase_interval"),
-                             entry.get("prefetch_degree"))
+            sim = entry["_task"].simulator(kernel)
             start = perf_counter()
             result = sim.run(entry["_trace"])
             elapsed = perf_counter() - start
@@ -167,5 +148,5 @@ def run_macro(
                 entry["kernel_fallback"] = sim.kernel_fallback
                 entry["result"] = macro_result_fields(result)
     for entry in entries:
-        del entry["_trace"]
+        del entry["_task"], entry["_trace"]
     return entries

@@ -41,7 +41,9 @@ on ``auto``.
 ``validate_report`` is the single source of truth for that shape; the
 CI perf-smoke job and the bench CLI both call it, so a report that
 lands in the repo is guaranteed parseable by future tooling.
-``check_macro_cell`` re-simulates one cell and compares the embedded
+:func:`entry_task` reads a cell back as the
+:class:`~repro.sim.runner.Task` it ran.  ``check_macro_cell``
+re-simulates one cell and compares the embedded
 machine-independent result fields — the digest check CI runs against
 the committed baseline (results must match across hosts; timings are
 never compared).
@@ -53,7 +55,10 @@ import os
 import platform
 import subprocess
 import time
+from dataclasses import fields
 from typing import Dict, List, Optional
+
+from repro.sim.runner import Task, cell_label
 
 #: Current report schema identifier; bump the suffix on breaking shape
 #: changes so old reports stay recognizable.
@@ -187,62 +192,38 @@ def validate_report(report: object) -> None:
         _check_fields(entry["result"], _RESULT_FIELDS, where + ".result")
 
 
+def entry_task(entry: Dict[str, object]) -> Task:
+    """The :class:`Task` a macro entry recorded, with its set fields."""
+    optional = {
+        spec.name: entry[spec.name]
+        for spec in fields(Task)
+        if spec.default is None and spec.name in entry
+    }
+    return Task(entry["workload"], entry["policy"], entry["scale"], **optional)
+
+
 def find_macro_cell(
     report: Dict[str, object],
-    workload: str,
-    policy: str,
+    task: Task,
     kernel: Optional[str] = None,
-    phase_interval: Optional[int] = None,
-    prefetch_degree: Optional[int] = None,
 ) -> Dict[str, object]:
-    """Return the macro entry for ``workload``/``policy`` or raise.
+    """Return the macro entry that recorded ``task``, or raise.
 
     ``kernel`` narrows the match in a report that times the same cell
     under several kernels; ``None`` returns the first match.
-    ``phase_interval`` selects the phase-sampled cell and
-    ``prefetch_degree`` the prefetch cell; ``None`` the plain one.
     """
     for entry in report["macro"]:
-        if (
-            entry["workload"] == workload
-            and entry["policy"] == policy
-            and entry.get("phase_interval") == phase_interval
-            and entry.get("prefetch_degree") == prefetch_degree
-            and (kernel is None or entry.get("kernel") == kernel)
+        if entry_task(entry) == task and (
+            kernel is None or entry.get("kernel") == kernel
         ):
             return entry
-    raise ValueError(
-        "report has no macro cell %s"
-        % cell_label(workload, policy, kernel, phase_interval,
-                     prefetch_degree)
-    )
-
-
-def cell_label(
-    workload: str,
-    policy: str,
-    kernel: Optional[str] = None,
-    phase_interval: Optional[int] = None,
-    prefetch_degree: Optional[int] = None,
-) -> str:
-    """``workload/policy[/kernel][@phase=N][@prefetch=N]``."""
-    label = "%s/%s" % (workload, policy)
-    if kernel is not None:
-        label += "/" + kernel
-    if phase_interval is not None:
-        label += "@phase=%d" % phase_interval
-    if prefetch_degree is not None:
-        label += "@prefetch=%d" % prefetch_degree
-    return label
+    raise ValueError("report has no macro cell %s" % cell_label(task, kernel))
 
 
 def check_macro_cell(
     report: Dict[str, object],
-    workload: str,
-    policy: str,
+    task: Task,
     kernel: Optional[str] = None,
-    phase_interval: Optional[int] = None,
-    prefetch_degree: Optional[int] = None,
 ) -> Dict[str, object]:
     """Re-simulate one macro cell and compare its embedded results.
 
@@ -256,16 +237,11 @@ def check_macro_cell(
     """
     from repro.bench.macro import macro_result_fields, simulate_cell
 
-    entry = find_macro_cell(report, workload, policy, kernel, phase_interval,
-                            prefetch_degree)
+    entry = find_macro_cell(report, task, kernel)
     recorded_kernel = entry["kernel"]
     if recorded_kernel in RETIRED_KERNELS:
         recorded_kernel = "auto"
-    result = simulate_cell(
-        workload, policy, entry["scale"], kernel=recorded_kernel,
-        phase_interval=phase_interval, prefetch_degree=prefetch_degree,
-    )
-    fresh = macro_result_fields(result)
+    fresh = macro_result_fields(simulate_cell(task, recorded_kernel))
     recorded = entry["result"]
     # phase_misses is recorded only by phase-sampled cells.
     mismatches = [
@@ -277,8 +253,6 @@ def check_macro_cell(
     if mismatches:
         raise ValueError(
             "macro cell %s (kernel %s) result mismatch (%s)"
-            % (cell_label(workload, policy, None, phase_interval,
-                          prefetch_degree),
-               entry["kernel"], "; ".join(mismatches))
+            % (cell_label(task), entry["kernel"], "; ".join(mismatches))
         )
     return fresh

@@ -82,7 +82,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",
-        parents=[common_cli.execution_parent(),
+        parents=[common_cli.execution_parent(), common_cli.grid_parent(),
                  common_cli.telemetry_parent()],
     )
     parser.add_argument(

@@ -141,7 +141,7 @@ def prewarm_tasks(
     intervals (figure11) simply don't declare the attribute.
     """
     from repro.experiments import EXPERIMENTS
-    from repro.sim.parallel import Task
+    from repro.sim.runner import Task
     from repro.sim.runner import trace_scale
     from repro.workloads import BENCHMARKS
 

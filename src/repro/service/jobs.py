@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.parallel import Task
+from repro.sim.runner import Task
 
 #: Cell lifecycle.  ``pending`` -> ``running`` -> one of the terminal
 #: three; ``done`` cells carry the result digest and a ``source``

@@ -10,7 +10,7 @@ rebuilds.  This module adds what a shared daemon needs on top:
 
 * **Dedup by store key** — a cell is content-addressed by the same
   persistent-store key the engine uses
-  (:func:`repro.sim.parallel.task_store_key`), so two tenants
+  (:func:`repro.sim.store.store_key`), so two tenants
   submitting overlapping grids share one execution per overlapping
   cell: the second submission attaches to the in-flight execution (or
   hits the store if it already finished).  Shared work runs exactly
@@ -62,11 +62,10 @@ from repro.sim.parallel import (
     Execution,
     Outcome,
     spec_failure,
-    task_store_key,
 )
 from repro.sim.resilience import RunJournal, journal_root, load_journal
 from repro.sim.runner import trace_scale
-from repro.sim.store import default_store, result_digest
+from repro.sim.store import default_store, result_digest, store_key
 
 #: Client-suppliable RunOptions fields.  Everything else (cache policy,
 #: journaling, pool shape) is the server's call; these four only change
@@ -318,7 +317,7 @@ class JobService:
         store = default_store() if options.use_cache else None
         for label, task in cells:
             try:
-                key = task_store_key(task)
+                key = store_key(task)
             except (KeyError, ValueError) as exc:
                 cell = job.cells[label] = CellState(task=task, key=None)
                 self.counters["cell_failures"] += 1

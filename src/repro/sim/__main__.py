@@ -12,9 +12,8 @@ Shares the common execution/telemetry flags with the other CLIs
 (:mod:`repro.sim.common_cli`).  Benchmark runs go through
 :func:`repro.sim.runner.run_policy`, so they hit (and populate) the
 persistent result store like every other entry point; ``--no-cache``
-forces a fresh simulation.  Grid-only flags (``--workers``,
-``--resume``, ``--max-retries``, ``--deadline``, ``--chaos``) are
-accepted for CLI uniformity but a single simulation ignores them.
+forces a fresh simulation.  ``--kernel`` applies to both benchmark and
+trace-file runs.
 """
 
 from __future__ import annotations
@@ -94,7 +93,8 @@ def main(argv=None) -> int:
     else:
         trace = open_trace(args.trace)
         simulator = Simulator(
-            config, args.policy, phase_interval=args.phase_interval
+            config, args.policy, phase_interval=args.phase_interval,
+            kernel=options.kernel,
         )
         result = simulator.run(trace)
         print("workload: %s  (%d accesses, %d instructions)"

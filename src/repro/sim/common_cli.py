@@ -1,15 +1,15 @@
 """One CLI surface for every execution entry point.
 
 ``repro.sim``, ``repro.sim.suite``, ``repro.experiments``, and
-``repro.bench`` all execute simulations, and each used to hand-copy its
-own ``--workers/--no-cache/--progress/--metrics-out/--trace-events``
-definitions — four drifting copies of the same flags.  This module owns
-them once, as argparse *parent parsers*:
+``repro.bench`` all execute simulations.  This module owns their shared
+flags once, as argparse *parent parsers*:
 
-* :func:`execution_parent` — how to execute: ``--workers``,
-  ``--no-cache``, ``--progress``, ``--resume``, ``--max-retries``,
-  ``--deadline``, ``--chaos``, ``--kernel``.  :func:`options_from_args`
-  folds the parsed namespace into one
+* :func:`execution_parent` — how to execute one simulation:
+  ``--no-cache``, ``--kernel``.
+* :func:`grid_parent` — how to execute a grid of them: ``--workers``,
+  ``--progress``, ``--resume``, ``--max-retries``, ``--deadline``,
+  ``--chaos``.  Only the CLIs that run grids take these.
+  :func:`options_from_args` folds either namespace into one
   :class:`~repro.sim.options.RunOptions`.
 * :func:`telemetry_parent` — what to observe: ``--metrics-out``,
   ``--trace-events``.  :func:`apply_telemetry` pushes them into
@@ -29,7 +29,7 @@ from repro.sim.options import REPLAY_KERNELS, RunOptions
 
 
 def execution_parent() -> argparse.ArgumentParser:
-    """Parent parser with the shared execution flags.
+    """Parent parser with the flags of every simulating CLI.
 
     Use as ``argparse.ArgumentParser(parents=[execution_parent()])``;
     ``add_help=False`` so the child's ``-h`` wins.
@@ -37,13 +37,26 @@ def execution_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("execution")
     group.add_argument(
+        "--no-cache", action="store_true",
+        help="bypass the in-process memo and the persistent store",
+    )
+    group.add_argument(
+        "--kernel", default="auto", choices=REPLAY_KERNELS,
+        help="replay kernel (both are bit-identical; default auto takes "
+             "the compiled native kernel when built and its gates hold, "
+             "else the generic loop)",
+    )
+    return parent
+
+
+def grid_parent() -> argparse.ArgumentParser:
+    """Parent parser with the flags of the CLIs that run grids."""
+    parent = argparse.ArgumentParser(add_help=False)
+    group = parent.add_argument_group("grid execution")
+    group.add_argument(
         "--workers", type=int, default=0, metavar="N",
         help="fan simulations out over N worker processes (default: "
              "serial in-process)",
-    )
-    group.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the in-process memo and the persistent store",
     )
     group.add_argument(
         "--progress", action="store_true",
@@ -67,12 +80,6 @@ def execution_parent() -> argparse.ArgumentParser:
         "--chaos", metavar="SPEC", default=None,
         help='seeded fault injection for testing, e.g. '
              '"crash=0.2,delay=0.3,seed=7" (see repro.sim.chaos)',
-    )
-    group.add_argument(
-        "--kernel", default="auto", choices=REPLAY_KERNELS,
-        help="replay kernel (both are bit-identical; default auto takes "
-             "the compiled native kernel when built and its gates hold, "
-             "else the generic loop)",
     )
     return parent
 
@@ -119,16 +126,16 @@ def options_from_args(
 ) -> RunOptions:
     """Fold a parsed execution namespace into one :class:`RunOptions`.
 
-    ``progress`` overrides the callback installed when ``--progress``
-    was passed (default: :func:`progress_printer`).
+    The grid fields are read only when the parser had
+    :func:`grid_parent`.  ``progress`` overrides the callback installed
+    when ``--progress`` was passed (default: :func:`progress_printer`).
     """
-    fields = {
-        "workers": args.workers,
-        "use_cache": not args.no_cache,
-        "deadline": args.deadline,
-        "resume": args.resume,
-        "kernel": getattr(args, "kernel", "auto"),
-    }
+    fields = {"use_cache": not args.no_cache, "kernel": args.kernel}
+    if "workers" not in vars(args):
+        return RunOptions(**fields)
+    fields.update(
+        workers=args.workers, deadline=args.deadline, resume=args.resume
+    )
     if args.max_retries is not None:
         fields["max_retries"] = args.max_retries
     if args.chaos:
@@ -183,6 +190,7 @@ def progress_printer(report, done, total) -> None:
 
 __all__ = [
     "execution_parent",
+    "grid_parent",
     "service_parent",
     "telemetry_parent",
     "options_from_args",

@@ -15,8 +15,8 @@ runs cells for both :func:`run_grid` and the job service
   health, with a per-slot circuit that trips after consecutive
   failures).
 * **Dedup** — cells are keyed by their store key
-  (:func:`task_store_key`); a cell whose key is already in flight
-  attaches to that execution instead of running twice.
+  (:func:`~repro.sim.store.store_key`); a cell whose key is already in
+  flight attaches to that execution instead of running twice.
 * **Retry with backoff** — a failed attempt is re-dispatched after a
   deterministic exponential-backoff delay
   (:func:`~repro.sim.resilience.backoff_delay`) until ``max_retries``
@@ -28,8 +28,9 @@ runs cells for both :func:`run_grid` and the job service
 
 :func:`run_grid` adds the grid's bookkeeping on top:
 
-* **Caching** — memo and persistent-store hits are resolved before
-  anything is scheduled; workers write their results back to the store
+* **Caching** — memo and persistent-store hits are resolved
+  (:func:`~repro.sim.runner.lookup`) before anything is scheduled;
+  workers write their results back to the store
   so a repeat run (even in a different process) is free.
 * **Run journal** — every run appends JSONL events (task
   started/finished/failed, store keys, worker pids) to
@@ -62,12 +63,10 @@ import signal
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.config import MachineConfig
-from repro.obs import merge_snapshots
 from repro.sim import runner
 from repro.sim.chaos import inject
 from repro.sim.options import RunOptions
@@ -78,163 +77,9 @@ from repro.sim.resilience import (
     backoff_delay,
     load_journal,
 )
+from repro.sim.runner import GridReport, Task, TaskReport
 from repro.sim.stats import SimResult
 from repro.sim.store import default_store, store_key
-
-
-@dataclass(frozen=True)
-class Task:
-    """One cell of the simulation grid.
-
-    ``phase_interval`` and ``prefetch_degree`` change what is simulated
-    (see :func:`repro.sim.runner.run_policy`), so they are part of the
-    cell and of its keys.
-    """
-
-    benchmark: str
-    policy_spec: str
-    scale: float
-    config: Optional[MachineConfig] = None
-    phase_interval: Optional[int] = None
-    prefetch_degree: Optional[int] = None
-
-    @property
-    def label(self) -> str:
-        label = "%s/%s" % (self.benchmark, self.policy_spec)
-        if self.prefetch_degree is not None:
-            label += "@prefetch=%d" % self.prefetch_degree
-        return label
-
-
-@dataclass
-class TaskReport:
-    """What happened to one task: outcome, cost, and provenance."""
-
-    task: Task
-    ok: bool
-    cache_hit: bool = False
-    resumed: bool = False
-    wall_time: float = 0.0
-    worker: Optional[int] = None
-    attempts: int = 0
-    error: Optional[str] = None
-    traceback: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "benchmark": self.task.benchmark,
-            "policy": self.task.policy_spec,
-            "ok": self.ok,
-            "cache_hit": self.cache_hit,
-            "resumed": self.resumed,
-            "wall_time_s": round(self.wall_time, 4),
-            "worker": self.worker,
-            "attempts": self.attempts,
-            "error": self.error,
-        }
-        if self.task.prefetch_degree is not None:
-            payload["prefetch_degree"] = self.task.prefetch_degree
-        if self.traceback is not None:
-            payload["traceback"] = self.traceback
-        return payload
-
-
-@dataclass
-class GridReport:
-    """Results plus the partial-failure and observability report."""
-
-    results: Dict[Task, SimResult]
-    reports: List[TaskReport]
-    workers: int
-    elapsed: float
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Task -> the full remote traceback of the final failed attempt
-    #: (falls back to the bare exception message when the worker died
-    #: before formatting one).
-    failures: Dict[Task, str] = field(default_factory=dict)
-    run_id: Optional[str] = None
-    interrupted: bool = False
-    resilience: Dict[str, object] = field(default_factory=dict)
-    #: benchmark -> serialized OracleReport, set by
-    #: :meth:`annotate_oracle` (None when the grid ran without oracle
-    #: bounds); the matching regret fields live on each result.
-    oracle: Optional[Dict[str, Dict[str, object]]] = None
-
-    def annotate_oracle(self, reports) -> None:
-        """Stamp oracle bounds and regret onto every completed result.
-
-        ``reports`` maps benchmark spec to
-        :class:`repro.analysis.oracle.OracleReport`.  Results are
-        replaced with annotated copies (cached originals are never
-        mutated), so a grid annotated after a parallel run is
-        bit-identical to a serial run annotated the same way.
-        """
-        from repro.analysis.oracle import annotate_result
-
-        for task in list(self.results):
-            report = reports.get(task.benchmark)
-            if report is not None:
-                self.results[task] = annotate_result(
-                    self.results[task], report
-                )
-        self.oracle = {
-            benchmark: report.to_dict()
-            for benchmark, report in reports.items()
-        }
-
-    @property
-    def utilization(self) -> float:
-        """Simulated seconds per wall second per worker (0..1-ish)."""
-        if self.elapsed <= 0 or self.workers <= 0:
-            return 0.0
-        busy = sum(
-            report.wall_time for report in self.reports
-            if not report.cache_hit
-        )
-        return busy / (self.elapsed * self.workers)
-
-    def merged_metrics(self) -> Optional[Dict[str, object]]:
-        """Deterministic merge of every per-task metric snapshot.
-
-        Results computed with metrics off carry no snapshot and are
-        skipped; returns None when no task has one.  The merge is
-        order-independent (counters sum, gauges fold by their declared
-        aggregation, histograms add per-bucket), so the worker
-        scheduling order cannot leak into the output — ``workers=4``
-        merges bit-identically to a serial run of the same grid.
-        """
-        snapshots = [
-            self.results[task].metrics
-            for task in sorted(
-                self.results, key=lambda t: (t.benchmark, t.policy_spec)
-            )
-            if self.results[task].metrics is not None
-        ]
-        if not snapshots:
-            return None
-        return merge_snapshots(snapshots)
-
-    def meta(self) -> Dict[str, object]:
-        """JSON-safe observability blob for ``SuiteResult.to_json()``."""
-        payload: Dict[str, object] = {
-            "workers": self.workers,
-            "elapsed_s": round(self.elapsed, 4),
-            "worker_utilization": round(self.utilization, 4),
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-            },
-            "failed_tasks": len(self.failures),
-            "tasks": [report.to_dict() for report in self.reports],
-        }
-        if self.run_id is not None:
-            payload["run_id"] = self.run_id
-        if self.interrupted:
-            payload["interrupted"] = True
-        if self.resilience:
-            payload["resilience"] = dict(self.resilience)
-        return payload
 
 
 class TaskTimeout(Exception):
@@ -267,14 +112,8 @@ def execute_cell(payload) -> Tuple[str, object, float, int, Optional[str]]:
             signal.alarm(max(1, int(math.ceil(deadline))))
             alarmed = True
         inject(chaos, task.label, attempt)
-        result = runner.run_policy(
-            task.benchmark,
-            task.policy_spec,
-            scale=task.scale,
-            config=task.config,
-            phase_interval=task.phase_interval,
-            options=RunOptions(use_cache=use_cache, kernel=kernel),
-            prefetch_degree=task.prefetch_degree,
+        result = runner.run_task(
+            task, RunOptions(use_cache=use_cache, kernel=kernel)
         )
         return ("ok", result, time.perf_counter() - start, os.getpid(), None)
     except Exception as exc:
@@ -289,22 +128,6 @@ def execute_cell(payload) -> Tuple[str, object, float, int, Optional[str]]:
     finally:
         if alarmed:
             signal.alarm(0)
-
-
-def task_store_key(task: Task) -> str:
-    """The persistent-store key this task's result lands under.
-
-    It is also the scheduler's in-flight dedup key.
-    """
-    from repro import workloads
-
-    config = task.config if task.config is not None else (
-        workloads.experiment_config()
-    )
-    return store_key(
-        task.benchmark, task.policy_spec, task.scale, config,
-        task.phase_interval, task.prefetch_degree,
-    )
 
 
 def default_workers() -> int:
@@ -331,7 +154,8 @@ def spec_failure(exc: Exception) -> Outcome:
     """The outcome of a cell whose workload or policy spec is malformed.
 
     Store keys canonicalize both specs in the parent, so a bad spec
-    raises in :func:`task_store_key` before any slot sees the cell.
+    raises in :func:`~repro.sim.store.store_key` before any slot sees
+    the cell.
     Call this in that ``except`` block: the cell fails alone, with
     zero attempts, instead of the whole grid or submission.
     """
@@ -612,34 +436,6 @@ class CellScheduler:
         self._dispatch()
 
 
-def _resolve_cached(
-    task: Task, key: str, use_cache: bool
-) -> Tuple[Optional[SimResult], Optional[str]]:
-    """Parent-side cache probe without simulating.
-
-    Returns ``(result, provenance)`` where provenance is ``"memo"`` or
-    ``"store"`` (None on a miss).  A store entry that fails its
-    integrity check is quarantined by the store and reads as a miss.
-    """
-    if not use_cache:
-        return None, None
-    memo_key = runner._memo_key(
-        task.benchmark, task.policy_spec, task.scale, task.config,
-        task.phase_interval, task.prefetch_degree,
-    )
-    cached = runner._CACHE.get(memo_key)
-    if cached is not None:
-        return cached, "memo"
-    store = default_store()
-    if store is None:
-        return None, None
-    result = store.load(key)
-    if result is not None:
-        runner._CACHE[memo_key] = result
-        return result, "store"
-    return None, None
-
-
 def run_grid(
     tasks: Sequence[Task],
     options: Optional[RunOptions] = None,
@@ -700,12 +496,7 @@ def run_grid(
         if outcome.ok:
             results[task] = outcome.value
             if options.use_cache:
-                runner.seed_cache(
-                    task.benchmark, task.policy_spec, task.scale,
-                    outcome.value, config=task.config,
-                    phase_interval=task.phase_interval,
-                    prefetch_degree=task.prefetch_degree,
-                )
+                runner.seed_cache(task, outcome.value)
             if journal is not None:
                 journal.task_finished(
                     task, keys[task], cache_hit=False, resumed=False,
@@ -741,13 +532,13 @@ def run_grid(
     try:
         for task in ordered:
             try:
-                keys[task] = task_store_key(task)
+                keys[task] = store_key(task)
             except (KeyError, ValueError) as exc:
                 settle(task, spec_failure(exc))
                 continue
-            cached, provenance = _resolve_cached(
-                task, keys[task], options.use_cache
-            )
+            cached = provenance = None
+            if options.use_cache:
+                cached, provenance, _ = runner.lookup(task, keys[task])
             if cached is None:
                 pending.append(task)
                 continue
@@ -835,5 +626,4 @@ __all__ = [
     "default_workers",
     "execute_cell",
     "spec_failure",
-    "task_store_key",
 ]

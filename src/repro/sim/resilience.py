@@ -264,18 +264,6 @@ class WorkerHealth:
         }
 
 
-def _task_fields(task) -> Dict[str, object]:
-    fields = {
-        "benchmark": task.benchmark,
-        "policy": task.policy_spec,
-        "scale": task.scale,
-        "phase_interval": task.phase_interval,
-    }
-    if task.prefetch_degree is not None:
-        fields["prefetch_degree"] = task.prefetch_degree
-    return fields
-
-
 class RunJournal:
     """Append-only JSONL journal of one grid run (parent-side only).
 
@@ -323,7 +311,7 @@ class RunJournal:
 
     def task_started(self, task, attempt: int) -> None:
         record = {"event": "task_started", "attempt": attempt}
-        record.update(_task_fields(task))
+        record.update(task.to_dict())
         self._emit(record)
 
     def task_finished(
@@ -345,7 +333,7 @@ class RunJournal:
             "worker": worker,
             "attempts": attempts,
         }
-        record.update(_task_fields(task))
+        record.update(task.to_dict())
         self._emit(record)
 
     def task_failed(
@@ -361,7 +349,7 @@ class RunJournal:
             "traceback": traceback_text,
             "attempts": attempts,
         }
-        record.update(_task_fields(task))
+        record.update(task.to_dict())
         self._emit(record)
 
     def run_finished(

@@ -1,25 +1,36 @@
-"""Shared experiment runner: memo + persistent store in front of the sim.
+"""The simulation cell, and the two-level cache in front of the sim.
+
+A :class:`Task` is one cell: one workload under one policy at one
+scale, plus the optional fields that change what is simulated.  It is
+the only list of those fields.  The memo key, the store key
+(:func:`repro.sim.store.store_key`), the journal and report record
+(:meth:`Task.to_dict`), the label (:func:`cell_label`) and the
+:class:`~repro.sim.simulator.Simulator` (:meth:`Task.simulator`) all
+derive from it, so a new field reaches each of them by being declared
+on :class:`Task`.
 
 Most figures reuse the same (benchmark, policy) simulations — Figure 4
 needs LIN(1..4) and LRU, Figure 9 reuses LRU and LIN(4) and adds SBAR —
-so :func:`run_policy` is a two-level cache in front of
-:class:`~repro.sim.simulator.Simulator`:
+so :func:`run_task` (and :func:`run_policy`, its keyword front end) is
+a two-level cache in front of the simulator:
 
-1. an in-process memo (free repeat lookups within one process), and
+1. an in-process memo (free repeat lookups within one process), keyed
+   by the task's canonical form and the metrics flag, and
 2. the persistent :mod:`repro.sim.store` (free repeat runs across
-   processes, worker pools, and sessions).
+   processes, worker pools, and sessions), which additionally keys on
+   code version so it can never serve stale results.
 
-Both levels key on the full (benchmark, policy-spec, scale, config,
-phase-interval, prefetch-degree) cell; the store additionally keys on
-code version so it can never serve stale results.  A cell without a
-prefetcher keys exactly as it did before the prefetcher joined the
-cell.  ``RunOptions(use_cache=False)`` bypasses both.
+:func:`lookup` is the one probe of both levels; the grid calls it too.
+``RunOptions(use_cache=False)`` bypasses both.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
-from typing import Dict, Optional, Tuple
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.config import MachineConfig
@@ -29,16 +40,253 @@ from repro.sim.simulator import Simulator
 from repro.sim.stats import SimResult
 from repro.trace.packed import PackedTrace
 
-_CACHE: Dict[Tuple, SimResult] = {}
+
+@dataclass(frozen=True)
+class Task:
+    """One cell of the simulation grid.
+
+    ``benchmark`` is a workload spec (or a ready
+    :class:`~repro.workloads.Workload`) and ``policy_spec`` a policy
+    spec.  Every field after ``scale`` is optional and changes what is
+    simulated; None leaves the cell plain.  Each one's ``tag`` metadata
+    names it in the label (default: the field name).
+    """
+
+    benchmark: str
+    policy_spec: str
+    scale: float
+    #: The machine; None means :func:`repro.workloads.experiment_config`.
+    config: Optional[MachineConfig] = None
+    #: Instructions per phase sample (Figure 11's bookkeeping).
+    phase_interval: Optional[int] = field(
+        default=None, metadata={"tag": "phase"}
+    )
+    #: Degree of a default :class:`~repro.cpu.prefetch.StridePrefetcher`.
+    prefetch_degree: Optional[int] = field(
+        default=None, metadata={"tag": "prefetch"}
+    )
+
+    def modifiers(self) -> Dict[str, object]:
+        """The optional fields this cell sets, by name, in field order."""
+        return {
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.default is None and getattr(self, spec.name) is not None
+        }
+
+    @property
+    def label(self) -> str:
+        return cell_label(self)
+
+    def to_dict(self) -> Dict[str, object]:
+        """The JSON-safe record of this cell.
+
+        Journal lines, task reports and store entries carry it.
+        ``phase_interval`` is always present (null when unset); every
+        other optional field appears only when set.
+        """
+        payload: Dict[str, object] = {
+            "benchmark": self.benchmark,
+            "policy": self.policy_spec,
+            "scale": self.scale,
+            "phase_interval": self.phase_interval,
+        }
+        for name, value in self.modifiers().items():
+            payload[name] = asdict(value) if is_dataclass(value) else value
+        return payload
+
+    def canonical(self) -> "Task":
+        """This cell with both specs spelled canonically.
+
+        Two spellings of one spec share a canonical task; two specs
+        never do.  With the metrics flag it keys the memo.
+        """
+        from repro.workloads import canonical_workload_spec
+
+        return replace(
+            self,
+            benchmark=canonical_workload_spec(self.benchmark),
+            policy_spec=self.policy_spec.strip().lower(),
+        )
+
+    def machine(self) -> MachineConfig:
+        """``config``, or the experiment machine when it is unset."""
+        if self.config is not None:
+            return self.config
+        from repro.workloads import experiment_config
+
+        return experiment_config()
+
+    def simulator(self, kernel: str = "auto") -> Simulator:
+        """A fresh :class:`Simulator` for this cell on ``kernel``."""
+        return Simulator(
+            self.machine(),
+            self.policy_spec,
+            phase_interval=self.phase_interval,
+            prefetcher=prefetcher_for(self.prefetch_degree),
+            kernel=kernel,
+        )
+
+
+def cell_label(task: Task, kernel: Optional[str] = None) -> str:
+    """``benchmark/policy[/kernel]``, then ``@tag=value`` per set field.
+
+    It names a cell in progress lines, chaos decisions, service events
+    and bench output; a machine config shows as a short digest.
+    """
+    tags = {
+        spec.name: spec.metadata.get("tag", spec.name)
+        for spec in fields(task)
+    }
+    label = "%s/%s" % (task.benchmark, task.policy_spec)
+    if kernel is not None:
+        label += "/" + kernel
+    for name, value in task.modifiers().items():
+        if is_dataclass(value):
+            blob = json.dumps(asdict(value), sort_keys=True)
+            value = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:8]
+        label += "@%s=%s" % (tags[name], value)
+    return label
+
+
+@dataclass
+class TaskReport:
+    """What happened to one task: outcome, cost, and provenance."""
+
+    task: Task
+    ok: bool
+    cache_hit: bool = False
+    resumed: bool = False
+    wall_time: float = 0.0
+    worker: Optional[int] = None
+    attempts: int = 0
+    error: Optional[str] = None
+    traceback: Optional[str] = None
+
+    def to_dict(self) -> Dict[str, object]:
+        payload = self.task.to_dict()
+        payload.update(
+            ok=self.ok,
+            cache_hit=self.cache_hit,
+            resumed=self.resumed,
+            wall_time_s=round(self.wall_time, 4),
+            worker=self.worker,
+            attempts=self.attempts,
+            error=self.error,
+        )
+        if self.traceback is not None:
+            payload["traceback"] = self.traceback
+        return payload
+
+
+@dataclass
+class GridReport:
+    """Results plus the partial-failure and observability report."""
+
+    results: Dict[Task, SimResult]
+    reports: List[TaskReport]
+    workers: int
+    elapsed: float
+    cache_hits: int = 0
+    cache_misses: int = 0
+    #: Task -> the full remote traceback of the final failed attempt
+    #: (falls back to the bare exception message when the worker died
+    #: before formatting one).
+    failures: Dict[Task, str] = field(default_factory=dict)
+    run_id: Optional[str] = None
+    interrupted: bool = False
+    resilience: Dict[str, object] = field(default_factory=dict)
+    #: benchmark -> serialized OracleReport, set by
+    #: :meth:`annotate_oracle` (None when the grid ran without oracle
+    #: bounds); the matching regret fields live on each result.
+    oracle: Optional[Dict[str, Dict[str, object]]] = None
+
+    def annotate_oracle(self, reports) -> None:
+        """Stamp oracle bounds and regret onto every completed result.
+
+        ``reports`` maps benchmark spec to
+        :class:`repro.analysis.oracle.OracleReport`.  Results are
+        replaced with annotated copies (cached originals are never
+        mutated), so a grid annotated after a parallel run is
+        bit-identical to a serial run annotated the same way.
+        """
+        from repro.analysis.oracle import annotate_result
+
+        for task in list(self.results):
+            report = reports.get(task.benchmark)
+            if report is not None:
+                self.results[task] = annotate_result(
+                    self.results[task], report
+                )
+        self.oracle = {
+            benchmark: report.to_dict()
+            for benchmark, report in reports.items()
+        }
+
+    @property
+    def utilization(self) -> float:
+        """Simulated seconds per wall second per worker (0..1-ish)."""
+        if self.elapsed <= 0 or self.workers <= 0:
+            return 0.0
+        busy = sum(
+            report.wall_time for report in self.reports
+            if not report.cache_hit
+        )
+        return busy / (self.elapsed * self.workers)
+
+    def merged_metrics(self) -> Optional[Dict[str, object]]:
+        """Deterministic merge of every per-task metric snapshot.
+
+        Results computed with metrics off carry no snapshot and are
+        skipped; returns None when no task has one.  The merge is
+        order-independent (counters sum, gauges fold by their declared
+        aggregation, histograms add per-bucket), so the worker
+        scheduling order cannot leak into the output — ``workers=4``
+        merges bit-identically to a serial run of the same grid.
+        """
+        snapshots = [
+            self.results[task].metrics
+            for task in sorted(
+                self.results, key=lambda t: (t.benchmark, t.policy_spec)
+            )
+            if self.results[task].metrics is not None
+        ]
+        if not snapshots:
+            return None
+        return obs.merge_snapshots(snapshots)
+
+    def meta(self) -> Dict[str, object]:
+        """JSON-safe observability blob for ``SuiteResult.to_json()``."""
+        payload: Dict[str, object] = {
+            "workers": self.workers,
+            "elapsed_s": round(self.elapsed, 4),
+            "worker_utilization": round(self.utilization, 4),
+            "cache": {
+                "hits": self.cache_hits,
+                "misses": self.cache_misses,
+            },
+            "failed_tasks": len(self.failures),
+            "tasks": [report.to_dict() for report in self.reports],
+        }
+        if self.run_id is not None:
+            payload["run_id"] = self.run_id
+        if self.interrupted:
+            payload["interrupted"] = True
+        if self.resilience:
+            payload["resilience"] = dict(self.resilience)
+        return payload
+
+
+_CACHE: Dict[Tuple[Task, bool], SimResult] = {}
 
 #: Per-process memo of built (and packed) workload traces, keyed on
 #: (canonical workload spec, scale).  Synthesizing a macro trace costs
-#: ~100ms and grid fan-out used to pay it once per *task*; with the
-#: memo each worker process builds each workload at most once (workers
-#: inherit this module, so :mod:`repro.sim.parallel` gets the benefit
-#: for free).  Keying on the *canonical spec* — not the given spelling
-#: — means ``" MCF "`` and ``"mcf"`` share an entry while distinct
-#: specs (``"mcf"`` vs ``"interleave(mcf,art)"``) can never alias.
+#: ~100ms; with the memo each worker process builds each workload at
+#: most once, not once per task (workers inherit this module, so
+#: :mod:`repro.sim.parallel` gets the benefit for free).  Keying on
+#: the *canonical spec* — not the given spelling — means ``" MCF "``
+#: and ``"mcf"`` share an entry while distinct specs (``"mcf"`` vs
+#: ``"interleave(mcf,art)"``) can never alias.
 #: Packed columns are ~10x smaller than Access lists, which is what
 #: makes caching several workloads at once affordable.
 _TRACE_CACHE: Dict[Tuple[str, float], PackedTrace] = {}
@@ -89,26 +337,60 @@ def packed_trace(benchmark, scale: Optional[float] = None) -> PackedTrace:
     return packed
 
 
-def _memo_key(
-    benchmark,
-    policy_spec: str,
-    scale: float,
-    config: Optional[MachineConfig],
-    phase_interval: Optional[int],
-    prefetch_degree: Optional[int] = None,
-) -> Tuple:
-    from repro.workloads import canonical_workload_spec
+def lookup(
+    task: Task, key: Optional[str] = None
+) -> Tuple[Optional[SimResult], Optional[str], Optional[str]]:
+    """Probe the memo, then the store, without simulating.
 
-    # Metrics enablement is part of the key: a result computed with
-    # telemetry off has no metrics snapshot to serve once it's on.
-    # The workload canonicalizes like the policy spec does, so two
-    # spellings of one spec share an entry and two specs never alias.
-    key = (canonical_workload_spec(benchmark),
-           policy_spec.strip().lower(), scale, config,
-           phase_interval, obs.metrics_enabled())
-    if prefetch_degree is not None:
-        key += (("prefetch_degree", prefetch_degree),)
-    return key
+    Returns ``(result, source, key)``.  ``source`` is ``"memo"``,
+    ``"store"``, or None on a miss.  ``key`` is the task's store key:
+    the one passed in, else computed only once the memo misses, and
+    None when the memo hit first or persistence is off.  A store entry
+    that fails its integrity check is quarantined and reads as a miss.
+    """
+    from repro.sim.store import default_store, store_key
+
+    memo_key = (task.canonical(), obs.metrics_enabled())
+    result = _CACHE.get(memo_key)
+    if result is not None:
+        _MEMO_HITS["memo_hits"] += 1
+        return result, "memo", key
+    store = default_store()
+    if store is None:
+        return None, None, None
+    if key is None:
+        key = store_key(task)
+    result = store.load(key)
+    if result is not None:
+        _CACHE[memo_key] = result
+        return result, "store", key
+    return None, None, key
+
+
+def run_task(task: Task, options: Optional[RunOptions] = None) -> SimResult:
+    """Simulate one cell, or serve it from the memo or the store.
+
+    ``options.use_cache=False`` forces the simulation and skips both
+    caches; ``options.kernel`` picks the replay kernel, which never
+    changes the result and so never enters a key.
+    """
+    from repro.sim.store import default_store
+
+    if options is None:
+        options = RunOptions()
+    key = None
+    if options.use_cache:
+        result, _, key = lookup(task)
+        if result is not None:
+            return result
+    trace = packed_trace(task.benchmark, scale=task.scale)
+    result = task.simulator(options.kernel).run(trace)
+    _MEMO_HITS["simulations"] += 1
+    if key is not None:
+        default_store().save(key, result, **task.canonical().to_dict())
+    if options.use_cache:
+        seed_cache(task, result)
+    return result
 
 
 def run_policy(
@@ -128,87 +410,29 @@ def run_policy(
     :func:`repro.workloads.parse_workload_spec`.  ``policy_spec`` is a
     policy registry spec string (see
     :func:`repro.cache.replacement.registry.parse_policy_spec`).
-    ``prefetch_degree`` attaches a default
-    :class:`~repro.cpu.prefetch.StridePrefetcher` of that degree; like
-    ``phase_interval`` it changes what is simulated, so it is part of
-    the cell's keys.  Results come from the in-process memo, then the
-    persistent store, then a fresh simulation;
-    ``RunOptions(use_cache=False)`` forces the simulation and skips both
-    caches.
+    ``scale`` defaults to :func:`trace_scale`.  ``prefetch_degree``
+    attaches a default :class:`~repro.cpu.prefetch.StridePrefetcher`
+    of that degree; like ``phase_interval`` it is a :class:`Task`
+    field, so it is part of the cell's keys.  This builds the task and
+    hands it to :func:`run_task`.
     """
-    from repro import workloads  # deferred: workloads import the sim layer
-    from repro.sim.store import default_store, store_key
-
-    if options is None:
-        options = RunOptions()
-    use_cache = options.use_cache
-    if scale is None:
-        scale = trace_scale()
-    key = _memo_key(benchmark, policy_spec, scale, config, phase_interval,
-                    prefetch_degree)
-    if use_cache and key in _CACHE:
-        _MEMO_HITS["memo_hits"] += 1
-        return _CACHE[key]
-
-    resolved_config = config if config is not None else (
-        workloads.experiment_config()
+    return run_task(
+        Task(
+            benchmark, policy_spec,
+            trace_scale() if scale is None else scale,
+            config, phase_interval, prefetch_degree,
+        ),
+        options,
     )
-    store = default_store() if use_cache else None
-    persistent_key = None
-    if store is not None:
-        persistent_key = store_key(
-            benchmark, policy_spec, scale, resolved_config, phase_interval,
-            prefetch_degree,
-        )
-        result = store.load(persistent_key)
-        if result is not None:
-            _CACHE[key] = result
-            return result
-
-    trace = packed_trace(benchmark, scale=scale)
-    simulator = Simulator(
-        resolved_config,
-        policy_spec,
-        phase_interval=phase_interval,
-        prefetcher=prefetcher_for(prefetch_degree),
-        kernel=options.kernel,
-    )
-    result = simulator.run(trace)
-    _MEMO_HITS["simulations"] += 1
-    if store is not None:
-        key_fields = {}
-        if prefetch_degree is not None:
-            key_fields["prefetch_degree"] = prefetch_degree
-        store.save(
-            persistent_key,
-            result,
-            workload=key[0],  # canonical spec (JSON-safe)
-            policy_spec=policy_spec,
-            scale=scale,
-            phase_interval=phase_interval,
-            **key_fields,
-        )
-    if use_cache:
-        _CACHE[key] = result
-    return result
 
 
-def seed_cache(
-    benchmark: str,
-    policy_spec: str,
-    scale: float,
-    result: SimResult,
-    config: Optional[MachineConfig] = None,
-    phase_interval: Optional[int] = None,
-    prefetch_degree: Optional[int] = None,
-) -> None:
+def seed_cache(task: Task, result: SimResult) -> None:
     """Install a result into the in-process memo.
 
     The parallel engine uses this so results computed by workers are
     free for subsequent :func:`run_policy` calls in the parent.
     """
-    _CACHE[_memo_key(benchmark, policy_spec, scale, config,
-                     phase_interval, prefetch_degree)] = result
+    _CACHE[(task.canonical(), obs.metrics_enabled())] = result
 
 
 def ipc_improvement(result: SimResult, baseline: SimResult) -> float:

@@ -1,22 +1,23 @@
 """Persistent on-disk result store: simulate once, reuse everywhere.
 
 Every figure in the paper reads from the same (benchmark x policy)
-matrix, but the old memo in :mod:`repro.sim.runner` was a per-process
-dict — a new process (or a worker pool) re-simulated everything.  The
-store upgrades that memo to content-addressed JSON files, one per
-result, so repeat runs are free across processes and across sessions:
+matrix.  The store sits behind the in-process memo of
+:mod:`repro.sim.runner` and holds content-addressed JSON files, one per
+result, so repeat runs are free across processes, worker pools and
+sessions:
 
 * **Location** — ``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``.
   Set ``REPRO_NO_STORE=1`` to disable persistence entirely (the
   in-process memo still works).
-* **Keying** — a SHA-256 over the canonical workload spec (plus its
-  content fingerprint: imported trace files hash their bytes),
-  canonical policy spec, trace scale, full machine config, phase
-  interval, the repro package's source hash, and (for user-registered
-  policies) the factory's source hash.  Any code, configuration, or
-  workload-content change therefore misses cleanly instead of
-  returning stale results.
-* **Format** — one JSON file per key holding the key fields (for
+* **Keying** — :func:`store_key` is a SHA-256 over the task's fields
+  (canonical workload spec, canonical policy spec, trace scale, full
+  machine config, phase interval and any other field the task sets),
+  the workload's content fingerprint (imported trace files hash their
+  bytes), the metrics flag, the repro package's source hash, and (for
+  user-registered policies) the factory's source hash.  Any code,
+  configuration, or workload-content change therefore misses cleanly
+  instead of returning stale results.
+* **Format** — one JSON file per key holding the task's record (for
   debugging) and ``SimResult.to_dict()``.  Floats round-trip
   bit-identically through Python's json, so a stored result is
   indistinguishable from a fresh simulation.
@@ -29,8 +30,7 @@ torn file.
 directories (``<root>/<key[:2]>/<key>.json``), so many concurrent
 writers (the distributed job service fans a grid across worker hosts)
 never contend on one directory and ``--stats`` can report per-shard
-counts.  No key reads a ``*.json`` file at the root (the layout of an
-older checkout, whose code version no key matches): ``--gc`` prunes
+counts.  No key reads a ``*.json`` file at the root: ``--gc`` prunes
 such files as stale and ``--clear`` deletes them.
 """
 
@@ -45,7 +45,6 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro import obs
-from repro.config import MachineConfig
 from repro.sim.stats import SimResult
 
 # Version 4: keys identify workloads by canonical registry spec plus a
@@ -86,43 +85,34 @@ def code_version() -> str:
     return _code_version
 
 
-def store_key(
-    benchmark,
-    policy_spec: str,
-    scale: float,
-    config: MachineConfig,
-    phase_interval: Optional[int] = None,
-    prefetch_degree: Optional[int] = None,
-) -> str:
-    """Content hash identifying one simulation, stable across processes.
+def store_key(task) -> str:
+    """Content hash identifying one simulation cell, stable across processes.
 
-    ``benchmark`` is any workload spec; the key holds its *canonical*
-    spelling plus the workload's content fingerprint, so spellings of
-    one spec share a key, distinct specs never alias, and an imported
-    trace file silently replaced on disk misses cleanly.  A prefetch
-    cell adds ``prefetch_degree``; a cell without one hashes the same
-    fields it always did.
+    ``task`` is a :class:`repro.sim.runner.Task`.  The key holds the
+    workload's *canonical* spelling plus its content fingerprint, so
+    spellings of one spec share a key, distinct specs never alias, and
+    an imported trace file silently replaced on disk misses cleanly.
+    Every optional task field that is set joins the key under its own
+    name.
     """
     from repro.cache.replacement.registry import policy_fingerprint
-    from repro.workloads import (
-        canonical_workload_spec,
-        workload_fingerprint,
-    )
+    from repro.workloads import workload_fingerprint
 
+    canonical = task.canonical()
     fields = {
         "version": _FORMAT_VERSION,
-        "workload": canonical_workload_spec(benchmark),
-        "policy_spec": policy_spec.strip().lower(),
-        "scale": repr(float(scale)),
-        "config": asdict(config),
-        "phase_interval": phase_interval,
+        "workload": canonical.benchmark,
+        "policy_spec": canonical.policy_spec,
+        "scale": repr(float(task.scale)),
+        "config": asdict(task.machine()),
+        "phase_interval": task.phase_interval,
         "metrics": obs.metrics_enabled(),
         "code": code_version(),
-        "policy_code": policy_fingerprint(policy_spec),
-        "workload_code": workload_fingerprint(benchmark),
+        "policy_code": policy_fingerprint(task.policy_spec),
+        "workload_code": workload_fingerprint(task.benchmark),
     }
-    if prefetch_degree is not None:
-        fields["prefetch_degree"] = prefetch_degree
+    for name, value in task.modifiers().items():
+        fields.setdefault(name, value)
     blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
 

@@ -33,7 +33,15 @@ from typing import Dict, List, Optional, Sequence
 from repro import obs
 from repro.cache.replacement.registry import split_specs
 from repro.sim.options import RunOptions
-from repro.sim.runner import ipc_improvement, run_policy
+from repro.sim.runner import (
+    GridReport,
+    Task,
+    TaskReport,
+    cache_stats,
+    ipc_improvement,
+    run_task,
+    trace_scale,
+)
 from repro.sim.stats import SimResult
 from repro.workloads import BENCHMARKS
 
@@ -222,17 +230,16 @@ class SuiteResult:
 
 def _oracle_reports(
     benchmarks: Sequence[str],
-    scale: Optional[float],
+    scale: float,
     use_store: bool,
 ):
     """Oracle reports per benchmark, at the scale the cells ran with."""
     from repro.analysis.oracle import oracle_report
-    from repro.sim.runner import packed_trace, trace_scale
+    from repro.sim.runner import packed_trace
 
-    resolved = scale if scale is not None else trace_scale()
     return {
         benchmark: oracle_report(
-            packed_trace(benchmark, scale=resolved), use_store=use_store
+            packed_trace(benchmark, scale=scale), use_store=use_store
         )
         for benchmark in benchmarks
     }
@@ -278,78 +285,76 @@ def run_suite(
         raise ValueError("need at least one policy")
     names = list(benchmarks) if benchmarks is not None else list(BENCHMARKS)
 
+    resolved_scale = scale if scale is not None else trace_scale()
+    tasks = [
+        Task(benchmark=benchmark, policy_spec=policy, scale=resolved_scale)
+        for benchmark in names
+        for policy in policies
+    ]
     needs_engine = (
         options.workers
         or options.resume is not None
         or options.chaos is not None
     )
     if needs_engine:
-        from repro.sim.parallel import Task, run_grid
-        from repro.sim.runner import trace_scale
+        from repro.sim.parallel import run_grid
 
         if not options.workers:
             # resume/chaos need the journaling engine even "serially":
             # one process slot with the full retry/journal protocol.
             options = options.replace(workers=1)
-        resolved_scale = scale if scale is not None else trace_scale()
-        tasks = [
-            Task(benchmark=benchmark, policy_spec=policy,
-                 scale=resolved_scale)
-            for benchmark in names
-            for policy in policies
-        ]
         grid = run_grid(tasks, options=options)
-        if oracle:
-            grid.annotate_oracle(
-                _oracle_reports(names, scale, options.use_cache)
-            )
-        results: Dict[str, Dict[str, SimResult]] = {
-            benchmark: {} for benchmark in names
-        }
-        failures: Dict[str, Dict[str, str]] = {}
-        for task, result in grid.results.items():
-            results[task.benchmark][task.policy_spec] = result
-        for task, message in grid.failures.items():
-            failures.setdefault(task.benchmark, {})[task.policy_spec] = (
-                message
-            )
-        return SuiteResult(
-            policies=list(policies),
-            benchmarks=names,
-            results=results,
-            scale=scale,
-            failures=failures,
-            meta=grid.meta(),
-            oracle=grid.oracle,
-        )
-
-    results = {}
-    for benchmark in names:
-        results[benchmark] = {}
-        for policy in policies:
-            results[benchmark][policy] = run_policy(
-                benchmark, policy, scale=scale, options=options,
-            )
-    oracle_payload = None
+        meta = grid.meta()
+    else:
+        grid = _run_serial(tasks, options)
+        meta = None
     if oracle:
-        from repro.analysis.oracle import annotate_result
-
-        reports = _oracle_reports(names, scale, options.use_cache)
-        for benchmark, cells in results.items():
-            for policy in list(cells):
-                cells[policy] = annotate_result(
-                    cells[policy], reports[benchmark]
-                )
-        oracle_payload = {
-            benchmark: report.to_dict()
-            for benchmark, report in reports.items()
-        }
+        grid.annotate_oracle(
+            _oracle_reports(names, resolved_scale, options.use_cache)
+        )
+    results: Dict[str, Dict[str, SimResult]] = {
+        benchmark: {} for benchmark in names
+    }
+    failures: Dict[str, Dict[str, str]] = {}
+    for task, result in grid.results.items():
+        results[task.benchmark][task.policy_spec] = result
+    for task, message in grid.failures.items():
+        failures.setdefault(task.benchmark, {})[task.policy_spec] = message
     return SuiteResult(
         policies=list(policies),
         benchmarks=names,
         results=results,
         scale=scale,
-        oracle=oracle_payload,
+        failures=failures,
+        meta=meta,
+        oracle=grid.oracle,
+    )
+
+
+def _run_serial(tasks: Sequence[Task], options: RunOptions) -> GridReport:
+    """Run ``tasks`` one after another in this process.
+
+    Raises on the first simulation error.  Each finished task goes to
+    ``options.progress`` like a grid task does; one that needed no
+    simulation reports as a cache hit.
+    """
+    started = time.perf_counter()
+    results: Dict[Task, SimResult] = {}
+    reports: List[TaskReport] = []
+    for task in tasks:
+        simulations = cache_stats()["simulations"]
+        start = time.perf_counter()
+        results[task] = run_task(task, options)
+        reports.append(TaskReport(
+            task=task, ok=True,
+            cache_hit=cache_stats()["simulations"] == simulations,
+            wall_time=time.perf_counter() - start,
+        ))
+        if options.progress is not None:
+            options.progress(reports[-1], len(reports), len(tasks))
+    return GridReport(
+        results=results, reports=reports, workers=1,
+        elapsed=time.perf_counter() - started,
     )
 
 
@@ -388,7 +393,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.suite",
         description="Run a benchmark x policy matrix.",
-        parents=[common_cli.execution_parent(),
+        parents=[common_cli.execution_parent(), common_cli.grid_parent(),
                  common_cli.telemetry_parent()],
     )
     parser.add_argument(

@@ -208,6 +208,19 @@ class TestCli:
         assert bench_main(["--quick"]) == 2
         assert "--force" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [
+        ["--workers", "2"], ["--resume", "run-x"], ["--max-retries", "2"],
+        ["--deadline", "1"], ["--chaos", "crash=1"], ["--no-cache"],
+        ["--progress"],
+    ])
+    def test_execution_flags_are_rejected(self, flag, capsys):
+        # Bench times serial, uncached runs: it takes no flag it would
+        # have to ignore.
+        with pytest.raises(SystemExit) as excinfo:
+            bench_main(["--quick"] + flag)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCheckMode:
     @pytest.fixture(scope="class")
@@ -269,6 +282,13 @@ class TestCheckMode:
         code = bench_main(["--check", str(report_path), "--cell", cell])
         assert code == 0
         assert "OK: %s" % cell in capsys.readouterr().out
+
+    def test_check_selects_a_phase_cell_by_its_label(self, report_path,
+                                                     capsys):
+        workload, policy, interval = MACRO_PHASED
+        cell = "%s/%s@phase=%d" % (workload, policy, interval)
+        assert bench_main(["--check", str(report_path), "--cell", cell]) == 0
+        assert "OK: %s results match" % cell in capsys.readouterr().out
 
     def test_check_unknown_kernel_cell_fails(self, report_path, capsys):
         code = bench_main(
@@ -336,14 +356,16 @@ class TestCheckMode:
 class TestFindMacroCell:
     def test_kernel_narrows_v4_match(self, quick_report):
         from repro.bench.report import find_macro_cell
+        from repro.sim.runner import Task
         report = json.loads(json.dumps(quick_report))
         entry = dict(report["macro"][0])
         entry["kernel"] = "generic"
         entry["seconds"] = entry["seconds"] * 2
         report["macro"].append(entry)
-        first = find_macro_cell(report, "mcf", "lru")
-        narrowed = find_macro_cell(report, "mcf", "lru", kernel="generic")
+        task = Task("mcf", "lru", entry["scale"])
+        first = find_macro_cell(report, task)
+        narrowed = find_macro_cell(report, task, kernel="generic")
         assert first["kernel"] == "auto"
         assert narrowed["kernel"] == "generic"
         with pytest.raises(ValueError, match="no macro cell"):
-            find_macro_cell(report, "mcf", "lru", kernel="batched")
+            find_macro_cell(report, task, kernel="batched")

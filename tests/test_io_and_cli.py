@@ -82,6 +82,40 @@ class TestSimCLI:
         with pytest.raises(SystemExit):
             sim_main(["--policy", "lru"])
 
+    @pytest.mark.parametrize("kernel", ["generic", "auto"])
+    def test_trace_file_run_takes_the_kernel(self, tmp_path, monkeypatch,
+                                             kernel):
+        from repro.sim.native import load_extension
+        from repro.sim.simulator import Simulator
+
+        path = str(tmp_path / "t.npz")
+        save_trace(path, build_workload("lucas", 0.02).to_accesses())
+        results = []
+        run = Simulator.run
+        monkeypatch.setattr(
+            Simulator, "run",
+            lambda self, trace: results.append(run(self, trace))
+            or results[-1],
+        )
+        assert sim_main(
+            ["--trace", path, "--policy", "lru", "--kernel", kernel]
+        ) == 0
+        expected = kernel
+        if kernel == "auto":
+            expected = "native" if load_extension() else "generic"
+        assert results[0].meta["kernel_used"] == expected
+
+    def test_grid_flags_are_rejected(self, capsys):
+        # A single simulation has no grid to fan out, retry, resume or
+        # inject faults into.
+        with pytest.raises(SystemExit) as excinfo:
+            sim_main(["--benchmark", "lucas", "--policy", "lru",
+                      "--scale", "0.05", "--workers", "3",
+                      "--chaos", "crash=1,seed=1", "--resume", "nosuchrun",
+                      "--deadline", "0.001"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestExperimentsCLI:
     def test_single_experiment(self, capsys):

@@ -16,9 +16,9 @@ import pytest
 from repro import obs
 from repro.sim import runner
 from repro.sim.options import RunOptions
+from repro.sim.runner import Task
 from repro.sim.store import store_key
 from repro.sim.suite import run_suite
-from repro.workloads import experiment_config
 
 POLICIES = ("lru", "lin(4)")
 BENCHMARKS = ("mcf", "art")
@@ -97,12 +97,13 @@ class TestMetricsThroughTheCaches:
     def test_metrics_flag_is_part_of_the_keys(self):
         """Results computed with metrics off can't serve a metrics-on
         request (and vice versa): both cache keys include the flag."""
-        config = experiment_config()
-        key_on = store_key("mcf", "lru", SCALE, config)
-        memo_on = runner._memo_key("mcf", "lru", SCALE, None, None)
+        task = Task("mcf", "lru", SCALE)
+        key_on = store_key(task)
+        runner.seed_cache(task, "metrics-on result")
+        assert runner.lookup(task)[1] == "memo"
         obs.configure(metrics=False)
-        assert store_key("mcf", "lru", SCALE, config) != key_on
-        assert runner._memo_key("mcf", "lru", SCALE, None, None) != memo_on
+        assert store_key(task) != key_on
+        assert runner.lookup(task)[1] is None
 
     def test_disabled_results_carry_no_metrics(self):
         obs.configure(metrics=False)

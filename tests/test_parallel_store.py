@@ -231,22 +231,22 @@ class TestStoreKeying:
 
     def test_scale_and_config_changes_miss(self):
         config = experiment_config()
-        base = store_key("lucas", "lru", SCALE, config)
-        assert store_key("lucas", "lru", SCALE, config) == base
-        assert store_key("lucas", "lru", 2 * SCALE, config) != base
+        base = store_key(Task("lucas", "lru", SCALE, config))
+        assert store_key(Task("lucas", "lru", SCALE, config)) == base
+        assert store_key(Task("lucas", "lru", SCALE)) == base
+        assert store_key(Task("lucas", "lru", 2 * SCALE, config)) != base
         assert store_key(
-            "lucas", "lru", SCALE, scaled_config(512)
+            Task("lucas", "lru", SCALE, scaled_config(512))
         ) != base
-        assert store_key("lucas", "lin(4)", SCALE, config) != base
-        assert store_key("mcf", "lru", SCALE, config) != base
+        assert store_key(Task("lucas", "lin(4)", SCALE, config)) != base
+        assert store_key(Task("mcf", "lru", SCALE, config)) != base
         assert store_key(
-            "lucas", "lru", SCALE, config, phase_interval=1000
+            Task("lucas", "lru", SCALE, config, phase_interval=1000)
         ) != base
 
     def test_spec_keys_are_canonical(self):
-        config = experiment_config()
-        assert store_key("lucas", " LRU ", SCALE, config) == store_key(
-            "lucas", "lru", SCALE, config
+        assert store_key(Task("lucas", " LRU ", SCALE)) == store_key(
+            Task("lucas", "lru", SCALE)
         )
 
     def test_result_roundtrip_is_exact(self, tmp_path):
@@ -360,14 +360,13 @@ class TestPrefetchCellKeys:
         prefetched = run_policy("lucas", "lru", scale=SCALE,
                                 prefetch_degree=2)
         assert prefetched.demand_misses < plain.demand_misses
-        assert runner._memo_key("lucas", "lru", SCALE, None, None) != (
-            runner._memo_key("lucas", "lru", SCALE, None, None, 2)
+        assert Task("lucas", "lru", SCALE).canonical() != (
+            Task("lucas", "lru", SCALE, prefetch_degree=2).canonical()
         )
-        config = experiment_config()
         keys = {
-            store_key("lucas", "lru", SCALE, config),
-            store_key("lucas", "lru", SCALE, config, prefetch_degree=2),
-            store_key("lucas", "lru", SCALE, config, prefetch_degree=4),
+            store_key(Task("lucas", "lru", SCALE)),
+            store_key(Task("lucas", "lru", SCALE, prefetch_degree=2)),
+            store_key(Task("lucas", "lru", SCALE, prefetch_degree=4)),
         }
         assert len(keys) == 3
         # Both land in the store under their own keys and reload as
@@ -384,10 +383,14 @@ class TestPrefetchCellKeys:
         from repro.sim import store as store_module
         from repro.workloads import canonical_workload_spec
 
-        assert runner._memo_key(" LUCAS ", "LRU", SCALE, None, None) == (
-            canonical_workload_spec("lucas"), "lru", SCALE, None, None,
-            obs.metrics_enabled(),
+        task = Task(" LUCAS ", "LRU", SCALE)
+        assert task.canonical() == Task(
+            canonical_workload_spec("lucas"), "lru", SCALE
         )
+        runner.seed_cache(task, "memo entry")
+        assert runner._CACHE == {
+            (task.canonical(), obs.metrics_enabled()): "memo entry"
+        }
         hashed = []
         dumps = store_module.json.dumps
 
@@ -396,9 +399,8 @@ class TestPrefetchCellKeys:
             return dumps(fields, **kwargs)
 
         monkeypatch.setattr(store_module.json, "dumps", capture)
-        config = experiment_config()
-        store_key("lucas", "lru", SCALE, config)
-        store_key("lucas", "lru", SCALE, config, prefetch_degree=2)
+        store_key(Task("lucas", "lru", SCALE))
+        store_key(Task("lucas", "lru", SCALE, prefetch_degree=2))
         plain, prefetched = hashed
         assert plain == {
             "version", "workload", "policy_spec", "scale", "config",
@@ -449,3 +451,93 @@ class TestPrefetchCellKeys:
             finished
         )
         assert sum(not report.cache_hit for report in reports.values()) == 2
+
+
+class TestTaskIsTheCell:
+    """Every key, record and label of a cell derives from its Task."""
+
+    #: A value other than the base cell's, for every Task field.
+    VARIANTS = {
+        "benchmark": "mcf",
+        "policy_spec": "lin(4)",
+        "scale": 2 * SCALE,
+        "config": scaled_config(512),
+        "phase_interval": 1000,
+        "prefetch_degree": 2,
+    }
+
+    @pytest.mark.parametrize("task,key", [
+        (Task("mcf", "lru", 0.25), "6ded23d3c3b474d0329660dcfad8e530"),
+        (Task("mcf", "sbar", 0.25, phase_interval=500_000),
+         "0b6df767388b930fcbd2392e4465500f"),
+        (Task("mcf", "lru", 0.25, prefetch_degree=2),
+         "2b53e1b0ccf95f1e421c719501a99ff3"),
+    ], ids=["plain", "phase", "prefetch"])
+    def test_store_keys_are_pinned(self, monkeypatch, task, key):
+        # A moved key silently turns every user's store cold.  The
+        # source hash is pinned; everything else is the real key.
+        from repro import obs
+        from repro.sim import store as store_module
+
+        monkeypatch.setattr(store_module, "code_version",
+                            lambda: "pinned-code")
+        monkeypatch.setattr(obs, "metrics_enabled", lambda: False)
+        assert store_key(task) == key
+
+    def test_plain_cell_records_its_four_fields(self):
+        assert Task("lucas", "lru", SCALE).to_dict() == {
+            "benchmark": "lucas", "policy": "lru", "scale": SCALE,
+            "phase_interval": None,
+        }
+
+    def test_variants_cover_every_field(self):
+        import dataclasses
+
+        assert set(self.VARIANTS) == {
+            spec.name for spec in dataclasses.fields(Task)
+        }
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_every_field_reaches_keys_label_and_records(self, name):
+        import dataclasses
+
+        from repro.sim.parallel import TaskReport
+        from repro.sim.resilience import RunJournal, load_journal
+
+        base = Task("lucas", "lru", SCALE)
+        task = dataclasses.replace(base, **{name: self.VARIANTS[name]})
+        assert store_key(task) != store_key(base)
+        runner.seed_cache(base, "base result")
+        assert runner.lookup(base)[1] == "memo"
+        assert runner.lookup(task)[1] is None
+        if name != "scale":
+            # A grid runs at one scale; labels name the rest.
+            assert task.label != base.label
+        record = task.to_dict()
+        assert record != base.to_dict()
+        assert json.loads(json.dumps(record)) == record
+        report = TaskReport(task=task, ok=True).to_dict()
+        assert {field: report[field] for field in record} == record
+        journal = RunJournal.create(run_id="run-%s" % name)
+        key = store_key(task)
+        journal.task_finished(task, key, cache_hit=False, resumed=False,
+                              wall=0.0, worker=None, attempts=1)
+        journal.close()
+        finished = load_journal("run-%s" % name).completed[key]
+        assert {field: finished[field] for field in record} == record
+
+    def test_labels_name_every_set_field(self):
+        from repro.sim.runner import cell_label
+
+        task = Task("mcf", "sbar", SCALE, phase_interval=500_000,
+                    prefetch_degree=2)
+        assert task.label == "mcf/sbar@phase=500000@prefetch=2"
+        assert cell_label(task, "auto") == (
+            "mcf/sbar/auto@phase=500000@prefetch=2"
+        )
+        assert Task("mcf", "sbar", SCALE).label == "mcf/sbar"
+
+    def test_parallel_task_is_the_runner_task(self):
+        from repro.sim import parallel
+
+        assert parallel.Task is runner.Task

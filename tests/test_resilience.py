@@ -235,7 +235,7 @@ class TestRunOptions:
 class TestCommonCli:
     def _parse(self, argv):
         parser = argparse.ArgumentParser(
-            parents=[common_cli.execution_parent()]
+            parents=[common_cli.execution_parent(), common_cli.grid_parent()]
         )
         return parser.parse_args(argv)
 
@@ -300,23 +300,49 @@ class TestCommonCli:
             capsys.readouterr().out
         )
 
-    @pytest.mark.parametrize("module", [
-        "repro.sim.__main__",
-        "repro.sim.suite",
-        "repro.experiments.__main__",
-        "repro.bench.__main__",
+    @pytest.mark.parametrize("module,parents", [
+        pytest.param("repro.sim.__main__", ("execution",),
+                     id="repro.sim.__main__"),
+        pytest.param("repro.sim.suite", ("execution", "grid"),
+                     id="repro.sim.suite"),
+        pytest.param("repro.experiments.__main__", ("execution", "grid"),
+                     id="repro.experiments.__main__"),
+        pytest.param("repro.bench.__main__", (), id="repro.bench.__main__"),
     ])
-    def test_every_cli_exposes_the_shared_flags(self, module, capsys):
+    def test_every_cli_exposes_the_shared_flags(self, module, parents,
+                                                capsys):
+        # Every CLI takes the telemetry flags; only the CLIs that run
+        # grids take the grid flags, and bench has its own --kernel.
+        flags = {
+            "execution": ("--no-cache", "--kernel"),
+            "grid": ("--workers", "--progress", "--resume",
+                     "--max-retries", "--deadline", "--chaos"),
+        }
         mod = importlib.import_module(module)
         with pytest.raises(SystemExit):
             mod.main(["--help"])
         out = capsys.readouterr().out
-        for flag in (
-            "--workers", "--no-cache", "--progress", "--resume",
-            "--max-retries", "--deadline", "--chaos",
-            "--metrics-out", "--trace-events",
+        for flag in ("--metrics-out", "--trace-events") + sum(
+            (flags[name] for name in parents), ()
         ):
             assert flag in out, "%s missing %s" % (module, flag)
+        for name in set(flags) - set(parents):
+            for flag in flags[name]:
+                if flag != "--kernel":
+                    assert flag not in out, "%s takes %s" % (module, flag)
+
+    def test_serial_suite_prints_one_line_per_cell(self, capsys):
+        from repro.sim.suite import main as suite_main
+
+        argv = ["--benchmarks", "lucas", "--policies", "lru,sbar",
+                "--scale", str(SCALE), "--progress"]
+        assert suite_main(argv) == 0
+        err = capsys.readouterr().err
+        assert "[1/2] lucas/lru " in err and "[2/2] lucas/sbar " in err
+        assert err.count("  local  ok") == 2
+        # A rerun simulates nothing: both cells come from the memo.
+        assert suite_main(argv) == 0
+        assert capsys.readouterr().err.count("  cache  ok") == 2
 
     def test_progress_printer_labels_sources(self, capsys):
         from repro.sim.parallel import TaskReport

@@ -29,7 +29,7 @@ from repro.service.jobs import TenantQuotas, expand_cells, new_job_id
 from repro.service.server import ServiceConfig, serve_in_thread
 from repro.sim.chaos import ChaosConfig
 from repro.sim.options import RunOptions
-from repro.sim.parallel import task_store_key
+from repro.sim.store import store_key
 from repro.sim.resilience import RunJournal, WorkerHealth, load_journal
 from repro.sim.runner import clear_cache, run_policy
 from repro.sim.store import result_digest
@@ -593,7 +593,7 @@ class TestResume:
             "options": {},
         })
         journal.task_finished(
-            done_task, task_store_key(done_task), cache_hit=False,
+            done_task, store_key(done_task), cache_hit=False,
             resumed=False, wall=0.1, worker=None, attempts=1,
         )
         journal.close()

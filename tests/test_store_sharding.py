@@ -58,11 +58,10 @@ class TestShardLayout:
         assert not (store.root / ("%s.json" % key)).exists()
 
     def test_store_key_prefix_spreads_shards(self):
-        from repro.workloads import experiment_config
+        from repro.sim.runner import Task
 
-        config = experiment_config()
         keys = {
-            shard_of(store_key(benchmark, "lru", 0.05, config))
+            shard_of(store_key(Task(benchmark, "lru", 0.05)))
             for benchmark in ("mcf", "art", "lucas", "twolf", "ammp")
         }
         # sha256 keys: five benchmarks are overwhelmingly unlikely to

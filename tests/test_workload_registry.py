@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.sim import runner
-from repro.sim.runner import clear_cache, packed_trace
+from repro.sim.runner import Task, clear_cache, packed_trace
 from repro.sim.store import store_key
 from repro.sim import RunOptions
 from repro.sim.suite import EXPORT_FIELDS, run_suite
@@ -428,20 +428,16 @@ class TestRunnerMemo:
 
 class TestStoreKeys:
     def test_aliased_spellings_share_a_key(self):
-        config = experiment_config()
-        assert store_key(" MCF ", "lru", SCALE, config) == (
-            store_key("mcf", "lru", SCALE, config)
+        assert store_key(Task(" MCF ", "lru", SCALE)) == (
+            store_key(Task("mcf", "lru", SCALE))
         )
-        assert store_key(
-            "interleave(mcf,art)", "lru", SCALE, config
-        ) == store_key(
-            "interleave(mcf,art,quantum=64)", "lru", SCALE, config
+        assert store_key(Task("interleave(mcf,art)", "lru", SCALE)) == (
+            store_key(Task("interleave(mcf,art,quantum=64)", "lru", SCALE))
         )
 
     def test_distinct_specs_get_distinct_keys(self):
-        config = experiment_config()
         keys = {
-            store_key(spec, "lru", SCALE, config)
+            store_key(Task(spec, "lru", SCALE))
             for spec in (
                 "mcf", "mcf@0.5", "mcf(seed=4)",
                 "interleave(mcf,art)", "splice(mcf,art)",
@@ -452,13 +448,12 @@ class TestStoreKeys:
         assert len(keys) == 7
 
     def test_keys_stable_across_processes(self):
-        config = experiment_config()
         specs = ("interleave(mcf,art)", "champsim:%s" % FIXTURE)
         script = (
+            "from repro.sim.runner import Task\n"
             "from repro.sim.store import store_key\n"
-            "from repro.workloads import experiment_config\n"
             "for spec in %r:\n"
-            "    print(store_key(spec, 'lru', %r, experiment_config()))\n"
+            "    print(store_key(Task(spec, 'lru', %r)))\n"
             % (specs, SCALE)
         )
         out = subprocess.run(
@@ -469,17 +464,16 @@ class TestStoreKeys:
         )
         child_keys = out.stdout.split()
         local_keys = [
-            store_key(spec, "lru", SCALE, config) for spec in specs
+            store_key(Task(spec, "lru", SCALE)) for spec in specs
         ]
         assert child_keys == local_keys
 
     def test_imported_trace_content_changes_the_key(self, tmp_path):
         path = tmp_path / "t.champsim"
         path.write_text("0x1000 R 4\n")
-        config = experiment_config()
-        before = store_key("champsim:%s" % path, "lru", SCALE, config)
+        before = store_key(Task("champsim:%s" % path, "lru", SCALE))
         path.write_text("0x2000 R 4\n")
-        after = store_key("champsim:%s" % path, "lru", SCALE, config)
+        after = store_key(Task("champsim:%s" % path, "lru", SCALE))
         assert before != after
 
 
