@@ -104,6 +104,12 @@ def main(argv=None) -> int:
         help="comma-separated benchmark subset (default: all 14)",
     )
     args = parser.parse_args(argv)
+    common_cli.check_grid_args(parser, args)
+    if args.no_cache and args.workers:
+        parser.error(
+            "--workers prewarms the result store for the serial render; "
+            "it cannot be combined with --no-cache"
+        )
 
     common_cli.apply_telemetry(args)
     options = common_cli.options_from_args(args)

@@ -25,7 +25,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.sim.common_cli import service_parent
+from repro.sim.common_cli import service_parent, worker_count
 from repro.sim.options import REPLAY_KERNELS, RunOptions
 
 
@@ -47,7 +47,7 @@ def _add_serve_parser(subparsers) -> None:
         "overlapping cells, and executes them across worker slots.",
     )
     parser.add_argument(
-        "--workers", type=int, default=2, metavar="N",
+        "--workers", type=worker_count, default=2, metavar="N",
         help="worker slots (one process each; default: 2, 0 = CPUs)",
     )
     parser.add_argument(
@@ -291,7 +291,7 @@ def _add_demo_parser(subparsers) -> None:
         help="trace scale for the demo cells (default: 0.05)",
     )
     parser.add_argument(
-        "--workers", type=int, default=2,
+        "--workers", type=worker_count, default=2,
         help="worker slots for the demo service (default: 2)",
     )
     parser.add_argument(

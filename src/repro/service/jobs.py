@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.runner import Task
@@ -47,21 +46,13 @@ SOURCE_DEDUP = "dedup"
 SOURCE_RESUME = "resume"
 
 
-def new_job_id() -> str:
-    """A sortable, collision-resistant id for one submission."""
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    salt = hashlib.sha256(
-        ("%d|%r|job" % (os.getpid(), time.time())).encode()
-    ).hexdigest()[:6]
-    return "job-%s-%s" % (stamp, salt)
-
-
 @dataclass
 class CellState:
     """One (benchmark, policy) cell as one job sees it."""
 
     task: Task
-    key: str
+    #: Store key; None when the cell's spec does not parse.
+    key: Optional[str] = None
     status: str = CELL_PENDING
     source: Optional[str] = None
     digest: Optional[str] = None
@@ -118,6 +109,9 @@ class Job:
         self.created_at = time.time()
         #: label -> CellState, in matrix order (insertion-ordered).
         self.cells: Dict[str, CellState] = {}
+        #: The :class:`repro.sim.parallel.GridRun` that admits, probes,
+        #: journals and settles these cells (set by the service).
+        self.run = None
 
     # -- state -----------------------------------------------------------
 
@@ -313,5 +307,4 @@ __all__ = [
     "Rejection",
     "TenantQuotas",
     "expand_cells",
-    "new_job_id",
 ]

@@ -2,11 +2,14 @@
 
 ``python -m repro serve`` runs a long-lived :class:`JobService` that
 accepts grid submissions (workload-spec x policy-spec matrices) over
-the newline-delimited JSON protocol (:mod:`repro.service.protocol`),
-expands them to cells, and hands the cells to the same
-:class:`repro.sim.parallel.CellScheduler` that ``run_grid`` drives:
-process slots ranked by health, retry with backoff, deadlines, slot
-rebuilds.  This module adds what a shared daemon needs on top:
+the newline-delimited JSON protocol (:mod:`repro.service.protocol`)
+and expands them to cells.  Each job owns one
+:class:`repro.sim.parallel.GridRun`, the cell lifecycle ``run_grid``
+uses too: store keys, spec failures, the store probe, the job's
+journal and settlement.  Every job's run shares one
+:class:`repro.sim.parallel.CellScheduler`: process slots ranked by
+health, retry with backoff, deadlines, slot rebuilds.  This module
+adds what a shared daemon needs on top:
 
 * **Dedup by store key** — a cell is content-addressed by the same
   persistent-store key the engine uses
@@ -33,12 +36,12 @@ the store, so restarting the service never loses a result.
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro import obs
 from repro.service import protocol
 from repro.service.jobs import (
     CELL_CANCELLED,
@@ -49,23 +52,16 @@ from repro.service.jobs import (
     SOURCE_DEDUP,
     SOURCE_EXECUTED,
     SOURCE_RESUME,
-    SOURCE_STORE,
     CellState,
     Job,
     TenantQuotas,
     expand_cells,
-    new_job_id,
 )
 from repro.sim.options import RunOptions
-from repro.sim.parallel import (
-    CellScheduler,
-    Execution,
-    Outcome,
-    spec_failure,
-)
-from repro.sim.resilience import RunJournal, journal_root, load_journal
-from repro.sim.runner import trace_scale
-from repro.sim.store import default_store, result_digest, store_key
+from repro.sim.parallel import CellScheduler, GridRun, Outcome
+from repro.sim.resilience import list_runs, new_run_id
+from repro.sim.runner import Task, trace_scale
+from repro.sim.store import default_store, result_digest
 
 #: Client-suppliable RunOptions fields.  Everything else (cache policy,
 #: journaling, pool shape) is the server's call; these four only change
@@ -114,20 +110,6 @@ def _job_done_event(job: Job) -> Dict[str, object]:
     )
 
 
-def list_service_jobs():
-    """Journal states of every service job on disk, oldest first."""
-    root = journal_root()
-    if root is None or not root.is_dir():
-        return []
-    states = []
-    for path in sorted(root.glob("job-*.jsonl")):
-        try:
-            states.append(load_journal(path.stem))
-        except (OSError, ValueError):
-            continue
-    return states
-
-
 class JobService:
     """The server.  Create, ``await start()``, then ``serve_forever``.
 
@@ -144,12 +126,8 @@ class JobService:
             queue_limit=self.config.queue_limit,
             tenant_quota=self.config.tenant_quota,
         )
-        self.scheduler = CellScheduler(
-            self.config.workers, _RunningLoop(), self._mark_running,
-            self._execution_done,
-        )
+        self.scheduler = CellScheduler(self.config.workers, _RunningLoop())
         self._watchers: Dict[str, List[asyncio.Queue]] = {}
-        self._journals: Dict[str, RunJournal] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping = False
         self.started_at = time.time()
@@ -160,10 +138,10 @@ class JobService:
             "jobs_cancelled": 0,
             "jobs_resumed": 0,
             "cells_total": 0,
-            "cells_executed": 0,
             "cells_store_hits": 0,
             "cells_deduped": 0,
             "cells_resumed": 0,
+            #: Plus the scheduler's failed executions.
             "cell_failures": 0,
         }
 
@@ -212,35 +190,15 @@ class JobService:
         for watchers in self._watchers.values():
             for queue in watchers:
                 queue.put_nowait(None)
-        for journal in self._journals.values():
-            journal.close()
-        self._record_service_metrics()
-
-    def _record_service_metrics(self) -> None:
-        """Fold service counters into the obs session (when enabled)."""
-        if not obs.metrics_enabled():
-            return
-        registry = obs.MetricsRegistry()
+        for job in self.jobs.values():
+            job.run.close()
         counters = self._all_counters()
-        for name, help_text in (
-            ("submissions", "grid submissions accepted"),
-            ("submissions_rejected", "submissions refused by quota "
-             "or backpressure"),
-            ("jobs_completed", "jobs that reached a terminal state"),
-            ("cells_executed", "cells simulated on a worker slot"),
-            ("cells_store_hits", "cells served from the result store"),
-            ("cells_deduped", "cells attached to an in-flight "
-             "execution"),
-            ("retries", "cell attempts beyond the first"),
-            ("worker_trips", "slot circuits tripped by consecutive "
-             "failures"),
-            ("worker_rebuilds", "slot processes rebuilt after dying "
-             "hard"),
-        ):
-            registry.counter(
-                "service_%s_total" % name, help_text
-            ).inc(counters[name])
-        obs.record_session(registry.snapshot())
+        self.scheduler.record_metrics("service", {
+            name: counters[name] for name in (
+                "submissions", "submissions_rejected", "jobs_completed",
+                "cells_executed", "cells_store_hits", "cells_deduped",
+            )
+        })
 
     # -- submission ------------------------------------------------------
 
@@ -292,7 +250,7 @@ class JobService:
 
         options = self._merge_options(options_wire)
         job = Job(
-            job_id=job_id or new_job_id(),
+            job_id=job_id or new_run_id("job"),
             tenant=tenant,
             benchmarks=list(benchmarks),
             policies=list(policies),
@@ -300,8 +258,11 @@ class JobService:
             options_wire=dict(options_wire or {}),
         )
         self.jobs[job.job_id] = job
-        journal = RunJournal.create(
-            run_id=job.job_id,
+        job.run = GridRun(
+            self.scheduler, options, run_id=job.job_id,
+            resume_keys=resume_keys, memo=False,
+            on_started=functools.partial(self._cell_started, job),
+            on_settled=functools.partial(self._cell_settled, job),
             meta={
                 "service_job": True,
                 "tenant": tenant,
@@ -311,141 +272,78 @@ class JobService:
                 "options": dict(options_wire or {}),
             },
         )
-        if journal is not None:
-            self._journals[job.job_id] = journal
-
-        store = default_store() if options.use_cache else None
         for label, task in cells:
-            try:
-                key = store_key(task)
-            except (KeyError, ValueError) as exc:
-                cell = job.cells[label] = CellState(task=task, key=None)
-                self.counters["cell_failures"] += 1
-                self._fail_cell(job, cell, spec_failure(exc))
-                continue
-            cell = CellState(task=task, key=key)
-            job.cells[label] = cell
-            cached = store.load(key) if store is not None else None
-            if cached is not None:
-                source = (
-                    SOURCE_RESUME if key in resume_keys else SOURCE_STORE
-                )
-                self.counters[
-                    "cells_resumed" if source == SOURCE_RESUME
-                    else "cells_store_hits"
-                ] += 1
-                self._complete_cell(
-                    job, cell, result_digest(cached.to_dict()),
-                    source=source, wall=0.0, worker=None, attempts=0,
-                )
-                continue
-            execution = self.scheduler.submit(
-                key, task, options, (job, label)
-            )
-            if len(execution.subscribers) > 1:
+            job.cells[label] = CellState(task=task)
+        scheduled = job.run.admit([task for _, task in cells])
+        for cell in job.cells.values():
+            cell.key = job.run.keys.get(cell.task)
+            execution = scheduled.get(cell.task)
+            if execution is not None and (
+                execution.subscribers[0] != (job.run, cell.task)
+            ):
+                # Another cell, of this job or another, is running it.
                 self.counters["cells_deduped"] += 1
                 cell.source = SOURCE_DEDUP
                 cell.status = (
                     CELL_RUNNING if execution.attempts else CELL_PENDING
                 )
-        self._finish_job_if_done(job)
+        if not cells:  # resumed from a journal with a torn header
+            self._finish_job_if_done(job)
         return job, None
 
     # -- cell/job state transitions --------------------------------------
 
-    def _mark_running(
-        self, execution: Execution, worker: str, attempt: int
+    def _cell_started(
+        self, job: Job, task: Task, worker: str, attempt: int
     ) -> None:
-        for job, label in execution.subscribers:
-            cell = job.cells[label]
-            cell.status = CELL_RUNNING
-            cell.worker = worker
-            cell.attempts = attempt
-            journal = self._journals.get(job.job_id)
-            if journal is not None:
-                journal.task_started(cell.task, attempt)
-            self._emit(job, protocol.event(
-                "cell_running", job_id=job.job_id, cell=label,
-                worker=worker, attempt=attempt,
-            ))
-
-    def _execution_done(
-        self, execution: Execution, outcome: Outcome
-    ) -> None:
-        if outcome.ok:
-            self.counters["cells_executed"] += 1
-            digest = result_digest(outcome.value.to_dict())
-        else:
-            self.counters["cell_failures"] += 1
-        for job, label in execution.subscribers:
-            cell = job.cells[label]
-            if outcome.ok:
-                self._complete_cell(
-                    job, cell, digest,
-                    source=cell.source or SOURCE_EXECUTED,
-                    wall=outcome.wall, worker=outcome.slot,
-                    attempts=outcome.attempts,
-                )
-            else:
-                self._fail_cell(job, cell, outcome)
-            self._finish_job_if_done(job)
-
-    def _complete_cell(
-        self, job: Job, cell: CellState, digest: str, source: str,
-        wall: float, worker: Optional[str], attempts: int,
-    ) -> None:
-        if cell.terminal:
-            return
-        cell.status = CELL_DONE
-        cell.source = source
-        cell.digest = digest
-        cell.wall_time = wall
+        cell = job.cells[task.label]
+        cell.status = CELL_RUNNING
         cell.worker = worker
-        cell.attempts = attempts
-        self.quotas.release(job.tenant)
-        journal = self._journals.get(job.job_id)
-        if journal is not None:
-            journal.task_finished(
-                cell.task, cell.key,
-                cache_hit=source in (SOURCE_STORE, SOURCE_RESUME),
-                resumed=source == SOURCE_RESUME,
-                wall=wall, worker=None, attempts=attempts,
-            )
+        cell.attempts = attempt
         self._emit(job, protocol.event(
-            "cell_finished", job_id=job.job_id, cell=cell.label,
-            digest=digest, source=source, wall_s=round(wall, 4),
-            worker=worker,
+            "cell_running", job_id=job.job_id, cell=cell.label,
+            worker=worker, attempt=attempt,
         ))
 
-    def _fail_cell(self, job: Job, cell: CellState, outcome: Outcome) -> None:
-        if cell.terminal:
-            return
-        cell.status = CELL_FAILED
-        cell.error = outcome.value
-        cell.traceback = outcome.traceback
+    def _cell_settled(
+        self, job: Job, task: Task, outcome: Outcome, source: Optional[str]
+    ) -> None:
+        cell = job.cells[task.label]
         cell.attempts = outcome.attempts
-        self.quotas.release(job.tenant)
-        journal = self._journals.get(job.job_id)
-        if journal is not None:
-            journal.task_failed(
-                cell.task, outcome.value, outcome.traceback,
-                outcome.attempts,
+        if outcome.ok:
+            cell.status = CELL_DONE
+            cell.source = source or cell.source or SOURCE_EXECUTED
+            cell.digest = result_digest(outcome.value.to_dict())
+            cell.wall_time = outcome.wall
+            cell.worker = outcome.slot
+            if source is not None:
+                self.counters[
+                    "cells_resumed" if source == SOURCE_RESUME
+                    else "cells_store_hits"
+                ] += 1
+            event = protocol.event(
+                "cell_finished", job_id=job.job_id, cell=cell.label,
+                digest=cell.digest, source=cell.source,
+                wall_s=round(outcome.wall, 4), worker=outcome.slot,
             )
-        self._emit(job, protocol.event(
-            "cell_failed", job_id=job.job_id, cell=cell.label,
-            error=outcome.value, attempts=outcome.attempts,
-        ))
+        else:
+            cell.status = CELL_FAILED
+            cell.error = outcome.value
+            cell.traceback = outcome.traceback
+            if not outcome.attempts:  # a spec that did not parse
+                self.counters["cell_failures"] += 1
+            event = protocol.event(
+                "cell_failed", job_id=job.job_id, cell=cell.label,
+                error=outcome.value, attempts=outcome.attempts,
+            )
+        self.quotas.release(job.tenant)
+        self._emit(job, event)
+        self._finish_job_if_done(job)
 
     def _finish_job_if_done(self, job: Job) -> None:
         if not job.done:
             return
-        journal = self._journals.pop(job.job_id, None)
-        if journal is not None:
-            counts = job.counts()
-            journal.run_finished(
-                completed=counts[CELL_DONE], failed=counts[CELL_FAILED],
-                interrupted=job.cancelled,
-            )
+        job.run.finish(interrupted=job.cancelled)
         if job.cancelled:
             self.counters["jobs_cancelled"] += 1
         else:
@@ -465,9 +363,8 @@ class JobService:
             execution = self.scheduler.executions.get(cell.key)
             if execution is not None:
                 execution.subscribers = [
-                    (subscriber, sub_label)
-                    for subscriber, sub_label in execution.subscribers
-                    if subscriber is not job
+                    (run, task) for run, task in execution.subscribers
+                    if run is not job.run
                 ]
                 if not execution.subscribers:
                     self.scheduler.cancel(execution)
@@ -482,7 +379,7 @@ class JobService:
 
     def _resume_jobs(self) -> None:
         """Replay incomplete job journals found next to the store."""
-        for state in list_service_jobs():
+        for state in list_runs("job"):
             if state.finished or not state.meta.get("service_job"):
                 continue
             if state.run_id in self.jobs:
@@ -666,8 +563,11 @@ class JobService:
     # -- introspection ----------------------------------------------------
 
     def _all_counters(self) -> Dict[str, int]:
-        """Service counters plus the scheduler's resilience counters."""
+        """Service counters plus the scheduler's execution and
+        resilience counters."""
         counters = dict(self.counters)
+        counters["cells_executed"] = self.scheduler.succeeded
+        counters["cell_failures"] += self.scheduler.failed
         counters.update(self.scheduler.counters())
         return counters
 
@@ -770,6 +670,5 @@ __all__ = [
     "JobService",
     "ServiceConfig",
     "ServiceHandle",
-    "list_service_jobs",
     "serve_in_thread",
 ]

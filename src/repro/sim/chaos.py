@@ -180,6 +180,7 @@ def corrupt_store(store, fraction: float = 0.5, seed: int = 0) -> List[str]:
 
 def main(argv=None) -> int:
     from repro.cache.replacement.registry import split_specs
+    from repro.sim.common_cli import worker_count
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.chaos",
         description="Differential chaos test: a fault-free serial suite "
@@ -189,7 +190,7 @@ def main(argv=None) -> int:
     parser.add_argument("--policies", default="lru,lin(4)")
     parser.add_argument("--benchmarks", default="mcf,art")
     parser.add_argument("--scale", type=float, default=0.25)
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--workers", type=worker_count, default=2)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--crash-rate", type=float, default=0.2)
     parser.add_argument("--delay-rate", type=float, default=0.3)

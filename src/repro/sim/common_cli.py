@@ -9,8 +9,9 @@ flags once, as argparse *parent parsers*:
 * :func:`grid_parent` — how to execute a grid of them: ``--workers``,
   ``--progress``, ``--resume``, ``--max-retries``, ``--deadline``,
   ``--chaos``.  Only the CLIs that run grids take these.
-  :func:`options_from_args` folds either namespace into one
-  :class:`~repro.sim.options.RunOptions`.
+  :func:`check_grid_args` reports the combinations that cannot work
+  as usage errors, and :func:`options_from_args` folds either
+  namespace into one :class:`~repro.sim.options.RunOptions`.
 * :func:`telemetry_parent` — what to observe: ``--metrics-out``,
   ``--trace-events``.  :func:`apply_telemetry` pushes them into
   :mod:`repro.obs`.
@@ -25,7 +26,18 @@ import argparse
 import sys
 
 from repro import obs
-from repro.sim.options import REPLAY_KERNELS, RunOptions
+from repro.sim.options import REPLAY_KERNELS, RunOptions, slot_count
+
+
+def worker_count(text: str) -> int:
+    """``type=`` of every ``--workers`` flag: :func:`slot_count`'s
+    check, reported as a usage error."""
+    workers = int(text)
+    try:
+        slot_count(workers)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return workers
 
 
 def execution_parent() -> argparse.ArgumentParser:
@@ -54,7 +66,7 @@ def grid_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("grid execution")
     group.add_argument(
-        "--workers", type=int, default=0, metavar="N",
+        "--workers", type=worker_count, default=0, metavar="N",
         help="fan simulations out over N worker processes (default: "
              "serial in-process)",
     )
@@ -120,6 +132,17 @@ def telemetry_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def check_grid_args(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Report grid flag combinations that cannot work as usage errors."""
+    if args.no_cache and args.resume:
+        parser.error(
+            "--resume replays cells from the result store; it cannot be "
+            "combined with --no-cache"
+        )
+
+
 def options_from_args(
     args: argparse.Namespace,
     progress=None,
@@ -127,8 +150,10 @@ def options_from_args(
     """Fold a parsed execution namespace into one :class:`RunOptions`.
 
     The grid fields are read only when the parser had
-    :func:`grid_parent`.  ``progress`` overrides the callback installed
-    when ``--progress`` was passed (default: :func:`progress_printer`).
+    :func:`grid_parent` (check those first with
+    :func:`check_grid_args`).  ``progress`` overrides the callback
+    installed when ``--progress`` was passed (default:
+    :func:`progress_printer`).
     """
     fields = {"use_cache": not args.no_cache, "kernel": args.kernel}
     if "workers" not in vars(args):
@@ -191,10 +216,12 @@ def progress_printer(report, done, total) -> None:
 __all__ = [
     "execution_parent",
     "grid_parent",
+    "check_grid_args",
     "service_parent",
     "telemetry_parent",
     "options_from_args",
     "apply_telemetry",
     "write_metrics",
     "progress_printer",
+    "worker_count",
 ]

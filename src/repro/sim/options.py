@@ -16,6 +16,7 @@ variants with :meth:`RunOptions.replace`::
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,6 +24,20 @@ from typing import Callable, Optional
 #: every CLI's ``--kernel``: ``"auto"`` replays on the compiled native
 #: kernel whenever its gates hold, ``"generic"`` pins the Python loop.
 REPLAY_KERNELS = ("auto", "generic")
+
+
+def slot_count(workers: int) -> int:
+    """Process slots for ``workers``; ``0`` means one per CPU.
+
+    The one check on a worker count, shared by the grid, the job
+    service and every ``--workers`` flag: a negative count raises
+    ``ValueError`` instead of creating no slot to run a cell on.
+    """
+    if workers < 0:
+        raise ValueError(
+            "workers must be 0 (one per CPU) or more, got %d" % workers
+        )
+    return workers or max(1, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -131,4 +146,4 @@ class RunOptions:
         return cls(**fields)
 
 
-__all__ = ["RunOptions"]
+__all__ = ["RunOptions", "slot_count"]

@@ -1,10 +1,11 @@
-"""The one cell scheduler, and the task grid that runs on it.
+"""The one cell scheduler, the one cell lifecycle, and the grid.
 
 Regenerating the paper is embarrassingly parallel — every cell of every
-figure's matrix is an independent simulation.  :class:`CellScheduler`
-runs cells for both :func:`run_grid` and the job service
-(:mod:`repro.service.server`); execution knobs travel in one
-:class:`~repro.sim.options.RunOptions` object:
+figure's matrix is an independent simulation.  Execution knobs travel
+in one :class:`~repro.sim.options.RunOptions` object.
+
+:class:`CellScheduler` runs cells for :func:`run_grid` and the job
+service (:mod:`repro.service.server`) alike:
 
 * **Slots** — N worker processes, one cell at a time each, driven by
   callbacks on one event loop: the service's asyncio loop, or a small
@@ -26,12 +27,15 @@ runs cells for both :func:`run_grid` and the job service
   ``os._exit``) is rebuilt in place; the attempt counts as failed and
   is charged to that slot's health.
 
-:func:`run_grid` adds the grid's bookkeeping on top:
+:class:`GridRun` is what happens to a cell before and after that, for
+a grid and for each service job alike:
 
-* **Caching** — memo and persistent-store hits are resolved
-  (:func:`~repro.sim.runner.lookup`) before anything is scheduled;
-  workers write their results back to the store
-  so a repeat run (even in a different process) is free.
+* **Admission** — store keys are computed in the parent, so a
+  malformed workload or policy spec fails its cell alone.
+* **Caching** — memo and persistent-store hits are resolved before
+  anything is scheduled (the service probes only the store); workers
+  write their results back to the store so a repeat run (even in a
+  different process) is free.
 * **Run journal** — every run appends JSONL events (task
   started/finished/failed, store keys, worker pids) to
   ``<cache dir>/runs/<run_id>.jsonl``; an interrupted run is resumable
@@ -42,9 +46,11 @@ runs cells for both :func:`run_grid` and the job service
   exception message, plus a :class:`TaskReport` (wall time, worker
   pid, attempts) per task; :meth:`GridReport.meta` aggregates
   utilization, cache counters, and the resilience counters.
-* **Chaos** — a seeded :class:`~repro.sim.chaos.ChaosConfig` injects
-  crashes/delays per (task, attempt) so all of the above is exercised
-  deterministically in CI.
+
+:func:`run_grid` is one :class:`GridRun` on a private scheduler.  A
+seeded :class:`~repro.sim.chaos.ChaosConfig` injects crashes/delays
+per (task, attempt) so all of the above is exercised
+deterministically in CI.
 
 Determinism: simulations are seeded functions of (benchmark, policy,
 scale, config), so the slots return bit-identical results to the
@@ -64,12 +70,12 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.sim import runner
 from repro.sim.chaos import inject
-from repro.sim.options import RunOptions
+from repro.sim.options import RunOptions, slot_count
 from repro.sim.resilience import (
     BACKOFF_CAP_S,
     RunJournal,
@@ -130,10 +136,6 @@ def execute_cell(payload) -> Tuple[str, object, float, int, Optional[str]]:
             signal.alarm(0)
 
 
-def default_workers() -> int:
-    return max(1, os.cpu_count() or 1)
-
-
 @dataclass(frozen=True)
 class Outcome:
     """How one cell ended: its result or its error, and what it cost."""
@@ -150,21 +152,6 @@ class Outcome:
     attempts: int = 0
 
 
-def spec_failure(exc: Exception) -> Outcome:
-    """The outcome of a cell whose workload or policy spec is malformed.
-
-    Store keys canonicalize both specs in the parent, so a bad spec
-    raises in :func:`~repro.sim.store.store_key` before any slot sees
-    the cell.
-    Call this in that ``except`` block: the cell fails alone, with
-    zero attempts, instead of the whole grid or submission.
-    """
-    return Outcome(
-        ok=False, value=str(exc) or repr(exc),
-        traceback=traceback.format_exc(),
-    )
-
-
 class Execution:
     """One in-flight cell, shared by every subscriber that wants it."""
 
@@ -179,20 +166,23 @@ class Execution:
         self.cancelled = False
 
 
-def _slot_main(conn) -> None:
+def _slot_main(conn, parent_end) -> None:
     """A slot's worker process: run each cell sent down ``conn``.
 
     Sends back :func:`execute_cell`'s outcome tuple, and exits when
-    the parent closes the pipe.
+    the parent closes the pipe or dies.
     """
+    # A forked copy of the parent's end would keep the pipe open after
+    # a kill -9 of the parent, and this worker (holding the service's
+    # listening socket) would wait for a next cell forever.
+    parent_end.close()
     # Ctrl-C is the parent's to handle; it stops the slots itself.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        try:
-            payload = conn.recv()
-        except EOFError:
-            return
-        conn.send(execute_cell(payload))
+    try:
+        while True:
+            conn.send(execute_cell(conn.recv()))
+    except (EOFError, OSError):
+        return  # the parent closed the pipe, or died
 
 
 class _Slot:
@@ -223,7 +213,7 @@ class _Slot:
             )
             self._conn, child = context.Pipe()
             self._process = context.Process(
-                target=_slot_main, args=(child,), daemon=True
+                target=_slot_main, args=(child, self._conn), daemon=True
             )
             self._process.start()
             child.close()
@@ -296,32 +286,27 @@ class CellScheduler:
 
     ``loop`` is an asyncio event loop, or anything with its
     ``add_reader``/``remove_reader``/``call_later`` methods; every
-    scheduler call and callback happens on its thread.
-    ``on_start(execution, slot_name, attempt)`` fires as each attempt
-    is dispatched; ``on_done(execution, outcome)`` fires once, when the
-    execution succeeds or exhausts ``max_retries``.  Both act for every
-    subscriber in ``execution.subscribers``.
+    scheduler call happens on its thread.  A subscriber is a
+    ``(run, task)`` pair: the scheduler calls ``run.started(task, slot,
+    attempt)`` as each attempt is dispatched, and ``run.settle(task,
+    outcome)`` once, when the execution succeeds or exhausts
+    ``max_retries``.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        loop,
-        on_start: Callable[[Execution, str, int], None],
-        on_done: Callable[[Execution, Outcome], None],
-    ) -> None:
+    def __init__(self, workers: int, loop) -> None:
         self.health = WorkerHealth()
         self.slots = [
             _Slot("worker-%d" % index)
-            for index in range(workers or default_workers())
+            for index in range(slot_count(workers))
         ]
         #: store key -> the execution currently running it.
         self.executions: Dict[str, Execution] = {}
         self.retries = 0
         self.rebuilds = 0
+        #: Executions settled, by how they ended.
+        self.succeeded = 0
+        self.failed = 0
         self._loop = loop
-        self._on_start = on_start
-        self._on_done = on_done
         #: Executions waiting for a free slot, first come first served.
         self._waiting: "deque[Execution]" = deque()
         self._closed = False
@@ -334,15 +319,30 @@ class CellScheduler:
             "worker_trips": self.health.trips,
         }
 
-    def submit(
-        self, key: str, task: Task, options: RunOptions, subscriber
-    ) -> Execution:
-        """Attach ``subscriber`` to ``key``'s execution, or start one."""
+    def record_metrics(self, prefix: str, counters: Dict[str, int]) -> None:
+        """Fold :meth:`counters` plus ``counters`` into the obs session.
+
+        Each becomes the counter ``<prefix>_<name>_total``, and only
+        when metrics are enabled: ``--metrics-out`` then shows *how
+        hard* the scheduler had to work (attempts beyond the first,
+        slot processes rebuilt after dying hard, slot circuits tripped)
+        next to what it computed.
+        """
+        if not obs.metrics_enabled():
+            return
+        registry = obs.MetricsRegistry()
+        for name, value in dict(self.counters(), **counters).items():
+            registry.counter("%s_%s_total" % (prefix, name)).inc(value)
+        obs.record_session(registry.snapshot())
+
+    def submit(self, run: "GridRun", task: Task) -> Execution:
+        """Attach ``(run, task)`` to its key's execution, or start one."""
+        key = run.keys[task]
         execution = self.executions.get(key)
         if execution is not None:
-            execution.subscribers.append(subscriber)
+            execution.subscribers.append((run, task))
             return execution
-        execution = Execution(key, task, options, subscriber)
+        execution = Execution(key, task, run.options, (run, task))
         self.executions[key] = execution
         self._waiting.append(execution)
         self._dispatch()
@@ -378,7 +378,8 @@ class CellScheduler:
             slot = next(slot for slot in free if slot.name == name)
             execution.attempts += 1
             self.health.record_dispatch(slot.name)
-            self._on_start(execution, slot.name, execution.attempts)
+            for run, task in execution.subscribers:
+                run.started(task, slot.name, execution.attempts)
             options = execution.options
             slot.send(
                 (execution.task, options.use_cache, options.deadline,
@@ -416,10 +417,16 @@ class CellScheduler:
         if not execution.cancelled:
             if ok or execution.attempts > options.max_retries:
                 self._forget(execution)
-                self._on_done(execution, Outcome(
+                if ok:
+                    self.succeeded += 1
+                else:
+                    self.failed += 1
+                outcome = Outcome(
                     ok=ok, value=value, traceback=tb, wall=wall, pid=pid,
                     slot=slot.name, attempts=execution.attempts,
-                ))
+                )
+                for run, task in execution.subscribers:
+                    run.settle(task, outcome)
             else:
                 self.retries += 1
                 self._loop.call_later(
@@ -434,6 +441,141 @@ class CellScheduler:
     def _retry(self, execution: Execution) -> None:
         self._waiting.append(execution)
         self._dispatch()
+
+
+class GridRun:
+    """One grid's cells, from admission to settlement.
+
+    The one cell lifecycle: :func:`run_grid` runs one on a private
+    :class:`CellScheduler`, and the job service one per job on its
+    shared scheduler.  ``memo`` is where the two differ: the grid
+    (True) probes the memo, then the store
+    (:func:`~repro.sim.runner.lookup`), and keeps every ``SimResult``;
+    the service (False) probes only the store, so a long-lived daemon
+    pins no results in memory.  ``resume_keys`` are the store keys a
+    resumed journal completed: a store hit on one is marked resumed.
+    ``on_started(task, slot, attempt)`` and ``on_settled(task,
+    outcome, source)`` let a job follow its cells; ``source`` names a
+    cache hit's layer (``"memo"``, ``"store"``, ``"resume"``).
+    """
+
+    def __init__(
+        self,
+        scheduler: CellScheduler,
+        options: RunOptions,
+        meta: Dict[str, object],
+        run_id: Optional[str] = None,
+        resume_keys: Collection[str] = (),
+        memo: bool = True,
+        on_started: Optional[Callable] = None,
+        on_settled: Optional[Callable] = None,
+    ) -> None:
+        self.scheduler = scheduler
+        self.options = options
+        self.resume_keys = resume_keys
+        self.memo = memo
+        self._on_started = on_started
+        self._on_settled = on_settled
+        self.journal = RunJournal.create(run_id=run_id, meta=meta)
+        self.run_id = self.journal.run_id if self.journal else run_id
+        self.keys: Dict[Task, str] = {}
+        self.results: Dict[Task, SimResult] = {}
+        self.failures: Dict[Task, str] = {}
+        self.reports: List[TaskReport] = []
+        self.total = 0
+
+    def admit(self, tasks: Sequence[Task]) -> Dict[Task, Execution]:
+        """Settle each task's spec failure or cache hit, then schedule
+        the misses; returns the execution each miss joined."""
+        self.total += len(tasks)
+        misses = []
+        for task in tasks:
+            try:
+                key = self.keys[task] = store_key(task)
+            except (KeyError, ValueError) as exc:
+                # store_key canonicalizes both specs: a malformed one
+                # fails its cell alone, with zero attempts.
+                self.settle(task, Outcome(
+                    ok=False, value=str(exc) or repr(exc),
+                    traceback=traceback.format_exc(),
+                ))
+                continue
+            cached, source = self._probe(task, key)
+            if cached is None:
+                misses.append(task)
+            else:
+                self.settle(task, Outcome(ok=True, value=cached), source)
+        return {task: self.scheduler.submit(self, task) for task in misses}
+
+    def _probe(self, task: Task, key: str):
+        """``(result, source)``; the result is None on a miss."""
+        cached = source = None
+        if self.options.use_cache and self.memo:
+            cached, source, _ = runner.lookup(task, key)
+        elif self.options.use_cache:
+            store = default_store()
+            cached = store.load(key) if store is not None else None
+            source = "store"
+        if source == "store" and key in self.resume_keys:
+            source = "resume"
+        return cached, source
+
+    def started(self, task: Task, slot: str, attempt: int) -> None:
+        """An attempt at ``task`` was dispatched to ``slot``."""
+        if self.journal is not None:
+            self.journal.task_started(task, attempt)
+        if self._on_started is not None:
+            self._on_started(task, slot, attempt)
+
+    def settle(
+        self, task: Task, outcome: Outcome, source: Optional[str] = None
+    ) -> None:
+        """Record how ``task`` ended; ``source`` names a hit's layer."""
+        hit = source is not None
+        if outcome.ok:
+            if self.memo:
+                self.results[task] = outcome.value
+                if not hit and self.options.use_cache:
+                    runner.seed_cache(task, outcome.value)
+            if self.journal is not None:
+                self.journal.task_finished(
+                    task, self.keys[task], cache_hit=hit,
+                    resumed=source == "resume", wall=outcome.wall,
+                    worker=outcome.pid, attempts=outcome.attempts,
+                )
+        else:
+            self.failures[task] = outcome.traceback or outcome.value
+            if self.journal is not None:
+                self.journal.task_failed(
+                    task, outcome.value, outcome.traceback,
+                    outcome.attempts,
+                )
+        report = TaskReport(
+            task=task, ok=outcome.ok, cache_hit=hit,
+            resumed=source == "resume", wall_time=outcome.wall,
+            worker=outcome.pid, attempts=outcome.attempts,
+            error=None if outcome.ok else outcome.value,
+            traceback=outcome.traceback,
+        )
+        self.reports.append(report)
+        if self.options.progress is not None:
+            self.options.progress(report, len(self.reports), self.total)
+        if self._on_settled is not None:
+            self._on_settled(task, outcome, source)
+
+    def finish(self, interrupted: bool = False) -> None:
+        """Journal ``run_finished`` and close the journal (once)."""
+        journal, self.journal = self.journal, None
+        if journal is not None:
+            journal.run_finished(
+                completed=len(self.reports) - len(self.failures),
+                failed=len(self.failures), interrupted=interrupted,
+            )
+
+    def close(self) -> None:
+        """Close the journal unfinished, so a later run can resume it."""
+        if self.journal is not None:
+            self.journal.close()
 
 
 def run_grid(
@@ -457,18 +599,20 @@ def run_grid(
         options = RunOptions()
     ordered: List[Task] = list(dict.fromkeys(tasks))
 
-    resume_keys = set()
+    resume_keys = frozenset()
     if options.resume is not None:
         if not options.use_cache:
             raise ValueError(
                 "RunOptions(resume=...) needs the result store; it "
                 "cannot be combined with use_cache=False"
             )
-        resume_keys = set(load_journal(options.resume).completed)
+        resume_keys = frozenset(load_journal(options.resume).completed)
 
-    workers = options.workers or default_workers()
-    journal = RunJournal.create(
-        run_id=options.run_id,
+    loop = _GridLoop()
+    scheduler = CellScheduler(options.workers, loop)
+    workers = len(scheduler.slots)
+    run = GridRun(
+        scheduler, options, run_id=options.run_id, resume_keys=resume_keys,
         meta={
             "workers": workers,
             "tasks": len(ordered),
@@ -477,153 +621,50 @@ def run_grid(
             "resumed_from": options.resume,
         },
     )
-
     started = time.perf_counter()
-    results: Dict[Task, SimResult] = {}
-    reports: List[TaskReport] = []
-    failures: Dict[Task, str] = {}
-    keys: Dict[Task, str] = {}
-    pending: List[Task] = []
-    resumed_cells = 0
-
-    def finish(report: TaskReport) -> None:
-        reports.append(report)
-        if options.progress is not None:
-            options.progress(report, len(reports), len(ordered))
-
-    def settle(task: Task, outcome: Outcome) -> None:
-        """Record how one task that was not a cache hit ended."""
-        if outcome.ok:
-            results[task] = outcome.value
-            if options.use_cache:
-                runner.seed_cache(task, outcome.value)
-            if journal is not None:
-                journal.task_finished(
-                    task, keys[task], cache_hit=False, resumed=False,
-                    wall=outcome.wall, worker=outcome.pid,
-                    attempts=outcome.attempts,
-                )
-        else:
-            failures[task] = outcome.traceback or outcome.value
-            if journal is not None:
-                journal.task_failed(
-                    task, outcome.value, outcome.traceback,
-                    outcome.attempts,
-                )
-        finish(TaskReport(
-            task=task, ok=outcome.ok, wall_time=outcome.wall,
-            worker=outcome.pid, attempts=outcome.attempts,
-            error=None if outcome.ok else outcome.value,
-            traceback=outcome.traceback,
-        ))
-
-    def on_start(execution: Execution, slot: str, attempt: int) -> None:
-        if journal is not None:
-            for task in execution.subscribers:
-                journal.task_started(task, attempt)
-
-    def on_done(execution: Execution, outcome: Outcome) -> None:
-        for task in execution.subscribers:
-            settle(task, outcome)
-
-    loop = _GridLoop()
-    scheduler = CellScheduler(workers, loop, on_start, on_done)
     interrupted = False
     try:
-        for task in ordered:
-            try:
-                keys[task] = store_key(task)
-            except (KeyError, ValueError) as exc:
-                settle(task, spec_failure(exc))
-                continue
-            cached = provenance = None
-            if options.use_cache:
-                cached, provenance, _ = runner.lookup(task, keys[task])
-            if cached is None:
-                pending.append(task)
-                continue
-            results[task] = cached
-            resumed = provenance == "store" and keys[task] in resume_keys
-            resumed_cells += resumed
-            if journal is not None:
-                journal.task_finished(
-                    task, keys[task], cache_hit=True, resumed=resumed,
-                    wall=0.0, worker=None, attempts=0,
-                )
-            finish(TaskReport(
-                task=task, ok=True, cache_hit=True, resumed=resumed,
-            ))
-        for task in pending:
-            scheduler.submit(keys[task], task, options, task)
+        run.admit(ordered)
         loop.run_until(lambda: not scheduler.executions)
     except KeyboardInterrupt:
         interrupted = True
     finally:
         scheduler.close()
         loop.close()
-        if journal is not None:
-            journal.run_finished(
-                completed=len(results), failed=len(failures),
-                interrupted=interrupted,
-            )
+        run.finish(interrupted)
 
     store = default_store()
+    quarantined = store.quarantined if store is not None else 0
+    scheduler.record_metrics("engine", {"store_quarantined": quarantined})
     resilience: Dict[str, object] = dict(scheduler.counters())
     resilience.update(
-        store_quarantined=store.quarantined if store is not None else 0,
+        store_quarantined=quarantined,
         resumed_from=options.resume,
-        resumed_cells=resumed_cells,
+        resumed_cells=sum(report.resumed for report in run.reports),
     )
-    _record_engine_metrics(resilience)
-
-    cache_hits = sum(1 for report in reports if report.cache_hit)
+    cache_hits = sum(1 for report in run.reports if report.cache_hit)
     return GridReport(
-        results=results,
-        reports=reports,
+        results=run.results,
+        reports=run.reports,
         workers=workers,
         elapsed=time.perf_counter() - started,
         cache_hits=cache_hits,
         cache_misses=len(ordered) - cache_hits,
-        failures=failures,
-        run_id=journal.run_id if journal is not None else options.run_id,
+        failures=run.failures,
+        run_id=run.run_id,
         interrupted=interrupted,
         resilience=resilience,
     )
 
 
-def _record_engine_metrics(resilience: Dict[str, object]) -> None:
-    """Fold the engine's resilience counters into the obs session.
-
-    Only when metrics are enabled — ``--metrics-out`` surfaces them
-    next to the simulation counters, so a run report shows *how hard*
-    the engine had to work (retries, slot rebuilds, quarantined store
-    entries) alongside what it computed.
-    """
-    if not obs.metrics_enabled():
-        return
-    registry = obs.MetricsRegistry()
-    for name, help_text in (
-        ("retries", "task attempts beyond the first"),
-        ("worker_rebuilds", "slot processes rebuilt after dying hard"),
-        ("worker_trips", "slot circuits tripped by consecutive failures"),
-        ("store_quarantined",
-         "store entries quarantined on integrity failure"),
-    ):
-        registry.counter(
-            "engine_%s_total" % name, help_text
-        ).inc(resilience[name])
-    obs.record_session(registry.snapshot())
-
-
 __all__ = [
     "CellScheduler",
     "Execution",
+    "GridRun",
     "Outcome",
     "Task",
     "TaskReport",
     "GridReport",
     "run_grid",
-    "default_workers",
     "execute_cell",
-    "spec_failure",
 ]

@@ -60,13 +60,14 @@ def journal_root() -> Optional[Path]:
     return Path(root) / "runs"
 
 
-def new_run_id() -> str:
-    """A sortable, collision-resistant id for one grid run."""
+def new_run_id(prefix: str = "run") -> str:
+    """A sortable, collision-resistant id: ``run`` for a grid run,
+    ``job`` for a service job."""
     stamp = time.strftime("%Y%m%d-%H%M%S")
     salt = hashlib.sha256(
-        ("%d|%r" % (os.getpid(), time.time())).encode()
+        ("%d|%r|%s" % (os.getpid(), time.time(), prefix)).encode()
     ).hexdigest()[:6]
-    return "run-%s-%s" % (stamp, salt)
+    return "%s-%s-%s" % (prefix, stamp, salt)
 
 
 def backoff_delay(
@@ -424,13 +425,14 @@ def load_journal(run_id: str) -> JournalState:
     return state
 
 
-def list_runs() -> List[JournalState]:
-    """Every journal in the runs directory, newest-id last."""
+def list_runs(prefix: str = "run") -> List[JournalState]:
+    """Every journal whose id has ``prefix`` (see :func:`new_run_id`),
+    newest-id last."""
     root = journal_root()
     if root is None or not root.is_dir():
         return []
     states = []
-    for path in sorted(root.glob("run-*.jsonl")):
+    for path in sorted(root.glob("%s-*.jsonl" % prefix)):
         try:
             states.append(load_journal(path.stem))
         except (OSError, ValueError):

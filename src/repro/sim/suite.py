@@ -426,6 +426,7 @@ def main(argv=None) -> int:
     if args.list_runs:
         return _print_runs()
 
+    common_cli.check_grid_args(parser, args)
     common_cli.apply_telemetry(args)
     options = common_cli.options_from_args(args)
 

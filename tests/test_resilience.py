@@ -10,13 +10,16 @@ import argparse
 import importlib
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.sim import common_cli
 from repro.sim.chaos import ChaosConfig
 from repro.sim.options import RunOptions
-from repro.sim.parallel import Task, run_grid
+from repro.sim.parallel import CellScheduler, Task, run_grid
 from repro.sim.resilience import (
     RunJournal,
     backoff_delay,
@@ -139,6 +142,14 @@ class TestRunJournal:
     def test_new_run_id_shape(self):
         run_id = new_run_id()
         assert re.match(r"^run-\d{8}-\d{6}-[0-9a-f]{6}$", run_id)
+
+    def test_service_job_ids_list_apart_from_grid_runs(self):
+        job_id = new_run_id("job")
+        assert re.match(r"^job-\d{8}-\d{6}-[0-9a-f]{6}$", job_id)
+        RunJournal.create(run_id=job_id).close()
+        RunJournal.create(run_id="run-test-a").close()
+        assert [s.run_id for s in list_runs()] == ["run-test-a"]
+        assert [s.run_id for s in list_runs("job")] == [job_id]
 
 
 class TestGridJournalIntegration:
@@ -358,3 +369,72 @@ class TestCommonCli:
         for report, expected in cases:
             common_cli.progress_printer(report, 1, 4)
             assert expected in capsys.readouterr().err
+
+
+class TestGridArgs:
+    """Flag values and combinations that cannot work are usage errors."""
+
+    REPO_ROOT = Path(__file__).parent.parent
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--workers", "-1", "--benchmarks", "lucas"],
+        ["experiments", "table2", "--workers", "-2", "--benchmarks",
+         "lucas"],
+        ["serve", "--workers", "-1", "--port", "0"],
+    ])
+    def test_negative_workers_exit_with_usage(self, argv, tmp_path):
+        # Without the check these create no process slot and wait
+        # forever for one, so a hang fails here instead of blocking.
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "repro"] + argv,
+                capture_output=True, text=True, cwd=str(self.REPO_ROOT),
+                env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin",
+                     "REPRO_CACHE_DIR": str(tmp_path / "store")},
+                timeout=60,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("repro %s hung" % " ".join(argv))
+        assert out.returncode == 2
+        assert "usage:" in out.stderr
+        assert "workers must be 0 (one per CPU) or more" in out.stderr
+
+    def test_negative_workers_raise_in_the_library(self):
+        # run_grid and the job service both size their slots here.
+        from repro.service.server import JobService, ServiceConfig
+
+        with pytest.raises(ValueError, match="workers must be"):
+            CellScheduler(-3, loop=None)
+        with pytest.raises(ValueError, match="workers must be"):
+            JobService(ServiceConfig(workers=-1))
+
+    @pytest.mark.parametrize("module", ["repro.sim.suite",
+                                        "repro.experiments.__main__"])
+    def test_no_cache_with_resume_is_a_usage_error(self, module, capsys):
+        main = importlib.import_module(module).main
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--no-cache", "--resume", "run-x", "--benchmarks",
+                  "lucas", "--scale", str(SCALE)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--resume" in err and "--no-cache" in err
+
+    def test_experiments_no_cache_with_workers_is_a_usage_error(
+        self, capsys
+    ):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table2", "--no-cache", "--workers", "2",
+                  "--benchmarks", "lucas", "--scale", str(SCALE)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "--no-cache" in err
+
+    def test_suite_no_cache_with_workers_runs_on_the_pool(self, capsys):
+        from repro.sim.suite import main
+
+        assert main(["--no-cache", "--workers", "2", "--benchmarks",
+                     "lucas", "--policies", "lru", "--scale",
+                     str(SCALE)]) == 0
+        assert "[2 workers:" in capsys.readouterr().err

@@ -16,21 +16,32 @@ The tentpole guarantees locked in here:
 
 import asyncio
 import json
+import os
+import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError, submit
-from repro.service.jobs import TenantQuotas, expand_cells, new_job_id
+from repro.service.jobs import TenantQuotas, expand_cells
 from repro.service.server import ServiceConfig, serve_in_thread
 from repro.sim.chaos import ChaosConfig
 from repro.sim.options import RunOptions
 from repro.sim.store import store_key
-from repro.sim.resilience import RunJournal, WorkerHealth, load_journal
+from repro.sim.parallel import run_grid
+from repro.sim.resilience import (
+    RunJournal,
+    WorkerHealth,
+    journal_root,
+    load_journal,
+    new_run_id,
+)
 from repro.sim.runner import clear_cache, run_policy
 from repro.sim.store import result_digest
 
@@ -448,6 +459,74 @@ def _serial_digests(tmp_path, monkeypatch, benchmarks, policies):
     }
 
 
+def _cell_records(run_id):
+    """A journal's per-cell records, without their timing, sorted.
+
+    Each executed cell's worker pid becomes ``"pid"``, so runs in
+    different processes compare equal.
+    """
+    records = []
+    for record in load_journal_lines(run_id):
+        if record["event"] not in (
+            "task_started", "task_finished", "task_failed"
+        ):
+            continue
+        del record["ts"]
+        record.pop("wall_s", None)
+        if record.get("worker") is not None:
+            assert isinstance(record["worker"], int), record
+            record["worker"] = "pid"
+        records.append(record)
+    return sorted(records, key=lambda r: json.dumps(r, sort_keys=True))
+
+
+def load_journal_lines(run_id):
+    path = journal_root() / ("%s.jsonl" % run_id)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestOneLifecycle:
+    def test_grid_and_service_journal_cells_alike(
+        self, tmp_path, monkeypatch
+    ):
+        # One cell is a store hit, one spec is malformed, and the rest
+        # execute: every record a cell can leave, from both front ends.
+        benchmarks = BENCHMARKS + ("mcf(seed=",)
+        tasks = [task for _, task in expand_cells(
+            benchmarks, POLICIES, SCALE
+        )]
+        journals = {}
+        for side in ("grid", "service"):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / side))
+            clear_cache()
+            run_policy("lucas", "lru", scale=SCALE)
+            clear_cache()
+            if side == "grid":
+                run_id = run_grid(tasks, RunOptions(workers=2)).run_id
+            else:
+                handle = start_service()
+                try:
+                    client = ServiceClient(port=handle.port)
+                    run_id = client.submit(
+                        benchmarks, POLICIES, scale=SCALE
+                    )
+                    client.wait(run_id)
+                finally:
+                    handle.stop()
+            journals[side] = _cell_records(run_id)
+
+        assert journals["grid"] == journals["service"]
+        finished = [
+            r for r in journals["grid"] if r["event"] == "task_finished"
+        ]
+        assert sorted(r["worker"] is None for r in finished) == [
+            False, False, False, True,
+        ]
+        assert sum(
+            r["event"] == "task_failed" for r in journals["grid"]
+        ) == len(POLICIES)
+
+
 class TestSlotFaults:
     def test_hard_crash_rebuilds_a_slot_and_digests_match_serial(
         self, tmp_path, monkeypatch
@@ -555,7 +634,7 @@ class TestMalformedSpecs:
         assert state.finished and len(state.failed) == len(failed)
 
     def test_resume_over_a_journal_with_a_malformed_spec(self):
-        job_id = new_job_id()
+        job_id = new_run_id("job")
         RunJournal.create(run_id=job_id, meta={
             "service_job": True,
             "tenant": "t",
@@ -583,7 +662,7 @@ class TestResume:
         cells = expand_cells(BENCHMARKS[:1], POLICIES, SCALE)
         labels = {label: task for label, task in cells}
         done_task = labels["lucas/lru"]
-        job_id = new_job_id()
+        job_id = new_run_id("job")
         journal = RunJournal.create(run_id=job_id, meta={
             "service_job": True,
             "tenant": "crashy",
@@ -618,6 +697,45 @@ class TestResume:
         other = snapshot["cells"]["lucas/lin(4)"]
         assert other["status"] == "done"
         assert other["source"] == "executed"
+
+    def test_slots_exit_when_the_daemon_is_killed(self, tmp_path):
+        # A killed daemon's slot processes must not outlive it: they
+        # hold its listening port, which a restart needs.
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--workers", "1",
+             "--port", "0"],
+            stdout=subprocess.PIPE, text=True,
+            cwd=str(Path(__file__).parent.parent),
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin",
+                 "REPRO_CACHE_DIR": str(tmp_path / "store")},
+        )
+        try:
+            port = int(re.search(
+                r":(\d+) ", daemon.stdout.readline()
+            ).group(1))
+            client = ServiceClient(port=port)
+            job_id = client.submit(("lucas",), ("lru",), scale=SCALE)
+            client.wait(job_id)
+        finally:
+            daemon.kill()
+            daemon.wait()
+        record = next(iter(load_journal(job_id).completed.values()))
+        slot = Path("/proc/%d/stat" % record["worker"])
+
+        def alive():
+            try:
+                return slot.read_text().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return False
+
+        deadline = time.monotonic() + 10.0
+        while alive() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        try:
+            assert not alive(), "slot process outlived its daemon"
+        finally:
+            if alive():
+                os.kill(record["worker"], signal.SIGKILL)
 
     def test_finished_journals_are_not_replayed(self):
         handle = start_service(workers=1)
