@@ -2,9 +2,14 @@
 
 Run everything with ``python -m repro.experiments``, or a single
 experiment with ``python -m repro.experiments figure9``.  Each module
-exposes ``run(scale=None, benchmarks=None) -> Report``.
+declares ``cells(scale, benchmarks)``, the simulation cells it reads,
+and ``render(results, scale, benchmarks)`` (see
+:mod:`repro.experiments.common`); the registry gives each one the same
+``run(scale=None, benchmarks=None) -> Report``, written once in
+:func:`repro.experiments.common.experiment`.
 """
 
+from repro.experiments.common import experiment
 from repro.experiments import (
     calibration,
     cbs_comparison,
@@ -53,5 +58,9 @@ EXPERIMENTS = {
     "costmodel": cost_validation,
     "calibration": calibration,
 }
+
+for _module in EXPERIMENTS.values():
+    _module.run = experiment(_module.cells, _module.render)
+del _module
 
 __all__ = ["EXPERIMENTS"]

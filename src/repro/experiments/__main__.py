@@ -7,14 +7,15 @@ Usage::
     python -m repro.experiments figure4 --scale 0.3 --benchmarks mcf,art
     python -m repro.experiments --workers 8     # fan simulations out
 
-``--workers N`` first pushes every (benchmark x policy) cell the
-selected experiments need through the parallel engine (populating the
-persistent result store), then renders the reports serially from cache
-hits.  The engine flags are the shared set from
-:mod:`repro.sim.common_cli` — ``--max-retries``/``--deadline`` harden
-the prewarm against flaky workers, and ``--resume RUN_ID`` replays an
-interrupted prewarm's journal.  ``--no-cache`` disables both the
-in-process memo and the store for a guaranteed-fresh run.
+The CLI first collects the cells of every selected experiment; an
+unknown ``--benchmarks`` entry is a usage error before any cell runs.
+``--workers N`` runs them all in one grid on the parallel engine
+(populating the persistent result store), else they run serially; the
+reports then render from cache hits.  The engine flags are the shared
+set from :mod:`repro.sim.common_cli` — ``--max-retries``/``--deadline``
+harden the grid against flaky workers, and ``--resume RUN_ID`` replays
+an interrupted grid's journal.  ``--no-cache`` disables the store and
+empties the memo for a guaranteed-fresh run.
 """
 
 from __future__ import annotations
@@ -27,19 +28,19 @@ import time
 from repro import obs
 from repro.cache.replacement.registry import split_specs
 from repro.experiments import EXPERIMENTS
-from repro.experiments.common import prewarm_tasks
 from repro.sim import common_cli
+from repro.sim.runner import clear_cache, run_task, trace_scale
 
 
-def _prewarm(names, benchmarks, scale, options) -> bool:
-    """Fan the experiments' shared simulation grid out over a pool.
+def _prewarm(tasks, options) -> bool:
+    """Run the experiments' cells in one grid on the parallel engine.
 
-    Returns False when the prewarm was interrupted (Ctrl-C) — the
-    caller should stop instead of re-simulating everything serially.
+    Returns False when the grid was interrupted (Ctrl-C) — the caller
+    should stop instead of re-simulating everything serially.  A cell
+    the grid failed runs once more, serially, in its experiment's run.
     """
     from repro.sim.parallel import run_grid
 
-    tasks = prewarm_tasks(names, benchmarks=benchmarks, scale=scale)
     if not tasks:
         return True
     grid = run_grid(tasks, options=options)
@@ -121,19 +122,29 @@ def main(argv=None) -> int:
     benchmarks = (
         split_specs(args.benchmarks) if args.benchmarks is not None else None
     )
+    scale = trace_scale() if args.scale is None else args.scale
+    try:
+        tasks = [
+            task
+            for name in names
+            for task in EXPERIMENTS[name].cells(scale, benchmarks)
+        ]
+    except KeyError as error:  # an unknown --benchmarks spec
+        parser.error(error.args[0])
 
     if not options.use_cache:
-        from repro.sim.runner import clear_cache
-
         os.environ["REPRO_NO_STORE"] = "1"
         clear_cache()
-    elif options.workers or options.resume:
-        if not _prewarm(names, benchmarks, args.scale, options):
+    if options.workers or options.resume:
+        if not _prewarm(tasks, options):
             return 130
+    else:
+        for task in tasks:
+            run_task(task)
 
     for name in names:
         started = time.time()
-        report = EXPERIMENTS[name].run(scale=args.scale, benchmarks=benchmarks)
+        report = EXPERIMENTS[name].run(scale=scale, benchmarks=benchmarks)
         print(report.render())
         print("[%s finished in %.1fs]\n" % (name, time.time() - started))
     if args.metrics_out:

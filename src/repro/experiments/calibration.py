@@ -8,27 +8,32 @@ the executable form of the tuning contract in docs/workloads.md.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.experiments.common import Report, fmt_pct, resolve_benchmarks
+from repro.experiments.common import (
+    Report,
+    fmt_pct,
+    policy_cells,
+    resolve_benchmarks,
+)
 from repro.workloads.validation import (
+    POLICIES,
     delta_separation,
-    validate_suite,
+    score_benchmark,
 )
 
+cells = policy_cells(POLICIES)
 
-def run(
-    scale: Optional[float] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Report:
-    names = resolve_benchmarks(benchmarks)
+
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "calibration", "Calibration scorecard: surrogates vs the paper"
     )
-    results = validate_suite(names, scale=scale)
+    fidelities = [
+        score_benchmark(name, *(results[t] for t in cells(scale, [name])))
+        for name in resolve_benchmarks(benchmarks)
+    ]
     rows = []
     sign_matches = 0
-    for fidelity in results:
+    for fidelity in fidelities:
         if fidelity.lin_sign_matches:
             sign_matches += 1
         ratio = fidelity.lin_magnitude_ratio
@@ -51,14 +56,14 @@ def run(
         ],
         rows,
     )
-    separation = delta_separation(results)
+    separation = delta_separation(fidelities)
     report.add_note(
         "LIN sign agreement: %d/%d benchmarks.\n"
         "Table 1 separation (losers' min avg delta - winners' max): "
         "%+.0f cycles %s"
         % (
             sign_matches,
-            len(results),
+            len(fidelities),
             separation,
             "(causal story holds)" if separation > 0 else "(violated!)",
         )

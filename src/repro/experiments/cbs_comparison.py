@@ -9,39 +9,33 @@ most expensive one; it defaults to a representative benchmark subset.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.config import CacheGeometry
-from repro.experiments.common import Report, fmt_pct, resolve_benchmarks
+from repro.experiments.common import (
+    Report,
+    fmt_pct,
+    policy_cells,
+    resolve_benchmarks,
+)
 from repro.sbar.overhead import cbs_overhead, sbar_overhead
-from repro.sim.runner import ipc_improvement, run_policy
+from repro.sim.runner import ipc_improvement
 from repro.workloads import experiment_config
 
 DEFAULT_BENCHMARKS = ("art", "mcf", "ammp", "parser", "mgrid")
 
 POLICIES = ("sbar", "cbs-global", "cbs-local")
 
-PREWARM_POLICIES = ("lru",) + POLICIES
+cells = policy_cells(("lru",) + POLICIES, DEFAULT_BENCHMARKS)
 
 
-def run(
-    scale: Optional[float] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Report:
-    names = (
-        list(DEFAULT_BENCHMARKS)
-        if benchmarks is None
-        else resolve_benchmarks(benchmarks)
-    )
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "cbs", "Section 6.6: SBAR vs CBS-global vs CBS-local"
     )
     rows = []
-    for name in names:
-        baseline = run_policy(name, "lru", scale=scale)
+    for name in resolve_benchmarks(benchmarks, DEFAULT_BENCHMARKS):
+        baseline, *others = (results[task] for task in cells(scale, [name]))
         row = [name]
-        for policy in POLICIES:
-            result = run_policy(name, policy, scale=scale)
+        for result in others:
             row.append(fmt_pct(ipc_improvement(result, baseline)))
         rows.append(row)
     report.add_table(["benchmark"] + list(POLICIES), rows)

@@ -1,14 +1,21 @@
-"""Shared experiment-report plumbing.
+"""Shared experiment plumbing: cell lists, the one ``run``, reports.
 
-Every experiment module exposes ``run(scale=None, benchmarks=None)``
-returning a :class:`Report`, which is a titled collection of text
-blocks (tables, notes).  Reports render to aligned plain text so the
-harness output reads like the paper's tables.
+An experiment module declares ``cells(scale, benchmarks)``, every
+:class:`~repro.sim.runner.Task` it reads, and ``render(results, scale,
+benchmarks)``, which builds its :class:`Report` from ``results``: each
+declared cell's :class:`~repro.sim.stats.SimResult`.  Rendering
+simulates nothing (figure1's toy list-trace runs aside), so a cell read
+but not declared is a ``KeyError``.  The registry gives every module
+``run = experiment(cells, render)``.  Reports are titled collections of
+text blocks (tables, notes) that render to aligned plain text, so the
+output reads like the paper's tables.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
+
+from repro.sim.runner import Task, run_task, trace_scale
 
 
 class Report:
@@ -82,8 +89,11 @@ def histogram_bar(percent: float, full_scale: float = 50.0, width: int = 25) -> 
     return "#" * filled
 
 
-def resolve_benchmarks(benchmarks: Optional[Sequence[str]]) -> List[str]:
-    """Default to the full surrogate matrix; validate explicit specs.
+def resolve_benchmarks(
+    benchmarks: Optional[Sequence[str]],
+    default: Optional[Sequence[str]] = None,
+) -> List[str]:
+    """``default`` (all 14 surrogates if None), or the validated specs.
 
     Explicit entries may be any workload registry spec (composed or
     imported, not just surrogate names); unparseable ones raise
@@ -96,7 +106,7 @@ def resolve_benchmarks(benchmarks: Optional[Sequence[str]]) -> List[str]:
     )
 
     if benchmarks is None:
-        return list(BENCHMARKS)
+        return list(BENCHMARKS if default is None else default)
     unknown = []
     for name in benchmarks:
         try:
@@ -123,50 +133,37 @@ def paper_entry(table, spec: str):
     return None
 
 
-def prewarm_tasks(
-    names: Sequence[str],
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: Optional[float] = None,
+def policy_cells(
+    policies: Sequence[str], default: Optional[Sequence[str]] = None
 ):
-    """Tasks covering the default-config runs the experiments will make.
+    """The ``cells`` of an experiment that runs every benchmark
+    (``default`` when none are given) under each of ``policies``."""
 
-    An experiment module opts in by declaring ``PREWARM_POLICIES`` — the
-    spec strings its ``run()`` feeds to ``run_policy`` with the default
-    machine config.  A module that also runs prefetch cells declares
-    ``PREWARM_PREFETCH_DEGREES``, the ``prefetch_degree`` values it runs
-    every policy at (None for no prefetcher; default ``(None,)``).  The
-    experiments CLI fans these out across a worker pool before
-    rendering, so the serial report pass is all cache hits.
-    Experiments that sweep custom configs (sensitivity) or phase
-    intervals (figure11) simply don't declare the attribute.
+    def cells(scale: float, benchmarks) -> List[Task]:
+        return [
+            Task(name, policy, scale)
+            for name in resolve_benchmarks(benchmarks, default)
+            for policy in policies
+        ]
+
+    return cells
+
+
+def no_cells(scale: float, benchmarks) -> List[Task]:
+    """The ``cells`` of an experiment that simulates nothing."""
+    return []
+
+
+def experiment(cells, render):
+    """The ``run(scale=None, benchmarks=None) -> Report`` of an
+    experiment: resolve the scale, get each cell from the memo, the
+    store or a simulation (:func:`~repro.sim.runner.run_task`), render.
     """
-    from repro.experiments import EXPERIMENTS
-    from repro.sim.runner import Task
-    from repro.sim.runner import trace_scale
-    from repro.workloads import BENCHMARKS
 
-    resolved_scale = scale if scale is not None else trace_scale()
-    tasks = []
-    for name in names:
-        module = EXPERIMENTS[name]
-        specs = getattr(module, "PREWARM_POLICIES", ())
-        if not specs:
-            continue
-        targets = (
-            list(benchmarks)
-            if benchmarks is not None
-            else list(getattr(module, "DEFAULT_BENCHMARKS", BENCHMARKS))
-        )
-        degrees = getattr(module, "PREWARM_PREFETCH_DEGREES", (None,))
-        for benchmark in targets:
-            for degree in degrees:
-                for spec in specs:
-                    tasks.append(
-                        Task(
-                            benchmark=benchmark,
-                            policy_spec=spec,
-                            scale=resolved_scale,
-                            prefetch_degree=degree,
-                        )
-                    )
-    return tasks
+    def run(scale: Optional[float] = None, benchmarks=None) -> Report:
+        if scale is None:
+            scale = trace_scale()
+        results = {task: run_task(task) for task in cells(scale, benchmarks)}
+        return render(results, scale, benchmarks)
+
+    return run

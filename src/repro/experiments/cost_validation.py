@@ -10,20 +10,15 @@ the replacement metric (and PSEL's use of cost_q as a stall proxy).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.analysis.firstorder import predict_cycles
-from repro.experiments.common import Report, resolve_benchmarks
-from repro.sim.runner import run_policy
+from repro.experiments.common import Report, policy_cells, resolve_benchmarks
+from repro.sim.runner import Task
 from repro.workloads import experiment_config
 
-PREWARM_POLICIES = ("lru",)
+cells = policy_cells(("lru",))
 
 
-def run(
-    scale: Optional[float] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Report:
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "costmodel",
         "Validation: first-order CPI model vs simulation (Section 3)",
@@ -32,7 +27,7 @@ def run(
     rows = []
     worst = 0.0
     for name in resolve_benchmarks(benchmarks):
-        result = run_policy(name, "lru", scale=scale)
+        result = results[Task(name, "lru", scale)]
         breakdown = predict_cycles(result, issue_width=width)
         worst = max(worst, abs(breakdown.prediction_error))
         rows.append(

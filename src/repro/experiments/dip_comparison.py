@@ -11,36 +11,30 @@ the benchmark suite; the interesting rows are the thrash benchmarks
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.experiments.common import Report, fmt_pct, resolve_benchmarks
-from repro.sim.runner import ipc_improvement, run_policy
+from repro.experiments.common import (
+    Report,
+    fmt_pct,
+    policy_cells,
+    resolve_benchmarks,
+)
+from repro.sim.runner import ipc_improvement
 
 POLICIES = ("lip", "bip", "dip", "lin(4)", "sbar", "tournament")
 
-PREWARM_POLICIES = ("lru",) + POLICIES
-
 DEFAULT_BENCHMARKS = ("art", "apsi", "mcf", "vpr", "sixtrack", "parser")
 
+cells = policy_cells(("lru",) + POLICIES, DEFAULT_BENCHMARKS)
 
-def run(
-    scale: Optional[float] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Report:
-    names = (
-        list(DEFAULT_BENCHMARKS)
-        if benchmarks is None
-        else resolve_benchmarks(benchmarks)
-    )
+
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "dip", "Extension: insertion-adaptive (LIP/BIP/DIP) vs MLP-aware"
     )
     rows = []
-    for name in names:
-        baseline = run_policy(name, "lru", scale=scale)
+    for name in resolve_benchmarks(benchmarks, DEFAULT_BENCHMARKS):
+        baseline, *others = (results[task] for task in cells(scale, [name]))
         row = [name]
-        for policy in POLICIES:
-            result = run_policy(name, policy, scale=scale)
+        for result in others:
             row.append(fmt_pct(ipc_improvement(result, baseline)))
         rows.append(row)
     report.add_table(["benchmark"] + list(POLICIES), rows)

@@ -10,7 +10,6 @@ cache and measures steady-state misses and stalls per iteration.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 from repro.cache.replacement import BeladyPolicy, LINPolicy, LRUPolicy
 from repro.cache.replacement.belady import (
@@ -18,7 +17,7 @@ from repro.cache.replacement.belady import (
     next_use_distances,
 )
 from repro.config import CacheGeometry, baseline_config
-from repro.experiments.common import Report
+from repro.experiments.common import Report, no_cells
 from repro.sim.simulator import Simulator
 from repro.trace.figure1 import FIGURE1_PATTERN, figure1_trace
 
@@ -96,7 +95,10 @@ def _clone(policy, total_iterations):
     return LRUPolicy()
 
 
-def run(scale: Optional[float] = None, benchmarks=None) -> Report:
+cells = no_cells
+
+
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "figure1",
         "Figure 1: Belady's OPT vs MLP-aware vs LRU on the P/S loop",

@@ -8,10 +8,13 @@ favors rand-dynamic at small leader counts.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.experiments.common import Report, fmt_pct, resolve_benchmarks
-from repro.sim.runner import ipc_improvement, run_policy
+from repro.experiments.common import (
+    Report,
+    fmt_pct,
+    policy_cells,
+    resolve_benchmarks,
+)
+from repro.sim.runner import ipc_improvement
 
 CONFIGS = (
     ("simple-static", 8),
@@ -22,27 +25,21 @@ CONFIGS = (
     ("rand-dynamic", 32),
 )
 
-PREWARM_POLICIES = ("lru",) + tuple(
+cells = policy_cells(("lru",) + tuple(
     "sbar(%s,%d)" % (selection, count) for selection, count in CONFIGS
-)
+))
 
 
-def run(
-    scale: Optional[float] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Report:
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "figure10",
         "Figure 10: SBAR vs leader-set selection policy and count",
     )
     rows = []
     for name in resolve_benchmarks(benchmarks):
-        baseline = run_policy(name, "lru", scale=scale)
+        baseline, *sbars = (results[task] for task in cells(scale, [name]))
         row = [name]
-        for selection, count in CONFIGS:
-            result = run_policy(
-                name, "sbar(%s,%d)" % (selection, count), scale=scale
-            )
+        for result in sbars:
             row.append(fmt_pct(ipc_improvement(result, baseline)))
         rows.append(row)
     headers = ["benchmark"] + [

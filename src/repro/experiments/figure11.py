@@ -8,12 +8,8 @@ one where LRU wins, with SBAR tracking the better policy in each.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.common import Report
-from repro.sim.runner import trace_scale
-from repro.sim.simulator import Simulator
-from repro.workloads import build_workload, experiment_config
+from repro.sim.runner import Task
 
 #: Sampling interval in retired instructions (the paper uses 10M on
 #: 250M-instruction runs; scaled to our surrogate length).
@@ -22,25 +18,27 @@ SAMPLE_INTERVAL = 600_000
 POLICIES = ("lru", "lin(4)", "sbar")
 
 
-def run(scale: Optional[float] = None, benchmarks=None) -> Report:
-    if scale is None:
-        scale = trace_scale()
+def cells(scale, benchmarks):
+    return [
+        Task("ammp", policy, scale, phase_interval=SAMPLE_INTERVAL)
+        for policy in POLICIES
+    ]
+
+
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "figure11", "Figure 11: ammp over time under LRU, LIN, and SBAR"
     )
-    results = {}
-    for policy in POLICIES:
-        simulator = Simulator(
-            experiment_config(), policy, phase_interval=SAMPLE_INTERVAL
-        )
-        results[policy] = simulator.run(build_workload("ammp", scale=scale))
+    by_policy = {
+        task.policy_spec: results[task] for task in cells(scale, benchmarks)
+    }
 
-    n_samples = min(len(results[p].phases) for p in POLICIES)
+    n_samples = min(len(by_policy[p].phases) for p in POLICIES)
     rows_ipc = []
     rows_miss = []
     rows_cost = []
     for index in range(n_samples):
-        samples = [results[p].phases[index] for p in POLICIES]
+        samples = [by_policy[p].phases[index] for p in POLICIES]
         instr = samples[0].end_instruction // 1_000_000
         rows_ipc.append(
             ["%dM" % instr] + ["%.2f" % s.ipc for s in samples]
@@ -59,7 +57,7 @@ def run(scale: Optional[float] = None, benchmarks=None) -> Report:
     report.add_note("(c) IPC:")
     report.add_table(headers, rows_ipc)
     overall = ", ".join(
-        "%s IPC %.4f" % (policy, results[policy].ipc) for policy in POLICIES
+        "%s IPC %.4f" % (policy, by_policy[policy].ipc) for policy in POLICIES
     )
     report.add_note(
         "Overall: %s.\nSBAR follows LIN in the LIN-friendly phases and LRU in the\n"

@@ -9,14 +9,17 @@ bars.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.experiments.common import Report, histogram_bar, resolve_benchmarks
+from repro.experiments.common import (
+    Report,
+    histogram_bar,
+    policy_cells,
+    resolve_benchmarks,
+)
 from repro.mlp.cost import QUANTIZATION_STEP
-from repro.sim.runner import run_policy
+from repro.sim.runner import Task
 from repro.sim.stats import N_COST_BINS
 
-PREWARM_POLICIES = ("lru",)
+cells = policy_cells(("lru",))
 
 
 def bucket_labels():
@@ -29,16 +32,13 @@ def bucket_labels():
     return labels
 
 
-def run(
-    scale: Optional[float] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Report:
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "figure2", "Figure 2: distribution of mlp-cost (baseline LRU)"
     )
     labels = bucket_labels()
     for name in resolve_benchmarks(benchmarks):
-        result = run_policy(name, "lru", scale=scale)
+        result = results[Task(name, "lru", scale)]
         distribution = result.cost_distribution
         rows = []
         for label, percent in zip(labels, distribution.percentages):

@@ -6,13 +6,14 @@ boundary values used everywhere else in the reproduction.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.experiments.common import Report
+from repro.experiments.common import Report, no_cells
 from repro.mlp.cost import MAX_COST_Q, QUANTIZATION_STEP, quantize_cost
 
 
-def run(scale: Optional[float] = None, benchmarks=None) -> Report:
+cells = no_cells
+
+
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "figure3", "Figure 3(b): quantization of mlp-cost to 3-bit cost_q"
     )

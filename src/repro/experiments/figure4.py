@@ -6,36 +6,30 @@ The effect of LIN grows with lambda: benchmarks with predictable costs
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.experiments.common import (
     Report,
     fmt_pct,
     paper_entry,
+    policy_cells,
     resolve_benchmarks,
 )
-from repro.sim.runner import ipc_improvement, run_policy
+from repro.sim.runner import ipc_improvement
 from repro.workloads import PAPER_FIG5
 
 LAMBDAS = (1, 2, 3, 4)
 
-#: Default-config runs, fanned out by ``--workers`` (see common.py).
-PREWARM_POLICIES = ("lru",) + tuple("lin(%d)" % lam for lam in LAMBDAS)
+cells = policy_cells(("lru",) + tuple("lin(%d)" % lam for lam in LAMBDAS))
 
 
-def run(
-    scale: Optional[float] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Report:
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "figure4", "Figure 4: IPC improvement of LIN(lambda) over LRU"
     )
     rows = []
     for name in resolve_benchmarks(benchmarks):
-        baseline = run_policy(name, "lru", scale=scale)
+        baseline, *lins = (results[task] for task in cells(scale, [name]))
         row = [name]
-        for lam in LAMBDAS:
-            result = run_policy(name, "lin(%d)" % lam, scale=scale)
+        for result in lins:
             row.append(fmt_pct(ipc_improvement(result, baseline)))
         paper = paper_entry(PAPER_FIG5, name)
         row.append(fmt_pct(paper[1]) if paper else "-")

@@ -8,25 +8,21 @@ compared against the published values.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.experiments.common import (
     Report,
     fmt_pct,
     paper_entry,
+    policy_cells,
     resolve_benchmarks,
 )
 from repro.experiments.figure2 import bucket_labels
-from repro.sim.runner import ipc_improvement, miss_change, run_policy
+from repro.sim.runner import ipc_improvement, miss_change
 from repro.workloads import PAPER_FIG5
 
-PREWARM_POLICIES = ("lru", "lin(4)")
+cells = policy_cells(("lru", "lin(4)"))
 
 
-def run(
-    scale: Optional[float] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Report:
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "figure5",
         "Figure 5: mlp-cost distribution and MISS/IPC change, LRU vs LIN(4)",
@@ -34,8 +30,7 @@ def run(
     labels = bucket_labels()
     summary_rows = []
     for name in resolve_benchmarks(benchmarks):
-        baseline = run_policy(name, "lru", scale=scale)
-        lin = run_policy(name, "lin(4)", scale=scale)
+        baseline, lin = (results[task] for task in cells(scale, [name]))
         miss_delta = miss_change(lin, baseline)
         ipc_delta = ipc_improvement(lin, baseline)
         paper = paper_entry(PAPER_FIG5, name)

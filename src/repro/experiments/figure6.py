@@ -14,11 +14,9 @@ and prints the PSEL trajectory next to the paper's table:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.cache.block import BlockState
 from repro.cache.cache import AccessResult
-from repro.experiments.common import Report
+from repro.experiments.common import Report, no_cells
 from repro.sbar.sbar import SBARController
 
 
@@ -28,7 +26,10 @@ def _mtd(hit: bool, cost_q: int, set_index: int) -> AccessResult:
     return AccessResult(hit, state, set_index)
 
 
-def run(scale: Optional[float] = None, benchmarks=None) -> Report:
+cells = no_cells
+
+
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "figure6", "Figure 6: CBS decision table, demonstrated on one set"
     )

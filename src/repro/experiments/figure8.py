@@ -8,16 +8,17 @@ closed-form mathematics and reproduces the paper exactly.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.experiments.common import Report
+from repro.experiments.common import Report, no_cells
 from repro.sbar.sampling_model import leaders_needed, probability_best_policy
 
 P_VALUES = (0.5, 0.6, 0.7, 0.8, 0.9)
 LEADER_COUNTS = (1, 2, 4, 8, 16, 32, 64)
 
 
-def run(scale: Optional[float] = None, benchmarks=None) -> Report:
+cells = no_cells
+
+
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "figure8", "Figure 8: P(Best) vs number of leader sets (analytical)"
     )

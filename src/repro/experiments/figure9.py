@@ -7,32 +7,26 @@ beat both fixed policies by selecting per phase.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.experiments.common import (
     Report,
     fmt_pct,
     paper_entry,
+    policy_cells,
     resolve_benchmarks,
 )
-from repro.sim.runner import ipc_improvement, run_policy
+from repro.sim.runner import ipc_improvement
 from repro.workloads import PAPER_FIG5, PAPER_FIG9_SBAR
 
-PREWARM_POLICIES = ("lru", "lin(4)", "sbar")
+cells = policy_cells(("lru", "lin(4)", "sbar"))
 
 
-def run(
-    scale: Optional[float] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Report:
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "figure9", "Figure 9: IPC improvement of LIN and SBAR over LRU"
     )
     rows = []
     for name in resolve_benchmarks(benchmarks):
-        baseline = run_policy(name, "lru", scale=scale)
-        lin = run_policy(name, "lin(4)", scale=scale)
-        sbar = run_policy(name, "sbar", scale=scale)
+        baseline, lin, sbar = (results[task] for task in cells(scale, [name]))
         paper_lin = paper_entry(PAPER_FIG5, name)
         paper_sbar = paper_entry(PAPER_FIG9_SBAR, name)
         rows.append(

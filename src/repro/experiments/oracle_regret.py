@@ -13,44 +13,30 @@ X% of LRU's distance to optimal".
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.experiments.common import Report, resolve_benchmarks
-from repro.sim.runner import packed_trace, run_policy, trace_scale
+from repro.experiments.common import Report, policy_cells, resolve_benchmarks
+from repro.sim.runner import packed_trace
 
 DEFAULT_BENCHMARKS = ("art", "mcf", "twolf", "equake", "parser", "ammp")
 
 POLICIES = ("lru", "lin(4)", "sbar", "ehc", "awrp")
 
-PREWARM_POLICIES = POLICIES
+cells = policy_cells(POLICIES, DEFAULT_BENCHMARKS)
 
 
-def run(
-    scale: Optional[float] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Report:
+def render(results, scale, benchmarks) -> Report:
     from repro.analysis.oracle import annotate_result, oracle_report
 
-    names = (
-        list(DEFAULT_BENCHMARKS)
-        if benchmarks is None
-        else resolve_benchmarks(benchmarks)
-    )
     report = Report(
         "oracle", "Regret vs offline OPT / cost-weighted OPT bounds"
     )
-    resolved = scale if scale is not None else trace_scale()
-
     miss_rows = []
     stall_rows = []
-    for name in names:
-        bounds = oracle_report(packed_trace(name, scale=resolved))
+    for name in resolve_benchmarks(benchmarks, DEFAULT_BENCHMARKS):
+        bounds = oracle_report(packed_trace(name, scale=scale))
         miss_row = [name, bounds.opt_misses]
         stall_row = [name, round(bounds.cost_opt_stall_cycles)]
-        for policy in POLICIES:
-            annotated = annotate_result(
-                run_policy(name, policy, scale=scale), bounds
-            )
+        for task in cells(scale, [name]):
+            annotated = annotate_result(results[task], bounds)
             miss_row.append(annotated.miss_regret)
             stall_row.append(round(annotated.stall_regret))
         miss_rows.append(miss_row)

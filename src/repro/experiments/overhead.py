@@ -8,16 +8,17 @@ the paper's 1854 B to within a few bytes (<0.2 % of the cache's area).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.config import baseline_config
-from repro.experiments.common import Report
+from repro.experiments.common import Report, no_cells
 from repro.sbar.overhead import cbs_overhead, sbar_overhead
 
 PAPER_OVERHEAD_BYTES = 1854
 
 
-def run(scale: Optional[float] = None, benchmarks=None) -> Report:
+cells = no_cells
+
+
+def render(results, scale, benchmarks) -> Report:
     report = Report("overhead", "SBAR hardware overhead (1 MB baseline cache)")
     geometry = baseline_config().l2
     sbar = sbar_overhead(geometry, n_leaders=32, psel_bits=6)

@@ -10,38 +10,33 @@ filtering prefetchable streams lose some of it to the prefetcher.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.experiments.common import Report, fmt_pct, resolve_benchmarks
-from repro.sim.runner import run_policy, trace_scale
+from repro.sim.runner import Task
 
 DEFAULT_BENCHMARKS = ("art", "mcf", "vpr", "lucas")
 #: Every benchmark runs both policies without and with a degree-2
-#: stride prefetcher: 16 cells on the defaults, all prewarmed.
-PREWARM_POLICIES = ("lru", "lin(4)")
-PREWARM_PREFETCH_DEGREES = (None, 2)
+#: stride prefetcher: 16 cells on the defaults.
+POLICIES = ("lru", "lin(4)")
+PREFETCH_DEGREES = (None, 2)
 
 
-def run(
-    scale: Optional[float] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Report:
-    if scale is None:
-        scale = trace_scale()
-    names = (
-        list(DEFAULT_BENCHMARKS)
-        if benchmarks is None
-        else resolve_benchmarks(benchmarks)
-    )
+def cells(scale, benchmarks):
+    return [
+        Task(name, policy, scale, prefetch_degree=degree)
+        for name in resolve_benchmarks(benchmarks, DEFAULT_BENCHMARKS)
+        for degree in PREFETCH_DEGREES
+        for policy in POLICIES
+    ]
+
+
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "prefetch", "Extension: stride prefetching x MLP-aware replacement"
     )
     rows = []
-    for name in names:
+    for name in resolve_benchmarks(benchmarks, DEFAULT_BENCHMARKS):
         lru_plain, lin_plain, lru_pref, lin_pref = (
-            run_policy(name, policy, scale=scale, prefetch_degree=degree)
-            for degree in PREWARM_PREFETCH_DEGREES
-            for policy in PREWARM_POLICIES
+            results[task] for task in cells(scale, [name])
         )
         gain_plain = 100 * (lin_plain.ipc - lru_plain.ipc) / lru_plain.ipc
         gain_pref = 100 * (lin_pref.ipc - lru_pref.ipc) / lru_pref.ipc

@@ -13,34 +13,46 @@ Not a paper figure — an ablation DESIGN.md calls for.  Two sweeps:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence
 
 from repro.config import MSHRConfig, scaled_config
-from repro.experiments.common import Report, fmt_pct
-from repro.sim.runner import trace_scale
-from repro.sim.simulator import Simulator
-from repro.workloads import build_workload
+from repro.experiments.common import Report, fmt_pct, resolve_benchmarks
+from repro.sim.runner import Task, ipc_improvement
 
 L2_SIZES_KB = (64, 128, 256, 512)
 MSHR_SIZES = (1, 2, 4, 8, 32)
 DEFAULT_BENCHMARK = "mcf"
+MSHR_BENCHMARK = "art"  # bursts of 16: MLP actually bounded by MSHR
+POLICIES = ("lru", "lin(4)")
 
 
-def _gain(config, benchmark: str, scale: float) -> float:
-    lru = Simulator(config, "lru").run(build_workload(benchmark, scale=scale))
-    lin = Simulator(config, "lin(4)").run(build_workload(benchmark, scale=scale))
-    if lru.ipc <= 0:
-        return 0.0
-    return 100.0 * (lin.ipc - lru.ipc) / lru.ipc
+def _benchmark(benchmarks) -> str:
+    """The L2 sweep's benchmark: the first of ``benchmarks``, or mcf."""
+    return (resolve_benchmarks(benchmarks, ()) or [DEFAULT_BENCHMARK])[0]
 
 
-def run(
-    scale: Optional[float] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Report:
-    if scale is None:
-        scale = trace_scale()
-    benchmark = benchmarks[0] if benchmarks else DEFAULT_BENCHMARK
+def _mshr_config(entries: int):
+    return replace(scaled_config(256), mshr=MSHRConfig(n_entries=entries))
+
+
+def cells(scale, benchmarks):
+    l2 = [(_benchmark(benchmarks), scaled_config(kb)) for kb in L2_SIZES_KB]
+    mshr = [(MSHR_BENCHMARK, _mshr_config(n)) for n in MSHR_SIZES]
+    return [
+        Task(name, policy, scale, config=config)
+        for name, config in l2 + mshr
+        for policy in POLICIES
+    ]
+
+
+def render(results, scale, benchmarks) -> Report:
+    benchmark = _benchmark(benchmarks)
+
+    def lru_and_lin(name, config):
+        return (
+            results[Task(name, policy, scale, config=config)]
+            for policy in POLICIES
+        )
+
     report = Report(
         "sensitivity",
         "Extension: LIN benefit vs L2 capacity and MSHR size (%s)" % benchmark,
@@ -48,29 +60,22 @@ def run(
 
     rows = []
     for l2_kb in L2_SIZES_KB:
-        config = scaled_config(l2_kb)
-        rows.append(("%d KB" % l2_kb, fmt_pct(_gain(config, benchmark, scale))))
+        lru, lin = lru_and_lin(benchmark, scaled_config(l2_kb))
+        rows.append(("%d KB" % l2_kb, fmt_pct(ipc_improvement(lin, lru))))
     report.add_note(
         "L2 capacity sweep (surrogate pools scale with the 256KB machine,\n"
         "so smaller caches see deeper thrash and larger ones absorb it):"
     )
     report.add_table(["L2 size", "LIN(4) IPC gain"], rows)
 
-    mshr_benchmark = "art"  # bursts of 16: MLP actually bounded by MSHR
     rows = []
     for entries in MSHR_SIZES:
-        config = replace(
-            scaled_config(256), mshr=MSHRConfig(n_entries=entries)
-        )
-        lru = Simulator(config, "lru").run(
-            build_workload(mshr_benchmark, scale=scale)
-        )
-        gain = _gain(config, mshr_benchmark, scale)
+        lru, lin = lru_and_lin(MSHR_BENCHMARK, _mshr_config(entries))
         rows.append(
             (
                 str(entries),
                 "%.0f" % lru.cost_distribution.average,
-                fmt_pct(gain),
+                fmt_pct(ipc_improvement(lin, lru)),
             )
         )
     report.add_note(

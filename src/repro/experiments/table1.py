@@ -8,29 +8,25 @@ exactly the ones LIN degrades.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.experiments.common import (
     Report,
     paper_entry,
+    policy_cells,
     resolve_benchmarks,
 )
-from repro.sim.runner import run_policy
+from repro.sim.runner import Task
 from repro.workloads import PAPER_TABLE1
 
-PREWARM_POLICIES = ("lru",)
+cells = policy_cells(("lru",))
 
 
-def run(
-    scale: Optional[float] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Report:
+def render(results, scale, benchmarks) -> Report:
     report = Report(
         "table1", "Table 1: distribution of delta (mlp-cost predictability)"
     )
     rows = []
     for name in resolve_benchmarks(benchmarks):
-        result = run_policy(name, "lru", scale=scale)
+        result = results[Task(name, "lru", scale)]
         summary = result.delta_summary
         paper = paper_entry(PAPER_TABLE1, name)
         rows.append(

@@ -6,10 +6,8 @@ variant used by the benchmark surrogates (256 KB L2; see DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.config import MachineConfig, baseline_config
-from repro.experiments.common import Report
+from repro.experiments.common import Report, no_cells
 from repro.workloads import experiment_config
 
 
@@ -41,7 +39,10 @@ def _cache_line(geometry) -> str:
     )
 
 
-def run(scale: Optional[float] = None, benchmarks=None) -> Report:
+cells = no_cells
+
+
+def render(results, scale, benchmarks) -> Report:
     report = Report("table2", "Table 2: baseline processor configuration")
     report.add_note("Faithful Table 2 machine:")
     report.add_table(["parameter", "value"], _describe(baseline_config()))

@@ -10,27 +10,23 @@ relative ordering are the comparable shape.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.experiments.common import (
     Report,
     paper_entry,
+    policy_cells,
     resolve_benchmarks,
 )
-from repro.sim.runner import run_policy
+from repro.sim.runner import Task
 from repro.workloads import PAPER_TABLE3
 
-PREWARM_POLICIES = ("lru",)
+cells = policy_cells(("lru",))
 
 
-def run(
-    scale: Optional[float] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Report:
+def render(results, scale, benchmarks) -> Report:
     report = Report("table3", "Table 3: benchmark summary (baseline LRU)")
     rows = []
     for name in resolve_benchmarks(benchmarks):
-        result = run_policy(name, "lru", scale=scale)
+        result = results[Task(name, "lru", scale)]
         paper = paper_entry(PAPER_TABLE3, name) or ("-", None, None)
         rows.append(
             (

@@ -16,13 +16,17 @@ calibration`` prints the full scorecard for humans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.sim.runner import ipc_improvement, miss_change, run_policy
+from repro.sim.stats import SimResult
 from repro.workloads.spec2000 import PAPER_FIG5, PAPER_FIG9_SBAR, PAPER_TABLE1
 
 #: |IPC effect| below this is treated as "neutral" when comparing signs.
 NEUTRAL_BAND = 1.5
+
+#: A benchmark's scored runs: the baseline, LIN(4) and SBAR.
+POLICIES = ("lru", "lin(4)", "sbar")
 
 
 @dataclass(frozen=True)
@@ -71,13 +75,10 @@ def _signs_compatible(measured: float, paper: float) -> bool:
     return measured * paper > 0
 
 
-def validate_benchmark(
-    benchmark: str, scale: Optional[float] = None
+def score_benchmark(
+    benchmark: str, baseline: SimResult, lin: SimResult, sbar: SimResult
 ) -> BenchmarkFidelity:
-    """Run LRU/LIN/SBAR for one surrogate and score it."""
-    baseline = run_policy(benchmark, "lru", scale=scale)
-    lin = run_policy(benchmark, "lin(4)", scale=scale)
-    sbar = run_policy(benchmark, "sbar", scale=scale)
+    """Score one surrogate from its LRU, LIN(4) and SBAR results."""
     return BenchmarkFidelity(
         benchmark=benchmark,
         lin_ipc_measured=ipc_improvement(lin, baseline),
@@ -90,10 +91,13 @@ def validate_benchmark(
     )
 
 
-def validate_suite(
-    benchmarks: Sequence[str], scale: Optional[float] = None
-) -> List[BenchmarkFidelity]:
-    return [validate_benchmark(name, scale=scale) for name in benchmarks]
+def validate_benchmark(
+    benchmark: str, scale: Optional[float] = None
+) -> BenchmarkFidelity:
+    """Run LRU/LIN/SBAR for one surrogate and score it."""
+    return score_benchmark(benchmark, *(
+        run_policy(benchmark, policy, scale=scale) for policy in POLICIES
+    ))
 
 
 def delta_separation(results: Sequence[BenchmarkFidelity]) -> float:

@@ -15,9 +15,14 @@ from repro.experiments.common import (
     paper_entry,
     resolve_benchmarks,
 )
-from repro.sim.runner import clear_cache
+from repro.sim.runner import clear_cache, run_task
+from repro.sim.simulator import Simulator
 
 TINY = dict(scale=0.05, benchmarks=["mcf", "parser"])
+
+
+def _no_simulation(self, trace):
+    raise AssertionError("rendering must not simulate")
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +95,52 @@ class TestRegistry:
     def test_all_modules_expose_run(self):
         for module in EXPERIMENTS.values():
             assert callable(module.run)
+
+
+class TestCellLists:
+    """Each experiment declares every cell it reads, so rendering
+    simulates nothing.  figure1's toy list-trace runs are the one
+    exemption."""
+
+    SCALE = 0.02
+    BENCHMARKS = ["mcf", "parser"]
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_render_reads_only_declared_cells(self, name, monkeypatch):
+        module = EXPERIMENTS[name]
+        cells = module.cells(self.SCALE, self.BENCHMARKS)
+        results = {task: run_task(task) for task in cells}
+        # Neither the memo nor the store may stand in for a declared
+        # cell, and no cell may run.
+        clear_cache()
+        monkeypatch.setenv("REPRO_NO_STORE", "1")
+        if name != "figure1":
+            monkeypatch.setattr(Simulator, "run", _no_simulation)
+        if cells:
+            partial = dict(results)
+            del partial[cells[-1]]
+            with pytest.raises(KeyError):
+                module.render(partial, self.SCALE, self.BENCHMARKS)
+        text = module.render(results, self.SCALE, self.BENCHMARKS).render()
+        assert text.startswith("=")
+
+    def test_sensitivity_runs_each_cell_once(self, monkeypatch):
+        from repro.experiments import sensitivity
+
+        monkeypatch.setenv("REPRO_NO_STORE", "1")
+        calls = []
+        original = Simulator.run
+
+        def counting(self, trace):
+            calls.append(self)
+            return original(self, trace)
+
+        monkeypatch.setattr(Simulator, "run", counting)
+        sensitivity.run(scale=self.SCALE)
+        # 4 L2 sizes and 5 MSHR sizes, LRU and LIN(4) each: LRU used to
+        # run twice per MSHR size.
+        assert len(calls) == 18
+        assert len(set(sensitivity.cells(self.SCALE, None))) == 18
 
 
 class TestCheapExperiments:

@@ -16,6 +16,7 @@ from dataclasses import replace
 from repro import obs
 from repro.config import MSHRConfig, scaled_config
 from repro.experiments import figure1, sensitivity
+from repro.sim.runner import Task, ipc_improvement, run_task
 from repro.sim.simulator import Simulator
 from repro.trace.packed import pack_trace
 from repro.workloads import build_workload, experiment_config
@@ -79,11 +80,18 @@ class TestKernelGolden:
 
 
 class TestSensitivityGolden:
+    @staticmethod
+    def _gain(config, benchmark):
+        """LIN(4)'s IPC gain over LRU on one sensitivity machine."""
+        lru, lin = (
+            run_task(Task(benchmark, policy, SCALE, config=config))
+            for policy in sensitivity.POLICIES
+        )
+        return ipc_improvement(lin, lru)
+
     def test_l2_capacity_sweep(self, golden_check):
         payload = {
-            "%dkb" % l2_kb: sensitivity._gain(
-                scaled_config(l2_kb), "mcf", SCALE
-            )
+            "%dkb" % l2_kb: self._gain(scaled_config(l2_kb), "mcf")
             for l2_kb in (64, 256)
         }
         golden_check("sensitivity_l2", payload)
@@ -94,7 +102,5 @@ class TestSensitivityGolden:
             config = replace(
                 scaled_config(256), mshr=MSHRConfig(n_entries=entries)
             )
-            payload["mshr%d" % entries] = sensitivity._gain(
-                config, "art", SCALE
-            )
+            payload["mshr%d" % entries] = self._gain(config, "art")
         golden_check("sensitivity_mshr", payload)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments.__main__ import main as experiments_main
 from repro.sim.__main__ import main as sim_main
+from repro.sim.simulator import Simulator
 from repro.sim.stats import CostDistribution, PhaseSample
 from repro.trace.record import LOAD, STORE, Access
 from repro.trace.trace_io import FORMAT_VERSION, load_trace, save_trace
@@ -125,6 +126,27 @@ class TestExperimentsCLI:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             experiments_main(["figure99"])
+
+    @pytest.mark.parametrize("argv", [
+        ["figure4"], ["figure4", "--workers", "2"], ["sensitivity"],
+    ])
+    def test_unknown_benchmark_is_a_usage_error(
+        self, argv, capsys, monkeypatch
+    ):
+        # Cells are collected before any runs, so a bad spec exits 2
+        # with no cell run (it used to die in the render pass).
+        def no_simulation(self, trace):
+            raise AssertionError("no cell may run")
+
+        monkeypatch.setattr(Simulator, "run", no_simulation)
+        with pytest.raises(SystemExit) as excinfo:
+            experiments_main(
+                argv + ["--benchmarks", "mcf,nosuch", "--scale", "0.02"]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown benchmarks: nosuch" in err
+        assert "prewarm" not in err
 
     def test_benchmark_filter(self, capsys):
         assert experiments_main(

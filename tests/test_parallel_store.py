@@ -307,12 +307,10 @@ class TestSuiteResultFixes:
 
 
 class TestExperimentsPrewarm:
-    def test_prewarm_tasks_cover_declared_policies(self):
-        from repro.experiments.common import prewarm_tasks
+    def test_cells_cover_declared_policies(self):
+        from repro.experiments import figure9
 
-        tasks = prewarm_tasks(
-            ["figure9"], benchmarks=["lucas"], scale=SCALE
-        )
+        tasks = figure9.cells(SCALE, ["lucas"])
         assert {task.policy_spec for task in tasks} == {
             "lru", "lin(4)", "sbar",
         }
@@ -330,25 +328,46 @@ class TestExperimentsPrewarm:
         assert "Table 1" in out.out
         assert "prewarm" in out.err
 
-    def test_prewarm_tasks_cover_prefetch_cells(self):
+    def test_render_pass_after_the_grid_simulates_only_figure1(
+        self, monkeypatch
+    ):
+        # Every experiment's cells run in the pool, calibration's,
+        # figure11's and sensitivity's included; rendering then reads
+        # the memo.  figure1's six toy runs on list traces are the only
+        # simulations left in this process.
+        from repro.experiments.__main__ import main
+        from repro.sim.simulator import Simulator
+
+        parent = os.getpid()
+        traces = []
+        original = Simulator.run
+
+        def counting(self, trace):
+            if os.getpid() == parent:
+                traces.append(type(trace).__name__)
+            return original(self, trace)
+
+        monkeypatch.setattr(Simulator, "run", counting)
+        assert main(["--scale", "0.02", "--workers", "2"]) == 0
+        assert traces == ["list"] * 6
+
+    def test_cells_cover_prefetch_cells(self):
         # The prefetch experiment declares both policies with and
         # without a prefetcher, so its render pass is all cache hits.
-        from repro.experiments.common import prewarm_tasks
+        from repro.experiments import prefetch_interaction
 
-        tasks = prewarm_tasks(["prefetch"], scale=SCALE)
+        tasks = prefetch_interaction.cells(SCALE, None)
         assert len(tasks) == 16
         assert {(task.policy_spec, task.prefetch_degree)
                 for task in tasks} == {
             ("lru", None), ("lin(4)", None), ("lru", 2), ("lin(4)", 2),
         }
         run_grid(
-            prewarm_tasks(["prefetch"], benchmarks=["lucas"], scale=SCALE),
+            prefetch_interaction.cells(SCALE, ["lucas"]),
             options=RunOptions(workers=2),
         )
-        from repro.experiments.prefetch_interaction import run
-
         simulations = runner.cache_stats()["simulations"]
-        run(scale=SCALE, benchmarks=["lucas"])
+        prefetch_interaction.run(scale=SCALE, benchmarks=["lucas"])
         assert runner.cache_stats()["simulations"] == simulations
 
 
