@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cache.replacement.belady import NEVER, next_use_distances
 from repro.config import MachineConfig
 from repro.mlp.cost import quantize_cost
-from repro.trace.packed import PackedTrace
+from repro.trace.packed import PackedTrace, pack_trace
 from repro.trace.record import IFETCH, STORE
 
 #: Bump when the oracle algorithm or report shape changes; part of the
@@ -110,7 +110,7 @@ class _L2Stream:
     instructions: int = 0
 
 
-def _l1_filter(trace, config: MachineConfig) -> _L2Stream:
+def _l1_filter(trace: PackedTrace, config: MachineConfig) -> _L2Stream:
     """Replay ``trace`` through plain-LRU L1s; return the L2 stream.
 
     Mirrors the simulator's routing — IFETCH through the L1I, loads and
@@ -131,14 +131,7 @@ def _l1_filter(trace, config: MachineConfig) -> _L2Stream:
     l1i = make_l1(config.l1i)
     l1d = make_l1(config.l1d)
     position = 0
-    if isinstance(trace, PackedTrace):
-        records = trace.iter_tuples()
-    else:
-        records = (
-            (access.address, access.kind, access.gap, access.wrong_path)
-            for access in trace
-        )
-    for address, kind, gap, wrong_path in records:
+    for address, kind, gap, wrong_path in trace.iter_tuples():
         block = address >> block_bits
         if not wrong_path:
             position += gap + 1
@@ -327,7 +320,7 @@ def oracle_report(
     """Compute (or load from the store) the oracle bounds for a trace.
 
     ``trace`` is a :class:`PackedTrace` or any ``Access`` sequence
-    (packed internally so the report is keyed on a content digest).
+    (packed on entry, so the report is keyed on a content digest).
     ``config`` defaults to :func:`repro.workloads.experiment_config`,
     matching :func:`repro.sim.runner.run_policy`.
     """
@@ -337,8 +330,7 @@ def oracle_report(
         from repro.workloads import experiment_config
 
         config = experiment_config()
-    if not isinstance(trace, PackedTrace):
-        trace = PackedTrace.from_accesses(list(trace))
+    trace = pack_trace(trace)
     digest = trace.content_digest()
 
     store = default_store() if use_store else None

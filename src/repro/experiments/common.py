@@ -4,8 +4,8 @@ An experiment module declares ``cells(scale, benchmarks)``, every
 :class:`~repro.sim.runner.Task` it reads, and ``render(results, scale,
 benchmarks)``, which builds its :class:`Report` from ``results``: each
 declared cell's :class:`~repro.sim.stats.SimResult`.  Rendering
-simulates nothing (figure1's toy list-trace runs aside), so a cell read
-but not declared is a ``KeyError``.  The registry gives every module
+simulates nothing (figure1's runs over its toy loop aside), so a cell
+read but not declared is a ``KeyError``.  The registry gives every module
 ``run = experiment(cells, render)``.  Reports are titled collections of
 text blocks (tables, notes) that render to aligned plain text, so the
 output reads like the paper's tables.

@@ -12,8 +12,8 @@ is the pure-python shim around it:
   caches the answer (``None`` when absent — a source checkout without
   ``make native``, or a host without a compiler).
 * :func:`fallback_reason` names the first gate that keeps a run off
-  the kernel (an observer, a prefetcher subclass, warm-up, a list
-  trace, a policy the kernel does not know, ...), or returns None.
+  the kernel (an observer, a prefetcher subclass, warm-up, wrong-path
+  records, a policy the kernel does not know, ...), or returns None.
 * :func:`try_replay` is called by ``Simulator._replay`` for every run
   not pinned to ``kernel="generic"``.  When every gate holds it
   marshals the initial scalar state into a flat params dict, invokes
@@ -74,7 +74,6 @@ from repro.sbar.psel import PolicySelector
 from repro.sbar.sbar import SBARController
 from repro.sbar.tournament import TournamentController
 from repro.sim.stats import PhaseSample
-from repro.trace.packed import PackedTrace
 from repro.trace.record import IFETCH, STORE
 
 #: Policy discriminants understood by the C kernel (keep in sync with
@@ -273,10 +272,12 @@ def _pristine(sim) -> bool:
 def fallback_reason(sim, trace) -> Optional[str]:
     """The first gate that keeps ``sim.run(trace)`` off the kernel.
 
-    None means the native kernel can replay the run bit-identically to
-    the generic loop.  The checks run from the run's shape down to the
-    host, so the reason stays informative on a host without the
-    extension: a run with an observer reports ``"observer"`` there too.
+    ``trace`` is the :class:`~repro.trace.packed.PackedTrace` that
+    ``Simulator.run`` packed on entry.  None means the native kernel
+    can replay the run bit-identically to the generic loop.  The checks
+    run from the run's shape down to the host, so the reason stays
+    informative on a host without the extension: a run with an observer
+    reports ``"observer"`` there too.
     """
     memory = sim.memory
     if sim._obs is not None or any(
@@ -307,8 +308,6 @@ def fallback_reason(sim, trace) -> Optional[str]:
             return reason
     if sim.warmup_instructions:
         return "warmup"
-    if not isinstance(trace, PackedTrace):
-        return "not a PackedTrace"
     if trace.wrong_path_count:
         return "wrong-path records"
     reason = _policy_reason(sim)

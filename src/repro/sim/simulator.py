@@ -24,6 +24,7 @@ it does not need to observe go to the compiled kernel in
 
 from __future__ import annotations
 
+from operator import attrgetter
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Union
 
@@ -44,6 +45,7 @@ from repro.sbar.sbar import SBARController
 from repro.sbar.tournament import TournamentController
 from repro.sim.options import REPLAY_KERNELS
 from repro.sim.stats import CostDistribution, PhaseSample, SimResult
+from repro.trace.packed import pack_trace
 from repro.trace.record import IFETCH, STORE
 
 #: Things accepted as the L2 replacement specification.
@@ -55,6 +57,28 @@ PolicyLike = Union[
     TournamentController,
     str,
 ]
+
+#: The SimResult counters that count only after warm-up, each with the
+#: live counter it reads.  :meth:`Simulator._finish_warmup` snapshots
+#: them at the boundary and :meth:`Simulator._finalize` reports the
+#: difference, so a counter missing here would mix warm-up activity
+#: into the measured region.
+_WINDOWED_COUNTERS = {
+    "instructions": "window.instructions",
+    "stall_events": "window.stall_events",
+    "long_stalls": "window.long_stalls",
+    "stall_cycles": "window.stall_cycles",
+    "l2_accesses": "l2.accesses",
+    "l2_misses": "l2.misses",
+    "l1d_accesses": "l1d.accesses",
+    "l1d_misses": "l1d.misses",
+    "mshr_merges": "mshr.merges",
+    "mshr_full_stalls": "mshr.full_stalls",
+    "bank_conflicts": "memory.banks.conflicts",
+    "bus_contended": "memory.bus.contended",
+    "writebacks": "l2.writebacks",
+}
+_read_windowed = attrgetter(*_WINDOWED_COUNTERS.values())
 
 
 class Simulator:
@@ -157,8 +181,10 @@ class Simulator:
             raise ValueError("phase interval cannot be negative")
         self.warmup_instructions = warmup_instructions
         self._warm = warmup_instructions == 0
+        #: The windowed counters, and the dispatch cycle, at the
+        #: warm-up boundary; zero until it passes.
+        self._warmup_base = dict.fromkeys(_WINDOWED_COUNTERS, 0)
         self._warmup_end_cycle = 0.0
-        self._warmup_end_instruction = 0
         self._ran = False
         self._kernel = kernel
         #: Which path :meth:`run` actually took: ``"native"`` or
@@ -166,8 +192,9 @@ class Simulator:
         #: up as data instead of masquerading as a timing regression.
         self.replay_kernel = "generic"
         #: When :meth:`run` took the generic loop, the first native gate
-        #: that failed (``"observer"``, ``"warmup"``, ``"not a
-        #: PackedTrace"``, ``"kernel=generic"``, ...); None otherwise.
+        #: that failed (``"observer"``, ``"warmup"``, ``"wrong-path
+        #: records"``, ``"policy BeladyPolicy"``, ``"kernel=generic"``,
+        #: ...); None otherwise.
         self.kernel_fallback: Optional[str] = None
         #: Seconds per replay stage of :meth:`run`: ``marshal``,
         #: ``kernel``, ``emit`` and ``write_back`` on the native kernel
@@ -204,10 +231,16 @@ class Simulator:
     # -- main loop --------------------------------------------------------
 
     def run(self, trace) -> SimResult:
-        """Simulate ``trace`` (a sequence of :class:`Access`) to completion."""
+        """Simulate ``trace`` to completion.
+
+        ``trace`` is a :class:`~repro.trace.packed.PackedTrace` or any
+        sequence of :class:`~repro.trace.record.Access` records, which
+        is packed (and validated) on entry.
+        """
         if self._ran:
             raise RuntimeError("a Simulator instance runs exactly one trace")
         self._ran = True
+        trace = pack_trace(trace)
         profiler = self._obs.profiler if self._obs is not None else None
         if profiler is None:
             return self._finalize(self._replay(trace))
@@ -227,7 +260,8 @@ class Simulator:
         admits are handed to it first; this generic loop keeps every
         hook live (observers, prefetchers, warm-up, wrong-path records,
         any policy) and is the semantic reference the kernel must match
-        bit for bit.  Either path records its ``stage_s``.
+        bit for bit.  Both read the packed columns, never an
+        ``Access``.  Either path records its ``stage_s``.
         """
         if self._kernel == "generic":
             self.kernel_fallback = "kernel=generic"
@@ -270,24 +304,24 @@ class Simulator:
             current_phase = PhaseSample(start_instruction=0, start_cycle=0.0)
             self.phases.append(current_phase)
 
-        for access in trace:
-            if access.wrong_path:
+        for address, kind, gap, wrong_path in trace.iter_tuples():
+            if wrong_path:
                 # Wrong-path references disturb the caches and memory
                 # timing but never the committed instruction stream.
                 access_hierarchy(
-                    access.address >> block_bits,
-                    access.kind,
+                    address >> block_bits,
+                    kind,
                     window.now,
                     demand=False,
                     phase=None,
                 )
                 continue
 
-            dispatch = advance(access.gap)
+            dispatch = advance(gap)
             if bookkeeping:
                 instr_index = window.instructions
                 if not warm and instr_index >= warmup_instructions:
-                    self._finish_warmup(instr_index, dispatch)
+                    self._finish_warmup(dispatch)
                     warm = True
                     bookkeeping = (
                         clock_controller is not None or phase_interval
@@ -304,8 +338,7 @@ class Simulator:
                     )
                     self.phases.append(current_phase)
 
-            kind = access.kind
-            block = access.address >> block_bits
+            block = address >> block_bits
             if kind == IFETCH:
                 if l1i_hit(block):
                     complete_memory_op(dispatch + l1i_latency)
@@ -469,29 +502,13 @@ class Simulator:
 
         return on_cost
 
-    def _finish_warmup(self, instr_index: int, cycle: float) -> None:
-        """Reset reported statistics at the warm-up boundary.
-
-        Every counter :meth:`_finalize` reports must be snapshotted
-        here; anything left out would mix warm-up activity into the
-        measured region.
-        """
+    def _finish_warmup(self, cycle: float) -> None:
+        """Snapshot the reported statistics at the warm-up boundary."""
         self._warm = True
-        self._warmup_end_instruction = instr_index
+        self._warmup_base = dict(
+            zip(_WINDOWED_COUNTERS, _read_windowed(self))
+        )
         self._warmup_end_cycle = cycle
-        window = self.window
-        self._warmup_stall_events = window.stall_events
-        self._warmup_long_stalls = window.long_stalls
-        self._warmup_stall_cycles = window.stall_cycles
-        self._warmup_l2_accesses = self.l2.accesses
-        self._warmup_l2_misses = self.l2.misses
-        self._warmup_l1d_accesses = self.l1d.accesses
-        self._warmup_l1d_misses = self.l1d.misses
-        self._warmup_mshr_merges = self.mshr.merges
-        self._warmup_mshr_full_stalls = self.mshr.full_stalls
-        self._warmup_writebacks = self.l2.writebacks
-        self._warmup_bank_conflicts = self.memory.banks.conflicts
-        self._warmup_bus_contended = self.memory.bus.contended
 
     def _l1_writeback(self, block: int, when: float) -> None:
         """An L1 victim writes back into the L2 without recency update."""
@@ -522,51 +539,25 @@ class Simulator:
         psel_final = None
         if isinstance(self.controller, SBARController):
             psel_final = self.controller.psel.value
-        instructions = window.instructions - self._warmup_end_instruction
-        cycles -= self._warmup_end_cycle
-        stall_events = window.stall_events - getattr(
-            self, "_warmup_stall_events", 0
-        )
-        long_stalls = window.long_stalls - getattr(
-            self, "_warmup_long_stalls", 0
-        )
-        stall_cycles = window.stall_cycles - getattr(
-            self, "_warmup_stall_cycles", 0.0
-        )
+        base = self._warmup_base
+        windowed = {
+            field: value - base[field]
+            for field, value in zip(_WINDOWED_COUNTERS, _read_windowed(self))
+        }
         if self.delta is not None:
             delta_summary = self.delta.summary()
         else:
             delta_summary = DeltaSummary(0, 0.0, 0.0, 0.0, 0.0)
         result = SimResult(
             policy_name=self._policy_label,
-            instructions=instructions,
-            cycles=cycles,
-            l2_accesses=self.l2.accesses
-            - getattr(self, "_warmup_l2_accesses", 0),
-            l2_misses=self.l2.misses - getattr(self, "_warmup_l2_misses", 0),
+            cycles=cycles - self._warmup_end_cycle,
             demand_misses=self.demand_misses,
             compulsory_misses=self.compulsory_misses,
-            stall_events=stall_events,
-            stall_cycles=stall_cycles,
-            long_stalls=long_stalls,
             cost_distribution=self.cost_distribution,
             delta_summary=delta_summary,
             phases=self.phases,
-            l1d_accesses=self.l1d.accesses
-            - getattr(self, "_warmup_l1d_accesses", 0),
-            l1d_misses=self.l1d.misses
-            - getattr(self, "_warmup_l1d_misses", 0),
-            mshr_merges=self.mshr.merges
-            - getattr(self, "_warmup_mshr_merges", 0),
-            mshr_full_stalls=self.mshr.full_stalls
-            - getattr(self, "_warmup_mshr_full_stalls", 0),
-            bank_conflicts=self.memory.banks.conflicts
-            - getattr(self, "_warmup_bank_conflicts", 0),
-            bus_contended=self.memory.bus.contended
-            - getattr(self, "_warmup_bus_contended", 0),
-            writebacks=self.l2.writebacks
-            - getattr(self, "_warmup_writebacks", 0),
             psel_final=psel_final,
+            **windowed,
         )
         # Provenance only: which path ran, and why not native.  Stored
         # on the instance (never a dataclass field), so digests, store

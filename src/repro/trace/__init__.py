@@ -1,9 +1,12 @@
 """Trace substrate: access records and synthetic trace construction.
 
-A *trace* is a sequence of :class:`~repro.trace.record.Access` objects.
-Each access carries the number of non-memory instructions that precede it
-(``gap``), so a trace compactly represents a full dynamic instruction
-stream without storing every ALU instruction.
+A *trace* is a :class:`~repro.trace.packed.PackedTrace`: parallel
+columns of access records.  A sequence of
+:class:`~repro.trace.record.Access` objects is packed into one where it
+enters the simulator, the oracle or a file.  Each access carries the
+number of non-memory instructions that precede it (``gap``), so a
+trace compactly represents a full dynamic instruction stream without
+storing every ALU instruction.
 """
 
 from repro.trace.record import (
@@ -24,7 +27,7 @@ from repro.trace.synthetic import (
 )
 from repro.trace.figure1 import figure1_trace, FIGURE1_BLOCKS
 from repro.trace.packed import PackedTrace, pack_trace
-from repro.trace.trace_io import load_packed_trace, load_trace, save_trace
+from repro.trace.trace_io import open_trace, save_trace
 
 __all__ = [
     "Access",
@@ -43,7 +46,6 @@ __all__ = [
     "figure1_trace",
     "FIGURE1_BLOCKS",
     "save_trace",
-    "load_trace",
-    "load_packed_trace",
+    "open_trace",
     "validate_access_fields",
 ]

@@ -15,12 +15,15 @@ the object-vs-column tradeoff trace tools resolve the same way:
 * wrong-path — a bit per record in a :class:`bytearray` bitset
   (LSB-first within each byte).
 
-The packed form is a drop-in sequence of ``Access`` objects
-(``__iter__``/``__getitem__``/``__len__`` materialize records lazily),
-so the generic simulator loop and every analysis helper accept it
-unchanged.  The native replay kernel (:mod:`repro.sim.native`) instead
-reads the three ``array`` columns in place through the buffer
-protocol, without building a single ``Access``.
+It is the one trace type past the trace entry points:
+``Simulator.run``, the offline oracle and ``save_trace`` each call
+:func:`pack_trace` once, so a list of ``Access`` records is packed on
+entry.  The generic simulator loop and the oracle read
+:meth:`PackedTrace.iter_tuples`; the native replay kernel
+(:mod:`repro.sim.native`) reads the three ``array`` columns in place
+through the buffer protocol.  Neither builds an ``Access``.  The
+sequence protocol (``__iter__``/``__getitem__``/``__len__``
+materialize records lazily) remains for analysis helpers and tests.
 
 Validation is *bulk*: :meth:`from_accesses` checks whole columns with
 C-speed byte scans instead of three compares per record
@@ -230,7 +233,7 @@ class PackedTrace:
 
     @classmethod
     def concatenate(cls, traces: Sequence["PackedTrace"]) -> "PackedTrace":
-        """Join traces end to end into one new trace.
+        """Join packed traces end to end into one new trace.
 
         Columns extend buffer-to-buffer; the wrong-path bitset only
         needs per-record work for the (rare) traces that carry
@@ -244,8 +247,6 @@ class PackedTrace:
         n_wrong = 0
         base = 0
         for trace in traces:
-            if not isinstance(trace, PackedTrace):
-                trace = PackedTrace.from_accesses(trace)
             addresses.extend(trace._addresses)
             kinds.extend(trace._kinds)
             gaps.extend(trace._gaps)
@@ -391,8 +392,12 @@ class PackedTrace:
         )
 
     def total_instructions(self) -> int:
-        """Dynamic instructions the trace represents (column-speed
-        version of :func:`repro.trace.record.total_instructions`)."""
+        """Number of dynamic instructions the trace represents.
+
+        Each record contributes its gap of non-memory instructions plus
+        itself.  Wrong-path records are not part of the committed
+        instruction stream and contribute nothing.
+        """
         total = sum(self._gaps) + len(self._gaps)
         if self._n_wrong:
             for index in range(len(self._addresses)):

@@ -99,20 +99,6 @@ class Access:
 Trace = List[Access]
 
 
-def total_instructions(trace: Iterable[Access]) -> int:
-    """Number of dynamic instructions a trace represents.
-
-    Each access contributes its gap of non-memory instructions plus
-    itself.  Wrong-path accesses are not part of the committed instruction
-    stream and contribute nothing.
-    """
-    total = 0
-    for access in trace:
-        if not access.wrong_path:
-            total += access.gap + 1
-    return total
-
-
 def memory_footprint_blocks(trace: Iterable[Access], line_bytes: int = 64) -> int:
     """Number of distinct cache blocks a trace touches."""
     return len({access.address // line_bytes for access in trace})

@@ -195,13 +195,3 @@ def interleave(rng: random.Random, *traces: Trace) -> Trace:
         cursors[which] += 1
         remaining[which] -= 1
     return result
-
-
-def repeat_trace(trace: Trace, times: int) -> Trace:
-    """Concatenate ``times`` copies of a trace (loop iterations)."""
-    if times < 0:
-        raise ValueError("repeat count must be non-negative")
-    result: Trace = []
-    for _ in range(times):
-        result.extend(trace)
-    return result

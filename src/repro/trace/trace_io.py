@@ -1,4 +1,4 @@
-"""Trace persistence: one sniffing loader, npz save, thin wrappers.
+"""Trace persistence: one sniffing loader and an npz save.
 
 Surrogate traces are deterministic, but saving them is useful for
 sharing exact inputs across machines, for diffing generator versions,
@@ -11,10 +11,7 @@ file's *content* — zip magic means the packed npz record format;
 anything else routes to the streaming importers of
 :mod:`repro.trace.importers` (ChampSim binary records vs
 ChampSim-style vs valgrind-lackey text lines, also sniffed) — and
-always returns a
-:class:`~repro.trace.packed.PackedTrace`.  The historical
-:func:`load_trace` / :func:`load_packed_trace` remain as thin wrappers
-over it.
+always returns a :class:`~repro.trace.packed.PackedTrace`.
 
 numpy is imported inside the npz functions only: importing this module
 (which every CLI does) must not pay numpy's import time and memory.
@@ -25,8 +22,7 @@ from __future__ import annotations
 import sys
 from array import array
 
-from repro.trace.packed import PackedTrace
-from repro.trace.record import Trace
+from repro.trace.packed import PackedTrace, pack_trace
 
 #: Bump when the on-disk npz layout changes.
 FORMAT_VERSION = 1
@@ -35,32 +31,27 @@ FORMAT_VERSION = 1
 _ZIP_MAGIC = b"PK"
 
 
-def save_trace(path: str, trace: Trace) -> None:
+def save_trace(path: str, trace) -> None:
     """Write a trace to ``path`` (numpy .npz, compressed).
 
-    Accepts any iterable of ``Access`` records, including a
-    :class:`~repro.trace.packed.PackedTrace`.
+    ``trace`` is a :class:`~repro.trace.packed.PackedTrace` or any
+    ``Access`` sequence (packed on entry).  The packed columns are
+    written as they are: int64 addresses and gaps, int8 kinds, and the
+    wrong-path bitset unpacked to one bool per record.
     """
     import numpy as np
 
-    addresses = np.fromiter(
-        (access.address for access in trace), dtype=np.int64, count=len(trace)
-    )
-    kinds = np.fromiter(
-        (access.kind for access in trace), dtype=np.int8, count=len(trace)
-    )
-    gaps = np.fromiter(
-        (access.gap for access in trace), dtype=np.int32, count=len(trace)
-    )
-    wrong = np.fromiter(
-        (access.wrong_path for access in trace), dtype=bool, count=len(trace)
-    )
+    trace = pack_trace(trace)
+    wrong = np.unpackbits(
+        np.frombuffer(bytes(trace._wrong_bits), dtype=np.uint8),
+        count=len(trace), bitorder="little",
+    ).astype(bool)
     np.savez_compressed(
         path,
         version=np.int32(FORMAT_VERSION),
-        address=addresses,
-        kind=kinds,
-        gap=gaps,
+        address=np.frombuffer(trace._addresses, dtype=np.int64),
+        kind=np.frombuffer(trace._kinds, dtype=np.int8),
+        gap=np.frombuffer(trace._gaps, dtype=np.int64),
         wrong_path=wrong,
     )
 
@@ -144,15 +135,3 @@ def open_trace(path: str) -> PackedTrace:
     if importers.sniff_text_format(path) == "lackey":
         return importers.load_lackey(path)
     return importers.load_champsim(path)
-
-
-def load_trace(path: str) -> Trace:
-    """Read a trace file as a list of ``Access`` records (thin wrapper
-    over :func:`open_trace`)."""
-    return open_trace(path).to_accesses()
-
-
-def load_packed_trace(path: str) -> PackedTrace:
-    """Read a trace file as a :class:`PackedTrace` (thin wrapper over
-    :func:`open_trace`)."""
-    return open_trace(path)

@@ -9,7 +9,7 @@ The speed of a run rests on three load-bearing invariants:
 * the native replay kernel (``kernel="auto"`` on a host with the
   compiled extension) produces bit-identical :class:`SimResult`
   payloads, and an identical machine end state (see
-  :func:`machine_fingerprint`), to the generic loop
+  :func:`tests.fingerprints.machine_fingerprint`), to the generic loop
   (``kernel="generic"``).
 """
 
@@ -23,34 +23,17 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.sets import CacheSet
 from repro.config import CacheGeometry, scaled_config
-from repro.sim import native
 from repro.sim.simulator import Simulator
 from repro.trace.packed import pack_trace
 from repro.trace.record import Access
 from repro.workloads import build_workload, experiment_config
 
-#: The kernel ``auto`` resolves to on this host.
-AUTO_KERNEL = "native" if native.load_extension() is not None else "generic"
-
-#: The stage timers each path records in ``SimResult.meta["stage_s"]``.
-STAGES = {
-    "native": {"marshal", "kernel", "emit", "write_back"},
-    "generic": {"replay"},
-}
-
-
-def provenance(result):
-    """``result.meta`` without its stage timers, which are checked here.
-
-    Timings differ run to run, so equality assertions on the rest of
-    the provenance go through this.
-    """
-    meta = dict(result.meta)
-    stages = meta.pop("stage_s")
-    assert set(stages) == STAGES[meta["kernel_used"]], stages
-    assert all(seconds >= 0 for seconds in stages.values()), stages
-    return meta
-
+from tests.fingerprints import (
+    AUTO_KERNEL,
+    controller_fingerprint,
+    machine_fingerprint,
+    provenance,
+)
 
 class TestCacheSetIndex:
     def test_randomized_ops_keep_index_coherent(self):
@@ -175,41 +158,38 @@ class TestFastPathProtocol:
         assert not cache.is_plain()
 
 
-class TestFusedReplayDifferential:
-    """Named for the retired fused loop; now the list-trace reference.
+class TestListTraceDifferential:
+    """A list of ``Access`` records is packed on entry, so it takes the
+    native kernel like the packed trace, and both equal the generic
+    loop."""
 
-    A list of ``Access`` records always takes the generic loop; the
-    same records packed take the native kernel.  Both must agree.
-    """
-
-    def test_fused_matches_generic_loop(self):
+    def test_list_trace_runs_native_and_matches_generic(self):
         trace = build_workload("mcf", 0.05).to_accesses()
         for policy in ("lru", "lin(4)", "sbar", "dip"):
-            packed_sim = Simulator(experiment_config(), policy)
-            packed = packed_sim.run(pack_trace(trace))
-            assert packed_sim.replay_kernel == AUTO_KERNEL, policy
             list_sim = Simulator(experiment_config(), policy)
             on_list = list_sim.run(trace)
-            assert list_sim.replay_kernel == "generic", policy
-            assert list_sim.kernel_fallback == "not a PackedTrace", policy
-            assert packed.to_dict() == on_list.to_dict(), policy
-            assert (machine_fingerprint(packed_sim)
-                    == machine_fingerprint(list_sim)), policy
+            assert list_sim.replay_kernel == AUTO_KERNEL, policy
+            generic_sim = Simulator(experiment_config(), policy,
+                                    kernel="generic")
+            generic = generic_sim.run(trace)
+            assert on_list.to_dict() == generic.to_dict(), policy
+            assert (machine_fingerprint(list_sim)
+                    == machine_fingerprint(generic_sim)), policy
 
 
-class TestBatchedReplayDifferential:
-    """Named for the retired batched kernel; now native vs generic.
+class TestNativeVersusGeneric:
+    """Native against generic on a small machine, and the gates.
 
-    On a small machine (64 KB L2, so evictions dominate) the native
-    kernel must reproduce the generic loop bit for bit, and every gate
-    the kernel does not cover must land on the generic loop with the
-    gate named in ``kernel_fallback``.
+    On a 64 KB L2, so evictions dominate, the native kernel must
+    reproduce the generic loop bit for bit, and every gate the kernel
+    does not cover must land on the generic loop with the gate named
+    in ``kernel_fallback``.
     """
 
     POLICIES = ("lru", "lin(4)", "sbar", "cbs-global", "ehc", "awrp")
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_batched_matches_fused_and_generic(self, policy):
+    def test_native_matches_generic_on_small_l2(self, policy):
         config = scaled_config(64)
         trace = pack_trace(build_workload("mcf", 0.05).to_accesses())
         fast_sim = Simulator(config, policy)
@@ -223,16 +203,16 @@ class TestBatchedReplayDifferential:
         assert (machine_fingerprint(fast_sim)
                 == machine_fingerprint(generic_sim)), policy
 
-    def test_list_trace_falls_back_to_fused(self):
-        # Named for the retired fused rung: a list trace now takes the
-        # generic loop and says why.
+    def test_list_trace_provenance_names_no_gate(self):
         sim = Simulator(experiment_config(), "lru")
         result = sim.run(build_workload("mcf", 0.05).to_accesses())
-        assert sim.replay_kernel == "generic"
-        assert provenance(result) == {"kernel_used": "generic",
-                                      "kernel_fallback": "not a PackedTrace"}
+        assert sim.replay_kernel == AUTO_KERNEL
+        expected = {"kernel_used": AUTO_KERNEL}
+        if AUTO_KERNEL == "generic":
+            expected["kernel_fallback"] = "extension not built"
+        assert provenance(result) == expected
 
-    def test_wrong_path_records_fall_back_to_fused(self):
+    def test_wrong_path_records_take_generic_loop(self):
         trace = build_workload("mcf", 0.05).to_accesses()
         trace[3] = Access(trace[3].address, trace[3].kind, trace[3].gap,
                           wrong_path=True)
@@ -255,7 +235,7 @@ class TestBatchedReplayDifferential:
         assert fast_sim.replay_kernel == AUTO_KERNEL
         assert observed.to_dict() == fast.to_dict()
 
-    def test_warmup_falls_back_to_fused(self):
+    def test_warmup_takes_generic_loop(self):
         trace = pack_trace(build_workload("mcf", 0.05).to_accesses())
         warm_sim = Simulator(experiment_config(), "lru",
                              warmup_instructions=1000)
@@ -282,136 +262,6 @@ class TestBatchedReplayDifferential:
             for kernel in ("auto", "generic")
         }
         assert results["auto"] == results["generic"]
-
-
-def controller_fingerprint(controller):
-    """Every externally visible dueling-controller counter.
-
-    The native kernel must leave SBAR/CBS/DIP/tournament in *exactly*
-    the state the generic loop leaves them in — not just produce equal
-    SimResults — or a later epoch/report would diverge.
-    """
-    fingerprint = {"deferred_updates": controller.deferred_updates}
-    for name in ("atd_lru", "atd_lin"):
-        atd = getattr(controller, name, None)
-        if atd is not None:
-            fingerprint[name] = (
-                atd.accesses, atd.hits, atd.misses, atd._seq,
-                {index: atd.set_state(index).snapshot()
-                 for index in sorted(atd._sets)},
-            )
-    psels = getattr(controller, "_psels", None)
-    if psels is None and hasattr(controller, "psel"):
-        psels = [controller.psel]
-    fingerprint["psels"] = [
-        (psel.value, psel.increments, psel.decrements)
-        for psel in psels or ()
-    ]
-    for name in ("follower_lin_accesses", "follower_lru_accesses",
-                 "leaders", "_epoch", "_scores", "_accesses"):
-        if hasattr(controller, name):
-            fingerprint[name] = getattr(controller, name)
-    rng = getattr(controller, "_rng", None)
-    if rng is not None:
-        fingerprint["rng"] = rng.getstate()
-    policies = getattr(controller, "policies", None)
-    if policies is None:
-        policies = [getattr(controller, name) for name in ("lin", "lru", "bip")
-                    if hasattr(controller, name)]
-    fingerprint["policies"] = [policy_fingerprint(p, None)
-                               for p in policies]
-    return fingerprint
-
-
-def policy_fingerprint(policy, cache):
-    """A policy's side state: BIP fill counts, PLRU tree bits, ..."""
-    fingerprint = {"name": policy.name}
-    for name in ("_fills", "_pending_next_use", "_last_seen", "_counts",
-                 "_pending_slot"):
-        if hasattr(policy, name):
-            fingerprint[name] = getattr(policy, name)
-    if hasattr(policy, "_intervals"):
-        fingerprint["_intervals"] = {
-            block: list(values) for block, values in policy._intervals.items()
-        }
-    if hasattr(policy, "_trees") and cache is not None:
-        fingerprint["_trees"] = {
-            index: policy._trees[id(cache_set)].bits
-            for index, cache_set in enumerate(cache._sets)
-            if id(cache_set) in policy._trees
-        }
-        assert len(fingerprint["_trees"]) == len(policy._trees)
-    return fingerprint
-
-
-def cache_fingerprint(cache):
-    """A cache's counters, compulsory-miss set and ways, MRU first."""
-    assert all(cache_set.index_coherent() for cache_set in cache._sets)
-    return {
-        "counters": (cache._seq, cache.accesses, cache.hits, cache.misses,
-                     cache.compulsory_misses, cache.writebacks),
-        "sets": [[(way.block, way.fill_seq, way.cost_q, way.dirty,
-                   way.next_use) for way in cache_set.ways]
-                 for cache_set in cache._sets],
-        "seen": cache._seen,
-    }
-
-
-def machine_fingerprint(sim):
-    """The whole end state of a run, as the native write-back restores it.
-
-    Every cache, the delta tracker's last costs (in insertion order),
-    the window, store buffer, MSHR (with the prefetch entries still in
-    ``_in_flight``), memory, bus and banks, the prefetcher's region
-    table (in FIFO order) and counters, plus controller and policy side
-    state.  Heaps compare sorted: any valid heap pops the same sequence.
-    """
-    window = sim.window
-    store_buffer = sim.store_buffer
-    mshr = sim.mshr
-    memory = sim.memory
-    bus = memory.bus
-    banks = memory.banks
-    delta = sim.delta
-    fingerprint = {
-        "l1d": cache_fingerprint(sim.l1d),
-        "l1i": cache_fingerprint(sim.l1i),
-        "l2": cache_fingerprint(sim.l2),
-        "delta": None if delta is None else (
-            list(delta._last_cost.items()), delta._count, delta._sum,
-            delta._below_60, delta._60_to_119, delta._120_plus,
-        ),
-        "window": (list(window._pending), window._index, window._time,
-                   window._retire_cummax, window.final_completion,
-                   window.stall_cycles, window.stall_events,
-                   window.long_stalls),
-        "store_buffer": (sorted(store_buffer._completions),
-                         store_buffer.full_stalls),
-        "mshr": (mshr._now, mshr._accumulator, mshr._demand_live,
-                 mshr._tiebreak, sorted(mshr._occupancy_heap),
-                 len(mshr._demand_heap),
-                 sorted((block, entry.issue, entry.complete, entry.is_demand,
-                         entry.accumulator_start, entry.cost)
-                        for block, entry in mshr._in_flight.items()),
-                 mshr.allocations, mshr.merges, mshr.full_stalls,
-                 mshr.peak_occupancy),
-        "memory": (sorted(memory._in_flight), memory.requests,
-                   memory.writebacks, memory.queueing_stalls,
-                   memory.peak_in_flight),
-        "bus": (bus._free_at, bus.contended, bus.transfers),
-        "banks": (list(banks._bank_free), banks.conflicts, banks.accesses),
-        "policy": policy_fingerprint(sim.l2.policy, sim.l2),
-        "prefetches": (sim.prefetches_issued, sim.prefetch_hits_suppressed),
-    }
-    prefetcher = sim.prefetcher
-    if prefetcher is not None:
-        fingerprint["prefetcher"] = (
-            list(prefetcher._table.items()), list(prefetcher._order),
-            prefetcher.predictions, prefetcher.trainings,
-        )
-    if sim.controller is not None:
-        fingerprint["controller"] = controller_fingerprint(sim.controller)
-    return fingerprint
 
 
 class TestDuelingFastPathDifferential:

@@ -11,7 +11,8 @@ from repro.sim.__main__ import main as sim_main
 from repro.sim.simulator import Simulator
 from repro.sim.stats import CostDistribution, PhaseSample
 from repro.trace.record import LOAD, STORE, Access
-from repro.trace.trace_io import FORMAT_VERSION, load_trace, save_trace
+from repro.trace.packed import pack_trace
+from repro.trace.trace_io import FORMAT_VERSION, open_trace, save_trace
 from repro.workloads import build_workload
 
 
@@ -24,20 +25,46 @@ class TestTraceIO:
         ]
         path = str(tmp_path / "trace.npz")
         save_trace(path, trace)
-        assert load_trace(path) == trace
+        assert open_trace(path).to_accesses() == trace
 
     def test_roundtrip_surrogate(self, tmp_path):
-        trace = build_workload("art", 0.02).to_accesses()
+        trace = build_workload("art", 0.02)
         path = str(tmp_path / "art.npz")
         save_trace(path, trace)
-        loaded = load_trace(path)
-        assert len(loaded) == len(trace)
-        assert loaded[:50] == trace[:50]
+        assert open_trace(path) == trace
 
     def test_empty_trace(self, tmp_path):
         path = str(tmp_path / "empty.npz")
         save_trace(path, [])
-        assert load_trace(path) == []
+        assert len(open_trace(path)) == 0
+
+    def test_roundtrip_gap_past_int32(self, tmp_path):
+        # Gaps are int64 (TraceBuilder.quiet can inflate them without
+        # bound); the file used to narrow them to int32 and overflow.
+        trace = pack_trace([Access(64, LOAD, 2**31 + 5), Access(128)])
+        path = str(tmp_path / "long-gap.npz")
+        save_trace(path, trace)
+        loaded = open_trace(path)
+        assert loaded == trace
+        assert loaded.total_instructions() == 2**31 + 7
+
+    def test_int32_gap_file_still_loads(self, tmp_path):
+        # Files written before the gap column widened to int64.
+        import numpy as np
+
+        path = str(tmp_path / "int32-gaps.npz")
+        np.savez(
+            path,
+            version=np.int32(FORMAT_VERSION),
+            address=np.array([0x1000, 0x2040], dtype=np.int64),
+            kind=np.array([LOAD, STORE], dtype=np.int8),
+            gap=np.array([5, 2**31 - 1], dtype=np.int32),
+            wrong_path=np.array([False, True]),
+        )
+        assert open_trace(path).to_accesses() == [
+            Access(0x1000, LOAD, 5),
+            Access(0x2040, STORE, 2**31 - 1, wrong_path=True),
+        ]
 
     def test_version_check(self, tmp_path):
         import numpy as np
@@ -52,7 +79,7 @@ class TestTraceIO:
             wrong_path=np.array([], dtype=bool),
         )
         with pytest.raises(ValueError):
-            load_trace(path)
+            open_trace(path)
 
 
 class TestSimCLI:

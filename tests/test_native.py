@@ -46,7 +46,7 @@ from repro.trace.packed import pack_trace
 from repro.trace.record import LOAD, STORE, Access
 from repro.workloads import build_workload, experiment_config
 
-from tests.test_fastpath import STAGES, machine_fingerprint, provenance
+from tests.fingerprints import STAGES, machine_fingerprint, provenance
 
 #: Whether this host has the C extension (conftest builds it when a
 #: compiler exists).  Without it every run takes the generic loop and
@@ -109,6 +109,14 @@ class TestNativeDifferential:
         trace = build_workload(workload, scale=0.05)
         fast, generic = _native_and_generic(trace, policy)
         _assert_identical(fast, generic, (workload, policy))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_access_list_runs_native(self, policy):
+        # Simulator.run packs a plain Access list on entry, so the list
+        # reaches the kernel like the packed trace it came from.
+        trace = build_workload("art", scale=0.02).to_accesses()
+        fast, generic = _native_and_generic(trace, policy)
+        _assert_identical(fast, generic, policy)
 
     def test_rand_dynamic_sbar_redraws_leaders(self):
         config = experiment_config()
@@ -362,12 +370,6 @@ class TestLadderDegradation:
         ).run(trace)
         assert result.to_dict() == pinned.to_dict()
 
-    def test_list_trace_never_native(self):
-        sim = Simulator(experiment_config(), "lru")
-        sim.run(build_workload("mcf", scale=0.05).to_accesses())
-        assert sim.replay_kernel == "generic"
-        assert sim.kernel_fallback == "not a PackedTrace"
-
 
 def _strided_streams(n=20_000, seed=5):
     """Loads and stores from six interleaved strided streams."""
@@ -419,7 +421,6 @@ class TestFallbackReasons:
         ),
         "warmup": dict(kwargs={"warmup_instructions": 1000}),
         "wrong-path records": dict(trace=_wrong_path),
-        "not a PackedTrace": dict(trace=lambda t: t.to_accesses()),
         "policy FIFOPolicy": dict(policy=FIFOPolicy),
         "instrumented l2": dict(prepare=_instrument_l2),
         "pre-seeded state": dict(prepare=_seed_l2),

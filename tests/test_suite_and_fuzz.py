@@ -1,4 +1,9 @@
-"""Suite-runner tests and whole-simulator fuzz invariants."""
+"""Suite-runner tests and whole-simulator fuzz invariants.
+
+The fuzz battery is also a native-vs-generic differential: every random
+trace replays on ``kernel="auto"`` (the C kernel when the extension is
+built) and on the generic loop, and the two must agree bit for bit.
+"""
 
 import json
 
@@ -9,6 +14,15 @@ from repro.sim.runner import clear_cache
 from repro.sim.suite import main as suite_main, run_suite
 from repro.sim.simulator import Simulator
 from repro.trace.record import IFETCH, LOAD, STORE, Access
+
+from tests.fingerprints import AUTO_KERNEL, machine_fingerprint
+
+#: Every policy the fuzz draws from: one spec per registered policy,
+#: all of which the native kernel runs.
+FUZZ_POLICIES = [
+    "lru", "lin(4)", "sbar", "dip", "cbs-global", "cbs-local", "ehc",
+    "awrp", "plru", "cost-plru", "lip", "bip", "tournament",
+]
 
 
 @pytest.fixture(autouse=True)
@@ -104,7 +118,7 @@ class TestSimulatorFuzzInvariants:
     )
     @given(
         trace=random_traces(),
-        policy=st.sampled_from(["lru", "lin(4)", "sbar", "dip"]),
+        policy=st.sampled_from(FUZZ_POLICIES),
     )
     def test_invariants_hold_on_arbitrary_traces(
         self, trace, policy, small_machine
@@ -112,7 +126,18 @@ class TestSimulatorFuzzInvariants:
         simulator = Simulator(small_machine, policy)
         result = simulator.run(trace)
 
+        # The list reaches the kernel unless it holds wrong-path
+        # records, and either way matches the generic loop exactly.
         committed = [a for a in trace if not a.wrong_path]
+        if len(committed) == len(trace):
+            assert simulator.replay_kernel == AUTO_KERNEL
+        reference_sim = Simulator(small_machine, policy, kernel="generic")
+        reference = reference_sim.run(trace)
+        assert result.to_dict() == reference.to_dict()
+        assert machine_fingerprint(simulator) == machine_fingerprint(
+            reference_sim
+        )
+
         expected_instructions = sum(a.gap + 1 for a in committed)
         assert result.instructions == expected_instructions
 

@@ -18,7 +18,6 @@ from repro.trace.record import (
     Access,
     kind_name,
     memory_footprint_blocks,
-    total_instructions,
     validate_access_fields,
 )
 from repro.trace.packed import PackedTrace, pack_trace
@@ -29,7 +28,6 @@ from repro.trace.synthetic import (
     interleave,
     pointer_chase,
     random_working_set,
-    repeat_trace,
     strided_stream,
 )
 
@@ -78,12 +76,14 @@ class TestAccess:
 
 class TestTraceHelpers:
     def test_total_instructions_counts_gaps_and_accesses(self):
-        trace = [Access(0, LOAD, 10), Access(64, LOAD, 5)]
-        assert total_instructions(trace) == 17
+        trace = pack_trace([Access(0, LOAD, 10), Access(64, LOAD, 5)])
+        assert trace.total_instructions() == 17
 
     def test_total_instructions_skips_wrong_path(self):
-        trace = [Access(0, LOAD, 10), Access(64, LOAD, 5, wrong_path=True)]
-        assert total_instructions(trace) == 11
+        trace = pack_trace(
+            [Access(0, LOAD, 10), Access(64, LOAD, 5, wrong_path=True)]
+        )
+        assert trace.total_instructions() == 11
 
     def test_memory_footprint(self):
         trace = [Access(0), Access(32), Access(64), Access(128)]
@@ -155,9 +155,10 @@ class TestGenerators:
         assert left_order == left
 
     def test_repeat_trace(self):
-        trace = [Access(0), Access(64)]
-        assert len(repeat_trace(trace, 3)) == 6
-        assert repeat_trace(trace, 0) == []
+        trace = pack_trace([Access(0), Access(64)])
+        repeated = PackedTrace.concatenate([trace] * 3)
+        assert repeated.to_accesses() == trace.to_accesses() * 3
+        assert len(PackedTrace.concatenate([])) == 0
 
 
 def _packable_accesses():
@@ -466,7 +467,7 @@ class TestTraceIoRoundTrip:
     """The npz loader must preserve content digests bit-for-bit."""
 
     def test_npz_roundtrip_preserves_content_digest(self, tmp_path):
-        from repro.trace.trace_io import load_packed_trace, save_trace
+        from repro.trace.trace_io import open_trace, save_trace
         accesses = [
             Access(64 * i, [LOAD, STORE, IFETCH][i % 3], gap=i % 9,
                    wrong_path=(i % 7 == 0))
@@ -475,7 +476,7 @@ class TestTraceIoRoundTrip:
         packed = PackedTrace.from_accesses(accesses)
         path = str(tmp_path / "trace.npz")
         save_trace(path, packed)
-        loaded = load_packed_trace(path)
+        loaded = open_trace(path)
         assert loaded == packed
         assert loaded.wrong_path_count == packed.wrong_path_count
         assert loaded.content_digest() == packed.content_digest()
@@ -486,9 +487,7 @@ class TestTraceIoRoundTrip:
         # content digest (the persistent store and bench --check key
         # on it).
         import pathlib
-        from repro.trace.trace_io import (
-            load_packed_trace, open_trace, save_trace,
-        )
+        from repro.trace.trace_io import open_trace, save_trace
         fixture = str(
             pathlib.Path(__file__).parent / "fixtures" / "mix4k.champsim.gz"
         )
@@ -496,7 +495,7 @@ class TestTraceIoRoundTrip:
         assert len(imported) > 0
         path = str(tmp_path / "mix4k.npz")
         save_trace(path, imported)
-        loaded = load_packed_trace(path)
+        loaded = open_trace(path)
         assert loaded == imported
         assert loaded.content_digest() == imported.content_digest()
 
