@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install native native-sanitize test bench bench-quick bench-pytest suite oracle chaos workload-zoo serve submit-demo experiments experiments-fast examples lint clean
+.PHONY: install native native-sanitize native-profile test bench bench-quick bench-pytest suite oracle chaos workload-zoo serve submit-demo experiments experiments-fast examples lint clean
 
 # Editable install plus the optional C extension (same build as
 # `make native`).
@@ -40,6 +40,18 @@ native-sanitize:
 	$(PYTHON) setup.py build_ext --inplace --force > /dev/null; \
 	if grep -q SKIPPED native-sanitize.log; then \
 		echo "native-sanitize: tests skipped"; exit 1; fi; \
+	exit $$status
+
+# Rebuild the extension with -DREPRO_PROFILE -g, whose replay samples
+# the interrupted instruction pointer on an ITIMER_PROF timer, print
+# where the C loop's time goes (tools/kernel_ab.py --profile, which
+# maps the samples with addr2line), then put the normal build back.
+PROFILE_ROUNDS ?= 40
+native-profile:
+	CFLAGS="-DREPRO_PROFILE -g" $(PYTHON) setup.py build_ext --inplace --force
+	$(PYTHON) tools/kernel_ab.py --profile --rounds $(PROFILE_ROUNDS); \
+	status=$$?; \
+	$(PYTHON) setup.py build_ext --inplace --force > /dev/null; \
 	exit $$status
 
 test:

@@ -16,9 +16,9 @@
  *    for magnitudes below 2**53, which all quantities here are).
  *    setup.py compiles with -ffp-contract=off so `a * b + c` never
  *    fuses into one rounding.
- *  - `cost // QUANTIZATION_STEP` uses a transliteration of CPython's
- *    float_divmod so the bucket index matches the interpreter even in
- *    pathological rounding cases.
+ *  - `min(cost // QUANTIZATION_STEP, MAX_COST_Q)` is computed as the
+ *    largest bucket k with k * step <= cost (cost_bucket), which is
+ *    the interpreter's floor division exactly, since cost >= 0.
  *  - Container pop order is replayed exactly: the MSHR deques are FIFO
  *    rings (with one serializing bus, demand completions are strictly
  *    increasing, so heap order is append order), the store-buffer and
@@ -50,37 +50,6 @@
 /* Helpers the replay loop shares with the prefetch path: forced inline
  * so the loop compiles as if they were written out in place. */
 #define ALWAYS_INLINE inline __attribute__((always_inline))
-
-/* ---------------------------------------------------------------- */
-/* CPython float floor-division (Objects/floatobject.c:float_divmod) */
-/* ---------------------------------------------------------------- */
-
-static double
-py_floordiv(double vx, double wx)
-{
-    double mod, div, floordiv;
-    mod = fmod(vx, wx);
-    div = (vx - mod) / wx;
-    if (mod) {
-        if ((wx < 0) != (mod < 0)) {
-            mod += wx;
-            div -= 1.0;
-        }
-    }
-    else {
-        mod = copysign(0.0, wx);
-    }
-    if (div) {
-        floordiv = floor(div);
-        if (div - floordiv > 0.5) {
-            floordiv += 1.0;
-        }
-    }
-    else {
-        floordiv = copysign(0.0, vx / wx);
-    }
-    return floordiv;
-}
 
 /* ---------------------------------------------------------------- */
 /* Growable min-heap of doubles (heapq semantics over plain values)  */
@@ -159,6 +128,9 @@ dheap_pop(DHeap *h)
 /* FIFO rings                                                        */
 /* ---------------------------------------------------------------- */
 
+/* A ring's capacity is 0 or a power of two (64, then doubling), so an
+ * index wraps with `& (cap - 1)`. */
+
 typedef struct {
     double *a;
     Py_ssize_t head, n, cap;
@@ -174,14 +146,14 @@ dring_append(DRing *r, double v)
             return -1;
         }
         for (Py_ssize_t i = 0; i < r->n; i++) {
-            a[i] = r->a[(r->head + i) % (r->cap ? r->cap : 1)];
+            a[i] = r->a[(r->head + i) & (r->cap - 1)];
         }
         free(r->a);
         r->a = a;
         r->cap = cap;
         r->head = 0;
     }
-    r->a[(r->head + r->n) % r->cap] = v;
+    r->a[(r->head + r->n) & (r->cap - 1)] = v;
     r->n += 1;
     return 0;
 }
@@ -190,7 +162,7 @@ static double
 dring_popleft(DRing *r)
 {
     double v = r->a[r->head];
-    r->head = (r->head + 1) % r->cap;
+    r->head = (r->head + 1) & (r->cap - 1);
     r->n -= 1;
     return v;
 }
@@ -217,14 +189,14 @@ wring_append(WRing *r, int64_t index, double frontier)
             return -1;
         }
         for (Py_ssize_t i = 0; i < r->n; i++) {
-            a[i] = r->a[(r->head + i) % (r->cap ? r->cap : 1)];
+            a[i] = r->a[(r->head + i) & (r->cap - 1)];
         }
         free(r->a);
         r->a = a;
         r->cap = cap;
         r->head = 0;
     }
-    WinEntry *slot = &r->a[(r->head + r->n) % r->cap];
+    WinEntry *slot = &r->a[(r->head + r->n) & (r->cap - 1)];
     slot->index = index;
     slot->frontier = frontier;
     r->n += 1;
@@ -235,7 +207,7 @@ static WinEntry
 wring_popleft(WRing *r)
 {
     WinEntry v = r->a[r->head];
-    r->head = (r->head + 1) % r->cap;
+    r->head = (r->head + 1) & (r->cap - 1);
     r->n -= 1;
     return v;
 }
@@ -279,14 +251,14 @@ mring_append(MRing *r, MEntry v)
             return -1;
         }
         for (Py_ssize_t i = 0; i < r->n; i++) {
-            a[i] = r->a[(r->head + i) % (r->cap ? r->cap : 1)];
+            a[i] = r->a[(r->head + i) & (r->cap - 1)];
         }
         free(r->a);
         r->a = a;
         r->cap = cap;
         r->head = 0;
     }
-    r->a[(r->head + r->n) % r->cap] = v;
+    r->a[(r->head + r->n) & (r->cap - 1)] = v;
     r->n += 1;
     return 0;
 }
@@ -295,7 +267,7 @@ static MEntry
 mring_popleft(MRing *r)
 {
     MEntry v = r->a[r->head];
-    r->head = (r->head + 1) % r->cap;
+    r->head = (r->head + 1) & (r->cap - 1);
     r->n -= 1;
     return v;
 }
@@ -1430,6 +1402,23 @@ cost_order_append(Sim *s, int32_t id)
     s->cost_order[s->n_cost_order++] = id;
 }
 
+/* min(cost // qstep, max_q), as quantize_cost computes it: the largest
+ * k <= max_q with k * qstep <= cost.  Exact because cost >= 0 (the
+ * accumulator never decreases): the rounded quotient can only round up
+ * across an integer, never down. */
+static ALWAYS_INLINE int64_t
+cost_bucket(double cost, double qstep, int64_t max_q)
+{
+    if (cost >= (double)max_q * qstep) {
+        return max_q;
+    }
+    int64_t k = (int64_t)(cost / qstep);
+    if ((double)k * qstep > cost) {
+        k -= 1;
+    }
+    return k;
+}
+
 /* MSHRFile._advance sweep (and drain when `all` is set): pops due
  * entries, integrates Algorithm 1, quantizes, feeds the histogram,
  * delta tracker and deferred updates — then advances the clock. */
@@ -1451,10 +1440,7 @@ mshr_sweep(Sim *s, double target, int all)
         if (s->ids.fill_serial[e.id] == e.serial) {
             ids_land(&s->ids, e.id);
         }
-        int64_t bkt = (int64_t)py_floordiv(cost, s->qstep);
-        if (bkt > s->max_q) {
-            bkt = s->max_q;
-        }
+        int64_t bkt = cost_bucket(cost, s->qstep, s->max_q);
         patch_cost(s, e.set_index, e.fill_seq, bkt);
         if (e.phase >= 0) {
             s->phases[e.phase].cost_q_sum += bkt;
@@ -2417,7 +2403,7 @@ run_loop(Sim *s)
     if (s->md.n && !s->oom) {
         double horizon = MRING_FRONT(&s->md).complete;
         for (Py_ssize_t i = 0; i < s->md.n; i++) {
-            double c = s->md.a[(s->md.head + i) % s->md.cap].complete;
+            double c = s->md.a[(s->md.head + i) & (s->md.cap - 1)].complete;
             if (c > horizon) {
                 horizon = c;
             }
@@ -2724,7 +2710,7 @@ emit_occupancy(const DRing *r)
         return NULL;
     }
     for (Py_ssize_t i = 0; i < r->n; i++) {
-        PyObject *o = PyFloat_FromDouble(r->a[(r->head + i) % r->cap]);
+        PyObject *o = PyFloat_FromDouble(r->a[(r->head + i) & (r->cap - 1)]);
         if (!o) {
             Py_DECREF(list);
             return NULL;
@@ -2742,7 +2728,7 @@ emit_win_pending(const WRing *r)
         return NULL;
     }
     for (Py_ssize_t i = 0; i < r->n; i++) {
-        const WinEntry *e = &r->a[(r->head + i) % (r->cap ? r->cap : 1)];
+        const WinEntry *e = &r->a[(r->head + i) & (r->cap - 1)];
         PyObject *t = Py_BuildValue("(Ld)", (long long)e->index, e->frontier);
         if (!t) {
             Py_DECREF(list);
@@ -2913,6 +2899,87 @@ sim_free(Sim *s)
     pf_free(&s->pf);
     free(s->cost_order);
 }
+
+/* ---------------------------------------------------------------- */
+/* Sampling profiler (the REPRO_PROFILE build only)                  */
+/* ---------------------------------------------------------------- */
+
+/* `make native-profile` compiles with -DREPRO_PROFILE.  replay() then
+ * arms ITIMER_PROF on its own process around the loop, each SIGPROF
+ * records the interrupted instruction pointer, and the samples come
+ * back as out["profile_ips"] (native-endian uint64 bytes) for
+ * tools/kernel_ab.py --profile to map to functions.  Sampling adds
+ * nothing to the loop itself, unlike per-section cycle counters. */
+#ifdef REPRO_PROFILE
+#include <signal.h>
+#include <sys/time.h>
+#include <ucontext.h>
+
+#if defined(__x86_64__)
+#define PROF_IP(uc) ((uint64_t)(uc)->uc_mcontext.gregs[REG_RIP])
+#elif defined(__aarch64__)
+#define PROF_IP(uc) ((uint64_t)(uc)->uc_mcontext.pc)
+#else
+#error "REPRO_PROFILE needs x86-64 or AArch64 Linux"
+#endif
+
+/* Sampling period, and the most samples one replay keeps. */
+#define PROF_PERIOD_US 200
+#define PROF_MAX 65536
+
+static uint64_t prof_ips[PROF_MAX];
+static volatile sig_atomic_t prof_n;
+
+static void
+prof_on_signal(int sig, siginfo_t *info, void *context)
+{
+    (void)sig;
+    (void)info;
+    if (prof_n < PROF_MAX) {
+        prof_ips[prof_n] = PROF_IP((ucontext_t *)context);
+        prof_n = prof_n + 1;
+    }
+}
+
+typedef struct {
+    struct sigaction old_action;
+    struct itimerval old_timer;
+} ProfState;
+
+static void
+prof_start(ProfState *state)
+{
+    struct sigaction action;
+    memset(&action, 0, sizeof(action));
+    action.sa_sigaction = prof_on_signal;
+    action.sa_flags = SA_SIGINFO | SA_RESTART;
+    sigemptyset(&action.sa_mask);
+    prof_n = 0;
+    sigaction(SIGPROF, &action, &state->old_action);
+    struct itimerval timer = {{0, PROF_PERIOD_US}, {0, PROF_PERIOD_US}};
+    setitimer(ITIMER_PROF, &timer, &state->old_timer);
+}
+
+static void
+prof_stop(ProfState *state)
+{
+    setitimer(ITIMER_PROF, &state->old_timer, NULL);
+    sigaction(SIGPROF, &state->old_action, NULL);
+}
+
+static int
+prof_emit(PyObject *out)
+{
+    PyObject *ips = PyBytes_FromStringAndSize(
+        (const char *)prof_ips, (Py_ssize_t)prof_n * sizeof(uint64_t));
+    if (!ips || PyDict_SetItemString(out, "profile_ips", ips) < 0) {
+        Py_XDECREF(ips);
+        return -1;
+    }
+    Py_DECREF(ips);
+    return 0;
+}
+#endif
 
 /* ---------------------------------------------------------------- */
 /* Entry point                                                       */
@@ -3365,9 +3432,16 @@ replay(PyObject *self, PyObject *args)
 
     /* --- run --- */
     double loop_start = monotonic_s();
+#ifdef REPRO_PROFILE
+    ProfState prof;
+    prof_start(&prof);
+#endif
     Py_BEGIN_ALLOW_THREADS;
     run_loop(s);
     Py_END_ALLOW_THREADS;
+#ifdef REPRO_PROFILE
+    prof_stop(&prof);
+#endif
     double emit_start = monotonic_s();
 
     if (s->overflow) {
@@ -3530,6 +3604,11 @@ replay(PyObject *self, PyObject *args)
         out_dbl(out, "emit_s", monotonic_s() - emit_start) < 0) {
         goto fail;
     }
+#ifdef REPRO_PROFILE
+    if (prof_emit(out) < 0) {
+        goto fail;
+    }
+#endif
 
     sim_free(s);
     PyBuffer_Release(&addr_buf);

@@ -12,7 +12,7 @@ makes leader sets run LIN while follower sets obey the PSEL counter.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import Callable, Optional, Set
 
 from repro.cache.block import BlockState
 from repro.cache.deferred import deferred
@@ -63,8 +63,11 @@ class SetAssociativeCache:
             classified as compulsory misses (Table 3).
     """
 
-    #: Rebuilt on first read after a native run (see repro.cache.deferred).
-    _sets = deferred()
+    #: Built on first read, and rebuilt on first read after a native
+    #: run (see repro.cache.deferred).
+    _sets = deferred(lambda cache: [
+        CacheSet(cache.geometry.associativity) for _ in range(cache.n_sets)
+    ])
     _seen = deferred()
 
     def __init__(
@@ -86,9 +89,6 @@ class SetAssociativeCache:
         self.observer = None
         self.n_sets = geometry.n_sets
         self.hit_latency = geometry.hit_latency
-        self._sets: List[CacheSet] = [
-            CacheSet(geometry.associativity) for _ in range(self.n_sets)
-        ]
         self._seen: Optional[Set[int]] = set() if track_compulsory else None
         self._seq = 0
         # Aggregate counters.

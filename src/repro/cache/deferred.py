@@ -17,9 +17,16 @@ attribute is absent, the first read of *any* deferred container runs
 the restore, which rebuilds all of them at once and puts them back in
 their owners' dicts; anyone inspecting after a native run sees exactly
 what the generic loop would have left.
+
+A container that starts empty can also be built on first read:
+``deferred(fresh)`` calls ``fresh(instance)`` when the attribute is
+absent and no restore is pending.  Tag sets are built this way, so a
+fresh machine whose run goes native never builds the empty ones.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Optional
 
 #: Instance attribute holding the pending restore while containers are
 #: deferred; the restore removes it from every owner.
@@ -29,10 +36,12 @@ RESTORE_ATTR = "_restore_end_state"
 class deferred:
     """An instance attribute that may be deferred by a native run."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "fresh")
 
-    def __init__(self) -> None:
+    def __init__(self, fresh: Optional[Callable] = None) -> None:
         self.name = None
+        #: ``fresh(instance)`` builds the attribute's initial value.
+        self.fresh = fresh
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
@@ -42,10 +51,13 @@ class deferred:
             return self
         attrs = instance.__dict__
         restore = attrs.get(RESTORE_ATTR)
-        if restore is None:
+        if restore is not None:
+            restore()
+            return attrs[self.name]
+        if self.fresh is None:
             raise AttributeError(
                 "%r object has no attribute %r"
                 % (type(instance).__name__, self.name)
             )
-        restore()
-        return attrs[self.name]
+        value = attrs[self.name] = self.fresh(instance)
+        return value

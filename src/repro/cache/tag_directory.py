@@ -9,7 +9,7 @@ refuses accesses for sets it does not shadow.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Iterable
 
 from repro.cache.cache import AccessResult
 from repro.cache.block import BlockState
@@ -21,8 +21,12 @@ from repro.cache.sets import CacheSet
 class SparseTagDirectory:
     """Tag-only directory shadowing a subset of the main cache's sets."""
 
-    #: Rebuilt on first read after a native run (see repro.cache.deferred).
-    _sets = deferred()
+    #: Built on first read, and rebuilt on first read after a native
+    #: run (see repro.cache.deferred).
+    _sets = deferred(lambda directory: {
+        index: CacheSet(directory.associativity)
+        for index in directory._indices
+    })
 
     def __init__(
         self,
@@ -32,9 +36,8 @@ class SparseTagDirectory:
     ) -> None:
         self.policy = policy
         self.associativity = associativity
-        self._sets: Dict[int, CacheSet] = {
-            index: CacheSet(associativity) for index in set_indices
-        }
+        #: The shadowed set indices, in order, once each.
+        self._indices = tuple(dict.fromkeys(set_indices))
         self._seq = 0
         self.accesses = 0
         self.hits = 0
@@ -56,12 +59,12 @@ class SparseTagDirectory:
 
     @property
     def n_sets(self) -> int:
-        return len(self._sets)
+        return len(self._indices)
 
     @property
     def n_entries(self) -> int:
         """Total tag entries provisioned (for overhead accounting)."""
-        return len(self._sets) * self.associativity
+        return len(self._indices) * self.associativity
 
     def set_state(self, set_index: int) -> CacheSet:
         return self._sets[set_index]

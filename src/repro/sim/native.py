@@ -219,7 +219,14 @@ def _prefetcher_reason(prefetcher) -> Optional[str]:
     return None
 
 
-def _sets_pristine(sets) -> bool:
+def _sets_pristine(owner) -> bool:
+    """Whether ``owner``'s tag sets are all empty; unbuilt ones are."""
+    attrs = owner.__dict__
+    if "_sets" not in attrs and RESTORE_ATTR not in attrs:
+        return True
+    sets = owner._sets
+    if isinstance(sets, dict):
+        sets = sets.values()
     return all(not cache_set.ways for cache_set in sets)
 
 
@@ -235,9 +242,9 @@ def _pristine(sim) -> bool:
     policy = l2.policy
     controller = sim.controller
     if not (
-        _sets_pristine(sim.l1d._sets)
-        and _sets_pristine(sim.l1i._sets)
-        and _sets_pristine(l2._sets)
+        _sets_pristine(sim.l1d)
+        and _sets_pristine(sim.l1i)
+        and _sets_pristine(l2)
         and not (l2._seen or ())
         and not sim.phases
         and not sim.window._pending
@@ -261,11 +268,11 @@ def _pristine(sim) -> bool:
     if prefetcher is not None and (prefetcher._table or prefetcher._order):
         return False
     if type(controller) is SBARController:
-        return _sets_pristine(controller.atd_lru._sets.values())
+        return _sets_pristine(controller.atd_lru)
     if type(controller) is CBSController:
-        return _sets_pristine(
-            controller.atd_lru._sets.values()
-        ) and _sets_pristine(controller.atd_lin._sets.values())
+        return _sets_pristine(controller.atd_lru) and _sets_pristine(
+            controller.atd_lin
+        )
     return True
 
 
@@ -641,14 +648,16 @@ def _predraw_epochs(sim, trace) -> Tuple[List[int], List[bytes]]:
 _WAY_FIELDS = 5
 
 
-def _fill_sets(indexed_sets, buf: bytes, n_sets: int) -> None:
-    """Fill empty CacheSets from a flat tag-array dump.
+def _fill_sets(held: dict, buf: bytes, n_sets: int) -> None:
+    """Fill an owner's empty ``_sets`` from a flat tag-array dump.
 
     ``buf`` holds every set's occupancy, then each resident way in set
-    order, MRU first; ``indexed_sets`` yields ``(set index, CacheSet)``
-    for the sets that exist in Python (all of them for a cache, the
-    leader sets for a sparse ATD).
+    order, MRU first.  ``held["_sets"]`` holds the sets that exist in
+    Python: a cache's list of all of them, or a sparse ATD's dict of
+    its leader sets.
     """
+    sets = held["_sets"]
+    indexed_sets = sets.items() if isinstance(sets, dict) else enumerate(sets)
     fields = memoryview(buf).cast("q").tolist()
     offsets = list(accumulate(
         (length * _WAY_FIELDS for length in fields[:n_sets]), initial=n_sets
@@ -709,14 +718,15 @@ def _fill_intervals(intervals: dict, buf: bytes, horizon: int) -> None:
         at += 2 + count
 
 
-def _fill_trees(trees: dict, sets, bits: bytes, associativity: int) -> None:
+def _fill_trees(trees: dict, l2_held: dict, bits: bytes,
+                associativity: int) -> None:
     """Tree-PLRU bits, keyed by ``id()`` of the rebuilt L2 sets.
 
     The generic loop builds a set's tree on its first fill, and L2 sets
     never shrink: exactly the non-empty sets have trees.
     """
     width = associativity - 1
-    for index, cache_set in enumerate(sets):
+    for index, cache_set in enumerate(l2_held["_sets"]):
         if cache_set.ways:
             tree = _TreeState(associativity)
             tree.bits = list(bits[index * width:(index + 1) * width])
@@ -742,9 +752,14 @@ class _EndState:
         self._fills: List[Tuple[Callable, tuple]] = []
 
     def hold(self, owner, *names: str) -> dict:
-        """Take ``names`` out of ``owner.__dict__``; returns them by name."""
+        """Take ``names`` out of ``owner.__dict__``; returns them by name.
+
+        A container the owner never built is held as None, and built
+        (by its ``deferred`` factory) only when the restore runs; a
+        fill that needs one is queued with this dict and reads it then.
+        """
         attrs = owner.__dict__
-        held = {name: attrs.pop(name) for name in names}
+        held = {name: attrs.pop(name, None) for name in names}
         attrs[RESTORE_ATTR] = self
         self._owners.append((weakref.ref(owner), held))
         return held
@@ -753,10 +768,18 @@ class _EndState:
         self._fills.append((fill, args))
 
     def __call__(self) -> None:
+        owners, self._owners = self._owners, []
+        for ref, held in owners:
+            owner = ref()
+            for name, container in held.items():
+                if container is None:
+                    # Nothing can read a dead owner's container.
+                    held[name] = () if owner is None else getattr(
+                        type(owner), name
+                    ).fresh(owner)
         fills, self._fills = self._fills, []
         for fill, args in fills:
             fill(*args)
-        owners, self._owners = self._owners, []
         for ref, held in owners:
             owner = ref()
             if owner is None:
@@ -770,13 +793,13 @@ class _EndState:
                 attrs.setdefault(name, container)
 
 
-def _defer_policy(end: _EndState, policy, out, l2_sets, associativity: int
-                  ) -> None:
+def _defer_policy(end: _EndState, policy, out, l2_held: dict,
+                  associativity: int) -> None:
     """Write one policy's scalars back and defer its side tables."""
     kind = type(policy)
     if kind in _PLRU:
         held = end.hold(policy, "_trees")
-        end.queue(_fill_trees, held["_trees"], l2_sets, out["plru_bits"],
+        end.queue(_fill_trees, held["_trees"], l2_held, out["plru_bits"],
                   associativity)
     elif kind is EHCPolicy:
         policy._pending_next_use = out["ehc_pending"]
@@ -843,10 +866,8 @@ def _write_back(sim, out) -> None:
             held = end.hold(cache, "_sets", "_seen")
             end.queue(held["_seen"].update,
                       memoryview(out["id_blocks"]).cast("q"))
-        sets = held["_sets"]
-        end.queue(_fill_sets, enumerate(sets), out[prefix + "_sets"],
-                  len(sets))
-    l2_sets = sets  # the loop ends on the L2
+        end.queue(_fill_sets, held, out[prefix + "_sets"], cache.n_sets)
+    l2_held = held  # the loop ends on the L2
     l2.compulsory_misses = out["l2_compulsory"]
     sim.demand_misses = out["demand_ctr"]
     sim.compulsory_misses = out["compulsory_ctr"]
@@ -912,7 +933,7 @@ def _write_back(sim, out) -> None:
     for policy, fills in zip(policies, out["pol_fills"]):
         if type(policy) is BIPPolicy:
             policy._fills = fills
-        _defer_policy(end, policy, out, l2_sets, associativity)
+        _defer_policy(end, policy, out, l2_held, associativity)
     if controller is None:
         return
     controller.deferred_updates = out["deferred"]
@@ -932,9 +953,8 @@ def _write_back(sim, out) -> None:
         atd.accesses = out[prefix + "_accesses"]
         atd.hits = out[prefix + "_hits"]
         atd.misses = out[prefix + "_misses"]
-        held = end.hold(atd, "_sets")
-        end.queue(_fill_sets, held["_sets"].items(), out[prefix + "_sets"],
-                  len(l2_sets))
+        end.queue(_fill_sets, end.hold(atd, "_sets"), out[prefix + "_sets"],
+                  l2.n_sets)
     if kind is SBARController:
         controller.follower_lin_accesses = out["follower_lin"]
         controller.follower_lru_accesses = out["follower_lru"]

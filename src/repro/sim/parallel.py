@@ -33,9 +33,10 @@ a grid and for each service job alike:
 * **Admission** — store keys are computed in the parent, so a
   malformed workload or policy spec fails its cell alone.
 * **Caching** — memo and persistent-store hits are resolved before
-  anything is scheduled (the service probes only the store); workers
-  write their results back to the store so a repeat run (even in a
-  different process) is free.
+  anything is scheduled (the service probes only the store).  A slot
+  trusts that probe: it gets the cell's store key with the cell,
+  simulates at once and writes the result back under that key, so a
+  repeat run (even in a different process) is free.
 * **Run journal** — every run appends JSONL events (task
   started/finished/failed, store keys, worker pids) to
   ``<cache dir>/runs/<run_id>.jsonl``; an interrupted run is resumable
@@ -99,17 +100,19 @@ def _alarm_handler(signum, frame):
 def execute_cell(payload) -> Tuple[str, object, float, int, Optional[str]]:
     """Worker-side entry: run one task, never raise.
 
-    ``payload`` is ``(task, use_cache, deadline, chaos, attempt,
-    kernel)``.  Returns ``("ok", SimResult, wall, pid, None)`` or
-    ``("error", message, wall, pid, traceback_text)`` — the traceback
-    is formatted *here*, in the failing process, so the parent's
-    failure report shows the real remote stack instead of just the
-    exception message.  The deadline is enforced with SIGALRM where
-    available (slot workers run tasks on their main thread);
-    simulations are pure CPU loops, so the alarm lands promptly
-    between bytecodes.
+    ``payload`` is ``(task, key, deadline, chaos, attempt, kernel)``.
+    ``key`` is the store key the parent computed and probed (a miss),
+    or None when the cell must not be stored; the worker trusts that
+    probe and simulates straight away.  Returns ``("ok", SimResult,
+    wall, pid, None)`` or ``("error", message, wall, pid,
+    traceback_text)`` — the traceback is formatted *here*, in the
+    failing process, so the parent's failure report shows the real
+    remote stack instead of just the exception message.  The deadline
+    is enforced with SIGALRM where available (slot workers run tasks on
+    their main thread); simulations are pure CPU loops, so the alarm
+    lands promptly between bytecodes.
     """
-    task, use_cache, deadline, chaos, attempt, kernel = payload
+    task, key, deadline, chaos, attempt, kernel = payload
     start = time.perf_counter()
     alarmed = False
     try:
@@ -118,9 +121,7 @@ def execute_cell(payload) -> Tuple[str, object, float, int, Optional[str]]:
             signal.alarm(max(1, int(math.ceil(deadline))))
             alarmed = True
         inject(chaos, task.label, attempt)
-        result = runner.run_task(
-            task, RunOptions(use_cache=use_cache, kernel=kernel)
-        )
+        result = runner.simulate(task, key, kernel)
         return ("ok", result, time.perf_counter() - start, os.getpid(), None)
     except Exception as exc:
         message = "%s: %s" % (type(exc).__name__, exc)
@@ -382,8 +383,10 @@ class CellScheduler:
                 run.started(task, slot.name, execution.attempts)
             options = execution.options
             slot.send(
-                (execution.task, options.use_cache, options.deadline,
-                 options.chaos, execution.attempts, options.kernel)
+                (execution.task,
+                 execution.key if options.use_cache else None,
+                 options.deadline, options.chaos, execution.attempts,
+                 options.kernel)
             )
             self._loop.add_reader(
                 slot.fileno(), self._collect, execution, slot

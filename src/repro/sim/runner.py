@@ -21,7 +21,8 @@ a two-level cache in front of the simulator:
    code version so it can never serve stale results.
 
 :func:`lookup` is the one probe of both levels; the grid calls it too.
-``RunOptions(use_cache=False)`` bypasses both.
+:func:`simulate` is what runs behind a miss, in process or in a grid
+slot.  ``RunOptions(use_cache=False)`` bypasses both levels.
 """
 
 from __future__ import annotations
@@ -374,8 +375,6 @@ def run_task(task: Task, options: Optional[RunOptions] = None) -> SimResult:
     caches; ``options.kernel`` picks the replay kernel, which never
     changes the result and so never enters a key.
     """
-    from repro.sim.store import default_store
-
     if options is None:
         options = RunOptions()
     key = None
@@ -383,13 +382,29 @@ def run_task(task: Task, options: Optional[RunOptions] = None) -> SimResult:
         result, _, key = lookup(task)
         if result is not None:
             return result
-    trace = packed_trace(task.benchmark, scale=task.scale)
-    result = task.simulator(options.kernel).run(trace)
-    _MEMO_HITS["simulations"] += 1
-    if key is not None:
-        default_store().save(key, result, **task.canonical().to_dict())
+    result = simulate(task, key, options.kernel)
     if options.use_cache:
         seed_cache(task, result)
+    return result
+
+
+def simulate(task: Task, key: Optional[str] = None,
+             kernel: str = "auto") -> SimResult:
+    """Simulate one cell, and save the result under store ``key``.
+
+    No cache is probed: :func:`run_task` calls this after its own
+    :func:`lookup` misses, and a grid slot after the parent's probe
+    missed (:func:`repro.sim.parallel.execute_cell`).  ``key`` None,
+    or persistence off, saves nothing.
+    """
+    from repro.sim.store import default_store
+
+    trace = packed_trace(task.benchmark, scale=task.scale)
+    result = task.simulator(kernel).run(trace)
+    _MEMO_HITS["simulations"] += 1
+    store = default_store() if key is not None else None
+    if store is not None:
+        store.save(key, result, **task.canonical().to_dict())
     return result
 
 

@@ -7,7 +7,7 @@ Table 1 delta study, and the Figure 11 phase samples.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.mlp.cost import QUANTIZATION_STEP, quantize_cost
@@ -189,10 +189,10 @@ class SimResult:
         emits shortest-repr floats), which the persistent result store
         relies on for serial-vs-cached equality.
         """
-        data = asdict(self)
+        data = _field_values(self)
         data["cost_distribution"] = self.cost_distribution.to_dict()
-        data["delta_summary"] = asdict(self.delta_summary)
-        data["phases"] = [asdict(phase) for phase in self.phases]
+        data["delta_summary"] = _field_values(self.delta_summary)
+        data["phases"] = [_field_values(phase) for phase in self.phases]
         return data
 
     @classmethod
@@ -221,6 +221,16 @@ class SimResult:
                 self.stall_events,
             )
         )
+
+
+def _field_values(instance) -> Dict[str, object]:
+    """A dataclass's fields by name, in order, not copied.
+
+    :func:`dataclasses.asdict` deep-copies every value; the fields
+    read here are scalars, or (``metrics``) a snapshot nothing mutates.
+    """
+    return {spec.name: getattr(instance, spec.name)
+            for spec in fields(instance)}
 
 
 __all__ = [

@@ -42,7 +42,7 @@ import os
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.sim.stats import SimResult
@@ -104,7 +104,7 @@ def store_key(task) -> str:
         "workload": canonical.benchmark,
         "policy_spec": canonical.policy_spec,
         "scale": repr(float(task.scale)),
-        "config": asdict(task.machine()),
+        "config": _config_fields(task.machine()),
         "phase_interval": task.phase_interval,
         "metrics": obs.metrics_enabled(),
         "code": code_version(),
@@ -115,6 +115,25 @@ def store_key(task) -> str:
         fields.setdefault(name, value)
     blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
+
+
+#: ``asdict`` of each machine config keyed so far, by ``repr``: unlike
+#: ``==``, it tells ``1`` from ``1.0``, as the key's JSON does.
+_CONFIG_FIELDS: Dict[str, Dict] = {}
+
+
+def _config_fields(config) -> Dict:
+    """``asdict(config)``, once per frozen :class:`MachineConfig`.
+
+    :func:`store_key` only serializes it, never mutates it.
+    """
+    text = repr(config)
+    fields = _CONFIG_FIELDS.get(text)
+    if fields is None:
+        if len(_CONFIG_FIELDS) >= 64:
+            _CONFIG_FIELDS.clear()
+        fields = _CONFIG_FIELDS[text] = asdict(config)
+    return fields
 
 
 def shard_of(key: str) -> str:
@@ -149,6 +168,8 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
+        #: Shard directories this instance has made (or found) already.
+        self._shards = set()
 
     def _path(self, key: str) -> Path:
         return self.root / shard_of(key) / ("%s.json" % key)
@@ -251,13 +272,23 @@ class ResultStore:
 
     def save_payload(self, key: str, payload_dict: Dict, **key_fields) -> None:
         """Atomically persist an arbitrary JSON-safe dict under ``key``."""
-        self.root.mkdir(parents=True, exist_ok=True)
         self._write(key, payload_dict, key_fields)
 
     def save(self, key: str, result: SimResult, **key_fields) -> None:
         """Atomically persist ``result`` under ``key``."""
-        self.root.mkdir(parents=True, exist_ok=True)
         self._write(key, result.to_dict(), key_fields)
+
+    def _temp_file(self, shard: Path) -> Tuple[int, str]:
+        """``mkstemp`` in ``shard``, making the directory once per
+        instance (and again if it was removed since)."""
+        if shard not in self._shards:
+            shard.mkdir(parents=True, exist_ok=True)
+            self._shards.add(shard)
+        try:
+            return tempfile.mkstemp(dir=str(shard), suffix=".tmp")
+        except FileNotFoundError:
+            shard.mkdir(parents=True, exist_ok=True)
+            return tempfile.mkstemp(dir=str(shard), suffix=".tmp")
 
     def _write(self, key: str, result_dict: Dict, key_fields: Dict) -> None:
         payload = {
@@ -266,14 +297,14 @@ class ResultStore:
             "digest": result_digest(result_dict),
             "result": result_dict,
         }
+        # json.dumps runs the C encoder (json.dump streams through the
+        # pure-Python one); the bytes are the same.
+        text = json.dumps(payload)
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent), suffix=".tmp"
-        )
+        descriptor, tmp_name = self._temp_file(path.parent)
         try:
             with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+                handle.write(text)
             os.replace(tmp_name, path)
         except BaseException:
             try:

@@ -251,7 +251,7 @@ class TestNativeVersusGeneric:
             with pytest.raises(ValueError, match="kernel"):
                 Simulator(experiment_config(), "lru", kernel=kernel)
 
-    def test_kernel_never_changes_results_across_ladder(self):
+    def test_kernel_choice_never_changes_results(self):
         # One policy, both kernels: identical SimResult — the contract
         # that keeps `kernel` out of memo/store keys.
         trace = pack_trace(build_workload("art", 0.05).to_accesses())
@@ -267,9 +267,8 @@ class TestNativeVersusGeneric:
 class TestDuelingFastPathDifferential:
     """SBAR/CBS on the native kernel against the generic per-call loop.
 
-    Matrix: {sbar, cbs-local, cbs-global} × {packed trace, Access list}
-    × {observer off, observer on} — results *and* controller state
-    bit-identical.
+    Matrix: {sbar, cbs-local, cbs-global} × {observer off, observer
+    on} — results *and* controller state bit-identical.
     """
 
     DUELING = ("sbar", "cbs-local", "cbs-global")
@@ -291,15 +290,6 @@ class TestDuelingFastPathDifferential:
         assert fast.to_dict() == generic.to_dict(), policy
         assert (controller_fingerprint(fast_sim.controller)
                 == controller_fingerprint(generic_sim.controller)), policy
-
-    @pytest.mark.parametrize("policy", DUELING)
-    def test_list_and_packed_traces_agree(self, policy):
-        trace = build_workload("art", 0.05).to_accesses()
-        on_list = Simulator(experiment_config(), policy).run(trace)
-        on_packed = Simulator(experiment_config(), policy).run(
-            pack_trace(trace)
-        )
-        assert on_list.to_dict() == on_packed.to_dict(), policy
 
     @pytest.mark.parametrize("policy", DUELING)
     def test_observer_forces_generic_loop_same_results(self, policy):

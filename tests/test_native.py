@@ -92,11 +92,7 @@ def _assert_identical(fast, generic, label):
 
 
 class TestNativeDifferential:
-    """Native against generic for every registered policy.
-
-    The test name predates the removal of the batched and fused loops;
-    each case now pins the native kernel against the generic loop.
-    """
+    """Native against generic for every registered policy."""
 
     def test_every_registered_policy_is_covered(self):
         assert {spec.partition("(")[0] for spec in POLICIES} == set(
@@ -105,7 +101,7 @@ class TestNativeDifferential:
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("workload", ("mcf", "art"))
-    def test_native_matches_batched_fused_generic(self, workload, policy):
+    def test_native_matches_generic(self, workload, policy):
         trace = build_workload(workload, scale=0.05)
         fast, generic = _native_and_generic(trace, policy)
         _assert_identical(fast, generic, (workload, policy))
@@ -311,23 +307,58 @@ class TestDeferredEndState:
         generic.run(trace)
         assert machine_fingerprint(sim) == machine_fingerprint(generic)
 
+    @needs_native
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_fresh_simulator_builds_no_sets(self, policy):
+        sim = Simulator(experiment_config(), policy)
+        owners = [sim.l1d, sim.l1i, sim.l2] + [
+            getattr(sim.controller, name)
+            for name in ("atd_lru", "atd_lin")
+            if hasattr(sim.controller, name)
+        ]
+        for owner in owners:
+            assert "_sets" not in vars(owner), (policy, owner)
+        trace = build_workload("mcf", scale=0.05)
+        sim.run(trace)
+        assert sim.replay_kernel == "native"
+        for owner in owners:
+            assert "_sets" not in vars(owner), (policy, owner)
+        sim.l2.set_state(0)  # one read restores every container
+        generic = Simulator(experiment_config(), policy, kernel="generic")
+        generic.run(trace)
+        assert machine_fingerprint(sim) == machine_fingerprint(generic)
+
     @pytest.mark.parametrize("kernel", ("auto", "generic"))
     def test_runs_never_read_through_the_hook(self, kernel, monkeypatch):
-        # The gate, the marshal, the generic loop and _finalize read
-        # pre-run containers (or none): all plain instance-dict hits.
-        reads = []
-        original = deferred.__get__
+        # No run restores an end state: the gate, the marshal and
+        # _finalize read no deferred container.  The generic loop reads
+        # tag sets through the hook only to build them fresh on first
+        # use; a native run never reaches the hook at all.
+        restores, reads = [], []
+        original_restore = native._EndState.__call__
+        original_get = deferred.__get__
 
-        def counting(self, instance, owner=None):
+        def counting_restore(self):
+            restores.append(self)
+            return original_restore(self)
+
+        def counting_get(self, instance, owner=None):
             if instance is not None:
                 reads.append(self.name)
-            return original(self, instance, owner)
+            return original_get(self, instance, owner)
 
-        monkeypatch.setattr(deferred, "__get__", counting)
+        monkeypatch.setattr(native._EndState, "__call__", counting_restore)
+        monkeypatch.setattr(deferred, "__get__", counting_get)
         trace = build_workload("art", scale=0.05)
+        kernels = set()
         for policy in self.POLICIES:
-            Simulator(experiment_config(), policy, kernel=kernel).run(trace)
-        assert reads == []
+            sim = Simulator(experiment_config(), policy, kernel=kernel)
+            sim.run(trace)
+            kernels.add(sim.replay_kernel)
+        assert restores == []
+        if kernels == {"native"}:
+            assert reads == []
+        assert set(reads) <= {"_sets"}
 
     @needs_native
     def test_assignment_before_the_first_read_wins(self):

@@ -5,8 +5,11 @@ bit-identical results to the serial path, and the store keys on
 everything that can change a result (and nothing that can't).
 """
 
+import hashlib
 import json
 import os
+import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -491,7 +494,11 @@ class TestTaskIsTheCell:
          "0b6df767388b930fcbd2392e4465500f"),
         (Task("mcf", "lru", 0.25, prefetch_degree=2),
          "2b53e1b0ccf95f1e421c719501a99ff3"),
-    ], ids=["plain", "phase", "prefetch"])
+        (Task(" MCF ", "LIN(4)", 1.0), "24ff5cf1271a2a333e1a84b66052d0f5"),
+        (Task("art", "cbs-global", 0.02, config=scaled_config(256),
+              prefetch_degree=2),
+         "6712e1b1f5b2e52c2d27774fd4facc74"),
+    ], ids=["plain", "phase", "prefetch", "spelling", "config"])
     def test_store_keys_are_pinned(self, monkeypatch, task, key):
         # A moved key silently turns every user's store cold.  The
         # source hash is pinned; everything else is the real key.
@@ -560,3 +567,85 @@ class TestTaskIsTheCell:
         from repro.sim import parallel
 
         assert parallel.Task is runner.Task
+
+
+class TestLeanGridCells:
+    """A grid cell is keyed and probed once, and stored byte-identically."""
+
+    def test_each_cell_is_keyed_and_probed_once(self, tmp_path, monkeypatch):
+        # The slot trusts the parent's probe: one store_key and one
+        # ResultStore.load per cell across parent and workers (the
+        # slots are forked after the patch, so they log too).
+        from repro.sim import parallel
+        from repro.sim import store as store_module
+
+        log = tmp_path / "calls.log"
+
+        def logged(name, function):
+            def wrapper(*args, **kwargs):
+                with open(log, "a") as handle:
+                    handle.write(name + "\n")
+                return function(*args, **kwargs)
+            return wrapper
+
+        key = logged("store_key", store_module.store_key)
+        monkeypatch.setattr(store_module, "store_key", key)
+        monkeypatch.setattr(parallel, "store_key", key)
+        monkeypatch.setattr(ResultStore, "load",
+                            logged("load", ResultStore.load))
+        tasks = [Task(benchmark, policy, SCALE)
+                 for benchmark in BENCHMARKS for policy in POLICIES]
+        grid = run_grid(tasks, options=RunOptions(workers=2))
+        assert not grid.failures
+        assert grid.cache_misses == len(tasks)
+        calls = log.read_text().split()
+        assert calls.count("store_key") == len(tasks)
+        assert calls.count("load") == len(tasks)
+        # The slots still wrote every result back.
+        assert len(default_store()) == len(tasks)
+
+    def test_uncached_grid_stores_nothing(self):
+        tasks = [Task("lucas", policy, SCALE) for policy in POLICIES]
+        grid = run_grid(tasks, options=RunOptions(workers=2,
+                                                  use_cache=False))
+        assert not grid.failures
+        assert len(default_store()) == 0
+
+    def test_config_memo_tells_int_from_float(self):
+        config = scaled_config(256)
+        floated = replace(
+            config, memory=replace(config.memory, bus_occupancy=16.0)
+        )
+        assert config == floated
+        assert store_key(Task("art", "lru", SCALE, config)) != store_key(
+            Task("art", "lru", SCALE, floated)
+        )
+
+    @pytest.mark.parametrize("task,key,digest", [
+        (Task("mcf", "lru", 0.02), "6b68d7ef44ee4eee28f9c59d9d64ceca",
+         "5767259117e0a771bfb1400582fd5729e25dbc5ef9f76637b2b4b68138a5a936"),
+        (Task("art", "sbar", 0.02, phase_interval=5000),
+         "dfe08cf41f776f433f744f03dfe220bc",
+         "e6afd2d89d832ebf951f73615dacfc3f81794d056ea90d8681ee70d96dd7de3f"),
+    ], ids=["plain", "phases"])
+    def test_stored_bytes_are_pinned(self, monkeypatch, task, key, digest):
+        # A stored file is read by older and newer checkouts alike:
+        # its bytes (hashed here) must not move with the encoder.
+        from repro import obs
+        from repro.sim import store as store_module
+
+        monkeypatch.setattr(store_module, "code_version",
+                            lambda: "pinned-code")
+        monkeypatch.setattr(obs, "metrics_enabled", lambda: False)
+        runner.run_task(task)
+        assert store_key(task) == key
+        stored = default_store()._path(key).read_bytes()
+        assert hashlib.sha256(stored).hexdigest() == digest
+
+    def test_save_remakes_a_removed_shard(self, tmp_path):
+        store = ResultStore(tmp_path / "shards")
+        key = "ab" + "0" * 30
+        store.save_payload(key, {"value": 1})
+        shutil.rmtree(store.root)
+        store.save_payload(key, {"value": 2})
+        assert store.load_payload(key) == {"value": 2}
