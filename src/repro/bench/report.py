@@ -9,7 +9,7 @@ A report is a plain JSON-safe dict:
       "tag": "local",
       "created_unix": 1754400000.0,
       "machine": {"platform": ..., "python": ..., "cpus": ...},
-      "code_version": "<git commit or 'unknown'>",
+      "code_version": "<hash of the repro sources, .c files included>",
       "macro": [{"workload", "policy", "accesses", "scale", "seconds",
                  "accesses_per_sec", "kernel", "kernel_used",
                  "kernel_fallback", ["phase_interval"],
@@ -53,12 +53,12 @@ from __future__ import annotations
 
 import os
 import platform
-import subprocess
 import time
 from dataclasses import fields
 from typing import Dict, List, Optional
 
 from repro.sim.runner import Task, cell_label
+from repro.sim.store import code_version
 
 #: Current report schema identifier; bump the suffix on breaking shape
 #: changes so old reports stay recognizable.
@@ -93,21 +93,6 @@ def machine_fingerprint() -> Dict[str, object]:
         ),
         "cpus": os.cpu_count() or 0,
     }
-
-
-def code_version() -> str:
-    """Current git commit, or ``"unknown"`` outside a checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    if out.returncode != 0:
-        return "unknown"
-    return out.stdout.strip() or "unknown"
 
 
 def build_report(

@@ -9,13 +9,15 @@ Usage::
 
 The CLI first collects the cells of every selected experiment; an
 unknown ``--benchmarks`` entry is a usage error before any cell runs.
-``--workers N`` runs them all in one grid on the parallel engine
-(populating the persistent result store), else they run serially; the
-reports then render from cache hits.  The engine flags are the shared
-set from :mod:`repro.sim.common_cli` — ``--max-retries``/``--deadline``
-harden the grid against flaky workers, and ``--resume RUN_ID`` replays
-an interrupted grid's journal.  ``--no-cache`` disables the store and
-empties the memo for a guaranteed-fresh run.
+It then runs them all in one grid (:func:`repro.sim.parallel.run_grid`:
+in this process, or on ``--workers N`` process slots) and renders each
+experiment from the grid's results.  A cell that still fails after its
+retries is printed with a resume hint, and the CLI exits 1 without
+rendering.  The engine flags are the shared set from
+:mod:`repro.sim.common_cli` — ``--max-retries``/``--deadline`` harden
+the grid against flaky cells, and ``--resume RUN_ID`` replays an
+interrupted grid's journal.  ``--no-cache`` disables the store for a
+guaranteed-fresh run.
 """
 
 from __future__ import annotations
@@ -29,31 +31,26 @@ from repro import obs
 from repro.cache.replacement.registry import split_specs
 from repro.experiments import EXPERIMENTS
 from repro.sim import common_cli
-from repro.sim.runner import clear_cache, run_task, trace_scale
+from repro.sim.runner import trace_scale
 
 
-def _prewarm(tasks, options) -> bool:
-    """Run the experiments' cells in one grid on the parallel engine.
-
-    Returns False when the grid was interrupted (Ctrl-C) — the caller
-    should stop instead of re-simulating everything serially.  A cell
-    the grid failed runs once more, serially, in its experiment's run.
-    """
+def _run_cells(tasks, options):
+    """Run the experiments' cells in one grid; returns its report."""
     from repro.sim.parallel import run_grid
 
-    if not tasks:
-        return True
     grid = run_grid(tasks, options=options)
-    # Worker-side runs finalize their telemetry in the worker process;
-    # fold the merged per-result snapshots into this process's session
-    # so --metrics-out sees the whole grid.
-    obs.record_session(grid.merged_metrics())
+    if grid.workers:
+        # A slot finalizes a cell's telemetry in its own process; fold
+        # the merged snapshots into this process's session so
+        # --metrics-out sees the whole grid.  A cell run in this
+        # process has already recorded itself.
+        obs.record_session(grid.merged_metrics())
     print(
-        "[prewarm: %d tasks on %d workers in %.1fs — %.0f%% utilization, "
+        "[grid: %d tasks, %s, %.1fs, %.0f%% utilization, "
         "cache %d hit / %d miss, %d failed]"
         % (
             len(grid.reports),
-            grid.workers,
+            common_cli.workers_label(grid.workers),
             grid.elapsed,
             100.0 * grid.utilization,
             grid.cache_hits,
@@ -66,17 +63,15 @@ def _prewarm(tasks, options) -> bool:
         # The failure string is the full remote traceback; the last
         # line is the exception message.
         message = failure.strip().splitlines()[-1]
-        print("[prewarm FAILED %s: %s]" % (task.label, message),
-              file=sys.stderr)
-    if grid.interrupted:
+        print("[FAILED %s: %s]" % (task.label, message), file=sys.stderr)
+    if (grid.interrupted or grid.failures) and grid.run_id is not None:
         print(
-            "[prewarm interrupted — resume with: python -m "
-            "repro.experiments --workers %d --resume %s]"
-            % (grid.workers, grid.run_id),
+            "[%s — resume with the same command plus --resume %s]"
+            % ("interrupted" if grid.interrupted else "cells failed",
+               grid.run_id),
             file=sys.stderr,
         )
-        return False
-    return True
+    return grid
 
 
 def main(argv=None) -> int:
@@ -106,11 +101,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     common_cli.check_grid_args(parser, args)
-    if args.no_cache and args.workers:
-        parser.error(
-            "--workers prewarms the result store for the serial render; "
-            "it cannot be combined with --no-cache"
-        )
 
     common_cli.apply_telemetry(args)
     options = common_cli.options_from_args(args)
@@ -124,27 +114,27 @@ def main(argv=None) -> int:
     )
     scale = trace_scale() if args.scale is None else args.scale
     try:
-        tasks = [
-            task
+        cells = {
+            name: EXPERIMENTS[name].cells(scale, benchmarks)
             for name in names
-            for task in EXPERIMENTS[name].cells(scale, benchmarks)
-        ]
+        }
     except KeyError as error:  # an unknown --benchmarks spec
         parser.error(error.args[0])
 
     if not options.use_cache:
         os.environ["REPRO_NO_STORE"] = "1"
-        clear_cache()
-    if options.workers or options.resume:
-        if not _prewarm(tasks, options):
-            return 130
-    else:
-        for task in tasks:
-            run_task(task)
+    grid = _run_cells(
+        [task for name in names for task in cells[name]], options
+    )
+    if grid.interrupted:
+        return 130
+    if grid.failures:
+        return 1
 
     for name in names:
         started = time.time()
-        report = EXPERIMENTS[name].run(scale=scale, benchmarks=benchmarks)
+        results = {task: grid.results[task] for task in cells[name]}
+        report = EXPERIMENTS[name].render(results, scale, benchmarks)
         print(report.render())
         print("[%s finished in %.1fs]\n" % (name, time.time() - started))
     if args.metrics_out:

@@ -25,7 +25,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.sim.common_cli import service_parent, worker_count
+from repro.sim.common_cli import service_parent, slot_worker_count
 from repro.sim.options import REPLAY_KERNELS, RunOptions
 
 
@@ -47,8 +47,8 @@ def _add_serve_parser(subparsers) -> None:
         "overlapping cells, and executes them across worker slots.",
     )
     parser.add_argument(
-        "--workers", type=worker_count, default=2, metavar="N",
-        help="worker slots (one process each; default: 2, 0 = CPUs)",
+        "--workers", type=slot_worker_count, default=2, metavar="N",
+        help="worker slots (one process each; default: 2)",
     )
     parser.add_argument(
         "--queue-limit", type=int, default=1024, metavar="N",
@@ -181,7 +181,7 @@ def _add_submit_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--stats", action="store_true",
-        help="print service counters/quotas/worker health",
+        help="print service counters, quotas and slots",
     )
     parser.add_argument(
         "--ping", action="store_true",
@@ -291,7 +291,7 @@ def _add_demo_parser(subparsers) -> None:
         help="trace scale for the demo cells (default: 0.05)",
     )
     parser.add_argument(
-        "--workers", type=worker_count, default=2,
+        "--workers", type=slot_worker_count, default=2,
         help="worker slots for the demo service (default: 2)",
     )
     parser.add_argument(

@@ -7,8 +7,8 @@ and expands them to cells.  Each job owns one
 :class:`repro.sim.parallel.GridRun`, the cell lifecycle ``run_grid``
 uses too: store keys, spec failures, the store probe, the job's
 journal and settlement.  Every job's run shares one
-:class:`repro.sim.parallel.CellScheduler`: process slots ranked by
-health, retry with backoff, deadlines, slot rebuilds.  This module
+:class:`repro.sim.parallel.CellScheduler`: process slots, retry with
+backoff, deadlines, slot rebuilds.  This module
 adds what a shared daemon needs on top:
 
 * **Dedup by store key** — a cell is content-addressed by the same
@@ -57,7 +57,7 @@ from repro.service.jobs import (
     TenantQuotas,
     expand_cells,
 )
-from repro.sim.options import RunOptions
+from repro.sim.options import RunOptions, check_workers
 from repro.sim.parallel import CellScheduler, GridRun, Outcome
 from repro.sim.resilience import list_runs, new_run_id
 from repro.sim.runner import Task, trace_scale
@@ -76,7 +76,8 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = protocol.DEFAULT_PORT
-    #: Worker slots (one process each). 0 means CPU count.
+    #: Worker slots (one process each), 1 or more: the service cannot
+    #: simulate on its event loop.
     workers: int = 2
     #: Global in-flight cell bound (backpressure); 0 disables.
     queue_limit: int = 1024
@@ -90,6 +91,9 @@ class ServiceConfig:
     #: Honor the ``shutdown`` op (leave on for tests/demos; a shared
     #: deployment would turn it off).
     allow_shutdown: bool = True
+
+    def __post_init__(self) -> None:
+        check_workers(self.workers, least=1)
 
 
 class _RunningLoop:
@@ -583,7 +587,6 @@ class JobService:
             "uptime_s": round(time.time() - self.started_at, 3),
             "counters": self._all_counters(),
             "quotas": self.quotas.snapshot(),
-            "workers": self.scheduler.health.snapshot(),
             "slots": {
                 slot.name: {"busy": slot.busy}
                 for slot in self.scheduler.slots

@@ -21,10 +21,9 @@ Crash injection has two modes:
 * **raise** (default) — the worker raises :class:`ChaosCrash`; the
   task fails cleanly and is retried with backoff.
 * **hard** (``hard=True``) — the worker process calls ``os._exit``,
-  which kills its scheduler slot; this exercises the slot rebuild and
-  the slot's circuit.  Hard mode only ever exits inside a
-  multiprocessing child — :func:`inject` called in a parent process
-  always raises.
+  which kills its scheduler slot; this exercises the slot rebuild.
+  Hard mode only ever exits inside a multiprocessing child — a cell
+  run in the parent (``workers=0``) raises instead.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
 import tempfile
@@ -132,8 +130,11 @@ def inject(
     if delay > 0:
         time.sleep(delay)
     if chaos.should_crash(label, attempt):
-        if chaos.hard and multiprocessing.parent_process() is not None:
-            os._exit(13)
+        if chaos.hard:
+            import multiprocessing
+
+            if multiprocessing.parent_process() is not None:
+                os._exit(13)
         raise ChaosCrash(
             "chaos: injected crash for %s attempt %d" % (label, attempt)
         )
@@ -255,14 +256,13 @@ def main(argv=None) -> int:
             ),
         )
         got = suite.content_digest()
-        resilience = (suite.meta or {}).get("resilience", {})
+        resilience = suite.meta["resilience"]
         print(
-            "[chaos] retries=%s worker_rebuilds=%s worker_trips=%s "
+            "[chaos] retries=%s worker_rebuilds=%s "
             "quarantined=%s failures=%d"
             % (
                 resilience.get("retries"),
                 resilience.get("worker_rebuilds"),
-                resilience.get("worker_trips"),
                 resilience.get("store_quarantined"),
                 len(suite.failures),
             ),

@@ -23,21 +23,26 @@ Adding a new execution flag means touching exactly this module and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro import obs
-from repro.sim.options import REPLAY_KERNELS, RunOptions, slot_count
+from repro.sim.options import REPLAY_KERNELS, RunOptions, check_workers
 
 
-def worker_count(text: str) -> int:
-    """``type=`` of every ``--workers`` flag: :func:`slot_count`'s
-    check, reported as a usage error."""
+def worker_count(text: str, least: int = 0) -> int:
+    """``type=`` of every ``--workers`` flag: :func:`check_workers`,
+    reported as a usage error."""
     workers = int(text)
     try:
-        slot_count(workers)
+        return check_workers(workers, least)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return workers
+
+
+def slot_worker_count(text: str) -> int:
+    """``type=`` of the job service's ``--workers``: 1 or more slots."""
+    return worker_count(text, least=1)
 
 
 def execution_parent() -> argparse.ArgumentParser:
@@ -67,8 +72,8 @@ def grid_parent() -> argparse.ArgumentParser:
     group = parent.add_argument_group("grid execution")
     group.add_argument(
         "--workers", type=worker_count, default=0, metavar="N",
-        help="fan simulations out over N worker processes (default: "
-             "serial in-process)",
+        help="run cells on N worker processes (default: 0, in this "
+             "process)",
     )
     group.add_argument(
         "--progress", action="store_true",
@@ -195,11 +200,16 @@ def write_metrics(args: argparse.Namespace, metrics) -> None:
     print("wrote %s" % args.metrics_out)
 
 
+def workers_label(workers: int) -> str:
+    """How a grid ran: ``"N workers"``, or ``"in process"`` for 0."""
+    return "%d workers" % workers if workers else "in process"
+
+
 def progress_printer(report, done, total) -> None:
     """One stderr line per finished task (the ``--progress`` callback)."""
     if report.cache_hit:
         source = "resume" if report.resumed else "cache"
-    elif report.worker:
+    elif report.worker and report.worker != os.getpid():
         source = "worker %s" % report.worker
     else:
         source = "local"
@@ -223,5 +233,7 @@ __all__ = [
     "apply_telemetry",
     "write_metrics",
     "progress_printer",
+    "workers_label",
     "worker_count",
+    "slot_worker_count",
 ]

@@ -16,7 +16,6 @@ variants with :meth:`RunOptions.replace`::
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,18 +25,19 @@ from typing import Callable, Optional
 REPLAY_KERNELS = ("auto", "generic")
 
 
-def slot_count(workers: int) -> int:
-    """Process slots for ``workers``; ``0`` means one per CPU.
+def check_workers(workers: int, least: int = 0) -> int:
+    """``workers``, or ``ValueError`` when it is below ``least``.
 
     The one check on a worker count, shared by the grid, the job
-    service and every ``--workers`` flag: a negative count raises
-    ``ValueError`` instead of creating no slot to run a cell on.
+    service and every ``--workers`` flag.  ``0`` runs cells in this
+    process and ``N`` on N process slots; the job service passes
+    ``least=1``, since it cannot simulate on its event loop.
     """
-    if workers < 0:
+    if workers < least:
         raise ValueError(
-            "workers must be 0 (one per CPU) or more, got %d" % workers
+            "workers must be %d or more, got %d" % (least, workers)
         )
-    return workers or max(1, os.cpu_count() or 1)
+    return workers
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class RunOptions:
     The what — benchmarks, policies, scale — stays in the entry
     points' positional API; RunOptions carries the execution knobs:
 
-    * ``workers`` — process slots.  ``0`` means serial for
-      :func:`~repro.sim.suite.run_suite` and "CPU count" for the
-      inherently-parallel :func:`~repro.sim.parallel.run_grid`.
+    * ``workers`` — process slots for
+      :func:`~repro.sim.parallel.run_grid`.  ``0`` (the default) runs
+      each cell in this process.
     * ``use_cache`` — consult/populate the in-process memo and the
       persistent result store.
     * ``max_retries`` — re-executions allowed per task after a failure
@@ -146,4 +146,4 @@ class RunOptions:
         return cls(**fields)
 
 
-__all__ = ["RunOptions", "slot_count"]
+__all__ = ["RunOptions", "check_workers"]

@@ -10,11 +10,9 @@ service (:mod:`repro.service.server`) alike:
 * **Slots** — N worker processes, one cell at a time each, driven by
   callbacks on one event loop: the service's asyncio loop, or a small
   selector loop inside :func:`run_grid`.  Waiting cells take free
-  slots first come, first served; a freed slot goes to the next
-  waiting cell, onto the best free slot as ranked by
-  :class:`~repro.sim.resilience.WorkerHealth` (recency + observed
-  health, with a per-slot circuit that trips after consecutive
-  failures).
+  slots first come, first served, the lowest-numbered free slot
+  first.  With no slots (``workers=0``, grids only) each cell runs in
+  this process, through the same attempt, retry and settlement code.
 * **Dedup** — cells are keyed by their store key
   (:func:`~repro.sim.store.store_key`); a cell whose key is already in
   flight attaches to that execution instead of running twice.
@@ -22,10 +20,11 @@ service (:mod:`repro.service.server`) alike:
   deterministic exponential-backoff delay
   (:func:`~repro.sim.resilience.backoff_delay`) until ``max_retries``
   is exhausted; each attempt's wall-clock ``deadline`` is enforced
-  with SIGALRM inside the worker.
+  with SIGALRM where the attempt runs.
 * **Rebuild** — a slot whose process died hard (OOM kill,
-  ``os._exit``) is rebuilt in place; the attempt counts as failed and
-  is charged to that slot's health.
+  ``os._exit``) is rebuilt in place; the attempt counts as failed.
+  The slots are identical processes, so a failure belongs to the
+  cell, and ``max_retries`` bounds every cell.
 
 :class:`GridRun` is what happens to a cell before and after that, for
 a grid and for each service job alike:
@@ -54,19 +53,19 @@ per (task, attempt) so all of the above is exercised
 deterministically in CI.
 
 Determinism: simulations are seeded functions of (benchmark, policy,
-scale, config), so the slots return bit-identical results to the
-serial ``run_suite`` loop — with or without injected faults
-(``tests/test_chaos.py`` locks this in).
+scale, config), so slots and in-process runs return bit-identical
+results — with or without injected faults (``tests/test_chaos.py``
+locks this in).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import multiprocessing
 import os
 import selectors
 import signal
+import threading
 import time
 import traceback
 from collections import deque
@@ -76,17 +75,20 @@ from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.sim import runner
 from repro.sim.chaos import inject
-from repro.sim.options import RunOptions, slot_count
+from repro.sim.options import RunOptions, check_workers
 from repro.sim.resilience import (
     BACKOFF_CAP_S,
     RunJournal,
-    WorkerHealth,
     backoff_delay,
     load_journal,
 )
 from repro.sim.runner import GridReport, Task, TaskReport
 from repro.sim.stats import SimResult
 from repro.sim.store import default_store, store_key
+
+
+#: The slot name of a cell attempt run in this process (``workers=0``).
+IN_PROCESS = "in-process"
 
 
 class TaskTimeout(Exception):
@@ -108,18 +110,21 @@ def execute_cell(payload) -> Tuple[str, object, float, int, Optional[str]]:
     traceback_text)`` — the traceback is formatted *here*, in the
     failing process, so the parent's failure report shows the real
     remote stack instead of just the exception message.  The deadline
-    is enforced with SIGALRM where available (slot workers run tasks on
-    their main thread); simulations are pure CPU loops, so the alarm
-    lands promptly between bytecodes.
+    is enforced with SIGALRM where available, and only on the main
+    thread, the one thread ``signal.signal`` accepts: slot workers and
+    a grid run from a CLI run cells there.  Simulations are pure CPU
+    loops, so the alarm lands promptly between bytecodes.
     """
     task, key, deadline, chaos, attempt, kernel = payload
     start = time.perf_counter()
-    alarmed = False
+    alarmed = bool(deadline) and hasattr(signal, "SIGALRM") and (
+        threading.current_thread() is threading.main_thread()
+    )
+    previous = None
     try:
-        if deadline and hasattr(signal, "SIGALRM"):
-            signal.signal(signal.SIGALRM, _alarm_handler)
+        if alarmed:
+            previous = signal.signal(signal.SIGALRM, _alarm_handler)
             signal.alarm(max(1, int(math.ceil(deadline))))
-            alarmed = True
         inject(chaos, task.label, attempt)
         result = runner.simulate(task, key, kernel)
         return ("ok", result, time.perf_counter() - start, os.getpid(), None)
@@ -135,6 +140,7 @@ def execute_cell(payload) -> Tuple[str, object, float, int, Optional[str]]:
     finally:
         if alarmed:
             signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous or signal.SIG_DFL)
 
 
 @dataclass(frozen=True)
@@ -206,7 +212,10 @@ class _Slot:
     def send(self, payload) -> None:
         """Start one cell on the worker, starting the worker if need be."""
         if self._process is None:
-            # Fork keeps the loaded package in the worker (Linux).
+            # Imported here, so a grid run in this process never pays
+            # for it.  Fork keeps the loaded package in the worker.
+            import multiprocessing
+
             context = multiprocessing.get_context(
                 "fork"
                 if "fork" in multiprocessing.get_all_start_methods()
@@ -283,11 +292,12 @@ class _GridLoop:
 
 
 class CellScheduler:
-    """Runs cells on N single-worker process slots.
+    """Runs cells on N single-worker process slots, or in this process.
 
-    ``loop`` is an asyncio event loop, or anything with its
-    ``add_reader``/``remove_reader``/``call_later`` methods; every
-    scheduler call happens on its thread.  A subscriber is a
+    With ``workers=0`` there are no slots: each attempt runs here, as
+    it is dispatched.  ``loop`` is an asyncio event loop, or anything
+    with its ``add_reader``/``remove_reader``/``call_later`` methods;
+    every scheduler call happens on its thread.  A subscriber is a
     ``(run, task)`` pair: the scheduler calls ``run.started(task, slot,
     attempt)`` as each attempt is dispatched, and ``run.settle(task,
     outcome)`` once, when the execution succeeds or exhausts
@@ -295,10 +305,9 @@ class CellScheduler:
     """
 
     def __init__(self, workers: int, loop) -> None:
-        self.health = WorkerHealth()
         self.slots = [
             _Slot("worker-%d" % index)
-            for index in range(slot_count(workers))
+            for index in range(check_workers(workers))
         ]
         #: store key -> the execution currently running it.
         self.executions: Dict[str, Execution] = {}
@@ -317,7 +326,6 @@ class CellScheduler:
         return {
             "retries": self.retries,
             "worker_rebuilds": self.rebuilds,
-            "worker_trips": self.health.trips,
         }
 
     def record_metrics(self, prefix: str, counters: Dict[str, int]) -> None:
@@ -326,8 +334,8 @@ class CellScheduler:
         Each becomes the counter ``<prefix>_<name>_total``, and only
         when metrics are enabled: ``--metrics-out`` then shows *how
         hard* the scheduler had to work (attempts beyond the first,
-        slot processes rebuilt after dying hard, slot circuits tripped)
-        next to what it computed.
+        slot processes rebuilt after dying hard) next to what it
+        computed.
         """
         if not obs.metrics_enabled():
             return
@@ -336,18 +344,28 @@ class CellScheduler:
             registry.counter("%s_%s_total" % (prefix, name)).inc(value)
         obs.record_session(registry.snapshot())
 
-    def submit(self, run: "GridRun", task: Task) -> Execution:
-        """Attach ``(run, task)`` to its key's execution, or start one."""
-        key = run.keys[task]
-        execution = self.executions.get(key)
-        if execution is not None:
-            execution.subscribers.append((run, task))
-            return execution
-        execution = Execution(key, task, run.options, (run, task))
-        self.executions[key] = execution
-        self._waiting.append(execution)
+    def submit(
+        self, run: "GridRun", tasks: Sequence[Task]
+    ) -> Dict[Task, Execution]:
+        """Attach each ``(run, task)`` to its key's execution, or start
+        one; returns the execution each task joined.
+
+        Every task is attached before any is dispatched, so tasks that
+        share a key run once even when attempts run in this process.
+        """
+        joined = {}
+        for task in tasks:
+            key = run.keys[task]
+            execution = self.executions.get(key)
+            if execution is None:
+                execution = Execution(key, task, run.options, (run, task))
+                self.executions[key] = execution
+                self._waiting.append(execution)
+            else:
+                execution.subscribers.append((run, task))
+            joined[task] = execution
         self._dispatch()
-        return execution
+        return joined
 
     def cancel(self, execution: Execution) -> None:
         """Stop ``execution``; an attempt already running ends unseen."""
@@ -367,27 +385,30 @@ class CellScheduler:
             del self.executions[execution.key]
 
     def _dispatch(self) -> None:
-        """Give each free slot, best by health first, a waiting cell."""
+        """Start waiting cells: each on the lowest-numbered free slot,
+        or, with no slots, one after another in this process."""
         while self._waiting and not self._closed:
-            free = [slot for slot in self.slots if not slot.busy]
-            if not free:
+            slot = next((slot for slot in self.slots if not slot.busy), None)
+            if slot is None and self.slots:
                 return
             execution = self._waiting.popleft()
             if execution.cancelled:
                 continue
-            name = self.health.pick([slot.name for slot in free])
-            slot = next(slot for slot in free if slot.name == name)
             execution.attempts += 1
-            self.health.record_dispatch(slot.name)
+            name = IN_PROCESS if slot is None else slot.name
             for run, task in execution.subscribers:
-                run.started(task, slot.name, execution.attempts)
+                run.started(task, name, execution.attempts)
             options = execution.options
-            slot.send(
-                (execution.task,
-                 execution.key if options.use_cache else None,
-                 options.deadline, options.chaos, execution.attempts,
-                 options.kernel)
+            payload = (
+                execution.task,
+                execution.key if options.use_cache else None,
+                options.deadline, options.chaos, execution.attempts,
+                options.kernel,
             )
+            if slot is None:
+                self._settle_attempt(execution, name, execute_cell(payload))
+                continue
+            slot.send(payload)
             self._loop.add_reader(
                 slot.fileno(), self._collect, execution, slot
             )
@@ -400,46 +421,48 @@ class CellScheduler:
         slot.busy = False
         self._loop.remove_reader(slot.fileno())
         try:
-            status, value, wall, pid, tb = slot.receive()
+            reply = slot.receive()
         except Exception as exc:
             # The worker died hard (OOM kill, os._exit) or its reply
-            # was unreadable: rebuild the slot, and charge the failed
-            # attempt to it.
-            status = "error"
-            value = "%s: the process of slot %s died (exit code %s)" % (
+            # was unreadable: the attempt failed, and the slot is
+            # rebuilt on its next dispatch.
+            message = "%s: the process of slot %s died (exit code %s)" % (
                 type(exc).__name__, slot.name, slot.close(),
             )
-            wall, pid, tb = 0.0, None, None
+            reply = ("error", message, 0.0, None, None)
             self.rebuilds += 1
-        ok = status == "ok"
-        if ok:
-            self.health.record_success(slot.name)
-        else:
-            self.health.record_failure(slot.name)
-        options = execution.options
-        if not execution.cancelled:
-            if ok or execution.attempts > options.max_retries:
-                self._forget(execution)
-                if ok:
-                    self.succeeded += 1
-                else:
-                    self.failed += 1
-                outcome = Outcome(
-                    ok=ok, value=value, traceback=tb, wall=wall, pid=pid,
-                    slot=slot.name, attempts=execution.attempts,
-                )
-                for run, task in execution.subscribers:
-                    run.settle(task, outcome)
-            else:
-                self.retries += 1
-                self._loop.call_later(
-                    backoff_delay(
-                        options.backoff_base, BACKOFF_CAP_S,
-                        execution.attempts, execution.task.label,
-                    ),
-                    self._retry, execution,
-                )
+        self._settle_attempt(execution, slot.name, reply)
         self._dispatch()
+
+    def _settle_attempt(self, execution: Execution, slot: str, reply) -> None:
+        """Settle ``execution`` on one attempt's :func:`execute_cell`
+        reply, or schedule its retry after the backoff."""
+        status, value, wall, pid, tb = reply
+        if execution.cancelled:
+            return
+        ok = status == "ok"
+        options = execution.options
+        if ok or execution.attempts > options.max_retries:
+            self._forget(execution)
+            if ok:
+                self.succeeded += 1
+            else:
+                self.failed += 1
+            outcome = Outcome(
+                ok=ok, value=value, traceback=tb, wall=wall, pid=pid,
+                slot=slot, attempts=execution.attempts,
+            )
+            for run, task in execution.subscribers:
+                run.settle(task, outcome)
+        else:
+            self.retries += 1
+            self._loop.call_later(
+                backoff_delay(
+                    options.backoff_base, BACKOFF_CAP_S,
+                    execution.attempts, execution.task.label,
+                ),
+                self._retry, execution,
+            )
 
     def _retry(self, execution: Execution) -> None:
         self._waiting.append(execution)
@@ -508,7 +531,7 @@ class GridRun:
                 misses.append(task)
             else:
                 self.settle(task, Outcome(ok=True, value=cached), source)
-        return {task: self.scheduler.submit(self, task) for task in misses}
+        return self.scheduler.submit(self, misses)
 
     def _probe(self, task: Task, key: str):
         """``(result, source)``; the result is None on a miss."""
@@ -589,9 +612,9 @@ def run_grid(
 
     Execution knobs come from ``options``
     (:class:`~repro.sim.options.RunOptions`).  ``options.workers`` is
-    the number of process slots; ``0`` means "CPU count" here (the
-    grid is inherently parallel).  Tasks that share a store key
-    execute once and all get the result.
+    the number of process slots; ``0`` runs every cell in this
+    process, with the same retries, journal and settlement.  Tasks
+    that share a store key execute once and all get the result.
 
     A ``KeyboardInterrupt`` mid-run is graceful: the partial report is
     returned (``interrupted=True``), the journal records every

@@ -1,6 +1,6 @@
 """Fault-tolerant execution primitives for the cell scheduler.
 
-Three pieces, all deterministic and all testable under the seeded
+Two pieces, both deterministic and both testable under the seeded
 chaos harness (:mod:`repro.sim.chaos`):
 
 * :func:`backoff_delay` — exponential backoff with *deterministic*
@@ -9,10 +9,6 @@ chaos harness (:mod:`repro.sim.chaos`):
   attempt)``, so two runs of the same grid retry on the same schedule
   (no wall-clock or RNG state leaks into behavior) while distinct
   tasks still de-synchronize.
-
-* :class:`WorkerHealth` — ranks the scheduler's process slots by
-  recency and observed health, and trips a slot's circuit after
-  :data:`TRIP_THRESHOLD` consecutive failures.
 
 * :class:`RunJournal` — an append-only JSONL journal of one grid
   run: ``run_started`` (with the suite matrix), per-attempt
@@ -39,11 +35,6 @@ JOURNAL_SCHEMA = "repro.journal/v1"
 
 #: Longest wait between two attempts of one task, in seconds.
 BACKOFF_CAP_S = 2.0
-
-#: Consecutive failures that trip a slot's circuit, and the dispatch
-#: ticks a tripped slot sits out before a half-open probe.
-TRIP_THRESHOLD = 3
-COOLDOWN = 8
 
 
 def journal_root() -> Optional[Path]:
@@ -92,177 +83,6 @@ def backoff_delay(
     ).digest()
     jitter = 1.0 + int.from_bytes(digest[:8], "big") / 2.0**64
     return min(cap, raw * jitter)
-
-
-class WorkerHealth:
-    """Adaptive worker ranking by recency and observed health.
-
-    The cell scheduler (:class:`repro.sim.parallel.CellScheduler`)
-    runs cells on a set of process slots; this class decides *which*
-    slot gets the next cell.  In the spirit of AWRP's adaptive
-    weight ranking (arXiv:1107.4851) — rank by a weight combining
-    recency with observed frequency instead of pure round-robin — each
-    worker's score blends its success rate over a bounded outcome
-    window with a recency bonus for recently-successful workers, so a
-    flaky host organically drains traffic while a recovered one climbs
-    back.
-
-    Each worker has its own circuit: ``trip_threshold`` consecutive
-    failures trip a worker, and a tripped worker only receives work
-    again as a half-open probe — when every worker is tripped (or
-    after ``cooldown`` dispatches elsewhere), the
-    least-recently-tripped one gets a single chance to prove itself.
-    All state advances on logical dispatch ticks, never wall-clock, so
-    scheduling decisions are reproducible in tests.
-    """
-
-    def __init__(
-        self,
-        trip_threshold: int = TRIP_THRESHOLD,
-        cooldown: int = COOLDOWN,
-        window: int = 32,
-    ) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.trip_threshold = trip_threshold
-        self.cooldown = cooldown
-        self.window = window
-        self.tick = 0
-        self.trips = 0
-        self.probes = 0
-        self._workers: Dict[str, Dict[str, object]] = {}
-
-    def _state(self, name: str) -> Dict[str, object]:
-        state = self._workers.get(name)
-        if state is None:
-            state = self._workers[name] = {
-                "outcomes": [],          # bounded recent True/False
-                "consecutive_failures": 0,
-                "last_success_tick": None,
-                "last_dispatch_tick": None,
-                "tripped_at": None,
-                "dispatches": 0,
-                "successes": 0,
-                "failures": 0,
-            }
-        return state
-
-    # -- observations ----------------------------------------------------
-
-    def record_dispatch(self, name: str) -> None:
-        self.tick += 1
-        state = self._state(name)
-        state["dispatches"] += 1
-        state["last_dispatch_tick"] = self.tick
-
-    def record_success(self, name: str) -> None:
-        state = self._state(name)
-        state["successes"] += 1
-        state["consecutive_failures"] = 0
-        state["tripped_at"] = None
-        state["last_success_tick"] = self.tick
-        self._observe(state, True)
-
-    def record_failure(self, name: str) -> None:
-        state = self._state(name)
-        state["failures"] += 1
-        state["consecutive_failures"] += 1
-        self._observe(state, False)
-        if (
-            self.trip_threshold > 0
-            and state["consecutive_failures"] >= self.trip_threshold
-        ):
-            if state["tripped_at"] is None:
-                self.trips += 1
-            # (Re-)arm the cooldown from the latest failure, so a
-            # worker that fails its half-open probe trips again instead
-            # of sneaking back into the healthy ranking.
-            state["tripped_at"] = self.tick
-
-    def _observe(self, state: Dict[str, object], ok: bool) -> None:
-        outcomes = state["outcomes"]
-        outcomes.append(ok)
-        if len(outcomes) > self.window:
-            del outcomes[: len(outcomes) - self.window]
-
-    # -- ranking ---------------------------------------------------------
-
-    def is_tripped(self, name: str) -> bool:
-        """True while ``name``'s circuit is open (no cooldown elapsed)."""
-        state = self._state(name)
-        tripped_at = state["tripped_at"]
-        if tripped_at is None:
-            return False
-        return (self.tick - tripped_at) < max(self.cooldown, 1)
-
-    def score(self, name: str) -> float:
-        """Health + recency weight; higher is a better dispatch target."""
-        state = self._state(name)
-        outcomes = state["outcomes"]
-        if outcomes:
-            health = sum(outcomes) / float(len(outcomes))
-        else:
-            health = 1.0  # unobserved workers deserve traffic
-        last_success = state["last_success_tick"]
-        if last_success is None:
-            recency = 0.5 if not outcomes else 0.0
-        else:
-            recency = 1.0 / (1.0 + (self.tick - last_success))
-        return health + 0.5 * recency
-
-    def rank(self, names) -> List[str]:
-        """``names`` ordered best-first: open circuits last, then score.
-
-        Deterministic: ties break on name, so equal workers are picked
-        in a stable order.
-        """
-        return sorted(
-            names,
-            key=lambda name: (
-                self.is_tripped(name), -self.score(name), name
-            ),
-        )
-
-    def pick(self, names) -> Optional[str]:
-        """Best dispatch target, never ``None`` for a non-empty pool.
-
-        Prefers healthy workers by :meth:`rank`; when *every* candidate
-        is tripped, the least-recently-tripped one is returned as a
-        half-open probe (counted in ``probes``) so the pool can recover
-        instead of deadlocking.
-        """
-        names = list(names)
-        if not names:
-            return None
-        ranked = self.rank(names)
-        best = ranked[0]
-        if self.is_tripped(best):
-            best = min(
-                names,
-                key=lambda name: (self._state(name)["tripped_at"], name),
-            )
-            self.probes += 1
-        return best
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-safe per-worker health report (for service ``stats``)."""
-        workers = {}
-        for name in sorted(self._workers):
-            state = self._workers[name]
-            workers[name] = {
-                "dispatches": state["dispatches"],
-                "successes": state["successes"],
-                "failures": state["failures"],
-                "consecutive_failures": state["consecutive_failures"],
-                "tripped": self.is_tripped(name),
-                "score": round(self.score(name), 4),
-            }
-        return {
-            "tick": self.tick,
-            "trips": self.trips,
-            "probes": self.probes,
-            "workers": workers,
-        }
 
 
 class RunJournal:
@@ -444,10 +264,7 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "JournalState",
     "RunJournal",
-    "WorkerHealth",
     "BACKOFF_CAP_S",
-    "COOLDOWN",
-    "TRIP_THRESHOLD",
     "backoff_delay",
     "journal_root",
     "list_runs",

@@ -226,14 +226,15 @@ class GridReport:
 
     @property
     def utilization(self) -> float:
-        """Simulated seconds per wall second per worker (0..1-ish)."""
-        if self.elapsed <= 0 or self.workers <= 0:
+        """Simulated seconds per wall second per worker (0..1-ish);
+        a grid run in this process counts as one worker."""
+        if self.elapsed <= 0:
             return 0.0
         busy = sum(
             report.wall_time for report in self.reports
             if not report.cache_hit
         )
-        return busy / (self.elapsed * self.workers)
+        return busy / (self.elapsed * max(self.workers, 1))
 
     def merged_metrics(self) -> Optional[Dict[str, object]]:
         """Deterministic merge of every per-task metric snapshot.

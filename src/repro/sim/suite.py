@@ -1,13 +1,13 @@
 """Suite runner: benchmark x policy matrices with machine-readable output.
 
 Downstream users typically want the whole comparison grid, not single
-runs.  :func:`run_suite` executes a (benchmarks x policies) matrix —
-serially through the two-level result cache, or fanned out across
-process slots with ``RunOptions(workers=N)`` — and returns a
-:class:`SuiteResult` that renders as text, JSON, or CSV, so results
-can feed external plotting without re-simulation.
+runs.  :func:`run_suite` executes a (benchmarks x policies) matrix on
+:func:`repro.sim.parallel.run_grid` — in this process by default, or
+fanned out across process slots with ``RunOptions(workers=N)`` — and
+returns a :class:`SuiteResult` that renders as text, JSON, or CSV, so
+results can feed external plotting without re-simulation.
 
-The parallel path is failure-tolerant: a task that keeps crashing or
+Either way the run is failure-tolerant: a task that keeps crashing or
 times out becomes an entry in ``SuiteResult.failures`` and a hole in
 the matrix rather than an exception, and ``SuiteResult.meta`` carries
 the engine's observability report (per-task wall time, worker
@@ -26,22 +26,13 @@ import hashlib
 import io
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.cache.replacement.registry import split_specs
 from repro.sim.options import RunOptions
-from repro.sim.runner import (
-    GridReport,
-    Task,
-    TaskReport,
-    cache_stats,
-    ipc_improvement,
-    run_task,
-    trace_scale,
-)
+from repro.sim.runner import Task, ipc_improvement, trace_scale
 from repro.sim.stats import SimResult
 from repro.workloads import BENCHMARKS
 
@@ -79,9 +70,8 @@ class SuiteResult:
     """Results of one suite run, indexed [benchmark][policy].
 
     ``failures`` maps benchmark -> policy -> error message for matrix
-    cells the parallel engine could not complete; those cells are
-    simply absent from ``results``.  ``meta`` is the engine's
-    observability report (present when the suite ran with workers).
+    cells the engine could not complete; those cells are simply absent
+    from ``results``.  ``meta`` is the engine's observability report.
     """
 
     policies: List[str]
@@ -89,7 +79,7 @@ class SuiteResult:
     results: Dict[str, Dict[str, SimResult]]
     scale: Optional[float]
     failures: Dict[str, Dict[str, str]] = field(default_factory=dict)
-    meta: Optional[Dict[str, object]] = None
+    meta: Dict[str, object] = field(default_factory=dict)
     #: benchmark -> serialized :class:`repro.analysis.oracle.OracleReport`
     #: when the suite ran with oracle bounds; None otherwise.
     oracle: Optional[Dict[str, Dict[str, object]]] = None
@@ -187,8 +177,7 @@ class SuiteResult:
             payload["failures"] = self.failures
         if self.oracle is not None:
             payload["oracle"] = self.oracle
-        if self.meta is not None:
-            payload["meta"] = self.meta
+        payload["meta"] = self.meta
         metrics = self.merged_metrics()
         if metrics is not None:
             payload["metrics"] = metrics
@@ -260,16 +249,14 @@ def run_suite(
     were given.  Execution knobs travel in ``options``
     (:class:`~repro.sim.options.RunOptions`).
 
-    ``RunOptions(workers=0)`` (the default) runs serially in-process
-    and raises on the first simulation error.
-    ``workers >= 1`` — or any of ``resume`` / ``chaos``, which need the
-    fault-tolerant engine — routes the grid through
-    :func:`repro.sim.parallel.run_grid`: failures become
-    ``SuiteResult.failures`` entries (with full remote tracebacks), the
-    run is journaled for ``--resume``, and the observability +
-    resilience report lands in ``SuiteResult.meta``.  Both paths
-    produce bit-identical ``SimResult`` values, so
-    :meth:`SuiteResult.content_digest` matches across them.
+    The grid runs on :func:`repro.sim.parallel.run_grid`, in this
+    process at ``RunOptions(workers=0)`` (the default) and on N process
+    slots at ``workers=N``: failures become ``SuiteResult.failures``
+    entries (with full tracebacks), the run is journaled for
+    ``--resume``, and the observability + resilience report lands in
+    ``SuiteResult.meta``.  Every worker count produces bit-identical
+    ``SimResult`` values, so :meth:`SuiteResult.content_digest`
+    matches across them.
 
     ``oracle=True`` additionally computes the offline OPT and
     cost-weighted-OPT bounds per benchmark
@@ -291,23 +278,9 @@ def run_suite(
         for benchmark in names
         for policy in policies
     ]
-    needs_engine = (
-        options.workers
-        or options.resume is not None
-        or options.chaos is not None
-    )
-    if needs_engine:
-        from repro.sim.parallel import run_grid
+    from repro.sim.parallel import run_grid
 
-        if not options.workers:
-            # resume/chaos need the journaling engine even "serially":
-            # one process slot with the full retry/journal protocol.
-            options = options.replace(workers=1)
-        grid = run_grid(tasks, options=options)
-        meta = grid.meta()
-    else:
-        grid = _run_serial(tasks, options)
-        meta = None
+    grid = run_grid(tasks, options=options)
     if oracle:
         grid.annotate_oracle(
             _oracle_reports(names, resolved_scale, options.use_cache)
@@ -326,35 +299,8 @@ def run_suite(
         results=results,
         scale=scale,
         failures=failures,
-        meta=meta,
+        meta=grid.meta(),
         oracle=grid.oracle,
-    )
-
-
-def _run_serial(tasks: Sequence[Task], options: RunOptions) -> GridReport:
-    """Run ``tasks`` one after another in this process.
-
-    Raises on the first simulation error.  Each finished task goes to
-    ``options.progress`` like a grid task does; one that needed no
-    simulation reports as a cache hit.
-    """
-    started = time.perf_counter()
-    results: Dict[Task, SimResult] = {}
-    reports: List[TaskReport] = []
-    for task in tasks:
-        simulations = cache_stats()["simulations"]
-        start = time.perf_counter()
-        results[task] = run_task(task, options)
-        reports.append(TaskReport(
-            task=task, ok=True,
-            cache_hit=cache_stats()["simulations"] == simulations,
-            wall_time=time.perf_counter() - start,
-        ))
-        if options.progress is not None:
-            options.progress(reports[-1], len(reports), len(tasks))
-    return GridReport(
-        results=results, reports=reports, workers=1,
-        elapsed=time.perf_counter() - started,
     )
 
 
@@ -430,7 +376,6 @@ def main(argv=None) -> int:
     common_cli.apply_telemetry(args)
     options = common_cli.options_from_args(args)
 
-    started = time.perf_counter()
     suite = run_suite(
         policies=split_specs(args.policies),
         benchmarks=split_specs(args.benchmarks) if args.benchmarks else None,
@@ -439,37 +384,29 @@ def main(argv=None) -> int:
         oracle=args.oracle,
     )
     print(suite.to_text())
-    if suite.meta is not None:
-        cache = suite.meta["cache"]
+    meta = suite.meta
+    print(
+        "[%s: %.1fs, %.0f%% utilization, cache %d hit / %d miss, %d failed]"
+        % (
+            common_cli.workers_label(meta["workers"]),
+            meta["elapsed_s"],
+            100.0 * meta["worker_utilization"],
+            meta["cache"]["hits"],
+            meta["cache"]["misses"],
+            meta["failed_tasks"],
+        ),
+        file=sys.stderr,
+    )
+    resilience = meta["resilience"]
+    if resilience["retries"] or resilience["worker_rebuilds"]:
         print(
-            "[%d workers: %.1fs, %.0f%% utilization, cache %d hit / %d "
-            "miss, %d failed]"
+            "[resilience: %d retries, %d worker rebuilds, %d store "
+            "entries quarantined]"
             % (
-                suite.meta["workers"],
-                suite.meta["elapsed_s"],
-                100.0 * suite.meta["worker_utilization"],
-                cache["hits"],
-                cache["misses"],
-                suite.meta["failed_tasks"],
+                resilience["retries"],
+                resilience["worker_rebuilds"],
+                resilience["store_quarantined"],
             ),
-            file=sys.stderr,
-        )
-        resilience = suite.meta.get("resilience") or {}
-        if resilience.get("retries") or resilience.get("worker_rebuilds"):
-            print(
-                "[resilience: %d retries, %d worker rebuilds, %d worker "
-                "trips, %d store entries quarantined]"
-                % (
-                    resilience.get("retries", 0),
-                    resilience.get("worker_rebuilds", 0),
-                    resilience.get("worker_trips", 0),
-                    resilience.get("store_quarantined", 0),
-                ),
-                file=sys.stderr,
-            )
-    else:
-        print(
-            "[serial: %.1fs]" % (time.perf_counter() - started),
             file=sys.stderr,
         )
     if args.json:
@@ -482,10 +419,10 @@ def main(argv=None) -> int:
         print("wrote %s" % args.csv)
     if args.metrics_out:
         common_cli.write_metrics(args, suite.merged_metrics())
-    if suite.meta is not None and suite.meta.get("interrupted"):
+    if meta.get("interrupted"):
         print(
             "interrupted — resume with: python -m repro.sim.suite "
-            "--resume %s" % suite.meta.get("run_id"),
+            "--resume %s" % meta.get("run_id"),
             file=sys.stderr,
         )
         return 130

@@ -146,6 +146,13 @@ class TestReport:
         # The report must survive a JSON round trip unchanged.
         assert json.loads(json.dumps(quick_report)) == quick_report
 
+    def test_code_version_names_the_sources_that_ran(self, quick_report):
+        # The source hash (native .c files included), not a git commit:
+        # a report written from an uncommitted tree names its own code.
+        from repro.sim.store import code_version
+
+        assert quick_report["code_version"] == code_version()
+
     def test_fingerprint_fields(self):
         fingerprint = machine_fingerprint()
         for key in ("platform", "machine", "python", "cpus"):

@@ -246,8 +246,7 @@ class TestPoolFaults:
         tasks = _tasks(benchmarks=("lucas",))
         labels = [task.label for task in tasks]
         # Exactly one hard crash, on somebody's first attempt: one dead
-        # slot, one rebuild, and every retry then succeeds — no slot's
-        # circuit (threshold 3) trips.
+        # slot, one rebuild, and every retry then succeeds.
         def one_first_attempt_crash(chaos, ls):
             crashes = [
                 (label, attempt)
@@ -268,7 +267,10 @@ class TestPoolFaults:
         assert not grid.failures
         assert len(grid.results) == len(tasks)
         assert grid.resilience["worker_rebuilds"] == 1
-        assert grid.resilience["worker_trips"] == 0
+        assert set(grid.resilience) == {
+            "retries", "worker_rebuilds", "store_quarantined",
+            "resumed_from", "resumed_cells",
+        }
 
 
 class TestFailureReports:

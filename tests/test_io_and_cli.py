@@ -1,5 +1,6 @@
 """Tests for trace persistence, the CLIs, and the stats helpers."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -173,7 +174,49 @@ class TestExperimentsCLI:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "unknown benchmarks: nosuch" in err
-        assert "prewarm" not in err
+        assert "[grid:" not in err
+
+    def test_serial_run_builds_every_cell_on_the_chosen_kernel(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.sim.runner import Task, clear_cache
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_cache()
+        kernels = []
+        original = Task.simulator
+
+        def recording(self, kernel="auto"):
+            kernels.append(kernel)
+            return original(self, kernel)
+
+        monkeypatch.setattr(Task, "simulator", recording)
+        assert experiments_main([
+            "figure9", "--benchmarks", "mcf", "--scale", "0.01",
+            "--kernel", "generic",
+        ]) == 0
+        assert kernels == ["generic"] * 3
+        clear_cache()
+
+    def test_metrics_match_in_process_and_on_slots(self, tmp_path):
+        # In-process cells record into the session as they finish and
+        # slot cells are folded in once, so both runs count each cell
+        # once, engine counters included.
+        metrics = {}
+        for workers in ("0", "2"):
+            out = tmp_path / ("metrics-%s.json" % workers)
+            subprocess.run(
+                [sys.executable, "-m", "repro", "experiments", "figure1",
+                 "figure9", "--benchmarks", "mcf", "--scale", "0.02",
+                 "--workers", workers, "--metrics-out", str(out)],
+                check=True, capture_output=True, timeout=300,
+                cwd=str(Path(__file__).parent.parent),
+                env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin",
+                     "REPRO_CACHE_DIR": str(tmp_path / workers)},
+            )
+            metrics[workers] = json.loads(out.read_text())["metrics"]
+        assert metrics["0"]["counters"]
+        assert metrics["0"] == metrics["2"]
 
     def test_benchmark_filter(self, capsys):
         assert experiments_main(

@@ -137,6 +137,101 @@ class TestParallelEqualsSerial:
                 )
 
 
+class TestInProcessGrid:
+    """``workers=0``: the same scheduler and lifecycle, no slot."""
+
+    TASKS = [
+        Task(benchmark, policy, SCALE)
+        for benchmark in BENCHMARKS for policy in POLICIES
+    ]
+
+    def test_runs_every_cell_here_and_journals_it(self, monkeypatch):
+        from repro.sim import parallel
+        from repro.sim.resilience import load_journal
+
+        def no_slot(self, payload):
+            raise AssertionError("a workers=0 grid started a slot")
+
+        monkeypatch.setattr(parallel._Slot, "send", no_slot)
+        grid = run_grid(self.TASKS, RunOptions(workers=0))
+        assert not grid.failures and grid.workers == 0
+        assert {report.worker for report in grid.reports} == {os.getpid()}
+        completed = load_journal(grid.run_id).completed
+        assert len(completed) == len(self.TASKS)
+        assert {record["worker"] for record in completed.values()} == {
+            os.getpid()
+        }
+
+    def test_interrupted_run_resumes_only_the_missing_cells(self):
+        baseline = run_grid(self.TASKS, RunOptions(use_cache=False))
+        want = {task: baseline.results[task].to_dict()
+                for task in self.TASKS}
+
+        def interrupt_after_two(report, done, total):
+            if done >= 2:
+                raise KeyboardInterrupt
+
+        partial = run_grid(self.TASKS, RunOptions(
+            run_id="run-test-in-process", progress=interrupt_after_two,
+        ))
+        assert partial.interrupted and len(partial.results) == 2
+        clear_cache()
+        simulations = runner.cache_stats()["simulations"]
+        resumed = run_grid(
+            self.TASKS, RunOptions(resume="run-test-in-process")
+        )
+        assert runner.cache_stats()["simulations"] - simulations == 2
+        assert sum(report.resumed for report in resumed.reports) == 2
+        assert {task: resumed.results[task].to_dict()
+                for task in self.TASKS} == want
+
+    def test_tasks_sharing_a_store_key_execute_once(self):
+        # Both tasks join one execution before it runs here.
+        implicit = Task("lucas", "lru", SCALE)
+        explicit = Task("lucas", "lru", SCALE, config=experiment_config())
+        simulations = runner.cache_stats()["simulations"]
+        grid = run_grid([implicit, explicit], RunOptions(workers=0))
+        assert runner.cache_stats()["simulations"] - simulations == 1
+        assert grid.results[implicit] is grid.results[explicit]
+        assert grid.cache_hits == 0
+
+    def test_suite_digest_matches_two_slots(self, tmp_path, monkeypatch):
+        in_process = run_suite(
+            policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE
+        )
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "slots"))
+        clear_cache()
+        slots = run_suite(
+            policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE,
+            options=RunOptions(workers=2),
+        )
+        assert in_process.meta["workers"] == 0
+        assert slots.meta["workers"] == 2
+        assert in_process.content_digest() == slots.content_digest()
+
+    def test_deadline_is_armed_only_on_the_main_thread(self):
+        import signal
+        import threading
+
+        from repro.sim.parallel import execute_cell
+
+        payload = (self.TASKS[0], None, 30.0, None, 1, "auto")
+        replies = []
+        thread = threading.Thread(
+            target=lambda: replies.append(execute_cell(payload))
+        )
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        # signal.signal raises off the main thread; the cell runs
+        # without a deadline instead of failing.
+        assert replies[0][0] == "ok", replies[0][4]
+        handler = signal.getsignal(signal.SIGALRM)
+        assert execute_cell(payload)[0] == "ok"
+        assert signal.getsignal(signal.SIGALRM) == handler
+        assert signal.alarm(0) == 0
+
+
 class TestPartialFailure:
     def test_bad_policy_becomes_failure_entry(self):
         suite = run_suite(
@@ -329,7 +424,7 @@ class TestExperimentsPrewarm:
         assert code == 0
         out = capsys.readouterr()
         assert "Table 1" in out.out
-        assert "prewarm" in out.err
+        assert "[grid: 1 tasks, 2 workers," in out.err
 
     def test_render_pass_after_the_grid_simulates_only_figure1(
         self, monkeypatch

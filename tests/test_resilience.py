@@ -381,10 +381,13 @@ class TestGridArgs:
         ["experiments", "table2", "--workers", "-2", "--benchmarks",
          "lucas"],
         ["serve", "--workers", "-1", "--port", "0"],
+        ["serve", "--workers", "0", "--port", "0"],
     ])
     def test_negative_workers_exit_with_usage(self, argv, tmp_path):
         # Without the check these create no process slot and wait
-        # forever for one, so a hang fails here instead of blocking.
+        # forever for one (the service cannot simulate on its event
+        # loop, so it needs one), so a hang fails here instead of
+        # blocking.
         try:
             out = subprocess.run(
                 [sys.executable, "-m", "repro"] + argv,
@@ -397,16 +400,19 @@ class TestGridArgs:
             pytest.fail("repro %s hung" % " ".join(argv))
         assert out.returncode == 2
         assert "usage:" in out.stderr
-        assert "workers must be 0 (one per CPU) or more" in out.stderr
+        least = 1 if argv[0] == "serve" else 0
+        assert "workers must be %d or more" % least in out.stderr
 
     def test_negative_workers_raise_in_the_library(self):
         # run_grid and the job service both size their slots here.
         from repro.service.server import JobService, ServiceConfig
 
-        with pytest.raises(ValueError, match="workers must be"):
+        with pytest.raises(ValueError, match="workers must be 0 or more"):
             CellScheduler(-3, loop=None)
-        with pytest.raises(ValueError, match="workers must be"):
+        with pytest.raises(ValueError, match="workers must be 1 or more"):
             JobService(ServiceConfig(workers=-1))
+        with pytest.raises(ValueError, match="workers must be 1 or more"):
+            ServiceConfig(workers=0)
 
     @pytest.mark.parametrize("module", ["repro.sim.suite",
                                         "repro.experiments.__main__"])
@@ -419,17 +425,19 @@ class TestGridArgs:
         err = capsys.readouterr().err
         assert "--resume" in err and "--no-cache" in err
 
-    def test_experiments_no_cache_with_workers_is_a_usage_error(
-        self, capsys
+    def test_experiments_no_cache_with_workers_runs_on_the_pool(
+        self, capsys, monkeypatch
     ):
         from repro.experiments.__main__ import main
 
-        with pytest.raises(SystemExit) as excinfo:
-            main(["table2", "--no-cache", "--workers", "2",
-                  "--benchmarks", "lucas", "--scale", str(SCALE)])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "--workers" in err and "--no-cache" in err
+        # --no-cache sets REPRO_NO_STORE: record it unset (an empty
+        # value reads as unset), so monkeypatch removes it afterwards.
+        monkeypatch.setenv("REPRO_NO_STORE", "")
+        assert main(["table1", "--no-cache", "--workers", "2",
+                     "--benchmarks", "lucas", "--scale", str(SCALE)]) == 0
+        captured = capsys.readouterr()
+        assert "lucas" in captured.out
+        assert "[grid: 1 tasks, 2 workers," in captured.err
 
     def test_suite_no_cache_with_workers_runs_on_the_pool(self, capsys):
         from repro.sim.suite import main

@@ -1,4 +1,4 @@
-"""Job-service tests: protocol, quotas, worker health, end to end.
+"""Job-service tests: protocol, quotas, slots, end to end.
 
 The tentpole guarantees locked in here:
 
@@ -37,7 +37,6 @@ from repro.sim.store import store_key
 from repro.sim.parallel import run_grid
 from repro.sim.resilience import (
     RunJournal,
-    WorkerHealth,
     journal_root,
     load_journal,
     new_run_id,
@@ -147,68 +146,6 @@ class TestTenantQuotas:
         assert quotas.retry_after(10) == quotas.retry_after(10)
         quotas.inflight_total = 10**6
         assert quotas.retry_after(1) == 30.0
-
-
-class TestWorkerHealth:
-    def test_trips_after_consecutive_failures(self):
-        health = WorkerHealth(trip_threshold=3, cooldown=8)
-        for _ in range(3):
-            health.record_dispatch("w0")
-            health.record_failure("w0")
-        assert health.is_tripped("w0")
-        assert health.trips == 1
-
-    def test_success_resets_the_streak(self):
-        health = WorkerHealth(trip_threshold=3, cooldown=8)
-        for _ in range(2):
-            health.record_dispatch("w0")
-            health.record_failure("w0")
-        health.record_dispatch("w0")
-        health.record_success("w0")
-        health.record_dispatch("w0")
-        health.record_failure("w0")
-        assert not health.is_tripped("w0")
-        assert health.trips == 0
-
-    def test_pick_avoids_tripped_worker(self):
-        health = WorkerHealth(trip_threshold=2, cooldown=50)
-        for _ in range(2):
-            health.record_dispatch("w0")
-            health.record_failure("w0")
-        health.record_dispatch("w1")
-        health.record_success("w1")
-        assert health.pick(["w0", "w1"]) == "w1"
-        assert health.rank(["w0", "w1"]) == ["w1", "w0"]
-
-    def test_all_tripped_pool_yields_half_open_probe(self):
-        health = WorkerHealth(trip_threshold=1, cooldown=50)
-        health.record_dispatch("w0")
-        health.record_failure("w0")
-        health.record_dispatch("w1")
-        health.record_failure("w1")
-        # w0 tripped first, so it is the least-recently-tripped probe.
-        assert health.pick(["w0", "w1"]) == "w0"
-        assert health.probes == 1
-
-    def test_failed_probe_re_arms_the_circuit(self):
-        health = WorkerHealth(trip_threshold=1, cooldown=2)
-        health.record_dispatch("w0")
-        health.record_failure("w0")
-        # Burn the cooldown on another worker, then fail the probe.
-        for _ in range(3):
-            health.record_dispatch("w1")
-            health.record_success("w1")
-        assert not health.is_tripped("w0")
-        health.record_dispatch("w0")
-        health.record_failure("w0")
-        assert health.is_tripped("w0")
-        assert health.trips == 1  # transition counted once per episode
-
-    def test_snapshot_is_json_safe(self):
-        health = WorkerHealth()
-        health.record_dispatch("w0")
-        health.record_success("w0")
-        json.dumps(health.snapshot())
 
 
 class TestServiceEndToEnd:
