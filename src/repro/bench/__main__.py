@@ -6,7 +6,7 @@ CI; its timings are meaningless but the report shape and the embedded
 simulation results are still checked.
 
 Refuses to overwrite an existing report unless ``--force`` is given —
-committed baselines (``BENCH_pr3.json`` etc.) are easy to clobber by
+committed baselines (``BENCH_pr23.json`` etc.) are easy to clobber by
 re-running with the same ``--tag`` otherwise.
 
 ``--check REPORT --cell WORKLOAD/POLICY[/KERNEL]`` re-simulates one
@@ -37,7 +37,6 @@ from repro.bench.report import (
     entry_task,
     validate_report,
 )
-from repro.sim import common_cli
 from repro.sim.options import REPLAY_KERNELS
 from repro.sim.runner import cell_label
 
@@ -90,9 +89,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Measure simulation-kernel performance and write a "
-        "BENCH_<tag>.json report.  Enabling telemetry keeps every run "
-        "off the native kernel (timings will not be comparable).",
-        parents=[common_cli.telemetry_parent()],
+        "BENCH_<tag>.json report.",
     )
     # Bench's own --kernel also accepts "all", to time both kernels
     # side by side in one report.
@@ -138,13 +135,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    common_cli.apply_telemetry(args)
-    if args.metrics_out or args.trace_events:
-        print(
-            "note: telemetry keeps runs off the native kernel; timings "
-            "in this report are not comparable to baselines",
-            file=sys.stderr,
-        )
     if args.check is not None:
         return _check_mode(args.check, args.cell)
     if args.cell is not None:

@@ -172,13 +172,7 @@ class SetAssociativeCache:
         if policy.needs_note_access:
             policy.note_access(block, seq)
 
-        observer = self.observer
-        profiler = observer.profiler if observer is not None else None
-        if profiler is None:
-            state = cache_set._index.get(block)
-        else:
-            with profiler.span("cache.lookup"):
-                state = cache_set._index.get(block)
+        state = cache_set._index.get(block)
         if state is not None:
             self.hits += 1
             ways = cache_set.ways
@@ -197,17 +191,14 @@ class SetAssociativeCache:
         result = AccessResult(False, state, set_index)
         ways = cache_set.ways
         if len(ways) >= cache_set.associativity:
-            if profiler is None:
-                victim_position = policy.choose_victim(cache_set)
-            else:
-                with profiler.span("cache.replacement"):
-                    victim_position = policy.choose_victim(cache_set)
+            victim_position = policy.choose_victim(cache_set)
             victim = ways.pop(victim_position)
             del cache_set._index[victim.block]
             result.victim_block = victim.block
             result.victim_dirty = victim.dirty
             if victim.dirty:
                 self.writebacks += 1
+            observer = self.observer
             if observer is not None:
                 observer.victim_selected(
                     self.label, set_index, victim, policy.name, cache_set

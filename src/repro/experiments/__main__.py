@@ -17,7 +17,8 @@ rendering.  The engine flags are the shared set from
 :mod:`repro.sim.common_cli` — ``--max-retries``/``--deadline`` harden
 the grid against flaky cells, and ``--resume RUN_ID`` replays an
 interrupted grid's journal.  ``--no-cache`` disables the store for a
-guaranteed-fresh run.
+guaranteed-fresh run.  ``--metrics-out`` writes the merge of the
+grid results' metric snapshots.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import os
 import sys
 import time
 
-from repro import obs
 from repro.cache.replacement.registry import split_specs
 from repro.experiments import EXPERIMENTS
 from repro.sim import common_cli
@@ -39,12 +39,6 @@ def _run_cells(tasks, options):
     from repro.sim.parallel import run_grid
 
     grid = run_grid(tasks, options=options)
-    if grid.workers:
-        # A slot finalizes a cell's telemetry in its own process; fold
-        # the merged snapshots into this process's session so
-        # --metrics-out sees the whole grid.  A cell run in this
-        # process has already recorded itself.
-        obs.record_session(grid.merged_metrics())
     print(
         "[grid: %d tasks, %s, %.1fs, %.0f%% utilization, "
         "cache %d hit / %d miss, %d failed]"
@@ -138,7 +132,7 @@ def main(argv=None) -> int:
         print(report.render())
         print("[%s finished in %.1fs]\n" % (name, time.time() - started))
     if args.metrics_out:
-        common_cli.write_metrics(args, obs.session_snapshot())
+        common_cli.write_metrics(args, grid.results.values())
     return 0
 
 

@@ -1,7 +1,7 @@
-"""Simulation telemetry: metrics, event traces, and profiling spans.
+"""Simulation telemetry: metrics and event traces.
 
 ``repro.obs`` is the observability layer the rest of the package
-reports into.  It has three independent channels, each opt-in and each
+reports into.  It has two independent channels, each opt-in and each
 zero-cost when off (components hold ``observer = None`` and hot paths
 guard with a single ``is not None`` check):
 
@@ -12,9 +12,9 @@ guard with a single ``is not None`` check):
 * **events** (:mod:`repro.obs.events`) — a JSONL narration of miss
   lifecycles, MSHR occupancy, cost quantization, PSEL updates, and
   victim selections, timestamped in simulated cycles.
-* **profiling** (:mod:`repro.obs.profile`) — wall-time spans around
-  trace replay, set lookup, and replacement decisions.  Wall times are
-  nondeterministic, so they are reported separately from metrics.
+
+Each run's snapshot travels on ``SimResult.metrics``; a command's
+metrics are :func:`merged_metrics` over the results it returns.
 
 Configuration lives in environment variables so worker processes
 (fork or spawn) inherit it without plumbing:
@@ -23,7 +23,6 @@ Configuration lives in environment variables so worker processes
 ``REPRO_METRICS``      any non-empty value enables metrics
 ``REPRO_TRACE_EVENTS`` path of the JSONL event file (workers append
                        ``.<pid>``); empty/unset disables
-``REPRO_PROFILE``      any non-empty value enables profiling spans
 ``REPRO_TRACE_VERBOSE`` include full set contents in victim events
 =====================  =============================================
 
@@ -36,8 +35,9 @@ channel is off.
 
 from __future__ import annotations
 
+import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.mlp.cost import MAX_COST_Q, bucket_label
 from repro.obs.events import (
@@ -54,13 +54,11 @@ from repro.obs.metrics import (
     MetricsRegistry,
     merge_snapshots,
 )
-from repro.obs.profile import Profiler
 
 ENV_METRICS = "REPRO_METRICS"
 ENV_TRACE = "REPRO_TRACE_EVENTS"
 ENV_TRACE_ORIGIN = "REPRO_TRACE_ORIGIN"
 ENV_TRACE_VERBOSE = "REPRO_TRACE_VERBOSE"
-ENV_PROFILE = "REPRO_PROFILE"
 
 #: MSHR occupancy histogram bucket upper bounds (entries in flight).
 OCCUPANCY_BOUNDS = [1, 2, 4, 8, 16, 24, 32, 64]
@@ -75,10 +73,6 @@ def metrics_enabled() -> bool:
     return bool(os.environ.get(ENV_METRICS))
 
 
-def profiling_enabled() -> bool:
-    return bool(os.environ.get(ENV_PROFILE))
-
-
 def trace_events_path() -> Optional[str]:
     return os.environ.get(ENV_TRACE) or None
 
@@ -89,27 +83,22 @@ def verbose_events() -> bool:
 
 def enabled() -> bool:
     """Whether any telemetry channel is on."""
-    return bool(
-        metrics_enabled() or trace_events_path() or profiling_enabled()
-    )
+    return bool(metrics_enabled() or trace_events_path())
 
 
 def configure(
     metrics=_UNSET,
     trace_events=_UNSET,
-    profile=_UNSET,
     verbose=_UNSET,
 ) -> None:
     """Enable/disable telemetry channels process-wide (and for workers).
 
-    Arguments left at their default are untouched.  ``metrics``,
-    ``profile``, and ``verbose`` are booleans; ``trace_events`` is a
-    JSONL path, or a falsy value to disable tracing.
+    Arguments left at their default are untouched.  ``metrics`` and
+    ``verbose`` are booleans; ``trace_events`` is a JSONL path, or a
+    falsy value to disable tracing.
     """
     if metrics is not _UNSET:
         _set_flag(ENV_METRICS, bool(metrics))
-    if profile is not _UNSET:
-        _set_flag(ENV_PROFILE, bool(profile))
     if verbose is not _UNSET:
         _set_flag(ENV_TRACE_VERBOSE, bool(verbose))
     if trace_events is not _UNSET:
@@ -158,7 +147,6 @@ class Observer:
     __slots__ = (
         "registry",
         "events",
-        "profiler",
         "verbose",
         "_evictions",
         "_occupancy",
@@ -173,12 +161,10 @@ class Observer:
         self,
         registry: Optional[MetricsRegistry] = None,
         events=None,
-        profiler: Optional[Profiler] = None,
         verbose: bool = False,
     ) -> None:
         self.registry = registry
         self.events = events
-        self.profiler = profiler
         self.verbose = verbose
         if registry is not None:
             self._evictions = registry.counter(
@@ -319,7 +305,7 @@ class Observer:
 
         Called once by ``Simulator._finalize``.  Returns the metric
         snapshot to attach to the :class:`SimResult` (or ``None`` when
-        metrics are off) and records the run into the process session.
+        metrics are off).
 
         Counter semantics: ``sim.*`` values are warm-up-adjusted like
         the SimResult; ``cache.* / mshr.* / memory.*`` are raw
@@ -373,7 +359,6 @@ class Observer:
                 demand_misses=result.demand_misses,
             )
             self.events.flush()
-        record_session(snapshot, self.profiler)
         return snapshot
 
 
@@ -384,47 +369,27 @@ def default_observer() -> Optional[Observer]:
     return Observer(
         registry=MetricsRegistry() if metrics_enabled() else None,
         events=shared_event_trace(),
-        profiler=Profiler() if profiling_enabled() else None,
         verbose=verbose_events(),
     )
 
 
-# -- process-wide session accumulation -----------------------------------
+def merged_metrics(results: Iterable) -> Optional[Dict[str, object]]:
+    """The merge of the ``metrics`` snapshots of ``results``, or None.
 
-_session_snapshots: List[Dict[str, object]] = []
-_session_profiler = Profiler()
-
-
-def record_session(
-    snapshot: Optional[Dict[str, object]],
-    profiler: Optional[Profiler] = None,
-) -> None:
-    """Fold one run's telemetry into the process-wide session totals."""
-    if snapshot is not None:
-        _session_snapshots.append(snapshot)
-    if profiler is not None:
-        _session_profiler.merge(profiler)
-
-
-def session_snapshot() -> Optional[Dict[str, object]]:
-    """Merged metrics of every run finalized in this process, or None.
-
-    Cache hits never reach ``finalize_run``, so the session counts each
-    simulation actually executed here exactly once.
+    The metrics of a command are this merge over the results it
+    returns, however they were produced: fresh, from the memo or the
+    store, in this process or on a slot.  Results simulated with
+    metrics off carry no snapshot and are skipped.  Snapshots merge in
+    a canonical order, so float sums cannot depend on the order the
+    results arrive in.
     """
-    if not _session_snapshots:
+    snapshots = sorted(
+        (result.metrics for result in results if result.metrics is not None),
+        key=lambda snapshot: json.dumps(snapshot, sort_keys=True),
+    )
+    if not snapshots:
         return None
-    return merge_snapshots(_session_snapshots)
-
-
-def session_profile() -> Dict[str, Dict[str, object]]:
-    return _session_profiler.summary()
-
-
-def reset_session() -> None:
-    global _session_profiler
-    _session_snapshots.clear()
-    _session_profiler = Profiler()
+    return merge_snapshots(snapshots)
 
 
 __all__ = [
@@ -434,7 +399,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "merge_snapshots",
-    "Profiler",
+    "merged_metrics",
     "EventTrace",
     "MemoryEventTrace",
     "NullEventTrace",
@@ -444,12 +409,7 @@ __all__ = [
     "default_observer",
     "enabled",
     "metrics_enabled",
-    "profiling_enabled",
     "trace_events_path",
     "shared_event_trace",
-    "record_session",
-    "session_snapshot",
-    "session_profile",
-    "reset_session",
     "OCCUPANCY_BOUNDS",
 ]

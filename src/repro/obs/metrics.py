@@ -2,7 +2,7 @@
 
 The registry is the deterministic half of the observability layer:
 every value in a snapshot is a pure function of the simulated work
-(wall-clock timing lives in :mod:`repro.obs.profile` instead), so two
+(wall-clock timing lives in ``SimResult.meta["stage_s"]``), so two
 runs of the same simulation — serial or fanned out across a worker
 pool — produce bit-identical snapshots, and snapshots merge by simple
 arithmetic:

@@ -178,7 +178,7 @@ class JobService:
         """Graceful shutdown: stop accepting, drop executions, close.
 
         Idempotent — the ``shutdown`` op and an explicit ``stop()``
-        (tests do both) must not double-close or double-count.
+        (tests do both) must not double-close.
         """
         if getattr(self, "_stopped", False):
             return
@@ -196,13 +196,6 @@ class JobService:
                 queue.put_nowait(None)
         for job in self.jobs.values():
             job.run.close()
-        counters = self._all_counters()
-        self.scheduler.record_metrics("service", {
-            name: counters[name] for name in (
-                "submissions", "submissions_rejected", "jobs_completed",
-                "cells_executed", "cells_store_hits", "cells_deduped",
-            )
-        })
 
     # -- submission ------------------------------------------------------
 

@@ -115,7 +115,7 @@ def main(argv=None) -> int:
         print("  per-interval IPC:",
               " ".join("%.2f" % p.ipc for p in result.phases[:40]))
     if args.metrics_out:
-        common_cli.write_metrics(args, result.metrics)
+        common_cli.write_metrics(args, [result])
     return 0
 
 

@@ -14,7 +14,8 @@ flags once, as argparse *parent parsers*:
   namespace into one :class:`~repro.sim.options.RunOptions`.
 * :func:`telemetry_parent` — what to observe: ``--metrics-out``,
   ``--trace-events``.  :func:`apply_telemetry` pushes them into
-  :mod:`repro.obs`.
+  :mod:`repro.obs`, and :func:`write_metrics` writes the merge of the
+  snapshots of the results a command returns.
 
 Adding a new execution flag means touching exactly this module and
 :class:`RunOptions`; every CLI picks it up via ``parents=[...]``.
@@ -127,8 +128,8 @@ def telemetry_parent() -> argparse.ArgumentParser:
     group = parent.add_argument_group("telemetry")
     group.add_argument(
         "--metrics-out", metavar="FILE", default=None,
-        help="enable telemetry and write the merged metric snapshot "
-             "(plus profiling spans, if any) as JSON",
+        help="enable metrics and write the merge of the returned "
+             "results' snapshots as JSON",
     )
     group.add_argument(
         "--trace-events", metavar="FILE", default=None,
@@ -180,21 +181,27 @@ def options_from_args(
 
 
 def apply_telemetry(args: argparse.Namespace) -> None:
-    """Push the parsed telemetry flags into :mod:`repro.obs`."""
+    """Push the parsed telemetry flags into :mod:`repro.obs`, and say
+    once, on stderr, that telemetry keeps runs on the generic loop."""
     if args.metrics_out:
-        obs.configure(metrics=True, profile=True)
+        obs.configure(metrics=True)
     if args.trace_events:
         obs.configure(trace_events=args.trace_events)
+    if args.metrics_out or args.trace_events:
+        print(
+            "note: telemetry keeps runs on the generic loop, off the "
+            "native kernel (20-50x slower)",
+            file=sys.stderr,
+        )
 
 
-def write_metrics(args: argparse.Namespace, metrics) -> None:
-    """Write the ``--metrics-out`` payload (metrics + profile spans)."""
+def write_metrics(args: argparse.Namespace, results) -> None:
+    """Write ``{"metrics": ...}`` to ``--metrics-out``: the merge of the
+    snapshots of ``results``, the :class:`SimResult` values the command
+    returns (:func:`repro.obs.merged_metrics`)."""
     import json
 
-    payload = {
-        "metrics": metrics,
-        "profile": obs.session_profile(),
-    }
+    payload = {"metrics": obs.merged_metrics(results)}
     with open(args.metrics_out, "w") as handle:
         json.dump(payload, handle, indent=2)
     print("wrote %s" % args.metrics_out)

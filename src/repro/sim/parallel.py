@@ -72,7 +72,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.sim import runner
 from repro.sim.chaos import inject
 from repro.sim.options import RunOptions, check_workers
@@ -327,22 +326,6 @@ class CellScheduler:
             "retries": self.retries,
             "worker_rebuilds": self.rebuilds,
         }
-
-    def record_metrics(self, prefix: str, counters: Dict[str, int]) -> None:
-        """Fold :meth:`counters` plus ``counters`` into the obs session.
-
-        Each becomes the counter ``<prefix>_<name>_total``, and only
-        when metrics are enabled: ``--metrics-out`` then shows *how
-        hard* the scheduler had to work (attempts beyond the first,
-        slot processes rebuilt after dying hard) next to what it
-        computed.
-        """
-        if not obs.metrics_enabled():
-            return
-        registry = obs.MetricsRegistry()
-        for name, value in dict(self.counters(), **counters).items():
-            registry.counter("%s_%s_total" % (prefix, name)).inc(value)
-        obs.record_session(registry.snapshot())
 
     def submit(
         self, run: "GridRun", tasks: Sequence[Task]
@@ -661,7 +644,6 @@ def run_grid(
 
     store = default_store()
     quarantined = store.quarantined if store is not None else 0
-    scheduler.record_metrics("engine", {"store_quarantined": quarantined})
     resilience: Dict[str, object] = dict(scheduler.counters())
     resilience.update(
         store_quarantined=quarantined,
@@ -669,6 +651,11 @@ def run_grid(
         resumed_cells=sum(report.resumed for report in run.reports),
     )
     cache_hits = sum(1 for report in run.reports if report.cache_hit)
+    # Tasks that share a store key share one execution and its wall.
+    walls = {
+        run.keys.get(report.task): report.wall_time
+        for report in run.reports if not report.cache_hit
+    }
     return GridReport(
         results=run.results,
         reports=run.reports,
@@ -680,6 +667,7 @@ def run_grid(
         run_id=run.run_id,
         interrupted=interrupted,
         resilience=resilience,
+        busy=sum(walls.values()),
     )
 
 

@@ -197,6 +197,9 @@ class GridReport:
     run_id: Optional[str] = None
     interrupted: bool = False
     resilience: Dict[str, object] = field(default_factory=dict)
+    #: Wall seconds the grid's executions took, each execution once
+    #: however many tasks shared it.
+    busy: float = 0.0
     #: benchmark -> serialized OracleReport, set by
     #: :meth:`annotate_oracle` (None when the grid ran without oracle
     #: bounds); the matching regret fields live on each result.
@@ -230,32 +233,7 @@ class GridReport:
         a grid run in this process counts as one worker."""
         if self.elapsed <= 0:
             return 0.0
-        busy = sum(
-            report.wall_time for report in self.reports
-            if not report.cache_hit
-        )
-        return busy / (self.elapsed * max(self.workers, 1))
-
-    def merged_metrics(self) -> Optional[Dict[str, object]]:
-        """Deterministic merge of every per-task metric snapshot.
-
-        Results computed with metrics off carry no snapshot and are
-        skipped; returns None when no task has one.  The merge is
-        order-independent (counters sum, gauges fold by their declared
-        aggregation, histograms add per-bucket), so the worker
-        scheduling order cannot leak into the output — ``workers=4``
-        merges bit-identically to a serial run of the same grid.
-        """
-        snapshots = [
-            self.results[task].metrics
-            for task in sorted(
-                self.results, key=lambda t: (t.benchmark, t.policy_spec)
-            )
-            if self.results[task].metrics is not None
-        ]
-        if not snapshots:
-            return None
-        return obs.merge_snapshots(snapshots)
+        return self.busy / (self.elapsed * max(self.workers, 1))
 
     def meta(self) -> Dict[str, object]:
         """JSON-safe observability blob for ``SuiteResult.to_json()``."""

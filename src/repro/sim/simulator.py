@@ -240,18 +240,7 @@ class Simulator:
         if self._ran:
             raise RuntimeError("a Simulator instance runs exactly one trace")
         self._ran = True
-        trace = pack_trace(trace)
-        profiler = self._obs.profiler if self._obs is not None else None
-        if profiler is None:
-            return self._finalize(self._replay(trace))
-        # The replay span must close before _finalize folds the
-        # profiler into the session totals, or it would be lost.
-        replay_start = perf_counter()
-        try:
-            current_phase = self._replay(trace)
-        finally:
-            profiler.add("sim.replay", perf_counter() - replay_start)
-        return self._finalize(current_phase)
+        return self._finalize(self._replay(pack_trace(trace)))
 
     def _replay(self, trace) -> Optional[PhaseSample]:
         """Drive every access through the machine; returns the open phase.

@@ -99,26 +99,16 @@ class SuiteResult:
             return None
         return ipc_improvement(result, baseline)
 
-    def merged_metrics(self) -> Optional[Dict[str, object]]:
-        """Merge of every cell's telemetry snapshot, or None.
-
-        Deterministic: counters sum, gauges fold, histograms add, so
-        the same matrix merges bit-identically whether it ran serially
-        or across a pool (``tests/test_obs_integration.py`` locks this
-        in).  Cells simulated with metrics off contribute nothing.
-        """
-        snapshots = [
-            result.metrics
-            for benchmark in self.benchmarks
-            for result in (
-                self.results.get(benchmark, {}).get(policy)
-                for policy in self.policies
-            )
-            if result is not None and result.metrics is not None
+    def runs(self) -> List[SimResult]:
+        """The result of every completed run."""
+        return [
+            result for row in self.results.values() for result in row.values()
         ]
-        if not snapshots:
-            return None
-        return obs.merge_snapshots(snapshots)
+
+    def merged_metrics(self) -> Optional[Dict[str, object]]:
+        """Merge of every cell's telemetry snapshot, or None
+        (:func:`repro.obs.merged_metrics`)."""
+        return obs.merged_metrics(self.runs())
 
     def content_digest(self) -> str:
         """Hash of the suite's *deterministic* content.
@@ -418,7 +408,7 @@ def main(argv=None) -> int:
             handle.write(suite.to_csv())
         print("wrote %s" % args.csv)
     if args.metrics_out:
-        common_cli.write_metrics(args, suite.merged_metrics())
+        common_cli.write_metrics(args, suite.runs())
     if meta.get("interrupted"):
         print(
             "interrupted — resume with: python -m repro.sim.suite "

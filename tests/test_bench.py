@@ -340,16 +340,6 @@ class TestCheckMode:
         assert report["schema"] == expected_schema
         validate_report(report)  # must not raise
 
-    @pytest.mark.parametrize("name", [
-        "BENCH_pr4.json", "BENCH_pr7.json", "BENCH_pr8.json",
-    ])
-    def test_pre_v5_baselines_are_rejected(self, name):
-        # Kept as history only; every one of their cells is also in
-        # BENCH_pr9.json with the same result fields.
-        baseline = pathlib.Path(__file__).resolve().parent.parent / name
-        with pytest.raises(ValueError, match="unknown schema"):
-            validate_report(json.loads(baseline.read_text()))
-
     def test_v5_cells_still_need_fused(self):
         baseline = pathlib.Path(__file__).resolve().parent.parent / (
             "BENCH_pr16.json"

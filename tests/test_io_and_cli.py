@@ -199,12 +199,12 @@ class TestExperimentsCLI:
         clear_cache()
 
     def test_metrics_match_in_process_and_on_slots(self, tmp_path):
-        # In-process cells record into the session as they finish and
-        # slot cells are folded in once, so both runs count each cell
-        # once, engine counters included.
+        # --metrics-out merges the snapshots on the grid's results, so
+        # a cold run here, a warm one and a warm one on slots, all on
+        # one store, write the same metrics.
         metrics = {}
-        for workers in ("0", "2"):
-            out = tmp_path / ("metrics-%s.json" % workers)
+        for run, workers in (("cold", "0"), ("warm", "0"), ("slots", "2")):
+            out = tmp_path / ("metrics-%s.json" % run)
             subprocess.run(
                 [sys.executable, "-m", "repro", "experiments", "figure1",
                  "figure9", "--benchmarks", "mcf", "--scale", "0.02",
@@ -212,11 +212,14 @@ class TestExperimentsCLI:
                 check=True, capture_output=True, timeout=300,
                 cwd=str(Path(__file__).parent.parent),
                 env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin",
-                     "REPRO_CACHE_DIR": str(tmp_path / workers)},
+                     "REPRO_CACHE_DIR": str(tmp_path / "store")},
             )
-            metrics[workers] = json.loads(out.read_text())["metrics"]
-        assert metrics["0"]["counters"]
-        assert metrics["0"] == metrics["2"]
+            payload = json.loads(out.read_text())
+            assert list(payload) == ["metrics"]
+            metrics[run] = payload["metrics"]
+        assert metrics["cold"]["counters"]["sim.runs"][""] > 0
+        assert metrics["warm"] == metrics["cold"]
+        assert metrics["slots"] == metrics["cold"]
 
     def test_benchmark_filter(self, capsys):
         assert experiments_main(

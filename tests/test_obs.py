@@ -1,8 +1,8 @@
 """Unit tests for the observability layer (repro.obs).
 
-Covers the three channels in isolation — metrics arithmetic and merge
-semantics, event-trace sinks, profiling spans — plus the environment
-configuration surface and the zero-cost-when-disabled guarantee the
+Covers the two channels in isolation — metrics arithmetic and merge
+semantics, and event-trace sinks — plus the environment configuration
+surface and the zero-cost-when-disabled guarantee the
 simulator's hot paths rely on.
 """
 
@@ -24,7 +24,6 @@ from repro.obs.metrics import (
     _label_key,
     merge_snapshots,
 )
-from repro.obs.profile import Profiler
 from repro.sim.simulator import Simulator
 from repro.trace.record import LOAD, Access
 
@@ -32,13 +31,9 @@ from repro.trace.record import LOAD, Access
 @pytest.fixture(autouse=True)
 def _telemetry_off():
     """Every test starts and ends with all channels disabled."""
-    obs.configure(metrics=False, trace_events=None, profile=False,
-                  verbose=False)
-    obs.reset_session()
+    obs.configure(metrics=False, trace_events=None, verbose=False)
     yield
-    obs.configure(metrics=False, trace_events=None, profile=False,
-                  verbose=False)
-    obs.reset_session()
+    obs.configure(metrics=False, trace_events=None, verbose=False)
 
 
 class TestLabels:
@@ -237,35 +232,6 @@ class TestEventTrace:
         assert [e["x"] for e in sink.of_type("a")] == [1, 2]
 
 
-class TestProfiler:
-    def test_span_accumulates(self):
-        profiler = Profiler()
-        for _ in range(3):
-            with profiler.span("work"):
-                pass
-        summary = profiler.summary()
-        assert summary["work"]["count"] == 3
-        assert summary["work"]["seconds"] >= 0
-
-    def test_merge(self):
-        left = Profiler()
-        left.add("a", 1.0, 2)
-        right = Profiler()
-        right.add("a", 0.5, 1)
-        right.add("b", 2.0, 4)
-        left.merge(right)
-        summary = left.summary()
-        assert summary["a"] == {"seconds": 1.5, "count": 3}
-        assert summary["b"] == {"seconds": 2.0, "count": 4}
-
-    def test_report_lines_slowest_first(self):
-        profiler = Profiler()
-        profiler.add("fast", 0.1)
-        profiler.add("slow", 9.0)
-        lines = profiler.report_lines()
-        assert "slow" in lines[0] and "fast" in lines[1]
-
-
 class TestConfiguration:
     def test_defaults_off(self):
         assert not obs.enabled()
@@ -273,21 +239,19 @@ class TestConfiguration:
 
     def test_configure_round_trip(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        obs.configure(metrics=True, profile=True, trace_events=path)
+        obs.configure(metrics=True, trace_events=path)
         assert obs.metrics_enabled()
-        assert obs.profiling_enabled()
         assert obs.trace_events_path() == path
         observer = obs.default_observer()
         assert observer.registry is not None
-        assert observer.profiler is not None
         assert observer.events is not None
-        obs.configure(metrics=False, profile=False, trace_events=None)
+        obs.configure(metrics=False, trace_events=None)
         assert not obs.enabled()
 
     def test_partial_configure_leaves_others(self):
         obs.configure(metrics=True)
-        obs.configure(profile=True)
-        assert obs.metrics_enabled() and obs.profiling_enabled()
+        obs.configure(verbose=True)
+        assert obs.metrics_enabled() and obs.verbose_events()
 
 
 def _tiny_trace(n=64):
@@ -310,7 +274,7 @@ class TestZeroCostWhenDisabled:
     def test_disabled_run_has_no_metrics(self, small_machine):
         result = Simulator(small_machine, "lru").run(_tiny_trace())
         assert result.metrics is None
-        assert obs.session_snapshot() is None
+        assert obs.merged_metrics([result]) is None
 
     def test_perf_smoke(self, small_machine):
         """Loose wall-time bound: the disabled path must not be
@@ -325,9 +289,7 @@ class TestZeroCostWhenDisabled:
 
         def run_enabled():
             observer = obs.Observer(
-                registry=MetricsRegistry(),
-                events=MemoryEventTrace(),
-                profiler=Profiler(),
+                registry=MetricsRegistry(), events=MemoryEventTrace()
             )
             start = time.perf_counter()
             Simulator(small_machine, "lru", observer=observer).run(
@@ -346,9 +308,7 @@ class TestZeroCostWhenDisabled:
 class TestObserverWiring:
     def test_explicit_observer_collects_everything(self, small_machine):
         sink = MemoryEventTrace()
-        observer = obs.Observer(
-            registry=MetricsRegistry(), events=sink, profiler=Profiler()
-        )
+        observer = obs.Observer(registry=MetricsRegistry(), events=sink)
         trace = [Access(64 * i, LOAD, gap=1) for i in range(64)]
         result = Simulator(small_machine, "lru", observer=observer).run(
             trace
@@ -364,10 +324,6 @@ class TestObserverWiring:
         assert sink.of_type("cost_quantized")
         assert sink.of_type("victim_selected")
         assert sink.of_type("run_finished")
-        spans = observer.profiler.summary()
-        assert "sim.replay" in spans
-        assert "cache.lookup" in spans
-        assert "cache.replacement" in spans
 
     def test_victim_event_fields(self, small_machine):
         sink = MemoryEventTrace()
@@ -411,15 +367,6 @@ class TestObserverWiring:
         assert moves.value(direction="inc", psel="sbar") == 1
         assert moves.value(direction="dec", psel="sbar") == 1
 
-    def test_session_accumulates_across_runs(self, small_machine):
-        for _ in range(2):
-            observer = obs.Observer(registry=MetricsRegistry())
-            Simulator(small_machine, "lru", observer=observer).run(
-                _tiny_trace()
-            )
-        session = obs.session_snapshot()
-        assert session["counters"]["sim.runs"][""] == 2
-
 
 class TestCliMetricsOut:
     def test_sim_cli_writes_metrics_json(self, tmp_path, capsys):
@@ -434,6 +381,8 @@ class TestCliMetricsOut:
         ])
         assert code == 0
         payload = json.loads(metrics_path.read_text())
+        assert list(payload) == ["metrics"]
         assert payload["metrics"]["counters"]["sim.runs"][""] == 1
-        assert "sim.replay" in payload["profile"]
         assert read_events(str(events_path))
+        # Telemetry keeps the run on the generic loop, and says so once.
+        assert capsys.readouterr().err.count("generic loop") == 1

@@ -31,11 +31,9 @@ def _metrics_on(tmp_path):
     saved_store = os.environ.get("REPRO_CACHE_DIR")
     os.environ["REPRO_CACHE_DIR"] = str(tmp_path / "store")
     obs.configure(metrics=True)
-    obs.reset_session()
     runner.clear_cache()
     yield
     obs.configure(metrics=False)
-    obs.reset_session()
     runner.clear_cache()
     if saved_store is not None:
         os.environ["REPRO_CACHE_DIR"] = saved_store

@@ -195,6 +195,17 @@ class TestInProcessGrid:
         assert grid.results[implicit] is grid.results[explicit]
         assert grid.cache_hits == 0
 
+    def test_a_shared_execution_counts_its_wall_once(self):
+        # " MCF " and "mcf" share one store key and one execution, so
+        # the grid was busy for that execution's wall, not twice it.
+        tasks = [Task("mcf", "lru", SCALE), Task(" MCF ", "lru", SCALE)]
+        options = RunOptions(workers=0, use_cache=False)
+        run_grid(tasks, options)  # builds the trace outside the timing
+        grid = run_grid(tasks, options)
+        assert grid.cache_misses == 2 and not grid.failures
+        assert grid.reports[0].wall_time == grid.reports[1].wall_time
+        assert 0 < grid.utilization <= 1.0
+
     def test_suite_digest_matches_two_slots(self, tmp_path, monkeypatch):
         in_process = run_suite(
             policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE
