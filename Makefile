@@ -58,16 +58,13 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Kernel performance report (macro benchmarks) -> BENCH_local.json.
-# KERNEL selects the replay kernel(s): auto/generic, or all for both.
-KERNEL ?= auto
 bench:
-	PYTHONPATH=src $(PYTHON) -m repro.bench --out BENCH_local.json --force \
-		--kernel $(KERNEL)
+	PYTHONPATH=src $(PYTHON) -m repro.bench --out BENCH_local.json --force
 
 # Smoke-sized bench run (what CI executes); timings are meaningless.
 bench-quick:
 	PYTHONPATH=src $(PYTHON) -m repro.bench --quick --out BENCH_smoke.json \
-		--force --kernel $(KERNEL)
+		--force
 
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

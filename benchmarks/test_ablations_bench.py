@@ -6,12 +6,10 @@ Each ablation prints a small result table alongside its timing:
 * cost-quantization granularity (3-bit cost_q vs exact cost)
 * shared cost adders (footnote 3: 4 adders vs one per entry)
 * PSEL width sensitivity
-* the CostThreshold CARE variant vs LIN
 """
 
 from dataclasses import replace
 
-from repro.cache.replacement import CostThresholdPolicy, LINPolicy
 from repro.config import MSHRConfig
 from repro.sbar.sbar import SBARController
 from repro.sim.simulator import Simulator
@@ -65,20 +63,6 @@ def test_shared_adders_vs_ideal(benchmark, capsys):
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     _print(capsys, "footnote 3: shared cost adders (negligible)", rows)
-
-
-def test_care_cost_threshold_vs_lin(benchmark, capsys):
-    def run():
-        baseline = _run("lru")
-        rows = []
-        for policy in (LINPolicy(4), CostThresholdPolicy(4), CostThresholdPolicy(8)):
-            result = _run(policy)
-            gain = 100 * (result.ipc - baseline.ipc) / baseline.ipc
-            rows.append((policy.name, "%+.1f%% IPC" % gain))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    _print(capsys, "CARE engines: LIN vs depth-limited cost threshold", rows)
 
 
 def test_psel_width_sensitivity(benchmark, capsys):

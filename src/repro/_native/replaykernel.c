@@ -1020,7 +1020,6 @@ typedef struct {
     int64_t dist_counts[64];
     int64_t dist_total;
     double dist_cost_sum;
-    int track_delta;
     int64_t delta_count;
     double delta_sum;
     int64_t delta_below, delta_mid, delta_high;
@@ -1449,26 +1448,24 @@ mshr_sweep(Sim *s, double target, int all)
         s->dist_counts[bkt] += 1;
         s->dist_total += 1;
         s->dist_cost_sum += cost;
-        if (s->track_delta) {
-            double prev = s->ids.cost[e.id];
-            s->ids.cost[e.id] = cost;
-            if (!isnan(prev)) {
-                double dv = fabs(cost - prev);
-                s->delta_count += 1;
-                s->delta_sum += dv;
-                if (dv < 60) {
-                    s->delta_below += 1;
-                }
-                else if (dv < 120) {
-                    s->delta_mid += 1;
-                }
-                else {
-                    s->delta_high += 1;
-                }
+        double prev = s->ids.cost[e.id];
+        s->ids.cost[e.id] = cost;
+        if (!isnan(prev)) {
+            double dv = fabs(cost - prev);
+            s->delta_count += 1;
+            s->delta_sum += dv;
+            if (dv < 60) {
+                s->delta_below += 1;
             }
-            else if (s->pf.on) {
-                cost_order_append(s, e.id);
+            else if (dv < 120) {
+                s->delta_mid += 1;
             }
+            else {
+                s->delta_high += 1;
+            }
+        }
+        else if (s->pf.on) {
+            cost_order_append(s, e.id);
         }
         if (e.pend_kind) {
             apply_pending(s, &e, bkt);
@@ -3115,7 +3112,6 @@ replay(PyObject *self, PyObject *args)
     s->max_q = p_int(&p, "max_q");
     s->dist_total = p_int(&p, "dist_total");
     s->dist_cost_sum = p_dbl(&p, "dist_cost_sum");
-    s->track_delta = (int)p_int(&p, "track_delta");
     s->delta_count = p_int(&p, "delta_count");
     s->delta_sum = p_dbl(&p, "delta_sum");
     s->delta_below = p_int(&p, "delta_below");
@@ -3581,10 +3577,9 @@ replay(PyObject *self, PyObject *args)
             out_int(out, "pf_trainings", s->pf.trainings) < 0 ||
             out_int(out, "pf_issued", s->pf.issued) < 0 ||
             out_int(out, "pf_suppressed", s->pf.suppressed) < 0 ||
-            (s->track_delta &&
-             out_obj(out, "id_cost_order",
-                     emit_raw(s->cost_order, s->n_cost_order,
-                              sizeof(int32_t))) < 0)) {
+            out_obj(out, "id_cost_order",
+                    emit_raw(s->cost_order, s->n_cost_order,
+                             sizeof(int32_t))) < 0) {
             goto fail;
         }
     }

@@ -6,21 +6,18 @@ CI; its timings are meaningless but the report shape and the embedded
 simulation results are still checked.
 
 Refuses to overwrite an existing report unless ``--force`` is given —
-committed baselines (``BENCH_pr23.json`` etc.) are easy to clobber by
+the committed baseline (``BENCH_pr28.json``) is easy to clobber by
 re-running with the same ``--tag`` otherwise.
 
-``--check REPORT --cell WORKLOAD/POLICY[/KERNEL]`` re-simulates one
-macro cell at the report's recorded scale (and recorded replay kernel)
-and compares the machine-independent result fields; ``--check REPORT``
-alone verifies every macro cell.  That is the CI perf-smoke check: a
-digest mismatch means the simulation kernel changed behavior.  Timings
-are never compared.
+``--check REPORT --cell WORKLOAD/POLICY`` re-simulates one macro cell
+at the report's recorded scale and compares the machine-independent
+result fields; ``--check REPORT`` alone verifies every macro cell.
+That is the CI perf-smoke check: a digest mismatch means the
+simulation kernel changed behavior.  Timings are never compared.
 
-``--kernel`` selects the replay kernel the macro cells request
-(recorded per cell next to ``kernel_used``, the path that actually
-ran, and ``kernel_fallback``, the native gate that failed when it was
-the generic loop); ``--kernel all`` times native (``auto``) against
-generic side by side in one report.
+Each cell records the replay path that actually ran (``kernel_used``)
+and, when it was the generic loop, the native gate that failed
+(``kernel_fallback``).
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from repro.bench.report import (
     entry_task,
     validate_report,
 )
-from repro.sim.options import REPLAY_KERNELS
 from repro.sim.runner import cell_label
 
 
@@ -47,39 +43,33 @@ def _check_mode(report_path: str, cell: str) -> int:
     validate_report(report)
     # Every macro cell the report recorded, or the first one --cell
     # names by its label.
-    cells = [(entry_task(entry), entry["kernel"]) for entry in report["macro"]]
+    tasks = [entry_task(entry) for entry in report["macro"]]
     if cell is not None:
-        parts = cell.split("/")
-        if len(parts) not in (2, 3):
+        if "/" not in cell:
             print(
-                "--cell must look like WORKLOAD/POLICY[/KERNEL], got %r"
-                % cell,
+                "--cell must look like WORKLOAD/POLICY, got %r" % cell,
                 file=sys.stderr,
             )
             return 2
-        named = len(parts) == 3
-        cells = [
-            (task, kernel if named else None) for task, kernel in cells
-            if cell_label(task, kernel if named else None) == cell
-        ][:1]
-        if not cells:
+        tasks = [task for task in tasks if cell_label(task) == cell][:1]
+        if not tasks:
             print("FAIL: report has no macro cell %s" % cell,
                   file=sys.stderr)
             return 1
     failures = 0
-    for task, kernel in cells:
+    for task in tasks:
         try:
-            fresh = check_macro_cell(report, task, kernel)
+            fresh = check_macro_cell(report, task)
         except ValueError as exc:
             failures += 1
             print("FAIL: %s" % exc, file=sys.stderr)
             continue
         print("OK: %s results match %s (%s)" % (
-            cell_label(task, kernel), report_path,
+            cell_label(task), report_path,
             ", ".join("%s=%s" % item for item in sorted(fresh.items())),
         ))
     if failures:
-        print("%d of %d cells FAILED" % (failures, len(cells)),
+        print("%d of %d cells FAILED" % (failures, len(tasks)),
               file=sys.stderr)
         return 1
     return 0
@@ -90,13 +80,6 @@ def main(argv=None) -> int:
         prog="python -m repro.bench",
         description="Measure simulation-kernel performance and write a "
         "BENCH_<tag>.json report.",
-    )
-    # Bench's own --kernel also accepts "all", to time both kernels
-    # side by side in one report.
-    parser.add_argument(
-        "--kernel", default="auto", choices=REPLAY_KERNELS + ("all",),
-        help="replay kernel the macro cells request (recorded per "
-             "cell); 'all' times native (auto) against generic",
     )
     parser.add_argument(
         "--out", default=None,
@@ -129,9 +112,9 @@ def main(argv=None) -> int:
         "written",
     )
     parser.add_argument(
-        "--cell", metavar="WORKLOAD/POLICY[/KERNEL]", default=None,
-        help="macro cell to verify in --check mode, e.g. mcf/sbar or "
-             "mcf/sbar/generic (default: every recorded cell)",
+        "--cell", metavar="WORKLOAD/POLICY", default=None,
+        help="macro cell to verify in --check mode, e.g. mcf/sbar "
+             "(default: every recorded cell)",
     )
     args = parser.parse_args(argv)
 
@@ -150,23 +133,12 @@ def main(argv=None) -> int:
         return 2
 
     print("running macro-benchmarks%s..." % (" (quick)" if args.quick else ""))
-    kernels = REPLAY_KERNELS if args.kernel == "all" else (args.kernel,)
-    macro = []
-    for kernel in kernels:
-        macro.extend(run_macro(
-            scale=args.scale, repeat=args.repeat, quick=args.quick,
-            kernel=kernel,
-        ))
+    macro = run_macro(scale=args.scale, repeat=args.repeat, quick=args.quick)
     for entry in macro:
-        resolved = (
-            ""
-            if entry["kernel_used"] == entry["kernel"]
-            else " -> %s" % entry["kernel_used"]
-        )
         label = cell_label(entry_task(entry))
         print(
-            "  %-15s %-7s%s %8.0f accesses/s  (%.3fs, %d L2 misses)"
-            % (label, entry["kernel"], resolved, entry["accesses_per_sec"],
+            "  %-15s %-7s %8.0f accesses/s  (%.3fs, %d L2 misses)"
+            % (label, entry["kernel_used"], entry["accesses_per_sec"],
                entry["seconds"], entry["result"]["l2_misses"])
         )
 

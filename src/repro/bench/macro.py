@@ -62,17 +62,15 @@ def macro_result_fields(result) -> Dict[str, object]:
     return fields
 
 
-def simulate_cell(task: Task, kernel: str = "auto"):
+def simulate_cell(task: Task):
     """Run one macro cell untimed; returns its SimResult.
 
     This is the re-simulation entry point the report ``--check`` mode
     uses: identical machine setup to the timed cells, so the embedded
-    result fields must reproduce exactly on any host.  ``kernel`` is
-    the replay kernel to request; results are bit-identical across
-    kernels by contract.
+    result fields must reproduce exactly on any host.
     """
     trace = build_workload(task.benchmark, scale=task.scale)
-    return task.simulator(kernel).run(trace)
+    return task.simulator().run(trace)
 
 
 def run_macro(
@@ -81,7 +79,6 @@ def run_macro(
     quick: bool = False,
     workloads: Sequence[str] = MACRO_WORKLOADS,
     policies: Sequence[str] = MACRO_POLICIES,
-    kernel: str = "auto",
 ) -> List[Dict[str, object]]:
     """Time full simulation runs; returns one entry per (workload, policy),
     plus the :data:`MACRO_PHASED` and :data:`MACRO_PREFETCHED` cells
@@ -90,9 +87,7 @@ def run_macro(
     ``quick`` shrinks the traces and skips repetition for smoke tests;
     otherwise each cell reports best-of-``repeat`` wall time after one
     untimed warm-up run (first-run interpreter effects dominate
-    otherwise).  ``kernel`` is the replay kernel every cell
-    requests (recorded per entry); call once per kernel to build a
-    kernel-comparison report.  Repetitions are *interleaved* round-robin across the
+    otherwise).  Repetitions are *interleaved* round-robin across the
     cells rather than run back-to-back per cell: machine noise is often
     sustained over many seconds, and consecutive repeats of one cell
     would all land in the same slow window while another cell gets all
@@ -118,7 +113,7 @@ def run_macro(
         )
         for task in tasks:
             if not quick:
-                task.simulator(kernel).run(trace)
+                task.simulator().run(trace)
             entry = {
                 "workload": workload,
                 "policy": task.policy_spec,
@@ -126,7 +121,6 @@ def run_macro(
                 "scale": scale,
                 "seconds": float("inf"),
                 "accesses_per_sec": 0.0,
-                "kernel": kernel,
                 "kernel_used": "generic",
                 "kernel_fallback": None,
                 "result": None,
@@ -137,7 +131,7 @@ def run_macro(
             entries.append(entry)
     for _ in range(repeat):
         for entry in entries:
-            sim = entry["_task"].simulator(kernel)
+            sim = entry["_task"].simulator()
             start = perf_counter()
             result = sim.run(entry["_trace"])
             elapsed = perf_counter() - start

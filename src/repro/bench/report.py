@@ -5,38 +5,34 @@ A report is a plain JSON-safe dict:
 .. code-block:: text
 
     {
-      "schema": "repro.bench/v6",
+      "schema": "repro.bench/v7",
       "tag": "local",
       "created_unix": 1754400000.0,
       "machine": {"platform": ..., "python": ..., "cpus": ...},
       "code_version": "<hash of the repro sources, .c files included>",
       "macro": [{"workload", "policy", "accesses", "scale", "seconds",
-                 "accesses_per_sec", "kernel", "kernel_used",
+                 "accesses_per_sec", "kernel_used",
                  "kernel_fallback", ["phase_interval"],
                  ["prefetch_degree"],
                  "result": {"l2_misses", "cycles", "demand_misses",
                  "stall_cycles", ["phase_misses"]}}, ...]
     }
 
-Each macro cell records the replay kernel it was *requested* under
-(``kernel``: ``auto`` or ``generic``), the path that actually ran
-(``kernel_used``: a host without the compiled extension runs ``auto``
-cells on the generic loop) and, for the generic loop, the native gate
-that failed (``kernel_fallback``, else null), so a silent downgrade on
-a future host shows up as data rather than as a timing regression.  A
+Each macro cell records the path that actually ran (``kernel_used``:
+a host without the compiled extension runs every cell on the generic
+loop) and, for the generic loop, the native gate that failed
+(``kernel_fallback``, else null), so a silent downgrade on a future
+host shows up as data rather than as a timing regression.  A
 phase-sampled cell carries ``phase_interval`` (a positive int) and
 embeds ``phase_misses``, one miss count per phase, in its result; a
 prefetch cell carries ``prefetch_degree`` (a positive int): it ran
 with a default stride prefetcher of that degree.  A cell without
 either field ran unsampled and without a prefetcher.
 
-v6 is v5 without the ``micro`` section (timings of Python kernels the
-native path never touches) and without the macro cells' ``fused``
-flag, which duplicated ``kernel_used == "native"``.
-``validate_report`` still reads v5, so the committed v5 baselines stay
-checkable; their ``micro`` section is ignored.  Cells recorded under
-the retired ``native``/``batched``/``fused`` kernel names re-simulate
-on ``auto``.
+v7 is v6 without the requested ``kernel`` field of a macro cell: the
+bench no longer chooses a replay kernel, so every cell requests what a
+plain :class:`~repro.sim.simulator.Simulator` takes.
+``validate_report`` reads v7 only.
 
 ``validate_report`` is the single source of truth for that shape; the
 CI perf-smoke job and the bench CLI both call it, so a report that
@@ -60,24 +56,14 @@ from typing import Dict, List, Optional
 from repro.sim.runner import Task, cell_label
 from repro.sim.store import code_version
 
-#: Current report schema identifier; bump the suffix on breaking shape
-#: changes so old reports stay recognizable.
-SCHEMA = "repro.bench/v6"
-
-#: The older schema ``validate_report`` still accepts (the committed
-#: v5 baseline reports must stay checkable).
-_SCHEMA_V5 = "repro.bench/v5"
-
-#: Kernel names older reports recorded that no longer exist; their
-#: cells re-simulate on ``auto``.
-RETIRED_KERNELS = ("native", "batched", "fused")
+#: Report schema identifier; bump the suffix on breaking shape changes
+#: so old reports stay recognizable.
+SCHEMA = "repro.bench/v7"
 
 _MACRO_FIELDS = {"workload": str, "policy": str, "accesses": int,
                  "scale": float, "seconds": float,
-                 "accesses_per_sec": float, "kernel": str,
-                 "kernel_used": str, "result": dict}
-#: v5 macro cells also carry the ``fused`` flag.
-_MACRO_FIELDS_V5 = dict(_MACRO_FIELDS, fused=bool)
+                 "accesses_per_sec": float, "kernel_used": str,
+                 "result": dict}
 _RESULT_FIELDS = {"l2_misses": int, "cycles": float, "demand_misses": int,
                   "stall_cycles": float}
 
@@ -140,21 +126,15 @@ def _check_fields(entry: object, spec: Dict[str, type], where: str) -> None:
 
 
 def validate_report(report: object) -> None:
-    """Raise ``ValueError`` when ``report`` violates its schema.
-
-    Accepts the current v6 schema and v5 (whose macro cells also carry
-    ``fused``; its ``micro`` section is ignored), so the committed v5
-    baseline reports stay valid.
-    """
+    """Raise ``ValueError`` when ``report`` violates the :data:`SCHEMA`
+    shape."""
     if not isinstance(report, dict):
         raise ValueError("report must be an object, got %r" % (report,))
     schema = report.get("schema")
-    if schema not in (SCHEMA, _SCHEMA_V5):
+    if schema != SCHEMA:
         raise ValueError(
-            "unknown schema %r (expected %r or %r)"
-            % (schema, SCHEMA, _SCHEMA_V5)
+            "unknown schema %r (expected %r)" % (schema, SCHEMA)
         )
-    macro_fields = _MACRO_FIELDS if schema == SCHEMA else _MACRO_FIELDS_V5
     for field, expected in (
         ("tag", str), ("created_unix", float), ("machine", dict),
         ("code_version", str), ("macro", list),
@@ -162,7 +142,7 @@ def validate_report(report: object) -> None:
         _check_fields(report, {field: expected}, "report")
     for index, entry in enumerate(report["macro"]):
         where = "macro[%d]" % index
-        _check_fields(entry, macro_fields, where)
+        _check_fields(entry, _MACRO_FIELDS, where)
         if entry["seconds"] <= 0 or entry["accesses_per_sec"] <= 0:
             raise ValueError("%s: timings must be positive" % where)
         if entry["scale"] <= 0:
@@ -188,45 +168,30 @@ def entry_task(entry: Dict[str, object]) -> Task:
 
 
 def find_macro_cell(
-    report: Dict[str, object],
-    task: Task,
-    kernel: Optional[str] = None,
+    report: Dict[str, object], task: Task
 ) -> Dict[str, object]:
-    """Return the macro entry that recorded ``task``, or raise.
-
-    ``kernel`` narrows the match in a report that times the same cell
-    under several kernels; ``None`` returns the first match.
-    """
+    """Return the macro entry that recorded ``task``, or raise."""
     for entry in report["macro"]:
-        if entry_task(entry) == task and (
-            kernel is None or entry.get("kernel") == kernel
-        ):
+        if entry_task(entry) == task:
             return entry
-    raise ValueError("report has no macro cell %s" % cell_label(task, kernel))
+    raise ValueError("report has no macro cell %s" % cell_label(task))
 
 
 def check_macro_cell(
-    report: Dict[str, object],
-    task: Task,
-    kernel: Optional[str] = None,
+    report: Dict[str, object], task: Task
 ) -> Dict[str, object]:
     """Re-simulate one macro cell and compare its embedded results.
 
     The comparison covers only the machine-independent ``result``
     fields — never timings — so it must pass on any host for a report
-    produced by the same code.  The re-simulation requests the cell's
-    recorded kernel, or ``auto`` for retired kernel names: results
-    never depend on the kernel, so the digests must agree regardless.
-    Returns the freshly simulated result payload on success; raises
+    produced by the same code, and whichever replay path runs: the
+    two are bit-identical by contract.  Returns the freshly simulated result payload on success; raises
     ``ValueError`` with a field-by-field diff on mismatch.
     """
     from repro.bench.macro import macro_result_fields, simulate_cell
 
-    entry = find_macro_cell(report, task, kernel)
-    recorded_kernel = entry["kernel"]
-    if recorded_kernel in RETIRED_KERNELS:
-        recorded_kernel = "auto"
-    fresh = macro_result_fields(simulate_cell(task, recorded_kernel))
+    entry = find_macro_cell(report, task)
+    fresh = macro_result_fields(simulate_cell(task))
     recorded = entry["result"]
     # phase_misses is recorded only by phase-sampled cells.
     mismatches = [
@@ -237,7 +202,7 @@ def check_macro_cell(
     ]
     if mismatches:
         raise ValueError(
-            "macro cell %s (kernel %s) result mismatch (%s)"
-            % (cell_label(task), entry["kernel"], "; ".join(mismatches))
+            "macro cell %s result mismatch (%s)"
+            % (cell_label(task), "; ".join(mismatches))
         )
     return fresh

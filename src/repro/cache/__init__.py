@@ -17,7 +17,6 @@ from repro.cache.cache import AccessResult, SetAssociativeCache
 from repro.cache.tag_directory import SparseTagDirectory
 from repro.cache.replacement import (
     BeladyPolicy,
-    CostThresholdPolicy,
     FIFOPolicy,
     LINPolicy,
     LRUPolicy,
@@ -37,5 +36,4 @@ __all__ = [
     "RandomPolicy",
     "BeladyPolicy",
     "LINPolicy",
-    "CostThresholdPolicy",
 ]

@@ -6,8 +6,6 @@ of any generic cost-sensitive scheme".  This package provides:
 * :class:`LRUPolicy` — the paper's baseline (Equation 1).
 * :class:`LINPolicy` — the Linear policy of Equation 2,
   ``victim = argmin R(i) + lambda * cost_q(i)``.
-* :class:`CostThresholdPolicy` — a depth-limited cost-sensitive LRU in
-  the spirit of Jeong & Dubois, used for ablations.
 * :class:`BeladyPolicy` — OPT, for the Figure 1 analysis.
 * :class:`EHCPolicy` — online expected-hit-count Belady approximation.
 * :class:`AWRPPolicy` — adaptive weight (recency + frequency) ranking.
@@ -19,7 +17,7 @@ from repro.cache.replacement.lru import LRUPolicy, FIFOPolicy, RandomPolicy
 from repro.cache.replacement.belady import BeladyPolicy
 from repro.cache.replacement.ehc import EHCPolicy
 from repro.cache.replacement.awrp import AWRPPolicy
-from repro.cache.replacement.lin import LINPolicy, CostThresholdPolicy
+from repro.cache.replacement.lin import LINPolicy
 from repro.cache.replacement.registry import (
     available_policies,
     parse_policy_spec,
@@ -36,7 +34,6 @@ __all__ = [
     "EHCPolicy",
     "AWRPPolicy",
     "LINPolicy",
-    "CostThresholdPolicy",
     "register_policy",
     "parse_policy_spec",
     "available_policies",

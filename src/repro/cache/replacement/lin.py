@@ -40,33 +40,3 @@ class LINPolicy(ReplacementPolicy):
                 best_position = position
         return best_position
 
-
-class CostThresholdPolicy(ReplacementPolicy):
-    """Depth-limited cost-sensitive LRU, for ablation studies.
-
-    Considers only the ``depth`` least-recent blocks and evicts the
-    cheapest of those; with ``depth = associativity`` this is a pure
-    min-cost policy, with ``depth = 1`` it is LRU.  This mirrors the
-    family of LRU variants Jeong & Dubois propose as generic
-    cost-sensitive engines (Section 2), demonstrating that CARE accepts
-    schemes other than LIN.
-    """
-
-    def __init__(self, depth: int = 4) -> None:
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        self.depth = depth
-        self.name = "cost-threshold(%d)" % depth
-
-    def choose_victim(self, cache_set: CacheSet) -> int:
-        n_ways = len(cache_set.ways)
-        first_candidate = max(0, n_ways - self.depth)
-        best_position = n_ways - 1
-        best_cost = cache_set.ways[best_position].cost_q
-        # Scan from LRU backwards so ties keep the least-recent block.
-        for position in range(n_ways - 1, first_candidate - 1, -1):
-            cost = cache_set.ways[position].cost_q
-            if cost < best_cost:
-                best_cost = cost
-                best_position = position
-        return best_position

@@ -26,7 +26,7 @@ import sys
 from typing import List, Optional
 
 from repro.sim.common_cli import service_parent, slot_worker_count
-from repro.sim.options import REPLAY_KERNELS, RunOptions
+from repro.sim.options import RunOptions
 
 
 def _csv(value: str) -> List[str]:
@@ -78,10 +78,6 @@ def _add_serve_parser(subparsers) -> None:
              "(tests/CI only)",
     )
     parser.add_argument(
-        "--kernel", default="auto", choices=REPLAY_KERNELS,
-        help="replay kernel for executed cells",
-    )
-    parser.add_argument(
         "--resume", action="store_true",
         help="replay incomplete job journals from a previous service "
              "run before accepting new submissions",
@@ -96,19 +92,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "use_cache": not args.no_cache,
         "max_retries": args.max_retries,
         "deadline": args.deadline,
-        "kernel": args.kernel,
     }
-    if args.chaos:
-        from repro.sim.chaos import ChaosConfig
+    try:
+        if args.chaos:
+            from repro.sim.chaos import ChaosConfig
 
-        fields["chaos"] = ChaosConfig.parse(args.chaos)
+            fields["chaos"] = ChaosConfig.parse(args.chaos)
+        options = RunOptions(**fields)
+    except ValueError as exc:
+        print("repro serve: error: %s" % exc, file=sys.stderr)
+        return 2
     config = ServiceConfig(
         host=args.host,
         port=args.port,
         workers=args.workers,
         queue_limit=args.queue_limit,
         tenant_quota=args.tenant_quota,
-        options=RunOptions(**fields),
+        options=options,
         resume=args.resume,
     )
 

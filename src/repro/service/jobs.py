@@ -177,11 +177,12 @@ class Job:
 
 @dataclass
 class Rejection:
-    """An admission refusal: the 429-style triple the wire carries."""
+    """An admission refusal: the error the wire carries, plus the
+    429-style retry hint of a quota or queue refusal."""
 
-    code: str            # "quota-exceeded" | "queue-full"
+    code: str            # "quota-exceeded" | "queue-full" | "bad-request"
     message: str
-    retry_after_s: float
+    retry_after_s: Optional[float] = None
 
 
 class TenantQuotas:

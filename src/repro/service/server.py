@@ -54,6 +54,7 @@ from repro.service.jobs import (
     SOURCE_RESUME,
     CellState,
     Job,
+    Rejection,
     TenantQuotas,
     expand_cells,
 )
@@ -64,10 +65,11 @@ from repro.sim.runner import Task, trace_scale
 from repro.sim.store import default_store, result_digest
 
 #: Client-suppliable RunOptions fields.  Everything else (cache policy,
-#: journaling, pool shape) is the server's call; these four only change
-#: how hard one submission tries, and none of them can change result
-#: bits (kernels are bit-identical by contract; chaos is for tests).
-CLIENT_OPTION_FIELDS = ("kernel", "max_retries", "deadline", "chaos")
+#: journaling, pool shape) is the server's call; these three only
+#: change how hard one submission tries, and none of them can change
+#: result bits (chaos is for tests).  Other keys, such as the
+#: ``kernel`` an older client may still send, are ignored.
+CLIENT_OPTION_FIELDS = ("max_retries", "deadline", "chaos")
 
 
 @dataclass
@@ -202,7 +204,11 @@ class JobService:
     def _merge_options(
         self, wire: Optional[Dict[str, object]]
     ) -> RunOptions:
-        """Server options with the client's whitelisted overrides."""
+        """Server options with the client's whitelisted overrides.
+
+        Raises ``ValueError`` or ``TypeError`` when an override is not
+        a valid :class:`RunOptions` value.
+        """
         base = self.config.options
         if not wire:
             return base
@@ -234,8 +240,15 @@ class JobService:
         dedup, and hand-off to the scheduler, in one method.  Runs
         synchronously on the event loop so concurrent submitters
         interleave at message granularity, never mid-admission.  A
-        cell whose spec does not parse fails alone, like a grid cell.
+        cell whose spec does not parse fails alone, like a grid cell;
+        options that do not make a :class:`RunOptions` refuse the whole
+        submission as a ``bad-request``, before anything is admitted.
         """
+        try:
+            options = self._merge_options(options_wire)
+        except (TypeError, ValueError) as exc:
+            self.counters["submissions_rejected"] += 1
+            return None, Rejection("bad-request", "invalid options: %s" % exc)
         resolved_scale = scale if scale is not None else trace_scale()
         cells = expand_cells(benchmarks, policies, resolved_scale)
         rejection = self.quotas.try_admit(tenant, len(cells), force=force)
@@ -245,7 +258,6 @@ class JobService:
         self.counters["submissions"] += 1
         self.counters["cells_total"] += len(cells)
 
-        options = self._merge_options(options_wire)
         job = Job(
             job_id=job_id or new_run_id("job"),
             tenant=tenant,
@@ -382,12 +394,19 @@ class JobService:
             if state.run_id in self.jobs:
                 continue
             meta = state.meta
+            options_wire = meta.get("options")
+            try:
+                self._merge_options(options_wire)
+            except (TypeError, ValueError):
+                # An older version admitted options this one refuses;
+                # the job it admitted finishes on the server's own.
+                options_wire = None
             job, rejection = self.submit_job(
                 tenant=meta.get("tenant", "anonymous"),
                 benchmarks=meta.get("benchmarks") or [],
                 policies=meta.get("policies") or [],
                 scale=meta.get("scale"),
-                options_wire=meta.get("options"),
+                options_wire=options_wire,
                 job_id=state.run_id,
                 force=True,
                 resume_keys=set(state.completed),

@@ -12,8 +12,7 @@ Shares the common execution/telemetry flags with the other CLIs
 (:mod:`repro.sim.common_cli`).  Benchmark runs go through
 :func:`repro.sim.runner.run_policy`, so they hit (and populate) the
 persistent result store like every other entry point; ``--no-cache``
-forces a fresh simulation.  ``--kernel`` applies to both benchmark and
-trace-file runs.
+forces a fresh simulation.
 """
 
 from __future__ import annotations
@@ -93,8 +92,7 @@ def main(argv=None) -> int:
     else:
         trace = open_trace(args.trace)
         simulator = Simulator(
-            config, args.policy, phase_interval=args.phase_interval,
-            kernel=options.kernel,
+            config, args.policy, phase_interval=args.phase_interval
         )
         result = simulator.run(trace)
         print("workload: %s  (%d accesses, %d instructions)"

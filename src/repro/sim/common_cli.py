@@ -5,7 +5,7 @@
 flags once, as argparse *parent parsers*:
 
 * :func:`execution_parent` — how to execute one simulation:
-  ``--no-cache``, ``--kernel``.
+  ``--no-cache``.
 * :func:`grid_parent` — how to execute a grid of them: ``--workers``,
   ``--progress``, ``--resume``, ``--max-retries``, ``--deadline``,
   ``--chaos``.  Only the CLIs that run grids take these.
@@ -28,7 +28,7 @@ import os
 import sys
 
 from repro import obs
-from repro.sim.options import REPLAY_KERNELS, RunOptions, check_workers
+from repro.sim.options import RunOptions, check_workers
 
 
 def worker_count(text: str, least: int = 0) -> int:
@@ -57,12 +57,6 @@ def execution_parent() -> argparse.ArgumentParser:
     group.add_argument(
         "--no-cache", action="store_true",
         help="bypass the in-process memo and the persistent store",
-    )
-    group.add_argument(
-        "--kernel", default="auto", choices=REPLAY_KERNELS,
-        help="replay kernel (both are bit-identical; default auto takes "
-             "the compiled native kernel when built and its gates hold, "
-             "else the generic loop)",
     )
     return parent
 
@@ -141,12 +135,16 @@ def telemetry_parent() -> argparse.ArgumentParser:
 def check_grid_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
-    """Report grid flag combinations that cannot work as usage errors."""
+    """Report grid flags that cannot work as usage errors."""
     if args.no_cache and args.resume:
         parser.error(
             "--resume replays cells from the result store; it cannot be "
             "combined with --no-cache"
         )
+    try:
+        options_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def options_from_args(
@@ -161,7 +159,7 @@ def options_from_args(
     installed when ``--progress`` was passed (default:
     :func:`progress_printer`).
     """
-    fields = {"use_cache": not args.no_cache, "kernel": args.kernel}
+    fields = {"use_cache": not args.no_cache}
     if "workers" not in vars(args):
         return RunOptions(**fields)
     fields.update(

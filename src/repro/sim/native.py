@@ -254,7 +254,7 @@ def _pristine(sim) -> bool:
         and not mshr._in_flight
         and mshr._demand_live == 0
         and not sim.memory._in_flight
-        and (sim.delta is None or not sim.delta._last_cost)
+        and not sim.delta._last_cost
     ):
         return False
     kind = type(policy)
@@ -459,12 +459,11 @@ def _build_params(sim, trace) -> dict:
         "dist_counts": list(dist.counts),
         "dist_total": dist.total,
         "dist_cost_sum": dist.cost_sum,
-        "track_delta": int(delta is not None),
-        "delta_count": delta._count if delta is not None else 0,
-        "delta_sum": delta._sum if delta is not None else 0.0,
-        "delta_below": delta._below_60 if delta is not None else 0,
-        "delta_mid": delta._60_to_119 if delta is not None else 0,
-        "delta_high": delta._120_plus if delta is not None else 0,
+        "delta_count": delta._count,
+        "delta_sum": delta._sum,
+        "delta_below": delta._below_60,
+        "delta_mid": delta._60_to_119,
+        "delta_high": delta._120_plus,
         # Policies: pols[0] is the fixed policy without a controller.
         "policies": [_policy_tuple(policy)],
         "ehc_horizon": 1,
@@ -914,15 +913,14 @@ def _write_back(sim, out) -> None:
     dist.total = out["dist_total"]
     dist.cost_sum = out["dist_cost_sum"]
     delta = sim.delta
-    if delta is not None:
-        delta._count = out["delta_count"]
-        delta._sum = out["delta_sum"]
-        delta._below_60 = out["delta_below"]
-        delta._60_to_119 = out["delta_mid"]
-        delta._120_plus = out["delta_high"]
-        held = end.hold(delta, "_last_cost")
-        end.queue(_fill_last_cost, held["_last_cost"], out["id_blocks"],
-                  out["id_costs"], out.get("id_cost_order"))
+    delta._count = out["delta_count"]
+    delta._sum = out["delta_sum"]
+    delta._below_60 = out["delta_below"]
+    delta._60_to_119 = out["delta_mid"]
+    delta._120_plus = out["delta_high"]
+    held = end.hold(delta, "_last_cost")
+    end.queue(_fill_last_cost, held["_last_cost"], out["id_blocks"],
+              out["id_costs"], out.get("id_cost_order"))
 
     associativity = l2.geometry.associativity
     controller = sim.controller

@@ -16,13 +16,9 @@ variants with :meth:`RunOptions.replace`::
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-#: Valid ``kernel`` selections, for ``RunOptions``, ``Simulator`` and
-#: every CLI's ``--kernel``: ``"auto"`` replays on the compiled native
-#: kernel whenever its gates hold, ``"generic"`` pins the Python loop.
-REPLAY_KERNELS = ("auto", "generic")
 
 
 def check_workers(workers: int, least: int = 0) -> int:
@@ -56,9 +52,6 @@ class RunOptions:
       (``attempts = max_retries + 1``).
     * ``deadline`` — per-task wall-clock budget in seconds (SIGALRM in
       the worker).
-    * ``backoff_base`` — first delay of the exponential backoff with
-      deterministic jitter between retry attempts (see
-      :func:`repro.sim.resilience.backoff_delay`).
     * ``resume`` — run id of an interrupted run whose journal +
       store entries should be replayed; only missing cells re-execute.
     * ``run_id`` — explicit id for this run's journal (default:
@@ -67,31 +60,35 @@ class RunOptions:
       finished task.
     * ``chaos`` — optional :class:`repro.sim.chaos.ChaosConfig` for
       deterministic fault injection (tests/CI only).
-    * ``kernel`` — replay kernel passed to every
-      :class:`~repro.sim.simulator.Simulator`, one of
-      :data:`REPLAY_KERNELS`.  Both paths are bit-identical, so the
-      choice never enters memo or store keys — a cached result
-      satisfies a request under either, and
-      ``SimResult.meta["kernel_used"]`` records which one actually
-      produced it.
     """
 
     workers: int = 0
     use_cache: bool = True
     max_retries: int = 1
     deadline: Optional[float] = None
-    backoff_base: float = 0.05
     resume: Optional[str] = None
     run_id: Optional[str] = None
     progress: Optional[Callable] = None
     chaos: Optional[object] = None  # repro.sim.chaos.ChaosConfig
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.kernel not in REPLAY_KERNELS:
+        if (
+            not isinstance(self.max_retries, int)
+            or isinstance(self.max_retries, bool)
+            or self.max_retries < 0
+        ):
             raise ValueError(
-                "kernel must be one of %s, got %r"
-                % (", ".join(REPLAY_KERNELS), self.kernel)
+                "max_retries must be an int of 0 or more, got %r"
+                % (self.max_retries,)
+            )
+        if self.deadline is not None and (
+            not isinstance(self.deadline, (int, float))
+            or isinstance(self.deadline, bool)
+            or not 0 < self.deadline < math.inf
+        ):
+            raise ValueError(
+                "deadline must be None or a finite positive number of "
+                "seconds, got %r" % (self.deadline,)
             )
 
     def replace(self, **changes) -> "RunOptions":
@@ -127,7 +124,8 @@ class RunOptions:
         Unknown keys are ignored (a newer client may send fields an
         older server does not know, and an older client may still send
         fields this version dropped), and a ``chaos`` dict is revived
-        into a :class:`~repro.sim.chaos.ChaosConfig`.
+        into a :class:`~repro.sim.chaos.ChaosConfig`.  A known field
+        with an invalid value raises ``ValueError`` or ``TypeError``.
         """
         if not payload:
             return cls()
@@ -143,6 +141,8 @@ class RunOptions:
             from repro.sim.chaos import ChaosConfig
 
             fields["chaos"] = ChaosConfig(**chaos)
+        elif chaos is not None:
+            raise TypeError("chaos must be an object, got %r" % (chaos,))
         return cls(**fields)
 
 

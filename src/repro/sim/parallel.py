@@ -76,6 +76,7 @@ from repro.sim import runner
 from repro.sim.chaos import inject
 from repro.sim.options import RunOptions, check_workers
 from repro.sim.resilience import (
+    BACKOFF_BASE_S,
     BACKOFF_CAP_S,
     RunJournal,
     backoff_delay,
@@ -101,7 +102,7 @@ def _alarm_handler(signum, frame):
 def execute_cell(payload) -> Tuple[str, object, float, int, Optional[str]]:
     """Worker-side entry: run one task, never raise.
 
-    ``payload`` is ``(task, key, deadline, chaos, attempt, kernel)``.
+    ``payload`` is ``(task, key, deadline, chaos, attempt)``.
     ``key`` is the store key the parent computed and probed (a miss),
     or None when the cell must not be stored; the worker trusts that
     probe and simulates straight away.  Returns ``("ok", SimResult,
@@ -114,7 +115,7 @@ def execute_cell(payload) -> Tuple[str, object, float, int, Optional[str]]:
     a grid run from a CLI run cells there.  Simulations are pure CPU
     loops, so the alarm lands promptly between bytecodes.
     """
-    task, key, deadline, chaos, attempt, kernel = payload
+    task, key, deadline, chaos, attempt = payload
     start = time.perf_counter()
     alarmed = bool(deadline) and hasattr(signal, "SIGALRM") and (
         threading.current_thread() is threading.main_thread()
@@ -125,7 +126,7 @@ def execute_cell(payload) -> Tuple[str, object, float, int, Optional[str]]:
             previous = signal.signal(signal.SIGALRM, _alarm_handler)
             signal.alarm(max(1, int(math.ceil(deadline))))
         inject(chaos, task.label, attempt)
-        result = runner.simulate(task, key, kernel)
+        result = runner.simulate(task, key)
         return ("ok", result, time.perf_counter() - start, os.getpid(), None)
     except Exception as exc:
         message = "%s: %s" % (type(exc).__name__, exc)
@@ -386,7 +387,6 @@ class CellScheduler:
                 execution.task,
                 execution.key if options.use_cache else None,
                 options.deadline, options.chaos, execution.attempts,
-                options.kernel,
             )
             if slot is None:
                 self._settle_attempt(execution, name, execute_cell(payload))
@@ -441,7 +441,7 @@ class CellScheduler:
             self.retries += 1
             self._loop.call_later(
                 backoff_delay(
-                    options.backoff_base, BACKOFF_CAP_S,
+                    BACKOFF_BASE_S, BACKOFF_CAP_S,
                     execution.attempts, execution.task.label,
                 ),
                 self._retry, execution,

@@ -33,6 +33,10 @@ from typing import Dict, List, Optional
 #: Journal line format; bump when event fields change incompatibly.
 JOURNAL_SCHEMA = "repro.journal/v1"
 
+#: First wait between two attempts of one task, in seconds; each
+#: further retry doubles it, up to :data:`BACKOFF_CAP_S`.
+BACKOFF_BASE_S = 0.05
+
 #: Longest wait between two attempts of one task, in seconds.
 BACKOFF_CAP_S = 2.0
 
@@ -264,6 +268,7 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "JournalState",
     "RunJournal",
+    "BACKOFF_BASE_S",
     "BACKOFF_CAP_S",
     "backoff_delay",
     "journal_root",

@@ -118,19 +118,18 @@ class Task:
 
         return experiment_config()
 
-    def simulator(self, kernel: str = "auto") -> Simulator:
-        """A fresh :class:`Simulator` for this cell on ``kernel``."""
+    def simulator(self) -> Simulator:
+        """A fresh :class:`Simulator` for this cell."""
         return Simulator(
             self.machine(),
             self.policy_spec,
             phase_interval=self.phase_interval,
             prefetcher=prefetcher_for(self.prefetch_degree),
-            kernel=kernel,
         )
 
 
-def cell_label(task: Task, kernel: Optional[str] = None) -> str:
-    """``benchmark/policy[/kernel]``, then ``@tag=value`` per set field.
+def cell_label(task: Task) -> str:
+    """``benchmark/policy``, then ``@tag=value`` per set field.
 
     It names a cell in progress lines, chaos decisions, service events
     and bench output; a machine config shows as a short digest.
@@ -140,8 +139,6 @@ def cell_label(task: Task, kernel: Optional[str] = None) -> str:
         for spec in fields(task)
     }
     label = "%s/%s" % (task.benchmark, task.policy_spec)
-    if kernel is not None:
-        label += "/" + kernel
     for name, value in task.modifiers().items():
         if is_dataclass(value):
             blob = json.dumps(asdict(value), sort_keys=True)
@@ -351,8 +348,7 @@ def run_task(task: Task, options: Optional[RunOptions] = None) -> SimResult:
     """Simulate one cell, or serve it from the memo or the store.
 
     ``options.use_cache=False`` forces the simulation and skips both
-    caches; ``options.kernel`` picks the replay kernel, which never
-    changes the result and so never enters a key.
+    caches.
     """
     if options is None:
         options = RunOptions()
@@ -361,14 +357,13 @@ def run_task(task: Task, options: Optional[RunOptions] = None) -> SimResult:
         result, _, key = lookup(task)
         if result is not None:
             return result
-    result = simulate(task, key, options.kernel)
+    result = simulate(task, key)
     if options.use_cache:
         seed_cache(task, result)
     return result
 
 
-def simulate(task: Task, key: Optional[str] = None,
-             kernel: str = "auto") -> SimResult:
+def simulate(task: Task, key: Optional[str] = None) -> SimResult:
     """Simulate one cell, and save the result under store ``key``.
 
     No cache is probed: :func:`run_task` calls this after its own
@@ -379,7 +374,7 @@ def simulate(task: Task, key: Optional[str] = None,
     from repro.sim.store import default_store
 
     trace = packed_trace(task.benchmark, scale=task.scale)
-    result = task.simulator(kernel).run(trace)
+    result = task.simulator().run(trace)
     _MEMO_HITS["simulations"] += 1
     store = default_store() if key is not None else None
     if store is not None:

@@ -38,15 +38,19 @@ from repro.cpu.store_buffer import StoreBuffer
 from repro.cpu.window import WindowModel
 from repro.memory.controller import MemoryController
 from repro.mlp.cost import quantize_cost
-from repro.mlp.delta import DeltaSummary, DeltaTracker
+from repro.mlp.delta import DeltaTracker
 from repro.mlp.mshr import MSHRFile
 from repro.sbar.cbs import CBSController
 from repro.sbar.sbar import SBARController
 from repro.sbar.tournament import TournamentController
-from repro.sim.options import REPLAY_KERNELS
 from repro.sim.stats import CostDistribution, PhaseSample, SimResult
 from repro.trace.packed import pack_trace
 from repro.trace.record import IFETCH, STORE
+
+#: Valid ``Simulator(kernel=)`` values: ``"auto"`` replays on the
+#: compiled native kernel whenever its gates hold, ``"generic"`` pins
+#: the Python loop, the reference the tests compare the kernel with.
+REPLAY_KERNELS = ("auto", "generic")
 
 #: Things accepted as the L2 replacement specification.
 PolicyLike = Union[
@@ -105,11 +109,6 @@ class Simulator:
             ``"generic"`` always takes the generic loop.  Both are
             bit-identical by contract, so the choice never appears in
             memo or store keys.
-        track_deltas: feed serviced misses to the Table 1
-            :class:`~repro.mlp.delta.DeltaTracker`.  The tracker keeps
-            the last cost of every distinct block, so its footprint
-            grows with the trace's block working set; pass False on
-            long-running sweeps that never read ``delta_summary``.
     """
 
     def __init__(
@@ -120,7 +119,6 @@ class Simulator:
         prefetcher=None,
         warmup_instructions: int = 0,
         observer: Optional[obs.Observer] = None,
-        track_deltas: bool = True,
         kernel: str = "auto",
     ) -> None:
         if kernel not in REPLAY_KERNELS:
@@ -159,9 +157,8 @@ class Simulator:
         self._obs = observer if observer is not None else obs.default_observer()
         if self._obs is not None:
             self._wire_observer(self._obs)
-        self.delta: Optional[DeltaTracker] = (
-            DeltaTracker() if track_deltas else None
-        )
+        #: Table 1's delta study: every serviced miss is fed to it.
+        self.delta = DeltaTracker()
         self.cost_distribution = CostDistribution()
         self.phase_interval = phase_interval
         self.phases: List[PhaseSample] = []
@@ -481,8 +478,7 @@ class Simulator:
                 observer.cost_quantized(block, cost, cost_q)
             if record_stats:
                 distribution.record(cost)
-                if delta is not None:
-                    delta.record(block, cost)
+                delta.record(block, cost)
                 if phase is not None:
                     phase.cost_q_sum += cost_q
                     phase.cost_count += 1
@@ -533,17 +529,13 @@ class Simulator:
             field: value - base[field]
             for field, value in zip(_WINDOWED_COUNTERS, _read_windowed(self))
         }
-        if self.delta is not None:
-            delta_summary = self.delta.summary()
-        else:
-            delta_summary = DeltaSummary(0, 0.0, 0.0, 0.0, 0.0)
         result = SimResult(
             policy_name=self._policy_label,
             cycles=cycles - self._warmup_end_cycle,
             demand_misses=self.demand_misses,
             compulsory_misses=self.compulsory_misses,
             cost_distribution=self.cost_distribution,
-            delta_summary=delta_summary,
+            delta_summary=self.delta.summary(),
             phases=self.phases,
             psel_final=psel_final,
             **windowed,

@@ -52,26 +52,14 @@ class TestMacro:
             # the *effective* scale so --check can rebuild the trace.
             assert entry["scale"] == 0.05
             # Stock configs all qualify for the native kernel when it
-            # is built.
+            # is built, and a cell names the gate that kept it off.
             assert entry["kernel_used"] == AUTO_KERNEL, entry["policy"]
-            # Cells record the *requested* kernel too.
-            assert entry["kernel"] == "auto", entry["policy"]
+            assert entry["kernel_fallback"] == (
+                None if AUTO_KERNEL == "native" else "extension not built"
+            ), entry["policy"]
+            # The bench requests no kernel, so a cell records none.
+            assert "kernel" not in entry
             assert "fused" not in entry
-
-    def test_cells_record_requested_kernel(self):
-        per_kernel = {
-            kernel: run_macro(quick=True, workloads=("mcf",),
-                              policies=("lru",), kernel=kernel)[0]
-            for kernel in ("auto", "generic")
-        }
-        for kernel, entry in per_kernel.items():
-            assert entry["kernel"] == kernel
-        assert per_kernel["generic"]["kernel_fallback"] == "kernel=generic"
-        if AUTO_KERNEL == "native":
-            assert per_kernel["auto"]["kernel_fallback"] is None
-        # Bit-identical across kernels: the digest contract the whole
-        # check mode leans on.
-        assert per_kernel["auto"]["result"] == per_kernel["generic"]["result"]
 
     def test_default_matrix_names_are_valid(self):
         from repro.workloads.spec2000 import BENCHMARKS
@@ -170,6 +158,7 @@ class TestReport:
         lambda r: r["macro"][0].__setitem__("phase_interval", "5000"),
         lambda r: r["macro"][0].__setitem__("prefetch_degree", 0),
         lambda r: r["macro"][0].__setitem__("prefetch_degree", 2.0),
+        lambda r: r.__setitem__("schema", "repro.bench/v6"),
     ])
     def test_validate_rejects_malformed(self, quick_report, mutate):
         broken = json.loads(json.dumps(quick_report))
@@ -281,15 +270,6 @@ class TestCheckMode:
         report = json.loads(report_path.read_text())
         assert out.count("OK: ") == len(report["macro"])
 
-    def test_check_accepts_kernel_qualified_cell(self, report_path,
-                                                 capsys):
-        report = json.loads(report_path.read_text())
-        kernel = report["macro"][0]["kernel"]
-        cell = "mcf/sbar/%s" % kernel
-        code = bench_main(["--check", str(report_path), "--cell", cell])
-        assert code == 0
-        assert "OK: %s" % cell in capsys.readouterr().out
-
     def test_check_selects_a_phase_cell_by_its_label(self, report_path,
                                                      capsys):
         workload, policy, interval = MACRO_PHASED
@@ -298,71 +278,27 @@ class TestCheckMode:
         assert "OK: %s results match" % cell in capsys.readouterr().out
 
     def test_check_unknown_kernel_cell_fails(self, report_path, capsys):
-        code = bench_main(
-            ["--check", str(report_path), "--cell", "mcf/sbar/nonesuch"]
-        )
-        assert code == 1
-        assert "no macro cell" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("retired", ["native", "batched", "fused"])
-    def test_check_runs_retired_kernel_cells_on_auto(self, report_path,
-                                                     tmp_path, retired):
-        # Baselines recorded cells under kernels that no longer exist;
-        # results never depend on the kernel, so they re-verify on auto.
-        report = json.loads(report_path.read_text())
-        for entry in report["macro"]:
-            entry["kernel"] = retired
-        legacy = tmp_path / "BENCH_legacy.json"
-        legacy.write_text(json.dumps(report))
-        cell = "mcf/sbar/%s" % retired
-        assert bench_main(["--check", str(legacy), "--cell", cell]) == 0
+        # A kernel suffix is not part of a cell's label.
+        for cell in ("mcf/sbar/nonesuch", "mcf/sbar/auto"):
+            code = bench_main(["--check", str(report_path), "--cell", cell])
+            assert code == 1
+            assert "no macro cell" in capsys.readouterr().err
 
     def test_committed_baseline_cell_verifies(self):
-        # The exact check CI runs: re-simulate mcf/sbar at the
-        # committed v5 baseline's recorded scale and compare the
-        # machine-independent result fields.
+        # Re-simulate mcf/sbar at the committed baseline's recorded
+        # scale and compare the machine-independent result fields.
         baseline = pathlib.Path(__file__).resolve().parent.parent / (
-            "BENCH_pr9.json"
+            "BENCH_pr28.json"
         )
-        code = bench_main(
-            ["--check", str(baseline), "--cell", "mcf/sbar/native"]
-        )
+        code = bench_main(["--check", str(baseline), "--cell", "mcf/sbar"])
         assert code == 0
 
     @pytest.mark.parametrize("name,expected_schema", [
-        ("BENCH_pr9.json", "repro.bench/v5"),
-        ("BENCH_pr15.json", "repro.bench/v5"),
-        ("BENCH_pr16.json", "repro.bench/v5"),
+        ("BENCH_pr28.json", SCHEMA),
     ])
     def test_committed_baselines_validate(self, name, expected_schema):
         baseline = pathlib.Path(__file__).resolve().parent.parent / name
         report = json.loads(baseline.read_text())
-        assert report["schema"] == expected_schema
+        assert report["schema"] == expected_schema == "repro.bench/v7"
         validate_report(report)  # must not raise
-
-    def test_v5_cells_still_need_fused(self):
-        baseline = pathlib.Path(__file__).resolve().parent.parent / (
-            "BENCH_pr16.json"
-        )
-        report = json.loads(baseline.read_text())
-        report["macro"][0].pop("fused")
-        with pytest.raises(ValueError, match="fused"):
-            validate_report(report)
-
-
-class TestFindMacroCell:
-    def test_kernel_narrows_v4_match(self, quick_report):
-        from repro.bench.report import find_macro_cell
-        from repro.sim.runner import Task
-        report = json.loads(json.dumps(quick_report))
-        entry = dict(report["macro"][0])
-        entry["kernel"] = "generic"
-        entry["seconds"] = entry["seconds"] * 2
-        report["macro"].append(entry)
-        task = Task("mcf", "lru", entry["scale"])
-        first = find_macro_cell(report, task)
-        narrowed = find_macro_cell(report, task, kernel="generic")
-        assert first["kernel"] == "auto"
-        assert narrowed["kernel"] == "generic"
-        with pytest.raises(ValueError, match="no macro cell"):
-            find_macro_cell(report, task, kernel="batched")
+        assert len(report["macro"]) == 29

@@ -18,6 +18,7 @@ from repro.sim.chaos import (
     corrupt_store,
     inject,
 )
+from repro.sim import parallel
 from repro.sim.options import RunOptions
 from repro.sim.parallel import Task, run_grid
 from repro.sim.runner import clear_cache, run_policy
@@ -36,6 +37,12 @@ def fresh_caches(tmp_path, monkeypatch):
     clear_cache()
     yield
     clear_cache()
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Retries wait from 1 ms instead of ``BACKOFF_BASE_S``."""
+    monkeypatch.setattr(parallel, "BACKOFF_BASE_S", 0.001)
 
 
 def _tasks(benchmarks=BENCHMARKS, policies=POLICIES):
@@ -186,7 +193,9 @@ class TestStoreIntegrity:
 
 
 class TestChaosDifferential:
-    def test_digest_identical_under_crashes_delays_and_corruption(self):
+    def test_digest_identical_under_crashes_delays_and_corruption(
+        self, fast_backoff
+    ):
         baseline = run_suite(
             policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE
         )
@@ -200,16 +209,14 @@ class TestChaosDifferential:
         )
         suite = run_suite(
             policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE,
-            options=RunOptions(
-                workers=2, max_retries=6, backoff_base=0.001, chaos=chaos
-            ),
+            options=RunOptions(workers=2, max_retries=6, chaos=chaos),
         )
         assert not suite.failures
         assert suite.content_digest() == want
         resilience = suite.meta["resilience"]
         assert resilience["store_quarantined"] >= 1
 
-    def test_digest_includes_merged_metrics(self, monkeypatch):
+    def test_digest_includes_merged_metrics(self, monkeypatch, fast_backoff):
         monkeypatch.setenv("REPRO_METRICS", "1")
         baseline = run_suite(
             policies=("lru",), benchmarks=("lucas",), scale=SCALE
@@ -220,8 +227,7 @@ class TestChaosDifferential:
         suite = run_suite(
             policies=("lru",), benchmarks=("lucas",), scale=SCALE,
             options=RunOptions(
-                workers=1, max_retries=6, backoff_base=0.001,
-                use_cache=False, chaos=chaos,
+                workers=1, max_retries=6, use_cache=False, chaos=chaos,
             ),
         )
         assert not suite.failures
@@ -242,7 +248,7 @@ class TestChaosDifferential:
 
 
 class TestPoolFaults:
-    def test_hard_crash_rebuilds_pool_and_completes(self):
+    def test_hard_crash_rebuilds_pool_and_completes(self, fast_backoff):
         tasks = _tasks(benchmarks=("lucas",))
         labels = [task.label for task in tasks]
         # Exactly one hard crash, on somebody's first attempt: one dead
@@ -260,9 +266,7 @@ class TestPoolFaults:
         chaos = ChaosConfig(seed=seed, crash_rate=0.3, hard=True)
         grid = run_grid(
             tasks,
-            options=RunOptions(
-                workers=2, max_retries=6, backoff_base=0.001, chaos=chaos
-            ),
+            options=RunOptions(workers=2, max_retries=6, chaos=chaos),
         )
         assert not grid.failures
         assert len(grid.results) == len(tasks)

@@ -114,7 +114,10 @@ class TestSimCLI:
     @pytest.mark.parametrize("kernel", ["generic", "auto"])
     def test_trace_file_run_takes_the_kernel(self, tmp_path, monkeypatch,
                                              kernel):
-        from repro.sim.native import load_extension
+        # A trace-file run replays like any Simulator: on the native
+        # kernel when it is built, else (forced here for "generic") on
+        # the generic loop.
+        from repro.sim import native
         from repro.sim.simulator import Simulator
 
         path = str(tmp_path / "t.npz")
@@ -126,12 +129,10 @@ class TestSimCLI:
             lambda self, trace: results.append(run(self, trace))
             or results[-1],
         )
-        assert sim_main(
-            ["--trace", path, "--policy", "lru", "--kernel", kernel]
-        ) == 0
-        expected = kernel
-        if kernel == "auto":
-            expected = "native" if load_extension() else "generic"
+        if kernel == "generic":
+            monkeypatch.setattr(native, "load_extension", lambda: None)
+        assert sim_main(["--trace", path, "--policy", "lru"]) == 0
+        expected = "native" if native.load_extension() else "generic"
         assert results[0].meta["kernel_used"] == expected
 
     def test_grid_flags_are_rejected(self, capsys):
@@ -176,26 +177,25 @@ class TestExperimentsCLI:
         assert "unknown benchmarks: nosuch" in err
         assert "[grid:" not in err
 
-    def test_serial_run_builds_every_cell_on_the_chosen_kernel(
+    def test_serial_run_builds_every_cell_in_process(
         self, monkeypatch, tmp_path
     ):
         from repro.sim.runner import Task, clear_cache
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_cache()
-        kernels = []
+        built = []
         original = Task.simulator
 
-        def recording(self, kernel="auto"):
-            kernels.append(kernel)
-            return original(self, kernel)
+        def recording(self):
+            built.append(self.label)
+            return original(self)
 
         monkeypatch.setattr(Task, "simulator", recording)
         assert experiments_main([
             "figure9", "--benchmarks", "mcf", "--scale", "0.01",
-            "--kernel", "generic",
         ]) == 0
-        assert kernels == ["generic"] * 3
+        assert len(set(built)) == len(built) == 3
         clear_cache()
 
     def test_metrics_match_in_process_and_on_slots(self, tmp_path):

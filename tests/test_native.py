@@ -39,7 +39,7 @@ from repro.cache.replacement.registry import available_policies
 from repro.config import scaled_config
 from repro.cpu.prefetch import StridePrefetcher
 from repro.sbar.sbar import SBARController
-from repro.sim import RunOptions, native
+from repro.sim import native
 from repro.sim.runner import cache_stats, clear_cache, run_policy
 from repro.sim.simulator import Simulator
 from repro.trace.packed import pack_trace
@@ -663,20 +663,25 @@ class TestStageTimers:
 
 
 class TestKernelNeverKeysCaches:
+    """A result from the generic loop serves a request that takes
+    ``auto``: the replay path never enters a memo or store key."""
+
+    @staticmethod
+    def _run_on_the_generic_loop(monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(native, "load_extension", lambda: None)
+            result = run_policy("mcf", "lru", scale=0.05)
+        assert provenance(result) == {
+            "kernel_used": "generic", "kernel_fallback": "extension not built",
+        }
+        return result
+
     def test_memo_shared_across_kernels(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_STORE", "1")
         clear_cache()
-        first = run_policy(
-            "mcf", "lru", scale=0.05,
-            options=RunOptions(kernel="generic"),
-        )
-        assert provenance(first) == {"kernel_used": "generic",
-                                     "kernel_fallback": "kernel=generic"}
+        first = self._run_on_the_generic_loop(monkeypatch)
         before = cache_stats()["memo_hits"]
-        second = run_policy(
-            "mcf", "lru", scale=0.05,
-            options=RunOptions(kernel="auto"),
-        )
+        second = run_policy("mcf", "lru", scale=0.05)
         # One memo entry serves both requests: the auto request is a
         # hit on the generic run's result, object-identically.
         assert second is first
@@ -687,20 +692,14 @@ class TestKernelNeverKeysCaches:
         monkeypatch.delenv("REPRO_NO_STORE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_cache()
-        first = run_policy(
-            "mcf", "lru", scale=0.05,
-            options=RunOptions(kernel="generic"),
-        )
+        first = self._run_on_the_generic_loop(monkeypatch)
         # Drop the in-process memo so the second request must go to
         # the persistent store; a kernel-keyed store would miss here.
         clear_cache()
         from repro.sim.store import default_store
 
         before = default_store().counters()["store_hits"]
-        second = run_policy(
-            "mcf", "lru", scale=0.05,
-            options=RunOptions(kernel="auto"),
-        )
+        second = run_policy("mcf", "lru", scale=0.05)
         assert default_store().counters()["store_hits"] == before + 1
         assert second.to_dict() == first.to_dict()
         # Provenance never persists: a store-loaded result carries no

@@ -226,7 +226,7 @@ class TestInProcessGrid:
 
         from repro.sim.parallel import execute_cell
 
-        payload = (self.TASKS[0], None, 30.0, None, 1, "auto")
+        payload = (self.TASKS[0], None, 30.0, None, 1)
         replies = []
         thread = threading.Thread(
             target=lambda: replies.append(execute_cell(payload))
@@ -663,9 +663,8 @@ class TestTaskIsTheCell:
 
         task = Task("mcf", "sbar", SCALE, phase_interval=500_000,
                     prefetch_degree=2)
-        assert task.label == "mcf/sbar@phase=500000@prefetch=2"
-        assert cell_label(task, "auto") == (
-            "mcf/sbar/auto@phase=500000@prefetch=2"
+        assert task.label == cell_label(task) == (
+            "mcf/sbar@phase=500000@prefetch=2"
         )
         assert Task("mcf", "sbar", SCALE).label == "mcf/sbar"
 

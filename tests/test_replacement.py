@@ -7,7 +7,6 @@ from repro.cache.block import BlockState
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement import (
     BeladyPolicy,
-    CostThresholdPolicy,
     FIFOPolicy,
     LINPolicy,
     LRUPolicy,
@@ -107,25 +106,6 @@ class TestLIN:
             cache_set.recency(p) + lam * c for p, c in enumerate(costs)
         ]
         assert scores[victim] == min(scores)
-
-
-class TestCostThreshold:
-    def test_depth_one_is_lru(self):
-        cache_set = make_set([(1, 0), (2, 7), (3, 3)])
-        assert CostThresholdPolicy(1).choose_victim(cache_set) == 2
-
-    def test_evicts_cheapest_within_depth(self):
-        cache_set = make_set([(1, 0), (2, 1), (3, 7)])
-        # Depth 2 considers positions 1 and 2; cheapest is position 1.
-        assert CostThresholdPolicy(2).choose_victim(cache_set) == 1
-
-    def test_tie_prefers_least_recent(self):
-        cache_set = make_set([(1, 3), (2, 3), (3, 3)])
-        assert CostThresholdPolicy(3).choose_victim(cache_set) == 2
-
-    def test_invalid_depth(self):
-        with pytest.raises(ValueError):
-            CostThresholdPolicy(0)
 
 
 class TestBelady:

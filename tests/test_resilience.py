@@ -205,42 +205,42 @@ class TestRunOptions:
 
     def test_wire_round_trip(self):
         options = RunOptions(workers=2, max_retries=4, deadline=3.0,
-                             chaos=ChaosConfig(seed=7, crash_rate=0.2),
-                             kernel="generic")
+                             chaos=ChaosConfig(seed=7, crash_rate=0.2))
         assert RunOptions.from_wire(options.to_wire()) == options
 
-    def test_kernel_defaults_to_auto(self):
-        assert RunOptions().kernel == "auto"
+    @pytest.mark.parametrize("value", [-1, -5, "x", 1.5, True, None])
+    def test_max_retries_must_be_a_count(self, value):
+        with pytest.raises(ValueError, match="max_retries"):
+            RunOptions(max_retries=value)
 
-    @pytest.mark.parametrize("kernel", ["auto", "generic"])
-    def test_kernel_accepts_ladder_names(self, kernel):
-        assert RunOptions(kernel=kernel).kernel == kernel
+    @pytest.mark.parametrize("value", [
+        "soon", 0, -1.0, float("nan"), float("inf"), False,
+    ])
+    def test_deadline_must_be_none_or_positive(self, value):
+        with pytest.raises(ValueError, match="deadline"):
+            RunOptions(deadline=value)
 
-    def test_kernel_rejects_unknown_name(self):
-        with pytest.raises(ValueError, match="kernel"):
-            RunOptions(kernel="vectorised")
-
-    @pytest.mark.parametrize("kernel", ["native", "batched", "fused"])
-    def test_kernel_rejects_retired_names(self, kernel):
-        with pytest.raises(ValueError, match="kernel"):
-            RunOptions(kernel=kernel)
+    def test_from_wire_rejects_a_chaos_that_is_not_an_object(self):
+        with pytest.raises(TypeError, match="chaos"):
+            RunOptions.from_wire({"chaos": "crash=1"})
+        with pytest.raises(TypeError):
+            RunOptions.from_wire({"chaos": {"bogus": 1}})
 
     def test_kernel_never_in_memo_key(self):
-        # Kernels are bit-identical by contract, so two option sets
-        # that differ only in kernel must share one memo entry: the
-        # second call is a cache hit, not a re-simulation.
+        # An older client may still send a replay kernel; from_wire
+        # drops it, so the request shares the memo entry of one that
+        # names no kernel: the second call is a cache hit, not a
+        # re-simulation.
         from repro.sim import runner
-        first = runner.run_policy(
-            "mcf", "lru", scale=0.05,
-            options=RunOptions(kernel="auto"),
-        )
-        hits_before = runner._MEMO_HITS["memo_hits"]
+        first = runner.run_policy("mcf", "lru", scale=0.05,
+                                  options=RunOptions())
+        before = runner.cache_stats()["memo_hits"]
         second = runner.run_policy(
             "mcf", "lru", scale=0.05,
-            options=RunOptions(kernel="generic"),
+            options=RunOptions.from_wire({"kernel": "generic"}),
         )
         assert second is first
-        assert runner._MEMO_HITS["memo_hits"] == hits_before + 1
+        assert runner.cache_stats()["memo_hits"] == before + 1
 
 
 class TestCommonCli:
@@ -272,44 +272,33 @@ class TestCommonCli:
         options = common_cli.options_from_args(self._parse(["--progress"]))
         assert options.progress is common_cli.progress_printer
 
-    def test_kernel_flag_maps_to_options(self):
-        options = common_cli.options_from_args(
-            self._parse(["--kernel", "generic"])
+    @pytest.mark.parametrize("module,argv", [
+        ("repro.sim.__main__", ["--benchmark", "mcf"]),
+        ("repro.sim.suite", []),
+        ("repro.experiments.__main__", ["figure3"]),
+        ("repro.bench.__main__", []),
+        ("repro.service.__main__", ["serve"]),
+    ], ids=["run", "suite", "experiments", "bench", "serve"])
+    def test_every_cli_rejects_the_kernel_flag(self, module, argv, capsys):
+        # The replay kernel is chosen only by Simulator(kernel=).
+        mod = importlib.import_module(module)
+        with pytest.raises(SystemExit) as excinfo:
+            mod.main(argv + ["--kernel", "generic"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --kernel generic" in (
+            capsys.readouterr().err
         )
-        assert options.kernel == "generic"
-        assert common_cli.options_from_args(self._parse([])).kernel == "auto"
 
-    def test_kernel_flag_rejects_unknown_name(self, capsys):
-        with pytest.raises(SystemExit):
-            self._parse(["--kernel", "vectorised"])
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_kernel_choices_come_from_one_tuple(self, capsys):
-        from repro.bench.__main__ import main as bench_main
-        from repro.service.__main__ import build_parser
-        from repro.sim.options import REPLAY_KERNELS
-
-        def kernel_choices(parser):
-            for action in parser._actions:
-                if "--kernel" in action.option_strings:
-                    yield tuple(action.choices)
-                if isinstance(action, argparse._SubParsersAction):
-                    for child in action.choices.values():
-                        yield from kernel_choices(child)
-
-        parsers = [
-            argparse.ArgumentParser(parents=[common_cli.execution_parent()]),
-            build_parser(),
-        ]
-        found = [choices for parser in parsers
-                 for choices in kernel_choices(parser)]
-        assert len(found) >= 2
-        assert all(choices == REPLAY_KERNELS for choices in found)
-        with pytest.raises(SystemExit):
-            bench_main(["--help"])
-        assert "{%s,all}" % ",".join(REPLAY_KERNELS) in (
-            capsys.readouterr().out
+    @pytest.mark.parametrize("flags", [
+        ["--max-retries", "-1"], ["--deadline", "0"], ["--chaos", "bogus"],
+    ], ids=["max-retries", "deadline", "chaos"])
+    def test_invalid_grid_values_are_usage_errors(self, flags, capsys):
+        parser = argparse.ArgumentParser(
+            parents=[common_cli.execution_parent(), common_cli.grid_parent()]
         )
+        with pytest.raises(SystemExit) as excinfo:
+            common_cli.check_grid_args(parser, parser.parse_args(flags))
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("module,parents", [
         pytest.param("repro.sim.__main__", ("execution", "telemetry"),
@@ -323,11 +312,11 @@ class TestCommonCli:
     ])
     def test_every_cli_exposes_the_shared_flags(self, module, parents,
                                                 capsys):
-        # Only the CLIs that run grids take the grid flags, bench has
-        # its own --kernel, and bench takes no telemetry flag, which
-        # would keep its timed runs on the generic loop.
+        # Only the CLIs that run grids take the grid flags, bench takes
+        # no telemetry flag, which would keep its timed runs on the
+        # generic loop, and none takes --kernel.
         flags = {
-            "execution": ("--no-cache", "--kernel"),
+            "execution": ("--no-cache",),
             "grid": ("--workers", "--progress", "--resume",
                      "--max-retries", "--deadline", "--chaos"),
             "telemetry": ("--metrics-out", "--trace-events"),
@@ -340,8 +329,8 @@ class TestCommonCli:
             assert flag in out, "%s missing %s" % (module, flag)
         for name in set(flags) - set(parents):
             for flag in flags[name]:
-                if flag != "--kernel":
-                    assert flag not in out, "%s takes %s" % (module, flag)
+                assert flag not in out, "%s takes %s" % (module, flag)
+        assert "--kernel" not in out
 
     def test_serial_suite_prints_one_line_per_cell(self, capsys):
         from repro.sim.suite import main as suite_main

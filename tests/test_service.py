@@ -382,6 +382,41 @@ class TestServiceEndToEnd:
         assert merged.max_retries == 7
         assert merged.use_cache is True
 
+    def test_invalid_options_are_refused_before_admission(self):
+        # Options that make no RunOptions are a bad-request that admits
+        # nothing, so they cannot leak the tenant's quota.
+        handle = start_service(workers=1, tenant_quota=3)
+        try:
+            client = ServiceClient(port=handle.port, tenant="a")
+            codes = []
+            for options in (
+                {"chaos": {"bogus": 1}}, {"deadline": "soon"},
+                {"max_retries": -5},
+            ):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit(("lucas",), ("lru",), scale=SCALE,
+                                  options=options)
+                codes.append(excinfo.value.code)
+            refused = client.stats()
+            # A key the service does not take, like an older client's
+            # kernel, is ignored; the delay holds the cell in flight.
+            job_id = client.submit(
+                ("lucas",), ("lru",), scale=SCALE,
+                options={"kernel": "generic", "chaos": {
+                    "seed": 1, "delay_rate": 1.0, "delay_s": 1.0,
+                }},
+            )
+            admitted = client.stats()
+            snapshot = client.wait(job_id)
+        finally:
+            handle.stop()
+        assert codes == ["bad-request"] * 3
+        assert refused["quotas"]["inflight_total"] == 0
+        assert refused["quotas"]["inflight_by_tenant"] == {}
+        assert refused["counters"]["submissions_rejected"] == 3
+        assert admitted["quotas"]["inflight_total"] == 1
+        assert snapshot["status"] == "done"
+
 
 def _serial_digests(tmp_path, monkeypatch, benchmarks, policies):
     """Cell digests of a serial run against a second fresh store."""
@@ -634,6 +669,35 @@ class TestResume:
         other = snapshot["cells"]["lucas/lin(4)"]
         assert other["status"] == "done"
         assert other["source"] == "executed"
+
+    @pytest.mark.parametrize("options", [
+        {"kernel": "generic"}, {"max_retries": -5},
+    ], ids=["kernel", "negative-retries"])
+    def test_resume_takes_journaled_options_this_version_refuses(
+        self, options
+    ):
+        # Journals from older versions may hold options a submit is now
+        # refused for (the replay kernel, a negative retry count); the
+        # job they admitted still resumes and finishes.
+        job_id = new_run_id("job")
+        RunJournal.create(run_id=job_id, meta={
+            "service_job": True,
+            "tenant": "t",
+            "benchmarks": ["lucas"],
+            "policies": ["lru"],
+            "scale": SCALE,
+            "options": options,
+        }).close()
+        handle = start_service(resume=True)
+        try:
+            client = ServiceClient(port=handle.port)
+            snapshot = client.wait(job_id)
+            stats = client.stats()
+        finally:
+            handle.stop()
+        assert snapshot["status"] == "done"
+        assert stats["counters"]["jobs_resumed"] == 1
+        assert load_journal(job_id).finished
 
     def test_slots_exit_when_the_daemon_is_killed(self, tmp_path):
         # A killed daemon's slot processes must not outlive it: they
