@@ -3633,6 +3633,64 @@ fail:
     return NULL;
 }
 
+/* epoch_starts(gaps, start_index, epoch_length, epoch): the instruction
+ * indices at which a replay entering at start_index, in epoch `epoch`,
+ * enters a new one.  Record i dispatches at start_index + sum(gaps[i'] + 1
+ * for i' <= i), and the replay redraws whenever index // epoch_length
+ * differs from the current epoch, so a leap over several epochs draws
+ * once.  One pass, dividing only where the epoch changes. */
+static PyObject *
+epoch_starts(PyObject *self, PyObject *args)
+{
+    (void)self;
+    PyObject *gaps_o;
+    long long start, length, epoch;
+    if (!PyArg_ParseTuple(args, "OLLL", &gaps_o, &start, &length, &epoch)) {
+        return NULL;
+    }
+    if (length <= 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "epoch_starts: epoch_length must be positive");
+        return NULL;
+    }
+    Py_buffer gap_buf;
+    if (PyObject_GetBuffer(gaps_o, &gap_buf, PyBUF_CONTIG_RO) < 0) {
+        return NULL;
+    }
+    PyObject *starts = NULL;
+    if (gap_buf.len % (Py_ssize_t)sizeof(int64_t)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "epoch_starts: gaps must be an int64 column");
+        goto done;
+    }
+    starts = PyList_New(0);
+    if (!starts) {
+        goto done;
+    }
+    const int64_t *gaps = (const int64_t *)gap_buf.buf;
+    Py_ssize_t n = gap_buf.len / (Py_ssize_t)sizeof(int64_t);
+    int64_t index = start, low = epoch * length, high = low + length;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        index += gaps[i] + 1;
+        if (index >= low && index < high) {
+            continue;
+        }
+        PyObject *value = PyLong_FromLongLong(index);
+        if (!value || PyList_Append(starts, value) < 0) {
+            Py_XDECREF(value);
+            Py_CLEAR(starts);
+            goto done;
+        }
+        Py_DECREF(value);
+        epoch = index / length - (index % length < 0);
+        low = epoch * length;
+        high = low + length;
+    }
+done:
+    PyBuffer_Release(&gap_buf);
+    return starts;
+}
+
 /* Surrogate-trace synthesis, defined in tracegen.c. */
 PyObject *tracegen_synthesize(PyObject *self, PyObject *args);
 
@@ -3641,6 +3699,10 @@ static PyMethodDef replaykernel_methods[] = {
      "Run the replay loop natively over packed trace columns.\n"
      "Takes a flat params dict, returns the end-of-run state dict.\n"
      "Bit-identical to the generic Python loop by construction."},
+    {"epoch_starts", epoch_starts, METH_VARARGS,
+     "epoch_starts(gaps, start_index, epoch_length, epoch)\n"
+     "Instruction indices at which the replay enters a new epoch\n"
+     "(the rand-dynamic SBAR redraws), over an int64 gap column."},
     {"synthesize", tracegen_synthesize, METH_VARARGS,
      "synthesize(state, phases, budget, n_sets, line_bytes, gaps, kinds)\n"
      "Emit a surrogate trace's (address, kind, gap) columns as bytes,\n"

@@ -27,46 +27,29 @@ Names resolve lazily so ``import repro.api`` stays cheap even though
 the surface spans heavy modules.
 """
 
-from __future__ import annotations
+from repro import _lazy_exports
 
-#: name -> (module, attribute).  The compatibility surface: additions
-#: are fine; a removal or rename migrates every caller in the same
-#: change instead of leaving a deprecated alias behind.
+#: name -> defining module.  The compatibility surface: additions are
+#: fine; a removal or rename migrates every caller in the same change
+#: instead of leaving a deprecated alias behind.
 _SURFACE = {
     # execute
-    "run_policy": ("repro.sim.runner", "run_policy"),
-    "run_grid": ("repro.sim.parallel", "run_grid"),
-    "run_suite": ("repro.sim.suite", "run_suite"),
-    "RunOptions": ("repro.sim.options", "RunOptions"),
+    "run_policy": "repro.sim.runner",
+    "run_grid": "repro.sim.parallel",
+    "run_suite": "repro.sim.suite",
+    "RunOptions": "repro.sim.options",
     # extend
-    "register_policy": ("repro.cache.replacement", "register_policy"),
-    "register_workload": ("repro.workloads", "register_workload"),
+    "register_policy": "repro.cache.replacement",
+    "register_workload": "repro.workloads",
     # parse specs
-    "parse_policy_spec": ("repro.cache.replacement", "parse_policy_spec"),
-    "parse_workload_spec": ("repro.workloads", "parse_workload_spec"),
+    "parse_policy_spec": "repro.cache.replacement",
+    "parse_workload_spec": "repro.workloads",
     # analyze
-    "oracle_report": ("repro.analysis.oracle", "oracle_report"),
+    "oracle_report": "repro.analysis.oracle",
     # the job service client
-    "submit": ("repro.service.client", "submit"),
+    "submit": "repro.service.client",
 }
 
 __all__ = sorted(_SURFACE)
 
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _SURFACE[name]
-    except KeyError:
-        raise AttributeError(
-            "module %r has no attribute %r (the public surface is: %s)"
-            % (__name__, name, ", ".join(__all__))
-        )
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SURFACE))
+__getattr__, __dir__ = _lazy_exports(globals(), _SURFACE)

@@ -18,35 +18,20 @@ the names below lazy-load on first touch.
 
 from __future__ import annotations
 
+from repro import _lazy_exports
 from repro.service.protocol import DEFAULT_PORT, PROTOCOL_SCHEMA
 
 _LAZY = {
-    "JobService": ("repro.service.server", "JobService"),
-    "ServiceConfig": ("repro.service.server", "ServiceConfig"),
-    "ServiceHandle": ("repro.service.server", "ServiceHandle"),
-    "serve_in_thread": ("repro.service.server", "serve_in_thread"),
-    "ServiceClient": ("repro.service.client", "ServiceClient"),
-    "ServiceError": ("repro.service.client", "ServiceError"),
-    "submit": ("repro.service.client", "submit"),
+    "JobService": "repro.service.server",
+    "ServiceConfig": "repro.service.server",
+    "ServiceHandle": "repro.service.server",
+    "serve_in_thread": "repro.service.server",
+    "ServiceClient": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "submit": "repro.service.client",
 }
 
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            "module %r has no attribute %r" % (__name__, name)
-        )
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
 
 
 __all__ = [

@@ -20,7 +20,6 @@ here); ``demo`` is the self-checking end-to-end smoke used by CI.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
 from typing import List, Optional
@@ -86,6 +85,8 @@ def _add_serve_parser(subparsers) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
     from repro.service.server import JobService, ServiceConfig
 
     fields = {

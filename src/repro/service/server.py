@@ -64,6 +64,11 @@ from repro.sim.resilience import list_runs, new_run_id
 from repro.sim.runner import Task, trace_scale
 from repro.sim.store import default_store, result_digest
 
+# What a cell runs beyond the imports above, loaded before the service
+# listens: slots fork from this process on first use and inherit it.
+import repro.sim.native  # noqa: F401
+import repro.workloads  # noqa: F401
+
 #: Client-suppliable RunOptions fields.  Everything else (cache policy,
 #: journaling, pool shape) is the server's call; these three only
 #: change how hard one submission tries, and none of them can change

@@ -8,33 +8,21 @@ evaluation reports: IPC, demand misses, the mlp-cost distribution
 samples (Figure 11).
 """
 
-from repro.sim.options import RunOptions
-from repro.sim.simulator import Simulator
-from repro.sim.stats import SimResult
-from repro.sim.runner import run_policy, ipc_improvement
+from repro import _lazy_exports
 
-__all__ = [
-    "Simulator",
-    "SimResult",
-    "RunOptions",
-    "run_policy",
-    "ipc_improvement",
-    "ResultStore",
-    "default_store",
-]
+#: Public name -> defining module, resolved on first use.  Users import
+#: repro.sim.parallel (run_grid), repro.sim.suite (run_suite) and
+#: repro.sim.resilience/chaos from those modules.
+_EXPORTS = {
+    "Simulator": "repro.sim.simulator",
+    "SimResult": "repro.sim.stats",
+    "RunOptions": "repro.sim.options",
+    "run_policy": "repro.sim.runner",
+    "ipc_improvement": "repro.sim.runner",
+    "ResultStore": "repro.sim.store",
+    "default_store": "repro.sim.store",
+}
 
-# repro.sim.parallel (Task/run_grid), repro.sim.suite (run_suite), and
-# repro.sim.resilience/chaos are imported explicitly by users; keeping
-# them out of this facade avoids paying multiprocessing imports on
-# every ``import repro``.
+__all__ = list(_EXPORTS)
 
-
-def __getattr__(name):
-    # Lazy re-export (PEP 562): importing the store here eagerly would
-    # make ``python -m repro.sim.store`` (the GC/maintenance CLI) warn
-    # about the module already being in sys.modules.
-    if name in ("ResultStore", "default_store"):
-        from repro.sim import store
-
-        return getattr(store, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -27,7 +27,6 @@ import argparse
 import os
 import sys
 
-from repro import obs
 from repro.sim.options import RunOptions, check_workers
 
 
@@ -181,6 +180,8 @@ def options_from_args(
 def apply_telemetry(args: argparse.Namespace) -> None:
     """Push the parsed telemetry flags into :mod:`repro.obs`, and say
     once, on stderr, that telemetry keeps runs on the generic loop."""
+    from repro import obs
+
     if args.metrics_out:
         obs.configure(metrics=True)
     if args.trace_events:
@@ -198,6 +199,8 @@ def write_metrics(args: argparse.Namespace, results) -> None:
     snapshots of ``results``, the :class:`SimResult` values the command
     returns (:func:`repro.obs.merged_metrics`)."""
     import json
+
+    from repro import obs
 
     payload = {"metrics": obs.merged_metrics(results)}
     with open(args.metrics_out, "w") as handle:

@@ -43,7 +43,6 @@ drawn here before the kernel runs.
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_left
 from collections import deque
 from itertools import accumulate
 from time import perf_counter
@@ -595,30 +594,6 @@ def _build_params(sim, trace) -> dict:
     return params
 
 
-def _epoch_starts(gaps, start_index: int, epoch_length: int,
-                  epoch: int) -> List[int]:
-    """Instruction indices at which the replay enters a new epoch.
-
-    Record ``i`` dispatches at instruction ``start_index + sum(gaps[i']
-    + 1 for i' <= i)``, strictly increasing since gaps are non-negative,
-    and SBAR redraws whenever ``index // epoch_length`` differs from the
-    current epoch.  One bisection per epoch reached, so a trace that
-    leaps several epochs at once draws once, as the generic loop does.
-    """
-    dispatched = list(accumulate(map((1).__add__, gaps)))
-    starts = []
-    record = 0
-    while record < len(dispatched):
-        index = start_index + dispatched[record]
-        if index // epoch_length != epoch:
-            starts.append(index)
-            epoch = index // epoch_length
-        record = bisect_left(
-            dispatched, (epoch + 1) * epoch_length - start_index, record + 1
-        )
-    return starts
-
-
 def _predraw_epochs(sim, trace) -> Tuple[List[int], List[bytes]]:
     """Advance a rand-dynamic SBAR through every epoch the trace reaches.
 
@@ -628,7 +603,7 @@ def _predraw_epochs(sim, trace) -> Tuple[List[int], List[bytes]]:
     each epoch's leader map for the kernel.
     """
     controller = sim.controller
-    starts = _epoch_starts(
+    starts = load_extension().epoch_starts(
         trace._gaps,
         sim.window._index,
         controller.epoch_instructions,

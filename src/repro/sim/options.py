@@ -5,7 +5,8 @@ knobs from one frozen :class:`RunOptions` dataclass: build it once (the
 CLIs do, via :mod:`repro.sim.common_cli`), pass it anywhere, and derive
 variants with :meth:`RunOptions.replace`::
 
-    from repro.sim import RunOptions, run_suite
+    from repro.sim import RunOptions
+    from repro.sim.suite import run_suite
 
     suite = run_suite(
         policies=("lru", "sbar"),

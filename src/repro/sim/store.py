@@ -40,12 +40,13 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro import obs
-from repro.sim.stats import SimResult
+# The rest of repro (and dataclasses) is imported where it is used, so
+# ``python -m repro store`` loads no simulator.
+if TYPE_CHECKING:
+    from repro.sim.stats import SimResult
 
 # Version 4: keys identify workloads by canonical registry spec plus a
 # workload content fingerprint (imported trace files hash their bytes),
@@ -95,6 +96,7 @@ def store_key(task) -> str:
     Every optional task field that is set joins the key under its own
     name.
     """
+    from repro import obs
     from repro.cache.replacement.registry import policy_fingerprint
     from repro.workloads import workload_fingerprint
 
@@ -130,6 +132,8 @@ def _config_fields(config) -> Dict:
     text = repr(config)
     fields = _CONFIG_FIELDS.get(text)
     if fields is None:
+        from dataclasses import asdict
+
         if len(_CONFIG_FIELDS) >= 64:
             _CONFIG_FIELDS.clear()
         fields = _CONFIG_FIELDS[text] = asdict(config)
@@ -225,6 +229,8 @@ class ResultStore:
         offending file is moved to ``quarantine/`` (for post-mortems)
         instead of being served or crashing the run.
         """
+        from repro.sim.stats import SimResult
+
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -434,6 +440,8 @@ def main(argv=None) -> int:
         help="with --gc: report what would be removed without removing",
     )
     args = parser.parse_args(argv)
+    if args.dry_run and not args.gc:
+        parser.error("--dry-run only applies to --gc")
 
     store = default_store()
     if store is None:

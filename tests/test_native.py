@@ -28,6 +28,9 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
+from bisect import bisect_left
+from itertools import accumulate
 
 import pytest
 
@@ -588,6 +591,85 @@ class TestMalformedPrefetcherParams:
         mutate(params)
         with pytest.raises((ValueError, TypeError)):
             native.load_extension().replay(params)
+
+
+def _epoch_starts_reference(gaps, start_index, epoch_length, epoch):
+    """Instruction indices at which the replay enters a new epoch.
+
+    Record ``i`` dispatches at instruction ``start_index + sum(gaps[i']
+    + 1 for i' <= i)``, strictly increasing since gaps are non-negative,
+    and SBAR redraws whenever ``index // epoch_length`` differs from the
+    current epoch.  One bisection per epoch reached, so a trace that
+    leaps several epochs at once draws once, as the generic loop does.
+    """
+    dispatched = list(accumulate(map((1).__add__, gaps)))
+    starts = []
+    record = 0
+    while record < len(dispatched):
+        index = start_index + dispatched[record]
+        if index // epoch_length != epoch:
+            starts.append(index)
+            epoch = index // epoch_length
+        record = bisect_left(
+            dispatched, (epoch + 1) * epoch_length - start_index, record + 1
+        )
+    return starts
+
+
+@needs_native
+class TestEpochStarts:
+    """The kernel's ``epoch_starts`` against the Python reference."""
+
+    @staticmethod
+    def _both(gaps, start_index, epoch_length, epoch):
+        native_starts = native.load_extension().epoch_starts(
+            array("q", gaps), start_index, epoch_length, epoch
+        )
+        assert native_starts == _epoch_starts_reference(
+            gaps, start_index, epoch_length, epoch
+        )
+        return native_starts
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_gap_columns(self, seed):
+        rng = random.Random(seed)
+        epoch_length = rng.choice((1, 2, 7, 50, 1000, 20_000))
+        start_index = rng.randrange(0, 5 * epoch_length)
+        # Mostly short gaps, some leaping several epochs at once.
+        gaps = [
+            rng.randrange(0, 4 * epoch_length) if rng.random() < 0.05
+            else rng.randrange(0, 8)
+            for _ in range(rng.randrange(0, 3000))
+        ]
+        self._both(gaps, start_index, epoch_length,
+                   start_index // epoch_length)
+
+    def test_start_offsets(self):
+        gaps = [3] * 40
+        for start_index in range(0, 30):
+            self._both(gaps, start_index, 10, start_index // 10)
+
+    def test_leap_over_several_epochs_draws_once(self):
+        assert self._both([0, 95, 0], 0, 10, 0) == [97]
+
+    def test_empty_trace(self):
+        assert self._both([], 123, 10, 12) == []
+
+    def test_never_leaves_its_epoch(self):
+        assert self._both([0] * 99, 100, 1000, 0) == []
+
+    def test_behind_the_current_epoch_enters_at_once(self):
+        assert self._both([0, 0], 0, 10, 5) == [1]
+
+    @pytest.mark.parametrize("args", [
+        (array("q", [1]), 0, 0, 0),
+        (array("q", [1]), 0, -10, 0),
+        (b"\x00" * 7, 0, 10, 0),
+        ([1, 2], 0, 10, 0),
+    ])
+    def test_rejected(self, args):
+        with pytest.raises((ValueError, TypeError)):
+            native.load_extension().epoch_starts(*args)
 
 
 class TestKernelUsedMeta:

@@ -182,3 +182,16 @@ class TestStoreCLI:
         out = capsys.readouterr().out
         assert "kept 1 current" in out
         assert code_version() in out
+
+    @pytest.mark.parametrize("action", (["--clear"], ["--stats"], []))
+    def test_dry_run_without_gc_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, action
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        key = keys_for("aa")[0]
+        ResultStore(tmp_path).save_payload(key, {"value": 1})
+        with pytest.raises(SystemExit) as exit_info:
+            store_main(action + ["--dry-run"])
+        assert exit_info.value.code == 2
+        assert "--dry-run only applies to --gc" in capsys.readouterr().err
+        assert ResultStore(tmp_path).contains(key)
