@@ -51,6 +51,21 @@
  * so the loop compiles as if they were written out in place. */
 #define ALWAYS_INLINE inline __attribute__((always_inline))
 
+/* A set or bank count's mask: n - 1 for a power of two, else -1. */
+static int64_t
+pow2_mask(int64_t n)
+{
+    return (n & (n - 1)) ? -1 : n - 1;
+}
+
+/* x % n for x >= 0, where `mask` is pow2_mask(n): the common shapes
+ * take a set or bank index without a 64-bit divide. */
+static ALWAYS_INLINE int64_t
+mod_index(int64_t x, int64_t n, int64_t mask)
+{
+    return mask >= 0 ? x & mask : x % n;
+}
+
 /* ---------------------------------------------------------------- */
 /* Growable min-heap of doubles (heapq semantics over plain values)  */
 /* ---------------------------------------------------------------- */
@@ -407,32 +422,48 @@ map_free(Map *m)
 }
 
 /* ---------------------------------------------------------------- */
-/* Block -> dense id table                                           */
+/* Block -> dense id directory                                       */
 /* ---------------------------------------------------------------- */
 
 /* Every block that misses in the L2 gets the next dense id, in
- * first-miss order, so inserting a new id *is* the compulsory miss
+ * first-miss order, so handing out a new id *is* the compulsory miss
  * (SetAssociativeCache._seen).  Per id the kernel keeps the block, its
  * last serviced cost (DeltaTracker._last_cost) and its in-flight fill
- * (MSHRFile._in_flight): an L2 miss probes the table once, an L2 hit
+ * (MSHRFile._in_flight): an L2 miss looks the block up once, an L2 hit
  * reads the id from its way, and an MSHR completion carries the id and
- * probes nothing.  Without a prefetcher every first miss allocates a
+ * looks up nothing.  Without a prefetcher every first miss allocates a
  * demand fill and the drain services them all, so at the end every id
  * has a cost, and the insertion orders of _seen and _last_cost are
  * both id order.  A prefetch fill can be a block's first miss and
  * never gets a cost, so then Sim.cost_order keeps the _last_cost
- * order. */
+ * order.
+ *
+ * The block -> id map is a page directory.  Blocks fall into pages of
+ * IDS_PAGE blocks, and `pages` maps a page number to its entry (`a`):
+ *  - a dense page's leaf, IDS_PAGE ids by offset (-1 where the block
+ *    has none), as a pointer: malloc alignment keeps its low bit 0;
+ *  - a sparse page's chain of ids, linked through `next`, as
+ *    (count << 33) | (the latest id << 1) | 1.
+ * A page starts sparse, so a page that misses once costs one directory
+ * slot, and turns dense when a block past the IDS_CHAIN-th misses, so
+ * a leaf always serves more than IDS_CHAIN blocks.  Per distinct block
+ * that bounds memory to ~100 bytes (a 24-byte slot per page at 70%
+ * load, a 1 KB leaf shared by at least 17 blocks, 36 bytes of per-id
+ * arrays) whatever the addresses.  The last dense page's leaf is
+ * cached, so a run of misses within one page skips the probe. */
+
+#define IDS_PAGE_BITS 8
+#define IDS_PAGE ((int64_t)1 << IDS_PAGE_BITS)
+#define IDS_CHAIN 16
+#define IDS_SPARSE(a) ((a) & 1)
 
 typedef struct {
-    int64_t key;
-    int64_t id;
-} IdSlot;
-
-typedef struct {
-    IdSlot *slots;
-    size_t mask;          /* slot count - 1, a power of two minus one */
+    Map pages;            /* page -> entry (see above) */
+    int64_t last_page;    /* the cached dense page, -1 = none */
+    int32_t *last_leaf;
     int32_t n, cap;       /* ids handed out, per-id array capacity */
     int64_t *block;       /* id -> block */
+    int32_t *next;        /* id -> previous id of its sparse page, -1 */
     double *cost;         /* id -> last serviced cost, NaN = none yet */
     int64_t *fill_serial; /* id -> in-flight fill's serial, -1 = none */
     double *fill_done;    /* id -> that fill's completion */
@@ -440,52 +471,10 @@ typedef struct {
 } Ids;
 
 static int
-ids_alloc_slots(Ids *t, size_t n_slots)
+ids_init(Ids *t)
 {
-    t->slots = (IdSlot *)malloc(n_slots * sizeof(IdSlot));
-    if (!t->slots) {
-        return -1;
-    }
-    for (size_t i = 0; i < n_slots; i++) {
-        t->slots[i].key = MAP_EMPTY;
-    }
-    t->mask = n_slots - 1;
-    return 0;
-}
-
-/* Sized for `hint` ids without growing (a trace of n records has at
- * most n distinct blocks; callers cap the hint). */
-static int
-ids_init(Ids *t, Py_ssize_t hint)
-{
-    size_t n_slots = 1024;
-    while (n_slots * 7 < (size_t)hint * 10 + 10) {
-        n_slots *= 2;
-    }
-    return ids_alloc_slots(t, n_slots);
-}
-
-static int
-ids_grow_slots(Ids *t)
-{
-    IdSlot *old = t->slots;
-    size_t old_n = t->mask + 1;
-    if (ids_alloc_slots(t, old_n * 2) < 0) {
-        t->slots = old;
-        return -1;
-    }
-    for (size_t i = 0; i < old_n; i++) {
-        if (old[i].key == MAP_EMPTY) {
-            continue;
-        }
-        size_t j = (size_t)hash64((uint64_t)old[i].key) & t->mask;
-        while (t->slots[j].key != MAP_EMPTY) {
-            j = (j + 1) & t->mask;
-        }
-        t->slots[j] = old[i];
-    }
-    free(old);
-    return 0;
+    t->last_page = -1;
+    return map_init(&t->pages, 16);
 }
 
 static int
@@ -495,6 +484,10 @@ ids_grow_arrays(Ids *t)
     int64_t *block = (int64_t *)realloc(t->block, (size_t)cap * 8);
     if (block) {
         t->block = block;
+    }
+    int32_t *next = (int32_t *)realloc(t->next, (size_t)cap * 4);
+    if (next) {
+        t->next = next;
     }
     double *cost = (double *)realloc(t->cost, (size_t)cap * 8);
     if (cost) {
@@ -508,64 +501,106 @@ ids_grow_arrays(Ids *t)
     if (done) {
         t->fill_done = done;
     }
-    if (!block || !cost || !serial || !done) {
+    if (!block || !next || !cost || !serial || !done) {
         return -1;
     }
     t->cap = cap;
     return 0;
 }
 
-/* The block's id, handing out the next one (and setting *fresh) on a
- * first miss; -1 when out of memory. */
-static ALWAYS_INLINE int32_t
-ids_lookup(Ids *t, int64_t block, int *fresh)
+/* The next id, for `block`; -1 when out of memory. */
+static int32_t
+ids_new(Ids *t, int64_t block)
 {
-    size_t i = (size_t)hash64((uint64_t)block) & t->mask;
-    for (;;) {
-        IdSlot *slot = &t->slots[i];
-        if (slot->key == block) {
-            *fresh = 0;
-            return (int32_t)slot->id;
-        }
-        if (slot->key == MAP_EMPTY) {
-            break;
-        }
-        i = (i + 1) & t->mask;
-    }
-    if (((size_t)t->n + 1) * 10 >= (t->mask + 1) * 7) {
-        if (ids_grow_slots(t) < 0) {
-            return -1;
-        }
-        return ids_lookup(t, block, fresh);
-    }
     if (t->n == t->cap && ids_grow_arrays(t) < 0) {
         return -1;
     }
     int32_t id = t->n++;
-    t->slots[i].key = block;
-    t->slots[i].id = id;
     t->block[id] = block;
+    t->next[id] = -1;
     t->cost[id] = NAN;
     t->fill_serial[id] = -1;
-    *fresh = 1;
     return id;
 }
 
-/* The block's id without handing one out; -1 when it never missed. */
-static int32_t
-ids_find(const Ids *t, int64_t block)
+/* The sparse side of ids_get: the page of `block` has no entry yet
+ * (slot NULL) or a sparse one.  Returns the block's id, or -1 when it
+ * has none; with `fresh` set, a block without one gets the next id
+ * (and *fresh = 1), and -1 means out of memory. */
+static int32_t __attribute__((noinline))
+ids_sparse_lookup(Ids *t, int64_t block, MapSlot *slot, int *fresh)
 {
-    size_t i = (size_t)hash64((uint64_t)block) & t->mask;
-    for (;;) {
-        const IdSlot *slot = &t->slots[i];
-        if (slot->key == block) {
-            return (int32_t)slot->id;
+    int64_t page = block >> IDS_PAGE_BITS;
+    int64_t count = 0;
+    int32_t head = -1;
+    if (slot) {
+        count = slot->a >> 33;
+        head = (int32_t)(slot->a >> 1);
+        for (int32_t id = head; id >= 0; id = t->next[id]) {
+            if (t->block[id] == block) {
+                return id;
+            }
         }
-        if (slot->key == MAP_EMPTY) {
+    }
+    if (!fresh) {
+        return -1;
+    }
+    int32_t id = ids_new(t, block);
+    if (id < 0) {
+        return -1;
+    }
+    *fresh = 1;
+    if (count < IDS_CHAIN) {
+        t->next[id] = head;
+        if (slot) {
+            slot->a = ((count + 1) << 33) | ((int64_t)id << 1) | 1;
+        }
+        else if (!map_put(&t->pages, page, ((int64_t)1 << 33) |
+                                                ((int64_t)id << 1) | 1,
+                           0.0)) {
             return -1;
         }
-        i = (i + 1) & t->mask;
+        return id;
     }
+    /* the page turns dense, its chain and the new id into a leaf */
+    int32_t *leaf = (int32_t *)malloc((size_t)IDS_PAGE * sizeof(int32_t));
+    if (!leaf) {
+        return -1;
+    }
+    memset(leaf, 0xff, (size_t)IDS_PAGE * sizeof(int32_t));
+    leaf[block & (IDS_PAGE - 1)] = id;
+    for (int32_t old = head; old >= 0; old = t->next[old]) {
+        leaf[t->block[old] & (IDS_PAGE - 1)] = old;
+    }
+    slot->a = (int64_t)(intptr_t)leaf;
+    t->last_page = page;
+    t->last_leaf = leaf;
+    return id;
+}
+
+/* The block's id.  With `fresh` set (to 0 by the caller), a first miss
+ * hands out the next id and sets *fresh, and -1 means out of memory;
+ * without it, -1 means the block never missed. */
+static ALWAYS_INLINE int32_t
+ids_get(Ids *t, int64_t block, int *fresh)
+{
+    int64_t page = block >> IDS_PAGE_BITS;
+    int32_t *leaf = t->last_leaf;
+    if (page != t->last_page) {
+        MapSlot *slot = map_get(&t->pages, page);
+        if (!slot || IDS_SPARSE(slot->a)) {
+            return ids_sparse_lookup(t, block, slot, fresh);
+        }
+        leaf = (int32_t *)(intptr_t)slot->a;
+        t->last_page = page;
+        t->last_leaf = leaf;
+    }
+    int32_t *at = &leaf[block & (IDS_PAGE - 1)];
+    if (*at < 0 && fresh) {
+        *at = ids_new(t, block);
+        *fresh = 1;
+    }
+    return *at;
 }
 
 /* The id's in-flight fill has landed (or a newer probe retired it). */
@@ -579,8 +614,15 @@ ids_land(Ids *t, int32_t id)
 static void
 ids_free(Ids *t)
 {
-    free(t->slots);
+    for (size_t i = 0; i < t->pages.cap; i++) {
+        MapSlot *slot = &t->pages.slots[i];
+        if (slot->key != MAP_EMPTY && !IDS_SPARSE(slot->a)) {
+            free((void *)(intptr_t)slot->a);
+        }
+    }
+    map_free(&t->pages);
     free(t->block);
+    free(t->next);
     free(t->cost);
     free(t->fill_serial);
     free(t->fill_done);
@@ -607,6 +649,7 @@ typedef struct {
     Way *pool;     /* n_sets * assoc, set i at pool + i * assoc */
     int32_t *len;  /* occupancy per set */
     int64_t n_sets;
+    int64_t set_mask; /* pow2_mask(n_sets) */
     int64_t assoc;
 } Tags;
 
@@ -616,8 +659,16 @@ tags_init(Tags *t, int64_t n_sets, int64_t assoc)
     t->pool = (Way *)calloc((size_t)(n_sets * assoc), sizeof(Way));
     t->len = (int32_t *)calloc((size_t)n_sets, sizeof(int32_t));
     t->n_sets = n_sets;
+    t->set_mask = pow2_mask(n_sets);
     t->assoc = assoc;
     return (t->pool && t->len) ? 0 : -1;
+}
+
+/* The set of `block` (>= 0). */
+static ALWAYS_INLINE int64_t
+tags_set_of(const Tags *t, int64_t block)
+{
+    return mod_index(block, t->n_sets, t->set_mask);
 }
 
 static void
@@ -1009,7 +1060,7 @@ typedef struct {
     DHeap mif;
     double bus_occupancy, bus_transfer_delay, bus_free;
     int64_t bus_contended, bus_transfers;
-    int64_t n_banks;
+    int64_t n_banks, bank_mask;
     double bank_latency;
     double *bank_free;
     int64_t bank_conflicts, bank_accesses;
@@ -1069,14 +1120,17 @@ typedef struct {
     int32_t *cost_order;
     Py_ssize_t n_cost_order, cost_order_cap;
 
-    int oom;      /* stops the loop: out of memory, or ... */
-    int overflow; /* ... a prediction past int64 */
+    int oom;              /* stops the loop: out of memory, or ... */
+    const char *overflow; /* ... a value past int64, named here */
 } Sim;
 
 /* ---------------------------------------------------------------- */
 /* Loop bodies                                                       */
 /* ---------------------------------------------------------------- */
 
+/* LINPolicy.choose_victim: the lowest recency + lam * cost_q, the LRU
+ * end winning ties.  The scan selects without branching: where the
+ * victim sits depends on the data, so a branch on it mispredicts. */
 static int64_t
 lin_choose(const Way *w, int32_t len, int64_t assoc, int64_t lam)
 {
@@ -1085,10 +1139,9 @@ lin_choose(const Way *w, int32_t len, int64_t assoc, int64_t lam)
     int64_t best = mru + lam * w[0].cost_q;
     for (int32_t pos = 1; pos < len; pos++) {
         int64_t score = mru - pos + lam * w[pos].cost_q;
-        if (score <= best) {
-            best = score;
-            best_pos = pos;
-        }
+        int64_t take = -(int64_t)(score <= best);
+        best = (score & take) | (best & ~take);
+        best_pos = (pos & take) | (best_pos & ~take);
     }
     return best_pos;
 }
@@ -1501,7 +1554,7 @@ write_back_mem(Sim *s, int64_t wb_block, double when)
     s->bus_free = start + s->bus_occupancy;
     s->bus_transfers += 1;
     double arrive = start + s->bus_transfer_delay;
-    int64_t bank = wb_block % s->n_banks;
+    int64_t bank = mod_index(wb_block, s->n_banks, s->bank_mask);
     double bank_start = s->bank_free[bank];
     if (bank_start > arrive) {
         s->bank_conflicts += 1;
@@ -1604,7 +1657,7 @@ mem_read(Sim *s, int64_t block, double when)
             s->mem_queueing += 1;
         }
     }
-    int64_t bank = block % s->n_banks;
+    int64_t bank = mod_index(block, s->n_banks, s->bank_mask);
     double bank_start = s->bank_free[bank];
     if (bank_start > when) {
         s->bank_conflicts += 1;
@@ -1737,13 +1790,13 @@ l2_fill(Sim *s, Pol *pol, int64_t set_index, Way fill, Way *victim)
 static ALWAYS_INLINE void
 l1_invalidate(Sim *s, int64_t block)
 {
-    int64_t set = block % s->l1d.n_sets;
+    int64_t set = tags_set_of(&s->l1d, block);
     Way *w = TAGS_SET(&s->l1d, set);
     int32_t pos = tags_find(w, s->l1d.len[set], block);
     if (pos >= 0) {
         tags_evict(w, &s->l1d.len[set], pos);
     }
-    set = block % s->l1i.n_sets;
+    set = tags_set_of(&s->l1i, block);
     w = TAGS_SET(&s->l1i, set);
     pos = tags_find(w, s->l1i.len[set], block);
     if (pos >= 0) {
@@ -1758,14 +1811,14 @@ l1_invalidate(Sim *s, int64_t block)
 static void
 prefetch_block(Sim *s, int64_t block, double when)
 {
-    int64_t set_index = block % s->l2.n_sets;
+    int64_t set_index = tags_set_of(&s->l2, block);
     if (tags_find(TAGS_SET(&s->l2, set_index), s->l2.len[set_index],
                   block) >= 0) {
         s->pf.suppressed += 1;
         return;
     }
     /* MSHRFile.in_flight: a non-counting probe that drops nothing */
-    int32_t id = ids_find(&s->ids, block);
+    int32_t id = ids_get(&s->ids, block, NULL);
     if (id >= 0 && s->ids.fill_serial[id] >= 0 &&
         s->ids.fill_done[id] > when) {
         s->pf.suppressed += 1;
@@ -1790,8 +1843,8 @@ prefetch_block(Sim *s, int64_t block, double when)
     }
     s->l2_misses += 1;
     if (id < 0) {
-        int fresh;
-        id = ids_lookup(&s->ids, block, &fresh);
+        int fresh = 0;
+        id = ids_get(&s->ids, block, &fresh);
         if (id < 0) {
             s->oom = 1;
             return;
@@ -1839,7 +1892,7 @@ prefetch_after_miss(Sim *s, int64_t block, double issue)
             if (stride > 0) {
                 /* Python would go past int64; stops the loop, and
                  * replay() reports the overflow */
-                s->overflow = 1;
+                s->overflow = "prefetch prediction past int64";
                 s->oom = 1;
             }
             return; /* a negative stride only gets more negative */
@@ -1860,17 +1913,22 @@ static void
 run_loop(Sim *s)
 {
     const double dwidth = (double)s->win_width;
-    int64_t cum = 0;
-    const int64_t win_index0 = s->win_index;
 
     for (Py_ssize_t i = 0; i < s->n && !s->oom; i++) {
         int64_t block = s->addrs[i] >> s->block_bits;
         int64_t kind = s->kinds[i];
-        int64_t g1 = s->gaps[i] + 1;
-        cum += g1;
-        int64_t target = cum + win_index0;
+        /* the instruction clock; the window's reach past it must fit
+         * in int64 too */
+        int64_t g1, target;
+        if (__builtin_add_overflow(s->gaps[i], 1, &g1) ||
+            __builtin_add_overflow(s->win_index, g1, &target) ||
+            target > INT64_MAX - s->win_size) {
+            s->overflow = "instruction count past int64";
+            s->oom = 1;
+            break;
+        }
         double dt = (double)g1 / dwidth;
-        int64_t set_index = block % s->l2.n_sets;
+        int64_t set_index = tags_set_of(&s->l2, block);
 
         /* ---- WindowModel.advance, inlined ---- */
         if (s->wp.n && WRING_FRONT(&s->wp).index + s->win_size <= target) {
@@ -1927,7 +1985,7 @@ run_loop(Sim *s)
         int64_t l1_set;
         if (kind == s->ifetch_kind) {
             l1 = &s->l1i;
-            l1_set = block % s->l1i.n_sets;
+            l1_set = tags_set_of(&s->l1i, block);
             Way *w = TAGS_SET(l1, l1_set);
             int32_t pos = tags_find(w, l1->len[l1_set], block);
             if (pos >= 0) {
@@ -1953,7 +2011,7 @@ run_loop(Sim *s)
         }
         else {
             l1 = &s->l1d;
-            l1_set = block % s->l1d.n_sets;
+            l1_set = tags_set_of(&s->l1d, block);
             Way *w = TAGS_SET(l1, l1_set);
             int32_t pos = tags_find(w, l1->len[l1_set], block);
             is_store = kind == s->store_kind;
@@ -2039,7 +2097,7 @@ run_loop(Sim *s)
             if (have_victim && l1_victim.dirty) {
                 /* Simulator._l1_writeback, inlined */
                 int64_t vb = l1_victim.block;
-                int64_t vset = vb % s->l2.n_sets;
+                int64_t vset = tags_set_of(&s->l2, vb);
                 Way *lw = TAGS_SET(&s->l2, vset);
                 int32_t pos = tags_find(lw, s->l2.len[vset], vb);
                 if (pos >= 0) {
@@ -2181,8 +2239,8 @@ run_loop(Sim *s)
         else {
             /* ---- L2 miss: fill, then the MSHR/memory path ---- */
             s->l2_misses += 1;
-            int fresh;
-            int32_t id = ids_lookup(&s->ids, block, &fresh);
+            int fresh = 0;
+            int32_t id = ids_get(&s->ids, block, &fresh);
             if (id < 0) {
                 s->oom = 1;
                 continue;
@@ -2992,6 +3050,30 @@ monotonic_s(void)
     return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
 }
 
+/* Whether every record is one the generic loop accepts: non-negative
+ * address and gap, a load, store or ifetch.  One pass without an early
+ * exit, which the compiler vectorizes. */
+static int
+records_valid(const Sim *s, int64_t load_kind)
+{
+    const int64_t *addrs = s->addrs, *gaps = s->gaps;
+    const int8_t *kinds = s->kinds;
+    const int8_t load = (int8_t)load_kind, store = (int8_t)s->store_kind,
+                 ifetch = (int8_t)s->ifetch_kind;
+    if (load != load_kind || store != s->store_kind ||
+        ifetch != s->ifetch_kind) {
+        return 0;
+    }
+    int64_t sign = 0;
+    int8_t bad_kind = 0;
+    for (Py_ssize_t i = 0; i < s->n; i++) {
+        sign |= addrs[i] | gaps[i];
+        bad_kind |= (kinds[i] != load) & (kinds[i] != store) &
+                    (kinds[i] != ifetch);
+    }
+    return sign >= 0 && !bad_kind;
+}
+
 static PyObject *
 replay(PyObject *self, PyObject *args)
 {
@@ -3033,6 +3115,7 @@ replay(PyObject *self, PyObject *args)
     s->kinds = (const int8_t *)kind_buf.buf;
     s->gaps = (const int64_t *)gap_buf.buf;
     s->block_bits = p_int(&p, "block_bits");
+    int64_t load_kind = p_int(&p, "load_kind");
     s->ifetch_kind = p_int(&p, "ifetch_kind");
     s->store_kind = p_int(&p, "store_kind");
 
@@ -3153,6 +3236,53 @@ replay(PyObject *self, PyObject *args)
         goto fail;
     }
 
+    /* --- sizes and capacities: each divides or bounds an array --- */
+    {
+        int uses_atd = s->controller_kind == CTRL_SBAR ||
+                       s->controller_kind == CTRL_CBS;
+        const struct {
+            const char *name;
+            int64_t value, max;
+        } sizes[] = {
+            {"l1d_n_sets", l1d_sets, INT32_MAX},
+            {"l1d_assoc", l1d_assoc, INT32_MAX},
+            {"l1i_n_sets", l1i_sets, INT32_MAX},
+            {"l1i_assoc", l1i_assoc, INT32_MAX},
+            {"l2_n_sets", l2_sets, INT32_MAX},
+            {"l2_assoc", l2_assoc, INT32_MAX},
+            {"atd_assoc", uses_atd ? s->atd_assoc : 1, INT32_MAX},
+            {"win_width", s->win_width, INT64_MAX},
+            {"win_size", s->win_size, INT64_MAX},
+            {"sb_capacity", s->sb_capacity, INT64_MAX},
+            {"m_entries", s->m_entries, INT64_MAX},
+            {"memory_max", s->memory_max, INT64_MAX},
+            /* shifts and the 64-entry cost histogram */
+            {"block_bits + 1", s->block_bits + 1, 64},
+            {"max_q + 1", s->max_q + 1, 64},
+        };
+        for (size_t i = 0; i < sizeof(sizes) / sizeof(sizes[0]); i++) {
+            if (sizes[i].value < 1 || sizes[i].value > sizes[i].max) {
+                PyErr_Format(PyExc_ValueError,
+                             "replay kernel: %s must be in 1..%lld, got %lld",
+                             sizes[i].name, (long long)sizes[i].max,
+                             (long long)sizes[i].value);
+                goto fail;
+            }
+        }
+        if (!(s->qstep > 0.0) || s->n_adders < 0 || s->win_index < 0) {
+            PyErr_SetString(PyExc_ValueError,
+                            "replay kernel: qstep must be positive, "
+                            "n_adders and win_index non-negative");
+            goto fail;
+        }
+    }
+    if (!records_valid(s, load_kind)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "replay kernel: a record has a negative address or "
+                        "gap, or an unknown kind");
+        goto fail;
+    }
+
     /* --- list / bytes params --- */
     {
         Py_ssize_t nb = 0;
@@ -3160,7 +3290,13 @@ replay(PyObject *self, PyObject *args)
         if (p.err) {
             goto fail;
         }
+        if (nb < 1) {
+            PyErr_SetString(PyExc_ValueError,
+                            "replay kernel: bank_free must name a bank");
+            goto fail;
+        }
         s->n_banks = (int64_t)nb;
+        s->bank_mask = pow2_mask(s->n_banks);
     }
     {
         Py_ssize_t nd = 0;
@@ -3376,7 +3512,7 @@ replay(PyObject *self, PyObject *args)
     if (tags_init(&s->l1d, l1d_sets, l1d_assoc) < 0 ||
         tags_init(&s->l1i, l1i_sets, l1i_assoc) < 0 ||
         tags_init(&s->l2, l2_sets, l2_assoc) < 0 ||
-        ids_init(&s->ids, s->n < 65536 ? s->n : 65536) < 0 ||
+        ids_init(&s->ids) < 0 ||
         map_init(&s->ehc_last, 1024) < 0 ||
         map_init(&s->ehc_intervals, 1024) < 0 ||
         map_init(&s->awrp_counts, 1024) < 0) {
@@ -3441,8 +3577,7 @@ replay(PyObject *self, PyObject *args)
     double emit_start = monotonic_s();
 
     if (s->overflow) {
-        PyErr_SetString(PyExc_OverflowError,
-                        "replay kernel: prefetch prediction past int64");
+        PyErr_Format(PyExc_OverflowError, "replay kernel: %s", s->overflow);
         goto fail;
     }
     if (s->oom) {
@@ -3671,7 +3806,13 @@ epoch_starts(PyObject *self, PyObject *args)
     Py_ssize_t n = gap_buf.len / (Py_ssize_t)sizeof(int64_t);
     int64_t index = start, low = epoch * length, high = low + length;
     for (Py_ssize_t i = 0; i < n; i++) {
-        index += gaps[i] + 1;
+        if (__builtin_add_overflow(index, gaps[i], &index) ||
+            __builtin_add_overflow(index, 1, &index)) {
+            PyErr_SetString(PyExc_OverflowError,
+                            "epoch_starts: instruction index past int64");
+            Py_CLEAR(starts);
+            goto done;
+        }
         if (index >= low && index < high) {
             continue;
         }

@@ -31,6 +31,16 @@ class CacheGeometry:
     hit_latency: int
 
     def __post_init__(self) -> None:
+        if self.line_bytes < 1 or self.associativity < 1:
+            raise ValueError(
+                "line size and associativity must be positive (%d, %d)"
+                % (self.line_bytes, self.associativity)
+            )
+        if self.size_bytes < self.line_bytes * self.associativity:
+            raise ValueError(
+                "cache size %d holds no set of %d*%d bytes"
+                % (self.size_bytes, self.line_bytes, self.associativity)
+            )
         if self.size_bytes % (self.line_bytes * self.associativity):
             raise ValueError(
                 "cache size %d is not a multiple of line*assoc (%d*%d)"

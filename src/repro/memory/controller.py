@@ -34,6 +34,8 @@ class MemoryController:
                 config.n_banks, config.dram_access_latency
             )
         self.bus = SplitTransactionBus(config.bus_delay, config.bus_occupancy)
+        if config.max_outstanding < 1:
+            raise ValueError("memory needs at least one outstanding request")
         self.max_outstanding = config.max_outstanding
         self._in_flight: List[float] = []  # heap of completion times
         self.requests = 0

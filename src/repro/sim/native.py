@@ -73,7 +73,7 @@ from repro.sbar.psel import PolicySelector
 from repro.sbar.sbar import SBARController
 from repro.sbar.tournament import TournamentController
 from repro.sim.stats import PhaseSample
-from repro.trace.record import IFETCH, STORE
+from repro.trace.record import IFETCH, LOAD, STORE
 
 #: Policy discriminants understood by the C kernel (keep in sync with
 #: the ``POL_*`` enum in replaykernel.c).
@@ -382,6 +382,7 @@ def _build_params(sim, trace) -> dict:
         "kinds": trace._kinds,
         "gaps": trace._gaps,
         "block_bits": config.block_bits,
+        "load_kind": LOAD,
         "ifetch_kind": IFETCH,
         "store_kind": STORE,
         # Window.

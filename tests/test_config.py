@@ -30,6 +30,18 @@ class TestCacheGeometry:
         with pytest.raises(ValueError):
             CacheGeometry(1000, 64, 16, 1)
 
+    @pytest.mark.parametrize("size,line,ways", [
+        (0, 64, 16),      # no set at all
+        (512, 64, 16),    # smaller than one set
+        (1024, 0, 16),
+        (1024, -64, 16),
+        (1024, 64, 0),
+        (1024, 64, -4),
+    ])
+    def test_degenerate_geometry_rejected(self, size, line, ways):
+        with pytest.raises(ValueError):
+            CacheGeometry(size, line, ways, 1)
+
     def test_n_blocks_consistency(self):
         geometry = CacheGeometry(8192, 64, 4, 1)
         assert geometry.n_blocks == geometry.n_sets * geometry.associativity

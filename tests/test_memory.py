@@ -115,6 +115,11 @@ class TestMemoryController:
         assert third >= 444.0 + 400.0
         assert controller.queueing_stalls >= 1
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_outstanding_limit_must_be_positive(self, limit):
+        with pytest.raises(ValueError):
+            MemoryController(MemoryConfig(max_outstanding=limit))
+
     def test_writebacks_counted(self):
         controller = MemoryController(MemoryConfig())
         controller.write_line(0, 0.0)

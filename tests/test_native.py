@@ -27,7 +27,11 @@ the native-only ones skip on hosts that cannot build it.
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from array import array
 from bisect import bisect_left
 from itertools import accumulate
@@ -591,6 +595,115 @@ class TestMalformedPrefetcherParams:
         mutate(params)
         with pytest.raises((ValueError, TypeError)):
             native.load_extension().replay(params)
+
+
+def _survives(code):
+    """Run ``code`` in a child interpreter and return its stdout.
+
+    A kernel that indexes out of bounds or divides by zero kills the
+    whole interpreter with a signal, so these cases run isolated: the
+    test fails on the child's exit status instead of taking pytest down.
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    child = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, (
+        "child exited with %d:\n%s" % (child.returncode, child.stderr[-3000:])
+    )
+    return child.stdout.strip()
+
+
+class TestDegenerateMachines:
+    """Machines and params that once crashed the interpreter now raise.
+
+    A zero-set cache used to divide by zero in the kernel (SIGFPE), a
+    zero outstanding-request limit to read past its heap (SIGSEGV).
+    """
+
+    @pytest.mark.parametrize("config", [
+        "replace(MachineConfig(), l2=CacheGeometry(0, 64, 16, 15))",
+        "replace(MachineConfig(), l1d=CacheGeometry(0, 64, 4, 2))",
+        "replace(MachineConfig(), memory=MemoryConfig(max_outstanding=0))",
+    ])
+    @pytest.mark.parametrize("kernel", ["auto", "generic"])
+    def test_machine_rejected(self, config, kernel):
+        assert _survives("""
+            from dataclasses import replace
+            from repro.config import CacheGeometry, MachineConfig, MemoryConfig
+            from repro.sim.simulator import Simulator
+            from repro.workloads import build_workload
+            trace = build_workload("art", scale=0.02)
+            try:
+                Simulator(%s, "lru", kernel=%r).run(trace)
+            except ValueError:
+                print("ValueError")
+        """ % (config, kernel)) == "ValueError"
+
+    @needs_native
+    @pytest.mark.parametrize("mutation", [
+        "p['addresses'] = array('q', [-64] * len(p['gaps']))",
+        "p['gaps'] = array('q', [-1] * len(p['gaps']))",
+        "p['kinds'] = array('b', [7] * len(p['gaps']))",
+        "p['l1d_assoc'] = 0",
+        "p['l1i_n_sets'] = 0",
+        "p['l2_n_sets'] = 0",
+        "p['l2_assoc'] = -1",
+        "p['m_entries'] = 0",
+        "p['memory_max'] = 0",
+        "p['sb_capacity'] = 0",
+        "p['win_size'] = 0",
+        "p['bank_free'] = []",
+        "p['max_q'] = 64",
+        "p['block_bits'] = 64",
+    ])
+    def test_params_rejected(self, mutation):
+        assert _survives("""
+            from array import array
+            from repro.sim import native
+            from repro.sim.simulator import Simulator
+            from repro.workloads import build_workload, experiment_config
+            trace = build_workload("art", scale=0.02)
+            p = native._build_params(Simulator(experiment_config(), "lru"),
+                                     trace)
+            %s
+            try:
+                native.load_extension().replay(p)
+            except ValueError:
+                print("ValueError")
+        """ % mutation) == "ValueError"
+
+
+class TestInstructionClockOverflow:
+    """A trace whose instruction count passes int64 raises natively.
+
+    The generic loop counts in Python ints; the kernel's int64 clock
+    used to wrap and report a wrong result.
+    """
+
+    @staticmethod
+    def _trace(gap, n=4):
+        return [Access(address=64 * i, kind=LOAD, gap=gap) for i in range(n)]
+
+    @needs_native
+    @pytest.mark.parametrize("gap,n", [(1 << 62, 4), ((1 << 63) - 1, 1)])
+    def test_raises(self, gap, n):
+        with pytest.raises(OverflowError, match="instruction count"):
+            Simulator(experiment_config(), "lru").run(self._trace(gap, n))
+
+    def test_generic_counts_past_int64(self):
+        result = Simulator(experiment_config(), "lru",
+                           kernel="generic").run(self._trace(1 << 62))
+        assert result.instructions == 4 * ((1 << 62) + 1)
+
+    @needs_native
+    def test_just_below_the_limit_runs_native(self):
+        trace = self._trace(1 << 61, 3)
+        fast, generic = _native_and_generic(trace, "lru")
+        _assert_identical(fast, generic, "gap 2**61")
 
 
 def _epoch_starts_reference(gaps, start_index, epoch_length, epoch):

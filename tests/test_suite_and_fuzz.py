@@ -1,21 +1,32 @@
-"""Suite-runner tests and whole-simulator fuzz invariants.
+"""Suite-runner tests, whole-simulator fuzz invariants, and the
+native-vs-generic differential.
 
-The fuzz battery is also a native-vs-generic differential: every random
-trace replays on ``kernel="auto"`` (the C kernel when the extension is
-built) and on the generic loop, and the two must agree bit for bit.
+The invariant battery replays random traces, wrong-path records
+included, on the generic loop.  The differential draws machines and
+wrong-path-free traces the C kernel runs, replays each on both kernels,
+and requires the kernel to have run and the two to agree bit for bit.
 """
 
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
+from repro.config import (
+    CacheGeometry,
+    MachineConfig,
+    MemoryConfig,
+    MSHRConfig,
+    ProcessorConfig,
+)
+from repro.cpu.prefetch import StridePrefetcher
+from repro.sim import native
 from repro.sim.runner import clear_cache
 from repro.sim.suite import main as suite_main, run_suite
 from repro.sim.simulator import Simulator
 from repro.trace.record import IFETCH, LOAD, STORE, Access
 
-from tests.fingerprints import AUTO_KERNEL, machine_fingerprint
+from tests.fingerprints import machine_fingerprint
 
 #: Every policy the fuzz draws from: one spec per registered policy,
 #: all of which the native kernel runs.
@@ -123,21 +134,10 @@ class TestSimulatorFuzzInvariants:
     def test_invariants_hold_on_arbitrary_traces(
         self, trace, policy, small_machine
     ):
-        simulator = Simulator(small_machine, policy)
+        simulator = Simulator(small_machine, policy, kernel="generic")
         result = simulator.run(trace)
 
-        # The list reaches the kernel unless it holds wrong-path
-        # records, and either way matches the generic loop exactly.
         committed = [a for a in trace if not a.wrong_path]
-        if len(committed) == len(trace):
-            assert simulator.replay_kernel == AUTO_KERNEL
-        reference_sim = Simulator(small_machine, policy, kernel="generic")
-        reference = reference_sim.run(trace)
-        assert result.to_dict() == reference.to_dict()
-        assert machine_fingerprint(simulator) == machine_fingerprint(
-            reference_sim
-        )
-
         expected_instructions = sum(a.gap + 1 for a in committed)
         assert result.instructions == expected_instructions
 
@@ -174,3 +174,118 @@ class TestSimulatorFuzzInvariants:
         assert first.ipc == second.ipc
         assert first.demand_misses == second.demand_misses
         assert first.stall_cycles == second.stall_cycles
+
+
+#: Policies that need a power-of-two associativity (tree-PLRU).
+PLRU_POLICIES = ("plru", "cost-plru")
+#: Set-dueling policies, which need leader sets besides followers.
+DUELING_POLICIES = ("sbar", "dip", "cbs-global", "cbs-local", "tournament")
+#: Blocks per page of the kernel's block -> id directory.
+DIRECTORY_PAGE_BLOCKS = 256
+
+
+@st.composite
+def native_machines(draw, policy):
+    """A machine the kernel runs: set counts powers of two or not."""
+    line = draw(st.sampled_from([32, 64, 128]))
+
+    def cache(sets, ways, latency):
+        n_sets = draw(st.sampled_from(sets))
+        n_ways = draw(st.sampled_from(ways))
+        return CacheGeometry(n_sets * n_ways * line, line, n_ways, latency)
+
+    l2_ways = [1, 2, 4, 8] if policy in PLRU_POLICIES else [1, 2, 3, 4, 8]
+    l2_sets = [1, 2, 3, 4, 5, 7, 8, 12, 16, 64]
+    if policy in DUELING_POLICIES:
+        l2_sets = l2_sets[1:]
+    return MachineConfig(
+        processor=ProcessorConfig(
+            issue_width=draw(st.sampled_from([1, 2, 4, 8])),
+            window_size=draw(st.sampled_from([4, 16, 128])),
+            store_buffer_size=draw(st.sampled_from([1, 4, 128])),
+        ),
+        l1i=cache([1, 2, 3, 4, 8], [1, 2, 4], 2),
+        l1d=cache([1, 2, 3, 4, 8], [1, 2, 4], 2),
+        l2=cache(l2_sets, l2_ways, 15),
+        mshr=MSHRConfig(n_entries=draw(st.integers(1, 8))),
+        memory=MemoryConfig(
+            n_banks=draw(st.sampled_from([1, 2, 3, 4, 8, 32])),
+            bus_occupancy=draw(st.integers(1, 20)),
+            max_outstanding=draw(st.integers(1, 8)),
+        ),
+    )
+
+
+@st.composite
+def native_traces(draw, line):
+    """Wrong-path-free traces: addresses inside one directory page,
+    across page boundaries, on a stride, or scattered up to 2**62."""
+    page = DIRECTORY_PAGE_BLOCKS * line
+    style = draw(st.sampled_from(["page", "boundary", "stride", "scattered"]))
+    n = draw(st.integers(min_value=1, max_value=80))
+    if style == "page":
+        base = draw(st.integers(0, 1 << 40)) * page
+        addresses = st.integers(0, page - 1).map(base.__add__)
+    elif style == "boundary":
+        edge = draw(st.integers(2, 1 << 40)) * page
+        addresses = st.integers(-2 * page, 2 * page - 1).map(edge.__add__)
+    elif style == "stride":
+        base = draw(st.integers(0, 1 << 50)) * line
+        step = draw(st.sampled_from([1, 2, 3, -1, 17])) * line
+        start = max(0, -step * n)
+        addresses = st.integers(0, n - 1).map(
+            lambda i: base + start + step * i
+        )
+    else:
+        addresses = st.integers(0, 1 << 62)
+    return [
+        Access(
+            address=draw(addresses),
+            kind=draw(st.sampled_from([LOAD, STORE, IFETCH])),
+            gap=draw(st.integers(min_value=0, max_value=500)),
+        )
+        for _ in range(n)
+    ]
+
+
+@st.composite
+def native_runs(draw):
+    policy = draw(st.sampled_from(FUZZ_POLICIES))
+    config = draw(native_machines(policy))
+    try:
+        Simulator(config, policy)
+    except ValueError:  # e.g. a leader count the set count cannot hold
+        reject()
+    trace = draw(native_traces(config.l2.line_bytes))
+    prefetch = draw(st.none() | st.tuples(
+        st.integers(1, 8),                      # entries
+        st.sampled_from([1, 16, 4096]),         # region blocks
+        st.integers(1, 4),                      # degree
+        st.integers(0, 3),                      # confidence threshold
+    ))
+    return policy, config, trace, prefetch
+
+
+@pytest.mark.skipif(native.load_extension() is None,
+                    reason="extension not built")
+class TestNativeDifferential:
+    """Random machines and traces on both kernels, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=native_runs())
+    def test_native_matches_generic(self, run):
+        policy, config, trace, prefetch = run
+        sims = []
+        for kernel in ("auto", "generic"):
+            sim = Simulator(
+                config, policy, kernel=kernel,
+                prefetcher=StridePrefetcher(*prefetch) if prefetch else None,
+            )
+            sims.append((sim, sim.run(trace)))
+        (fast, fast_result), (generic, generic_result) = sims
+        # A silent fallback would compare the generic loop with itself.
+        assert fast_result.meta["kernel_used"] == "native", (
+            fast.kernel_fallback
+        )
+        assert fast_result.to_dict() == generic_result.to_dict()
+        assert machine_fingerprint(fast) == machine_fingerprint(generic)

@@ -3,18 +3,23 @@
 Usage, from the root of a checkout (the extension built)::
 
     python tools/kernel_ab.py [A.so [B.so]] [--scale 0.25] [--rounds 9]
-        [--cells mcf:lru,art:sbar] [--profile]
+        [--cells mcf:lru,art:sbar | --cells suite] [--profile]
 
 Each ``*.so`` is a build of ``repro._native.replaykernel``; a missing
 one defaults to the in-place build, so with no paths the two sides are
 two copies of one build (an A/A run, which shows the noise floor).
 Both are loaded into this process, and every round replays each cell
 on A and on B, in alternating order, from one identical
-``native._build_params`` dict.  The report gives each side's minimum
-``kernel_s`` per cell and in total: alternating within one process
-cancels most of the drift of a shared host, which an unpaired
-before-and-after comparison cannot.  Outputs must be identical on both
-sides, apart from the stage timers, or the tool exits 1.
+``native._build_params`` dict.  ``--cells suite`` means the 42 cells of
+a cold ``repro suite``: the 14 surrogates under ``lru``, ``lin(4)`` and
+``sbar``.  The report gives each side's minimum ``kernel_s`` per cell
+and in total: alternating within one process cancels most of the drift
+of a shared host, which an unpaired before-and-after comparison cannot.
+Below it, each side's median time per round of whole ``replay()``
+calls, and the rounds in which B's were faster: ``kernel_s`` times the
+loop alone, so a change that moves cost into the kernel's set-up or
+teardown shows only there.  Outputs must be identical on both sides,
+apart from the stage timers, or the tool exits 1.
 
 ``--profile`` needs a profile build on a side (``make native-profile``
 compiles one with ``-DREPRO_PROFILE -g``): its replays return the
@@ -36,6 +41,8 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from statistics import median
+from time import perf_counter
 from typing import Dict, List, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,11 +50,23 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.sim import native  # noqa: E402
 from repro.sim.runner import Task, packed_trace  # noqa: E402
+from repro.workloads import BENCHMARKS  # noqa: E402
 
 #: Output keys that differ between runs by design.
 TIMERS = ("kernel_s", "emit_s", "profile_ips")
 
 DEFAULT_CELLS = "mcf:lru,mcf:lin(4),art:sbar,mcf:cbs-global"
+
+#: The policies of a cold ``repro suite``, which ``--cells suite`` runs
+#: on every surrogate.
+SUITE_POLICIES = ("lru", "lin(4)", "sbar")
+
+
+def parse_cells(spec: str) -> List[Tuple[str, str]]:
+    if spec == "suite":
+        return [(benchmark, policy) for benchmark in BENCHMARKS
+                for policy in SUITE_POLICIES]
+    return [tuple(cell.split(":", 1)) for cell in spec.split(",")]
 
 
 def in_place_build() -> str:
@@ -143,7 +162,9 @@ def main(argv=None) -> int:
     parser.add_argument("builds", nargs="*", metavar="BUILD.so",
                         help="A, then B (default: the in-place build)")
     parser.add_argument("--cells", default=DEFAULT_CELLS,
-                        help="benchmark:policy pairs (default: %(default)s)")
+                        help="benchmark:policy pairs, or `suite` for the "
+                             "42 cells of a cold suite "
+                             "(default: %(default)s)")
     parser.add_argument("--scale", type=float, default=0.25)
     parser.add_argument("--rounds", type=int, default=9)
     parser.add_argument("--profile", action="store_true",
@@ -152,7 +173,7 @@ def main(argv=None) -> int:
     if len(args.builds) > 2:
         parser.error("at most two builds")
     paths = list(args.builds) + [in_place_build()] * (2 - len(args.builds))
-    cells = [tuple(cell.split(":", 1)) for cell in args.cells.split(",")]
+    cells = parse_cells(args.cells)
     params = cell_params(cells, args.scale)
 
     workdir = tempfile.mkdtemp(prefix="kernel_ab-")
@@ -160,13 +181,17 @@ def main(argv=None) -> int:
         sides = [load_build(path, side, workdir)
                  for side, path in zip("ab", paths)]
         best = [[float("inf")] * len(cells) for _ in sides]
+        # Per round, each side's summed wall time of whole replay() calls.
+        calls = [[0.0] * args.rounds for _ in sides]
         samples: List[List[int]] = [[] for _ in sides]
         for round_index in range(args.rounds):
             for cell, cell_params_dict in enumerate(params):
                 order = (0, 1) if (round_index + cell) % 2 == 0 else (1, 0)
                 outs = {}
                 for side in order:
+                    start = perf_counter()
                     out = sides[side][0].replay(cell_params_dict)
+                    calls[side][round_index] += perf_counter() - start
                     best[side][cell] = min(best[side][cell], out["kernel_s"])
                     ips = out.get("profile_ips")
                     if ips:
@@ -186,6 +211,13 @@ def main(argv=None) -> int:
         total_a, total_b = sum(best[0]), sum(best[1])
         print("%-22s %12.6f %12.6f %8.3f"
               % ("total", total_a, total_b, total_b / total_a))
+        median_a, median_b = median(calls[0]), median(calls[1])
+        print("%-22s %12.6f %12.6f %8.3f"
+              % ("replay() per round", median_a, median_b,
+                 median_b / median_a))
+        won = sum(b < a for a, b in zip(*calls))
+        print("B's replay() calls were faster in %d of %d rounds"
+              % (won, args.rounds))
         print("outputs identical on all %d cells x %d rounds"
               % (len(cells), args.rounds))
 
