@@ -27,7 +27,7 @@ native:
 # descriptor 2 alone, so a sanitizer report reaches the log.
 SANITIZE_CFLAGS = -fsanitize=address,undefined -fno-omit-frame-pointer
 SANITIZE_TESTS = tests/test_native.py tests/test_tracegen.py tests/test_fastpath.py \
-	tests/test_suite_and_fuzz.py
+	tests/test_suite_and_fuzz.py tests/test_metrics.py
 SANITIZE_ENV = LD_PRELOAD=$$(gcc -print-file-name=libasan.so) \
 	ASAN_OPTIONS=detect_leaks=0 \
 	UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 PYTHONPATH=src

@@ -1014,6 +1014,9 @@ typedef struct {
     int64_t misses, cost_q_sum, cost_count;
 } Phase;
 
+/* Most MSHR occupancy bucket bounds a run may pass (occ_bounds). */
+#define MAX_OCC_BOUNDS 16
+
 typedef struct {
     /* trace */
     const int64_t *addrs;
@@ -1041,6 +1044,7 @@ typedef struct {
     int64_t l1d_seq, l1d_accesses, l1d_hits, l1d_misses, l1d_writebacks;
     int64_t l1i_seq, l1i_accesses, l1i_hits, l1i_misses, l1i_writebacks;
     int64_t l2_seq, l2_accesses, l2_hits, l2_misses, l2_writebacks;
+    int64_t l1d_evictions, l1i_evictions, l2_evictions;
     int64_t l2_compulsory;
     int track_seen;
     Ids ids;
@@ -1050,6 +1054,10 @@ typedef struct {
     int64_t m_entries, n_adders;
     double m_now, m_acc;
     int64_t m_live, m_allocations, m_merges, m_full_stalls, m_peak;
+    /* allocations by occupancy, bucketed by inclusive upper bounds
+     * (MSHRFile.occupancy_counts); the last bucket is the overflow */
+    int64_t occ_bounds[MAX_OCC_BOUNDS], occ_counts[MAX_OCC_BOUNDS + 1];
+    Py_ssize_t n_occ_bounds;
     MRing md;
     DRing occ;
     int64_t m_serial;
@@ -1104,9 +1112,11 @@ typedef struct {
     int cbs_local;
     Py_ssize_t n_psels;
     int64_t *psel_val, *psel_incs, *psel_decs;
+    int64_t *psel_inc_calls, *psel_dec_calls; /* calls, zero amounts too */
     int64_t psel_max, psel_msb;
     int64_t deferred, follower_lin, follower_lru;
     double *t_scores, *t_accesses; /* tournament, one per candidate */
+    int64_t *t_charges;            /* serviced leader misses charged */
     double t_decay;
 
     /* phases */
@@ -1376,6 +1386,7 @@ psel_increment(Sim *s, Py_ssize_t idx, int64_t amount)
     }
     s->psel_val[idx] = v;
     s->psel_incs[idx] += amount;
+    s->psel_inc_calls[idx] += 1;
 }
 
 static void
@@ -1387,6 +1398,7 @@ psel_decrement(Sim *s, Py_ssize_t idx, int64_t amount)
     }
     s->psel_val[idx] = v;
     s->psel_decs[idx] += amount;
+    s->psel_dec_calls[idx] += 1;
 }
 
 /* The controllers' deferred `pending(cost_q)` callables. */
@@ -1399,6 +1411,7 @@ apply_pending(Sim *s, const MEntry *e, int64_t amount)
     else if (e->pend_kind == 3) {
         /* +1 keeps zero-cost misses from being free */
         s->t_scores[e->pend_idx] += 1.0 + (double)amount;
+        s->t_charges[e->pend_idx] += 1;
     }
     else if (e->pend_kind == 2) {
         if (e->pend_fill_set >= 0) {
@@ -1641,6 +1654,11 @@ mshr_occupy(Sim *s, double completion)
     if (s->occ.n > s->m_peak) {
         s->m_peak = s->occ.n;
     }
+    Py_ssize_t b = 0;
+    while (b < s->n_occ_bounds && s->occ.n > s->occ_bounds[b]) {
+        b++;
+    }
+    s->occ_counts[b] += 1;
 }
 
 /* MemoryController.read_line: bank, then bus; returns the fill time. */
@@ -1753,6 +1771,7 @@ l2_fill(Sim *s, Pol *pol, int64_t set_index, Way fill, Way *victim)
         }
         *victim = tags_evict(lw, llen, (int32_t)vpos);
         have_victim = 1;
+        s->l2_evictions += 1;
         if (victim->dirty) {
             s->l2_writebacks += 1;
         }
@@ -2080,13 +2099,13 @@ run_loop(Sim *s)
             if (*len >= (int32_t)l1->assoc) {
                 l1_victim = tags_evict(w, len, *len - 1);
                 have_victim = 1;
-                if (l1_victim.dirty) {
-                    if (is_ifetch) {
-                        s->l1i_writebacks += 1;
-                    }
-                    else {
-                        s->l1d_writebacks += 1;
-                    }
+                if (is_ifetch) {
+                    s->l1i_evictions += 1;
+                    s->l1i_writebacks += l1_victim.dirty;
+                }
+                else {
+                    s->l1d_evictions += 1;
+                    s->l1d_writebacks += l1_victim.dirty;
                 }
             }
             Way nw = {block, seq, 0, 0, 0, 0};
@@ -2944,12 +2963,15 @@ sim_free(Sim *s)
     free(s->psel_val);
     free(s->psel_incs);
     free(s->psel_decs);
+    free(s->psel_inc_calls);
+    free(s->psel_dec_calls);
     free(s->pols);
     free(s->plru_bits);
     free(s->epoch_starts);
     free(s->epoch_roles);
     free(s->t_scores);
     free(s->t_accesses);
+    free(s->t_charges);
     free(s->phases);
     pf_free(&s->pf);
     free(s->cost_order);
@@ -3150,16 +3172,19 @@ replay(PyObject *self, PyObject *args)
     s->l1d_hits = p_int(&p, "l1d_hits");
     s->l1d_misses = p_int(&p, "l1d_misses");
     s->l1d_writebacks = p_int(&p, "l1d_writebacks");
+    s->l1d_evictions = p_int(&p, "l1d_evictions");
     s->l1i_seq = p_int(&p, "l1i_seq");
     s->l1i_accesses = p_int(&p, "l1i_accesses");
     s->l1i_hits = p_int(&p, "l1i_hits");
     s->l1i_misses = p_int(&p, "l1i_misses");
     s->l1i_writebacks = p_int(&p, "l1i_writebacks");
+    s->l1i_evictions = p_int(&p, "l1i_evictions");
     s->l2_seq = p_int(&p, "l2_seq");
     s->l2_accesses = p_int(&p, "l2_accesses");
     s->l2_hits = p_int(&p, "l2_hits");
     s->l2_misses = p_int(&p, "l2_misses");
     s->l2_writebacks = p_int(&p, "l2_writebacks");
+    s->l2_evictions = p_int(&p, "l2_evictions");
     s->l2_compulsory = p_int(&p, "l2_compulsory");
     s->track_seen = (int)p_int(&p, "track_seen");
     s->demand_ctr = p_int(&p, "demand_ctr");
@@ -3314,14 +3339,37 @@ replay(PyObject *self, PyObject *args)
         free(dist);
     }
     {
-        Py_ssize_t np_ = 0, ni = 0, ndc = 0;
-        s->psel_val = p_int_list(&p, "psel_values", &np_);
-        s->psel_incs = p_int_list(&p, "psel_incs", &ni);
-        s->psel_decs = p_int_list(&p, "psel_decs", &ndc);
+        Py_ssize_t nb = 0, nc = 0;
+        int64_t *bounds = p_int_list(&p, "occ_bounds", &nb);
+        int64_t *counts = p_int_list(&p, "occ_counts", &nc);
+        if (!p.err && (nb < 1 || nb > MAX_OCC_BOUNDS || nc != nb + 1)) {
+            PyErr_SetString(PyExc_ValueError,
+                            "replay kernel: occ_bounds needs 1 to 16 bounds "
+                            "and occ_counts one bucket more");
+            p.err = 1;
+        }
+        if (!p.err) {
+            memcpy(s->occ_bounds, bounds, (size_t)nb * sizeof(int64_t));
+            memcpy(s->occ_counts, counts, (size_t)nc * sizeof(int64_t));
+            s->n_occ_bounds = nb;
+        }
+        free(bounds);
+        free(counts);
         if (p.err) {
             goto fail;
         }
-        if (ni != np_ || ndc != np_) {
+    }
+    {
+        Py_ssize_t np_ = 0, ni = 0, ndc = 0, nic = 0, ndcc = 0;
+        s->psel_val = p_int_list(&p, "psel_values", &np_);
+        s->psel_incs = p_int_list(&p, "psel_incs", &ni);
+        s->psel_decs = p_int_list(&p, "psel_decs", &ndc);
+        s->psel_inc_calls = p_int_list(&p, "psel_inc_calls", &nic);
+        s->psel_dec_calls = p_int_list(&p, "psel_dec_calls", &ndcc);
+        if (p.err) {
+            goto fail;
+        }
+        if (ni != np_ || ndc != np_ || nic != np_ || ndcc != np_) {
             PyErr_SetString(PyExc_ValueError,
                             "replay kernel: psel array length mismatch");
             goto fail;
@@ -3373,14 +3421,15 @@ replay(PyObject *self, PyObject *args)
         }
     }
     {
-        Py_ssize_t ns = 0, na = 0;
+        Py_ssize_t ns = 0, na = 0, nch = 0;
         s->t_scores = p_dbl_list(&p, "t_scores", &ns);
         s->t_accesses = p_dbl_list(&p, "t_accesses", &na);
+        s->t_charges = p_int_list(&p, "t_charges", &nch);
         if (p.err) {
             goto fail;
         }
         if (s->controller_kind == CTRL_TOURNAMENT &&
-            (ns != s->n_pols || na != s->n_pols)) {
+            (ns != s->n_pols || na != s->n_pols || nch != s->n_pols)) {
             PyErr_SetString(PyExc_ValueError,
                             "replay kernel: tournament score length mismatch");
             goto fail;
@@ -3608,18 +3657,21 @@ replay(PyObject *self, PyObject *args)
         out_int(out, "l1d_hits", s->l1d_hits) < 0 ||
         out_int(out, "l1d_misses", s->l1d_misses) < 0 ||
         out_int(out, "l1d_writebacks", s->l1d_writebacks) < 0 ||
+        out_int(out, "l1d_evictions", s->l1d_evictions) < 0 ||
         out_obj(out, "l1d_sets", emit_tags(&s->l1d)) < 0 ||
         out_int(out, "l1i_seq", s->l1i_seq) < 0 ||
         out_int(out, "l1i_accesses", s->l1i_accesses) < 0 ||
         out_int(out, "l1i_hits", s->l1i_hits) < 0 ||
         out_int(out, "l1i_misses", s->l1i_misses) < 0 ||
         out_int(out, "l1i_writebacks", s->l1i_writebacks) < 0 ||
+        out_int(out, "l1i_evictions", s->l1i_evictions) < 0 ||
         out_obj(out, "l1i_sets", emit_tags(&s->l1i)) < 0 ||
         out_int(out, "l2_seq", s->l2_seq) < 0 ||
         out_int(out, "l2_accesses", s->l2_accesses) < 0 ||
         out_int(out, "l2_hits", s->l2_hits) < 0 ||
         out_int(out, "l2_misses", s->l2_misses) < 0 ||
         out_int(out, "l2_writebacks", s->l2_writebacks) < 0 ||
+        out_int(out, "l2_evictions", s->l2_evictions) < 0 ||
         out_int(out, "l2_compulsory", s->l2_compulsory) < 0 ||
         out_obj(out, "l2_sets", emit_tags(&s->l2)) < 0 ||
         out_obj(out, "id_blocks",
@@ -3638,6 +3690,8 @@ replay(PyObject *self, PyObject *args)
         out_int(out, "m_merges", s->m_merges) < 0 ||
         out_int(out, "m_full_stalls", s->m_full_stalls) < 0 ||
         out_int(out, "m_peak", s->m_peak) < 0 ||
+        out_obj(out, "occ_counts",
+                emit_int_array(s->occ_counts, s->n_occ_bounds + 1)) < 0 ||
         /* memory */
         out_int(out, "mem_requests", s->mem_requests) < 0 ||
         out_int(out, "mem_writebacks", s->mem_writebacks) < 0 ||
@@ -3684,6 +3738,10 @@ replay(PyObject *self, PyObject *args)
                 emit_int_array(s->psel_incs, s->n_psels)) < 0 ||
         out_obj(out, "psel_decs",
                 emit_int_array(s->psel_decs, s->n_psels)) < 0 ||
+        out_obj(out, "psel_inc_calls",
+                emit_int_array(s->psel_inc_calls, s->n_psels)) < 0 ||
+        out_obj(out, "psel_dec_calls",
+                emit_int_array(s->psel_dec_calls, s->n_psels)) < 0 ||
         out_int(out, "deferred", s->deferred) < 0 ||
         out_int(out, "follower_lin", s->follower_lin) < 0 ||
         out_int(out, "follower_lru", s->follower_lru) < 0 ||
@@ -3694,6 +3752,10 @@ replay(PyObject *self, PyObject *args)
                                    ? s->n_pols : 0)) < 0 ||
         out_obj(out, "t_accesses",
                 emit_dbl_array(s->t_accesses,
+                               s->controller_kind == CTRL_TOURNAMENT
+                                   ? s->n_pols : 0)) < 0 ||
+        out_obj(out, "t_charges",
+                emit_int_array(s->t_charges,
                                s->controller_kind == CTRL_TOURNAMENT
                                    ? s->n_pols : 0)) < 0 ||
         out_obj(out, "phases", emit_phases(s)) < 0) {

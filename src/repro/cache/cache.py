@@ -97,6 +97,7 @@ class SetAssociativeCache:
         self.misses = 0
         self.compulsory_misses = 0
         self.writebacks = 0
+        self.evictions = 0
 
     def set_index(self, block: int) -> int:
         return block % self.n_sets
@@ -196,6 +197,7 @@ class SetAssociativeCache:
             del cache_set._index[victim.block]
             result.victim_block = victim.block
             result.victim_dirty = victim.dirty
+            self.evictions += 1
             if victim.dirty:
                 self.writebacks += 1
             observer = self.observer

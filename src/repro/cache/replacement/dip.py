@@ -89,11 +89,16 @@ class DIPController:
         epsilon: float = 1.0 / 32.0,
     ) -> None:
         del associativity  # dueling happens in the main directory
+        if n_sets < 2 or n_leaders < 1:
+            raise ValueError(
+                "DIP needs at least 2 sets and 1 leader per policy, got "
+                "%d sets and %d leaders" % (n_sets, n_leaders)
+            )
         n_leaders = min(n_leaders, n_sets // 2)
         self.n_sets = n_sets
         self.lru = LRUPolicy()
         self.bip = BIPPolicy(epsilon)
-        self.psel = PolicySelector(psel_bits)
+        self.psel = PolicySelector(psel_bits, label="dip")
         # LRU leaders at the simple-static positions (set c of
         # constituency c); BIP leaders at the constituency-reversed
         # offset (set size-1-c of constituency c), which never collides

@@ -24,8 +24,13 @@ adder visit (< 0.25 cycles for the paper's four adders — "negligible").
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
+
+#: Inclusive upper bounds of the MSHR occupancy buckets (entries in
+#: flight at an allocation).
+OCCUPANCY_BOUNDS = (1, 2, 4, 8, 16, 24, 32, 64)
 
 
 class MSHRFullError(RuntimeError):
@@ -79,6 +84,9 @@ class MSHRFile:
         self.merges = 0
         self.full_stalls = 0
         self.peak_occupancy = 0
+        #: Allocations by the entries in flight once they were made,
+        #: bucketed by :data:`OCCUPANCY_BOUNDS` plus an overflow bucket.
+        self.occupancy_counts = [0] * (len(OCCUPANCY_BOUNDS) + 1)
         #: Optional :class:`repro.obs.Observer`; receives miss_start /
         #: miss_finish transitions and occupancy samples when set.
         self.observer = None
@@ -179,6 +187,7 @@ class MSHRFile:
         occupancy = len(self._occupancy_heap)
         if occupancy > self.peak_occupancy:
             self.peak_occupancy = occupancy
+        self.occupancy_counts[bisect_left(OCCUPANCY_BOUNDS, occupancy)] += 1
         if self.observer is not None:
             self.observer.miss_start(
                 block, issue, complete, is_demand, occupancy

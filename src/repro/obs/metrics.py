@@ -1,11 +1,11 @@
-"""Metrics registry: counters, gauges, and histograms with labels.
+"""Metric snapshots: one per run, built at its end, and their merge.
 
-The registry is the deterministic half of the observability layer:
-every value in a snapshot is a pure function of the simulated work
-(wall-clock timing lives in ``SimResult.meta["stage_s"]``), so two
-runs of the same simulation — serial or fanned out across a worker
-pool — produce bit-identical snapshots, and snapshots merge by simple
-arithmetic:
+A snapshot is the deterministic half of the observability layer:
+every value is a pure function of the simulated work (wall-clock
+timing lives in ``SimResult.meta["stage_s"]``), so two runs of the
+same simulation — serial or fanned out across a worker pool, on the
+native kernel or the generic loop — produce bit-identical snapshots,
+and snapshots merge by simple arithmetic:
 
 * **counters** sum,
 * **gauges** combine according to their declared aggregation
@@ -13,14 +13,19 @@ arithmetic:
 * **histograms** add their per-bucket counts (bucket bounds must
   match).
 
-Labels are free-form keyword arguments (``counter.inc(cache="l2")``);
-each label combination keys its own value.  Label sets serialize to a
-sorted ``k=v`` string so snapshots are JSON-safe and deterministic.
+Each value is keyed by its labels, serialized as a sorted ``k=v``
+string (``"cache=l2"``; ``""`` for none) so snapshots are JSON-safe
+and deterministic.  :func:`run_snapshot` reads every metric off
+counters the machine's components keep, which both replay loops
+maintain, so no metric needs a hook in the loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable
+
+from repro.mlp.cost import MAX_COST_Q
+from repro.mlp.mshr import OCCUPANCY_BOUNDS
 
 #: Gauge aggregation modes understood by :func:`merge_snapshots`.
 GAUGE_AGGREGATIONS = ("max", "min", "sum")
@@ -28,103 +33,104 @@ GAUGE_AGGREGATIONS = ("max", "min", "sum")
 
 def _label_key(labels: Dict[str, object]) -> str:
     """``{"cache": "l2", "kind": "rd"}`` → ``"cache=l2,kind=rd"`` (sorted)."""
-    if not labels:
-        return ""
-    return ",".join(
-        "%s=%s" % (key, labels[key]) for key in sorted(labels)
-    )
+    return ",".join("%s=%s" % (key, labels[key]) for key in sorted(labels))
 
 
-class Counter:
-    """Monotonically increasing value, one per label combination."""
+def run_snapshot(sim, result) -> Dict[str, object]:
+    """The metric snapshot of one finished run of ``sim``.
 
-    kind = "counter"
-    __slots__ = ("name", "help", "_values")
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self._values: Dict[str, float] = {}
-
-    def inc(self, amount: float = 1, **labels) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up, got %r" % amount)
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0) + amount
-
-    def value(self, **labels) -> float:
-        return self._values.get(_label_key(labels), 0)
-
-
-class Gauge:
-    """Point-in-time value with a declared cross-snapshot aggregation."""
-
-    kind = "gauge"
-    __slots__ = ("name", "help", "agg", "_values")
-
-    def __init__(self, name: str, help: str = "", agg: str = "max") -> None:
-        if agg not in GAUGE_AGGREGATIONS:
-            raise ValueError(
-                "gauge aggregation must be one of %s, got %r"
-                % (", ".join(GAUGE_AGGREGATIONS), agg)
-            )
-        self.name = name
-        self.help = help
-        self.agg = agg
-        self._values: Dict[str, float] = {}
-
-    def set(self, value: float, **labels) -> None:
-        """Record ``value``, folding it in by the gauge's aggregation."""
-        key = _label_key(labels)
-        current = self._values.get(key)
-        self._values[key] = (
-            value if current is None else _fold(self.agg, current, value)
-        )
-
-    def value(self, **labels) -> Optional[float]:
-        return self._values.get(_label_key(labels))
-
-
-class Histogram:
-    """Counts of observations bucketed by fixed upper bounds.
-
-    ``bounds`` are inclusive upper edges; an observation larger than
-    every bound lands in the trailing overflow bucket, so ``counts``
-    has ``len(bounds) + 1`` entries per label combination.
+    ``sim.*`` values are warm-up-adjusted like the
+    :class:`~repro.sim.stats.SimResult`; the other counters are raw
+    whole-run component counters.  The end-of-run counters are present
+    at zero, while the event counts (evictions, MSHR occupancy, cost
+    quantizations, PSEL updates, tournament charges, queue-full waits)
+    appear only once they are nonzero.
     """
+    from repro.sbar.tournament import TournamentController
 
-    kind = "histogram"
-    __slots__ = ("name", "help", "bounds", "_values", "_count_sum")
-
-    def __init__(
-        self, name: str, bounds: Sequence[float], help: str = ""
-    ) -> None:
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        ordered = list(bounds)
-        if ordered != sorted(ordered):
-            raise ValueError("histogram bounds must be sorted")
-        self.name = name
-        self.help = help
-        self.bounds = ordered
-        self._values: Dict[str, List[int]] = {}
-
-    def observe(self, value: float, **labels) -> None:
-        key = _label_key(labels)
-        counts = self._values.get(key)
-        if counts is None:
-            counts = self._values[key] = [0] * (len(self.bounds) + 1)
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                counts[index] += 1
-                return
-        counts[-1] += 1
-
-    def counts(self, **labels) -> List[int]:
-        counts = self._values.get(_label_key(labels))
-        if counts is None:
-            return [0] * (len(self.bounds) + 1)
-        return list(counts)
+    window = sim.window
+    mshr = sim.mshr
+    memory = sim.memory
+    caches = (("l1i", sim.l1i), ("l1d", sim.l1d), ("l2", sim.l2))
+    counters: Dict[str, Dict[str, object]] = {
+        "sim.runs": {"": 1},
+        "sim.instructions": {"": result.instructions},
+        "sim.cycles": {"": result.cycles},
+        "sim.demand_misses": {"": result.demand_misses},
+        "sim.compulsory_misses": {"": result.compulsory_misses},
+        "window.stall_events": {"": window.stall_events},
+        "window.long_stalls": {"": window.long_stalls},
+        "window.stall_cycles": {"": window.stall_cycles},
+        "mshr.allocations": {"": mshr.allocations},
+        "mshr.merges": {"": mshr.merges},
+        "mshr.full_stalls": {"": mshr.full_stalls},
+        "memory.requests": {"": memory.requests},
+        "memory.writebacks": {"": memory.writebacks},
+        "memory.queueing_stalls": {"": memory.queueing_stalls},
+        "memory.bank_conflicts": {"": memory.banks.conflicts},
+        "memory.bus_contended": {"": memory.bus.contended},
+    }
+    for name in ("accesses", "hits", "misses", "writebacks"):
+        counters["cache." + name] = {
+            _label_key({"cache": label}): getattr(cache, name)
+            for label, cache in caches
+        }
+    events = {
+        "cache.evictions": {
+            _label_key({"cache": label}): cache.evictions
+            for label, cache in caches
+        },
+        "memory.queue_full_waits": {"": memory.queueing_stalls},
+        "sbar.psel_updates": {},
+        "tournament.charges": {},
+    }
+    for psel in sim.psels():
+        events["sbar.psel_updates"].update({
+            _label_key({"direction": "inc", "psel": psel.label}):
+                psel.increment_calls,
+            _label_key({"direction": "dec", "psel": psel.label}):
+                psel.decrement_calls,
+        })
+    controller = sim.controller
+    if isinstance(controller, TournamentController):
+        charges = events["tournament.charges"]
+        for policy, count in zip(controller.policies, controller.charges):
+            key = _label_key({"policy": policy.name})
+            charges[key] = charges.get(key, 0) + count
+    cost_q = [
+        measured + warmup
+        for measured, warmup in zip(
+            sim.cost_distribution.counts, sim.warmup_cost_q
+        )
+    ] + [0]
+    events["mlp.cost_quantized"] = {"": sum(cost_q)}
+    for name, values in events.items():
+        values = {key: count for key, count in values.items() if count}
+        if values:
+            counters[name] = values
+    histograms = {}
+    for name, bounds, counts in (
+        ("mshr.occupancy", OCCUPANCY_BOUNDS, mshr.occupancy_counts),
+        ("mlp.cost_q", range(MAX_COST_Q + 1), cost_q),
+    ):
+        if any(counts):
+            histograms[name] = {
+                "bounds": list(bounds), "values": {"": list(counts)}
+            }
+    gauges = {
+        "mshr.peak_occupancy": mshr.peak_occupancy,
+        "memory.peak_in_flight": memory.peak_in_flight,
+    }
+    return {
+        "counters": {
+            name: _sorted_values(counters[name]) for name in sorted(counters)
+        },
+        "gauges": {
+            name: {"agg": "max", "values": {"": gauges[name]}}
+            for name in sorted(gauges)
+        },
+        "histograms": {name: histograms[name] for name in sorted(histograms)},
+    }
 
 
 def _fold(agg: str, current: float, incoming: float) -> float:
@@ -133,74 +139,6 @@ def _fold(agg: str, current: float, incoming: float) -> float:
     if agg == "min":
         return current if current <= incoming else incoming
     return current + incoming  # "sum"
-
-
-class MetricsRegistry:
-    """Home of one simulation run's (or one process's) metrics.
-
-    Instruments are get-or-create: asking twice for the same name
-    returns the same object, and asking with a conflicting kind raises.
-    """
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
-
-    def _get(self, name: str, kind: str):
-        metric = self._metrics.get(name)
-        if metric is not None and metric.kind != kind:
-            raise ValueError(
-                "metric %r already registered as a %s" % (name, metric.kind)
-            )
-        return metric
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        metric = self._get(name, "counter")
-        if metric is None:
-            metric = self._metrics[name] = Counter(name, help)
-        return metric
-
-    def gauge(self, name: str, help: str = "", agg: str = "max") -> Gauge:
-        metric = self._get(name, "gauge")
-        if metric is None:
-            metric = self._metrics[name] = Gauge(name, help, agg)
-        return metric
-
-    def histogram(
-        self, name: str, bounds: Sequence[float], help: str = ""
-    ) -> Histogram:
-        metric = self._get(name, "histogram")
-        if metric is None:
-            metric = self._metrics[name] = Histogram(name, bounds, help)
-        return metric
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-safe, deterministic dump of every instrument.
-
-        Instruments with no recorded values are omitted so a snapshot
-        only speaks about things that actually happened.
-        """
-        counters: Dict[str, object] = {}
-        gauges: Dict[str, object] = {}
-        histograms: Dict[str, object] = {}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if not metric._values:
-                continue
-            values = {key: metric._values[key] for key in sorted(metric._values)}
-            if metric.kind == "counter":
-                counters[name] = values
-            elif metric.kind == "gauge":
-                gauges[name] = {"agg": metric.agg, "values": values}
-            else:
-                histograms[name] = {
-                    "bounds": list(metric.bounds),
-                    "values": {k: list(v) for k, v in values.items()},
-                }
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
 
 
 def merge_snapshots(
@@ -223,6 +161,10 @@ def merge_snapshots(
                 into[key] = into.get(key, 0) + value
         for name, payload in snapshot.get("gauges", {}).items():
             agg = payload["agg"]
+            if agg not in GAUGE_AGGREGATIONS:
+                raise ValueError(
+                    "gauge %r has unknown aggregation %r" % (name, agg)
+                )
             into = gauges.setdefault(name, {"agg": agg, "values": {}})
             if into["agg"] != agg:
                 raise ValueError(
@@ -265,11 +207,4 @@ def _sorted_values(values: Dict[str, object]) -> Dict[str, object]:
     return {key: values[key] for key in sorted(values)}
 
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "merge_snapshots",
-    "GAUGE_AGGREGATIONS",
-]
+__all__ = ["merge_snapshots", "run_snapshot"]

@@ -58,12 +58,13 @@ class CBSController:
         all_sets = range(n_sets)
         self.atd_lin = SparseTagDirectory(all_sets, associativity, LINPolicy(lam))
         self.atd_lru = SparseTagDirectory(all_sets, associativity, LRUPolicy())
-        if scope == LOCAL:
-            self._psels: List[PolicySelector] = [
-                PolicySelector(psel_bits) for _ in range(n_sets)
-            ]
-        else:
-            self._psels = [PolicySelector(psel_bits)]
+        n_psels = n_sets if scope == LOCAL else 1
+        self._psels: List[PolicySelector] = [
+            PolicySelector(
+                psel_bits, label="cbs" if n_psels == 1 else "cbs[%d]" % index
+            )
+            for index in range(n_psels)
+        ]
         self.deferred_updates = 0
 
     @property

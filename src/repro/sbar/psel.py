@@ -21,10 +21,14 @@ class PolicySelector:
         self._msb_threshold = 1 << (n_bits - 1)
         # Start at the midpoint so neither policy begins with an edge.
         self.value = self._msb_threshold
+        #: Amounts credited each way, and the calls that credited them
+        #: (a zero amount counts as a call).
         self.increments = 0
         self.decrements = 0
-        #: Telemetry identity and optional sink for update events; the
-        #: simulator wires a :class:`repro.obs.Observer` in here.
+        self.increment_calls = 0
+        self.decrement_calls = 0
+        #: Telemetry identity, set by the owning controller, and an
+        #: optional event sink the simulator wires in.
         self.label = label
         self.observer = None
 
@@ -34,6 +38,7 @@ class PolicySelector:
             raise ValueError("update amounts must be non-negative")
         self.value = min(self.max_value, self.value + amount)
         self.increments += amount
+        self.increment_calls += 1
         if self.observer is not None:
             self.observer.psel_update(self.label, "inc", amount, self.value)
 
@@ -43,6 +48,7 @@ class PolicySelector:
             raise ValueError("update amounts must be non-negative")
         self.value = max(0, self.value - amount)
         self.decrements += amount
+        self.decrement_calls += 1
         if self.observer is not None:
             self.observer.psel_update(self.label, "dec", amount, self.value)
 

@@ -61,7 +61,7 @@ class SBARController:
         self.selection = selection
         self.lin = LINPolicy(lam)
         self.lru = LRUPolicy()
-        self.psel = PolicySelector(psel_bits)
+        self.psel = PolicySelector(psel_bits, label="sbar")
         self._rng = random.Random(seed)
         self.epoch_instructions = epoch_instructions
         # Only rand-dynamic epochs consume the instruction clock; the

@@ -81,6 +81,8 @@ class TournamentController:
         self._scores: List[float] = [0.0] * len(policies)
         self._accesses: List[float] = [1e-9] * len(policies)
         self.deferred_updates = 0
+        #: Serviced leader misses charged to each candidate.
+        self.charges: List[int] = [0] * len(policies)
         #: Optional :class:`repro.obs.Observer`; each serviced leader
         #: miss reports the cost charged to its candidate.
         self.observer = None
@@ -133,6 +135,7 @@ class TournamentController:
         def charge(cost_q: int) -> None:
             # +1 keeps zero-cost misses from being free.
             self._scores[owner] += 1.0 + cost_q
+            self.charges[owner] += 1
             if self.observer is not None:
                 self.observer.tournament_update(
                     self.policies[owner].name, cost_q

@@ -101,7 +101,7 @@ def main(argv=None) -> int:
     print("  long stalls: %d   stall cycles: %.0f (%.1f%% of runtime)"
           % (result.long_stalls, result.stall_cycles,
              100.0 * result.stall_cycles / max(result.cycles, 1.0)))
-    print("  cost distribution (%%):",
+    print("  cost distribution (%):",
           " ".join("%.1f" % p for p in result.cost_distribution.percentages))
     delta = result.delta_summary
     print("  delta: <60 %.0f%%  60-119 %.0f%%  >=120 %.0f%%  avg %.0f cycles"

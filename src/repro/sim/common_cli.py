@@ -13,7 +13,8 @@ flags once, as argparse *parent parsers*:
   as usage errors, and :func:`options_from_args` folds either
   namespace into one :class:`~repro.sim.options.RunOptions`.
 * :func:`telemetry_parent` — what to observe: ``--metrics-out``,
-  ``--trace-events``.  :func:`apply_telemetry` pushes them into
+  ``--trace-events`` (which also bypasses the memo and the store, so
+  every cell it returns is simulated and traced).  :func:`apply_telemetry` pushes them into
   :mod:`repro.obs`, and :func:`write_metrics` writes the merge of the
   snapshots of the results a command returns.
 
@@ -126,7 +127,8 @@ def telemetry_parent() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--trace-events", metavar="FILE", default=None,
-        help="write a JSONL event trace (workers append .<pid>)",
+        help="write a JSONL event trace (workers append .<pid>); every "
+             "cell is simulated, bypassing the memo and the store",
     )
     return parent
 
@@ -135,10 +137,10 @@ def check_grid_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
     """Report grid flags that cannot work as usage errors."""
-    if args.no_cache and args.resume:
+    if args.resume and (args.no_cache or getattr(args, "trace_events", None)):
         parser.error(
             "--resume replays cells from the result store; it cannot be "
-            "combined with --no-cache"
+            "combined with --no-cache or --trace-events"
         )
     try:
         options_from_args(args)
@@ -158,7 +160,11 @@ def options_from_args(
     installed when ``--progress`` was passed (default:
     :func:`progress_printer`).
     """
-    fields = {"use_cache": not args.no_cache}
+    # An event trace narrates simulations, so --trace-events simulates
+    # every cell rather than serving it from the memo or the store.
+    fields = {
+        "use_cache": not (args.no_cache or getattr(args, "trace_events", None))
+    }
     if "workers" not in vars(args):
         return RunOptions(**fields)
     fields.update(
@@ -179,17 +185,17 @@ def options_from_args(
 
 def apply_telemetry(args: argparse.Namespace) -> None:
     """Push the parsed telemetry flags into :mod:`repro.obs`, and say
-    once, on stderr, that telemetry keeps runs on the generic loop."""
+    once, on stderr, that ``--trace-events`` keeps runs on the generic
+    loop (metrics stay on the native kernel)."""
     from repro import obs
 
     if args.metrics_out:
         obs.configure(metrics=True)
     if args.trace_events:
         obs.configure(trace_events=args.trace_events)
-    if args.metrics_out or args.trace_events:
         print(
-            "note: telemetry keeps runs on the generic loop, off the "
-            "native kernel (20-50x slower)",
+            "note: --trace-events keeps runs on the generic loop, off "
+            "the native kernel (20-50x slower)",
             file=sys.stderr,
         )
 

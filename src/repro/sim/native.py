@@ -12,8 +12,11 @@ is the pure-python shim around it:
   caches the answer (``None`` when absent — a source checkout without
   ``make native``, or a host without a compiler).
 * :func:`fallback_reason` names the first gate that keeps a run off
-  the kernel (an observer, a prefetcher subclass, warm-up, wrong-path
-  records, a policy the kernel does not know, ...), or returns None.
+  the kernel (an event observer, a prefetcher subclass, warm-up,
+  wrong-path records, a policy the kernel does not know, ...), or
+  returns None.  Metrics are no gate: the kernel keeps every counter
+  a snapshot reads (evictions, MSHR occupancy buckets, PSEL update
+  calls, tournament charges), so a metrics run stays native.
 * :func:`try_replay` is called by ``Simulator._replay`` for every run
   not pinned to ``kernel="generic"``.  When every gate holds it
   marshals the initial scalar state into a flat params dict, invokes
@@ -67,7 +70,7 @@ from repro.cpu.prefetch import StridePrefetcher
 from repro.memory.bus import SplitTransactionBus
 from repro.memory.dram import DramBankArray
 from repro.mlp.cost import MAX_COST_Q, QUANTIZATION_STEP
-from repro.mlp.mshr import _Entry
+from repro.mlp.mshr import OCCUPANCY_BOUNDS, _Entry
 from repro.sbar.cbs import CBSController
 from repro.sbar.psel import PolicySelector
 from repro.sbar.sbar import SBARController
@@ -409,6 +412,7 @@ def _build_params(sim, trace) -> dict:
         "l1d_hits": l1d.hits,
         "l1d_misses": l1d.misses,
         "l1d_writebacks": l1d.writebacks,
+        "l1d_evictions": l1d.evictions,
         "l1i_n_sets": l1i.n_sets,
         "l1i_assoc": l1i.geometry.associativity,
         "l1i_latency": l1i.hit_latency,
@@ -417,6 +421,7 @@ def _build_params(sim, trace) -> dict:
         "l1i_hits": l1i.hits,
         "l1i_misses": l1i.misses,
         "l1i_writebacks": l1i.writebacks,
+        "l1i_evictions": l1i.evictions,
         "l2_n_sets": l2.n_sets,
         "l2_assoc": l2.geometry.associativity,
         "l2_latency": l2.hit_latency,
@@ -425,6 +430,7 @@ def _build_params(sim, trace) -> dict:
         "l2_hits": l2.hits,
         "l2_misses": l2.misses,
         "l2_writebacks": l2.writebacks,
+        "l2_evictions": l2.evictions,
         "l2_compulsory": l2.compulsory_misses,
         "track_seen": int(l2._seen is not None),
         "demand_ctr": sim.demand_misses,
@@ -438,6 +444,8 @@ def _build_params(sim, trace) -> dict:
         "m_merges": mshr.merges,
         "m_full_stalls": mshr.full_stalls,
         "m_peak": mshr.peak_occupancy,
+        "occ_bounds": list(OCCUPANCY_BOUNDS),
+        "occ_counts": list(mshr.occupancy_counts),
         # Memory.
         "memory_max": memory.max_outstanding,
         "mem_requests": memory.requests,
@@ -489,6 +497,8 @@ def _build_params(sim, trace) -> dict:
         "psel_values": [],
         "psel_incs": [],
         "psel_decs": [],
+        "psel_inc_calls": [],
+        "psel_dec_calls": [],
         "psel_max": 0,
         "psel_msb": 0,
         "deferred": 0,
@@ -496,6 +506,7 @@ def _build_params(sim, trace) -> dict:
         "follower_lru": 0,
         "t_scores": [],
         "t_accesses": [],
+        "t_charges": [],
         "t_decay": 1.0,
         # Prefetcher: None, or its parameter tuple plus live counters.
         "prefetcher": None,
@@ -558,6 +569,7 @@ def _build_params(sim, trace) -> dict:
             ),
             t_scores=list(controller._scores),
             t_accesses=list(controller._accesses),
+            t_charges=list(controller.charges),
             t_decay=controller.decay,
         )
     elif kind is DIPController:
@@ -589,6 +601,8 @@ def _build_params(sim, trace) -> dict:
             psel_values=[psel.value for psel in psels],
             psel_incs=[psel.increments for psel in psels],
             psel_decs=[psel.decrements for psel in psels],
+            psel_inc_calls=[psel.increment_calls for psel in psels],
+            psel_dec_calls=[psel.decrement_calls for psel in psels],
             psel_max=psels[0].max_value,
             psel_msb=psels[0]._msb_threshold,
         )
@@ -835,6 +849,7 @@ def _write_back(sim, out) -> None:
         cache.hits = out[prefix + "_hits"]
         cache.misses = out[prefix + "_misses"]
         cache.writebacks = out[prefix + "_writebacks"]
+        cache.evictions = out[prefix + "_evictions"]
         if cache._seen is None:
             held = end.hold(cache, "_sets")
         else:
@@ -868,6 +883,7 @@ def _write_back(sim, out) -> None:
     mshr.merges = out["m_merges"]
     mshr.full_stalls = out["m_full_stalls"]
     mshr.peak_occupancy = out["m_peak"]
+    mshr.occupancy_counts[:] = out["occ_counts"]
 
     memory = sim.memory
     memory._in_flight = out["mem_in_flight"]
@@ -915,6 +931,7 @@ def _write_back(sim, out) -> None:
     if kind is TournamentController:
         controller._scores[:] = out["t_scores"]
         controller._accesses[:] = out["t_accesses"]
+        controller.charges[:] = out["t_charges"]
         return
     if kind is CBSController:
         psels = controller._psels
@@ -932,12 +949,15 @@ def _write_back(sim, out) -> None:
     if kind is SBARController:
         controller.follower_lin_accesses = out["follower_lin"]
         controller.follower_lru_accesses = out["follower_lru"]
-    for psel, value, incs, decs in zip(
-        psels, out["psel_values"], out["psel_incs"], out["psel_decs"]
+    for psel, value, incs, decs, inc_calls, dec_calls in zip(
+        psels, out["psel_values"], out["psel_incs"], out["psel_decs"],
+        out["psel_inc_calls"], out["psel_dec_calls"],
     ):
         psel.value = value
         psel.increments = incs
         psel.decrements = decs
+        psel.increment_calls = inc_calls
+        psel.decrement_calls = dec_calls
 
 
 def try_replay(sim, trace) -> bool:

@@ -18,8 +18,9 @@ The dataflow per access (Figure 3a of the paper):
 The simulator is deliberately a single readable function per access
 rather than a cycle loop; all timing feedback happens through
 completion times.  That generic loop is the semantic reference.  Runs
-it does not need to observe go to the compiled kernel in
-:mod:`repro.sim.native`, which reproduces it bit for bit.
+without an event observer go to the compiled kernel in
+:mod:`repro.sim.native`, which reproduces it bit for bit, end-of-run
+counters and metric snapshots included.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.config import MachineConfig, baseline_config
 from repro.cpu.store_buffer import StoreBuffer
 from repro.cpu.window import WindowModel
 from repro.memory.controller import MemoryController
-from repro.mlp.cost import quantize_cost
+from repro.mlp.cost import MAX_COST_Q, quantize_cost
 from repro.mlp.delta import DeltaTracker
 from repro.mlp.mshr import MSHRFile
 from repro.sbar.cbs import CBSController
@@ -99,16 +100,23 @@ class Simulator:
             but the reported statistics (misses, cost distribution,
             deltas, IPC window) start after this many instructions —
             the warm-up counterpart of the paper's fast-forwarding.
-        observer: explicit :class:`repro.obs.Observer` to wire through
-            the machine; defaults to :func:`repro.obs.default_observer`
-            (None — and therefore zero overhead — unless telemetry is
-            enabled in the environment).
+        observer: explicit event :class:`repro.obs.Observer` to wire
+            through the machine; defaults to
+            :func:`repro.obs.default_observer` (None — and therefore
+            zero overhead — unless event tracing is on).  A run with an
+            observer takes the generic loop, the one that calls its
+            hooks.
         kernel: ``"auto"`` (default) replays on the compiled native
             kernel when every gate in :func:`repro.sim.native.
             fallback_reason` holds, else on the generic loop;
             ``"generic"`` always takes the generic loop.  Both are
             bit-identical by contract, so the choice never appears in
             memo or store keys.
+
+    Whether the run's :class:`SimResult` carries a metric snapshot is
+    :func:`repro.obs.metrics_enabled`, read here.  Every metric is an
+    end-of-run counter both loops keep, so metrics never keep a run
+    off the native kernel.
     """
 
     def __init__(
@@ -154,6 +162,7 @@ class Simulator:
             self.config.mshr.n_entries, self.config.mshr.n_cost_adders
         )
         self.memory = MemoryController(self.config.memory)
+        self._metrics = obs.metrics_enabled()
         self._obs = observer if observer is not None else obs.default_observer()
         if self._obs is not None:
             self._wire_observer(self._obs)
@@ -164,6 +173,9 @@ class Simulator:
         self.phases: List[PhaseSample] = []
         self.demand_misses = 0
         self.compulsory_misses = 0
+        #: Serviced demand misses per cost_q that ``cost_distribution``
+        #: leaves out because they issued during warm-up.
+        self.warmup_cost_q = [0] * (MAX_COST_Q + 1)
         #: Optional StridePrefetcher (or anything with observe(block);
         #: the native kernel runs StridePrefetcher itself, see
         #: repro.sim.native).  Prefetch fills occupy the MSHR, banks,
@@ -201,29 +213,25 @@ class Simulator:
         self.stage_s: Dict[str, float] = {}
 
     def _wire_observer(self, observer: obs.Observer) -> None:
-        """Install the telemetry sink into every instrumented component."""
+        """Install the event sink into every instrumented component."""
         self.l1i.observer = observer
         self.l1d.observer = observer
         self.l2.observer = observer
         self.mshr.observer = observer
         self.memory.observer = observer
+        for psel in self.psels():
+            psel.observer = observer
+        if isinstance(self.controller, TournamentController):
+            self.controller.observer = observer
+
+    def psels(self) -> list:
+        """The L2 controller's PSEL counters (none without one)."""
         controller = self.controller
-        if controller is None:
-            return
-        if isinstance(controller, SBARController):
-            controller.psel.label = "sbar"
-            controller.psel.observer = observer
-        elif isinstance(controller, CBSController):
-            for index, psel in enumerate(controller._psels):
-                psel.label = (
-                    "cbs" if len(controller._psels) == 1 else "cbs[%d]" % index
-                )
-                psel.observer = observer
-        elif isinstance(controller, DIPController):
-            controller.psel.label = "dip"
-            controller.psel.observer = observer
-        elif isinstance(controller, TournamentController):
-            controller.observer = observer
+        if isinstance(controller, CBSController):
+            return controller._psels
+        if isinstance(controller, (SBARController, DIPController)):
+            return [controller.psel]
+        return []
 
     # -- main loop --------------------------------------------------------
 
@@ -469,6 +477,7 @@ class Simulator:
         """
         distribution = self.cost_distribution
         delta = self.delta
+        warmup_cost_q = self.warmup_cost_q
         observer = self._obs
 
         def on_cost(cost: float) -> None:
@@ -482,6 +491,8 @@ class Simulator:
                 if phase is not None:
                     phase.cost_q_sum += cost_q
                     phase.cost_count += 1
+            else:
+                warmup_cost_q[cost_q] += 1
             if pending is not None:
                 pending(cost_q)
 
@@ -548,6 +559,8 @@ class Simulator:
         if self.kernel_fallback is not None:
             result.meta["kernel_fallback"] = self.kernel_fallback
         result.meta["stage_s"] = self.stage_s
+        if self._metrics:
+            result.metrics = obs.run_snapshot(self, result)
         if self._obs is not None:
-            result.metrics = self._obs.finalize_run(self, result)
+            self._obs.finalize_run(result)
         return result

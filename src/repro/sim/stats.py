@@ -143,7 +143,7 @@ class SimResult:
     bus_contended: int = 0
     writebacks: int = 0
     psel_final: Optional[int] = None
-    #: Telemetry snapshot (:meth:`repro.obs.MetricsRegistry.snapshot`)
+    #: Telemetry snapshot (:func:`repro.obs.run_snapshot`)
     #: attached by the simulator when metrics are enabled; plain nested
     #: dicts, so ``to_dict``/``from_dict`` round-trip it unchanged.
     metrics: Optional[Dict[str, object]] = None

@@ -153,6 +153,12 @@ class TestDIPFamily:
                 lip.access(block)
         assert lip.hits > lru.hits
 
+    @pytest.mark.parametrize("n_sets, n_leaders", [(1, 32), (0, 32), (64, 0)])
+    def test_dip_rejects_a_shape_it_cannot_hold(self, n_sets, n_leaders):
+        # One set leaves no room for a leader of each policy.
+        with pytest.raises(ValueError):
+            DIPController(n_sets, 16, n_leaders=n_leaders)
+
     def test_dip_controller_interface(self):
         controller = DIPController(64, 4, n_leaders=8)
         lru_leader = next(iter(controller.lru_leaders))

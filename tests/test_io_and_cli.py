@@ -91,6 +91,7 @@ class TestSimCLI:
         out = capsys.readouterr().out
         assert "lin(4)" in out
         assert "delta:" in out
+        assert "  cost distribution (%): " in out
 
     def test_trace_file_run(self, tmp_path, capsys):
         path = str(tmp_path / "t.npz")

@@ -11,19 +11,14 @@ from __future__ import annotations
 import json
 import os
 import time
+from bisect import bisect_left
 
 import pytest
 
 from repro import obs
+from repro.mlp.mshr import MSHRFile
 from repro.obs.events import EventTrace, MemoryEventTrace, read_events
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    _label_key,
-    merge_snapshots,
-)
+from repro.obs.metrics import _label_key, merge_snapshots
 from repro.sim.simulator import Simulator
 from repro.trace.record import LOAD, Access
 
@@ -44,122 +39,84 @@ class TestLabels:
         assert _label_key({"b": 2, "a": 1}) == "a=1,b=2"
 
 
-class TestCounter:
-    def test_inc_and_value(self):
-        counter = Counter("hits")
-        counter.inc()
-        counter.inc(3)
-        assert counter.value() == 4
-
-    def test_labels_are_independent(self):
-        counter = Counter("hits")
-        counter.inc(cache="l1")
-        counter.inc(2, cache="l2")
-        assert counter.value(cache="l1") == 1
-        assert counter.value(cache="l2") == 2
-        assert counter.value(cache="l3") == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("hits").inc(-1)
+def _gauge(agg, value):
+    return {"gauges": {"g": {"agg": agg, "values": {"": value}}}}
 
 
 class TestGauge:
+    """Gauges fold across snapshots by their declared aggregation."""
+
     def test_max_fold(self):
-        gauge = Gauge("peak", agg="max")
-        gauge.set(3)
-        gauge.set(7)
-        gauge.set(5)
-        assert gauge.value() == 7
+        merged = merge_snapshots(
+            [_gauge("max", 3), _gauge("max", 7), _gauge("max", 5)]
+        )
+        assert merged["gauges"]["g"]["values"] == {"": 7}
 
     def test_min_and_sum(self):
-        low = Gauge("low", agg="min")
-        low.set(3)
-        low.set(1)
-        assert low.value() == 1
-        total = Gauge("total", agg="sum")
-        total.set(3)
-        total.set(4)
-        assert total.value() == 7
-
-    def test_unset_is_none(self):
-        assert Gauge("peak").value() is None
+        low = merge_snapshots([_gauge("min", 3), _gauge("min", 1)])
+        assert low["gauges"]["g"]["values"] == {"": 1}
+        total = merge_snapshots([_gauge("sum", 3), _gauge("sum", 4)])
+        assert total["gauges"]["g"]["values"] == {"": 7}
 
     def test_bad_agg(self):
         with pytest.raises(ValueError):
-            Gauge("g", agg="avg")
+            merge_snapshots([_gauge("avg", 1)])
 
 
 class TestHistogram:
     def test_bucket_edges_inclusive(self):
-        hist = Histogram("h", [1, 4, 8])
-        for value in (0, 1, 2, 4, 5, 8, 9):
-            hist.observe(value)
-        # <=1: {0,1}; <=4: {2,4}; <=8: {5,8}; overflow: {9}
-        assert hist.counts() == [2, 2, 2, 1]
-
-    def test_labelled(self):
-        hist = Histogram("h", [10])
-        hist.observe(5, kind="a")
-        hist.observe(50, kind="b")
-        assert hist.counts(kind="a") == [1, 0]
-        assert hist.counts(kind="b") == [0, 1]
-        assert hist.counts(kind="c") == [0, 0]
-
-    def test_unsorted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("h", [4, 1])
+        """MSHR occupancy buckets take inclusive upper edges."""
+        mshr = MSHRFile(n_entries=64)
+        for block in range(65):
+            mshr.allocate(block, 0.0, 1.0)
+        # <=1, <=2, <=4, <=8, <=16, <=24, <=32, <=64, overflow
+        assert mshr.occupancy_counts == [1, 1, 2, 4, 8, 8, 8, 32, 1]
 
 
-class TestRegistry:
-    def test_get_or_create(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
+def _sim_snapshot(machine, policy="lru", n=64):
+    obs.configure(metrics=True)
+    return Simulator(machine, policy).run(_tiny_trace(n)).metrics
 
-    def test_kind_conflict(self):
-        registry = MetricsRegistry()
-        registry.counter("a")
-        with pytest.raises(ValueError):
-            registry.gauge("a")
 
-    def test_snapshot_shape_and_order(self):
-        registry = MetricsRegistry()
-        registry.counter("z").inc()
-        registry.counter("a").inc(2, cache="l2")
-        registry.gauge("peak").set(9)
-        registry.histogram("occ", [1, 2]).observe(2)
-        registry.counter("silent")  # no values -> omitted
-        snapshot = registry.snapshot()
-        assert list(snapshot["counters"]) == ["a", "z"]
-        assert snapshot["counters"]["a"] == {"cache=l2": 2}
-        assert snapshot["gauges"]["peak"] == {"agg": "max", "values": {"": 9}}
-        assert snapshot["histograms"]["occ"] == {
-            "bounds": [1, 2],
-            "values": {"": [0, 1, 0]},
-        }
-        assert "silent" not in snapshot["counters"]
+class TestRunSnapshot:
+    def test_snapshot_shape_and_order(self, small_machine):
+        snapshot = _sim_snapshot(small_machine)
+        assert list(snapshot) == ["counters", "gauges", "histograms"]
+        for section in snapshot.values():
+            assert list(section) == sorted(section)
+        assert list(snapshot["counters"]["cache.accesses"]) == [
+            "cache=l1d", "cache=l1i", "cache=l2"
+        ]
+        # End-of-run counters are present at zero; event counts only
+        # once they happened.
+        assert snapshot["counters"]["cache.accesses"]["cache=l1i"] == 0
+        assert "cache=l1i" not in snapshot["counters"].get(
+            "cache.evictions", {}
+        )
+        assert "sbar.psel_updates" not in snapshot["counters"]
+        assert "memory.queue_full_waits" not in snapshot["counters"]
+        assert snapshot["gauges"]["mshr.peak_occupancy"]["agg"] == "max"
+        assert snapshot["histograms"]["mshr.occupancy"]["bounds"] == [
+            1, 2, 4, 8, 16, 24, 32, 64
+        ]
         json.dumps(snapshot)  # JSON-safe
 
-    def test_snapshot_is_deterministic(self):
-        def build():
-            registry = MetricsRegistry()
-            registry.counter("c").inc(5, cache="l2")
-            registry.counter("c").inc(1, cache="l1")
-            registry.gauge("g").set(3)
-            return registry.snapshot()
-
-        assert json.dumps(build()) == json.dumps(build())
+    def test_snapshot_is_deterministic(self, small_machine):
+        assert json.dumps(_sim_snapshot(small_machine, "sbar")) == json.dumps(
+            _sim_snapshot(small_machine, "sbar")
+        )
 
 
 class TestMergeSnapshots:
     def _snapshot(self, count, peak, buckets):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(count)
-        registry.gauge("g").set(peak)
-        hist = registry.histogram("h", [1, 2])
+        counts = [0, 0, 0]
         for value in buckets:
-            hist.observe(value)
-        return registry.snapshot()
+            counts[bisect_left([1, 2], value)] += 1
+        return {
+            "counters": {"c": {"": count}},
+            "gauges": {"g": {"agg": "max", "values": {"": peak}}},
+            "histograms": {"h": {"bounds": [1, 2], "values": {"": counts}}},
+        }
 
     def test_counters_sum_gauges_fold_histograms_add(self):
         merged = merge_snapshots(
@@ -180,12 +137,10 @@ class TestMergeSnapshots:
         assert forward == backward
 
     def test_conflicting_bounds_rejected(self):
-        left = MetricsRegistry()
-        left.histogram("h", [1]).observe(0)
-        right = MetricsRegistry()
-        right.histogram("h", [2]).observe(0)
+        left = {"histograms": {"h": {"bounds": [1], "values": {"": [1, 0]}}}}
+        right = {"histograms": {"h": {"bounds": [2], "values": {"": [1, 0]}}}}
         with pytest.raises(ValueError):
-            merge_snapshots([left.snapshot(), right.snapshot()])
+            merge_snapshots([left, right])
 
     def test_empty(self):
         merged = merge_snapshots([])
@@ -234,7 +189,8 @@ class TestEventTrace:
 
 class TestConfiguration:
     def test_defaults_off(self):
-        assert not obs.enabled()
+        assert not obs.metrics_enabled()
+        assert obs.trace_events_path() is None
         assert obs.default_observer() is None
 
     def test_configure_round_trip(self, tmp_path):
@@ -243,10 +199,10 @@ class TestConfiguration:
         assert obs.metrics_enabled()
         assert obs.trace_events_path() == path
         observer = obs.default_observer()
-        assert observer.registry is not None
         assert observer.events is not None
         obs.configure(metrics=False, trace_events=None)
-        assert not obs.enabled()
+        assert not obs.metrics_enabled()
+        assert obs.trace_events_path() is None
 
     def test_partial_configure_leaves_others(self):
         obs.configure(metrics=True)
@@ -288,13 +244,13 @@ class TestZeroCostWhenDisabled:
             return time.perf_counter() - start
 
         def run_enabled():
-            observer = obs.Observer(
-                registry=MetricsRegistry(), events=MemoryEventTrace()
-            )
+            obs.configure(metrics=True)
+            observer = obs.Observer(events=MemoryEventTrace())
             start = time.perf_counter()
             Simulator(small_machine, "lru", observer=observer).run(
                 list(trace)
             )
+            obs.configure(metrics=False)
             return time.perf_counter() - start
 
         run_disabled(), run_enabled()  # warm caches / JIT-less but fair
@@ -308,7 +264,8 @@ class TestZeroCostWhenDisabled:
 class TestObserverWiring:
     def test_explicit_observer_collects_everything(self, small_machine):
         sink = MemoryEventTrace()
-        observer = obs.Observer(registry=MetricsRegistry(), events=sink)
+        observer = obs.Observer(events=sink)
+        obs.configure(metrics=True)
         trace = [Access(64 * i, LOAD, gap=1) for i in range(64)]
         result = Simulator(small_machine, "lru", observer=observer).run(
             trace
@@ -350,22 +307,23 @@ class TestObserverWiring:
         assert {"block", "cost_q", "dirty"} <= set(event["ways"][0])
 
     def test_psel_wiring_under_sbar(self, small_machine):
-        """The simulator labels the SBAR PSEL and installs the sink."""
+        """The SBAR PSEL carries its label and the simulator installs
+        the sink."""
         sink = MemoryEventTrace()
-        observer = obs.Observer(registry=MetricsRegistry(), events=sink)
+        observer = obs.Observer(events=sink)
         simulator = Simulator(small_machine, "sbar", observer=observer)
         psel = simulator.controller.psel
         assert psel.observer is observer
         psel.increment(2)
-        psel.decrement(1)
+        psel.decrement(0)
         updates = sink.of_type("psel_update")
         assert [(e["psel"], e["direction"]) for e in updates] == [
             ("sbar", "inc"), ("sbar", "dec")
         ]
-        # The counter tallies update events, not counter movement.
-        moves = observer.registry.counter("sbar.psel_updates")
-        assert moves.value(direction="inc", psel="sbar") == 1
-        assert moves.value(direction="dec", psel="sbar") == 1
+        # sbar.psel_updates tallies update calls, zero amounts included,
+        # not counter movement.
+        assert (psel.increment_calls, psel.decrement_calls) == (1, 1)
+        assert (psel.increments, psel.decrements) == (2, 0)
 
 
 class TestCliMetricsOut:
@@ -384,5 +342,39 @@ class TestCliMetricsOut:
         assert list(payload) == ["metrics"]
         assert payload["metrics"]["counters"]["sim.runs"][""] == 1
         assert read_events(str(events_path))
-        # Telemetry keeps the run on the generic loop, and says so once.
+        # Event tracing keeps the run on the generic loop, and says so
+        # once.
         assert capsys.readouterr().err.count("generic loop") == 1
+
+    def test_metrics_out_alone_stays_native(
+        self, tmp_path, capsys, small_machine
+    ):
+        from repro.sim.__main__ import main
+        from repro.sim.native import load_extension
+
+        metrics_path = tmp_path / "metrics.json"
+        assert main([
+            "--benchmark", "mcf", "--scale", "0.02", "--no-cache",
+            "--metrics-out", str(metrics_path),
+        ]) == 0
+        assert "generic loop" not in capsys.readouterr().err
+        if load_extension() is not None:
+            obs.configure(metrics=True)
+            result = Simulator(small_machine, "sbar").run(
+                _tiny_trace()
+            )
+            assert result.meta["kernel_used"] == "native"
+            assert result.metrics is not None
+
+    def test_trace_events_simulate_on_a_warm_store(self, tmp_path):
+        """A cell the store already holds is still simulated, and so
+        narrated, when events are traced."""
+        from repro.sim.__main__ import main
+
+        argv = ["--benchmark", "mcf", "--policy", "lru", "--scale", "0.02"]
+        assert main(argv) == 0  # warms the memo and the store
+        events_path = tmp_path / "events.jsonl"
+        assert main(argv + ["--trace-events", str(events_path)]) == 0
+        obs.configure(trace_events=None)
+        events = read_events(str(events_path))
+        assert [e["event"] for e in events].count("run_finished") == 1

@@ -12,6 +12,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
+from repro import obs
 from repro.config import (
     CacheGeometry,
     MachineConfig,
@@ -276,16 +277,25 @@ class TestNativeDifferential:
     def test_native_matches_generic(self, run):
         policy, config, trace, prefetch = run
         sims = []
-        for kernel in ("auto", "generic"):
-            sim = Simulator(
-                config, policy, kernel=kernel,
-                prefetcher=StridePrefetcher(*prefetch) if prefetch else None,
-            )
-            sims.append((sim, sim.run(trace)))
+        # Metrics on: every counter a snapshot reads must come back
+        # from the kernel as the generic loop keeps it.
+        obs.configure(metrics=True)
+        try:
+            for kernel in ("auto", "generic"):
+                sim = Simulator(
+                    config, policy, kernel=kernel,
+                    prefetcher=(
+                        StridePrefetcher(*prefetch) if prefetch else None
+                    ),
+                )
+                sims.append((sim, sim.run(trace)))
+        finally:
+            obs.configure(metrics=False)
         (fast, fast_result), (generic, generic_result) = sims
         # A silent fallback would compare the generic loop with itself.
         assert fast_result.meta["kernel_used"] == "native", (
             fast.kernel_fallback
         )
         assert fast_result.to_dict() == generic_result.to_dict()
+        assert fast_result.metrics == generic_result.metrics
         assert machine_fingerprint(fast) == machine_fingerprint(generic)
