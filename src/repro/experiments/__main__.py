@@ -12,11 +12,12 @@ unknown ``--benchmarks`` entry is a usage error before any cell runs.
 It then runs them all in one grid (:func:`repro.sim.parallel.run_grid`:
 in this process, or on ``--workers N`` process slots) and renders each
 experiment from the grid's results.  A cell that still fails after its
-retries is printed with a resume hint, and the CLI exits 1 without
-rendering.  The engine flags are the shared set from
+retries is printed with a hint to re-run the same command, which
+simulates only the cells missing from the result store, and the CLI
+exits 1 without rendering; an interrupted grid is finished the same
+way.  The engine flags are the shared set from
 :mod:`repro.sim.common_cli` — ``--max-retries``/``--deadline`` harden
-the grid against flaky cells, and ``--resume RUN_ID`` replays an
-interrupted grid's journal.  ``--no-cache`` disables the store for a
+the grid against flaky cells.  ``--no-cache`` disables the store for a
 guaranteed-fresh run.  ``--metrics-out`` writes the merge of the
 grid results' metric snapshots.
 """
@@ -58,11 +59,11 @@ def _run_cells(tasks, options):
         # line is the exception message.
         message = failure.strip().splitlines()[-1]
         print("[FAILED %s: %s]" % (task.label, message), file=sys.stderr)
-    if (grid.interrupted or grid.failures) and grid.run_id is not None:
+    if grid.interrupted or grid.failures:
         print(
-            "[%s — resume with the same command plus --resume %s]"
+            "[%s — %s]"
             % ("interrupted" if grid.interrupted else "cells failed",
-               grid.run_id),
+               common_cli.RERUN_HINT),
             file=sys.stderr,
         )
     return grid

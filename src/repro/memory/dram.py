@@ -126,9 +126,3 @@ class RowBufferBankArray(DramBankArray):
         super().reset()
         self._open_row = [-1] * self.n_banks
         self.row_hits = 0
-
-    @property
-    def row_hit_rate(self) -> float:
-        if not self.accesses:
-            return 0.0
-        return self.row_hits / self.accesses

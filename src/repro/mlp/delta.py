@@ -12,7 +12,7 @@ performance (Section 5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.cache.deferred import deferred
 
@@ -26,9 +26,6 @@ class DeltaSummary:
     pct_60_to_119: float
     pct_120_plus: float
     average: float
-
-    def bucket_percentages(self) -> List[float]:
-        return [self.pct_below_60, self.pct_60_to_119, self.pct_120_plus]
 
 
 class DeltaTracker:

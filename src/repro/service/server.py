@@ -70,11 +70,12 @@ import repro.sim.native  # noqa: F401
 import repro.workloads  # noqa: F401
 
 #: Client-suppliable RunOptions fields.  Everything else (cache policy,
-#: journaling, pool shape) is the server's call; these three only
-#: change how hard one submission tries, and none of them can change
-#: result bits (chaos is for tests).  Other keys, such as the
-#: ``kernel`` an older client may still send, are ignored.
-CLIENT_OPTION_FIELDS = ("max_retries", "deadline", "chaos")
+#: fault injection, pool shape) is the server's call; these two only
+#: change how hard one submission tries, and neither can change result
+#: bits.  Other keys, such as the ``kernel`` or ``chaos`` an older
+#: client may still send, are ignored: a tenant's chosen delay or
+#: hard crash would stall the slots every tenant shares.
+CLIENT_OPTION_FIELDS = ("max_retries", "deadline")
 
 
 @dataclass
@@ -264,7 +265,7 @@ class JobService:
         self.counters["cells_total"] += len(cells)
 
         job = Job(
-            job_id=job_id or new_run_id("job"),
+            job_id=job_id or new_run_id(),
             tenant=tenant,
             benchmarks=list(benchmarks),
             policies=list(policies),
@@ -393,7 +394,7 @@ class JobService:
 
     def _resume_jobs(self) -> None:
         """Replay incomplete job journals found next to the store."""
-        for state in list_runs("job"):
+        for state in list_runs():
             if state.finished or not state.meta.get("service_job"):
                 continue
             if state.run_id in self.jobs:

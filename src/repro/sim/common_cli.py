@@ -7,8 +7,8 @@ flags once, as argparse *parent parsers*:
 * :func:`execution_parent` — how to execute one simulation:
   ``--no-cache``.
 * :func:`grid_parent` — how to execute a grid of them: ``--workers``,
-  ``--progress``, ``--resume``, ``--max-retries``, ``--deadline``,
-  ``--chaos``.  Only the CLIs that run grids take these.
+  ``--progress``, ``--max-retries``, ``--deadline``, ``--chaos``.
+  Only the CLIs that run grids take these.
   :func:`check_grid_args` reports the combinations that cannot work
   as usage errors, and :func:`options_from_args` folds either
   namespace into one :class:`~repro.sim.options.RunOptions`.
@@ -29,6 +29,13 @@ import os
 import sys
 
 from repro.sim.options import RunOptions, check_workers
+
+
+#: What an interrupted or partly failed grid CLI tells its user.
+RERUN_HINT = (
+    "re-run the same command: cells already in the result store are "
+    "not simulated again"
+)
 
 
 def worker_count(text: str, least: int = 0) -> int:
@@ -73,11 +80,6 @@ def grid_parent() -> argparse.ArgumentParser:
     group.add_argument(
         "--progress", action="store_true",
         help="print one line per finished task to stderr",
-    )
-    group.add_argument(
-        "--resume", metavar="RUN_ID", default=None,
-        help="replay an interrupted run's journal: completed cells come "
-             "from the result store, only missing cells re-execute",
     )
     group.add_argument(
         "--max-retries", type=int, default=None, metavar="N",
@@ -136,12 +138,7 @@ def telemetry_parent() -> argparse.ArgumentParser:
 def check_grid_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
-    """Report grid flags that cannot work as usage errors."""
-    if args.resume and (args.no_cache or getattr(args, "trace_events", None)):
-        parser.error(
-            "--resume replays cells from the result store; it cannot be "
-            "combined with --no-cache or --trace-events"
-        )
+    """Report grid flag values that cannot work as usage errors."""
     try:
         options_from_args(args)
     except ValueError as exc:
@@ -167,9 +164,7 @@ def options_from_args(
     }
     if "workers" not in vars(args):
         return RunOptions(**fields)
-    fields.update(
-        workers=args.workers, deadline=args.deadline, resume=args.resume
-    )
+    fields.update(workers=args.workers, deadline=args.deadline)
     if args.max_retries is not None:
         fields["max_retries"] = args.max_retries
     if args.chaos:
@@ -222,7 +217,7 @@ def workers_label(workers: int) -> str:
 def progress_printer(report, done, total) -> None:
     """One stderr line per finished task (the ``--progress`` callback)."""
     if report.cache_hit:
-        source = "resume" if report.resumed else "cache"
+        source = "cache"
     elif report.worker and report.worker != os.getpid():
         source = "worker %s" % report.worker
     else:
@@ -238,6 +233,7 @@ def progress_printer(report, done, total) -> None:
 
 
 __all__ = [
+    "RERUN_HINT",
     "execution_parent",
     "grid_parent",
     "check_grid_args",

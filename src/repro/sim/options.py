@@ -53,10 +53,6 @@ class RunOptions:
       (``attempts = max_retries + 1``).
     * ``deadline`` — per-task wall-clock budget in seconds (SIGALRM in
       the worker).
-    * ``resume`` — run id of an interrupted run whose journal +
-      store entries should be replayed; only missing cells re-execute.
-    * ``run_id`` — explicit id for this run's journal (default:
-      generated).
     * ``progress`` — callback ``(TaskReport, done, total)`` per
       finished task.
     * ``chaos`` — optional :class:`repro.sim.chaos.ChaosConfig` for
@@ -67,8 +63,6 @@ class RunOptions:
     use_cache: bool = True
     max_retries: int = 1
     deadline: Optional[float] = None
-    resume: Optional[str] = None
-    run_id: Optional[str] = None
     progress: Optional[Callable] = None
     chaos: Optional[object] = None  # repro.sim.chaos.ChaosConfig
 
@@ -96,13 +90,11 @@ class RunOptions:
         """A copy with ``changes`` applied (dataclasses.replace)."""
         return dataclasses.replace(self, **changes)
 
-    #: Fields that cannot cross a process boundary (callbacks) or that
-    #: are owned by whichever engine executes the options (journaling
-    #: identity is per-run, not part of a submission's intent).
+    #: Fields that cannot cross a process boundary (callbacks).
     _NON_WIRE_FIELDS = ("progress",)
 
     def to_wire(self) -> dict:
-        """JSON-safe dict form for service submissions and journals.
+        """JSON-safe dict form for service submissions.
 
         Everything except the ``progress`` callback round-trips;
         ``chaos`` serializes through

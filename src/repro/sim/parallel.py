@@ -36,11 +36,12 @@ a grid and for each service job alike:
   trusts that probe: it gets the cell's store key with the cell,
   simulates at once and writes the result back under that key, so a
   repeat run (even in a different process) is free.
-* **Run journal** — every run appends JSONL events (task
+* **Job journal** — a service job's run appends JSONL events (task
   started/finished/failed, store keys, worker pids) to
-  ``<cache dir>/runs/<run_id>.jsonl``; an interrupted run is resumable
-  with ``RunOptions(resume=RUN_ID)``: journal-completed cells replay
-  from the result store and only the missing cells re-execute.
+  ``<cache dir>/runs/job-<id>.jsonl``, which ``serve --resume``
+  replays after a crash.  A grid keeps no journal: the store already
+  holds every cell it finished, so running the same grid again
+  simulates only the missing cells.
 * **Failure capture** — a crashing or diverging simulation becomes a
   failure entry carrying the *full remote traceback*, not just the
   exception message, plus a :class:`TaskReport` (wall time, worker
@@ -80,7 +81,6 @@ from repro.sim.resilience import (
     BACKOFF_CAP_S,
     RunJournal,
     backoff_delay,
-    load_journal,
 )
 from repro.sim.runner import GridReport, Task, TaskReport
 from repro.sim.stats import SimResult
@@ -461,8 +461,11 @@ class GridRun:
     (True) probes the memo, then the store
     (:func:`~repro.sim.runner.lookup`), and keeps every ``SimResult``;
     the service (False) probes only the store, so a long-lived daemon
-    pins no results in memory.  ``resume_keys`` are the store keys a
-    resumed journal completed: a store hit on one is marked resumed.
+    pins no results in memory.  Given a ``run_id`` (a service job's),
+    the run journals its cells under that id, with ``meta`` in the
+    journal's header; a grid passes none and keeps no journal.
+    ``resume_keys`` are the store keys a resumed job journal
+    completed: a store hit on one is marked resumed.
     ``on_started(task, slot, attempt)`` and ``on_settled(task,
     outcome, source)`` let a job follow its cells; ``source`` names a
     cache hit's layer (``"memo"``, ``"store"``, ``"resume"``).
@@ -472,8 +475,8 @@ class GridRun:
         self,
         scheduler: CellScheduler,
         options: RunOptions,
-        meta: Dict[str, object],
         run_id: Optional[str] = None,
+        meta: Optional[Dict[str, object]] = None,
         resume_keys: Collection[str] = (),
         memo: bool = True,
         on_started: Optional[Callable] = None,
@@ -485,8 +488,9 @@ class GridRun:
         self.memo = memo
         self._on_started = on_started
         self._on_settled = on_settled
-        self.journal = RunJournal.create(run_id=run_id, meta=meta)
-        self.run_id = self.journal.run_id if self.journal else run_id
+        self.journal = (
+            RunJournal.create(run_id, meta) if run_id is not None else None
+        )
         self.keys: Dict[Task, str] = {}
         self.results: Dict[Task, SimResult] = {}
         self.failures: Dict[Task, str] = {}
@@ -560,8 +564,7 @@ class GridRun:
                     outcome.attempts,
                 )
         report = TaskReport(
-            task=task, ok=outcome.ok, cache_hit=hit,
-            resumed=source == "resume", wall_time=outcome.wall,
+            task=task, ok=outcome.ok, cache_hit=hit, wall_time=outcome.wall,
             worker=outcome.pid, attempts=outcome.attempts,
             error=None if outcome.ok else outcome.value,
             traceback=outcome.traceback,
@@ -582,7 +585,8 @@ class GridRun:
             )
 
     def close(self) -> None:
-        """Close the journal unfinished, so a later run can resume it."""
+        """Close the journal unfinished, so ``serve --resume`` replays
+        the job."""
         if self.journal is not None:
             self.journal.close()
 
@@ -596,40 +600,22 @@ def run_grid(
     Execution knobs come from ``options``
     (:class:`~repro.sim.options.RunOptions`).  ``options.workers`` is
     the number of process slots; ``0`` runs every cell in this
-    process, with the same retries, journal and settlement.  Tasks
-    that share a store key execute once and all get the result.
+    process, with the same retries and settlement.  Tasks that share a
+    store key execute once and all get the result.
 
     A ``KeyboardInterrupt`` mid-run is graceful: the partial report is
-    returned (``interrupted=True``), the journal records every
-    completed cell, and a follow-up run with
-    ``RunOptions(resume=run_id)`` re-executes only the missing ones.
+    returned (``interrupted=True``), and every cell finished so far is
+    in the result store, so running the same grid again simulates only
+    the missing ones.
     """
     if options is None:
         options = RunOptions()
     ordered: List[Task] = list(dict.fromkeys(tasks))
 
-    resume_keys = frozenset()
-    if options.resume is not None:
-        if not options.use_cache:
-            raise ValueError(
-                "RunOptions(resume=...) needs the result store; it "
-                "cannot be combined with use_cache=False"
-            )
-        resume_keys = frozenset(load_journal(options.resume).completed)
-
     loop = _GridLoop()
     scheduler = CellScheduler(options.workers, loop)
     workers = len(scheduler.slots)
-    run = GridRun(
-        scheduler, options, run_id=options.run_id, resume_keys=resume_keys,
-        meta={
-            "workers": workers,
-            "tasks": len(ordered),
-            "benchmarks": sorted({t.benchmark for t in ordered}),
-            "policies": sorted({t.policy_spec for t in ordered}),
-            "resumed_from": options.resume,
-        },
-    )
+    run = GridRun(scheduler, options)
     started = time.perf_counter()
     interrupted = False
     try:
@@ -640,15 +626,11 @@ def run_grid(
     finally:
         scheduler.close()
         loop.close()
-        run.finish(interrupted)
 
     store = default_store()
-    quarantined = store.quarantined if store is not None else 0
     resilience: Dict[str, object] = dict(scheduler.counters())
-    resilience.update(
-        store_quarantined=quarantined,
-        resumed_from=options.resume,
-        resumed_cells=sum(report.resumed for report in run.reports),
+    resilience["store_quarantined"] = (
+        store.quarantined if store is not None else 0
     )
     cache_hits = sum(1 for report in run.reports if report.cache_hit)
     # Tasks that share a store key share one execution and its wall.
@@ -664,7 +646,6 @@ def run_grid(
         cache_hits=cache_hits,
         cache_misses=len(ordered) - cache_hits,
         failures=run.failures,
-        run_id=run.run_id,
         interrupted=interrupted,
         resilience=resilience,
         busy=sum(walls.values()),

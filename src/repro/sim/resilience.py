@@ -10,14 +10,16 @@ chaos harness (:mod:`repro.sim.chaos`):
   (no wall-clock or RNG state leaks into behavior) while distinct
   tasks still de-synchronize.
 
-* :class:`RunJournal` — an append-only JSONL journal of one grid
-  run: ``run_started`` (with the suite matrix), per-attempt
+* :class:`RunJournal` — an append-only JSONL journal of one service
+  job: ``run_started`` (with the submitted matrix), per-attempt
   ``task_started``, ``task_finished`` (with the result's store key),
   ``task_failed`` (with the remote traceback), and ``run_finished``.
-  Journals live under ``<cache dir>/runs/<run_id>.jsonl`` next to the
-  result store, so an interrupted run is resumable: ``--resume
-  RUN_ID`` replays completed cells from the journal + store and
-  re-executes only the missing ones (see :func:`load_journal`).
+  Journals live under ``<cache dir>/runs/job-<id>.jsonl`` next to the
+  result store.  They are the only record of which jobs were in
+  flight when a daemon died: ``serve --resume`` resubmits each
+  unfinished one, serving its completed cells from the store (see
+  :func:`load_journal`).  A grid keeps no journal; re-running it is
+  resuming it, since the store holds every cell it finished.
 """
 
 from __future__ import annotations
@@ -55,14 +57,13 @@ def journal_root() -> Optional[Path]:
     return Path(root) / "runs"
 
 
-def new_run_id(prefix: str = "run") -> str:
-    """A sortable, collision-resistant id: ``run`` for a grid run,
-    ``job`` for a service job."""
+def new_run_id() -> str:
+    """A sortable, collision-resistant job id: ``job-<time>-<salt>``."""
     stamp = time.strftime("%Y%m%d-%H%M%S")
     salt = hashlib.sha256(
-        ("%d|%r|%s" % (os.getpid(), time.time(), prefix)).encode()
+        ("%d|%r" % (os.getpid(), time.time())).encode()
     ).hexdigest()[:6]
-    return "%s-%s-%s" % (prefix, stamp, salt)
+    return "job-%s-%s" % (stamp, salt)
 
 
 def backoff_delay(
@@ -90,12 +91,12 @@ def backoff_delay(
 
 
 class RunJournal:
-    """Append-only JSONL journal of one grid run (parent-side only).
+    """Append-only JSONL journal of one service job (daemon-side only).
 
     Every event is flushed as soon as it is written, so the journal is
-    consistent after a crash or KeyboardInterrupt at any point: a task
-    either has a ``task_finished``/``task_failed`` record or it does
-    not, and resume re-executes exactly the tasks that do not.
+    consistent after a crash at any point: a task either has a
+    ``task_finished``/``task_failed`` record or it does not, and a
+    resumed job re-executes exactly the tasks that do not.
     """
 
     def __init__(self, path: Path, run_id: str) -> None:
@@ -106,14 +107,13 @@ class RunJournal:
     @classmethod
     def create(
         cls,
-        run_id: Optional[str] = None,
+        run_id: str,
         meta: Optional[Dict[str, object]] = None,
     ) -> Optional["RunJournal"]:
         """Open a new journal, or None when persistence is disabled."""
         root = journal_root()
         if root is None:
             return None
-        run_id = run_id or new_run_id()
         root.mkdir(parents=True, exist_ok=True)
         journal = cls(root / ("%s.jsonl" % run_id), run_id)
         header = {
@@ -196,7 +196,7 @@ class RunJournal:
 
 @dataclass
 class JournalState:
-    """Parsed journal of a past run, ready for ``--resume``."""
+    """Parsed journal of a past job, ready for ``serve --resume``."""
 
     run_id: str
     meta: Dict[str, object]
@@ -204,7 +204,6 @@ class JournalState:
     completed: Dict[str, Dict[str, object]] = field(default_factory=dict)
     failed: List[Dict[str, object]] = field(default_factory=list)
     finished: bool = False
-    interrupted: bool = False
 
 
 def load_journal(run_id: str) -> JournalState:
@@ -217,9 +216,10 @@ def load_journal(run_id: str) -> JournalState:
     root = journal_root()
     path = root / ("%s.jsonl" % run_id) if root is not None else None
     if path is None or not path.exists():
-        known = ", ".join(sorted(r.run_id for r in list_runs())) or "none"
+        known = sorted(p.stem for p in root.glob("*.jsonl")) if root else []
         raise FileNotFoundError(
-            "no journal for run id %r (known runs: %s)" % (run_id, known)
+            "no journal for run id %r (known runs: %s)"
+            % (run_id, ", ".join(known) or "none")
         )
     state = JournalState(run_id=run_id, meta={})
     with open(path, "r", encoding="utf-8") as handle:
@@ -245,18 +245,17 @@ def load_journal(run_id: str) -> JournalState:
                 state.failed.append(record)
             elif event == "run_finished":
                 state.finished = True
-                state.interrupted = bool(record.get("interrupted"))
     return state
 
 
-def list_runs(prefix: str = "run") -> List[JournalState]:
-    """Every journal whose id has ``prefix`` (see :func:`new_run_id`),
-    newest-id last."""
+def list_runs() -> List[JournalState]:
+    """Every job journal (see :func:`new_run_id`), newest-id last; the
+    ``run-*`` grid journals older versions wrote are left out."""
     root = journal_root()
     if root is None or not root.is_dir():
         return []
     states = []
-    for path in sorted(root.glob("%s-*.jsonl" % prefix)):
+    for path in sorted(root.glob("job-*.jsonl")):
         try:
             states.append(load_journal(path.stem))
         except (OSError, ValueError):

@@ -3,7 +3,7 @@
 A :class:`Task` is one cell: one workload under one policy at one
 scale, plus the optional fields that change what is simulated.  It is
 the only list of those fields.  The memo key, the store key
-(:func:`repro.sim.store.store_key`), the journal and report record
+(:func:`repro.sim.store.store_key`), the job journal and report record
 (:meth:`Task.to_dict`), the label (:func:`cell_label`) and the
 :class:`~repro.sim.simulator.Simulator` (:meth:`Task.simulator`) all
 derive from it, so a new field reaches each of them by being declared
@@ -154,7 +154,6 @@ class TaskReport:
     task: Task
     ok: bool
     cache_hit: bool = False
-    resumed: bool = False
     wall_time: float = 0.0
     worker: Optional[int] = None
     attempts: int = 0
@@ -166,7 +165,6 @@ class TaskReport:
         payload.update(
             ok=self.ok,
             cache_hit=self.cache_hit,
-            resumed=self.resumed,
             wall_time_s=round(self.wall_time, 4),
             worker=self.worker,
             attempts=self.attempts,
@@ -191,7 +189,6 @@ class GridReport:
     #: (falls back to the bare exception message when the worker died
     #: before formatting one).
     failures: Dict[Task, str] = field(default_factory=dict)
-    run_id: Optional[str] = None
     interrupted: bool = False
     resilience: Dict[str, object] = field(default_factory=dict)
     #: Wall seconds the grid's executions took, each execution once
@@ -245,8 +242,6 @@ class GridReport:
             "failed_tasks": len(self.failures),
             "tasks": [report.to_dict() for report in self.reports],
         }
-        if self.run_id is not None:
-            payload["run_id"] = self.run_id
         if self.interrupted:
             payload["interrupted"] = True
         if self.resilience:

@@ -343,38 +343,43 @@ class ResultStore:
         older checkout can never be *served* — but they linger on disk
         forever.  ``gc`` removes them (and root-level files, anything
         unparseable, and everything previously quarantined); entries
-        from the current code version are kept.  ``dry_run`` only counts.
+        from the current code version are kept.  It also removes the
+        run journals under ``runs/`` that nothing reads again: every
+        grid journal (``run-*.jsonl``, which older versions wrote) and
+        every service job journal whose ``run_finished`` is written
+        (``serve --resume`` replays only unfinished jobs).
+        ``dry_run`` only counts.
         """
         current = code_version()
-        removed = kept = 0
+        stale = []
+        kept = 0
         for path in self.entry_paths():
             # No key reads a root-level file, whatever its code version.
-            stale = path.parent == self.root
+            junk = path.parent == self.root
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))
-                stale = stale or payload.get("code") != current
+                junk = junk or payload.get("code") != current
             except (OSError, ValueError):
-                stale = True
-            if stale:
-                removed += 1
-                if not dry_run:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
+                junk = True
+            if junk:
+                stale.append(path)
             else:
                 kept += 1
-        purged = 0
-        if self.quarantine_dir.is_dir():
-            for path in sorted(self.quarantine_dir.glob("*.json")):
-                purged += 1
-                if not dry_run:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-        return {"removed": removed, "kept": kept,
-                "quarantine_purged": purged}
+        purged = sorted(self.quarantine_dir.glob("*.json"))
+        runs = self.root / "runs"
+        journals = sorted(runs.glob("run-*.jsonl")) + [
+            path for path in sorted(runs.glob("job-*.jsonl"))
+            if _journal_finished(path)
+        ]
+        if not dry_run:
+            for path in stale + purged + journals:
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+        return {"removed": len(stale), "kept": kept,
+                "quarantine_purged": len(purged),
+                "journals_removed": len(journals)}
 
     def counters(self) -> Dict[str, int]:
         return {
@@ -382,6 +387,21 @@ class ResultStore:
             "store_misses": self.misses,
             "store_quarantined": self.quarantined,
         }
+
+
+def _journal_finished(path: Path) -> bool:
+    """Whether the job journal at ``path`` records ``run_finished``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                try:
+                    if json.loads(line).get("event") == "run_finished":
+                        return True
+                except ValueError:
+                    continue  # a torn write
+    except OSError:
+        pass
+    return False
 
 
 _stores: Dict[str, ResultStore] = {}
@@ -411,8 +431,8 @@ def main(argv=None) -> int:
 
     ``--stats`` (default) prints the store location, entry counts per
     shard, and the quarantine count; ``--gc`` prunes entries from old
-    code versions (``--dry-run`` to preview); ``--clear`` deletes
-    everything.
+    code versions and finished run journals (``--dry-run`` to preview);
+    ``--clear`` deletes every stored result.
     """
     import argparse
     import sys
@@ -428,8 +448,8 @@ def main(argv=None) -> int:
     )
     action.add_argument(
         "--gc", action="store_true",
-        help="prune entries written by other code versions (and purge "
-        "the quarantine directory)",
+        help="prune entries written by other code versions, purge the "
+        "quarantine directory, and remove finished run journals",
     )
     action.add_argument(
         "--clear", action="store_true",
@@ -456,10 +476,11 @@ def main(argv=None) -> int:
         stats = store.gc(dry_run=args.dry_run)
         print(
             "%s%s: removed %d stale, kept %d current, purged %d "
-            "quarantined (code %s)"
+            "quarantined, removed %d finished journals (code %s)"
             % ("[dry run] " if args.dry_run else "", store.root,
                stats["removed"], stats["kept"],
-               stats["quarantine_purged"], code_version()),
+               stats["quarantine_purged"], stats["journals_removed"],
+               code_version()),
         )
         return 0
     stats = store.shard_stats()

@@ -118,9 +118,9 @@ class SuiteResult:
         host- or schedule-dependent (``meta`` carries wall times and
         worker pids, so it is excluded).  Two runs of the same matrix
         must digest identically whether they ran serially, across a
-        pool, under chaos injection, or resumed from a journal; the
-        chaos differential (``python -m repro.sim.chaos``) asserts
-        exactly that.
+        pool, under chaos injection, or finished by a re-run after an
+        interrupt; the chaos differential (``python -m
+        repro.sim.chaos``) asserts exactly that.
         """
         payload = {
             "scale": self.scale,
@@ -242,8 +242,9 @@ def run_suite(
     The grid runs on :func:`repro.sim.parallel.run_grid`, in this
     process at ``RunOptions(workers=0)`` (the default) and on N process
     slots at ``workers=N``: failures become ``SuiteResult.failures``
-    entries (with full tracebacks), the run is journaled for
-    ``--resume``, and the observability + resilience report lands in
+    entries (with full tracebacks), every finished cell is saved to the
+    result store (so re-running an interrupted suite simulates only the
+    missing cells), and the observability + resilience report lands in
     ``SuiteResult.meta``.  Every worker count produces bit-identical
     ``SimResult`` values, so :meth:`SuiteResult.content_digest`
     matches across them.
@@ -294,35 +295,6 @@ def run_suite(
     )
 
 
-def _print_runs() -> int:
-    """``--list-runs``: one line per journaled run in the cache dir."""
-    from repro.sim.resilience import journal_root, list_runs
-
-    states = list_runs()
-    if not states:
-        print("no journaled runs under %s" % (journal_root() or "<disabled>"))
-        return 0
-    for state in states:
-        if state.interrupted:
-            status = "interrupted"
-        elif state.finished:
-            status = "finished"
-        else:
-            status = "incomplete"
-        print(
-            "%-28s %-12s %3d completed  %2d failed  (%s x %s)"
-            % (
-                state.run_id,
-                status,
-                len(state.completed),
-                len(state.failed),
-                ",".join(state.meta.get("benchmarks", []) or ["?"]),
-                ",".join(state.meta.get("policies", []) or ["?"]),
-            )
-        )
-    return 0
-
-
 def main(argv=None) -> int:
     from repro.sim import common_cli
 
@@ -353,14 +325,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--json", metavar="FILE", default=None)
     parser.add_argument("--csv", metavar="FILE", default=None)
-    parser.add_argument(
-        "--list-runs", action="store_true",
-        help="list journaled runs (for --resume) and exit",
-    )
     args = parser.parse_args(argv)
-
-    if args.list_runs:
-        return _print_runs()
 
     common_cli.check_grid_args(parser, args)
     common_cli.apply_telemetry(args)
@@ -410,11 +375,7 @@ def main(argv=None) -> int:
     if args.metrics_out:
         common_cli.write_metrics(args, suite.runs())
     if meta.get("interrupted"):
-        print(
-            "interrupted — resume with: python -m repro.sim.suite "
-            "--resume %s" % meta.get("run_id"),
-            file=sys.stderr,
-        )
+        print("interrupted — %s" % common_cli.RERUN_HINT, file=sys.stderr)
         return 130
     return 1 if suite.failures else 0
 

@@ -124,13 +124,6 @@ class CDFWorkload(Workload):
                 parts.append("%s=%s" % (name, format_number(value)))
         return "cdf(%s)" % ",".join(parts)
 
-    def with_seed(self, seed: int) -> "CDFWorkload":
-        return CDFWorkload(
-            self.distribution, ops=self.ops, seed=int(seed),
-            objects=self.objects, chunk=self.chunk, zipf=self.zipf,
-            stores=self.stores,
-        )
-
     def build(self, scale: float = 1.0) -> PackedTrace:
         target = max(1, int(self.ops * scale))
         rng = Random(self.seed)

@@ -424,9 +424,6 @@ class SurrogateWorkload(Workload):
             return self.name
         return "%s(seed=%d)" % (self.name, self.seed)
 
-    def with_seed(self, seed: Optional[int]) -> "SurrogateWorkload":
-        return SurrogateWorkload(self.name, seed=seed)
-
     def build(self, scale: float = 1.0) -> PackedTrace:
         from repro.workloads import spec2000
 

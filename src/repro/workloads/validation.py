@@ -47,17 +47,6 @@ class BenchmarkFidelity:
         return _signs_compatible(self.lin_ipc_measured, self.lin_ipc_paper)
 
     @property
-    def sbar_sign_matches(self) -> bool:
-        return _signs_compatible(self.sbar_ipc_measured, self.sbar_ipc_paper)
-
-    @property
-    def sbar_bounds_loss(self) -> bool:
-        """SBAR must never lose much more than the paper's SBAR."""
-        return self.sbar_ipc_measured > min(
-            -8.0, self.sbar_ipc_paper - 8.0
-        )
-
-    @property
     def lin_magnitude_ratio(self) -> Optional[float]:
         """measured/paper effect size; None when the paper effect ~0."""
         if abs(self.lin_ipc_paper) < NEUTRAL_BAND:

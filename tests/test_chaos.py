@@ -5,7 +5,8 @@ crashes, delays, and store corruption injected, ``run_suite`` still
 completes and its :meth:`SuiteResult.content_digest` is bit-identical
 to the fault-free serial run.  Plus: store integrity (quarantine + gc),
 hard-crash slot rebuild, remote tracebacks in failure reports, and
-graceful KeyboardInterrupt with journal resume.
+graceful KeyboardInterrupt, after which re-running the same grid
+simulates only the missing cells.
 """
 
 import json
@@ -169,6 +170,7 @@ class TestStoreIntegrity:
         preview = store.gc(dry_run=True)
         assert preview == {
             "removed": 1, "kept": 1, "quarantine_purged": 1,
+            "journals_removed": 0,
         }
         assert stale_path.exists()  # dry run touches nothing
 
@@ -273,7 +275,6 @@ class TestPoolFaults:
         assert grid.resilience["worker_rebuilds"] == 1
         assert set(grid.resilience) == {
             "retries", "worker_rebuilds", "store_quarantined",
-            "resumed_from", "resumed_cells",
         }
 
 
@@ -305,7 +306,9 @@ class TestInterruptAndResume:
 
         return progress
 
-    def test_interrupt_flushes_partial_report_and_resume_completes(self):
+    def test_interrupt_flushes_partial_report_and_resume_completes(
+        self, tmp_path
+    ):
         baseline = run_suite(
             policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE
         )
@@ -316,68 +319,47 @@ class TestInterruptAndResume:
         partial = run_suite(
             policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE,
             options=RunOptions(
-                workers=1, run_id="run-test-interrupt",
-                progress=self._interrupt_after(1),
+                workers=1, progress=self._interrupt_after(1),
             ),
         )
         assert partial.meta["interrupted"] is True
-        assert partial.meta["run_id"] == "run-test-interrupt"
+        assert "run_id" not in partial.meta
         assert len(partial.to_rows()) == 1  # one cell done, then ^C
         assert not partial.failures
 
-        from repro.sim.resilience import load_journal
-
-        state = load_journal("run-test-interrupt")
-        assert state.finished and state.interrupted
-        assert len(state.completed) == 1
-
-        clear_cache()  # memo gone: resume must go via journal + store
-        resumed = run_suite(
+        clear_cache()  # memo gone: the finished cell is in the store
+        rerun = run_suite(
             policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE,
-            options=RunOptions(workers=1, resume="run-test-interrupt"),
         )
-        assert not resumed.failures
-        assert resumed.content_digest() == want
-        resilience = resumed.meta["resilience"]
-        assert resilience["resumed_from"] == "run-test-interrupt"
-        assert resilience["resumed_cells"] == 1
-        reports = resumed.meta["tasks"]
-        assert sum(1 for r in reports if r["resumed"]) == 1
+        assert not rerun.failures
+        assert rerun.content_digest() == want
+        assert rerun.meta["cache"] == {"hits": 1, "misses": 3}
+        reports = rerun.meta["tasks"]
         assert sum(1 for r in reports if not r["cache_hit"]) == 3
+        assert not (tmp_path / "store" / "runs").exists()
 
-    def test_interrupted_cli_exit_code_and_hint(self, capsys):
+    def test_interrupted_cli_exit_code_and_hint(self, capsys, monkeypatch):
+        from repro.sim import common_cli
         from repro.sim.suite import main as suite_main
 
-        # Drive the CLI with a progress callback that interrupts: the
-        # CLI installs common_cli.progress_printer, so patch at the
-        # options layer instead — run_suite via main with --progress is
-        # not interruptible deterministically; assert the simpler
-        # contract here: an interrupted meta makes main() return 130.
-        partial = run_suite(
-            policies=("lru",), benchmarks=("lucas", "mcf"), scale=SCALE,
-            options=RunOptions(
-                workers=1, run_id="run-test-cli-int",
-                progress=self._interrupt_after(1),
-            ),
+        # --progress installs common_cli.progress_printer: one that
+        # interrupts after the first cell stands in for a Ctrl-C.
+        monkeypatch.setattr(
+            common_cli, "progress_printer", self._interrupt_after(1)
         )
-        assert partial.meta["interrupted"]
-        capsys.readouterr()
-        code = suite_main([
+        argv = [
             "--policies", "lru", "--benchmarks", "lucas,mcf",
-            "--scale", str(SCALE), "--resume", "run-test-cli-int",
-        ])
+            "--scale", str(SCALE), "--workers", "1", "--progress",
+        ]
+        assert suite_main(argv) == 130
+        err = capsys.readouterr().err
+        hint = [line for line in err.splitlines() if "interrupted" in line]
+        assert hint == ["interrupted — %s" % common_cli.RERUN_HINT]
+        assert "--resume" not in err and "run-" not in err
+
+        # Following the hint finishes the same grid: one store hit.
+        clear_cache()
+        assert suite_main(argv[:-1]) == 0
         captured = capsys.readouterr()
-        assert code == 0
         assert "lucas" in captured.out and "mcf" in captured.out
-
-    def test_suite_cli_lists_journaled_runs(self, capsys):
-        from repro.sim.suite import main as suite_main
-
-        run_suite(
-            policies=("lru",), benchmarks=("lucas",), scale=SCALE,
-            options=RunOptions(workers=1, run_id="run-test-list"),
-        )
-        assert suite_main(["--list-runs"]) == 0
-        out = capsys.readouterr().out
-        assert "run-test-list" in out
-        assert "finished" in out
+        assert "cache 1 hit / 1 miss" in captured.err

@@ -145,9 +145,10 @@ class TestInProcessGrid:
         for benchmark in BENCHMARKS for policy in POLICIES
     ]
 
-    def test_runs_every_cell_here_and_journals_it(self, monkeypatch):
+    def test_runs_every_cell_here_and_writes_no_journal(
+        self, monkeypatch, tmp_path
+    ):
         from repro.sim import parallel
-        from repro.sim.resilience import load_journal
 
         def no_slot(self, payload):
             raise AssertionError("a workers=0 grid started a slot")
@@ -156,13 +157,10 @@ class TestInProcessGrid:
         grid = run_grid(self.TASKS, RunOptions(workers=0))
         assert not grid.failures and grid.workers == 0
         assert {report.worker for report in grid.reports} == {os.getpid()}
-        completed = load_journal(grid.run_id).completed
-        assert len(completed) == len(self.TASKS)
-        assert {record["worker"] for record in completed.values()} == {
-            os.getpid()
-        }
+        assert len(default_store()) == len(self.TASKS)
+        assert not (tmp_path / "store" / "runs").exists()
 
-    def test_interrupted_run_resumes_only_the_missing_cells(self):
+    def test_interrupted_run_resumes_only_the_missing_cells(self, tmp_path):
         baseline = run_grid(self.TASKS, RunOptions(use_cache=False))
         want = {task: baseline.results[task].to_dict()
                 for task in self.TASKS}
@@ -171,19 +169,21 @@ class TestInProcessGrid:
             if done >= 2:
                 raise KeyboardInterrupt
 
-        partial = run_grid(self.TASKS, RunOptions(
-            run_id="run-test-in-process", progress=interrupt_after_two,
-        ))
+        partial = run_grid(
+            self.TASKS, RunOptions(progress=interrupt_after_two)
+        )
         assert partial.interrupted and len(partial.results) == 2
         clear_cache()
         simulations = runner.cache_stats()["simulations"]
-        resumed = run_grid(
-            self.TASKS, RunOptions(resume="run-test-in-process")
-        )
+        # Re-running the same grid is resuming it: the two finished
+        # cells come from the store, and only the other two simulate.
+        rerun = run_grid(self.TASKS)
         assert runner.cache_stats()["simulations"] - simulations == 2
-        assert sum(report.resumed for report in resumed.reports) == 2
-        assert {task: resumed.results[task].to_dict()
+        assert {report.task for report in rerun.reports
+                if report.cache_hit} == set(partial.results)
+        assert {task: rerun.results[task].to_dict()
                 for task in self.TASKS} == want
+        assert not (tmp_path / "store" / "runs").exists()
 
     def test_tasks_sharing_a_store_key_execute_once(self):
         # Both tasks join one execution before it runs here.
@@ -538,8 +538,6 @@ class TestPrefetchCellKeys:
         assert prefetched == plain | {"prefetch_degree"}
 
     def test_interrupted_prefetch_prewarm_resumes_missing_cells(self):
-        from repro.sim.resilience import load_journal
-
         tasks = [
             Task("lucas", policy, SCALE, prefetch_degree=degree)
             for degree in (None, 2) for policy in POLICIES
@@ -557,25 +555,18 @@ class TestPrefetchCellKeys:
                 raise KeyboardInterrupt
 
         partial = run_grid(tasks, options=RunOptions(
-            workers=1, run_id="run-test-prefetch",
-            progress=interrupt_after_two,
+            workers=1, progress=interrupt_after_two,
         ))
         assert partial.interrupted
-        state = load_journal("run-test-prefetch")
-        assert len(state.completed) == 2
-        journaled = {record.get("prefetch_degree")
-                     for record in state.completed.values()}
-        assert journaled <= {None, 2}
+        assert set(partial.results) == set(finished)
 
         clear_cache()
-        resumed = run_grid(tasks, options=RunOptions(
-            workers=1, resume="run-test-prefetch",
-        ))
-        assert not resumed.failures
-        assert {task: resumed.results[task].to_dict()
+        rerun = run_grid(tasks, options=RunOptions(workers=1))
+        assert not rerun.failures
+        assert {task: rerun.results[task].to_dict()
                 for task in tasks} == want
-        reports = {report.task: report for report in resumed.reports}
-        assert {task for task in tasks if reports[task].resumed} == set(
+        reports = {report.task: report for report in rerun.reports}
+        assert {task for task in tasks if reports[task].cache_hit} == set(
             finished
         )
         assert sum(not report.cache_hit for report in reports.values()) == 2

@@ -1,9 +1,9 @@
 """Resilience-layer unit tests: backoff, journal, RunOptions.
 
 The end-to-end fault-injection properties (digest equality under
-chaos, resume, slot rebuild) live in ``tests/test_chaos.py``; this
-file locks in the primitives those tests compose — all deterministic,
-none needing a worker pool.
+chaos, re-running an interrupted grid, slot rebuild) live in
+``tests/test_chaos.py``; this file locks in the primitives those
+tests compose — all deterministic, none needing a worker pool.
 """
 
 import argparse
@@ -19,7 +19,7 @@ import pytest
 from repro.sim import common_cli
 from repro.sim.chaos import ChaosConfig
 from repro.sim.options import RunOptions
-from repro.sim.parallel import CellScheduler, Task, run_grid
+from repro.sim.parallel import CellScheduler, GridRun, Task, run_grid
 from repro.sim.resilience import (
     RunJournal,
     backoff_delay,
@@ -93,7 +93,7 @@ class TestRunJournal:
         assert record["benchmark"] == "lucas"
         assert state.failed[0]["error"] == "Boom: no"
         assert state.failed[0]["traceback"] == "Traceback (fake)"
-        assert state.finished and not state.interrupted
+        assert state.finished
 
     def test_every_event_is_flushed(self):
         journal = RunJournal.create(run_id="run-test-flush")
@@ -127,64 +127,53 @@ class TestRunJournal:
 
     def test_list_runs_enumerates(self):
         assert list_runs() == []
-        RunJournal.create(run_id="run-test-a").run_finished(0, 0)
-        RunJournal.create(run_id="run-test-b").close()
+        RunJournal.create(run_id="job-test-a").run_finished(0, 0)
+        RunJournal.create(run_id="job-test-b").close()
         assert [s.run_id for s in list_runs()] == [
-            "run-test-a", "run-test-b",
+            "job-test-a", "job-test-b",
         ]
 
     def test_no_store_disables_journaling(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_STORE", "1")
         assert journal_root() is None
-        assert RunJournal.create() is None
+        assert RunJournal.create("job-test-off") is None
         assert list_runs() == []
 
     def test_new_run_id_shape(self):
         run_id = new_run_id()
-        assert re.match(r"^run-\d{8}-\d{6}-[0-9a-f]{6}$", run_id)
+        assert re.match(r"^job-\d{8}-\d{6}-[0-9a-f]{6}$", run_id)
 
     def test_service_job_ids_list_apart_from_grid_runs(self):
-        job_id = new_run_id("job")
-        assert re.match(r"^job-\d{8}-\d{6}-[0-9a-f]{6}$", job_id)
+        # A cache an older version used holds grid journals too; the
+        # service lists only its own.
+        job_id = new_run_id()
         RunJournal.create(run_id=job_id).close()
         RunJournal.create(run_id="run-test-a").close()
-        assert [s.run_id for s in list_runs()] == ["run-test-a"]
-        assert [s.run_id for s in list_runs("job")] == [job_id]
+        assert [s.run_id for s in list_runs()] == [job_id]
 
 
 class TestGridJournalIntegration:
-    def test_run_grid_journals_and_reports_run_id(self):
-        grid = run_grid([_task()], options=RunOptions(workers=1))
-        assert grid.run_id
-        state = load_journal(grid.run_id)
-        assert state.finished and not state.interrupted
-        assert len(state.completed) == 1
-        record = next(iter(state.completed.values()))
-        assert record["cache_hit"] is False
-        assert record["attempts"] == 1
+    def test_run_grid_writes_no_journal(self, tmp_path):
+        for workers in (0, 1):
+            grid = run_grid([_task()], options=RunOptions(workers=workers))
+            assert not grid.failures
+            assert "run_id" not in grid.meta()
+        assert not (tmp_path / "store" / "runs").exists()
 
     def test_cache_hits_are_journaled_as_such(self):
-        run_grid([_task()], options=RunOptions(workers=1))
-        grid = run_grid([_task()], options=RunOptions(workers=1))
-        record = next(iter(load_journal(grid.run_id).completed.values()))
+        # A service job's run journals; a store hit is recorded as one.
+        run_grid([_task()])
+        run = GridRun(
+            CellScheduler(0, loop=None), RunOptions(),
+            run_id="job-test-hit", memo=False,
+        )
+        run.admit([_task()])
+        run.finish()
+        state = load_journal("job-test-hit")
+        assert state.finished
+        record = next(iter(state.completed.values()))
         assert record["cache_hit"] is True
         assert record["attempts"] == 0
-
-    def test_resume_requires_the_cache(self):
-        with pytest.raises(ValueError, match="use_cache"):
-            run_grid(
-                [_task()],
-                options=RunOptions(
-                    workers=1, use_cache=False, resume="run-x"
-                ),
-            )
-
-    def test_resume_unknown_run_raises(self):
-        with pytest.raises(FileNotFoundError):
-            run_grid(
-                [_task()],
-                options=RunOptions(workers=1, resume="run-nope"),
-            )
 
 
 class TestRunOptions:
@@ -253,15 +242,13 @@ class TestCommonCli:
     def test_flags_map_to_run_options(self):
         args = self._parse([
             "--workers", "4", "--no-cache", "--max-retries", "3",
-            "--deadline", "10", "--resume", "run-z",
-            "--chaos", "crash=0.2,seed=7",
+            "--deadline", "10", "--chaos", "crash=0.2,seed=7",
         ])
         options = common_cli.options_from_args(args)
         assert options.workers == 4
         assert options.use_cache is False
         assert options.max_retries == 3
         assert options.deadline == 10.0
-        assert options.resume == "run-z"
         assert options.chaos == ChaosConfig(seed=7, crash_rate=0.2)
 
     def test_defaults_are_run_options_defaults(self):
@@ -317,8 +304,8 @@ class TestCommonCli:
         # generic loop, and none takes --kernel.
         flags = {
             "execution": ("--no-cache",),
-            "grid": ("--workers", "--progress", "--resume",
-                     "--max-retries", "--deadline", "--chaos"),
+            "grid": ("--workers", "--progress", "--max-retries",
+                     "--deadline", "--chaos"),
             "telemetry": ("--metrics-out", "--trace-events"),
         }
         mod = importlib.import_module(module)
@@ -331,6 +318,7 @@ class TestCommonCli:
             for flag in flags[name]:
                 assert flag not in out, "%s takes %s" % (module, flag)
         assert "--kernel" not in out
+        assert "--resume" not in out and "--list-runs" not in out
 
     def test_serial_suite_prints_one_line_per_cell(self, capsys):
         from repro.sim.suite import main as suite_main
@@ -350,8 +338,6 @@ class TestCommonCli:
 
         task = _task()
         cases = [
-            (TaskReport(task=task, ok=True, cache_hit=True, resumed=True),
-             "resume"),
             (TaskReport(task=task, ok=True, cache_hit=True), "cache"),
             (TaskReport(task=task, ok=True, worker=42), "worker 42"),
             (TaskReport(task=task, ok=False, error="x"), "FAILED"),
@@ -407,13 +393,16 @@ class TestGridArgs:
     @pytest.mark.parametrize("module", ["repro.sim.suite",
                                         "repro.experiments.__main__"])
     def test_no_cache_with_resume_is_a_usage_error(self, module, capsys):
+        # There is no --resume: re-running the same command is resuming
+        # it, so the flag is refused with or without the store.
         main = importlib.import_module(module).main
         with pytest.raises(SystemExit) as excinfo:
             main(["--no-cache", "--resume", "run-x", "--benchmarks",
                   "lucas", "--scale", str(SCALE)])
         assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "--resume" in err and "--no-cache" in err
+        assert "unrecognized arguments: --resume" in (
+            capsys.readouterr().err
+        )
 
     def test_experiments_no_cache_with_workers_runs_on_the_pool(
         self, capsys, monkeypatch

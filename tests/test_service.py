@@ -15,7 +15,6 @@ The tentpole guarantees locked in here:
 """
 
 import asyncio
-import json
 import os
 import re
 import signal
@@ -34,10 +33,8 @@ from repro.service.server import ServiceConfig, serve_in_thread
 from repro.sim.chaos import ChaosConfig
 from repro.sim.options import RunOptions
 from repro.sim.store import store_key
-from repro.sim.parallel import run_grid
 from repro.sim.resilience import (
     RunJournal,
-    journal_root,
     load_journal,
     new_run_id,
 )
@@ -382,38 +379,53 @@ class TestServiceEndToEnd:
         assert merged.max_retries == 7
         assert merged.use_cache is True
 
+    def test_client_chaos_is_ignored(self):
+        # Slots are shared: a tenant's own delay or hard crash would
+        # stall every other tenant's cells.  Only the server injects.
+        from repro.service.server import JobService
+
+        client_chaos = {"chaos": {"delay_rate": 1, "delay_s": 4,
+                                  "hard": True}}
+        service = JobService(ServiceConfig())
+        assert service._merge_options(client_chaos).chaos is None
+        server_chaos = ChaosConfig(seed=3, delay_rate=0.5, delay_s=0.1)
+        service = JobService(ServiceConfig(
+            options=RunOptions(chaos=server_chaos),
+        ))
+        assert service._merge_options(client_chaos).chaos == server_chaos
+
     def test_invalid_options_are_refused_before_admission(self):
         # Options that make no RunOptions are a bad-request that admits
-        # nothing, so they cannot leak the tenant's quota.
-        handle = start_service(workers=1, tenant_quota=3)
+        # nothing, so they cannot leak the tenant's quota.  The server's
+        # delay holds the admitted cell in flight.
+        handle = start_service(
+            workers=1, tenant_quota=3, options=RunOptions(
+                chaos=ChaosConfig(seed=1, delay_rate=1.0, delay_s=1.0),
+            ),
+        )
         try:
             client = ServiceClient(port=handle.port, tenant="a")
             codes = []
-            for options in (
-                {"chaos": {"bogus": 1}}, {"deadline": "soon"},
-                {"max_retries": -5},
-            ):
+            for options in ({"deadline": "soon"}, {"max_retries": -5}):
                 with pytest.raises(ServiceError) as excinfo:
                     client.submit(("lucas",), ("lru",), scale=SCALE,
                                   options=options)
                 codes.append(excinfo.value.code)
             refused = client.stats()
-            # A key the service does not take, like an older client's
-            # kernel, is ignored; the delay holds the cell in flight.
+            # Keys the service does not take, like an older client's
+            # kernel or a chaos of its own, are ignored, bad or not.
             job_id = client.submit(
                 ("lucas",), ("lru",), scale=SCALE,
-                options={"kernel": "generic", "chaos": {
-                    "seed": 1, "delay_rate": 1.0, "delay_s": 1.0,
-                }},
+                options={"kernel": "generic", "chaos": {"bogus": 1}},
             )
             admitted = client.stats()
             snapshot = client.wait(job_id)
         finally:
             handle.stop()
-        assert codes == ["bad-request"] * 3
+        assert codes == ["bad-request"] * 2
         assert refused["quotas"]["inflight_total"] == 0
         assert refused["quotas"]["inflight_by_tenant"] == {}
-        assert refused["counters"]["submissions_rejected"] == 3
+        assert refused["counters"]["submissions_rejected"] == 2
         assert admitted["quotas"]["inflight_total"] == 1
         assert snapshot["status"] == "done"
 
@@ -429,74 +441,6 @@ def _serial_digests(tmp_path, monkeypatch, benchmarks, policies):
         for benchmark in benchmarks
         for policy in policies
     }
-
-
-def _cell_records(run_id):
-    """A journal's per-cell records, without their timing, sorted.
-
-    Each executed cell's worker pid becomes ``"pid"``, so runs in
-    different processes compare equal.
-    """
-    records = []
-    for record in load_journal_lines(run_id):
-        if record["event"] not in (
-            "task_started", "task_finished", "task_failed"
-        ):
-            continue
-        del record["ts"]
-        record.pop("wall_s", None)
-        if record.get("worker") is not None:
-            assert isinstance(record["worker"], int), record
-            record["worker"] = "pid"
-        records.append(record)
-    return sorted(records, key=lambda r: json.dumps(r, sort_keys=True))
-
-
-def load_journal_lines(run_id):
-    path = journal_root() / ("%s.jsonl" % run_id)
-    return [json.loads(line) for line in path.read_text().splitlines()]
-
-
-class TestOneLifecycle:
-    def test_grid_and_service_journal_cells_alike(
-        self, tmp_path, monkeypatch
-    ):
-        # One cell is a store hit, one spec is malformed, and the rest
-        # execute: every record a cell can leave, from both front ends.
-        benchmarks = BENCHMARKS + ("mcf(seed=",)
-        tasks = [task for _, task in expand_cells(
-            benchmarks, POLICIES, SCALE
-        )]
-        journals = {}
-        for side in ("grid", "service"):
-            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / side))
-            clear_cache()
-            run_policy("lucas", "lru", scale=SCALE)
-            clear_cache()
-            if side == "grid":
-                run_id = run_grid(tasks, RunOptions(workers=2)).run_id
-            else:
-                handle = start_service()
-                try:
-                    client = ServiceClient(port=handle.port)
-                    run_id = client.submit(
-                        benchmarks, POLICIES, scale=SCALE
-                    )
-                    client.wait(run_id)
-                finally:
-                    handle.stop()
-            journals[side] = _cell_records(run_id)
-
-        assert journals["grid"] == journals["service"]
-        finished = [
-            r for r in journals["grid"] if r["event"] == "task_finished"
-        ]
-        assert sorted(r["worker"] is None for r in finished) == [
-            False, False, False, True,
-        ]
-        assert sum(
-            r["event"] == "task_failed" for r in journals["grid"]
-        ) == len(POLICIES)
 
 
 class TestSlotFaults:
@@ -606,7 +550,7 @@ class TestMalformedSpecs:
         assert state.finished and len(state.failed) == len(failed)
 
     def test_resume_over_a_journal_with_a_malformed_spec(self):
-        job_id = new_run_id("job")
+        job_id = new_run_id()
         RunJournal.create(run_id=job_id, meta={
             "service_job": True,
             "tenant": "t",
@@ -634,7 +578,7 @@ class TestResume:
         cells = expand_cells(BENCHMARKS[:1], POLICIES, SCALE)
         labels = {label: task for label, task in cells}
         done_task = labels["lucas/lru"]
-        job_id = new_run_id("job")
+        job_id = new_run_id()
         journal = RunJournal.create(run_id=job_id, meta={
             "service_job": True,
             "tenant": "crashy",
@@ -679,7 +623,7 @@ class TestResume:
         # Journals from older versions may hold options a submit is now
         # refused for (the replay kernel, a negative retry count); the
         # job they admitted still resumes and finishes.
-        job_id = new_run_id("job")
+        job_id = new_run_id()
         RunJournal.create(run_id=job_id, meta={
             "service_job": True,
             "tenant": "t",

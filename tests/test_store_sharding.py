@@ -122,9 +122,45 @@ class TestLeftoversAndGc:
         payload["code"] = "0" * 16
         stale_path.write_text(json.dumps(payload))
         stats = store.gc()
-        assert stats == {"removed": 1, "kept": 1, "quarantine_purged": 0}
+        assert stats == {"removed": 1, "kept": 1, "quarantine_purged": 0,
+                         "journals_removed": 0}
         assert store.contains(current)
         assert not store.contains(stale)
+
+
+class TestJournalGc:
+    """``--gc`` removes the run journals under ``runs/`` that nothing
+    reads again, and keeps those ``serve --resume`` would replay."""
+
+    @pytest.fixture
+    def runs(self, store, monkeypatch):
+        from repro.sim.resilience import RunJournal
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(store.root))
+        # Grid journals an older version wrote, finished or not.
+        RunJournal.create("run-20250101-000000-aaaaaa").run_finished(1, 0)
+        RunJournal.create("run-20250101-000001-bbbbbb").close()
+        RunJournal.create("job-20250101-000002-cccccc").run_finished(1, 0)
+        # A job in flight when its daemon died, killed mid-write.
+        live = RunJournal.create("job-20250101-000003-dddddd")
+        live.close()
+        with open(live.path, "a") as handle:
+            handle.write('{"event": "task_fini')
+        return store.root / "runs"
+
+    def test_gc_removes_grid_and_finished_job_journals(self, store, runs):
+        assert store.gc()["journals_removed"] == 3
+        assert [path.name for path in runs.iterdir()] == [
+            "job-20250101-000003-dddddd.jsonl",
+        ]
+
+    def test_gc_dry_run_counts_journals_and_keeps_them(
+        self, store, runs, capsys
+    ):
+        before = sorted(runs.iterdir())
+        assert store_main(["--gc", "--dry-run"]) == 0
+        assert "removed 3 finished journals" in capsys.readouterr().out
+        assert sorted(runs.iterdir()) == before
 
 
 class TestShardedCorruption:
