@@ -156,14 +156,17 @@ def no_cells(scale: float, benchmarks) -> List[Task]:
 
 def experiment(cells, render):
     """The ``run(scale=None, benchmarks=None) -> Report`` of an
-    experiment: resolve the scale, get each cell from the memo, the
+    experiment: resolve the scale, get each distinct cell from the
     store or a simulation (:func:`~repro.sim.runner.run_task`), render.
     """
 
     def run(scale: Optional[float] = None, benchmarks=None) -> Report:
         if scale is None:
             scale = trace_scale()
-        results = {task: run_task(task) for task in cells(scale, benchmarks)}
+        results = {
+            task: run_task(task)
+            for task in dict.fromkeys(cells(scale, benchmarks))
+        }
         return render(results, scale, benchmarks)
 
     return run

@@ -244,8 +244,8 @@ def merged_metrics(results: Iterable) -> Optional[Dict[str, object]]:
     """The merge of the ``metrics`` snapshots of ``results``, or None.
 
     The metrics of a command are this merge over the results it
-    returns, however they were produced: fresh, from the memo or the
-    store, in this process or on a slot.  Results simulated with
+    returns, however they were produced: fresh or from the store, in
+    this process or on a slot.  Results simulated with
     metrics off carry no snapshot and are skipped.  Snapshots merge in
     a canonical order, so float sums cannot depend on the order the
     results arrive in.

@@ -312,7 +312,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient
     from repro.service.server import ServiceConfig, serve_in_thread
     from repro.sim.chaos import ChaosConfig
-    from repro.sim.runner import clear_cache, run_policy
+    from repro.sim.runner import run_policy
     from repro.sim.store import result_digest
 
     benchmarks = _csv(args.benchmarks)
@@ -399,7 +399,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             # Serial baseline against a second fresh store: the service
             # digests must match byte-for-byte what run_policy computes.
             os.environ["REPRO_CACHE_DIR"] = serial_dir
-            clear_cache()
             try:
                 for benchmark in benchmarks:
                     for policy in policies:
@@ -419,7 +418,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                     os.environ.pop("REPRO_CACHE_DIR", None)
                 else:
                     os.environ["REPRO_CACHE_DIR"] = saved
-                clear_cache()
 
     if failures:
         for failure in failures:

@@ -109,9 +109,15 @@ class Job:
         self.created_at = time.time()
         #: label -> CellState, in matrix order (insertion-ordered).
         self.cells: Dict[str, CellState] = {}
-        #: The :class:`repro.sim.parallel.GridRun` that admits, probes,
-        #: journals and settles these cells (set by the service).
+        #: The :class:`repro.sim.parallel.GridRun` that admits, probes
+        #: and settles these cells (set by the service).
         self.run = None
+        #: This job's :class:`repro.sim.resilience.RunJournal`, None once
+        #: ``run_finished`` is written or when persistence is off.
+        self.journal = None
+        #: Store keys a resumed job's journal completed: a store hit on
+        #: one is marked ``resume``.
+        self.resume_keys = frozenset()
 
     # -- state -----------------------------------------------------------
 

@@ -140,9 +140,9 @@ def validate_submit(message: Dict[str, object]) -> Dict[str, object]:
     """Normalize a ``submit`` request; raises :class:`ProtocolError`.
 
     Returns ``{"tenant", "benchmarks", "policies", "scale", "options",
-    "job_id"}`` with defaults applied.  ``options`` (when present) is
-    the :meth:`repro.sim.options.RunOptions.to_wire` subset the client
-    wants to override — the server decides which fields it honors.
+    "job_id"}`` with defaults applied.  ``options`` (when present) maps
+    :class:`repro.sim.options.RunOptions` field names to the values the
+    client wants — the server decides which fields it honors.
     """
     benchmarks = _string_list(message, "benchmarks")
     policies = _string_list(message, "policies")

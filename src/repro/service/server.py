@@ -5,11 +5,10 @@ accepts grid submissions (workload-spec x policy-spec matrices) over
 the newline-delimited JSON protocol (:mod:`repro.service.protocol`)
 and expands them to cells.  Each job owns one
 :class:`repro.sim.parallel.GridRun`, the cell lifecycle ``run_grid``
-uses too: store keys, spec failures, the store probe, the job's
-journal and settlement.  Every job's run shares one
-:class:`repro.sim.parallel.CellScheduler`: process slots, retry with
-backoff, deadlines, slot rebuilds.  This module
-adds what a shared daemon needs on top:
+uses too: store keys, spec failures, the store probe and settlement.
+Every job's run shares one :class:`repro.sim.parallel.CellScheduler`:
+process slots, retry with backoff, deadlines, slot rebuilds.  This
+module adds what a shared daemon needs on top:
 
 * **Dedup by store key** — a cell is content-addressed by the same
   persistent-store key the engine uses
@@ -21,8 +20,9 @@ adds what a shared daemon needs on top:
 * **Quotas and backpressure** — :class:`repro.service.jobs.TenantQuotas`
   bounds the global in-flight queue and each tenant's share; refused
   submissions get a 429-style response with ``retry_after_s``.
-* **Journal-backed recovery** — every job appends to a run journal
-  (``job-<id>.jsonl`` next to the result store); ``serve --resume``
+* **Journal-backed recovery** — every job appends its cell
+  transitions to a run journal (:class:`repro.sim.resilience.RunJournal`,
+  ``job-<id>.jsonl`` next to the result store); ``serve --resume``
   replays incomplete jobs at startup, serving journal-completed cells
   from the store and re-executing only the missing ones.
 * **Progress streaming** — ``watch`` clients receive one event line
@@ -60,7 +60,7 @@ from repro.service.jobs import (
 )
 from repro.sim.options import RunOptions, check_workers
 from repro.sim.parallel import CellScheduler, GridRun, Outcome
-from repro.sim.resilience import list_runs, new_run_id
+from repro.sim.resilience import RunJournal, list_runs, new_run_id
 from repro.sim.runner import Task, trace_scale
 from repro.sim.store import default_store, result_digest
 
@@ -203,7 +203,9 @@ class JobService:
             for queue in watchers:
                 queue.put_nowait(None)
         for job in self.jobs.values():
-            job.run.close()
+            if job.journal is not None:
+                # Left unfinished, so ``serve --resume`` replays the job.
+                job.journal.close()
 
     # -- submission ------------------------------------------------------
 
@@ -212,21 +214,13 @@ class JobService:
     ) -> RunOptions:
         """Server options with the client's whitelisted overrides.
 
-        Raises ``ValueError`` or ``TypeError`` when an override is not
-        a valid :class:`RunOptions` value.
+        Raises ``ValueError`` when an override is not a valid
+        :class:`RunOptions` value (its ``__post_init__`` checks).
         """
-        base = self.config.options
-        if not wire:
-            return base
-        allowed = {
-            key: value for key, value in wire.items()
+        return self.config.options.replace(**{
+            key: value for key, value in (wire or {}).items()
             if key in CLIENT_OPTION_FIELDS
-        }
-        if not allowed:
-            return base
-        merged = base.to_wire()
-        merged.update(allowed)
-        return RunOptions.from_wire(merged)
+        })
 
     def submit_job(
         self,
@@ -252,7 +246,7 @@ class JobService:
         """
         try:
             options = self._merge_options(options_wire)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             self.counters["submissions_rejected"] += 1
             return None, Rejection("bad-request", "invalid options: %s" % exc)
         resolved_scale = scale if scale is not None else trace_scale()
@@ -273,19 +267,19 @@ class JobService:
             options_wire=dict(options_wire or {}),
         )
         self.jobs[job.job_id] = job
+        job.resume_keys = resume_keys
+        job.journal = RunJournal.create(job.job_id, {
+            "service_job": True,
+            "tenant": tenant,
+            "benchmarks": list(benchmarks),
+            "policies": list(policies),
+            "scale": resolved_scale,
+            "options": dict(options_wire or {}),
+        })
         job.run = GridRun(
-            self.scheduler, options, run_id=job.job_id,
-            resume_keys=resume_keys, memo=False,
+            self.scheduler, options,
             on_started=functools.partial(self._cell_started, job),
             on_settled=functools.partial(self._cell_settled, job),
-            meta={
-                "service_job": True,
-                "tenant": tenant,
-                "benchmarks": list(benchmarks),
-                "policies": list(policies),
-                "scale": resolved_scale,
-                "options": dict(options_wire or {}),
-            },
         )
         for label, task in cells:
             job.cells[label] = CellState(task=task)
@@ -311,6 +305,8 @@ class JobService:
     def _cell_started(
         self, job: Job, task: Task, worker: str, attempt: int
     ) -> None:
+        if job.journal is not None:
+            job.journal.task_started(task, attempt)
         cell = job.cells[task.label]
         cell.status = CELL_RUNNING
         cell.worker = worker
@@ -323,9 +319,17 @@ class JobService:
     def _cell_settled(
         self, job: Job, task: Task, outcome: Outcome, source: Optional[str]
     ) -> None:
+        if source is not None and job.run.keys[task] in job.resume_keys:
+            source = SOURCE_RESUME
         cell = job.cells[task.label]
         cell.attempts = outcome.attempts
         if outcome.ok:
+            if job.journal is not None:
+                job.journal.task_finished(
+                    task, job.run.keys[task], cache_hit=source is not None,
+                    resumed=source == SOURCE_RESUME, wall=outcome.wall,
+                    worker=outcome.pid, attempts=outcome.attempts,
+                )
             cell.status = CELL_DONE
             cell.source = source or cell.source or SOURCE_EXECUTED
             cell.digest = result_digest(outcome.value.to_dict())
@@ -342,6 +346,10 @@ class JobService:
                 wall_s=round(outcome.wall, 4), worker=outcome.slot,
             )
         else:
+            if job.journal is not None:
+                job.journal.task_failed(
+                    task, outcome.value, outcome.traceback, outcome.attempts,
+                )
             cell.status = CELL_FAILED
             cell.error = outcome.value
             cell.traceback = outcome.traceback
@@ -358,7 +366,13 @@ class JobService:
     def _finish_job_if_done(self, job: Job) -> None:
         if not job.done:
             return
-        job.run.finish(interrupted=job.cancelled)
+        journal, job.journal = job.journal, None
+        if journal is not None:
+            counts = job.counts()
+            journal.run_finished(
+                completed=counts[CELL_DONE], failed=counts[CELL_FAILED],
+                interrupted=job.cancelled,
+            )
         if job.cancelled:
             self.counters["jobs_cancelled"] += 1
         else:
@@ -403,7 +417,7 @@ class JobService:
             options_wire = meta.get("options")
             try:
                 self._merge_options(options_wire)
-            except (TypeError, ValueError):
+            except ValueError:
                 # An older version admitted options this one refuses;
                 # the job it admitted finishes on the server's own.
                 options_wire = None

@@ -13,10 +13,10 @@ flags once, as argparse *parent parsers*:
   as usage errors, and :func:`options_from_args` folds either
   namespace into one :class:`~repro.sim.options.RunOptions`.
 * :func:`telemetry_parent` — what to observe: ``--metrics-out``,
-  ``--trace-events`` (which also bypasses the memo and the store, so
-  every cell it returns is simulated and traced).  :func:`apply_telemetry` pushes them into
-  :mod:`repro.obs`, and :func:`write_metrics` writes the merge of the
-  snapshots of the results a command returns.
+  ``--trace-events`` (which also bypasses the store, so every cell it
+  returns is simulated and traced).  :func:`apply_telemetry` pushes
+  them into :mod:`repro.obs`, and :func:`write_metrics` writes the
+  merge of the snapshots of the results a command returns.
 
 Adding a new execution flag means touching exactly this module and
 :class:`RunOptions`; every CLI picks it up via ``parents=[...]``.
@@ -63,7 +63,7 @@ def execution_parent() -> argparse.ArgumentParser:
     group = parent.add_argument_group("execution")
     group.add_argument(
         "--no-cache", action="store_true",
-        help="bypass the in-process memo and the persistent store",
+        help="bypass the persistent result store",
     )
     return parent
 
@@ -130,7 +130,7 @@ def telemetry_parent() -> argparse.ArgumentParser:
     group.add_argument(
         "--trace-events", metavar="FILE", default=None,
         help="write a JSONL event trace (workers append .<pid>); every "
-             "cell is simulated, bypassing the memo and the store",
+             "cell is simulated, bypassing the result store",
     )
     return parent
 
@@ -158,7 +158,7 @@ def options_from_args(
     :func:`progress_printer`).
     """
     # An event trace narrates simulations, so --trace-events simulates
-    # every cell rather than serving it from the memo or the store.
+    # every cell rather than serving it from the store.
     fields = {
         "use_cache": not (args.no_cache or getattr(args, "trace_events", None))
     }

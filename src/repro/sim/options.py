@@ -47,8 +47,7 @@ class RunOptions:
     * ``workers`` — process slots for
       :func:`~repro.sim.parallel.run_grid`.  ``0`` (the default) runs
       each cell in this process.
-    * ``use_cache`` — consult/populate the in-process memo and the
-      persistent result store.
+    * ``use_cache`` — consult/populate the persistent result store.
     * ``max_retries`` — re-executions allowed per task after a failure
       (``attempts = max_retries + 1``).
     * ``deadline`` — per-task wall-clock budget in seconds (SIGALRM in
@@ -89,54 +88,6 @@ class RunOptions:
     def replace(self, **changes) -> "RunOptions":
         """A copy with ``changes`` applied (dataclasses.replace)."""
         return dataclasses.replace(self, **changes)
-
-    #: Fields that cannot cross a process boundary (callbacks).
-    _NON_WIRE_FIELDS = ("progress",)
-
-    def to_wire(self) -> dict:
-        """JSON-safe dict form for service submissions.
-
-        Everything except the ``progress`` callback round-trips;
-        ``chaos`` serializes through
-        :meth:`repro.sim.chaos.ChaosConfig.to_dict`.  The inverse is
-        :meth:`from_wire`.
-        """
-        payload = {}
-        for field in dataclasses.fields(self):
-            if field.name in self._NON_WIRE_FIELDS:
-                continue
-            payload[field.name] = getattr(self, field.name)
-        if self.chaos is not None:
-            payload["chaos"] = self.chaos.to_dict()
-        return payload
-
-    @classmethod
-    def from_wire(cls, payload: Optional[dict]) -> "RunOptions":
-        """Rebuild options from :meth:`to_wire` output.
-
-        Unknown keys are ignored (a newer client may send fields an
-        older server does not know, and an older client may still send
-        fields this version dropped), and a ``chaos`` dict is revived
-        into a :class:`~repro.sim.chaos.ChaosConfig`.  A known field
-        with an invalid value raises ``ValueError`` or ``TypeError``.
-        """
-        if not payload:
-            return cls()
-        known = {
-            field.name for field in dataclasses.fields(cls)
-            if field.name not in cls._NON_WIRE_FIELDS
-        }
-        fields = {
-            key: value for key, value in payload.items() if key in known
-        }
-        chaos = fields.get("chaos")
-        if isinstance(chaos, dict):
-            from repro.sim.chaos import ChaosConfig
-
-            fields["chaos"] = ChaosConfig(**chaos)
-        elif chaos is not None:
-            raise TypeError("chaos must be an object, got %r" % (chaos,))
-        return cls(**fields)
 
 
 __all__ = ["RunOptions", "check_workers"]

@@ -31,22 +31,21 @@ a grid and for each service job alike:
 
 * **Admission** — store keys are computed in the parent, so a
   malformed workload or policy spec fails its cell alone.
-* **Caching** — memo and persistent-store hits are resolved before
-  anything is scheduled (the service probes only the store).  A slot
-  trusts that probe: it gets the cell's store key with the cell,
-  simulates at once and writes the result back under that key, so a
-  repeat run (even in a different process) is free.
-* **Job journal** — a service job's run appends JSONL events (task
-  started/finished/failed, store keys, worker pids) to
-  ``<cache dir>/runs/job-<id>.jsonl``, which ``serve --resume``
-  replays after a crash.  A grid keeps no journal: the store already
-  holds every cell it finished, so running the same grid again
-  simulates only the missing cells.
-* **Failure capture** — a crashing or diverging simulation becomes a
-  failure entry carrying the *full remote traceback*, not just the
-  exception message, plus a :class:`TaskReport` (wall time, worker
-  pid, attempts) per task; :meth:`GridReport.meta` aggregates
-  utilization, cache counters, and the resilience counters.
+* **Caching** — the persistent store is probed before anything is
+  scheduled.  A slot trusts that probe: it gets the cell's store key
+  with the cell, simulates at once and writes the result back under
+  that key, so a repeat run (even in a different process) is free.
+  Running the same grid again after an interrupt therefore simulates
+  only the missing cells.
+* **Failure capture** — a crashing or diverging simulation settles
+  with the *full remote traceback*, not just the exception message,
+  and every cell settles as a :class:`TaskReport` (wall time, worker
+  pid, attempts); :meth:`GridReport.meta` aggregates utilization,
+  cache counters, and the resilience counters.
+
+A run keeps no results: its caller takes each settled cell through
+``on_settled``, as :func:`run_grid` does for its report and the job
+service for its job state and journal.
 
 :func:`run_grid` is one :class:`GridRun` on a private scheduler.  A
 seeded :class:`~repro.sim.chaos.ChaosConfig` injects crashes/delays
@@ -71,17 +70,12 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim import runner
 from repro.sim.chaos import inject
 from repro.sim.options import RunOptions, check_workers
-from repro.sim.resilience import (
-    BACKOFF_BASE_S,
-    BACKOFF_CAP_S,
-    RunJournal,
-    backoff_delay,
-)
+from repro.sim.resilience import BACKOFF_BASE_S, BACKOFF_CAP_S, backoff_delay
 from repro.sim.runner import GridReport, Task, TaskReport
 from repro.sim.stats import SimResult
 from repro.sim.store import default_store, store_key
@@ -457,50 +451,31 @@ class GridRun:
 
     The one cell lifecycle: :func:`run_grid` runs one on a private
     :class:`CellScheduler`, and the job service one per job on its
-    shared scheduler.  ``memo`` is where the two differ: the grid
-    (True) probes the memo, then the store
-    (:func:`~repro.sim.runner.lookup`), and keeps every ``SimResult``;
-    the service (False) probes only the store, so a long-lived daemon
-    pins no results in memory.  Given a ``run_id`` (a service job's),
-    the run journals its cells under that id, with ``meta`` in the
-    journal's header; a grid passes none and keeps no journal.
-    ``resume_keys`` are the store keys a resumed job journal
-    completed: a store hit on one is marked resumed.
-    ``on_started(task, slot, attempt)`` and ``on_settled(task,
-    outcome, source)`` let a job follow its cells; ``source`` names a
-    cache hit's layer (``"memo"``, ``"store"``, ``"resume"``).
+    shared scheduler.  ``on_started(task, slot, attempt)`` and
+    ``on_settled(task, outcome, source)`` let the caller follow its
+    cells; ``source`` is ``"store"`` for a store hit, else None.
     """
 
     def __init__(
         self,
         scheduler: CellScheduler,
         options: RunOptions,
-        run_id: Optional[str] = None,
-        meta: Optional[Dict[str, object]] = None,
-        resume_keys: Collection[str] = (),
-        memo: bool = True,
         on_started: Optional[Callable] = None,
         on_settled: Optional[Callable] = None,
     ) -> None:
         self.scheduler = scheduler
         self.options = options
-        self.resume_keys = resume_keys
-        self.memo = memo
         self._on_started = on_started
         self._on_settled = on_settled
-        self.journal = (
-            RunJournal.create(run_id, meta) if run_id is not None else None
-        )
         self.keys: Dict[Task, str] = {}
-        self.results: Dict[Task, SimResult] = {}
-        self.failures: Dict[Task, str] = {}
         self.reports: List[TaskReport] = []
         self.total = 0
 
     def admit(self, tasks: Sequence[Task]) -> Dict[Task, Execution]:
-        """Settle each task's spec failure or cache hit, then schedule
+        """Settle each task's spec failure or store hit, then schedule
         the misses; returns the execution each miss joined."""
         self.total += len(tasks)
+        store = default_store() if self.options.use_cache else None
         misses = []
         for task in tasks:
             try:
@@ -513,82 +488,34 @@ class GridRun:
                     traceback=traceback.format_exc(),
                 ))
                 continue
-            cached, source = self._probe(task, key)
+            cached = store.load(key) if store is not None else None
             if cached is None:
                 misses.append(task)
             else:
-                self.settle(task, Outcome(ok=True, value=cached), source)
+                self.settle(task, Outcome(ok=True, value=cached), "store")
         return self.scheduler.submit(self, misses)
-
-    def _probe(self, task: Task, key: str):
-        """``(result, source)``; the result is None on a miss."""
-        cached = source = None
-        if self.options.use_cache and self.memo:
-            cached, source, _ = runner.lookup(task, key)
-        elif self.options.use_cache:
-            store = default_store()
-            cached = store.load(key) if store is not None else None
-            source = "store"
-        if source == "store" and key in self.resume_keys:
-            source = "resume"
-        return cached, source
 
     def started(self, task: Task, slot: str, attempt: int) -> None:
         """An attempt at ``task`` was dispatched to ``slot``."""
-        if self.journal is not None:
-            self.journal.task_started(task, attempt)
         if self._on_started is not None:
             self._on_started(task, slot, attempt)
 
     def settle(
         self, task: Task, outcome: Outcome, source: Optional[str] = None
     ) -> None:
-        """Record how ``task`` ended; ``source`` names a hit's layer."""
-        hit = source is not None
-        if outcome.ok:
-            if self.memo:
-                self.results[task] = outcome.value
-                if not hit and self.options.use_cache:
-                    runner.seed_cache(task, outcome.value)
-            if self.journal is not None:
-                self.journal.task_finished(
-                    task, self.keys[task], cache_hit=hit,
-                    resumed=source == "resume", wall=outcome.wall,
-                    worker=outcome.pid, attempts=outcome.attempts,
-                )
-        else:
-            self.failures[task] = outcome.traceback or outcome.value
-            if self.journal is not None:
-                self.journal.task_failed(
-                    task, outcome.value, outcome.traceback,
-                    outcome.attempts,
-                )
+        """Record how ``task`` ended; ``source`` names a store hit."""
         report = TaskReport(
-            task=task, ok=outcome.ok, cache_hit=hit, wall_time=outcome.wall,
-            worker=outcome.pid, attempts=outcome.attempts,
+            task=task, ok=outcome.ok, cache_hit=source is not None,
+            wall_time=outcome.wall, worker=outcome.pid,
+            attempts=outcome.attempts,
             error=None if outcome.ok else outcome.value,
             traceback=outcome.traceback,
         )
         self.reports.append(report)
-        if self.options.progress is not None:
-            self.options.progress(report, len(self.reports), self.total)
         if self._on_settled is not None:
             self._on_settled(task, outcome, source)
-
-    def finish(self, interrupted: bool = False) -> None:
-        """Journal ``run_finished`` and close the journal (once)."""
-        journal, self.journal = self.journal, None
-        if journal is not None:
-            journal.run_finished(
-                completed=len(self.reports) - len(self.failures),
-                failed=len(self.failures), interrupted=interrupted,
-            )
-
-    def close(self) -> None:
-        """Close the journal unfinished, so ``serve --resume`` replays
-        the job."""
-        if self.journal is not None:
-            self.journal.close()
+        if self.options.progress is not None:
+            self.options.progress(report, len(self.reports), self.total)
 
 
 def run_grid(
@@ -615,7 +542,16 @@ def run_grid(
     loop = _GridLoop()
     scheduler = CellScheduler(options.workers, loop)
     workers = len(scheduler.slots)
-    run = GridRun(scheduler, options)
+    results: Dict[Task, SimResult] = {}
+    failures: Dict[Task, str] = {}
+
+    def collect(task: Task, outcome: Outcome, source) -> None:
+        if outcome.ok:
+            results[task] = outcome.value
+        else:
+            failures[task] = outcome.traceback or outcome.value
+
+    run = GridRun(scheduler, options, on_settled=collect)
     started = time.perf_counter()
     interrupted = False
     try:
@@ -639,13 +575,13 @@ def run_grid(
         for report in run.reports if not report.cache_hit
     }
     return GridReport(
-        results=run.results,
+        results=results,
         reports=run.reports,
         workers=workers,
         elapsed=time.perf_counter() - started,
         cache_hits=cache_hits,
         cache_misses=len(ordered) - cache_hits,
-        failures=run.failures,
+        failures=failures,
         interrupted=interrupted,
         resilience=resilience,
         busy=sum(walls.values()),

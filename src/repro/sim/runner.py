@@ -1,8 +1,8 @@
-"""The simulation cell, and the two-level cache in front of the sim.
+"""The simulation cell, and the result store in front of the sim.
 
 A :class:`Task` is one cell: one workload under one policy at one
 scale, plus the optional fields that change what is simulated.  It is
-the only list of those fields.  The memo key, the store key
+the only list of those fields.  The store key
 (:func:`repro.sim.store.store_key`), the job journal and report record
 (:meth:`Task.to_dict`), the label (:func:`cell_label`) and the
 :class:`~repro.sim.simulator.Simulator` (:meth:`Task.simulator`) all
@@ -11,18 +11,13 @@ on :class:`Task`.
 
 Most figures reuse the same (benchmark, policy) simulations — Figure 4
 needs LIN(1..4) and LRU, Figure 9 reuses LRU and LIN(4) and adds SBAR —
-so :func:`run_task` (and :func:`run_policy`, its keyword front end) is
-a two-level cache in front of the simulator:
-
-1. an in-process memo (free repeat lookups within one process), keyed
-   by the task's canonical form and the metrics flag, and
-2. the persistent :mod:`repro.sim.store` (free repeat runs across
-   processes, worker pools, and sessions), which additionally keys on
-   code version so it can never serve stale results.
-
-:func:`lookup` is the one probe of both levels; the grid calls it too.
-:func:`simulate` is what runs behind a miss, in process or in a grid
-slot.  ``RunOptions(use_cache=False)`` bypasses both levels.
+so :func:`run_task` (and :func:`run_policy`, its keyword front end)
+probes the persistent :mod:`repro.sim.store` once, and on a miss
+simulates and saves.  The store makes repeat runs free across calls,
+processes, worker slots and sessions, and keys on the code version so
+it can never serve a stale result.  :func:`simulate` is what runs
+behind a miss, in process or in a grid slot.
+``RunOptions(use_cache=False)`` skips the store.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro import obs
 from repro.config import MachineConfig
 from repro.cpu.prefetch import prefetcher_for
 from repro.sim.options import RunOptions
@@ -100,7 +94,7 @@ class Task:
         """This cell with both specs spelled canonically.
 
         Two spellings of one spec share a canonical task; two specs
-        never do.  With the metrics flag it keys the memo.
+        never do.  The store key and the stored record start from it.
         """
         from repro.workloads import canonical_workload_spec
 
@@ -249,8 +243,6 @@ class GridReport:
         return payload
 
 
-_CACHE: Dict[Tuple[Task, bool], SimResult] = {}
-
 #: Per-process memo of built (and packed) workload traces, keyed on
 #: (canonical workload spec, scale).  Synthesizing a macro trace costs
 #: ~100ms; with the memo each worker process builds each workload at
@@ -266,9 +258,8 @@ _TRACE_CACHE: Dict[Tuple[str, float], PackedTrace] = {}
 #: Traces kept resident per process; oldest-inserted evicted beyond this.
 TRACE_CACHE_MAX = 8
 
-#: In-process memo counters, surfaced by :func:`cache_stats`.
-_MEMO_HITS = {"memo_hits": 0, "simulations": 0,
-              "trace_builds": 0, "trace_memo_hits": 0}
+#: Per-process counters, surfaced by :func:`cache_stats`.
+_COUNTERS = {"simulations": 0, "trace_builds": 0, "trace_hits": 0}
 
 
 def trace_scale() -> float:
@@ -303,74 +294,44 @@ def packed_trace(benchmark, scale: Optional[float] = None) -> PackedTrace:
         if len(_TRACE_CACHE) >= TRACE_CACHE_MAX:
             _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
         _TRACE_CACHE[key] = packed
-        _MEMO_HITS["trace_builds"] += 1
+        _COUNTERS["trace_builds"] += 1
     else:
-        _MEMO_HITS["trace_memo_hits"] += 1
+        _COUNTERS["trace_hits"] += 1
     return packed
 
 
-def lookup(
-    task: Task, key: Optional[str] = None
-) -> Tuple[Optional[SimResult], Optional[str], Optional[str]]:
-    """Probe the memo, then the store, without simulating.
+def run_task(task: Task, options: Optional[RunOptions] = None) -> SimResult:
+    """Serve one cell from the store, or simulate and save it.
 
-    Returns ``(result, source, key)``.  ``source`` is ``"memo"``,
-    ``"store"``, or None on a miss.  ``key`` is the task's store key:
-    the one passed in, else computed only once the memo misses, and
-    None when the memo hit first or persistence is off.  A store entry
-    that fails its integrity check is quarantined and reads as a miss.
+    ``options.use_cache=False`` skips the store: the cell is simulated
+    and not saved.
     """
     from repro.sim.store import default_store, store_key
 
-    memo_key = (task.canonical(), obs.metrics_enabled())
-    result = _CACHE.get(memo_key)
-    if result is not None:
-        _MEMO_HITS["memo_hits"] += 1
-        return result, "memo", key
-    store = default_store()
-    if store is None:
-        return None, None, None
-    if key is None:
-        key = store_key(task)
-    result = store.load(key)
-    if result is not None:
-        _CACHE[memo_key] = result
-        return result, "store", key
-    return None, None, key
-
-
-def run_task(task: Task, options: Optional[RunOptions] = None) -> SimResult:
-    """Simulate one cell, or serve it from the memo or the store.
-
-    ``options.use_cache=False`` forces the simulation and skips both
-    caches.
-    """
-    if options is None:
-        options = RunOptions()
+    use_cache = options is None or options.use_cache
+    store = default_store() if use_cache else None
     key = None
-    if options.use_cache:
-        result, _, key = lookup(task)
+    if store is not None:
+        key = store_key(task)
+        result = store.load(key)
         if result is not None:
             return result
-    result = simulate(task, key)
-    if options.use_cache:
-        seed_cache(task, result)
-    return result
+    return simulate(task, key)
 
 
 def simulate(task: Task, key: Optional[str] = None) -> SimResult:
     """Simulate one cell, and save the result under store ``key``.
 
-    No cache is probed: :func:`run_task` calls this after its own
-    :func:`lookup` misses, and a grid slot after the parent's probe
-    missed (:func:`repro.sim.parallel.execute_cell`).  ``key`` None,
-    or persistence off, saves nothing.
+    No store is probed: :func:`run_task` calls this after its own
+    probe missed, and a grid slot after the parent's probe missed
+    (:func:`repro.sim.parallel.execute_cell`).  ``key`` None, or
+    persistence off, saves nothing.
     """
     from repro.sim.store import default_store
 
     trace = packed_trace(task.benchmark, scale=task.scale)
     result = task.simulator().run(trace)
-    _MEMO_HITS["simulations"] += 1
+    _COUNTERS["simulations"] += 1
     store = default_store() if key is not None else None
     if store is not None:
         store.save(key, result, **task.canonical().to_dict())
@@ -410,15 +371,6 @@ def run_policy(
     )
 
 
-def seed_cache(task: Task, result: SimResult) -> None:
-    """Install a result into the in-process memo.
-
-    The parallel engine uses this so results computed by workers are
-    free for subsequent :func:`run_policy` calls in the parent.
-    """
-    _CACHE[(task.canonical(), obs.metrics_enabled())] = result
-
-
 def ipc_improvement(result: SimResult, baseline: SimResult) -> float:
     """Percent IPC improvement over a baseline run (the figures' y-axis)."""
     if baseline.ipc <= 0:
@@ -438,10 +390,10 @@ def miss_change(result: SimResult, baseline: SimResult) -> float:
 
 
 def cache_stats() -> Dict[str, int]:
-    """Counters for both cache levels (memo + persistent store)."""
+    """Simulation and trace-memo counters, plus the store's."""
     from repro.sim.store import default_store
 
-    stats = dict(_MEMO_HITS)
+    stats = dict(_COUNTERS)
     store = default_store()
     stats.update(
         store.counters() if store is not None
@@ -451,6 +403,5 @@ def cache_stats() -> Dict[str, int]:
 
 
 def clear_cache() -> None:
-    """Drop memoized results and traces (tests use this for isolation)."""
-    _CACHE.clear()
+    """Drop memoized traces (tests use this for isolation)."""
     _TRACE_CACHE.clear()

@@ -111,7 +111,7 @@ class Simulator:
             fallback_reason` holds, else on the generic loop;
             ``"generic"`` always takes the generic loop.  Both are
             bit-identical by contract, so the choice never appears in
-            memo or store keys.
+            store keys.
 
     Whether the run's :class:`SimResult` carries a metric snapshot is
     :func:`repro.obs.metrics_enabled`, read here.  Every metric is an

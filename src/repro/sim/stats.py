@@ -117,9 +117,8 @@ class SimResult:
     #: field: ``asdict``/``to_dict`` skip it, so content digests, store
     #: keys, and ``from_dict`` round trips never see it — both kernels
     #: are bit-identical by contract, and which one ran is provenance,
-    #: not content.  Results
-    #: loaded from the store or memo therefore carry the *producing*
-    #: run's kernel (or None when deserialized), which is the truth.
+    #: not content.  Results loaded from the store therefore carry
+    #: None: the run that produced them is not this one.
     meta = None
 
     policy_name: str

@@ -1,14 +1,15 @@
 """Persistent on-disk result store: simulate once, reuse everywhere.
 
 Every figure in the paper reads from the same (benchmark x policy)
-matrix.  The store sits behind the in-process memo of
-:mod:`repro.sim.runner` and holds content-addressed JSON files, one per
-result, so repeat runs are free across processes, worker pools and
-sessions:
+matrix.  The store is the one result cache:
+:func:`repro.sim.runner.run_task`, every grid and the job service probe
+it before simulating a cell.  It holds content-addressed JSON files,
+one per result, so repeat runs are free within a process and across
+processes, worker slots and sessions:
 
 * **Location** — ``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``.
-  Set ``REPRO_NO_STORE=1`` to disable persistence entirely (the
-  in-process memo still works).
+  Set ``REPRO_NO_STORE=1`` to disable persistence entirely (every cell
+  is then simulated each time it is asked for).
 * **Keying** — :func:`store_key` is a SHA-256 over the task's fields
   (canonical workload spec, canonical policy spec, trace scale, full
   machine config, phase interval and any other field the task sets),
@@ -41,7 +42,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 # The rest of repro (and dataclasses) is imported where it is used, so
 # ``python -m repro store`` loads no simulator.
@@ -224,39 +225,28 @@ class ResultStore:
     def load(self, key: str) -> Optional[SimResult]:
         """Return the stored result for ``key``, or None on a miss.
 
-        Every read verifies the payload's content digest, so torn
-        writes, manual edits, and bit-rot all count as misses: the
-        offending file is moved to ``quarantine/`` (for post-mortems)
-        instead of being served or crashing the run.
+        :meth:`load_payload` plus ``SimResult.from_dict``: a payload
+        that passes its digest check but does not deserialize is
+        quarantined like any other corrupt entry.
         """
         from repro.sim.stats import SimResult
 
-        path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            result_dict = payload["result"]
-            if payload["digest"] != result_digest(result_dict):
-                raise _IntegrityError("digest mismatch for %s" % key)
-            result = SimResult.from_dict(result_dict)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return self._read(key, SimResult.from_dict)
 
     def load_payload(self, key: str) -> Optional[Dict]:
         """Return the raw stored dict for ``key``, or None on a miss.
 
-        The generic sibling of :meth:`load` for entries that are not
-        ``SimResult`` payloads (e.g. oracle reports): same digest
-        verification and quarantine behavior, no deserialization —
-        callers own the payload's shape.
+        Every read verifies the payload's content digest, so torn
+        writes, manual edits, and bit-rot all count as misses: the
+        offending file is moved to ``quarantine/`` (for post-mortems)
+        instead of being served or crashing the run.  Callers own the
+        payload's shape (oracle reports, the service's result op).
         """
+        return self._read(key, None)
+
+    def _read(self, key: str, decode: Optional[Callable]):
+        """The one read path: load, verify, ``decode`` (None keeps the
+        dict), and quarantine whatever fails on the way."""
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -266,6 +256,7 @@ class ResultStore:
                 raise _IntegrityError("digest mismatch for %s" % key)
             if not isinstance(result_dict, dict):
                 raise _IntegrityError("non-dict payload for %s" % key)
+            value = result_dict if decode is None else decode(result_dict)
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -274,7 +265,7 @@ class ResultStore:
             self.misses += 1
             return None
         self.hits += 1
-        return result_dict
+        return value
 
     def save_payload(self, key: str, payload_dict: Dict, **key_fields) -> None:
         """Atomically persist an arbitrary JSON-safe dict under ``key``."""

@@ -82,7 +82,7 @@ class Workload:
 
     Subclasses implement :meth:`build` (produce the trace at a length
     multiplier) and :attr:`canonical` (the normalized spec string the
-    memo and the persistent store key on).  :meth:`fingerprint` hashes
+    trace memo and the persistent store key on).  :meth:`fingerprint` hashes
     the *content* behind the recipe — trace file bytes, user factory
     source — so cached results invalidate when the inputs change even
     though the spec string does not.
@@ -335,7 +335,8 @@ def parse_workload_spec(spec) -> Workload:
     through unchanged.  Raises :exc:`UnknownWorkloadError` for names
     the registry does not know and :exc:`WorkloadSpecError` for
     syntactically malformed specs.  Parsing a registered spec is
-    memoized, so hot paths (memo keys, store keys) pay a dict lookup.
+    memoized, so hot paths (trace memo and store keys) pay a dict
+    lookup.
     """
     if not isinstance(spec, str):
         if isinstance(spec, Workload):

@@ -33,7 +33,7 @@ POLICIES = ("lru", "lin(4)")
 
 @pytest.fixture(autouse=True)
 def fresh_caches(tmp_path, monkeypatch):
-    """Every test gets an empty memo and its own empty store."""
+    """Every test gets its own empty store."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
     clear_cache()
     yield
@@ -127,7 +127,9 @@ class TestStoreIntegrity:
         keys = [path.stem for path in store.entry_paths()]
         assert len(keys) == 2
         corrupted = corrupt_store(store, fraction=1.0, seed=0)
-        assert sorted(corrupted) == sorted(k + ".json" for k in keys)
+        assert sorted(record["policy"] for record in corrupted) == [
+            "lin(4)", "lru",
+        ]
         for key in keys:
             assert store.load(key) is None
         assert store.quarantined >= 1  # the silent (valid-JSON) mutation
@@ -150,10 +152,32 @@ class TestStoreIntegrity:
     def test_corruption_is_a_miss_then_recomputed(self):
         first = run_policy("lucas", "lru", scale=SCALE)
         corrupt_store(default_store(), fraction=1.0)
-        clear_cache()
         second = run_policy("lucas", "lru", scale=SCALE)
         assert second.ipc == first.ipc
         assert second.demand_misses == first.demand_misses
+
+    def test_corruption_picks_cells_not_source_hashes(
+        self, tmp_path, monkeypatch
+    ):
+        # Store keys hash the sources.  The cells corrupt_store picks,
+        # and so what a chaos run re-executes, must not change with a
+        # source edit.
+        from repro.sim import store as store_module
+
+        picked = []
+        for version in ("code-a", "code-b"):
+            monkeypatch.setattr(store_module, "code_version",
+                                lambda version=version: version)
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / version))
+            run_grid(_tasks())
+            store = default_store()
+            keys = sorted(path.stem for path in store.entry_paths())
+            picked.append(corrupt_store(store, fraction=0.5, seed=7))
+            assert sum(store.load(key) is None for key in keys) == len(
+                picked[-1]
+            )
+        assert picked[0] == picked[1]
+        assert 0 < len(picked[0]) < len(_tasks())
 
     def test_gc_prunes_stale_code_versions_and_quarantine(self):
         run_policy("lucas", "lru", scale=SCALE)
@@ -205,7 +229,6 @@ class TestChaosDifferential:
 
         corrupted = corrupt_store(default_store(), fraction=1.0, seed=7)
         assert corrupted
-        clear_cache()
         chaos = ChaosConfig(
             seed=7, crash_rate=0.4, delay_rate=0.3, delay_s=0.001
         )
@@ -224,7 +247,6 @@ class TestChaosDifferential:
             policies=("lru",), benchmarks=("lucas",), scale=SCALE
         )
         assert baseline.merged_metrics() is not None
-        clear_cache()
         chaos = ChaosConfig(seed=11, crash_rate=0.4)
         suite = run_suite(
             policies=("lru",), benchmarks=("lucas",), scale=SCALE,
@@ -314,7 +336,6 @@ class TestInterruptAndResume:
         )
         want = baseline.content_digest()
         default_store().clear()
-        clear_cache()
 
         partial = run_suite(
             policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE,
@@ -327,7 +348,6 @@ class TestInterruptAndResume:
         assert len(partial.to_rows()) == 1  # one cell done, then ^C
         assert not partial.failures
 
-        clear_cache()  # memo gone: the finished cell is in the store
         rerun = run_suite(
             policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE,
         )
@@ -358,7 +378,6 @@ class TestInterruptAndResume:
         assert "--resume" not in err and "run-" not in err
 
         # Following the hint finishes the same grid: one store hit.
-        clear_cache()
         assert suite_main(argv[:-1]) == 0
         captured = capsys.readouterr()
         assert "lucas" in captured.out and "mcf" in captured.out

@@ -253,7 +253,7 @@ class TestNativeVersusGeneric:
 
     def test_kernel_choice_never_changes_results(self):
         # One policy, both kernels: identical SimResult — the contract
-        # that keeps `kernel` out of memo/store keys.
+        # that keeps `kernel` out of store keys.
         trace = pack_trace(build_workload("art", 0.05).to_accesses())
         results = {
             kernel: Simulator(

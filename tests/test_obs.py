@@ -372,7 +372,7 @@ class TestCliMetricsOut:
         from repro.sim.__main__ import main
 
         argv = ["--benchmark", "mcf", "--policy", "lru", "--scale", "0.02"]
-        assert main(argv) == 0  # warms the memo and the store
+        assert main(argv) == 0  # warms the store
         events_path = tmp_path / "events.jsonl"
         assert main(argv + ["--trace-events", str(events_path)]) == 0
         obs.configure(trace_events=None)

@@ -17,7 +17,7 @@ from repro import obs
 from repro.sim import runner
 from repro.sim.options import RunOptions
 from repro.sim.runner import Task
-from repro.sim.store import store_key
+from repro.sim.store import default_store, store_key
 from repro.sim.suite import run_suite
 
 POLICIES = ("lru", "lin(4)")
@@ -27,7 +27,7 @@ SCALE = 0.05
 
 @pytest.fixture(autouse=True)
 def _metrics_on(tmp_path):
-    """Enable metrics with a test-local store and a cold memo."""
+    """Enable metrics with a test-local store."""
     saved_store = os.environ.get("REPRO_CACHE_DIR")
     os.environ["REPRO_CACHE_DIR"] = str(tmp_path / "store")
     obs.configure(metrics=True)
@@ -42,7 +42,7 @@ def _metrics_on(tmp_path):
 
 
 def _fresh_suite(workers: int, store_dir: str):
-    """Run the grid against its own cold store and cold memo."""
+    """Run the grid against its own cold store."""
     os.environ["REPRO_CACHE_DIR"] = store_dir
     runner.clear_cache()
     return run_suite(
@@ -85,23 +85,26 @@ class TestMetricsThroughTheCaches:
     def test_snapshot_survives_store_round_trip(self):
         result = runner.run_policy("mcf", "lru", scale=SCALE)
         assert result.metrics is not None
-        runner.clear_cache()  # force the persistent store path
+        hits = default_store().hits
         reloaded = runner.run_policy("mcf", "lru", scale=SCALE)
+        assert default_store().hits == hits + 1
         assert json.dumps(reloaded.metrics, sort_keys=True) == json.dumps(
             result.metrics, sort_keys=True
         )
         assert reloaded.metrics["counters"]["sim.runs"][""] == 1
 
     def test_metrics_flag_is_part_of_the_keys(self):
-        """Results computed with metrics off can't serve a metrics-on
-        request (and vice versa): both cache keys include the flag."""
+        """Results computed with metrics on can't serve a metrics-off
+        request (and vice versa): the store key includes the flag."""
         task = Task("mcf", "lru", SCALE)
         key_on = store_key(task)
-        runner.seed_cache(task, "metrics-on result")
-        assert runner.lookup(task)[1] == "memo"
+        runner.run_task(task)
+        assert default_store().contains(key_on)
         obs.configure(metrics=False)
         assert store_key(task) != key_on
-        assert runner.lookup(task)[1] is None
+        simulations = runner.cache_stats()["simulations"]
+        assert runner.run_task(task).metrics is None
+        assert runner.cache_stats()["simulations"] == simulations + 1
 
     def test_disabled_results_carry_no_metrics(self):
         obs.configure(metrics=False)

@@ -34,7 +34,7 @@ POLICIES = ("lru", "lin(4)")
 
 @pytest.fixture(autouse=True)
 def fresh_caches(tmp_path, monkeypatch):
-    """Every test gets an empty memo and its own empty store."""
+    """Every test gets its own empty store."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
     clear_cache()
     yield
@@ -78,10 +78,10 @@ class TestTraceMemo:
         assert not runner._TRACE_CACHE
 
     def test_run_policy_reuses_the_memoized_trace(self):
-        before = runner._MEMO_HITS["trace_builds"]
+        before = runner._COUNTERS["trace_builds"]
         run_policy("lucas", "lru", scale=SCALE)
         run_policy("lucas", "lin(4)", scale=SCALE)
-        assert runner._MEMO_HITS["trace_builds"] == before + 1
+        assert runner._COUNTERS["trace_builds"] == before + 1
 
 
 class TestParallelEqualsSerial:
@@ -89,9 +89,8 @@ class TestParallelEqualsSerial:
         serial = run_suite(
             policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE
         )
-        # Fresh store + memo so the pool really computes in workers.
+        # A fresh store, so the pool really computes in workers.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel"))
-        clear_cache()
         parallel = run_suite(
             policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE,
             options=RunOptions(workers=2),
@@ -123,7 +122,6 @@ class TestParallelEqualsSerial:
             options=RunOptions(workers=2),
         )
         assert first.meta["cache"]["misses"] == 4
-        clear_cache()  # memo gone; the store must carry the rerun
         second = run_suite(
             policies=POLICIES, benchmarks=BENCHMARKS, scale=SCALE,
             options=RunOptions(workers=2),
@@ -173,7 +171,6 @@ class TestInProcessGrid:
             self.TASKS, RunOptions(progress=interrupt_after_two)
         )
         assert partial.interrupted and len(partial.results) == 2
-        clear_cache()
         simulations = runner.cache_stats()["simulations"]
         # Re-running the same grid is resuming it: the two finished
         # cells come from the store, and only the other two simulate.
@@ -331,12 +328,24 @@ class TestStoreKeyDedup:
 
 class TestStoreKeying:
     def test_identical_rerun_hits(self):
-        run_policy("lucas", "lru", scale=SCALE)
-        clear_cache()
+        # The store is the only result cache: a repeat in one process
+        # is a store hit, and simulates nothing.
+        first = run_policy("lucas", "lru", scale=SCALE)
         store = default_store()
         hits_before = store.hits
-        run_policy("lucas", "lru", scale=SCALE)
+        simulations = runner.cache_stats()["simulations"]
+        second = run_policy("lucas", "lru", scale=SCALE)
         assert store.hits == hits_before + 1
+        assert runner.cache_stats()["simulations"] == simulations
+        assert second.to_dict() == first.to_dict()
+
+    def test_rerun_without_a_store_simulates_again(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_STORE", "1")
+        first = run_policy("lucas", "lru", scale=SCALE)
+        simulations = runner.cache_stats()["simulations"]
+        second = run_policy("lucas", "lru", scale=SCALE)
+        assert runner.cache_stats()["simulations"] == simulations + 1
+        assert second.to_dict() == first.to_dict()
 
     def test_scale_and_config_changes_miss(self):
         config = experiment_config()
@@ -376,10 +385,22 @@ class TestStoreKeying:
         assert store.load("bad") is None
         assert not entry.exists()
 
+    def test_entry_that_is_no_result_is_quarantined(self, tmp_path):
+        # The digest holds, but the payload is not a SimResult: load
+        # reads a miss and moves the entry aside; load_payload, which
+        # takes any dict, still serves a fresh one.
+        store = ResultStore(tmp_path / "shape")
+        store.save_payload("odd", {"ipc": 1})
+        assert store.load_payload("odd") == {"ipc": 1}
+        assert store.load("odd") is None
+        assert not store.contains("odd")
+        assert store.quarantined == 1
+        assert (store.quarantine_dir / "odd.json").exists()
+
     def test_no_store_env_disables_persistence(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_STORE", "1")
         assert default_store() is None
-        run_policy("lucas", "lru", scale=SCALE)  # still works, memo-only
+        run_policy("lucas", "lru", scale=SCALE)  # still works, unsaved
 
     def test_code_version_covers_native_sources(self, tmp_path):
         # Results depend on the C kernel and trace generator too: an
@@ -442,7 +463,7 @@ class TestExperimentsPrewarm:
     ):
         # Every experiment's cells run in the pool, calibration's,
         # figure11's and sensitivity's included; rendering then reads
-        # the memo.  figure1's six toy runs on list traces are the only
+        # the grid's results.  figure1's six toy runs on list traces are the only
         # simulations left in this process.
         from repro.experiments.__main__ import main
         from repro.sim.simulator import Simulator
@@ -499,7 +520,6 @@ class TestPrefetchCellKeys:
         assert len(keys) == 3
         # Both land in the store under their own keys and reload as
         # themselves.
-        clear_cache()
         assert run_policy("lucas", "lru", scale=SCALE,
                           prefetch_degree=2).to_dict() == prefetched.to_dict()
         assert run_policy("lucas", "lru",
@@ -507,7 +527,6 @@ class TestPrefetchCellKeys:
         assert len(default_store()) == 2
 
     def test_plain_cell_keys_unchanged(self, monkeypatch):
-        from repro import obs
         from repro.sim import store as store_module
         from repro.workloads import canonical_workload_spec
 
@@ -515,10 +534,7 @@ class TestPrefetchCellKeys:
         assert task.canonical() == Task(
             canonical_workload_spec("lucas"), "lru", SCALE
         )
-        runner.seed_cache(task, "memo entry")
-        assert runner._CACHE == {
-            (task.canonical(), obs.metrics_enabled()): "memo entry"
-        }
+        assert store_key(task) == store_key(task.canonical())
         hashed = []
         dumps = store_module.json.dumps
 
@@ -630,9 +646,6 @@ class TestTaskIsTheCell:
         base = Task("lucas", "lru", SCALE)
         task = dataclasses.replace(base, **{name: self.VARIANTS[name]})
         assert store_key(task) != store_key(base)
-        runner.seed_cache(base, "base result")
-        assert runner.lookup(base)[1] == "memo"
-        assert runner.lookup(task)[1] is None
         if name != "scale":
             # A grid runs at one scale; labels name the rest.
             assert task.label != base.label

@@ -15,6 +15,7 @@ The tentpole guarantees locked in here:
 """
 
 import asyncio
+import json
 import os
 import re
 import signal
@@ -35,6 +36,7 @@ from repro.sim.options import RunOptions
 from repro.sim.store import store_key
 from repro.sim.resilience import (
     RunJournal,
+    journal_root,
     load_journal,
     new_run_id,
 )
@@ -48,7 +50,7 @@ POLICIES = ("lru", "lin(4)")
 
 @pytest.fixture(autouse=True)
 def fresh_caches(tmp_path, monkeypatch):
-    """Every test gets an empty memo and its own empty store."""
+    """Every test gets its own empty store."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
     clear_cache()
     yield
@@ -368,16 +370,20 @@ class TestServiceEndToEnd:
         assert payload["instructions"] > 0
 
     def test_client_option_whitelist(self):
+        # A client sets max_retries and deadline.  Other keys, such as
+        # the kernel, workers or cache policy an older client may still
+        # send, are ignored.
         from repro.service.server import JobService
 
-        service = JobService(ServiceConfig())
-        merged = service._merge_options({
+        options = _submitted_options(JobService(ServiceConfig()), {
             "max_retries": 7,
+            "deadline": 30.0,
             "use_cache": False,       # not client-settable
+            "workers": 5,             # the server's pool shape
+            "kernel": "generic",      # a field this version dropped
             "queue_limit": 0,         # not a RunOptions field
         })
-        assert merged.max_retries == 7
-        assert merged.use_cache is True
+        assert options == RunOptions(max_retries=7, deadline=30.0)
 
     def test_client_chaos_is_ignored(self):
         # Slots are shared: a tenant's own delay or hard crash would
@@ -387,12 +393,14 @@ class TestServiceEndToEnd:
         client_chaos = {"chaos": {"delay_rate": 1, "delay_s": 4,
                                   "hard": True}}
         service = JobService(ServiceConfig())
-        assert service._merge_options(client_chaos).chaos is None
+        assert _submitted_options(service, client_chaos).chaos is None
         server_chaos = ChaosConfig(seed=3, delay_rate=0.5, delay_s=0.1)
         service = JobService(ServiceConfig(
             options=RunOptions(chaos=server_chaos),
         ))
-        assert service._merge_options(client_chaos).chaos == server_chaos
+        assert _submitted_options(service, client_chaos).chaos == (
+            server_chaos
+        )
 
     def test_invalid_options_are_refused_before_admission(self):
         # Options that make no RunOptions are a bad-request that admits
@@ -428,6 +436,20 @@ class TestServiceEndToEnd:
         assert refused["counters"]["submissions_rejected"] == 2
         assert admitted["quotas"]["inflight_total"] == 1
         assert snapshot["status"] == "done"
+
+
+def _submitted_options(service, options_wire):
+    """The options ``service.submit_job`` runs a job's cells with.
+
+    The job's one cell is in the store already, so admission schedules
+    nothing and no event loop is needed.
+    """
+    run_policy("lucas", "lru", scale=SCALE)
+    job, rejection = service.submit_job(
+        "t", ["lucas"], ["lru"], scale=SCALE, options_wire=options_wire,
+    )
+    assert rejection is None and job.status == "done"
+    return job.run.options
 
 
 def _serial_digests(tmp_path, monkeypatch, benchmarks, policies):
@@ -613,6 +635,45 @@ class TestResume:
         other = snapshot["cells"]["lucas/lin(4)"]
         assert other["status"] == "done"
         assert other["source"] == "executed"
+        # The resumed run appends the job journal's usual records.
+        lines = (journal_root() / ("%s.jsonl" % job_id)).read_text()
+        records = [json.loads(line) for line in lines.splitlines()]
+        header = max(
+            index for index, record in enumerate(records)
+            if record["event"] == "run_started"
+        )
+        resumed = records[header:]
+        cell = {"benchmark", "policy", "scale", "phase_interval", "ts"}
+        assert [(record["event"], set(record)) for record in resumed] == [
+            ("run_started", {
+                "event", "schema", "run_id", "ts", "service_job",
+                "tenant", "benchmarks", "policies", "scale", "options",
+            }),
+            ("task_finished", cell | {
+                "event", "store_key", "cache_hit", "resumed", "wall_s",
+                "worker", "attempts",
+            }),
+            ("task_started", cell | {"event", "attempt"}),
+            ("task_finished", cell | {
+                "event", "store_key", "cache_hit", "resumed", "wall_s",
+                "worker", "attempts",
+            }),
+            ("run_finished", {
+                "event", "completed", "failed", "interrupted", "ts",
+            }),
+        ]
+        assert resumed[0]["run_id"] == job_id
+        assert resumed[0]["tenant"] == "crashy"
+        assert (resumed[1]["policy"], resumed[1]["cache_hit"],
+                resumed[1]["resumed"], resumed[1]["attempts"]) == (
+            "lru", True, True, 0,
+        )
+        assert (resumed[3]["policy"], resumed[3]["cache_hit"],
+                resumed[3]["resumed"], resumed[3]["attempts"]) == (
+            "lin(4)", False, False, 1,
+        )
+        assert resumed[4]["completed"] == 2 and resumed[4]["failed"] == 0
+        assert resumed[4]["interrupted"] is False
 
     @pytest.mark.parametrize("options", [
         {"kernel": "generic"}, {"max_retries": -5},

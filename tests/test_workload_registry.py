@@ -3,8 +3,8 @@
 Locks in the PR's API redesign: every entry point accepts a workload
 *spec* (surrogate name, imported trace, CDF generator, or composition),
 specs canonicalize so spellings of one workload share cache entries,
-and distinct specs never alias — in the per-process trace memo, the
-runner result memo, and the persistent store key.
+and distinct specs never alias — in the per-process trace memo and
+the persistent store key.
 """
 
 import gzip
@@ -501,7 +501,6 @@ class TestSuiteAcceptance:
             for field in EXPORT_FIELDS:
                 assert getattr(first, field) == getattr(second, field)
 
-        clear_cache()  # memo gone; warm store must carry the rerun
         rerun = run_suite(
             policies=("lru",), benchmarks=self.BENCHMARKS, scale=SCALE,
             options=RunOptions(workers=2),
