@@ -10,11 +10,12 @@ install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 	$(PYTHON) setup.py build_ext --inplace
 
-# Compile the optional C extension in place: the native replay kernel
-# plus the native surrogate-trace generator.  Failure is non-fatal by
-# design: without the extension every run takes the generic Python
-# replay loop and traces come from the Python generator.  The test
-# suite runs this build itself when the extension does not import.
+# Compile the optional C extension in place: the native replay kernel,
+# the native surrogate-trace generator and the native offline oracle.
+# Failure is non-fatal by design: without the extension every run takes
+# the generic Python replay loop, traces come from the Python generator
+# and the oracle runs its Python passes.  The test suite runs this
+# build itself when the extension does not import.
 native:
 	$(PYTHON) setup.py build_ext --inplace
 
@@ -27,7 +28,7 @@ native:
 # descriptor 2 alone, so a sanitizer report reaches the log.
 SANITIZE_CFLAGS = -fsanitize=address,undefined -fno-omit-frame-pointer
 SANITIZE_TESTS = tests/test_native.py tests/test_tracegen.py tests/test_fastpath.py \
-	tests/test_suite_and_fuzz.py tests/test_metrics.py
+	tests/test_suite_and_fuzz.py tests/test_metrics.py tests/test_oracle.py
 SANITIZE_ENV = LD_PRELOAD=$$(gcc -print-file-name=libasan.so) \
 	ASAN_OPTIONS=detect_leaks=0 \
 	UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 PYTHONPATH=src

@@ -1,11 +1,12 @@
 """Legacy-editable-install shim plus the *optional* native kernel build.
 
-The C extension (``repro._native.replaykernel``: the replay kernel plus
-the surrogate-trace generator) is a pure accelerator: every environment
-must work without it, so its build is best-effort — any compiler or
-toolchain failure downgrades to a warning and the pure-python wheel,
-never an install error.  Build it explicitly
-with ``make native`` (or ``python setup.py build_ext --inplace``).
+The C extension (``repro._native.replaykernel``: the replay kernel, the
+surrogate-trace generator and the offline oracle) is a pure
+accelerator: every environment must work without it, so its build is
+best-effort — any compiler or toolchain failure downgrades to a
+warning and the pure-python wheel, never an install error.  Build it
+explicitly with ``make native`` (or ``python setup.py build_ext
+--inplace``).
 """
 import sys
 
@@ -47,7 +48,9 @@ setup(
             sources=[
                 "src/repro/_native/replaykernel.c",
                 "src/repro/_native/tracegen.c",
+                "src/repro/_native/oracle.c",
             ],
+            depends=["src/repro/_native/common.h"],
             optional=True,
         )
     ],

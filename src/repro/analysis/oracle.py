@@ -43,6 +43,14 @@ floor ignores — so any simulated policy's ``stall_cycles`` sits above
 it (``tests/test_oracle.py`` holds this as a property over random
 traces and the ChampSim fixture).
 
+**Two implementations.**  With the C extension built, the passes run
+in one call into ``repro._native.replaykernel.oracle``
+(``src/repro/_native/oracle.c``), which reads the packed columns in
+place.  The Python passes below are the reference, and the fallback
+when the extension is missing or the input is outside the C side's
+domain (see :func:`_native_fields`).  Both return the same report,
+floats bit for bit, so which one ran is not part of the store key.
+
 Reports are cached in the persistent v4 result store under a key that
 covers the trace's content digest, the machine config, and the code
 version, so repeated ``--oracle`` suite runs are free.
@@ -57,9 +65,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.replacement.belady import NEVER, next_use_distances
 from repro.config import MachineConfig
-from repro.mlp.cost import quantize_cost
+from repro.mlp.cost import MAX_COST_Q, QUANTIZATION_STEP, quantize_cost
 from repro.trace.packed import PackedTrace, pack_trace
-from repro.trace.record import IFETCH, STORE
+from repro.trace.record import IFETCH, LOAD, STORE
 
 #: Bump when the oracle algorithm or report shape changes; part of the
 #: store key, so stale cached reports miss cleanly.
@@ -297,6 +305,99 @@ def _stall_bound(
     return stall, chains
 
 
+def _reference_fields(
+    trace: PackedTrace, config: MachineConfig
+) -> Dict[str, object]:
+    """The report's fields from the Python passes (the reference)."""
+    stream = _l1_filter(trace, config)
+    costs = _estimated_costs(stream, config)
+    opt_misses, opt_miss_indices = _replay_opt(stream, config)
+    cost_misses, cost_miss_indices = _replay_opt(stream, config, costs)
+    opt_stall, _ = _stall_bound(opt_miss_indices, stream, config)
+    cost_stall, chains = _stall_bound(cost_miss_indices, stream, config)
+
+    seen: set = set()
+    compulsory = 0
+    for index, block in enumerate(stream.blocks):
+        if block not in seen:
+            seen.add(block)
+            if stream.demands[index]:
+                compulsory += 1
+
+    return dict(
+        instructions=stream.instructions,
+        l2_accesses=len(stream.blocks),
+        l2_demand_accesses=sum(1 for d in stream.demands if d),
+        compulsory_misses=compulsory,
+        opt_misses=opt_misses,
+        opt_stall_cycles=opt_stall,
+        cost_opt_misses=cost_misses,
+        # The floor must sit under *every* policy, so take the smaller
+        # of the two schedules' bounds.
+        cost_opt_stall_cycles=min(opt_stall, cost_stall),
+        miss_clusters=chains,
+    )
+
+
+#: Tri-state cache of the native ``oracle`` function: the sentinel
+#: means "not probed yet", None means unavailable.  Tests set it to
+#: None to force the Python passes.
+_UNRESOLVED = object()
+_oracle = _UNRESOLVED
+
+
+def native_oracle():
+    """The compiled ``oracle`` function, or None when unavailable."""
+    global _oracle
+    if _oracle is _UNRESOLVED:
+        try:
+            from repro._native.replaykernel import oracle
+        except ImportError:
+            oracle = None
+        _oracle = oracle
+    return _oracle
+
+
+def _native_args(trace: PackedTrace, config: MachineConfig) -> tuple:
+    """The native ``oracle`` call's arguments: columns in place."""
+    processor = config.processor
+    return (
+        trace._addresses, trace._kinds, trace._gaps, trace._wrong_bits,
+        config.block_bits,
+        (config.l1i.n_sets, config.l1i.associativity),
+        (config.l1d.n_sets, config.l1d.associativity),
+        (config.l2.n_sets, config.l2.associativity),
+        processor.window_size, processor.issue_width,
+        float(config.memory.isolated_miss_latency),
+        max(1, config.mshr.n_entries),
+        float(QUANTIZATION_STEP), MAX_COST_Q,
+        (LOAD, STORE, IFETCH),
+    )
+
+
+def _native_fields(
+    trace: PackedTrace, config: MachineConfig
+) -> Optional[Dict[str, object]]:
+    """The report's fields from the C passes, or None to use Python.
+
+    The C passes take machines with a positive window and issue width
+    and a non-negative latency.  They raise OverflowError for a cache
+    of more than 2**22 ways, and for a trace of 2**53 instructions or
+    more (past that, Python's int / int true division and C's double
+    division may round apart).
+    """
+    oracle = native_oracle()
+    processor = config.processor
+    if (oracle is None or processor.window_size < 1
+            or processor.issue_width < 1
+            or config.memory.isolated_miss_latency < 0):
+        return None
+    try:
+        return oracle(*_native_args(trace, config))
+    except OverflowError:
+        return None
+
+
 def oracle_store_key(trace_digest: str, config: MachineConfig) -> str:
     """Store key for one oracle report (content-addressed)."""
     from repro.sim.store import code_version
@@ -344,35 +445,10 @@ def oracle_report(
             except TypeError:
                 pass  # shape drift: recompute and overwrite
 
-    stream = _l1_filter(trace, config)
-    costs = _estimated_costs(stream, config)
-    opt_misses, opt_miss_indices = _replay_opt(stream, config)
-    cost_misses, cost_miss_indices = _replay_opt(stream, config, costs)
-    opt_stall, _ = _stall_bound(opt_miss_indices, stream, config)
-    cost_stall, chains = _stall_bound(cost_miss_indices, stream, config)
-
-    seen: set = set()
-    compulsory = 0
-    for index, block in enumerate(stream.blocks):
-        if block not in seen:
-            seen.add(block)
-            if stream.demands[index]:
-                compulsory += 1
-
-    report = OracleReport(
-        trace_digest=digest,
-        instructions=stream.instructions,
-        l2_accesses=len(stream.blocks),
-        l2_demand_accesses=sum(1 for d in stream.demands if d),
-        compulsory_misses=compulsory,
-        opt_misses=opt_misses,
-        opt_stall_cycles=opt_stall,
-        cost_opt_misses=cost_misses,
-        # The floor must sit under *every* policy, so take the smaller
-        # of the two schedules' bounds.
-        cost_opt_stall_cycles=min(opt_stall, cost_stall),
-        miss_clusters=chains,
-    )
+    fields = _native_fields(trace, config)
+    if fields is None:
+        fields = _reference_fields(trace, config)
+    report = OracleReport(trace_digest=digest, **fields)
     if store is not None:
         store.save_payload(
             key, report.to_dict(), kind="oracle_report",

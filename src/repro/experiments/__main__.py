@@ -10,7 +10,8 @@ Usage::
 The CLI first collects the cells of every selected experiment; an
 unknown ``--benchmarks`` entry is a usage error before any cell runs.
 It then runs them all in one grid (:func:`repro.sim.parallel.run_grid`:
-in this process, or on ``--workers N`` process slots) and renders each
+in this process, or on ``--workers N`` process slots), grouped by
+trace so each process builds each trace once, and renders each
 experiment from the grid's results.  A cell that still fails after its
 retries is printed with a hint to re-run the same command, which
 simulates only the cells missing from the result store, and the CLI
@@ -69,6 +70,21 @@ def _run_cells(tasks, options):
     return grid
 
 
+def _by_trace(tasks):
+    """``tasks`` stably sorted by (canonical workload, scale).
+
+    Experiment order cycles through every benchmark, which would make
+    each process's bounded trace memo rebuild traces; grouped, a cell
+    finds the trace the cell before it built.
+    """
+    from repro.workloads import canonical_workload_spec
+
+    return sorted(
+        tasks,
+        key=lambda task: (canonical_workload_spec(task.benchmark), task.scale),
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -118,9 +134,8 @@ def main(argv=None) -> int:
 
     if not options.use_cache:
         os.environ["REPRO_NO_STORE"] = "1"
-    grid = _run_cells(
-        [task for name in names for task in cells[name]], options
-    )
+    tasks = [task for name in names for task in cells[name]]
+    grid = _run_cells(_by_trace(tasks), options)
     if grid.interrupted:
         return 130
     if grid.failures:

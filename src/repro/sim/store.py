@@ -64,7 +64,7 @@ def source_digest(package_root: Path) -> str:
     """Hash of the Python sources and native C sources of a package."""
     digest = hashlib.sha256()
     sources = sorted(package_root.rglob("*.py")) + sorted(
-        package_root.glob("_native/*.c")
+        package_root.glob("_native/*.[ch]")
     )
     for path in sources:
         digest.update(str(path.relative_to(package_root)).encode())

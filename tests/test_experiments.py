@@ -141,6 +141,39 @@ class TestCellLists:
         assert len(calls) == 18
         assert len(set(sensitivity.cells(self.SCALE, None))) == 18
 
+    def test_grid_builds_each_trace_once(self, monkeypatch, capsys):
+        """The CLI hands the grid its cells grouped by trace.
+
+        In experiment order the cells cycle through every benchmark,
+        so a trace memo smaller than the benchmark count rebuilt traces
+        all through the grid; grouped, each is built once.
+        """
+        from repro.experiments.__main__ import main
+        from repro.sim import parallel, runner
+        from repro.workloads import canonical_workload_spec
+
+        monkeypatch.setenv("REPRO_NO_STORE", "1")
+        monkeypatch.setattr(runner, "TRACE_CACHE_MAX", 2)
+        seen = {}
+        run_grid = parallel.run_grid
+
+        def counting(tasks, options=None):
+            seen["traces"] = {
+                (canonical_workload_spec(task.benchmark), task.scale)
+                for task in tasks
+            }
+            before = runner._COUNTERS["trace_builds"]
+            grid = run_grid(tasks, options)
+            seen["builds"] = runner._COUNTERS["trace_builds"] - before
+            return grid
+
+        monkeypatch.setattr(parallel, "run_grid", counting)
+        assert main(["--benchmarks", "mcf,art,twolf",
+                     "--scale", str(self.SCALE)]) == 0
+        capsys.readouterr()
+        assert len(seen["traces"]) > runner.TRACE_CACHE_MAX
+        assert seen["builds"] == len(seen["traces"])
+
 
 class TestCheapExperiments:
     def test_figure3(self):

@@ -13,15 +13,22 @@ Three layers, per the oracle's contract:
 * **Regression tests** for the ``collapse_consecutive`` /
   ``next_use_distances`` edge cases the oracle leans on — previously
   only exercised indirectly through the Figure 1 analysis.
+* **Native against reference**: the C oracle's report equals the
+  Python passes' field by field (floats bit for bit), and malformed
+  input to the C entry point raises instead of crashing.
+* **An independent bound**: Sleator–Tarjan's LRU-versus-OPT
+  competitiveness, held against both oracle paths.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.analysis import oracle
 from repro.analysis.oracle import (
     annotate_result,
     oracle_report,
@@ -43,6 +50,7 @@ from repro.config import (
 from repro.sim.simulator import Simulator
 from repro.trace.packed import PackedTrace
 from repro.trace.record import IFETCH, LOAD, STORE, Access
+from repro.workloads import BENCHMARKS
 
 try:
     from hypothesis import given, settings
@@ -53,6 +61,7 @@ except ImportError:  # pragma: no cover - hypothesis ships in CI
     HAVE_HYPOTHESIS = False
 
 FIXTURE = Path(__file__).parent / "fixtures" / "mix4k.champsim.gz"
+FIXTURE_SMALL = Path(__file__).parent / "fixtures" / "mix256.champsim.trace"
 
 #: Registered fixed policies the property battery referees.
 PROPERTY_POLICIES = ("lru", "lin(4)", "plru", "lip", "ehc", "awrp")
@@ -351,3 +360,282 @@ class TestSuiteOracleIntegration:
         (row,) = suite.to_rows()
         assert row["miss_regret"] is None
         assert suite.oracle is None
+
+
+# -- native oracle ---------------------------------------------------
+
+HAVE_NATIVE_ORACLE = oracle.native_oracle() is not None
+needs_native_oracle = pytest.mark.skipif(
+    not HAVE_NATIVE_ORACLE, reason="extension not built"
+)
+
+
+def python_report(trace, config):
+    """The report from the Python passes alone (the reference)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_oracle", None)
+        return oracle_report(trace, config, use_store=False)
+
+
+def native_report(trace, config):
+    """The report from the C passes; fails unless they ran."""
+    calls = []
+    real = oracle.native_oracle()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_oracle",
+                      lambda *args: calls.append(args) or real(*args))
+        report = oracle_report(trace, config, use_store=False)
+    assert calls, "the native oracle did not run"
+    return report
+
+
+def assert_identical(native, reference):
+    """Equal field by field, floats bit for bit."""
+    for name, value in reference.to_dict().items():
+        got = getattr(native, name)
+        assert type(got) is type(value), name
+        if isinstance(value, float):
+            assert got.hex() == value.hex(), (name, got, value)
+        else:
+            assert got == value, (name, got, value)
+
+
+@needs_native_oracle
+class TestNativeOracleDifferential:
+    """The C passes and the Python passes report the same bounds."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_surrogates(self, name):
+        from repro.workloads import build_workload, experiment_config
+
+        trace = build_workload(name, scale=0.25)
+        config = experiment_config()
+        assert_identical(native_report(trace, config),
+                         python_report(trace, config))
+
+    @pytest.mark.parametrize("fixture", [FIXTURE, FIXTURE_SMALL])
+    def test_champsim_fixtures(self, fixture):
+        from repro.workloads import build_workload, experiment_config
+
+        trace = build_workload("champsim:%s" % fixture, scale=1.0)
+        config = experiment_config()
+        assert_identical(native_report(trace, config),
+                         python_report(trace, config))
+
+    @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+    def test_generated_with_wrong_path(self):
+        @settings(max_examples=60, deadline=None)
+        @given(
+            accesses=st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=47),
+                    st.sampled_from([LOAD, STORE, IFETCH]),
+                    st.integers(min_value=0, max_value=200),
+                    st.booleans(),
+                ),
+                max_size=300,
+            ),
+            l1_ways=st.sampled_from([1, 2]),
+            l2_sets=st.sampled_from([1, 2, 3, 4]),
+            l2_ways=st.integers(min_value=1, max_value=5),
+            window=st.sampled_from([1, 16, 128]),
+            mshr=st.sampled_from([1, 4, 32]),
+        )
+        def check(accesses, l1_ways, l2_sets, l2_ways, window, mshr):
+            config = MachineConfig(
+                processor=ProcessorConfig(window_size=window),
+                l1i=CacheGeometry(64 * l1_ways, 64, l1_ways, 1),
+                l1d=CacheGeometry(2 * 64 * l1_ways, 64, l1_ways, 1),
+                l2=CacheGeometry(l2_sets * l2_ways * 64, 64, l2_ways, 15),
+                mshr=MSHRConfig(n_entries=mshr),
+                memory=MemoryConfig(),
+            )
+            trace = PackedTrace.from_accesses([
+                Access(64 * block, kind, gap=gap, wrong_path=wrong)
+                for block, kind, gap, wrong in accesses
+            ])
+            assert_identical(native_report(trace, config),
+                             python_report(trace, config))
+
+        check()
+
+    def test_cache_past_the_native_range_overflows(self):
+        from tests.test_native import _survives
+
+        assert _survives("""
+            from repro.analysis import oracle
+            from repro.trace.packed import PackedTrace
+            from repro.workloads import experiment_config
+            a = list(oracle._native_args(PackedTrace.from_accesses([]),
+                                         experiment_config()))
+            a[7] = (1 << 40, 1 << 40)
+            try:
+                oracle.native_oracle()(*a)
+            except OverflowError:
+                print("OverflowError")
+        """) == "OverflowError"
+
+    def test_past_2_53_instructions_takes_python(self, small_machine):
+        trace = PackedTrace.from_accesses(
+            [Access(64 * i, LOAD, gap=1 << 52) for i in range(4)]
+        )
+        with pytest.raises(OverflowError):
+            oracle.native_oracle()(*oracle._native_args(trace, small_machine))
+        report = oracle_report(trace, small_machine, use_store=False)
+        assert report == python_report(trace, small_machine)
+        assert report.instructions == 4 * ((1 << 52) + 1)
+
+
+@needs_native_oracle
+class TestNativeOracleMalformedInput:
+    """Bad columns and machines raise; none crashes the interpreter.
+
+    Each case runs in a child interpreter (see ``_survives``), so an
+    out-of-bounds read fails the test instead of killing pytest.
+    """
+
+    @pytest.mark.parametrize("mutation", [
+        # truncated or mis-typed column buffers
+        "a[0] = a[0].tobytes()[:-1]",
+        "a[0] = array('i', a[0])",
+        "a[1] = array('q', a[1])",
+        "a[2] = list(a[2])",
+        "a[3] = array('q', [0] * len(a[3]))",
+        "a[2] = memoryview(a[2]).cast('B')[:-3]",
+        # mismatched column lengths
+        "a[1] = a[1][:-1]",
+        "a[2] = a[2] + array('q', [0])",
+        # a bitset of the wrong size
+        "a[3] = a[3] + bytearray(1)",
+        "a[3] = bytearray()",
+        # zero sets or ways, a non-positive window
+        "a[5] = (0, 2)",
+        "a[6] = (4, 0)",
+        "a[7] = (0, 16)",
+        "a[7] = (4, -1)",
+        "a[8] = 0",
+        "a[8] = -128",
+        "a[9] = 0",
+        "a[11] = 0",
+        "a[10] = float('nan')",
+        "a[4] = 64",
+        # negative addresses, gaps, unknown kinds
+        "a[0] = array('q', [-64] * len(a[0]))",
+        "a[2] = array('q', [-1] * len(a[2]))",
+        "a[1] = array('b', [7] * len(a[1]))",
+    ])
+    def test_rejected(self, mutation):
+        from tests.test_native import _survives
+
+        assert _survives("""
+            from array import array
+            from repro.analysis import oracle
+            from repro.trace.packed import PackedTrace
+            from repro.trace.record import Access
+            from repro.workloads import experiment_config
+            trace = PackedTrace.from_accesses(
+                [Access(64 * (i %% 37), i %% 3, gap=i %% 5) for i in range(300)])
+            a = list(oracle._native_args(trace, experiment_config()))
+            %s
+            try:
+                oracle.native_oracle()(*a)
+            except (ValueError, TypeError) as error:
+                print(type(error).__name__)
+        """ % mutation) in ("ValueError", "TypeError")
+
+
+def lru_misses(blocks, n_sets, ways):
+    """Misses of a plain per-set LRU cache over an L2-visible stream."""
+    sets = [[] for _ in range(n_sets)]
+    misses = 0
+    for block in blocks:
+        lru = sets[block % n_sets]
+        if block in lru:
+            lru.remove(block)
+        else:
+            misses += 1
+            if len(lru) == ways:
+                lru.pop(0)
+        lru.append(block)
+    return misses
+
+
+def assert_lru_competitive(trace, config, k):
+    """Sleator–Tarjan per L2 set, summed over the sets.
+
+    LRU with k ways misses at most k/(k-h+1) x OPT with h <= k ways
+    plus k per set, on the same (wrong-path-free) L2-visible stream;
+    OPT_h is the oracle's Belady count on the same sets at h ways.
+    """
+    n_sets = config.l2.n_sets
+    stream = oracle._l1_filter(trace, config)
+    assert all(stream.demands)
+    lru = lru_misses(stream.blocks, n_sets, k)
+    for h in range(1, k + 1):
+        l2 = CacheGeometry(n_sets * h * config.l2.line_bytes,
+                           config.l2.line_bytes, h, config.l2.hit_latency)
+        opt_h = oracle_report(trace, replace(config, l2=l2),
+                              use_store=False).opt_misses
+        assert lru * (k - h + 1) <= k * opt_h + k * n_sets * (k - h + 1), (
+            "LRU(%d) missed %d times, over %d/(%d) x OPT(%d)=%d + %d x %d"
+            % (k, lru, k, k - h + 1, h, opt_h, k, n_sets)
+        )
+        if h == k:
+            assert opt_h <= lru
+
+
+@pytest.fixture(params=["native", "python"])
+def oracle_path(request, monkeypatch):
+    """Run a test against the C oracle, then against the Python one."""
+    if request.param == "python":
+        monkeypatch.setattr(oracle, "_oracle", None)
+    elif not HAVE_NATIVE_ORACLE:
+        pytest.skip("extension not built")
+    return request.param
+
+
+class TestLruCompetitiveWithOpt:
+    """An independent check of the Belady count, from outside it."""
+
+    @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+    def test_generated_traces(self, oracle_path):
+        @settings(max_examples=40, deadline=None)
+        @given(
+            accesses=st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=40),
+                    st.sampled_from([LOAD, STORE, IFETCH]),
+                ),
+                max_size=400,
+            ),
+            n_sets=st.sampled_from([1, 2, 4]),
+            k=st.integers(min_value=1, max_value=6),
+        )
+        def check(accesses, n_sets, k):
+            config = MachineConfig(
+                processor=ProcessorConfig(),
+                l1i=CacheGeometry(64, 64, 1, 1),
+                l1d=CacheGeometry(64, 64, 1, 1),
+                l2=CacheGeometry(n_sets * k * 64, 64, k, 15),
+                mshr=MSHRConfig(n_entries=32),
+                memory=MemoryConfig(),
+            )
+            trace = PackedTrace.from_accesses(
+                [Access(64 * block, kind) for block, kind in accesses]
+            )
+            assert_lru_competitive(trace, config, k)
+
+        check()
+
+    @pytest.mark.parametrize("fixture", [FIXTURE, FIXTURE_SMALL])
+    def test_champsim_fixtures(self, fixture, oracle_path):
+        from repro.workloads import build_workload, experiment_config
+
+        trace = build_workload("champsim:%s" % fixture, scale=1.0)
+        config = experiment_config()
+        # Four sets' worth of the experiment L2 keep the OPT replays
+        # short while the fixture still fills them.
+        small = replace(config, l2=CacheGeometry(
+            4 * 8 * config.l2.line_bytes, config.l2.line_bytes, 8,
+            config.l2.hit_latency))
+        assert_lru_competitive(trace, small, 8)
