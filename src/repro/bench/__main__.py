@@ -34,6 +34,7 @@ from repro.bench.report import (
     entry_task,
     validate_report,
 )
+from repro.sim.common_cli import scale_value
 from repro.sim.runner import cell_label
 
 
@@ -90,7 +91,7 @@ def main(argv=None) -> int:
         help="report tag recorded in the file (default: local)",
     )
     parser.add_argument(
-        "--scale", type=float, default=0.5,
+        "--scale", type=scale_value, default=0.5,
         help="macro-benchmark trace scale (default: 0.5)",
     )
     parser.add_argument(

@@ -26,6 +26,7 @@ grid results' metric snapshots.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -85,6 +86,23 @@ def _by_trace(tasks):
     )
 
 
+@contextlib.contextmanager
+def _store_disabled(disabled: bool):
+    """``REPRO_NO_STORE=1`` inside the block when ``disabled``, so the
+    renders (the oracle's stored reports) skip the store like the grid;
+    the variable is restored on the way out."""
+    saved = os.environ.get("REPRO_NO_STORE")
+    if disabled:
+        os.environ["REPRO_NO_STORE"] = "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_NO_STORE", None)
+        else:
+            os.environ["REPRO_NO_STORE"] = saved
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -101,7 +119,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=common_cli.scale_value,
         default=None,
         help="trace-length multiplier (default: REPRO_SCALE env or 1.0)",
     )
@@ -112,6 +130,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     common_cli.check_grid_args(parser, args)
+    common_cli.check_env_scale(parser, args)
 
     common_cli.apply_telemetry(args)
     options = common_cli.options_from_args(args)
@@ -132,21 +151,21 @@ def main(argv=None) -> int:
     except KeyError as error:  # an unknown --benchmarks spec
         parser.error(error.args[0])
 
-    if not options.use_cache:
-        os.environ["REPRO_NO_STORE"] = "1"
     tasks = [task for name in names for task in cells[name]]
-    grid = _run_cells(_by_trace(tasks), options)
-    if grid.interrupted:
-        return 130
-    if grid.failures:
-        return 1
+    with _store_disabled(not options.use_cache):
+        grid = _run_cells(_by_trace(tasks), options)
+        if grid.interrupted:
+            return 130
+        if grid.failures:
+            return 1
 
-    for name in names:
-        started = time.time()
-        results = {task: grid.results[task] for task in cells[name]}
-        report = EXPERIMENTS[name].render(results, scale, benchmarks)
-        print(report.render())
-        print("[%s finished in %.1fs]\n" % (name, time.time() - started))
+        for name in names:
+            started = time.time()
+            results = {task: grid.results[task] for task in cells[name]}
+            report = EXPERIMENTS[name].render(results, scale, benchmarks)
+            print(report.render())
+            print("[%s finished in %.1fs]\n"
+                  % (name, time.time() - started))
     if args.metrics_out:
         common_cli.write_metrics(args, grid.results.values())
     return 0

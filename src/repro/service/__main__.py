@@ -4,7 +4,6 @@ Server side::
 
     python -m repro serve --workers 4                # long-lived daemon
     python -m repro serve --port 0 --chaos "delay=0.5,seed=7"
-    python -m repro serve --resume                   # replay crashed jobs
 
 Client side::
 
@@ -24,7 +23,11 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.sim.common_cli import service_parent, slot_worker_count
+from repro.sim.common_cli import (
+    scale_value,
+    service_parent,
+    slot_worker_count,
+)
 from repro.sim.options import RunOptions
 
 
@@ -76,11 +79,6 @@ def _add_serve_parser(subparsers) -> None:
         help="seeded fault injection applied to every cell "
              "(tests/CI only)",
     )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="replay incomplete job journals from a previous service "
-             "run before accepting new submissions",
-    )
     parser.set_defaults(handler=_cmd_serve)
 
 
@@ -88,6 +86,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.service.server import JobService, ServiceConfig
+    from repro.sim.runner import trace_scale
 
     fields = {
         "use_cache": not args.no_cache,
@@ -95,6 +94,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "deadline": args.deadline,
     }
     try:
+        trace_scale()  # the scale of a submission that names none
         if args.chaos:
             from repro.sim.chaos import ChaosConfig
 
@@ -110,7 +110,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         tenant_quota=args.tenant_quota,
         options=options,
-        resume=args.resume,
     )
 
     async def _serve() -> None:
@@ -153,7 +152,7 @@ def _add_submit_parser(subparsers) -> None:
         help="comma-separated policy specs to submit",
     )
     parser.add_argument(
-        "--scale", type=float, default=None,
+        "--scale", type=scale_value, default=None,
         help="trace-length multiplier (default: server default)",
     )
     parser.add_argument(
@@ -288,7 +287,7 @@ def _add_demo_parser(subparsers) -> None:
         help="demo policies (default: lru,lin(4))",
     )
     parser.add_argument(
-        "--scale", type=float, default=0.05,
+        "--scale", type=scale_value, default=0.05,
         help="trace scale for the demo cells (default: 0.05)",
     )
     parser.add_argument(

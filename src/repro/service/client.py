@@ -100,9 +100,9 @@ class ServiceClient:
         policies: Sequence[str],
         scale: Optional[float] = None,
         options: Optional[Dict[str, object]] = None,
-        job_id: Optional[str] = None,
     ) -> str:
-        """Submit one grid; returns the job id (raises on rejection)."""
+        """Submit one grid; returns the job id the server minted
+        (raises on rejection)."""
         message: Dict[str, object] = {
             "op": "submit",
             "tenant": self.tenant,
@@ -113,8 +113,6 @@ class ServiceClient:
             message["scale"] = scale
         if options:
             message["options"] = options
-        if job_id:
-            message["job_id"] = job_id
         return self._request(message)["job_id"]
 
     def status(self, job_id: str) -> Dict[str, object]:

@@ -19,7 +19,9 @@ the cheap/parallel work, push back on the rest instead of thrashing.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -38,12 +40,27 @@ CELL_CANCELLED = "cancelled"
 _TERMINAL = (CELL_DONE, CELL_FAILED, CELL_CANCELLED)
 
 #: ``CellState.source`` values: a fresh execution on a worker slot, a
-#: persistent-store hit, an attach to another job's in-flight
-#: execution, or a journal-resume replay.
+#: persistent-store hit, or an attach to another job's in-flight
+#: execution.
 SOURCE_EXECUTED = "executed"
 SOURCE_STORE = "store"
 SOURCE_DEDUP = "dedup"
-SOURCE_RESUME = "resume"
+
+_job_serial = itertools.count(1)
+
+
+def new_run_id() -> str:
+    """A sortable job id, unique in this process: ``job-<time>-<salt>``.
+
+    The service mints every id; the salt hashes the process id, the
+    clock and a per-process serial, so two submissions in the same
+    clock tick still get different ids.
+    """
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    salt = hashlib.sha256(
+        ("%d|%r|%d" % (os.getpid(), time.time(), next(_job_serial))).encode()
+    ).hexdigest()[:6]
+    return "job-%s-%s" % (stamp, salt)
 
 
 @dataclass
@@ -97,14 +114,12 @@ class Job:
         benchmarks: Sequence[str],
         policies: Sequence[str],
         scale: float,
-        options_wire: Optional[Dict[str, object]] = None,
     ) -> None:
         self.job_id = job_id
         self.tenant = tenant
         self.benchmarks = list(benchmarks)
         self.policies = list(policies)
         self.scale = scale
-        self.options_wire = dict(options_wire or {})
         self.cancelled = False
         self.created_at = time.time()
         #: label -> CellState, in matrix order (insertion-ordered).
@@ -112,12 +127,6 @@ class Job:
         #: The :class:`repro.sim.parallel.GridRun` that admits, probes
         #: and settles these cells (set by the service).
         self.run = None
-        #: This job's :class:`repro.sim.resilience.RunJournal`, None once
-        #: ``run_finished`` is written or when persistence is off.
-        self.journal = None
-        #: Store keys a resumed job's journal completed: a store hit on
-        #: one is marked ``resume``.
-        self.resume_keys = frozenset()
 
     # -- state -----------------------------------------------------------
 
@@ -216,44 +225,36 @@ class TenantQuotas:
         overload = self.inflight_total + n_cells
         return round(min(30.0, 0.5 + 0.02 * overload), 3)
 
-    def try_admit(
-        self, tenant: str, n_cells: int, force: bool = False
-    ) -> Optional[Rejection]:
+    def try_admit(self, tenant: str, n_cells: int) -> Optional[Rejection]:
         """Reserve ``n_cells`` for ``tenant`` or explain the refusal.
 
-        Returns None on success (reservation taken).  ``force`` skips
-        the checks but still accounts — used for server-initiated
-        resume replays, which must never bounce off their own quota.
+        Returns None on success (reservation taken).
         """
-        if not force:
-            if (
-                self.queue_limit > 0
-                and self.inflight_total + n_cells > self.queue_limit
-            ):
-                self.rejected_queue += 1
-                return Rejection(
-                    code="queue-full",
-                    message=(
-                        "submission queue is full (%d in flight, limit "
-                        "%d); retry later"
-                        % (self.inflight_total, self.queue_limit)
-                    ),
-                    retry_after_s=self.retry_after(n_cells),
-                )
-            used = self.inflight.get(tenant, 0)
-            if (
-                self.tenant_quota > 0
-                and used + n_cells > self.tenant_quota
-            ):
-                self.rejected_quota += 1
-                return Rejection(
-                    code="quota-exceeded",
-                    message=(
-                        "tenant %r has %d cells in flight (quota %d); "
-                        "retry later" % (tenant, used, self.tenant_quota)
-                    ),
-                    retry_after_s=self.retry_after(n_cells),
-                )
+        if (
+            self.queue_limit > 0
+            and self.inflight_total + n_cells > self.queue_limit
+        ):
+            self.rejected_queue += 1
+            return Rejection(
+                code="queue-full",
+                message=(
+                    "submission queue is full (%d in flight, limit "
+                    "%d); retry later"
+                    % (self.inflight_total, self.queue_limit)
+                ),
+                retry_after_s=self.retry_after(n_cells),
+            )
+        used = self.inflight.get(tenant, 0)
+        if self.tenant_quota > 0 and used + n_cells > self.tenant_quota:
+            self.rejected_quota += 1
+            return Rejection(
+                code="quota-exceeded",
+                message=(
+                    "tenant %r has %d cells in flight (quota %d); "
+                    "retry later" % (tenant, used, self.tenant_quota)
+                ),
+                retry_after_s=self.retry_after(n_cells),
+            )
         self.inflight_total += n_cells
         self.inflight[tenant] = self.inflight.get(tenant, 0) + n_cells
         self.admitted_jobs += 1
@@ -308,10 +309,10 @@ __all__ = [
     "SOURCE_EXECUTED",
     "SOURCE_STORE",
     "SOURCE_DEDUP",
-    "SOURCE_RESUME",
     "CellState",
     "Job",
     "Rejection",
     "TenantQuotas",
     "expand_cells",
+    "new_run_id",
 ]

@@ -30,6 +30,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
+from repro.sim.options import check_scale
+
 #: Bump when the message shapes change incompatibly.  Servers answer
 #: ``ping`` with this so clients can refuse to talk across versions.
 PROTOCOL_SCHEMA = "repro.service/v1"
@@ -139,10 +141,13 @@ def _string_list(message: Dict[str, object], field: str) -> List[str]:
 def validate_submit(message: Dict[str, object]) -> Dict[str, object]:
     """Normalize a ``submit`` request; raises :class:`ProtocolError`.
 
-    Returns ``{"tenant", "benchmarks", "policies", "scale", "options",
-    "job_id"}`` with defaults applied.  ``options`` (when present) maps
-    :class:`repro.sim.options.RunOptions` field names to the values the
-    client wants — the server decides which fields it honors.
+    Returns ``{"tenant", "benchmarks", "policies", "scale", "options"}``
+    with defaults applied.  ``scale``, when present, must be a positive,
+    finite number (:func:`repro.sim.options.check_scale`).  ``options``
+    (when present) maps :class:`repro.sim.options.RunOptions` field
+    names to the values the client wants — the server decides which
+    fields it honors.  The server mints every job id, so a ``job_id``
+    field is ignored like any other unknown field.
     """
     benchmarks = _string_list(message, "benchmarks")
     policies = _string_list(message, "policies")
@@ -152,26 +157,18 @@ def validate_submit(message: Dict[str, object]) -> Dict[str, object]:
     scale = message.get("scale")
     if scale is not None:
         try:
-            scale = float(scale)
-        except (TypeError, ValueError):
-            raise ProtocolError("'scale' must be a number")
-        if scale <= 0:
-            raise ProtocolError("'scale' must be positive")
+            scale = check_scale(scale)
+        except ValueError as exc:
+            raise ProtocolError("'scale': %s" % exc)
     options = message.get("options")
     if options is not None and not isinstance(options, dict):
         raise ProtocolError("'options' must be an object")
-    job_id = message.get("job_id")
-    if job_id is not None and (
-        not isinstance(job_id, str) or not job_id.strip()
-    ):
-        raise ProtocolError("'job_id' must be a non-empty string")
     return {
         "tenant": tenant.strip(),
         "benchmarks": benchmarks,
         "policies": policies,
         "scale": scale,
         "options": options,
-        "job_id": job_id,
     }
 
 

@@ -20,17 +20,15 @@ module adds what a shared daemon needs on top:
 * **Quotas and backpressure** — :class:`repro.service.jobs.TenantQuotas`
   bounds the global in-flight queue and each tenant's share; refused
   submissions get a 429-style response with ``retry_after_s``.
-* **Journal-backed recovery** — every job appends its cell
-  transitions to a run journal (:class:`repro.sim.resilience.RunJournal`,
-  ``job-<id>.jsonl`` next to the result store); ``serve --resume``
-  replays incomplete jobs at startup, serving journal-completed cells
-  from the store and re-executing only the missing ones.
 * **Progress streaming** — ``watch`` clients receive one event line
   per cell transition, ending with ``job_done``.
 
 Results themselves live in the digest-prefix-sharded result store —
 the service hands out digests and (on request) re-serves payloads from
-the store, so restarting the service never loses a result.
+the store, so restarting the service never loses a result.  The store
+is also the only record of finished cells: after a restart, a client
+resubmits its grid, and every cell that finished before the restart
+is a store hit.
 """
 
 from __future__ import annotations
@@ -51,16 +49,15 @@ from repro.service.jobs import (
     CELL_RUNNING,
     SOURCE_DEDUP,
     SOURCE_EXECUTED,
-    SOURCE_RESUME,
     CellState,
     Job,
     Rejection,
     TenantQuotas,
     expand_cells,
+    new_run_id,
 )
-from repro.sim.options import RunOptions, check_workers
+from repro.sim.options import RunOptions, check_scale, check_workers
 from repro.sim.parallel import CellScheduler, GridRun, Outcome
-from repro.sim.resilience import RunJournal, list_runs, new_run_id
 from repro.sim.runner import Task, trace_scale
 from repro.sim.store import default_store, result_digest
 
@@ -94,8 +91,6 @@ class ServiceConfig:
     #: Execution knobs applied to every cell (clients may override the
     #: CLIENT_OPTION_FIELDS subset per submission).
     options: RunOptions = field(default_factory=RunOptions)
-    #: Replay incomplete job journals at startup.
-    resume: bool = False
     #: Honor the ``shutdown`` op (leave on for tests/demos; a shared
     #: deployment would turn it off).
     allow_shutdown: bool = True
@@ -148,11 +143,9 @@ class JobService:
             "submissions_rejected": 0,
             "jobs_completed": 0,
             "jobs_cancelled": 0,
-            "jobs_resumed": 0,
             "cells_total": 0,
             "cells_store_hits": 0,
             "cells_deduped": 0,
-            "cells_resumed": 0,
             #: Plus the scheduler's failed executions.
             "cell_failures": 0,
         }
@@ -166,8 +159,6 @@ class JobService:
             port=self.config.port,
             limit=protocol.MAX_LINE_BYTES,
         )
-        if self.config.resume:
-            self._resume_jobs()
 
     @property
     def port(self) -> int:
@@ -202,10 +193,6 @@ class JobService:
         for watchers in self._watchers.values():
             for queue in watchers:
                 queue.put_nowait(None)
-        for job in self.jobs.values():
-            if job.journal is not None:
-                # Left unfinished, so ``serve --resume`` replays the job.
-                job.journal.close()
 
     # -- submission ------------------------------------------------------
 
@@ -229,9 +216,6 @@ class JobService:
         policies,
         scale: Optional[float] = None,
         options_wire: Optional[Dict[str, object]] = None,
-        job_id: Optional[str] = None,
-        force: bool = False,
-        resume_keys=frozenset(),
     ):
         """Admit one submission; returns ``(job, None)`` or
         ``(None, Rejection)``.
@@ -241,17 +225,22 @@ class JobService:
         synchronously on the event loop so concurrent submitters
         interleave at message granularity, never mid-admission.  A
         cell whose spec does not parse fails alone, like a grid cell;
-        options that do not make a :class:`RunOptions` refuse the whole
-        submission as a ``bad-request``, before anything is admitted.
+        options that do not make a :class:`RunOptions`, or a scale that
+        is not a positive, finite number, refuse the whole submission as
+        a ``bad-request``, before anything is admitted.  The service
+        mints the job id.
         """
         try:
             options = self._merge_options(options_wire)
+            resolved_scale = (
+                trace_scale() if scale is None else check_scale(scale)
+            )
         except ValueError as exc:
             self.counters["submissions_rejected"] += 1
-            return None, Rejection("bad-request", "invalid options: %s" % exc)
-        resolved_scale = scale if scale is not None else trace_scale()
+            return None, Rejection("bad-request", "invalid submission: %s"
+                                   % exc)
         cells = expand_cells(benchmarks, policies, resolved_scale)
-        rejection = self.quotas.try_admit(tenant, len(cells), force=force)
+        rejection = self.quotas.try_admit(tenant, len(cells))
         if rejection is not None:
             self.counters["submissions_rejected"] += 1
             return None, rejection
@@ -259,23 +248,13 @@ class JobService:
         self.counters["cells_total"] += len(cells)
 
         job = Job(
-            job_id=job_id or new_run_id(),
+            job_id=new_run_id(),
             tenant=tenant,
             benchmarks=list(benchmarks),
             policies=list(policies),
             scale=resolved_scale,
-            options_wire=dict(options_wire or {}),
         )
         self.jobs[job.job_id] = job
-        job.resume_keys = resume_keys
-        job.journal = RunJournal.create(job.job_id, {
-            "service_job": True,
-            "tenant": tenant,
-            "benchmarks": list(benchmarks),
-            "policies": list(policies),
-            "scale": resolved_scale,
-            "options": dict(options_wire or {}),
-        })
         job.run = GridRun(
             self.scheduler, options,
             on_started=functools.partial(self._cell_started, job),
@@ -296,8 +275,6 @@ class JobService:
                 cell.status = (
                     CELL_RUNNING if execution.attempts else CELL_PENDING
                 )
-        if not cells:  # resumed from a journal with a torn header
-            self._finish_job_if_done(job)
         return job, None
 
     # -- cell/job state transitions --------------------------------------
@@ -305,8 +282,6 @@ class JobService:
     def _cell_started(
         self, job: Job, task: Task, worker: str, attempt: int
     ) -> None:
-        if job.journal is not None:
-            job.journal.task_started(task, attempt)
         cell = job.cells[task.label]
         cell.status = CELL_RUNNING
         cell.worker = worker
@@ -319,37 +294,22 @@ class JobService:
     def _cell_settled(
         self, job: Job, task: Task, outcome: Outcome, source: Optional[str]
     ) -> None:
-        if source is not None and job.run.keys[task] in job.resume_keys:
-            source = SOURCE_RESUME
         cell = job.cells[task.label]
         cell.attempts = outcome.attempts
         if outcome.ok:
-            if job.journal is not None:
-                job.journal.task_finished(
-                    task, job.run.keys[task], cache_hit=source is not None,
-                    resumed=source == SOURCE_RESUME, wall=outcome.wall,
-                    worker=outcome.pid, attempts=outcome.attempts,
-                )
             cell.status = CELL_DONE
             cell.source = source or cell.source or SOURCE_EXECUTED
             cell.digest = result_digest(outcome.value.to_dict())
             cell.wall_time = outcome.wall
             cell.worker = outcome.slot
             if source is not None:
-                self.counters[
-                    "cells_resumed" if source == SOURCE_RESUME
-                    else "cells_store_hits"
-                ] += 1
+                self.counters["cells_store_hits"] += 1
             event = protocol.event(
                 "cell_finished", job_id=job.job_id, cell=cell.label,
                 digest=cell.digest, source=cell.source,
                 wall_s=round(outcome.wall, 4), worker=outcome.slot,
             )
         else:
-            if job.journal is not None:
-                job.journal.task_failed(
-                    task, outcome.value, outcome.traceback, outcome.attempts,
-                )
             cell.status = CELL_FAILED
             cell.error = outcome.value
             cell.traceback = outcome.traceback
@@ -366,13 +326,6 @@ class JobService:
     def _finish_job_if_done(self, job: Job) -> None:
         if not job.done:
             return
-        journal, job.journal = job.journal, None
-        if journal is not None:
-            counts = job.counts()
-            journal.run_finished(
-                completed=counts[CELL_DONE], failed=counts[CELL_FAILED],
-                interrupted=job.cancelled,
-            )
         if job.cancelled:
             self.counters["jobs_cancelled"] += 1
         else:
@@ -403,36 +356,6 @@ class JobService:
                 "cell_cancelled", job_id=job.job_id, cell=label,
             ))
         self._finish_job_if_done(job)
-
-    # -- resume ----------------------------------------------------------
-
-    def _resume_jobs(self) -> None:
-        """Replay incomplete job journals found next to the store."""
-        for state in list_runs():
-            if state.finished or not state.meta.get("service_job"):
-                continue
-            if state.run_id in self.jobs:
-                continue
-            meta = state.meta
-            options_wire = meta.get("options")
-            try:
-                self._merge_options(options_wire)
-            except ValueError:
-                # An older version admitted options this one refuses;
-                # the job it admitted finishes on the server's own.
-                options_wire = None
-            job, rejection = self.submit_job(
-                tenant=meta.get("tenant", "anonymous"),
-                benchmarks=meta.get("benchmarks") or [],
-                policies=meta.get("policies") or [],
-                scale=meta.get("scale"),
-                options_wire=options_wire,
-                job_id=state.run_id,
-                force=True,
-                resume_keys=set(state.completed),
-            )
-            if job is not None:
-                self.counters["jobs_resumed"] += 1
 
     # -- events / watchers ----------------------------------------------
 
@@ -501,7 +424,6 @@ class JobService:
                 policies=fields["policies"],
                 scale=fields["scale"],
                 options_wire=fields["options"],
-                job_id=fields["job_id"],
             )
             if rejection is not None:
                 return protocol.error_response(

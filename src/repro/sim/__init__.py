@@ -12,7 +12,7 @@ from repro import _lazy_exports
 
 #: Public name -> defining module, resolved on first use.  Users import
 #: repro.sim.parallel (run_grid), repro.sim.suite (run_suite) and
-#: repro.sim.resilience/chaos from those modules.
+#: repro.sim.chaos from those modules.
 _EXPORTS = {
     "Simulator": "repro.sim.simulator",
     "SimResult": "repro.sim.stats",

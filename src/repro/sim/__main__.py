@@ -55,7 +55,8 @@ def main(argv=None) -> int:
              '"cbs-local", "cbs-global" (default: lru)',
     )
     parser.add_argument(
-        "--scale", type=float, default=1.0, help="trace-length multiplier"
+        "--scale", type=common_cli.scale_value, default=1.0,
+        help="trace-length multiplier",
     )
     parser.add_argument(
         "--l2-kb", type=int, default=None,

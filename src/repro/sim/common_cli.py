@@ -28,7 +28,7 @@ import argparse
 import os
 import sys
 
-from repro.sim.options import RunOptions, check_workers
+from repro.sim.options import RunOptions, check_scale, check_workers
 
 
 #: What an interrupted or partly failed grid CLI tells its user.
@@ -51,6 +51,29 @@ def worker_count(text: str, least: int = 0) -> int:
 def slot_worker_count(text: str) -> int:
     """``type=`` of the job service's ``--workers``: 1 or more slots."""
     return worker_count(text, least=1)
+
+
+def scale_value(text: str) -> float:
+    """``type=`` of every ``--scale`` flag: :func:`check_scale`,
+    reported as a usage error."""
+    try:
+        return check_scale(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def check_env_scale(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Without ``--scale``, report a ``REPRO_SCALE`` that is not a
+    positive, finite number as a usage error."""
+    from repro.sim.runner import trace_scale
+
+    if args.scale is None:
+        try:
+            trace_scale()
+        except ValueError as exc:
+            parser.error(str(exc))
 
 
 def execution_parent() -> argparse.ArgumentParser:
@@ -246,4 +269,6 @@ __all__ = [
     "workers_label",
     "worker_count",
     "slot_worker_count",
+    "scale_value",
+    "check_env_scale",
 ]

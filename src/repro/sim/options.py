@@ -37,6 +37,26 @@ def check_workers(workers: int, least: int = 0) -> int:
     return workers
 
 
+def check_scale(scale) -> float:
+    """``scale`` as a float, or ``ValueError`` unless it is a positive,
+    finite number.
+
+    The one check on a trace scale, shared by every ``--scale`` flag,
+    ``REPRO_SCALE`` (:func:`repro.sim.runner.trace_scale`) and the job
+    service's ``submit``.  A surrogate trace is clamped to at least one
+    access, so without it a zero, negative or NaN scale would run.
+    """
+    try:
+        value = float(scale)
+    except (TypeError, ValueError):
+        value = math.nan
+    if isinstance(scale, bool) or not (math.isfinite(value) and value > 0):
+        raise ValueError(
+            "scale must be a positive, finite number, got %r" % (scale,)
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class RunOptions:
     """Everything about *how* to execute simulations (not *what*).

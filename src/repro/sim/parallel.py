@@ -18,7 +18,7 @@ service (:mod:`repro.service.server`) alike:
   flight attaches to that execution instead of running twice.
 * **Retry with backoff** — a failed attempt is re-dispatched after a
   deterministic exponential-backoff delay
-  (:func:`~repro.sim.resilience.backoff_delay`) until ``max_retries``
+  (:func:`backoff_delay`) until ``max_retries``
   is exhausted; each attempt's wall-clock ``deadline`` is enforced
   with SIGALRM where the attempt runs.
 * **Rebuild** — a slot whose process died hard (OOM kill,
@@ -45,7 +45,7 @@ a grid and for each service job alike:
 
 A run keeps no results: its caller takes each settled cell through
 ``on_settled``, as :func:`run_grid` does for its report and the job
-service for its job state and journal.
+service for its job state.
 
 :func:`run_grid` is one :class:`GridRun` on a private scheduler.  A
 seeded :class:`~repro.sim.chaos.ChaosConfig` injects crashes/delays
@@ -60,6 +60,7 @@ locks this in).
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
 import os
@@ -75,7 +76,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.sim import runner
 from repro.sim.chaos import inject
 from repro.sim.options import RunOptions, check_workers
-from repro.sim.resilience import BACKOFF_BASE_S, BACKOFF_CAP_S, backoff_delay
 from repro.sim.runner import GridReport, Task, TaskReport
 from repro.sim.stats import SimResult
 from repro.sim.store import default_store, store_key
@@ -83,6 +83,39 @@ from repro.sim.store import default_store, store_key
 
 #: The slot name of a cell attempt run in this process (``workers=0``).
 IN_PROCESS = "in-process"
+
+#: First wait between two attempts of one task, in seconds; each
+#: further retry doubles it, up to :data:`BACKOFF_CAP_S`.
+BACKOFF_BASE_S = 0.05
+
+#: Longest wait between two attempts of one task, in seconds.
+BACKOFF_CAP_S = 2.0
+
+
+def backoff_delay(
+    base: float,
+    cap: float,
+    attempt: int,
+    label: str,
+    seed: int = 0,
+) -> float:
+    """Deterministic exponential backoff before retry ``attempt``.
+
+    ``attempt`` counts completed attempts (1 = first retry).  Returns
+    0 when ``base`` is non-positive.  The wait is ``base *
+    2**(attempt-1)`` scaled by a jitter factor in ``[1.0, 2.0)`` that
+    is a pure function of ``sha256(seed, label, attempt)``, so two runs
+    of the same grid retry on the same schedule while distinct tasks
+    still de-synchronize.
+    """
+    if base <= 0 or attempt <= 0:
+        return 0.0
+    raw = min(cap, base * (2 ** (attempt - 1)))
+    digest = hashlib.sha256(
+        ("%d|%s|%d" % (seed, label, attempt)).encode()
+    ).digest()
+    jitter = 1.0 + int.from_bytes(digest[:8], "big") / 2.0**64
+    return min(cap, raw * jitter)
 
 
 class TaskTimeout(Exception):
@@ -589,6 +622,8 @@ def run_grid(
 
 
 __all__ = [
+    "BACKOFF_BASE_S",
+    "BACKOFF_CAP_S",
     "CellScheduler",
     "Execution",
     "GridRun",
@@ -598,4 +633,5 @@ __all__ = [
     "GridReport",
     "run_grid",
     "execute_cell",
+    "backoff_delay",
 ]

@@ -3,7 +3,7 @@
 A :class:`Task` is one cell: one workload under one policy at one
 scale, plus the optional fields that change what is simulated.  It is
 the only list of those fields.  The store key
-(:func:`repro.sim.store.store_key`), the job journal and report record
+(:func:`repro.sim.store.store_key`), the report and store-entry record
 (:meth:`Task.to_dict`), the label (:func:`cell_label`) and the
 :class:`~repro.sim.simulator.Simulator` (:meth:`Task.simulator`) all
 derive from it, so a new field reaches each of them by being declared
@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig
 from repro.cpu.prefetch import prefetcher_for
-from repro.sim.options import RunOptions
+from repro.sim.options import RunOptions, check_scale
 from repro.sim.simulator import Simulator
 from repro.sim.stats import SimResult
 from repro.trace.packed import PackedTrace
@@ -266,9 +266,14 @@ def trace_scale() -> float:
     """Global trace-length multiplier, settable via REPRO_SCALE.
 
     Benchmarks default to 1.0; set e.g. ``REPRO_SCALE=4`` for longer,
-    more converged runs, or ``0.25`` for a quick smoke pass.
+    more converged runs, or ``0.25`` for a quick smoke pass.  A value
+    that is not a positive, finite number raises ``ValueError``
+    (:func:`repro.sim.options.check_scale`).
     """
-    return float(os.environ.get("REPRO_SCALE", "1.0"))
+    try:
+        return check_scale(os.environ.get("REPRO_SCALE", "1.0"))
+    except ValueError as exc:
+        raise ValueError("REPRO_SCALE: %s" % exc) from None
 
 
 def packed_trace(benchmark, scale: Optional[float] = None) -> PackedTrace:

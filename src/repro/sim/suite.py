@@ -315,7 +315,10 @@ def main(argv=None) -> int:
              'surrogates); composed/imported specs work: '
              '"mcf,interleave(mcf,art),champsim:/path.xz"',
     )
-    parser.add_argument("--scale", type=float, default=None)
+    parser.add_argument(
+        "--scale", type=common_cli.scale_value, default=None,
+        help="trace-length multiplier (default: REPRO_SCALE env or 1.0)",
+    )
     parser.add_argument(
         "--oracle", action="store_true",
         help="compute offline OPT / cost-weighted-OPT bounds per "
@@ -328,6 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     common_cli.check_grid_args(parser, args)
+    common_cli.check_env_scale(parser, args)
     common_cli.apply_telemetry(args)
     options = common_cli.options_from_args(args)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.sim.common_cli import scale_value
 from repro.workloads.registry import (
     UnknownWorkloadError,
     WorkloadSpecError,
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
         help="workload spec for --save",
     )
     parser.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=scale_value, default=1.0,
         help="trace-length multiplier (default 1.0)",
     )
     args = parser.parse_args(argv)

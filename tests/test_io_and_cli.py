@@ -266,8 +266,8 @@ class TestStatsHelpers:
 
 class TestLazyNumpy:
     """numpy costs ~0.2 s and ~13 MB per process; only the npz trace
-    format and the batched replay rung need it, so the native suite
-    path, the service and the pool must never import it."""
+    format needs it, so the native suite path, the service and the
+    pool must never import it."""
 
     def _child(self, script, tmp_path):
         out = subprocess.run(
@@ -293,7 +293,8 @@ class TestLazyNumpy:
         from repro.sim.native import load_extension
 
         if load_extension() is None:
-            pytest.skip("native extension not built; batched needs numpy")
+            pytest.skip("native extension not built; this pins the native "
+                        "suite path")
         script = (
             "import sys\n"
             "from repro.__main__ import main\n"

@@ -641,7 +641,7 @@ class TestTaskIsTheCell:
         import dataclasses
 
         from repro.sim.parallel import TaskReport
-        from repro.sim.resilience import RunJournal, load_journal
+        from repro.sim.runner import run_task
 
         base = Task("lucas", "lru", SCALE)
         task = dataclasses.replace(base, **{name: self.VARIANTS[name]})
@@ -654,13 +654,12 @@ class TestTaskIsTheCell:
         assert json.loads(json.dumps(record)) == record
         report = TaskReport(task=task, ok=True).to_dict()
         assert {field: report[field] for field in record} == record
-        journal = RunJournal.create(run_id="run-%s" % name)
-        key = store_key(task)
-        journal.task_finished(task, key, cache_hit=False, resumed=False,
-                              wall=0.0, worker=None, attempts=1)
-        journal.close()
-        finished = load_journal("run-%s" % name).completed[key]
-        assert {field: finished[field] for field in record} == record
+        # The stored entry records the canonical task.
+        run_task(task)
+        (entry,) = default_store().entry_paths()
+        stored = json.loads(entry.read_text())["key_fields"]
+        assert stored == task.canonical().to_dict()
+        assert stored != base.canonical().to_dict()
 
     def test_labels_name_every_set_field(self):
         from repro.sim.runner import cell_label

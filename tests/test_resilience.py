@@ -1,4 +1,4 @@
-"""Resilience-layer unit tests: backoff, journal, RunOptions.
+"""Resilience-layer unit tests: backoff, RunOptions, CLI flag checks.
 
 The end-to-end fault-injection properties (digest equality under
 chaos, re-running an interrupted grid, slot rebuild) live in
@@ -8,8 +8,7 @@ tests compose — all deterministic, none needing a worker pool.
 
 import argparse
 import importlib
-import json
-import re
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,23 +18,15 @@ import pytest
 from repro.sim import common_cli
 from repro.sim.chaos import ChaosConfig
 from repro.sim.options import RunOptions
-from repro.sim.parallel import CellScheduler, Task, run_grid
-from repro.sim.resilience import (
-    RunJournal,
-    backoff_delay,
-    journal_root,
-    list_runs,
-    load_journal,
-    new_run_id,
-)
-from repro.sim.runner import clear_cache, run_policy
+from repro.sim.parallel import CellScheduler, Task, backoff_delay, run_grid
+from repro.sim.runner import clear_cache, run_policy, trace_scale
 
 SCALE = 0.05
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches(tmp_path, monkeypatch):
-    """Every test gets its own empty store and journal directory."""
+    """Every test gets its own empty store."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
     clear_cache()
     yield
@@ -67,91 +58,6 @@ class TestBackoff:
         assert backoff_delay(0.05, 2.0, 0, "x") == 0.0
 
 
-class TestRunJournal:
-    def test_roundtrip(self):
-        journal = RunJournal.create(
-            run_id="run-test-0001", meta={"workers": 2, "tasks": 1}
-        )
-        task = _task()
-        journal.task_started(task, 1)
-        journal.task_failed(task, "Boom: no", "Traceback (fake)", 1)
-        journal.task_started(task, 2)
-        journal.task_finished(
-            task, "abc123", cache_hit=False, resumed=False, wall=0.5,
-            worker=321, attempts=2,
-        )
-        journal.run_finished(completed=1, failed=0, interrupted=False)
-
-        state = load_journal("run-test-0001")
-        assert state.run_id == "run-test-0001"
-        assert state.meta["workers"] == 2
-        assert state.meta["run_id"] == "run-test-0001"
-        assert list(state.completed) == ["abc123"]
-        record = state.completed["abc123"]
-        assert record["attempts"] == 2
-        assert record["worker"] == 321
-        assert record["benchmark"] == "lucas"
-        assert state.failed[0]["error"] == "Boom: no"
-        assert state.failed[0]["traceback"] == "Traceback (fake)"
-        assert state.finished
-
-    def test_every_event_is_flushed(self):
-        journal = RunJournal.create(run_id="run-test-flush")
-        journal.task_started(_task(), 1)
-        # No close(): the lines must already be durable on disk.
-        lines = journal.path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[0])["event"] == "run_started"
-        assert json.loads(lines[1])["event"] == "task_started"
-        journal.close()
-
-    def test_torn_trailing_line_is_ignored(self):
-        journal = RunJournal.create(run_id="run-test-torn")
-        journal.task_finished(
-            _task(), "key1", cache_hit=False, resumed=False, wall=0.1,
-            worker=None, attempts=1,
-        )
-        journal.close()
-        with open(journal.path, "a") as handle:
-            handle.write('{"event": "task_fini')  # killed mid-write
-        state = load_journal("run-test-torn")
-        assert list(state.completed) == ["key1"]
-        assert not state.finished
-
-    def test_unknown_run_id_lists_known_runs(self):
-        RunJournal.create(run_id="run-test-known").close()
-        with pytest.raises(FileNotFoundError) as excinfo:
-            load_journal("run-test-missing")
-        assert "run-test-missing" in str(excinfo.value)
-        assert "run-test-known" in str(excinfo.value)
-
-    def test_list_runs_enumerates(self):
-        assert list_runs() == []
-        RunJournal.create(run_id="job-test-a").run_finished(0, 0)
-        RunJournal.create(run_id="job-test-b").close()
-        assert [s.run_id for s in list_runs()] == [
-            "job-test-a", "job-test-b",
-        ]
-
-    def test_no_store_disables_journaling(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_STORE", "1")
-        assert journal_root() is None
-        assert RunJournal.create("job-test-off") is None
-        assert list_runs() == []
-
-    def test_new_run_id_shape(self):
-        run_id = new_run_id()
-        assert re.match(r"^job-\d{8}-\d{6}-[0-9a-f]{6}$", run_id)
-
-    def test_service_job_ids_list_apart_from_grid_runs(self):
-        # A cache an older version used holds grid journals too; the
-        # service lists only its own.
-        job_id = new_run_id()
-        RunJournal.create(run_id=job_id).close()
-        RunJournal.create(run_id="run-test-a").close()
-        assert [s.run_id for s in list_runs()] == [job_id]
-
-
 class TestGridJournalIntegration:
     def test_run_grid_writes_no_journal(self, tmp_path):
         for workers in (0, 1):
@@ -159,23 +65,6 @@ class TestGridJournalIntegration:
             assert not grid.failures
             assert "run_id" not in grid.meta()
         assert not (tmp_path / "store" / "runs").exists()
-
-    def test_cache_hits_are_journaled_as_such(self):
-        # A service job journals its cells; a store hit is recorded as
-        # one.  The cell is in the store, so admission schedules
-        # nothing and no event loop is needed.
-        from repro.service.server import JobService, ServiceConfig
-
-        run_grid([_task()])
-        job, _ = JobService(ServiceConfig()).submit_job(
-            "t", ["lucas"], ["lru"], scale=SCALE, job_id="job-test-hit",
-        )
-        assert job.status == "done"
-        state = load_journal("job-test-hit")
-        assert state.finished
-        record = next(iter(state.completed.values()))
-        assert record["cache_hit"] is True
-        assert record["attempts"] == 0
 
 
 class TestRunOptions:
@@ -422,18 +311,28 @@ class TestGridArgs:
         )
 
     def test_experiments_no_cache_with_workers_runs_on_the_pool(
-        self, capsys, monkeypatch
+        self, capsys
     ):
         from repro.experiments.__main__ import main
 
-        # --no-cache sets REPRO_NO_STORE: record it unset (an empty
-        # value reads as unset), so monkeypatch removes it afterwards.
-        monkeypatch.setenv("REPRO_NO_STORE", "")
         assert main(["table1", "--no-cache", "--workers", "2",
                      "--benchmarks", "lucas", "--scale", str(SCALE)]) == 0
         captured = capsys.readouterr()
         assert "lucas" in captured.out
         assert "[grid: 1 tasks, 2 workers," in captured.err
+
+    def test_experiments_no_cache_leaves_the_environment_alone(
+        self, capsys, monkeypatch
+    ):
+        # --no-cache turns the store off for the run and its renders
+        # only: a later call in the same process uses the store again.
+        from repro.experiments.__main__ import main
+
+        monkeypatch.delenv("REPRO_NO_STORE", raising=False)
+        before = dict(os.environ)
+        assert main(["table2", "--no-cache", "--benchmarks", "lucas",
+                     "--scale", str(SCALE)]) == 0
+        assert dict(os.environ) == before
 
     def test_suite_no_cache_with_workers_runs_on_the_pool(self, capsys):
         from repro.sim.suite import main
@@ -442,3 +341,68 @@ class TestGridArgs:
                      "lucas", "--policies", "lru", "--scale",
                      str(SCALE)]) == 0
         assert "[2 workers:" in capsys.readouterr().err
+
+
+BAD_SCALES = ["-1", "0", "nan", "inf", "abc"]
+
+
+class TestScaleArgs:
+    """A scale that is not a positive, finite number is refused before
+    any cell runs: a usage error on every CLI, a ``ValueError`` from
+    ``trace_scale()``, and a ``ProtocolError`` on the service's wire
+    (``tests/test_service.py``)."""
+
+    @pytest.mark.parametrize("value", BAD_SCALES)
+    @pytest.mark.parametrize("module,argv", [
+        pytest.param("repro.__main__", [cmd] + rest, id=cmd)
+        for cmd, rest in (
+            ("run", ["--benchmark", "lucas"]),
+            ("suite", ["--benchmarks", "lucas", "--policies", "lru"]),
+            ("experiments", ["table2", "--benchmarks", "lucas"]),
+            ("bench", []),
+            ("workloads", ["--digest", "lucas"]),
+            ("chaos", []),
+            ("submit", ["--benchmarks", "lucas", "--policies", "lru",
+                        "--port", "1"]),
+        )
+    ] + [pytest.param("repro.service.__main__", ["demo"], id="demo")])
+    def test_every_scale_flag_refuses_it(self, module, argv, value, capsys):
+        main = importlib.import_module(module).main
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--scale=" + value])
+        assert excinfo.value.code == 2
+        assert "scale must be a positive, finite number" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("value", BAD_SCALES)
+    def test_repro_scale_refuses_it(self, value, monkeypatch, capsys):
+        from repro.__main__ import main
+
+        monkeypatch.setenv("REPRO_SCALE", value)
+        with pytest.raises(ValueError, match="REPRO_SCALE"):
+            trace_scale()
+        for argv in (["suite", "--benchmarks", "lucas", "--policies", "lru"],
+                     ["experiments", "table2", "--benchmarks", "lucas"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "REPRO_SCALE" in capsys.readouterr().err
+
+    def test_repro_scale_is_checked_before_serving(self, tmp_path):
+        # A submit that names no scale runs at the daemon's REPRO_SCALE,
+        # so the daemon refuses a bad one before it listens.
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--port", "0"],
+                capture_output=True, text=True,
+                cwd=str(Path(__file__).parent.parent),
+                env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin",
+                     "REPRO_CACHE_DIR": str(tmp_path / "store"),
+                     "REPRO_SCALE": "nan"},
+                timeout=60,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("repro serve started with REPRO_SCALE=nan")
+        assert out.returncode == 2
+        assert "REPRO_SCALE" in out.stderr

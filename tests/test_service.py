@@ -9,13 +9,14 @@ The tentpole guarantees locked in here:
   ``retry_after_s``) and deterministic;
 * the per-worker circuit breaker trips on consecutive failures and
   recovers via half-open probes;
-* ``serve --resume`` replays a crashed job's journal, re-serving
-  journal-completed cells from the store;
+* restarting the service is resubmitting: the cells a stopped
+  service finished come back as store hits, with the job digest a
+  fresh service computes;
+* the server mints every job id;
 * the umbrella ``python -m repro`` CLI reaches every subcommand.
 """
 
 import asyncio
-import json
 import os
 import re
 import signal
@@ -29,17 +30,10 @@ import pytest
 
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError, submit
-from repro.service.jobs import TenantQuotas, expand_cells
-from repro.service.server import ServiceConfig, serve_in_thread
+from repro.service.jobs import TenantQuotas, new_run_id
+from repro.service.server import JobService, ServiceConfig, serve_in_thread
 from repro.sim.chaos import ChaosConfig
 from repro.sim.options import RunOptions
-from repro.sim.store import store_key
-from repro.sim.resilience import (
-    RunJournal,
-    journal_root,
-    load_journal,
-    new_run_id,
-)
 from repro.sim.runner import clear_cache, run_policy
 from repro.sim.store import result_digest
 
@@ -55,6 +49,19 @@ def fresh_caches(tmp_path, monkeypatch):
     clear_cache()
     yield
     clear_cache()
+
+
+def _children(pid):
+    """Pids of the processes whose parent is ``pid``, read from /proc."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == pid:
+            found.append(int(stat.parent.name))
+    return found
 
 
 def start_service(**overrides):
@@ -91,12 +98,34 @@ class TestProtocol:
         {"benchmarks": ["mcf"], "policies": [""]},   # blank entry
         {"benchmarks": ["mcf"], "policies": ["lru"], "scale": -1},
         {"benchmarks": ["mcf"], "policies": ["lru"], "scale": "big"},
+        {"benchmarks": ["mcf"], "policies": ["lru"], "scale": 0},
+        {"benchmarks": ["mcf"], "policies": ["lru"], "scale": float("nan")},
+        {"benchmarks": ["mcf"], "policies": ["lru"], "scale": float("inf")},
+        {"benchmarks": ["mcf"], "policies": ["lru"], "scale": "nan"},
+        {"benchmarks": ["mcf"], "policies": ["lru"], "scale": True},
         {"benchmarks": ["mcf"], "policies": ["lru"], "tenant": ""},
         {"benchmarks": ["mcf"], "policies": ["lru"], "options": 7},
     ])
     def test_validate_submit_rejects(self, message):
         with pytest.raises(protocol.ProtocolError):
             protocol.validate_submit(message)
+
+    def test_bad_scale_is_refused_before_admission(self):
+        # NaN and inf arrive from a JSON line too (Python's json reads
+        # them), and an in-process caller skips the wire.
+        message = protocol.decode(
+            b'{"op": "submit", "benchmarks": ["mcf"], "policies": ["lru"],'
+            b' "scale": NaN}\n'
+        )
+        with pytest.raises(protocol.ProtocolError):
+            protocol.validate_submit(message)
+        service = JobService(ServiceConfig())
+        for scale in (0, -1.0, float("nan"), float("inf")):
+            job, rejection = service.submit_job(
+                "t", ["mcf"], ["lru"], scale=scale
+            )
+            assert job is None and rejection.code == "bad-request"
+        assert service.jobs == {} and service.quotas.inflight_total == 0
 
     def test_error_response_carries_retry_hint(self):
         response = protocol.error_response(
@@ -105,6 +134,38 @@ class TestProtocol:
         assert response["ok"] is False
         assert response["error"]["code"] == "queue-full"
         assert response["retry_after_s"] == 1.25
+
+
+class TestJobIds:
+    def test_new_run_id_shape(self):
+        assert re.match(r"^job-\d{8}-\d{6}-[0-9a-f]{6}$", new_run_id())
+
+    def test_two_submits_never_share_an_id(self):
+        # The server mints every id and ignores a client's job_id:
+        # honoured, the second tenant's submit would replace the first
+        # tenant's live job.
+        run_policy("lucas", "lru", scale=SCALE)
+        handle = start_service(workers=1)
+        try:
+            ids = []
+            for tenant in ("t1", "t2"):
+                client = ServiceClient(port=handle.port, tenant=tenant)
+                ids.append(client._request({
+                    "op": "submit", "tenant": tenant, "job_id": "job-x",
+                    "benchmarks": ["lucas"], "policies": ["lru"],
+                    "scale": SCALE,
+                })["job_id"])
+            jobs = [client.wait(job_id) for job_id in ids]
+        finally:
+            handle.stop()
+        assert len(set(ids)) == 2 and "job-x" not in ids
+        assert [job["tenant"] for job in jobs] == ["t1", "t2"]
+        service = JobService(ServiceConfig())
+        minted = {
+            service.submit_job("t", ["lucas"], ["lru"], scale=SCALE)[0].job_id
+            for _ in range(50)
+        }
+        assert len(minted) == 50
 
 
 class TestTenantQuotas:
@@ -134,11 +195,6 @@ class TestTenantQuotas:
         assert rejection.code == "quota-exceeded"
         # Another tenant is unaffected by the noisy one's quota.
         assert quotas.try_admit("quiet", 2) is None
-
-    def test_force_bypasses_checks_but_still_accounts(self):
-        quotas = TenantQuotas(queue_limit=1, tenant_quota=1)
-        assert quotas.try_admit("a", 5, force=True) is None
-        assert quotas.inflight_total == 5
 
     def test_retry_after_is_deterministic_and_bounded(self):
         quotas = TenantQuotas(queue_limit=0, tenant_quota=0)
@@ -568,141 +624,75 @@ class TestMalformedSpecs:
         assert good["status"] == "done"
         assert stats["counters"]["cell_failures"] == len(failed)
         assert stats["quotas"]["inflight_total"] == 0
-        state = load_journal(bad["job_id"])
-        assert state.finished and len(state.failed) == len(failed)
-
-    def test_resume_over_a_journal_with_a_malformed_spec(self):
-        job_id = new_run_id()
-        RunJournal.create(run_id=job_id, meta={
-            "service_job": True,
-            "tenant": "t",
-            "benchmarks": ["mcf(seed=", "lucas"],
-            "policies": ["lru"],
-            "scale": SCALE,
-            "options": {},
-        }).close()
-        handle = start_service(resume=True)
-        try:
-            snapshot = ServiceClient(port=handle.port).wait(job_id)
-        finally:
-            handle.stop()
-        assert snapshot["status"] == "failed"
-        assert snapshot["cells"]["lucas/lru"]["status"] == "done"
-        assert load_journal(job_id).finished
 
 
 class TestResume:
-    def test_resume_replays_an_interrupted_job(self):
-        # Forge the aftermath of a crash: a job journal with one cell
-        # recorded finished (and its result in the store) and one cell
-        # missing, with no run_finished line.
-        done_result = run_policy("lucas", "lru", scale=SCALE)
-        cells = expand_cells(BENCHMARKS[:1], POLICIES, SCALE)
-        labels = {label: task for label, task in cells}
-        done_task = labels["lucas/lru"]
-        job_id = new_run_id()
-        journal = RunJournal.create(run_id=job_id, meta={
-            "service_job": True,
-            "tenant": "crashy",
-            "benchmarks": list(BENCHMARKS[:1]),
-            "policies": list(POLICIES),
-            "scale": SCALE,
-            "options": {},
-        })
-        journal.task_finished(
-            done_task, store_key(done_task), cache_hit=False,
-            resumed=False, wall=0.1, worker=None, attempts=1,
-        )
-        journal.close()
+    """Restarting the service is resubmitting: the result store is the
+    only record of the cells a stopped service finished."""
 
-        handle = start_service(resume=True)
-        try:
-            client = ServiceClient(port=handle.port)
-            snapshot = client.wait(job_id)
-            stats = client.stats()
-        finally:
-            handle.stop()
-
-        assert snapshot["status"] == "done"
-        assert snapshot["tenant"] == "crashy"
-        assert stats["counters"]["jobs_resumed"] == 1
-        resumed_cell = snapshot["cells"]["lucas/lru"]
-        assert resumed_cell["source"] == "resume"
-        assert resumed_cell["digest"] == result_digest(
-            done_result.to_dict()
-        )
-        # The missing cell actually executed.
-        other = snapshot["cells"]["lucas/lin(4)"]
-        assert other["status"] == "done"
-        assert other["source"] == "executed"
-        # The resumed run appends the job journal's usual records.
-        lines = (journal_root() / ("%s.jsonl" % job_id)).read_text()
-        records = [json.loads(line) for line in lines.splitlines()]
-        header = max(
-            index for index, record in enumerate(records)
-            if record["event"] == "run_started"
-        )
-        resumed = records[header:]
-        cell = {"benchmark", "policy", "scale", "phase_interval", "ts"}
-        assert [(record["event"], set(record)) for record in resumed] == [
-            ("run_started", {
-                "event", "schema", "run_id", "ts", "service_job",
-                "tenant", "benchmarks", "policies", "scale", "options",
-            }),
-            ("task_finished", cell | {
-                "event", "store_key", "cache_hit", "resumed", "wall_s",
-                "worker", "attempts",
-            }),
-            ("task_started", cell | {"event", "attempt"}),
-            ("task_finished", cell | {
-                "event", "store_key", "cache_hit", "resumed", "wall_s",
-                "worker", "attempts",
-            }),
-            ("run_finished", {
-                "event", "completed", "failed", "interrupted", "ts",
-            }),
-        ]
-        assert resumed[0]["run_id"] == job_id
-        assert resumed[0]["tenant"] == "crashy"
-        assert (resumed[1]["policy"], resumed[1]["cache_hit"],
-                resumed[1]["resumed"], resumed[1]["attempts"]) == (
-            "lru", True, True, 0,
-        )
-        assert (resumed[3]["policy"], resumed[3]["cache_hit"],
-                resumed[3]["resumed"], resumed[3]["attempts"]) == (
-            "lin(4)", False, False, 1,
-        )
-        assert resumed[4]["completed"] == 2 and resumed[4]["failed"] == 0
-        assert resumed[4]["interrupted"] is False
-
-    @pytest.mark.parametrize("options", [
-        {"kernel": "generic"}, {"max_retries": -5},
-    ], ids=["kernel", "negative-retries"])
-    def test_resume_takes_journaled_options_this_version_refuses(
-        self, options
+    def test_resubmit_after_restart_serves_finished_cells_from_the_store(
+        self, tmp_path, monkeypatch
     ):
-        # Journals from older versions may hold options a submit is now
-        # refused for (the replay kernel, a negative retry count); the
-        # job they admitted still resumes and finishes.
-        job_id = new_run_id()
-        RunJournal.create(run_id=job_id, meta={
-            "service_job": True,
-            "tenant": "t",
-            "benchmarks": ["lucas"],
-            "policies": ["lru"],
-            "scale": SCALE,
-            "options": options,
-        }).close()
-        handle = start_service(resume=True)
+        # A service stopped mid-job: seeded delays keep its cells in
+        # flight, and it stops as soon as the first one finishes.
+        slow = RunOptions(
+            chaos=ChaosConfig.parse("delay=1.0,delay-s=0.2,seed=3")
+        )
+        first = start_service(workers=1, options=slow)
         try:
-            client = ServiceClient(port=handle.port)
-            snapshot = client.wait(job_id)
+            client = ServiceClient(port=first.port)
+            job_id = client.submit(BENCHMARKS, POLICIES, scale=SCALE)
+            finished = {}
+            for event in client.watch(job_id):
+                if event.get("event") == "cell_finished":
+                    finished[event["cell"]] = event["digest"]
+                    break
+        finally:
+            first.stop()
+        assert finished
+
+        # A fresh service over the store the stopped one left behind.
+        second = start_service(workers=1)
+        try:
+            client = ServiceClient(port=second.port)
+            restarted = client.wait(
+                client.submit(BENCHMARKS, POLICIES, scale=SCALE)
+            )
             stats = client.stats()
         finally:
-            handle.stop()
-        assert snapshot["status"] == "done"
-        assert stats["counters"]["jobs_resumed"] == 1
-        assert load_journal(job_id).finished
+            second.stop()
+        hits = {
+            label: cell["digest"]
+            for label, cell in restarted["cells"].items()
+            if cell["source"] == "store"
+        }
+        assert restarted["status"] == "done"
+        assert set(finished) <= set(hits)
+        assert {label: hits[label] for label in finished} == finished
+        assert stats["counters"]["cells_store_hits"] == len(hits)
+        assert stats["counters"]["cells_executed"] == 4 - len(hits)
+        assert "jobs_resumed" not in stats["counters"]
+        assert not (tmp_path / "store" / "runs").exists()
+
+        # The same grid on a fresh service over an empty store.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "fresh"))
+        fresh = start_service(workers=1)
+        try:
+            client = ServiceClient(port=fresh.port)
+            baseline = client.wait(
+                client.submit(BENCHMARKS, POLICIES, scale=SCALE)
+            )
+        finally:
+            fresh.stop()
+        assert baseline["digest"] and restarted["digest"] == baseline["digest"]
+
+    def test_serve_takes_no_resume_flag(self, capsys):
+        from repro.service.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--resume"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
 
     def test_slots_exit_when_the_daemon_is_killed(self, tmp_path):
         # A killed daemon's slot processes must not outlive it: they
@@ -720,13 +710,13 @@ class TestResume:
                 r":(\d+) ", daemon.stdout.readline()
             ).group(1))
             client = ServiceClient(port=port)
-            job_id = client.submit(("lucas",), ("lru",), scale=SCALE)
-            client.wait(job_id)
+            client.wait(client.submit(("lucas",), ("lru",), scale=SCALE))
+            slots = _children(daemon.pid)
         finally:
             daemon.kill()
             daemon.wait()
-        record = next(iter(load_journal(job_id).completed.values()))
-        slot = Path("/proc/%d/stat" % record["worker"])
+        assert len(slots) == 1
+        slot = Path("/proc/%d/stat" % slots[0])
 
         def alive():
             try:
@@ -741,24 +731,7 @@ class TestResume:
             assert not alive(), "slot process outlived its daemon"
         finally:
             if alive():
-                os.kill(record["worker"], signal.SIGKILL)
-
-    def test_finished_journals_are_not_replayed(self):
-        handle = start_service(workers=1)
-        try:
-            client = ServiceClient(port=handle.port)
-            client.wait(client.submit(("lucas",), ("lru",), scale=SCALE))
-        finally:
-            handle.stop()
-        # Restart over the same store: the completed journal must not
-        # resurrect the job.
-        second = start_service(resume=True)
-        try:
-            stats = ServiceClient(port=second.port).stats()
-        finally:
-            second.stop()
-        assert stats["counters"]["jobs_resumed"] == 0
-        assert stats["jobs"]["total"] == 0
+                os.kill(slots[0], signal.SIGKILL)
 
 
 class TestUmbrellaCLI:

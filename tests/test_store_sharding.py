@@ -129,37 +129,37 @@ class TestLeftoversAndGc:
 
 
 class TestJournalGc:
-    """``--gc`` removes the run journals under ``runs/`` that nothing
-    reads again, and keeps those ``serve --resume`` would replay."""
+    """``--gc`` removes the run journals under ``runs/`` that older
+    versions wrote: nothing reads them any more."""
 
     @pytest.fixture
     def runs(self, store, monkeypatch):
-        from repro.sim.resilience import RunJournal
-
         monkeypatch.setenv("REPRO_CACHE_DIR", str(store.root))
-        # Grid journals an older version wrote, finished or not.
-        RunJournal.create("run-20250101-000000-aaaaaa").run_finished(1, 0)
-        RunJournal.create("run-20250101-000001-bbbbbb").close()
-        RunJournal.create("job-20250101-000002-cccccc").run_finished(1, 0)
-        # A job in flight when its daemon died, killed mid-write.
-        live = RunJournal.create("job-20250101-000003-dddddd")
-        live.close()
-        with open(live.path, "a") as handle:
-            handle.write('{"event": "task_fini')
-        return store.root / "runs"
+        runs = store.root / "runs"
+        runs.mkdir(parents=True)
+        finished = '{"event": "run_started"}\n{"event": "run_finished"}\n'
+        # Grid journals, finished or not, and service job journals: one
+        # finished, one whose daemon died mid-write.
+        (runs / "run-20250101-000000-aaaaaa.jsonl").write_text(finished)
+        (runs / "run-20250101-000001-bbbbbb.jsonl").write_text(
+            '{"event": "run_started"}\n'
+        )
+        (runs / "job-20250101-000002-cccccc.jsonl").write_text(finished)
+        (runs / "job-20250101-000003-dddddd.jsonl").write_text(
+            '{"event": "run_started"}\n{"event": "task_fini'
+        )
+        return runs
 
     def test_gc_removes_grid_and_finished_job_journals(self, store, runs):
-        assert store.gc()["journals_removed"] == 3
-        assert [path.name for path in runs.iterdir()] == [
-            "job-20250101-000003-dddddd.jsonl",
-        ]
+        assert store.gc()["journals_removed"] == 4
+        assert list(runs.iterdir()) == []
 
     def test_gc_dry_run_counts_journals_and_keeps_them(
         self, store, runs, capsys
     ):
         before = sorted(runs.iterdir())
         assert store_main(["--gc", "--dry-run"]) == 0
-        assert "removed 3 finished journals" in capsys.readouterr().out
+        assert "removed 4 old journals" in capsys.readouterr().out
         assert sorted(runs.iterdir()) == before
 
 
